@@ -47,6 +47,17 @@ fn bench_flash_ops(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    g.bench_function("page_checksum_2k", |b| b.iter(|| fnv1a32(&data)));
+    // A program refused at the last data byte: the chip validates before it
+    // mutates, so this is the conflict scan of the whole data area and
+    // nothing else, repeatable on one page.
+    let mut chip = FlashChip::new(config.with_nop_data(2));
+    let mut cleared = data.clone();
+    cleared[2047] = 0x00;
+    chip.program_page(Ppn(1), &cleared, &spare).unwrap();
+    g.bench_function("program_conflict_check_2k", |b| {
+        b.iter(|| chip.program_page(Ppn(1), &data, &spare).unwrap_err())
+    });
     let mut chip = FlashChip::new(config);
     chip.program_page(Ppn(0), &data, &spare).unwrap();
     let mut out = vec![0u8; 2048];

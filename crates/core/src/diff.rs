@@ -246,13 +246,9 @@ impl Differential {
     ) -> Differential {
         debug_assert_eq!(base.len(), new.len());
         let mut runs: Vec<DiffRun> = Vec::new();
-        let mut i = 0usize;
         let n = base.len();
+        let mut i = next_difference(base, new, 0);
         while i < n {
-            if base[i] == new[i] {
-                i += 1;
-                continue;
-            }
             // Start of a changed run; extend while changed, bridging gaps
             // of up to `coalesce_gap` unchanged bytes.
             let start = i;
@@ -260,10 +256,8 @@ impl Differential {
             let mut probe = end;
             loop {
                 // Extend over changed bytes.
-                while probe < n && base[probe] != new[probe] {
-                    probe += 1;
-                    end = probe;
-                }
+                probe = next_equal(base, new, probe);
+                end = probe;
                 // Try to bridge a gap.
                 let gap_start = probe;
                 while probe < n && probe - gap_start < coalesce_gap && base[probe] == new[probe] {
@@ -276,7 +270,7 @@ impl Differential {
                 break;
             }
             runs.push(DiffRun { offset: start as u32, bytes: new[start..end].to_vec() });
-            i = end;
+            i = next_difference(base, new, end);
         }
         Differential { pid, ts, txn: NO_TXN, runs }
     }
@@ -460,9 +454,40 @@ impl Differential {
     }
 }
 
+/// Index of the first byte at or after `from` where `base` and `new`
+/// (equal lengths) differ, or that length when the rest is equal. Most of
+/// a page is unchanged (2 % changes in the paper's default workload), so
+/// the scan between runs steps over equal bytes eight at a time.
+fn next_difference(base: &[u8], new: &[u8], from: usize) -> usize {
+    let n = base.len().min(new.len());
+    let mut at = from;
+    while at + 8 <= n && base[at..at + 8] == new[at..at + 8] {
+        at += 8;
+    }
+    while at < n && base[at] == new[at] {
+        at += 1;
+    }
+    at
+}
+
+/// Index of the first byte at or after `from` where `base` and `new`
+/// are equal, or their length when every remaining byte differs. A byte
+/// loop, but kept out of `compute`'s body: written in place, the
+/// compiler put the changed-byte path off the fall-through and a
+/// 90 %-changed page cost 1.7× more (`compute_90pct` in the micro bench).
+fn next_equal(base: &[u8], new: &[u8], from: usize) -> usize {
+    let n = base.len().min(new.len());
+    let mut at = from;
+    while at < n && base[at] != new[at] {
+        at += 1;
+    }
+    at
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn diff_of(base: &[u8], new: &[u8], gap: usize) -> Differential {
         Differential::compute(7, 42, base, new, gap)
@@ -652,6 +677,86 @@ mod tests {
     fn empty_page_parses_to_nothing() {
         let page = vec![0xFFu8; 256];
         assert!(Differential::parse_page(&page).unwrap().is_empty());
+    }
+
+    /// `Differential::compute` as it was before the word-wise scan: every
+    /// byte visited one at a time. The runs it returns decide the write
+    /// buffer's packing and the Case 1/2/3 split, so the fast scan must
+    /// reproduce them exactly.
+    fn runs_bytewise(base: &[u8], new: &[u8], coalesce_gap: usize) -> Vec<DiffRun> {
+        let mut runs = Vec::new();
+        let mut i = 0usize;
+        let n = base.len();
+        while i < n {
+            if base[i] == new[i] {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            let mut end = i + 1;
+            let mut probe = end;
+            loop {
+                while probe < n && base[probe] != new[probe] {
+                    probe += 1;
+                    end = probe;
+                }
+                let gap_start = probe;
+                while probe < n && probe - gap_start < coalesce_gap && base[probe] == new[probe] {
+                    probe += 1;
+                }
+                if probe < n && base[probe] != new[probe] && probe > gap_start {
+                    continue;
+                }
+                break;
+            }
+            runs.push(DiffRun { offset: start as u32, bytes: new[start..end].to_vec() });
+            i = end;
+        }
+        runs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Each edit is a changed run, a gap of unchanged bytes and a
+        /// second changed run, placed at any byte of any word — so runs
+        /// and gaps start, end and straddle 8-byte boundaries in every
+        /// phase, with gaps on both sides of `coalesce_gap`.
+        #[test]
+        fn compute_matches_the_bytewise_scan(
+            page in proptest::collection::vec(any::<u8>(), 2048),
+            len in prop_oneof![3 => 0usize..=130, 1 => Just(2048usize)],
+            coalesce_gap in 0usize..=16,
+            ends in (any::<bool>(), any::<bool>()),
+            edits in proptest::collection::vec(
+                (any::<u16>(), 1usize..=20, 0usize..=20, 1usize..=20), 0..6),
+        ) {
+            let base = &page[..len];
+            let mut new = base.to_vec();
+            // Complementing a byte always changes it (an overlapping edit
+            // that changes it back only moves the run boundaries).
+            let change = |new: &mut [u8], from: usize, count: usize| {
+                for b in new.iter_mut().skip(from).take(count) {
+                    *b = !*b;
+                }
+            };
+            for (at, first, gap, second) in edits {
+                let at = at as usize % len.max(1);
+                change(&mut new, at, first);
+                change(&mut new, at + first + gap, second);
+            }
+            if ends.0 {
+                change(&mut new, 0, 1);
+            }
+            if ends.1 && len > 0 {
+                change(&mut new, len - 1, 1);
+            }
+            let d = Differential::compute(3, 9, base, &new, coalesce_gap);
+            prop_assert_eq!(&d.runs, &runs_bytewise(base, &new, coalesce_gap));
+            let mut rebuilt = base.to_vec();
+            d.apply(&mut rebuilt);
+            prop_assert_eq!(rebuilt, new);
+        }
     }
 
     #[test]

@@ -551,15 +551,11 @@ impl Ipl {
             for j in 0..k {
                 let ppn = self.frame_ppn(pid, j);
                 let slice = &mut logical[(j as usize) * ds..(j as usize + 1) * ds];
-                if self.opts.verify_checksums {
-                    self.chip.read_full(ppn, &mut fbuf)?;
-                    if self.chip.verify_read(ppn, &fbuf.data).is_err() {
-                        stale_csum[j as usize] = fbuf.spare_info().map(|i| i.checksum);
-                    }
-                    slice.copy_from_slice(&fbuf.data);
-                } else {
-                    self.chip.read_data(ppn, slice)?;
+                self.chip.read_full(ppn, &mut fbuf)?;
+                if self.chip.verify_read(ppn, &fbuf.data).is_err() {
+                    stale_csum[j as usize] = fbuf.spare_info().map(|i| i.checksum);
                 }
+                slice.copy_from_slice(&fbuf.data);
             }
             if let Some(records) = per_pid.get(&pid) {
                 for r in records {
@@ -621,17 +617,13 @@ impl PageStore for Ipl {
         for j in 0..self.k() {
             let ppn = self.frame_ppn(pid, j);
             let slice = &mut out[(j as usize) * ds..(j as usize + 1) * ds];
-            if self.opts.verify_checksums {
-                match self.chip.read_data_verified(ppn, slice) {
-                    Ok(()) => {}
-                    Err(pdl_flash::FlashError::ChecksumMismatch(p)) => {
-                        out.fill(0);
-                        return Err(CoreError::PageCorrupt { pid, ppn: p.0 });
-                    }
-                    Err(e) => return Err(e.into()),
+            match self.chip.read_data_verified(ppn, slice) {
+                Ok(()) => {}
+                Err(pdl_flash::FlashError::ChecksumMismatch(p)) => {
+                    out.fill(0);
+                    return Err(CoreError::PageCorrupt { pid, ppn: p.0 });
                 }
-            } else {
-                self.chip.read_data(ppn, slice)?;
+                Err(e) => return Err(e.into()),
             }
         }
         // ...then only the log pages holding sectors of this page...

@@ -96,12 +96,10 @@ impl Ipu {
             let info = buf
                 .spare_info()
                 .ok_or_else(|| CoreError::Corruption(format!("unreadable spare at {ppn}")))?;
-            if self.opts.verify_checksums {
-                // Count the detection; the page is preserved either way, and
-                // re-programming it below with its *original* checksum keeps
-                // the damage detectable instead of laundering it.
-                let _ = self.chip.verify_read(ppn, &buf.data);
-            }
+            // Count the detection; the page is preserved either way, and
+            // re-programming it below with its *original* checksum keeps
+            // the damage detectable instead of laundering it.
+            let _ = self.chip.verify_read(ppn, &buf.data);
             preserved.push((idx, buf.data.clone(), info));
         }
         // Step 2: erase the block.
@@ -139,7 +137,7 @@ impl PageStore for Ipu {
             let slice = &mut out[(j as usize) * ds..(j as usize + 1) * ds];
             if !self.written[frame] {
                 slice.fill(0);
-            } else if self.opts.verify_checksums {
+            } else {
                 // Identity mapping: there is no redundant copy of a frame, so
                 // a checksum failure is reported, never repaired or served.
                 match self.chip.read_data_verified(Ppn(frame as u32), slice) {
@@ -150,8 +148,6 @@ impl PageStore for Ipu {
                     }
                     Err(e) => return Err(e.into()),
                 }
-            } else {
-                self.chip.read_data(Ppn(frame as u32), slice)?;
             }
         }
         Ok(())

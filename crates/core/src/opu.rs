@@ -249,17 +249,13 @@ impl Opu {
                 // leftovers); it dies with the block.
                 continue;
             }
-            if self.opts.verify_checksums {
-                match self.chip.read_data_verified(ppn, &mut self.frame_buf) {
-                    // A corrupt page still migrates (GC must free the
-                    // block), carrying the original checksum below so the
-                    // damage stays detectable at the next read — OPU has
-                    // no redundant source to rebuild from.
-                    Ok(()) | Err(pdl_flash::FlashError::ChecksumMismatch(_)) => {}
-                    Err(e) => return Err(e.into()),
-                }
-            } else {
-                self.chip.read_data(ppn, &mut self.frame_buf)?;
+            match self.chip.read_data_verified(ppn, &mut self.frame_buf) {
+                // A corrupt page still migrates (GC must free the
+                // block), carrying the original checksum below so the
+                // damage stays detectable at the next read — OPU has
+                // no redundant source to rebuild from.
+                Ok(()) | Err(pdl_flash::FlashError::ChecksumMismatch(_)) => {}
+                Err(e) => return Err(e.into()),
             }
             // Migration target by page hotness (hot/cold policy): cold
             // survivors must not pollute the blocks hot pages churn.
@@ -308,7 +304,7 @@ impl PageStore for Opu {
             let slice = &mut out[(j as usize) * ds..(j as usize + 1) * ds];
             if self.map[frame] == NONE {
                 slice.fill(0);
-            } else if self.opts.verify_checksums {
+            } else {
                 match self.chip.read_data_verified(Ppn(self.map[frame]), slice) {
                     Ok(()) => {}
                     // No redundant source: report, never serve.
@@ -318,8 +314,6 @@ impl PageStore for Opu {
                     }
                     Err(e) => return Err(e.into()),
                 }
-            } else {
-                self.chip.read_data(Ppn(self.map[frame]), slice)?;
             }
         }
         Ok(())

@@ -85,14 +85,6 @@ pub struct StoreOptions {
     /// it must hold at least one logical page (validated at
     /// construction).
     pub snapshot_retention_bytes: u64,
-    /// Verify the spare-area FNV-1a checksum on every data-path read
-    /// (default: on). A mismatch surfaces as
-    /// [`pdl_flash::FlashError::ChecksumMismatch`] /
-    /// [`CoreError::PageCorrupt`] instead of silently serving rotten
-    /// bytes; PDL additionally attempts online repair from a redundant
-    /// source. Off reproduces the historical trust-the-media behaviour
-    /// (ablation benches).
-    pub verify_checksums: bool,
     /// Enable the observability recorder (latency histograms + span ring
     /// on the simulated clock; see `pdl_obs`). Default: off — every hook
     /// is then a single branch and timing claims are untouched.
@@ -132,7 +124,6 @@ impl StoreOptions {
             gc_policy: GcPolicy::default(),
             snapshot_version_cap: 1024,
             snapshot_retention_bytes: 0,
-            verify_checksums: true,
             obs: false,
         }
     }
@@ -140,13 +131,6 @@ impl StoreOptions {
     /// Enable or disable observability recording (default: disabled).
     pub fn with_obs(mut self, obs: bool) -> StoreOptions {
         self.obs = obs;
-        self
-    }
-
-    /// Enable or disable checksum verification on data-path reads
-    /// (default: enabled).
-    pub fn with_verify_checksums(mut self, verify: bool) -> StoreOptions {
-        self.verify_checksums = verify;
         self
     }
 

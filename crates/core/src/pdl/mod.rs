@@ -595,22 +595,18 @@ impl Pdl {
         Ok(())
     }
 
-    /// Read `pid`'s base frames into `out`. With verification on, every
-    /// frame is checked against its spare-area checksum; a failing frame
-    /// is rebuilt online from a registered twin when one exists, and
-    /// otherwise poisons the page and reports [`CoreError::PageCorrupt`]
-    /// — corrupt bytes are never returned. The mapping is re-read per
-    /// frame because a repair can trigger GC, which relocates entries.
+    /// Read `pid`'s base frames into `out`. Every frame is checked
+    /// against its spare-area checksum; a failing frame is rebuilt online
+    /// from a registered twin when one exists, and otherwise poisons the
+    /// page and reports [`CoreError::PageCorrupt`] — corrupt bytes are
+    /// never returned. The mapping is re-read per frame because a repair
+    /// can trigger GC, which relocates entries.
     fn read_base_into(&mut self, pid: u64, out: &mut [u8]) -> Result<()> {
         let ds = self.chip.geometry().data_size;
         for j in 0..self.frames() {
             let ppn = self.ppmt[pid as usize].base[j];
             debug_assert_ne!(ppn, NONE, "base frames are written together");
             let slice = &mut out[j * ds..(j + 1) * ds];
-            if !self.opts.verify_checksums {
-                self.chip.read_data(Ppn(ppn), slice)?;
-                continue;
-            }
             match self.chip.read_data_verified(Ppn(ppn), slice) {
                 Ok(()) => {}
                 Err(pdl_flash::FlashError::ChecksumMismatch(p)) => {
@@ -914,8 +910,7 @@ impl Pdl {
         // stays detectable at the new location instead of being laundered
         // by the rewrite. (For an intact frame the preserved checksum is
         // identical to a freshly computed one.)
-        let corrupt =
-            self.opts.verify_checksums && self.chip.verify_read(ppn, &self.frame_buf).is_err();
+        let corrupt = self.chip.verify_read(ppn, &self.frame_buf).is_err();
         let frame = pid * self.frames() + j;
         let txn = if info.txn != NO_TXN && self.committed.contains(&info.txn) {
             self.base_txn[frame] = NO_TXN;
@@ -967,8 +962,7 @@ impl Pdl {
         read?;
         // As with base relocation: a failing checksum travels with the
         // copy (never laundered), surfacing at the reader instead.
-        let corrupt =
-            self.opts.verify_checksums && self.chip.verify_read(ppn, &self.frame_buf).is_err();
+        let corrupt = self.chip.verify_read(ppn, &self.frame_buf).is_err();
         // Cold by definition: a spilled pre-image is never rewritten.
         let q = self.alloc_page(AllocStream::Cold)?;
         let spare = if corrupt {
@@ -1028,11 +1022,7 @@ impl Pdl {
     /// transaction. Returns whether anything was staged.
     fn compact_diff_page(&mut self, ppn: Ppn) -> Result<bool> {
         let mut buf = std::mem::take(&mut self.frame_buf);
-        let read = if self.opts.verify_checksums {
-            self.chip.read_data_verified(ppn, &mut buf)
-        } else {
-            self.chip.read_data(ppn, &mut buf)
-        };
+        let read = self.chip.read_data_verified(ppn, &mut buf);
         let parsed = read.map_err(CoreError::from).and_then(|()| Differential::parse_page(&buf));
         self.frame_buf = buf;
         let records = match parsed {
@@ -1209,11 +1199,7 @@ impl PageStore for Pdl {
         }
         if entry.diff != NONE {
             let mut buf = std::mem::take(&mut self.frame_buf);
-            let read = if self.opts.verify_checksums {
-                self.chip.read_data_verified(Ppn(entry.diff), &mut buf)
-            } else {
-                self.chip.read_data(Ppn(entry.diff), &mut buf)
-            };
+            let read = self.chip.read_data_verified(Ppn(entry.diff), &mut buf);
             let found =
                 read.map_err(CoreError::from).and_then(|()| Differential::find_in_page(&buf, pid));
             self.frame_buf = buf;
@@ -1382,19 +1368,15 @@ impl PageStore for Pdl {
             .ok_or_else(|| CoreError::Corruption(format!("unknown spill handle {handle}")))?;
         for (j, &ppn) in ppns.iter().enumerate() {
             let slice = &mut out[j * ds..(j + 1) * ds];
-            if self.opts.verify_checksums {
-                match self.chip.read_data_verified(Ppn(ppn), slice) {
-                    Ok(()) => {}
-                    Err(pdl_flash::FlashError::ChecksumMismatch(p)) => {
-                        // A spill page has no twin: the cold version is
-                        // lost. Surface it — the live page is unaffected.
-                        slice.fill(0);
-                        return Err(CoreError::PageCorrupt { pid, ppn: p.0 });
-                    }
-                    Err(e) => return Err(e.into()),
+            match self.chip.read_data_verified(Ppn(ppn), slice) {
+                Ok(()) => {}
+                Err(pdl_flash::FlashError::ChecksumMismatch(p)) => {
+                    // A spill page has no twin: the cold version is
+                    // lost. Surface it — the live page is unaffected.
+                    slice.fill(0);
+                    return Err(CoreError::PageCorrupt { pid, ppn: p.0 });
                 }
-            } else {
-                self.chip.read_data(Ppn(ppn), slice)?;
+                Err(e) => return Err(e.into()),
             }
         }
         self.counters.spill_reads += 1;

@@ -314,7 +314,6 @@ pub(crate) struct RecoveryTables {
     /// [`RecoveryTables::finish`] so the record outlives tag shedding
     /// until the next checkpoint compacts the root log.
     pub root_ref: Option<u64>,
-    verify_checksums: bool,
     frames_per_page: usize,
 }
 
@@ -346,7 +345,6 @@ impl RecoveryTables {
             poisoned: HashMap::new(),
             twins: HashMap::new(),
             root_ref: None,
-            verify_checksums: opts.verify_checksums,
             frames_per_page: k,
         }
     }
@@ -461,12 +459,7 @@ impl RecoveryTables {
             }
             // Case 2: r is a differential page.
             PageKind::Diff => {
-                let read = if self.verify_checksums {
-                    chip.read_data_verified(ppn, data_buf)
-                } else {
-                    chip.read_data(ppn, data_buf)
-                };
-                match read {
+                match chip.read_data_verified(ppn, data_buf) {
                     Ok(()) => {}
                     Err(pdl_flash::FlashError::ChecksumMismatch(_)) => {
                         // The records are unreadable, and any logical page

@@ -194,32 +194,6 @@ fn corruption_sweep_ipl() {
     corruption_sweep(MethodKind::Ipl { log_bytes_per_block: 512 });
 }
 
-/// Verification is opt-out: with `verify_checksums` off, the store reads
-/// the damaged bytes straight through (the pre-fix behavior), proving the
-/// detection path is really gated by the option.
-#[test]
-fn verification_can_be_disabled() {
-    let kind = MethodKind::Pdl { max_diff_size: 64 };
-    let opts = opts_for().with_verify_checksums(false);
-    let mut store = build_store(FlashChip::new(FlashConfig::tiny()), kind, opts).unwrap();
-    let size = store.logical_page_size();
-    let page = vec![0x5Eu8; size];
-    store.write_page(3, &page).unwrap();
-    store.flush().unwrap();
-    // Find the live base page of pid 3 and damage it.
-    let ppn = (0..store.chip().num_pages())
-        .find(|&p| {
-            SpareInfo::decode(store.chip().peek_spare(Ppn(p)))
-                .is_some_and(|i| i.kind == PageKind::Base && !i.obsolete && i.tag == 3)
-        })
-        .expect("pid 3 must have a live base page");
-    store.chip_mut().corrupt_data(Ppn(ppn)).unwrap();
-    let mut out = vec![0u8; size];
-    store.read_page(3, &mut out).unwrap();
-    assert_ne!(out, page, "with verification off the damaged bytes pass through");
-    assert_eq!(store.stats().integrity.detected_corruptions, 0);
-}
-
 /// The mid-GC-migration case: a victim erase that fails mid-GC retires
 /// the block but leaves its contents readable — byte-identical twins of
 /// every base page the GC had just relocated. Corrupting the live copy

@@ -713,8 +713,34 @@ impl FlashChip {
 
 /// Index of the first byte where programming `new` over `old` would require
 /// a 0 -> 1 transition (i.e. `old & new != new`).
+///
+/// Runs on every program, over the whole 2 KB data area, and almost
+/// never finds anything: it ORs `!old & new` over the `u64` words of a
+/// 64-byte block — a loop without an exit, which the compiler keeps in
+/// vector registers — and drops to [`first_conflict_bytes`] only inside
+/// the first offending block and for the `len % 64` tail.
 fn first_conflict(old: &[u8], new: &[u8]) -> Option<usize> {
-    old.iter().zip(new.iter()).position(|(&o, &n)| o & n != n)
+    const BLOCK: usize = 64;
+    let len = old.len().min(new.len());
+    let mut old_blocks = old[..len].chunks_exact(BLOCK);
+    let mut new_blocks = new[..len].chunks_exact(BLOCK);
+    for (i, (o, n)) in (&mut old_blocks).zip(&mut new_blocks).enumerate() {
+        let set_bits = o.chunks_exact(8).zip(n.chunks_exact(8)).fold(0u64, |acc, (o, n)| {
+            let old_word = u64::from_ne_bytes(o.try_into().expect("chunks_exact(8)"));
+            let new_word = u64::from_ne_bytes(n.try_into().expect("chunks_exact(8)"));
+            acc | !old_word & new_word
+        });
+        if set_bits != 0 {
+            return first_conflict_bytes(o, n).map(|at| i * BLOCK + at);
+        }
+    }
+    let tail = len - old_blocks.remainder().len();
+    first_conflict_bytes(old_blocks.remainder(), new_blocks.remainder()).map(|at| tail + at)
+}
+
+/// [`first_conflict`] one byte at a time.
+fn first_conflict_bytes(old: &[u8], new: &[u8]) -> Option<usize> {
+    old.iter().zip(new.iter()).position(|(&o, &n)| !o & n != 0)
 }
 
 /// In-place AND: the physical effect of a program operation.
@@ -811,6 +837,69 @@ mod tests {
         // Partial program trying to write 0xFF over 0x00 must fail.
         let err = c.program_partial(Ppn(0), 0, &[0xFF]).unwrap_err();
         assert!(matches!(err, FlashError::ProgramConflict { .. } | FlashError::NopExceeded { .. }));
+    }
+
+    /// `ProgramConflict { byte_offset }` is part of the chip's contract:
+    /// the word-wise check must name the same byte as the byte scan, for
+    /// slices at any alignment (partial programs start anywhere).
+    #[test]
+    fn word_wise_conflict_check_reports_the_byte_scans_offset() {
+        // Old image with bit 7 programmed (0) and bit 0 erased (1) in
+        // every byte, in backing storage that lets sub-slices start at
+        // offsets 0..8.
+        let old_backing: Vec<u8> = (0..160u32).map(|i| (i * 37 + 11) as u8 & 0x7F | 0x01).collect();
+        for start in 0..8 {
+            // Up to two whole 64-byte blocks and a tail.
+            for len in 0..=150 {
+                let old = &old_backing[start..start + len];
+                // A legal program: only clears bits.
+                let legal: Vec<u8> = old.iter().map(|&o| o & 0xC3).collect();
+                assert_eq!(first_conflict(old, &legal), None, "start {start} len {len}");
+                for at in 0..len {
+                    // One conflicting byte (sets the bit the old image
+                    // has cleared), then a second one further on: the
+                    // first must still win.
+                    let mut new = legal.clone();
+                    new[at] = old[at] | 0x80;
+                    assert_eq!(first_conflict(old, &new), Some(at), "start {start} len {len}");
+                    assert_eq!(first_conflict(old, &new), first_conflict_bytes(old, &new));
+                    if let Some(later) = new.get_mut(at + 9) {
+                        *later = 0xFF;
+                        assert_eq!(first_conflict(old, &new), Some(at));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conflict_offsets_survive_every_program_entry_point() {
+        let mut c = FlashChip::new(FlashConfig::tiny().with_nop_data(4));
+        let g = c.geometry();
+        let mut data = vec![0xFFu8; g.data_size];
+        data[g.data_size - 3] = 0x0F;
+        let mut spare = vec![0xFFu8; g.spare_size];
+        spare[13] = 0x0F;
+        c.program_page(Ppn(0), &data, &spare).unwrap();
+        let erased = (vec![0xFFu8; g.data_size], vec![0xFFu8; g.spare_size]);
+        assert_eq!(
+            c.program_page(Ppn(0), &erased.0, &spare).unwrap_err(),
+            FlashError::ProgramConflict { ppn: Ppn(0), byte_offset: g.data_size - 3 }
+        );
+        assert_eq!(
+            c.program_page(Ppn(0), &data, &erased.1).unwrap_err(),
+            FlashError::ProgramConflict { ppn: Ppn(0), byte_offset: 13 }
+        );
+        // Partial programs report the offset within the area, not within
+        // the slice they were handed.
+        assert_eq!(
+            c.program_partial(Ppn(0), g.data_size - 21, &[0xFF; 21]).unwrap_err(),
+            FlashError::ProgramConflict { ppn: Ppn(0), byte_offset: g.data_size - 3 }
+        );
+        assert_eq!(
+            c.program_spare(Ppn(0), 3, &[0xFF; 17]).unwrap_err(),
+            FlashError::ProgramConflict { ppn: Ppn(0), byte_offset: 13 }
+        );
     }
 
     #[test]

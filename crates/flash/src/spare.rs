@@ -13,8 +13,11 @@
 //! bytes 2..4     reserved (left erased)
 //! bytes 4..12    tag: logical page / frame identifier (u64 LE)
 //! bytes 12..20   creation time stamp (u64 LE)
-//! bytes 20..24   FNV-1a checksum of the data area (u32 LE), stands in
-//!                for the ECC the real chip stores here
+//! bytes 20..24   checksum of the data area (u32 LE): lane-interleaved
+//!                FNV-1a over 32-bit words ([`fnv1a32`]), stands in for
+//!                the ECC the real chip stores here. An error confined
+//!                to one 32-bit word is detected with certainty, any
+//!                other with probability 1 − 2⁻³²
 //! bytes 24..32   owning transaction id (u64 LE) — per-page
 //!                commit-visibility metadata in the spirit of Graefe &
 //!                Kuno's single-page-failure taxonomy. The erased value
@@ -124,7 +127,8 @@ pub struct SpareInfo {
     pub tag: u64,
     /// Creation time stamp (monotonic counter maintained by the method).
     pub ts: u64,
-    /// FNV-1a checksum of the data area at program time.
+    /// Checksum of the data area at program time: lane-interleaved
+    /// FNV-1a over 32-bit words ([`fnv1a32`]).
     pub checksum: u32,
     /// Owning transaction id; [`NO_TXN`] (the erased state) for pages
     /// whose validity is unconditional.
@@ -183,14 +187,46 @@ impl SpareInfo {
     }
 }
 
-/// FNV-1a 32-bit hash, used as the stand-in ECC for the page data area.
+const FNV_OFFSET: u32 = 0x811c_9dc5;
+const FNV_PRIME: u32 = 0x0100_0193;
+/// Independent FNV-1a states the page checksum steps side by side. One
+/// state is a serial xor-multiply chain, a byte per multiplier latency
+/// (≈ 2.8 µs per 2 KB page); eight states over 32-bit words have no
+/// dependency between them, so the compiler steps them in vector
+/// registers (≈ 0.2 µs per page, `page_checksum_2k` in the micro bench).
+const LANES: usize = 8;
+
+/// One FNV-1a step. For a fixed `x` it is a bijection of `h` (xor, then
+/// multiplication by an odd number), and for a fixed `h` an injection of
+/// `x` — which is what makes a change confined to one step's input
+/// visible in the final value with certainty.
+fn fnv_step(h: u32, x: u32) -> u32 {
+    (h ^ x).wrapping_mul(FNV_PRIME)
+}
+
+/// Page checksum, the stand-in ECC for the data area: lane-interleaved
+/// FNV-1a over little-endian 32-bit words.
+///
+/// Word `i` of the input steps lane `i % 8`, whole 32-byte blocks at a
+/// time; the eight lanes are then folded, in order, through the same
+/// step into one state, and the `len % 32` trailing bytes step that
+/// state one at a time. Every step is a bijection of the state it
+/// updates, so an error confined to one aligned 32-bit word (or one
+/// trailing byte) always changes the result — the guarantee byte-serial
+/// FNV-1a gives per byte; any other error is missed with probability
+/// 2⁻³². Words are read with `from_le_bytes`, so the value does not
+/// depend on the host's endianness.
 pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+    let mut lanes = [FNV_OFFSET; LANES];
+    let mut blocks = bytes.chunks_exact(4 * LANES);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            let word = u32::from_le_bytes(word.try_into().expect("chunks_exact(4)"));
+            *lane = fnv_step(*lane, word);
+        }
     }
-    h
+    let folded = lanes.iter().fold(FNV_OFFSET, |h, &lane| fnv_step(h, lane));
+    blocks.remainder().iter().fold(folded, |h, &b| fnv_step(h, b as u32))
 }
 
 #[cfg(test)]
@@ -262,11 +298,95 @@ mod tests {
         assert!(matches!(info.encode(&mut small), Err(FlashError::BadBufferSize { .. })));
     }
 
+    /// Deterministic pseudo-random bytes (xorshift64*), so the checksum
+    /// properties below are checked on the same inputs on every run.
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
-    fn fnv_known_values() {
-        assert_eq!(fnv1a32(b""), 0x811c_9dc5);
-        assert_eq!(fnv1a32(b"a"), 0xe40c_292c);
-        // Different data, different checksum (sanity, not a guarantee).
-        assert_ne!(fnv1a32(b"page one"), fnv1a32(b"page two"));
+    fn checksum_detects_every_single_bit_flip_of_a_page() {
+        let mut page = noise(2048, 0x9e37_79b9_7f4a_7c15);
+        let sum = fnv1a32(&page);
+        for bit in 0..page.len() * 8 {
+            page[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(fnv1a32(&page), sum, "flip of bit {bit} undetected");
+            page[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(fnv1a32(&page), sum);
+    }
+
+    #[test]
+    fn checksum_detects_every_single_byte_substitution() {
+        // 64 bytes: whole blocks only. 100 bytes: three blocks and a
+        // 4-byte serial tail.
+        for len in [64usize, 100] {
+            let mut input = noise(len, len as u64);
+            let sum = fnv1a32(&input);
+            for at in 0..len {
+                let original = input[at];
+                for delta in 1..=255u8 {
+                    input[at] = original ^ delta;
+                    assert_ne!(fnv1a32(&input), sum, "len {len}: byte {at} ^ {delta:#x}");
+                }
+                input[at] = original;
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_depends_on_length() {
+        // Prefixes of one input — zeros (the value FNV's xor ignores),
+        // erased bytes and noise — all hash apart, across block and tail
+        // boundaries alike.
+        for input in [vec![0u8; 131], vec![0xFF; 131], noise(131, 7)] {
+            let sums: Vec<u32> = (0..=input.len()).map(|n| fnv1a32(&input[..n])).collect();
+            for (a, sa) in sums.iter().enumerate() {
+                for (b, sb) in sums.iter().enumerate().skip(a + 1) {
+                    assert_ne!(sa, sb, "lengths {a} and {b} collide");
+                }
+            }
+        }
+    }
+
+    /// The definition, spelled out with shifts instead of `from_le_bytes`
+    /// and with indices instead of iterators.
+    fn checksum_by_definition(bytes: &[u8]) -> u32 {
+        let mut lanes = [FNV_OFFSET; LANES];
+        let whole = bytes.len() / 32 * 32;
+        for w in 0..whole / 4 {
+            let b = &bytes[4 * w..4 * w + 4];
+            let word = b[0] as u32 | (b[1] as u32) << 8 | (b[2] as u32) << 16 | (b[3] as u32) << 24;
+            lanes[w % LANES] = (lanes[w % LANES] ^ word).wrapping_mul(FNV_PRIME);
+        }
+        let mut h = FNV_OFFSET;
+        for lane in lanes {
+            h = (h ^ lane).wrapping_mul(FNV_PRIME);
+        }
+        for &b in &bytes[whole..] {
+            h = (h ^ b as u32).wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    #[test]
+    fn checksum_is_host_endianness_independent() {
+        // Pinned values: a host that read words in its native order would
+        // get others on big-endian hardware. Checksums are stored on
+        // flash, so the value is part of the on-flash format.
+        assert_eq!(fnv1a32(b""), 0x84fe_beed);
+        let counting: Vec<u8> = (0..=99u8).collect();
+        assert_eq!(fnv1a32(&counting), 0xaca4_1bc9);
+        for len in [0usize, 1, 3, 4, 31, 32, 33, 64, 100, 2048] {
+            let input = noise(len, 0xC0FFEE + len as u64);
+            assert_eq!(fnv1a32(&input), checksum_by_definition(&input), "len {len}");
+        }
     }
 }
