@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pdl_core::diff::Differential;
 use pdl_core::{build_store, MethodKind, StoreOptions};
 use pdl_flash::{fnv1a32, FlashChip, FlashConfig, PageKind, Ppn, SpareInfo};
-use pdl_storage::{BTree, Database, KeyBuf};
+use pdl_storage::{BTree, Database, Durability, KeyBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -128,5 +128,49 @@ fn bench_btree(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_diff_codec, bench_flash_ops, bench_method_round_trips, bench_btree);
+/// What the pool itself costs per operation, at the two sizes the
+/// end-to-end benchmark runs it: a commit against 32 768 cached frames
+/// (`tpcc_hot`), a miss with 256 (`tpcc_cold`).
+fn bench_buffer_pool(c: &mut Criterion) {
+    let mut g = c.benchmark_group("buffer_pool");
+    g.sample_size(20);
+    let cached = |pages: u64, frames: usize| {
+        let chip = FlashChip::new(FlashConfig::scaled(1024));
+        let store = build_store(chip, MethodKind::Opu, StoreOptions::new(pages)).unwrap();
+        let db = Database::new(store, frames).with_durability(Durability::Commit);
+        for pid in 0..frames as u64 {
+            db.with_page(pid, |_| ()).unwrap();
+        }
+        db
+    };
+    // A read-only transaction stages nothing: begin + commit is the pool's
+    // fixed cost per transaction.
+    let db = cached(32_768, 32_768);
+    g.bench_function("pool_commit_readonly_32k_frames", |b| {
+        b.iter(|| {
+            db.begin().unwrap();
+            db.commit().unwrap()
+        })
+    });
+    // Cycling through four times as many pages as frames misses every time:
+    // pick the LRU victim, read one (never-written) page from the store.
+    let db = cached(1_024, 256);
+    let mut pid = 0u64;
+    g.bench_function("pool_miss_256_frames", |b| {
+        b.iter(|| {
+            pid = (pid + 1) % 1_024;
+            db.with_page(pid, |page| page[0]).unwrap()
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_diff_codec,
+    bench_flash_ops,
+    bench_method_round_trips,
+    bench_btree,
+    bench_buffer_pool
+);
 criterion_main!(benches);

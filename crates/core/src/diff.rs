@@ -244,16 +244,37 @@ impl Differential {
         new: &[u8],
         coalesce_gap: usize,
     ) -> Differential {
+        Differential::compute_within(pid, ts, base, new, coalesce_gap, usize::MAX)
+            .expect("no differential exceeds an unbounded limit")
+    }
+
+    /// [`Differential::compute`], abandoned as soon as the encoded size
+    /// passes `limit`: `None` exactly when `compute(..).encoded_len()`
+    /// would exceed `limit`. The writer discards such a differential
+    /// (Case 3 of `PDL_Writing`), so the rest of the page is not scanned
+    /// and no run past the limit is copied.
+    pub fn compute_within(
+        pid: u64,
+        ts: u64,
+        base: &[u8],
+        new: &[u8],
+        coalesce_gap: usize,
+        limit: usize,
+    ) -> Option<Differential> {
         debug_assert_eq!(base.len(), new.len());
         let mut runs: Vec<DiffRun> = Vec::new();
+        let mut size = RECORD_HEADER;
+        if size > limit {
+            return None;
+        }
         let n = base.len();
         let mut i = next_difference(base, new, 0);
         while i < n {
             // Start of a changed run; extend while changed, bridging gaps
             // of up to `coalesce_gap` unchanged bytes.
             let start = i;
-            let mut end = i + 1;
-            let mut probe = end;
+            let mut end;
+            let mut probe = i + 1;
             loop {
                 // Extend over changed bytes.
                 probe = next_equal(base, new, probe);
@@ -269,10 +290,14 @@ impl Differential {
                 }
                 break;
             }
+            size += 4 + (end - start);
+            if size > limit {
+                return None;
+            }
             runs.push(DiffRun { offset: start as u32, bytes: new[start..end].to_vec() });
             i = next_difference(base, new, end);
         }
-        Differential { pid, ts, txn: NO_TXN, runs }
+        Some(Differential { pid, ts, txn: NO_TXN, runs })
     }
 
     /// Apply this differential to `page` (the base image), producing the
@@ -721,12 +746,15 @@ mod tests {
         /// Each edit is a changed run, a gap of unchanged bytes and a
         /// second changed run, placed at any byte of any word — so runs
         /// and gaps start, end and straddle 8-byte boundaries in every
-        /// phase, with gaps on both sides of `coalesce_gap`.
+        /// phase, with gaps on both sides of `coalesce_gap`. The bounded
+        /// form gives up exactly when the result would not fit `limit`,
+        /// which lands on both sides of the sizes these edits produce.
         #[test]
         fn compute_matches_the_bytewise_scan(
             page in proptest::collection::vec(any::<u8>(), 2048),
             len in prop_oneof![3 => 0usize..=130, 1 => Just(2048usize)],
             coalesce_gap in 0usize..=16,
+            limit in 0usize..=320,
             ends in (any::<bool>(), any::<bool>()),
             edits in proptest::collection::vec(
                 (any::<u16>(), 1usize..=20, 0usize..=20, 1usize..=20), 0..6),
@@ -755,7 +783,9 @@ mod tests {
             prop_assert_eq!(&d.runs, &runs_bytewise(base, &new, coalesce_gap));
             let mut rebuilt = base.to_vec();
             d.apply(&mut rebuilt);
-            prop_assert_eq!(rebuilt, new);
+            prop_assert_eq!(&rebuilt, &new);
+            let within = Differential::compute_within(3, 9, base, &new, coalesce_gap, limit);
+            prop_assert_eq!(within, (d.encoded_len() <= limit).then_some(d));
         }
     }
 

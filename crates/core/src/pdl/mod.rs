@@ -54,7 +54,7 @@ mod recovery;
 
 pub(crate) use checkpoint::{txn_precheck_fast, CheckpointDelta};
 
-use crate::diff::{CommitRecord, Differential, EpochRecord, PageRecord, NO_TXN};
+use crate::diff::{CommitRecord, Differential, EpochRecord, PageRecord, NO_TXN, RECORD_HEADER};
 use crate::error::CoreError;
 use crate::ftl::{
     make_spare, make_spare_preserving, make_spare_txn, mark_obsolete_lenient, AllocOutcome,
@@ -735,15 +735,25 @@ impl Pdl {
             self.counters.case3 += 1;
             return Ok(());
         }
-        // Step 2: create the differential by comparison.
+        // Step 2: create the differential by comparison — only as far as
+        // one that can be kept: past `limit` it is Case 3 and discarded.
+        // An unchanged page's empty differential always comes back, for
+        // the skip below, even where a tiny `max_diff_size` excludes it.
         let ts = self.next_ts();
-        let d = read.map(|()| Differential::compute(pid, ts, &base, page, self.opts.coalesce_gap));
+        let limit = self.max_diff_size.min(self.dwb.capacity());
+        let d = read.map(|()| {
+            let within = limit.max(RECORD_HEADER);
+            Differential::compute_within(pid, ts, &base, page, self.opts.coalesce_gap, within)
+        });
         self.base_buf = base;
-        let d = d?.with_txn(txn);
+        let d = d?.map(|d| d.with_txn(txn));
         // A repair inside the base read may have run GC: re-read the
         // mapping entry before relying on it below.
         let entry = self.ppmt[pid as usize];
-        if d.is_empty() && entry.diff == NONE && self.dwb.get(pid).is_none() {
+        if d.as_ref().is_some_and(Differential::is_empty)
+            && entry.diff == NONE
+            && self.dwb.get(pid).is_none()
+        {
             // Nothing changed relative to the stored state.
             self.counters.unchanged_skips += 1;
             return Ok(());
@@ -754,13 +764,12 @@ impl Pdl {
                 self.presence_dec(old.txn, None)?;
             }
         }
-        let size = d.encoded_len();
-        let limit = self.max_diff_size.min(self.dwb.capacity());
-        if size > limit {
-            // Case 3: discard the differential, write a new base page.
+        let Some(d) = d.filter(|d| d.encoded_len() <= limit) else {
+            // Case 3: no differential to keep, write a new base page.
             self.counters.case3 += 1;
             return self.write_new_base(pid, page, false, txn);
-        }
+        };
+        let size = d.encoded_len();
         if txn != NO_TXN {
             // The pre-image differential must survive until the commit
             // record is durable.

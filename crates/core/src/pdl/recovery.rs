@@ -583,8 +583,12 @@ impl RecoveryTables {
                 continue;
             }
             let Some(cands) = self.commit_cands.get(t) else {
-                debug_assert!(false, "live tag without a commit record for txn {t}");
-                continue;
+                // Only committed transactions' tags survive the scan, so
+                // a record existed and is gone: serving the page would
+                // absorb a lost commit proof.
+                return Err(CoreError::Corruption(format!(
+                    "live tag without a commit record for txn {t}"
+                )));
             };
             let loc = *cands.iter().min().expect("candidate list is never empty");
             self.vdct[loc as usize] += 1;

@@ -558,6 +558,16 @@ impl PageStore for ShardedStore {
 
     fn txn_finalize(&mut self) -> Result<()> {
         self.txn_staged_shards.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
+        // Two phases. A shard's `txn_finalize` flushes its commit record
+        // and then programs the deferred obsolete marks, which destroy
+        // the transaction's pre-images and retire the superseded
+        // transaction's commit record. Recovery needs a record on every
+        // involved shard, so no shard may do that until every shard's
+        // record is durable — a crash in between would leave this
+        // transaction torn and the previous one unprovable.
+        for shard in &mut self.shards {
+            shard.get_mut().unwrap_or_else(|e| e.into_inner()).txn_flush_stage()?;
+        }
         // txn_reserve opened a batch on every shard; close them all.
         for shard in &mut self.shards {
             shard.get_mut().unwrap_or_else(|e| e.into_inner()).txn_finalize()?;

@@ -116,15 +116,21 @@ pub fn read_u64(page: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(page[offset..offset + 8].try_into().expect("8 bytes"))
 }
 
+/// End-of-list marker for the frame recency links.
+const NIL: u32 = u32::MAX;
+
 struct Frame {
     pid: u64,
     data: Vec<u8>,
     dirty: bool,
-    last_use: u64,
     changes: Vec<ChangeRange>,
     /// Transaction that dirtied this frame ([`NO_TXN`] when none): the
     /// per-transaction change tracking of the `pdl-txn` subsystem.
     owner: u64,
+    /// Neighbours in the cache's recency list: the frame used next after
+    /// this one and the one used last before it ([`NIL`] at the ends).
+    newer: u32,
+    older: u32,
 }
 
 /// Pre-transaction image of a page, taken on the transaction's first
@@ -337,7 +343,16 @@ pub(crate) struct FrameCache {
     map: HashMap<u64, usize>,
     capacity: usize,
     page_size: usize,
-    tick: u64,
+    /// Ends of the exact-LRU recency list threaded through the frames
+    /// (`Frame::newer` / `Frame::older`): every use moves a frame to
+    /// `mru`, eviction walks up from `lru`.
+    mru: u32,
+    lru: u32,
+    /// Per open transaction, the frames handed to it (frame indices, in
+    /// first-dirtied order). An entry is a hint, re-checked against
+    /// `Frame::owner`: relaxed mode can evict an owned frame and hand it
+    /// to the same or another transaction again.
+    owned: HashMap<u64, Vec<u32>>,
     stats: BufferStats,
     /// Whether transaction-owned dirty frames are pinned against eviction
     /// and skipped by write-backs (atomic-commit mode). Relaxed mode
@@ -382,7 +397,9 @@ impl FrameCache {
             map: HashMap::new(),
             capacity,
             page_size,
-            tick: 0,
+            mru: NIL,
+            lru: NIL,
+            owned: HashMap::new(),
             stats: BufferStats::default(),
             pin_owned: true,
             chains: HashMap::new(),
@@ -433,8 +450,7 @@ impl FrameCache {
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
         let idx = self.fetch(backend, pid)?;
-        self.tick += 1;
-        self.frames[idx].last_use = self.tick;
+        self.touch(idx);
         Ok(f(&self.frames[idx].data))
     }
 
@@ -515,7 +531,6 @@ impl FrameCache {
         f: impl FnOnce(&mut PageMut) -> R,
     ) -> Result<R> {
         let idx = self.fetch(backend, pid)?;
-        self.tick += 1;
         if self.frames[idx].dirty
             && self.frames[idx].owner != NO_TXN
             && self.frames[idx].owner != txn
@@ -540,15 +555,16 @@ impl FrameCache {
         } else if vsrc.capture_hint() {
             auto_pre = Some(self.frames[idx].data.clone());
         }
+        self.touch(idx);
         let frame = &mut self.frames[idx];
-        frame.last_use = self.tick;
         debug_assert!(frame.changes.is_empty());
         let mut page = PageMut { data: &mut frame.data, changes: &mut frame.changes };
         let r = f(&mut page);
         if !frame.changes.is_empty() {
             frame.dirty = true;
-            if txn != NO_TXN {
+            if txn != NO_TXN && frame.owner != txn {
                 frame.owner = txn;
+                self.owned.entry(txn).or_default().push(idx as u32);
             }
             let changes = std::mem::take(&mut frame.changes);
             backend.apply(pid, &frame.data, &changes)?;
@@ -730,15 +746,24 @@ impl FrameCache {
         }
         self.stats.misses += 1;
         let idx = if self.frames.len() < self.capacity {
+            // A frame nobody has used yet is the coldest there is: it
+            // enters at the `lru` end and moves up on its first touch.
+            let idx = self.frames.len();
             self.frames.push(Frame {
                 pid: u64::MAX,
                 data: vec![0u8; self.page_size],
                 dirty: false,
-                last_use: 0,
                 changes: Vec::new(),
                 owner: NO_TXN,
+                newer: self.lru,
+                older: NIL,
             });
-            self.frames.len() - 1
+            match self.lru {
+                NIL => self.mru = idx as u32,
+                coldest => self.frames[coldest as usize].older = idx as u32,
+            }
+            self.lru = idx as u32;
+            idx
         } else {
             self.evict_lru(backend)?
         };
@@ -750,17 +775,40 @@ impl FrameCache {
         Ok(idx)
     }
 
+    /// Record a use of frame `idx`: move it to the `mru` end.
+    fn touch(&mut self, idx: usize) {
+        let at = idx as u32;
+        if self.mru == at {
+            return;
+        }
+        let Frame { newer, older, .. } = self.frames[idx];
+        // Not the most recent, so `newer` is a frame.
+        self.frames[newer as usize].older = older;
+        match older {
+            NIL => self.lru = newer,
+            o => self.frames[o as usize].newer = newer,
+        }
+        self.frames[self.mru as usize].newer = at;
+        self.frames[idx].older = self.mru;
+        self.frames[idx].newer = NIL;
+        self.mru = at;
+    }
+
+    /// Free the least recently used evictable frame. The frame keeps its
+    /// place in the recency list: the caller's touch moves it up, and a
+    /// refill that is not a use (rollback's re-fault) leaves it coldest.
     fn evict_lru<B: PageBackend>(&mut self, backend: &mut B) -> Result<usize> {
         // Frames dirtied by an uncommitted transaction are pinned in
         // atomic-commit mode: their data must not reach the store before
         // the commit record does.
-        let (idx, _) = self
-            .frames
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| !(self.pin_owned && f.owner != NO_TXN))
-            .min_by_key(|(_, f)| f.last_use)
-            .ok_or(StorageError::BufferPinned)?;
+        let mut at = self.lru;
+        while at != NIL && self.pin_owned && self.frames[at as usize].owner != NO_TXN {
+            at = self.frames[at as usize].newer;
+        }
+        if at == NIL {
+            return Err(StorageError::BufferPinned);
+        }
+        let idx = at as usize;
         let pid = self.frames[idx].pid;
         if self.frames[idx].dirty {
             backend.evict(pid, &self.frames[idx].data)?;
@@ -792,12 +840,15 @@ impl FrameCache {
     /// [`Self::end_txn`] confirms the staging succeeded — so a failed
     /// commit can still roll back.
     pub(crate) fn collect_owned(&mut self, txn: u64) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::new();
-        for f in &self.frames {
-            if f.owner == txn && f.dirty {
-                out.push((f.pid, f.data.clone()));
-            }
-        }
+        let Some(list) = self.owned.get_mut(&txn) else { return Vec::new() };
+        list.sort_unstable();
+        list.dedup();
+        let mut out: Vec<(u64, Vec<u8>)> = list
+            .iter()
+            .map(|&idx| &self.frames[idx as usize])
+            .filter(|f| f.owner == txn && f.dirty)
+            .map(|f| (f.pid, f.data.clone()))
+            .collect();
         out.sort_by_key(|(pid, _)| *pid);
         out
     }
@@ -816,7 +867,8 @@ impl FrameCache {
         clean: bool,
         active: &[u64],
     ) {
-        for f in &mut self.frames {
+        for idx in self.owned.remove(&txn).unwrap_or_default() {
+            let f = &mut self.frames[idx as usize];
             if f.owner == txn {
                 f.owner = NO_TXN;
                 if clean {
@@ -854,6 +906,9 @@ impl FrameCache {
     /// (base page + last committed state, as cached at first touch). A
     /// frame evicted meanwhile is re-faulted and overwritten.
     pub(crate) fn rollback<B: PageBackend>(&mut self, backend: &mut B, txn: u64) -> Result<()> {
+        // Every frame the transaction owns has a pending pre-image, and
+        // restoring those below releases the ownership.
+        self.owned.remove(&txn);
         let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
         for (pid, chain) in self.chains.iter_mut() {
             if chain.pending.as_ref().is_some_and(|p| p.txn == txn) {
@@ -910,6 +965,9 @@ impl FrameCache {
     pub(crate) fn clear(&mut self) {
         self.frames.clear();
         self.map.clear();
+        self.mru = NIL;
+        self.lru = NIL;
+        self.owned.clear();
         self.chains.clear();
         self.retained = 0;
         self.retained_bytes = 0;
@@ -1461,6 +1519,7 @@ mod tests {
     use super::*;
     use pdl_core::{build_store, MethodKind, StoreOptions};
     use pdl_flash::{FlashChip, FlashConfig};
+    use proptest::prelude::*;
 
     fn pool(capacity: usize, kind: MethodKind) -> BufferPool {
         let chip = FlashChip::new(FlashConfig::tiny());
@@ -1550,8 +1609,20 @@ mod tests {
         let before = p.stats().misses;
         p.with_page(0, |_| ()).unwrap(); // still cached
         assert_eq!(p.stats().misses, before);
-        p.with_page(1, |_| ()).unwrap(); // miss
+        p.with_page(1, |_| ()).unwrap(); // miss, evicts 2
         assert_eq!(p.stats().misses, before + 1);
+        // A frame an open transaction dirtied is pinned: when it is the
+        // least recently used one, the next-oldest frame goes instead.
+        p.with_page_mut_txn(0, 7, |page| page.write(0, &[1])).unwrap();
+        p.with_page(1, |_| ()).unwrap(); // 0 is now LRU, and pinned
+        p.with_page(2, |_| ()).unwrap(); // evicts 1
+        assert_eq!(p.stats().misses, before + 2);
+        p.with_page(0, |_| ()).unwrap(); // still cached
+        assert_eq!(p.stats().misses, before + 2);
+        assert_eq!(p.dirty_owner(0), 7);
+        // With every frame pinned there is nothing to evict.
+        p.with_page_mut_txn(2, 8, |page| page.write(0, &[2])).unwrap();
+        assert_eq!(p.with_page(3, |_| ()), Err(StorageError::BufferPinned));
     }
 
     #[test]
@@ -1567,6 +1638,307 @@ mod tests {
         assert_eq!(read_u64(page.as_slice(), 8), 42);
         assert_eq!(&page.as_slice()[30..34], &[0xFF; 4]);
         assert_eq!(changes.len(), 4);
+    }
+
+    // ------------------------------------------------------------------
+    // Recency list and owned-frame lists against the full scans they
+    // replaced
+    // ------------------------------------------------------------------
+
+    const MODEL_PAGE: usize = 8;
+
+    /// A store that is a map: `evict` is the only way in.
+    #[derive(Default)]
+    struct MemBackend {
+        pages: HashMap<u64, Vec<u8>>,
+    }
+
+    impl PageBackend for MemBackend {
+        fn read(&mut self, pid: u64, out: &mut [u8]) -> Result<()> {
+            match self.pages.get(&pid) {
+                Some(page) => out.copy_from_slice(page),
+                None => out.fill(0),
+            }
+            Ok(())
+        }
+
+        fn apply(&mut self, _: u64, _: &[u8], _: &[ChangeRange]) -> Result<()> {
+            Ok(())
+        }
+
+        fn evict(&mut self, pid: u64, page: &[u8]) -> Result<()> {
+            self.pages.insert(pid, page.to_vec());
+            Ok(())
+        }
+    }
+
+    struct ScanFrame {
+        pid: u64,
+        data: Vec<u8>,
+        dirty: bool,
+        owner: u64,
+        last_use: u64,
+    }
+
+    /// The frame cache as it was before the lists: a use stamp per frame,
+    /// and the victim, the owned set and the release each found by a
+    /// scan over every frame.
+    #[derive(Default)]
+    struct ScanModel {
+        frames: Vec<ScanFrame>,
+        capacity: usize,
+        pin_owned: bool,
+        tick: u64,
+        /// pid → (transaction, pre-image)
+        pending: std::collections::BTreeMap<u64, (u64, Vec<u8>)>,
+        store: HashMap<u64, Vec<u8>>,
+        evictions: u64,
+        dirty_writebacks: u64,
+    }
+
+    impl ScanModel {
+        fn slot(&self, pid: u64) -> Option<usize> {
+            self.frames.iter().position(|f| f.pid == pid)
+        }
+
+        fn pinned(&self, f: &ScanFrame) -> bool {
+            self.pin_owned && f.owner != NO_TXN
+        }
+
+        fn fetch(&mut self, pid: u64) -> Result<usize> {
+            if let Some(idx) = self.slot(pid) {
+                return Ok(idx);
+            }
+            let idx = if self.frames.len() < self.capacity {
+                self.frames.push(ScanFrame {
+                    pid,
+                    data: Vec::new(),
+                    dirty: false,
+                    owner: NO_TXN,
+                    last_use: 0,
+                });
+                self.frames.len() - 1
+            } else {
+                let (idx, _) = self
+                    .frames
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, f)| !self.pinned(f))
+                    .min_by_key(|(_, f)| f.last_use)
+                    .ok_or(StorageError::BufferPinned)?;
+                let victim = &self.frames[idx];
+                if victim.dirty {
+                    self.store.insert(victim.pid, victim.data.clone());
+                    self.dirty_writebacks += 1;
+                }
+                self.evictions += 1;
+                idx
+            };
+            let data = self.store.get(&pid).cloned().unwrap_or_else(|| vec![0; MODEL_PAGE]);
+            let f = &mut self.frames[idx];
+            (f.pid, f.data, f.dirty, f.owner) = (pid, data, false, NO_TXN);
+            Ok(idx)
+        }
+
+        fn touch(&mut self, idx: usize) {
+            self.tick += 1;
+            self.frames[idx].last_use = self.tick;
+        }
+
+        fn read(&mut self, pid: u64) -> Result<Vec<u8>> {
+            let idx = self.fetch(pid)?;
+            self.touch(idx);
+            Ok(self.frames[idx].data.clone())
+        }
+
+        fn write(&mut self, pid: u64, txn: u64, value: Option<u8>) -> Result<()> {
+            let idx = self.fetch(pid)?;
+            let f = &self.frames[idx];
+            if f.dirty && f.owner != NO_TXN && f.owner != txn {
+                return Err(StorageError::TxnConflict { pid });
+            }
+            self.touch(idx);
+            let Some(value) = value else { return Ok(()) };
+            let f = &mut self.frames[idx];
+            if txn != NO_TXN {
+                self.pending.entry(pid).or_insert_with(|| (txn, f.data.clone()));
+                f.owner = txn;
+            }
+            f.data[0] = value;
+            f.dirty = true;
+            Ok(())
+        }
+
+        fn collect_owned(&self, txn: u64) -> Vec<(u64, Vec<u8>)> {
+            let mut out: Vec<(u64, Vec<u8>)> = self
+                .frames
+                .iter()
+                .filter(|f| f.owner == txn && f.dirty)
+                .map(|f| (f.pid, f.data.clone()))
+                .collect();
+            out.sort_by_key(|(pid, _)| *pid);
+            out
+        }
+
+        fn end_txn(&mut self, txn: u64, clean: bool) {
+            for f in self.frames.iter_mut().filter(|f| f.owner == txn) {
+                f.owner = NO_TXN;
+                f.dirty &= !clean;
+            }
+            self.pending.retain(|_, (t, _)| *t != txn);
+        }
+
+        fn rollback(&mut self, txn: u64) -> Result<()> {
+            let pids: Vec<u64> =
+                self.pending.iter().filter(|(_, (t, _))| *t == txn).map(|(pid, _)| *pid).collect();
+            for pid in pids {
+                let (_, undo) = self.pending.remove(&pid).expect("listed above");
+                let idx = self.fetch(pid)?; // a refill, not a use
+                let f = &mut self.frames[idx];
+                (f.data, f.dirty, f.owner) = (undo, true, NO_TXN);
+            }
+            Ok(())
+        }
+
+        fn write_back_dirty(&mut self) {
+            for idx in 0..self.frames.len() {
+                if self.frames[idx].dirty && !self.pinned(&self.frames[idx]) {
+                    let f = &mut self.frames[idx];
+                    self.store.insert(f.pid, f.data.clone());
+                    (f.dirty, f.owner) = (false, NO_TXN);
+                    self.dirty_writebacks += 1;
+                }
+            }
+        }
+
+        fn clear(&mut self) {
+            self.frames.clear();
+            self.pending.clear();
+        }
+
+        fn dirty_owner(&self, pid: u64) -> u64 {
+            self.slot(pid)
+                .map(|idx| &self.frames[idx])
+                .filter(|f| f.dirty)
+                .map_or(NO_TXN, |f| f.owner)
+        }
+    }
+
+    /// One generated step: `(kind, pid, writer, value)`.
+    type ScanOp = (u8, u64, usize, u8);
+
+    fn run_against_scans(
+        capacity: usize,
+        pin_owned: bool,
+        ops: Vec<ScanOp>,
+    ) -> std::result::Result<(), TestCaseError> {
+        let mut cache = FrameCache::new(capacity, MODEL_PAGE, 8, 0);
+        cache.set_pin_owned(pin_owned);
+        let mut backend = MemBackend::default();
+        let mut model = ScanModel { capacity, pin_owned, ..ScanModel::default() };
+        // Writer 0 auto-commits; 1..=3 are open transactions, each
+        // replaced by a fresh id when it ends.
+        let mut txns = [NO_TXN, 1, 2, 3];
+        let mut next_txn = 4;
+        for (step, (kind, pid, writer, value)) in ops.into_iter().enumerate() {
+            let txn = txns[writer];
+            match kind {
+                0..=4 => {
+                    let got = cache.with_page(&mut backend, pid, |page| page.to_vec());
+                    prop_assert_eq!(got, model.read(pid), "step {}: read {}", step, pid);
+                }
+                5..=10 => {
+                    // The cache asserts that a page carries one pending
+                    // pre-image: relaxed mode can evict a transaction's
+                    // page, and the layers above keep a second
+                    // transaction off it.
+                    if txn != NO_TXN
+                        && model.pending.get(&pid).is_some_and(|(t, _)| *t != txn)
+                        && model.dirty_owner(pid) == NO_TXN
+                    {
+                        continue;
+                    }
+                    let value = (kind != 10).then_some(value); // 10: touch, no write
+                    let got =
+                        cache.with_page_mut_txn(&mut backend, pid, txn, &NoVersioning, |page| {
+                            if let Some(v) = value {
+                                page.write(0, &[v]);
+                            }
+                        });
+                    prop_assert_eq!(got, model.write(pid, txn, value), "step {}: write", step);
+                }
+                11 if writer > 0 => {
+                    let got = cache.collect_owned(txn);
+                    prop_assert_eq!(got, model.collect_owned(txn), "step {}: collect", step);
+                }
+                12 if writer > 0 => {
+                    // Commit: durable (the images go to the store, the
+                    // frames turn clean) or relaxed (they stay dirty).
+                    let staged = cache.collect_owned(txn);
+                    prop_assert_eq!(&staged, &model.collect_owned(txn), "step {}: commit", step);
+                    let clean = value % 2 == 0;
+                    if clean {
+                        for (pid, data) in staged {
+                            backend.pages.insert(pid, data.clone());
+                            model.store.insert(pid, data);
+                        }
+                    }
+                    cache.end_txn(&mut backend, txn, None, clean, &[]);
+                    model.end_txn(txn, clean);
+                    txns[writer] = next_txn;
+                    next_txn += 1;
+                }
+                13 if writer > 0 => {
+                    let got = cache.rollback(&mut backend, txn);
+                    prop_assert_eq!(got, model.rollback(txn), "step {}: rollback", step);
+                    txns[writer] = next_txn;
+                    next_txn += 1;
+                }
+                14 => {
+                    cache.write_back_dirty(&mut backend).unwrap();
+                    model.write_back_dirty();
+                }
+                15 if value < 32 => {
+                    cache.clear();
+                    model.clear();
+                }
+                _ => continue,
+            }
+            for pid in 0..10 {
+                let cached = model.slot(pid).is_some();
+                prop_assert_eq!(cache.is_cached(pid), cached, "step {}: page {}", step, pid);
+                let owner = model.dirty_owner(pid);
+                prop_assert_eq!(cache.dirty_owner(pid), owner, "step {}: page {}", step, pid);
+            }
+            prop_assert_eq!(&backend.pages, &model.store, "step {}: written back", step);
+            let stats = cache.stats();
+            prop_assert_eq!(
+                (stats.evictions, stats.dirty_writebacks),
+                (model.evictions, model.dirty_writebacks),
+                "step {}",
+                step
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every miss evicts the page the `min_by_key(last_use)` scan
+        /// would have, `collect_owned` returns what the owner scan would
+        /// have, and the cache refuses (`BufferPinned`, `TxnConflict`)
+        /// exactly when the scans would have — through three interleaved
+        /// transactions, in both pinning modes, across write-backs,
+        /// rollbacks that re-fault evicted pages, and cache resets.
+        #[test]
+        fn lists_match_the_full_scans(
+            capacity in 1usize..=6,
+            pin_owned in any::<bool>(),
+            ops in proptest::collection::vec((0u8..16, 0u64..10, 0usize..4, 1u8..=255), 1..200),
+        ) {
+            run_against_scans(capacity, pin_owned, ops)?;
+        }
     }
 
     // ------------------------------------------------------------------

@@ -168,6 +168,11 @@ pub struct Database {
     /// record → finalize) across threads. Latched structural mutation
     /// runs concurrently; only the batch boundary is exclusive.
     commit_lock: Mutex<()>,
+    /// The store error that hit a durable commit at or after its commit
+    /// point. Recovery may judge that transaction committed, so it can be
+    /// neither rolled back nor confirmed: the database stops, and every
+    /// later `begin` / `commit` reports this error.
+    stopped: Mutex<Option<StorageError>>,
 }
 
 impl Database {
@@ -203,6 +208,7 @@ impl Database {
             txn_structs: Mutex::new(HashMap::new()),
             abort_epoch: AtomicU64::new(0),
             commit_lock: Mutex::new(()),
+            stopped: Mutex::new(None),
         }
     }
 
@@ -233,6 +239,15 @@ impl Database {
         self.alloc.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn lock_stopped(&self) -> std::sync::MutexGuard<'_, Option<StorageError>> {
+        self.stopped.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Fail-stop check (see the `stopped` field).
+    fn check_stopped(&self) -> Result<()> {
+        self.lock_stopped().clone().map_or(Ok(()), Err)
+    }
+
     fn lock_open_txns(&self) -> std::sync::MutexGuard<'_, HashMap<ThreadId, TxnId>> {
         self.open_txns.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -255,6 +270,7 @@ impl Database {
     /// a page snapshots the pre-image, and (in [`Durability::Commit`]
     /// mode) its dirty pages are pinned in the buffer pool.
     pub fn begin(&self) -> Result<TxnId> {
+        self.check_stopped()?;
         let me = std::thread::current().id();
         let mut open = self.lock_open_txns();
         if open.contains_key(&me) {
@@ -296,6 +312,13 @@ impl Database {
             }
             Durability::Commit => {
                 let staged = self.pool.collect_owned(txn);
+                // One durable batch at a time: latched mutation runs
+                // concurrently, only the reserve→finalize protocol is
+                // exclusive. The root snapshot is taken inside, so two
+                // committers that each moved a root cannot stage a record
+                // carrying the other's stale one.
+                let _serial = self.commit_lock.lock().unwrap_or_else(|e| e.into_inner());
+                self.check_stopped()?;
                 let roots = self.durable_roots(&structs);
                 if staged.is_empty() && roots.is_none() {
                     // Read-only (or no root log): nothing to make durable.
@@ -303,10 +326,7 @@ impl Database {
                     self.pool.release_owned(txn, structs);
                     return Ok(());
                 }
-                // One durable batch at a time: latched mutation runs
-                // concurrently, only the reserve→finalize protocol is
-                // exclusive.
-                let _serial = self.commit_lock.lock().unwrap_or_else(|e| e.into_inner());
+                let mut at_commit_point = false;
                 let result = self.pool.with_store(|store| -> Result<()> {
                     if let Some(r) = roots.as_ref() {
                         // The root log is append-only between
@@ -334,6 +354,7 @@ impl Database {
                         // commit record it names does.
                         store.txn_stage_struct_roots(r, txn)?;
                     }
+                    at_commit_point = true;
                     store.txn_append_commit(txn)?;
                     store.txn_finalize()?;
                     Ok(())
@@ -343,6 +364,15 @@ impl Database {
                         self.clear_allocs(txn);
                         self.pool.commit_release(txn, structs);
                         Ok(())
+                    }
+                    Err(e) if at_commit_point => {
+                        // Some or all commit records may be durable (a
+                        // deferred obsolete mark can fail after every
+                        // one is): this is not an abort. Rolling back
+                        // would hand the transaction's pids to the next
+                        // writer while recovery keeps its pages.
+                        *self.lock_stopped() = Some(e.clone());
+                        Err(e)
                     }
                     Err(e) => {
                         // The commit record never became durable: roll

@@ -11,7 +11,10 @@
 //! budget sweep moves the crash point through the whole concurrent
 //! phase; recovery must also be idempotent (crash the recovered store
 //! again, recover again, same contents) and survive a checkpoint cycle
-//! (the V3 region carries the roots through compaction).
+//! (the V3 region carries the roots through compaction). A second sweep
+//! commits the same batches from one thread and visits every crash point
+//! of the two-shard commit protocol, with power failing on both chips or
+//! on either one alone.
 
 use pdl_core::{is_power_loss, MethodKind, ShardedStore, StoreOptions};
 use pdl_flash::FlashConfig;
@@ -50,12 +53,14 @@ fn dense_prefix_len(db: &Database, tree: &BTree, w: usize) -> u64 {
     next
 }
 
-/// Build a database, commit a baseline on two registered trees (deep
+/// Build a database and commit a baseline on two registered trees (deep
 /// enough that both roots grew, so the structure-root log is durably
-/// populated), then race two writers until `budget` flash operations
-/// exhaust. Returns the crashed chips plus each writer's count of
-/// batches whose commit *returned* `Ok`.
-fn run_until_power_loss(budget: u64) -> (Vec<pdl_flash::FlashChip>, Vec<u64>) {
+/// populated). Crash it cleanly and come back through the root log, so
+/// the faulted phase itself runs on recovered trees, with `budget` flash
+/// operations left on each chip of `armed`: the budget burns down inside
+/// that phase — split chains, staged flushes, commit records, root-record
+/// programs.
+fn recovered_baseline(armed: &[usize], budget: u64) -> (Database, Vec<BTree>) {
     let store = ShardedStore::with_uniform_chips(FlashConfig::scaled(16), SHARDS, KIND, options())
         .expect("store");
     let db = Database::new(Box::new(store), 128).with_durability(Durability::Commit);
@@ -72,19 +77,31 @@ fn run_until_power_loss(budget: u64) -> (Vec<pdl_flash::FlashChip>, Vec<u64>) {
     let roots = db.with_store(|s| s.struct_roots()).expect("root log populated");
     assert_eq!(roots.entries.len(), 2, "both trees must be in the durable root log");
 
-    // Crash the baseline cleanly and come back through the root log, so
-    // the racing phase itself runs on recovered trees. Arm every shard's
-    // chip *after* this recovery: the budget then burns down inside the
-    // concurrent phase — split chains, staged flushes, commit records,
-    // root-record programs.
     let store = ShardedStore::recover(db.into_store_without_flush().into_chips(), KIND, options())
         .expect("baseline recover");
-    for s in 0..SHARDS {
+    for &s in armed {
         store.with_shard(s, |st| st.chip_mut().arm_fault(budget));
     }
     let db = Database::new(Box::new(store), 128).with_durability(Durability::Commit);
     let trees: Vec<BTree> = db.recover_structures().into_iter().map(|s| s.into_btree()).collect();
-    assert_eq!(trees.len(), 2, "baseline trees must recover before the race");
+    assert_eq!(trees.len(), 2, "baseline trees must recover before the faulted phase");
+    (db, trees)
+}
+
+/// Power is gone: take the chips as the crash left them.
+fn crashed_chips(db: Database) -> Vec<pdl_flash::FlashChip> {
+    let mut chips = db.into_store_without_flush().into_chips();
+    for c in &mut chips {
+        c.disarm_fault();
+    }
+    chips
+}
+
+/// Race two writers over the recovered baseline until `budget` flash
+/// operations exhaust on every chip. Returns the crashed chips plus each
+/// writer's count of batches whose commit *returned* `Ok`.
+fn run_until_power_loss(budget: u64) -> (Vec<pdl_flash::FlashChip>, Vec<u64>) {
+    let (db, trees) = recovered_baseline(&[0, 1], budget);
 
     let confirmed: Vec<u64> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..2usize)
@@ -131,11 +148,37 @@ fn run_until_power_loss(budget: u64) -> (Vec<pdl_flash::FlashChip>, Vec<u64>) {
         handles.into_iter().map(|h| h.join().expect("writer panicked")).collect()
     });
 
-    let mut chips = db.into_store_without_flush().into_chips();
-    for c in &mut chips {
-        c.disarm_fault();
+    (crashed_chips(db), confirmed)
+}
+
+/// The same batches from one thread — writer 0's, then writer 1's — up to
+/// the first error, with only the chips of `armed` faulted. Nothing here
+/// depends on a scheduler: a (chips, budget) point fails every time or
+/// never.
+fn run_serially_until_power_loss(
+    armed: &[usize],
+    budget: u64,
+) -> (Vec<pdl_flash::FlashChip>, Vec<u64>) {
+    let (db, trees) = recovered_baseline(armed, budget);
+    let mut confirmed = vec![0u64; 2];
+    let mut run = || -> Result<(), StorageError> {
+        for (w, tree) in trees.iter().enumerate() {
+            for b in 0..BATCHES {
+                db.begin()?;
+                for i in 0..BATCH {
+                    let at = BASELINE + b * BATCH + i;
+                    tree.insert(&db, &key_of(w, at), at)?;
+                }
+                db.commit()?;
+                confirmed[w] += 1;
+            }
+        }
+        Ok(())
+    };
+    if let Err(e) = run() {
+        assert!(power_lost(&e), "unexpected error: {e}");
     }
-    (chips, confirmed)
+    (crashed_chips(db), confirmed)
 }
 
 /// Recover chips into a fresh database and rebuild the trees from the
@@ -194,15 +237,41 @@ fn crash_mid_split_sweep_recovers_committed_prefixes() {
                 "budget {budget}: fault never fired — the sweep is vacuous"
             );
         }
-        let (db, trees) = recover(chips);
-        let lens = check_recovered(&db, &trees, &confirmed);
+        check_recovery_is_idempotent(chips, &confirmed, &format!("budget {budget}"));
+    }
+}
 
-        // Idempotence: crash the recovered store again without flushing;
-        // a second recovery must reproduce the same committed state.
-        let chips = db.into_store_without_flush().into_chips();
-        let (db2, trees2) = recover(chips);
-        let lens2 = check_recovered(&db2, &trees2, &confirmed);
-        assert_eq!(lens, lens2, "budget {budget}: recovery is not idempotent");
+/// Recover, check, crash the recovered store again without flushing,
+/// recover again: the second recovery must reproduce the same committed
+/// state.
+fn check_recovery_is_idempotent(chips: Vec<pdl_flash::FlashChip>, confirmed: &[u64], what: &str) {
+    let (db, trees) = recover(chips);
+    let lens = check_recovered(&db, &trees, confirmed);
+    let (db2, trees2) = recover(db.into_store_without_flush().into_chips());
+    let lens2 = check_recovered(&db2, &trees2, confirmed);
+    assert_eq!(lens, lens2, "{what}: recovery is not idempotent");
+}
+
+#[test]
+fn serial_crash_sweep_recovers_committed_prefixes_on_every_chip_subset() {
+    // Every crash point of the two-shard commit protocol, with power
+    // failing on both chips or on one of them only. A shard that programs
+    // its obsolete marks before the other shard's commit record is
+    // durable loses the previous committed batch here at (both, 15),
+    // (both, 17), (shard 0, 15), (shard 0, 17) and (shard 1, 3).
+    for armed in [&[0usize, 1][..], &[0], &[1]] {
+        // A budget the run outlasts is the end: larger ones fault nowhere.
+        let mut budget = 1u64;
+        loop {
+            let (chips, confirmed) = run_serially_until_power_loss(armed, budget);
+            let faulted = confirmed != [BATCHES, BATCHES];
+            check_recovery_is_idempotent(chips, &confirmed, &format!("{armed:?}, {budget}"));
+            if !faulted {
+                break;
+            }
+            budget += 1;
+        }
+        assert!(budget > 30, "chips {armed:?}: the run ends after {budget} flash operations");
     }
 }
 

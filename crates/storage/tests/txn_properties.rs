@@ -389,3 +389,54 @@ fn aborted_raw_allocations_are_stranded_but_counted() {
     d.commit().unwrap();
     assert_eq!(d.buffer_stats().leaked_pids, 2);
 }
+
+#[test]
+fn a_failed_durable_commit_is_an_abort_or_a_stop() {
+    // Power fails at every flash operation of one durable commit. If the
+    // database lets the caller carry on, it rolled the transaction back
+    // and freed its pids — so recovery must agree the transaction never
+    // happened. A failure at or after the commit point (the record
+    // flushed, a deferred obsolete mark hit the fault) leaves that to
+    // recovery: the database stops, and says why from then on.
+    let (mut aborted, mut stopped) = (0, 0);
+    for budget in 0.. {
+        let d = db(16, 8);
+        for _ in 0..4 {
+            let pid = d.alloc_page().unwrap();
+            d.with_page_mut(pid, |p| p.write(0, &[0x11; 8])).unwrap();
+        }
+        d.flush().unwrap();
+        d.begin().unwrap();
+        // Page 0 changes past Max_Differential_Size (Case 3: its old base
+        // page is obsoleted by a deferred mark), page 2 by a few bytes.
+        d.with_page_mut(0, |p| p.fill(0, 200, 0xAA)).unwrap();
+        d.with_page_mut(2, |p| p.write(4, b"txn-b")).unwrap();
+        let grown = d.alloc_page_structured().unwrap();
+        d.with_store(|s| s.chip_mut().arm_fault(budget));
+        let result = d.commit();
+        d.with_store(|s| s.chip_mut().disarm_fault());
+        let Err(e) = result else {
+            assert!(
+                aborted > 0 && stopped > 0,
+                "{aborted} aborts, {stopped} stops before {budget}"
+            );
+            break;
+        };
+        let carries_on = d.begin().is_ok();
+        if carries_on {
+            aborted += 1;
+            assert_eq!(d.alloc_page_structured().unwrap(), grown, "an abort frees its pids");
+        } else {
+            stopped += 1;
+            assert_eq!(d.begin().unwrap_err(), e, "a stopped database reports what stopped it");
+        }
+        let chip = d.into_store_without_flush().into_chip();
+        let mut back = pdl_core::recover_store(chip, KIND, StoreOptions::new(16)).unwrap();
+        let mut out = vec![0u8; back.logical_page_size()];
+        back.read_page(0, &mut out).unwrap();
+        let committed = out[8] == 0xAA;
+        assert!(!(carries_on && committed), "budget {budget}: rolled back, recovered committed");
+        back.read_page(2, &mut out).unwrap();
+        assert_eq!(&out[4..9] == b"txn-b", committed, "budget {budget}: torn commit");
+    }
+}
