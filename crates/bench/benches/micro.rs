@@ -10,6 +10,8 @@ use pdl_flash::{fnv1a32, FlashChip, FlashConfig, PageKind, Ppn, SpareInfo};
 use pdl_storage::{BTree, Database, Durability, KeyBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 fn bench_diff_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("diff_codec");
@@ -130,7 +132,8 @@ fn bench_btree(c: &mut Criterion) {
 
 /// What the pool itself costs per operation, at the two sizes the
 /// end-to-end benchmark runs it: a commit against 32 768 cached frames
-/// (`tpcc_hot`), a miss with 256 (`tpcc_cold`).
+/// (`tpcc_hot`), a miss with 256 (`tpcc_cold`) — and what a hit costs,
+/// alone and beside a thread that is busy in the store (`writers2`).
 fn bench_buffer_pool(c: &mut Criterion) {
     let mut g = c.benchmark_group("buffer_pool");
     g.sample_size(20);
@@ -162,6 +165,47 @@ fn bench_buffer_pool(c: &mut Criterion) {
             db.with_page(pid, |page| page[0]).unwrap()
         })
     });
+    // Buffer hits, 64 to an iteration (the harness reads the clock twice
+    // around each iteration, which costs about what one hit does): a plain
+    // read, then — inside an open transaction, as a B+-tree insert makes
+    // them — a structural read and a mutation, and the mutation again while
+    // a second thread holds the store half of the time, as the other
+    // writer's commit protocol does.
+    const HITS: u64 = 64;
+    let db = cached(1_024, 1_024);
+    g.bench_function("pool_hit_read", |b| {
+        b.iter(|| (0..HITS).map(|pid| db.with_page(pid, |page| page[0]).unwrap()).max())
+    });
+    db.begin().unwrap();
+    g.bench_function("pool_hit_read_struct", |b| {
+        b.iter(|| (0..HITS).map(|pid| db.with_page_struct(pid, |page| page[0]).unwrap()).max())
+    });
+    let mutate = |b: &mut criterion::Bencher| {
+        b.iter(|| {
+            for pid in 0..HITS {
+                db.with_page_mut(pid, |page| page.write_u64(0, pid)).unwrap();
+            }
+        })
+    };
+    g.bench_function("pool_hit_mutate_txn", mutate);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let spin = |us| {
+                let from = Instant::now();
+                while from.elapsed() < Duration::from_micros(us) {
+                    std::hint::spin_loop();
+                }
+            };
+            while !done.load(Ordering::Relaxed) {
+                db.with_store(|_| spin(20));
+                spin(20);
+            }
+        });
+        g.bench_function("pool_hit_mutate_txn_store_busy", mutate);
+        done.store(true, Ordering::Relaxed);
+    });
+    db.abort().unwrap();
     g.finish();
 }
 

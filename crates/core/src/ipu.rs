@@ -170,6 +170,10 @@ impl PageStore for Ipu {
         Ok(())
     }
 
+    fn consumes_updates(&self) -> bool {
+        false
+    }
+
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()> {
         self.opts.check_pid(pid)?;
         let g = self.chip.geometry();

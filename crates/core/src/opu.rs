@@ -340,6 +340,11 @@ impl PageStore for Opu {
         Ok(())
     }
 
+    fn consumes_updates(&self) -> bool {
+        // The heat gauge is read by `stream_for` under `HotCold` only.
+        self.alloc.policy() == GcPolicy::HotCold
+    }
+
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()> {
         self.opts.check_pid(pid)?;
         let ds = self.chip.geometry().data_size;

@@ -327,6 +327,17 @@ pub trait PageStore: Send {
     /// write log sectors to flash.
     fn apply_update(&mut self, pid: u64, page_after: &[u8], changes: &[ChangeRange]) -> Result<()>;
 
+    /// Whether [`PageStore::apply_update`] does anything in this store as
+    /// configured: IPL always (it writes its update logs there), PDL and
+    /// OPU only under [`crate::GcPolicy::HotCold`] (the notification is
+    /// their update-frequency gauge), IPU never. A buffer pool asks once,
+    /// when it is built, and leaves the store alone on a buffer hit when
+    /// the answer is `false` — the paper's loose coupling (§4). The
+    /// default claims the notifications, which is always correct.
+    fn consumes_updates(&self) -> bool {
+        true
+    }
+
     /// Reflect the up-to-date logical page into flash memory (the page is
     /// being swapped out of the DBMS buffer).
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()>;

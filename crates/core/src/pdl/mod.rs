@@ -1263,6 +1263,11 @@ impl PageStore for Pdl {
         Ok(())
     }
 
+    fn consumes_updates(&self) -> bool {
+        // The heat gauge is read by `stream_for` under `HotCold` only.
+        self.alloc.policy() == GcPolicy::HotCold
+    }
+
     /// `PDL_Writing` (Figure 7).
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()> {
         self.stage_page(pid, page, NO_TXN)

@@ -458,6 +458,10 @@ impl PageStore for ShardedStore {
             .apply_update(local, page_after, changes)
     }
 
+    fn consumes_updates(&self) -> bool {
+        (0..self.shards.len()).any(|s| self.lock_shard(s).consumes_updates())
+    }
+
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()> {
         let (s, local) = self.locate(pid)?;
         self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).evict_page(local, page)

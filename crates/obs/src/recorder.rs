@@ -79,10 +79,14 @@ pub enum LatencyClass {
     /// retention ledger (a cold version spilled out of the DRAM chains):
     /// the penalty an epoch-long view pays per cold page it touches.
     ColdVersionRead,
+    /// Host-clock wait of a durable commit for the database's serial
+    /// commit section (`commit_lock`), one sample per commit that took
+    /// the lock — zero when it was free. What group commit would remove.
+    CommitLockWait,
 }
 
 impl LatencyClass {
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 17;
 
     pub const ALL: [LatencyClass; LatencyClass::COUNT] = [
         LatencyClass::ReadUser,
@@ -101,6 +105,7 @@ impl LatencyClass {
         LatencyClass::RepairDetour,
         LatencyClass::LatchWait,
         LatencyClass::ColdVersionRead,
+        LatencyClass::CommitLockWait,
     ];
 
     pub fn index(self) -> usize {
@@ -121,6 +126,7 @@ impl LatencyClass {
             LatencyClass::RepairDetour => 13,
             LatencyClass::LatchWait => 14,
             LatencyClass::ColdVersionRead => 15,
+            LatencyClass::CommitLockWait => 16,
         }
     }
 
@@ -143,6 +149,7 @@ impl LatencyClass {
             LatencyClass::RepairDetour => "repair_detour",
             LatencyClass::LatchWait => "latch_wait",
             LatencyClass::ColdVersionRead => "cold_version_read",
+            LatencyClass::CommitLockWait => "commit_lock_wait",
         }
     }
 

@@ -35,12 +35,41 @@
 //! unavailable (or a spill fails) does the discard advance the too-old
 //! watermark, making [`StorageError::SnapshotTooOld`] the hard-limit
 //! last resort rather than the budget's first response.
+//!
+//! # Lock order, and what a buffer hit costs
+//!
+//! One order, everywhere: **page latch → cache → { MVCC registry |
+//! store }**. A latch is only ever taken with no pool mutex held; the
+//! cache mutex is taken under any number of latches; the MVCC registry
+//! and the store mutex are leaves, taken under the cache mutex or on
+//! their own, never one under the other. (`Database` adds its own
+//! leaves — allocator, open-transaction table, pending structure roots —
+//! and `commit_lock`, which is taken with none of the above held, is
+//! granted in arrival order and covers the store for the length of a
+//! commit protocol.)
+//!
+//! **A buffer hit — [`BufferPool::with_page`], the structural read, a
+//! mutation — takes the cache mutex once and no other global lock.** The
+//! store mutex is taken only to do flash work:
+//!
+//! * a miss (`read_page`) and the write-back of the victim it evicts;
+//! * [`BufferPool::flush_all`], [`BufferPool::with_store`] and the commit
+//!   protocol `Database::commit` runs through it;
+//! * version spill and its read-back / free (retention ledger);
+//! * rollback and mutation, **only** over a store that consumes update
+//!   notifications ([`PageStore::consumes_updates`]: IPL, or PDL / OPU
+//!   under the hot/cold GC policy) — asked once at construction.
+//!
+//! The one other lock a mutation can take is the MVCC registry, when an
+//! auto-committed command runs while a read view is open (it allocates
+//! the version's commit timestamp).
 
 use crate::error::{RetentionTrigger, StorageError};
 use crate::view::{MvccState, StructId, StructRoot, ViewRegistry};
 use crate::{ReadGuard, ReadView, Result};
 use pdl_core::{ChangeRange, PageStore, NO_TXN};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread::ThreadId;
@@ -116,6 +145,35 @@ pub fn read_u64(page: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(page[offset..offset + 8].try_into().expect("8 bytes"))
 }
 
+/// Hasher for maps keyed by one `u64` the engine issued itself (a
+/// logical page id, a transaction id): one multiply, folded so both the
+/// bucket index (low bits) and the control byte (high bits) depend on the
+/// whole key. SipHash's protection against chosen keys buys nothing here
+/// and was 3 % of the hit path.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Not the path a `u64` key takes; correct for any other.
+        for &byte in bytes {
+            self.write_u64(byte as u64);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let x = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by a page or transaction id.
+pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
 /// End-of-list marker for the frame recency links.
 const NIL: u32 = u32::MAX;
 
@@ -123,7 +181,6 @@ struct Frame {
     pid: u64,
     data: Vec<u8>,
     dirty: bool,
-    changes: Vec<ChangeRange>,
     /// Transaction that dirtied this frame ([`NO_TXN`] when none): the
     /// per-transaction change tracking of the `pdl-txn` subsystem.
     owner: u64,
@@ -237,8 +294,9 @@ impl BufferStats {
 
 /// The page-store operations a frame cache needs from its backing store.
 ///
-/// [`BufferPool`] backs this with its mutex-guarded `Box<dyn PageStore>`;
-/// the striped pool backs it with the `*_shared` entry points of a shared
+/// [`BufferPool`] backs this with its mutex-guarded `Box<dyn PageStore>`
+/// (locked per call, so a call that is never made never waits); the
+/// striped pool backs it with the `*_shared` entry points of a shared
 /// `ShardedStore`, so each stripe can fault and write back pages while
 /// holding only its own lock.
 pub(crate) trait PageBackend {
@@ -270,36 +328,6 @@ pub(crate) trait PageBackend {
     fn free_spilled(&mut self, pid: u64, handle: u64) -> Result<()> {
         let _ = (pid, handle);
         Err(StorageError::Internal("backend does not support version spill".into()))
-    }
-}
-
-impl PageBackend for Box<dyn PageStore> {
-    fn read(&mut self, pid: u64, out: &mut [u8]) -> Result<()> {
-        Ok(self.read_page(pid, out)?)
-    }
-
-    fn apply(&mut self, pid: u64, page_after: &[u8], changes: &[ChangeRange]) -> Result<()> {
-        Ok(self.apply_update(pid, page_after, changes)?)
-    }
-
-    fn evict(&mut self, pid: u64, page: &[u8]) -> Result<()> {
-        Ok(self.evict_page(pid, page)?)
-    }
-
-    fn spill_supported(&mut self) -> bool {
-        (**self).spill_supported()
-    }
-
-    fn spill(&mut self, pid: u64, page: &[u8]) -> Result<u64> {
-        Ok(self.spill_page(pid, page)?)
-    }
-
-    fn read_spilled(&mut self, pid: u64, handle: u64, out: &mut [u8]) -> Result<()> {
-        Ok(self.read_spill(pid, handle, out)?)
-    }
-
-    fn free_spilled(&mut self, pid: u64, handle: u64) -> Result<()> {
-        Ok(self.free_spill(pid, handle)?)
     }
 }
 
@@ -340,7 +368,7 @@ impl VersionSource for NoVersioning {
 /// sharded pool (one cache per shard, each behind its own lock).
 pub(crate) struct FrameCache {
     frames: Vec<Frame>,
-    map: HashMap<u64, usize>,
+    map: IdMap<usize>,
     capacity: usize,
     page_size: usize,
     /// Ends of the exact-LRU recency list threaded through the frames
@@ -352,16 +380,24 @@ pub(crate) struct FrameCache {
     /// first-dirtied order). An entry is a hint, re-checked against
     /// `Frame::owner`: relaxed mode can evict an owned frame and hand it
     /// to the same or another transaction again.
-    owned: HashMap<u64, Vec<u32>>,
+    owned: IdMap<Vec<u32>>,
+    /// The changed ranges of the update command in progress (one buffer
+    /// for the cache, not one per frame: a command's ranges are dead once
+    /// it returns).
+    changes: Vec<ChangeRange>,
     stats: BufferStats,
     /// Whether transaction-owned dirty frames are pinned against eviction
     /// and skipped by write-backs (atomic-commit mode). Relaxed mode
     /// leaves them evictable — legacy behavior, with abort still restored
     /// from the in-memory undo images.
     pin_owned: bool,
+    /// Whether the store consumes update notifications
+    /// ([`PageStore::consumes_updates`]). When it does not, a mutation of
+    /// a cached page never calls the backend.
+    notify_updates: bool,
     /// Per-page version chains, keyed by pid (they outlive frame
     /// eviction).
-    chains: HashMap<u64, VersionChain>,
+    chains: IdMap<VersionChain>,
     /// Committed versions currently retained across all chains.
     retained: usize,
     /// Bytes of committed version payload currently retained.
@@ -390,19 +426,22 @@ impl FrameCache {
         page_size: usize,
         version_cap: usize,
         retention_bytes: usize,
+        notify_updates: bool,
     ) -> FrameCache {
         let capacity = capacity.max(1);
         FrameCache {
             frames: Vec::with_capacity(capacity.min(1024)),
-            map: HashMap::new(),
+            map: IdMap::default(),
             capacity,
             page_size,
             mru: NIL,
             lru: NIL,
-            owned: HashMap::new(),
+            owned: IdMap::default(),
+            changes: Vec::new(),
             stats: BufferStats::default(),
             pin_owned: true,
-            chains: HashMap::new(),
+            notify_updates,
+            chains: IdMap::default(),
             retained: 0,
             retained_bytes: 0,
             version_cap: version_cap.max(1),
@@ -452,6 +491,23 @@ impl FrameCache {
         let idx = self.fetch(backend, pid)?;
         self.touch(idx);
         Ok(f(&self.frames[idx].data))
+    }
+
+    /// [`Self::with_page`] for a structural descent by `txn` ([`NO_TXN`]
+    /// outside a transaction): refuses a page whose dirty frame another
+    /// uncommitted transaction owns, before counting or recording a use.
+    pub(crate) fn with_page_struct<B: PageBackend, R>(
+        &mut self,
+        backend: &mut B,
+        pid: u64,
+        txn: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        let owner = self.dirty_owner(pid);
+        if owner != NO_TXN && owner != txn {
+            return Err(StorageError::TxnConflict { pid });
+        }
+        self.with_page(backend, pid, f)
     }
 
     /// Snapshot read at `read_ts`: the oldest retained version newer than
@@ -556,18 +612,22 @@ impl FrameCache {
             auto_pre = Some(self.frames[idx].data.clone());
         }
         self.touch(idx);
+        self.changes.clear();
         let frame = &mut self.frames[idx];
-        debug_assert!(frame.changes.is_empty());
-        let mut page = PageMut { data: &mut frame.data, changes: &mut frame.changes };
+        let mut page = PageMut { data: &mut frame.data, changes: &mut self.changes };
         let r = f(&mut page);
-        if !frame.changes.is_empty() {
+        if !self.changes.is_empty() {
             frame.dirty = true;
             if txn != NO_TXN && frame.owner != txn {
                 frame.owner = txn;
                 self.owned.entry(txn).or_default().push(idx as u32);
             }
-            let changes = std::mem::take(&mut frame.changes);
-            backend.apply(pid, &frame.data, &changes)?;
+            // Loosely coupled (§4): the page is updated in memory and the
+            // store hears of it when the page is reflected — unless it
+            // asked for update commands.
+            if self.notify_updates {
+                backend.apply(pid, &frame.data, &self.changes)?;
+            }
             // One auto-committed update command = one commit event: retain
             // the pre-image iff a view still needs it.
             if let Some(pre) = auto_pre {
@@ -753,7 +813,6 @@ impl FrameCache {
                 pid: u64::MAX,
                 data: vec![0u8; self.page_size],
                 dirty: false,
-                changes: Vec::new(),
                 owner: NO_TXN,
                 newer: self.lru,
                 older: NIL,
@@ -939,10 +998,12 @@ impl FrameCache {
             // (log-based) methods already persisted the aborted commands
             // as update logs via `apply`, and only a superseding
             // whole-page log undoes them — eviction alone does not, since
-            // their evict path flushes logs rather than images. For the
-            // loosely-coupled methods this notification is ignored.
-            let full = ChangeRange::new(0, undo.len());
-            backend.apply(pid, &self.frames[idx].data, &[full])?;
+            // their evict path flushes logs rather than images. The
+            // loosely-coupled methods are not told.
+            if self.notify_updates {
+                let full = ChangeRange::new(0, undo.len());
+                backend.apply(pid, &self.frames[idx].data, &[full])?;
+            }
         }
         Ok(())
     }
@@ -978,9 +1039,9 @@ impl FrameCache {
 ///
 /// Latches are logical-page-granular and live *outside* the frame cache:
 /// a frame may be evicted and re-faulted while its page stays latched,
-/// and the cache mutex is only ever taken while a latch is already held
-/// (lock order: latch table → cache → store/MVCC), so latch waits never
-/// block readers. Acquisition is blocking and non-reentrant — a thread
+/// and a latch is never requested with the cache mutex held (lock order:
+/// latch → cache → {MVCC | store}, see the module docs), so latch waits
+/// never block readers. Acquisition is blocking and non-reentrant — a thread
 /// latching a page it already holds is a programming error (it would
 /// deadlock against itself) and asserts.
 ///
@@ -989,13 +1050,22 @@ impl FrameCache {
 /// walks latch strictly left-to-right, so the wait-for graph follows one
 /// global partial order (tree order, then leaf order) and cannot cycle.
 struct LatchTable {
-    held: Mutex<HashMap<u64, ThreadId>>,
+    state: Mutex<LatchState>,
     cv: Condvar,
+}
+
+#[derive(Default)]
+struct LatchState {
+    held: IdMap<ThreadId>,
+    /// Threads inside `acquire`'s wait loop. Counted under the mutex a
+    /// release takes, so a release that reads 0 has no one to wake: a
+    /// thread that has not counted itself yet will find the latch free.
+    waiters: usize,
 }
 
 impl LatchTable {
     fn new() -> LatchTable {
-        LatchTable { held: Mutex::new(HashMap::new()), cv: Condvar::new() }
+        LatchTable { state: Mutex::new(LatchState::default()), cv: Condvar::new() }
     }
 
     /// Blocking acquire of `pid`'s latch; returns whether the acquisition
@@ -1003,26 +1073,34 @@ impl LatchTable {
     /// records).
     fn acquire(&self, pid: u64) -> bool {
         let me = std::thread::current().id();
-        let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         assert!(
-            held.get(&pid) != Some(&me),
+            state.held.get(&pid) != Some(&me),
             "page latch {pid} is not reentrant: already held by this thread"
         );
-        let mut contended = false;
-        while held.contains_key(&pid) {
-            contended = true;
-            held = self.cv.wait(held).unwrap_or_else(|e| e.into_inner());
+        let contended = state.held.contains_key(&pid);
+        if contended {
+            state.waiters += 1;
+            while state.held.contains_key(&pid) {
+                state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
+            }
+            state.waiters -= 1;
         }
-        held.insert(pid, me);
+        state.held.insert(pid, me);
         contended
     }
 
+    /// Wakes the waiters only when there are any: the uncontended release
+    /// is a map removal, not a `futex_wake`.
     fn release(&self, pid: u64) {
-        let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
-        let owner = held.remove(&pid);
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let owner = state.held.remove(&pid);
         debug_assert!(owner.is_some(), "released page latch {pid} that was never acquired");
-        drop(held);
-        self.cv.notify_all();
+        let wake = state.waiters > 0;
+        drop(state);
+        if wake {
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -1123,7 +1201,8 @@ pub struct BufferPool {
     /// Per-page latches for structural writers (crab-walk descents).
     latches: LatchTable,
     /// Pool-side recorder for host-clock structural observability
-    /// (latch-wait histogram + split/root-publish spans). Disabled unless
+    /// (latch-wait and commit-lock-wait histograms + split/root-publish
+    /// spans). Disabled unless
     /// `StoreOptions::obs` is set, in which case `obs` below keeps the
     /// hot-path cost to one branch.
     recorder: Mutex<pdl_obs::Recorder>,
@@ -1148,8 +1227,15 @@ impl BufferPool {
         if obs {
             recorder.enable(pdl_obs::DEFAULT_SPAN_CAPACITY);
         }
+        let cache = FrameCache::new(
+            capacity,
+            page_size,
+            version_cap,
+            retention_bytes,
+            store.consumes_updates(),
+        );
         BufferPool {
-            cache: Mutex::new(FrameCache::new(capacity, page_size, version_cap, retention_bytes)),
+            cache: Mutex::new(cache),
             store: Mutex::new(store),
             mvcc: Mutex::new(MvccState::default()),
             active_views: AtomicUsize::new(0),
@@ -1185,7 +1271,8 @@ impl BufferPool {
     }
 
     /// Run `f` against the underlying page store (exclusive: the store
-    /// mutex is held for the duration).
+    /// mutex is held for the duration — misses and write-backs wait,
+    /// buffer hits do not).
     pub fn with_store<R>(&self, f: impl FnOnce(&mut dyn PageStore) -> R) -> R {
         let mut guard = self.store.lock().unwrap_or_else(|e| e.into_inner());
         f(guard.as_mut())
@@ -1194,6 +1281,22 @@ impl BufferPool {
     /// Read access to the current image of a page.
     pub fn with_page<R>(&self, pid: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         self.lock_cache().with_page(&mut StoreBackend(&self.store), pid, f)
+    }
+
+    /// Structural-descent read by `txn` ([`NO_TXN`] outside a
+    /// transaction): [`Self::with_page`], except that a page whose dirty
+    /// frame *another* uncommitted transaction owns is a
+    /// [`StorageError::TxnConflict`] — the owner check and the read
+    /// happen under one acquisition of the cache mutex. A structural
+    /// writer must never navigate a shape another transaction changed
+    /// but has not committed: the change may yet be rolled back.
+    pub(crate) fn with_page_struct<R>(
+        &self,
+        pid: u64,
+        txn: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        self.lock_cache().with_page_struct(&mut StoreBackend(&self.store), pid, txn, f)
     }
 
     /// Issue a flash read-ahead for `pid` without waiting. Skipped when
@@ -1350,15 +1453,9 @@ impl BufferPool {
     /// right along the leaf chain), and the cache/store/MVCC mutexes are
     /// only taken *under* a latch, never the other way round.
     pub fn latch_page(&self, pid: u64) -> PageLatch<'_> {
-        if self.obs {
-            let start = Instant::now();
-            if self.latches.acquire(pid) {
-                let waited = start.elapsed().as_micros() as u64;
-                let mut rec = self.recorder.lock().unwrap_or_else(|e| e.into_inner());
-                rec.record(pdl_obs::LatencyClass::LatchWait, waited);
-            }
-        } else {
-            self.latches.acquire(pid);
+        let wait_from = self.obs_now_us();
+        if self.latches.acquire(pid) {
+            self.record_wait(pdl_obs::LatencyClass::LatchWait, wait_from);
         }
         PageLatch { pool: self, pid }
     }
@@ -1367,6 +1464,17 @@ impl BufferPool {
     /// observability is off — the one branch disabled recording costs).
     pub fn obs_now_us(&self) -> Option<u64> {
         self.obs.then(|| self.obs_epoch.elapsed().as_micros() as u64)
+    }
+
+    /// Record the host-clock time since `start_us` as one `class` sample
+    /// (a latch wait, or a wait the layer above timed around a lock of
+    /// its own). `start_us` comes from [`BufferPool::obs_now_us`]; the
+    /// call is a no-op when that returned `None`.
+    pub(crate) fn record_wait(&self, class: pdl_obs::LatencyClass, start_us: Option<u64>) {
+        let Some(start_us) = start_us else { return };
+        let end_us = self.obs_epoch.elapsed().as_micros() as u64;
+        let mut rec = self.recorder.lock().unwrap_or_else(|e| e.into_inner());
+        rec.record(class, end_us.saturating_sub(start_us));
     }
 
     /// Record a structural-operation span (`split`, `merge`,
@@ -1391,8 +1499,9 @@ impl BufferPool {
         });
     }
 
-    /// Snapshot of the pool-side recorder: the `latch_wait` contention
-    /// histogram plus the structural-operation spans.
+    /// Snapshot of the pool-side recorder: the `latch_wait` and
+    /// `commit_lock_wait` contention histograms plus the
+    /// structural-operation spans.
     pub fn pool_obs_snapshot(&self) -> pdl_obs::RecorderSnapshot {
         self.recorder.lock().unwrap_or_else(|e| e.into_inner()).snapshot()
     }
@@ -1426,15 +1535,6 @@ impl BufferPool {
 
     pub(crate) fn set_pin_owned(&self, pin: bool) {
         self.lock_cache().set_pin_owned(pin);
-    }
-
-    /// The uncommitted transaction owning `pid`'s dirty frame, if any
-    /// (see `FrameCache::dirty_owner`). Structural descents check this
-    /// so a writer never navigates another transaction's uncommitted
-    /// split (the physical shape change is not yet authoritative — and
-    /// may yet be rolled back).
-    pub(crate) fn dirty_owner(&self, pid: u64) -> u64 {
-        self.lock_cache().dirty_owner(pid)
     }
 
     pub(crate) fn collect_owned(&self, txn: u64) -> Vec<(u64, Vec<u8>)> {
@@ -1576,6 +1676,7 @@ mod tests {
         // A small update command becomes an update log, readable back.
         p.with_page_mut(3, |page| page.write(10, &[9, 9])).unwrap();
         p.flush_all().unwrap();
+        p.poison_cache(); // read it back from the store, not the frame
         let (a, b) = p.with_page(3, |page| (page[10], page[12])).unwrap();
         assert_eq!(a, 9);
         assert_eq!(b, 7);
@@ -1619,10 +1720,27 @@ mod tests {
         assert_eq!(p.stats().misses, before + 2);
         p.with_page(0, |_| ()).unwrap(); // still cached
         assert_eq!(p.stats().misses, before + 2);
-        assert_eq!(p.dirty_owner(0), 7);
+        assert_eq!(p.lock_cache().dirty_owner(0), 7);
         // With every frame pinned there is nothing to evict.
         p.with_page_mut_txn(2, 8, |page| page.write(0, &[2])).unwrap();
         assert_eq!(p.with_page(3, |_| ()), Err(StorageError::BufferPinned));
+    }
+
+    #[test]
+    fn id_hasher_spreads_sequential_and_strided_ids() {
+        // The map picks a bucket from a hash's low bits and tags the entry
+        // with its top seven: both must vary over the ids a pool sees —
+        // consecutive pids, one shard's pids (a stride), transaction ids.
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        for stride in [1u64, 2, 7, 1024, 1 << 32] {
+            let hashes: Vec<u64> = (0..1024u64).map(|i| build.hash_one(i * stride)).collect();
+            let buckets: HashSet<u64> = hashes.iter().map(|h| h % 1024).collect();
+            let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+            assert!(buckets.len() >= 600, "stride {stride}: {} of 1024 buckets", buckets.len());
+            assert_eq!(tags.len(), 128, "stride {stride}");
+        }
     }
 
     #[test]
@@ -1832,7 +1950,7 @@ mod tests {
         pin_owned: bool,
         ops: Vec<ScanOp>,
     ) -> std::result::Result<(), TestCaseError> {
-        let mut cache = FrameCache::new(capacity, MODEL_PAGE, 8, 0);
+        let mut cache = FrameCache::new(capacity, MODEL_PAGE, 8, 0, true);
         cache.set_pin_owned(pin_owned);
         let mut backend = MemBackend::default();
         let mut model = ScanModel { capacity, pin_owned, ..ScanModel::default() };
@@ -2048,6 +2166,178 @@ mod tests {
         let r = p.with_read_view(|view| p.with_page_at(view, 0, |pg| pg[0]));
         assert_eq!(r.unwrap(), 2);
         assert_eq!(p.stats().active_views, 0, "the closure helper releases on exit");
+    }
+
+    // ------------------------------------------------------------------
+    // A buffer hit takes the cache mutex and no other global lock
+    // ------------------------------------------------------------------
+
+    use pdl_core::GcPolicy;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn pool_with_policy(kind: MethodKind, policy: GcPolicy) -> BufferPool {
+        let chip = FlashChip::new(FlashConfig::tiny());
+        let opts = StoreOptions::new(24).with_gc_policy(policy);
+        BufferPool::new(build_store(chip, kind, opts).unwrap(), 8)
+    }
+
+    /// Park one thread inside [`BufferPool::with_store`], run the three
+    /// kinds of buffer hit on another, and report whether they were done
+    /// within `patience` — that is, while the store was still held. No
+    /// interleaving is left to the scheduler: the store is released only
+    /// after the answer is in.
+    fn hits_finish_while_the_store_is_held(p: &BufferPool, patience: Duration) -> bool {
+        for pid in 0..3u64 {
+            p.with_page(pid, |_| ()).unwrap();
+        }
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                p.with_store(|_| {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                })
+            });
+            entered_rx.recv().unwrap();
+            scope.spawn(move || {
+                p.with_page(0, |page| page[0]).unwrap();
+                p.with_page_struct(1, NO_TXN, |page| page[0]).unwrap();
+                p.with_page_mut_txn(2, 7, |page| page.write(0, &[1; 4])).unwrap();
+                done_tx.send(()).unwrap();
+            });
+            let finished = done_rx.recv_timeout(patience).is_ok();
+            release_tx.send(()).unwrap();
+            finished
+        })
+    }
+
+    #[test]
+    fn a_hit_never_waits_for_the_store() {
+        let generous = Duration::from_secs(20);
+        for kind in [MethodKind::Pdl { max_diff_size: 128 }, MethodKind::Opu, MethodKind::Ipu] {
+            let p = pool_with_policy(kind, GcPolicy::Greedy);
+            assert!(hits_finish_while_the_store_is_held(&p, generous), "{}", kind.label());
+        }
+        let sharded = pdl_core::ShardedStore::with_uniform_chips(
+            FlashConfig::tiny(),
+            2,
+            MethodKind::Pdl { max_diff_size: 128 },
+            StoreOptions::new(24),
+        )
+        .unwrap();
+        let p = BufferPool::new(Box::new(sharded), 8);
+        assert!(hits_finish_while_the_store_is_held(&p, generous), "sharded PDL");
+    }
+
+    #[test]
+    fn a_store_that_consumes_updates_is_still_told() {
+        // The mutation needs the store here, so it cannot finish while
+        // another thread holds it, however long one waits.
+        let brief = Duration::from_millis(50);
+        let ipl = pool_with_policy(MethodKind::Ipl { log_bytes_per_block: 512 }, GcPolicy::Greedy);
+        assert!(!hits_finish_while_the_store_is_held(&ipl, brief), "IPL writes its logs there");
+        for kind in [MethodKind::Pdl { max_diff_size: 128 }, MethodKind::Opu] {
+            let p = pool_with_policy(kind, GcPolicy::HotCold);
+            assert!(!hits_finish_while_the_store_is_held(&p, brief), "{} hot/cold", kind.label());
+        }
+    }
+
+    #[test]
+    fn hot_cold_heat_through_the_pool_equals_driving_the_store_directly() {
+        // The heat gauge decides which allocation stream a page is
+        // reflected on, so equal heat shows as an equal flash image. Page
+        // 0 takes 30 update commands a round (hot from the first flush
+        // on), pages 1..4 one each (cold).
+        const ROUNDS: usize = 3;
+        const HOT_COMMANDS: usize = 30;
+        let kind = MethodKind::Pdl { max_diff_size: 128 };
+        let p = pool_with_policy(kind, GcPolicy::HotCold);
+        let chip = FlashChip::new(FlashConfig::tiny());
+        let opts = StoreOptions::new(24).with_gc_policy(GcPolicy::HotCold);
+        let mut direct = build_store(chip, kind, opts).unwrap();
+        let mut images = vec![vec![0u8; direct.logical_page_size()]; 4];
+        for round in 0..ROUNDS {
+            for (pid, image) in images.iter_mut().enumerate() {
+                if round == 0 {
+                    direct.read_page(pid as u64, image).unwrap(); // the pool's miss
+                }
+                let commands = if pid == 0 { HOT_COMMANDS } else { 1 };
+                for c in 0..commands {
+                    let at = 8 * (c % 16);
+                    let bytes = [(round * 31 + c + pid) as u8; 8];
+                    p.with_page_mut(pid as u64, |page| page.write(at, &bytes)).unwrap();
+                    image[at..at + 8].copy_from_slice(&bytes);
+                    direct.apply_update(pid as u64, image, &[ChangeRange::new(at, 8)]).unwrap();
+                }
+            }
+            p.flush_all().unwrap();
+            for (pid, image) in images.iter().enumerate() {
+                direct.evict_page(pid as u64, image).unwrap();
+            }
+            direct.flush().unwrap();
+        }
+        p.with_store(|through_pool| {
+            assert_eq!(through_pool.stats(), direct.stats());
+            assert_eq!(through_pool.counters(), direct.counters());
+            let (a, b) = (through_pool.chip(), direct.chip());
+            for ppn in (0..a.num_pages()).map(pdl_flash::Ppn) {
+                assert_eq!(a.peek_data(ppn), b.peek_data(ppn), "data of physical page {ppn:?}");
+                assert_eq!(a.peek_spare(ppn), b.peek_spare(ppn), "spare of physical page {ppn:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn latches_exclude_and_never_lose_a_wake_up() {
+        // 8 threads hammer 2 latches. A release that skipped a wake-up a
+        // waiter needed would leave that waiter asleep for good — the
+        // watchdog below, not a hung test run, reports it.
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 50_000;
+        use std::sync::atomic::AtomicU64;
+        use std::sync::Arc;
+        let latches = Arc::new(LatchTable::new());
+        let guarded = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let (done_tx, done_rx) = mpsc::channel();
+        let mut workers = Vec::new();
+        for t in 0..THREADS {
+            let (latches, guarded, done_tx) = (latches.clone(), guarded.clone(), done_tx.clone());
+            workers.push(std::thread::spawn(move || {
+                for i in 0..ROUNDS {
+                    let pid = (t + i) % 2;
+                    latches.acquire(pid);
+                    // Not an atomic increment: a second holder would lose
+                    // updates.
+                    let seen = guarded[pid as usize].load(Ordering::Relaxed);
+                    guarded[pid as usize].store(seen + 1, Ordering::Relaxed);
+                    latches.release(pid);
+                }
+                done_tx.send(()).unwrap();
+            }));
+        }
+        for finished in 0..THREADS {
+            done_rx
+                .recv_timeout(Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("only {finished} of {THREADS} threads finished"));
+        }
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        let total: u64 = guarded.iter().map(|g| g.load(Ordering::Relaxed)).sum();
+        assert_eq!(total, THREADS * ROUNDS);
+        let state = latches.state.lock().unwrap();
+        assert!(state.held.is_empty() && state.waiters == 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not reentrant")]
+    fn latching_a_page_twice_on_one_thread_asserts() {
+        let latches = LatchTable::new();
+        latches.acquire(3);
+        latches.acquire(3);
     }
 
     #[test]

@@ -43,10 +43,65 @@ use crate::view::{PageRead, StructId, StructRoot, ViewRegistry};
 use crate::{ReadGuard, ReadView, Result};
 use pdl_core::{PageStore, StructRootEntry, StructRootsSnapshot};
 use pdl_flash::FlashStats;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread::ThreadId;
+
+/// Source of [`Database::id`] values: never 0, never reused.
+static NEXT_DB_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// What [`Database::current_txn`] last established on this thread:
+    /// `(database id, that database's open transaction here)`. Only the
+    /// thread itself opens or closes its transaction, and `begin` /
+    /// `commit` / `abort` rewrite the entry, so an entry whose id matches
+    /// is exact; one for another database is a miss, answered from
+    /// `open_txns`.
+    static THREAD_TXN: Cell<(u64, Option<TxnId>)> = const { Cell::new((0, None)) };
+}
+
+/// A lock granted strictly in arrival order (a ticket lock).
+///
+/// `commit_lock` is one: a writer's next batch is a few buffer hits, far
+/// shorter than the wake-up of a thread parked on the lock, so with a
+/// barging mutex the writer that just committed retakes the lock before
+/// the one that waited has run, and that one sits out two or three
+/// commits in a row. In arrival order a writer waits for one commit per
+/// writer ahead of it.
+#[derive(Default)]
+struct FifoLock {
+    /// `(next ticket to hand out, ticket now served)`.
+    turn: Mutex<(u64, u64)>,
+    served: Condvar,
+}
+
+struct FifoGuard<'a>(&'a FifoLock);
+
+impl FifoLock {
+    fn lock(&self) -> FifoGuard<'_> {
+        let mut turn = self.turn.lock().unwrap_or_else(|e| e.into_inner());
+        let mine = turn.0;
+        turn.0 += 1;
+        while turn.1 != mine {
+            turn = self.served.wait(turn).unwrap_or_else(|e| e.into_inner());
+        }
+        FifoGuard(self)
+    }
+}
+
+impl Drop for FifoGuard<'_> {
+    fn drop(&mut self) {
+        let mut turn = self.0.turn.lock().unwrap_or_else(|e| e.into_inner());
+        turn.1 += 1;
+        let waiting = turn.0 != turn.1;
+        drop(turn);
+        if waiting {
+            self.0.served.notify_all();
+        }
+    }
+}
 
 /// A record locator: logical page + slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -144,6 +199,9 @@ struct AllocState {
 /// All of it behind `&self`: readers, writers and transaction control
 /// are safe to call from any number of threads (`Database: Sync`).
 pub struct Database {
+    /// Process-unique identity, validating the per-thread
+    /// `current_txn` cache.
+    id: u64,
     pool: BufferPool,
     alloc: Mutex<AllocState>,
     max_pages: u64,
@@ -151,7 +209,9 @@ pub struct Database {
     next_txn: AtomicU64,
     /// Open transactions, keyed by the thread that opened them: at most
     /// one per thread, so `with_page_mut` can attribute mutations without
-    /// threading a handle through every call.
+    /// threading a handle through every call. The source of truth for
+    /// `begin` / `commit` / `abort`; page accesses read the thread's
+    /// cached copy.
     open_txns: Mutex<HashMap<ThreadId, TxnId>>,
     /// Each open transaction's uncommitted structural changes (B+-tree
     /// roots, heap page lists), keyed by [`StructId`]: published into the
@@ -167,12 +227,13 @@ pub struct Database {
     /// Serializes the durable commit protocol (reserve → stage → commit
     /// record → finalize) across threads. Latched structural mutation
     /// runs concurrently; only the batch boundary is exclusive.
-    commit_lock: Mutex<()>,
+    commit_lock: FifoLock,
     /// The store error that hit a durable commit at or after its commit
     /// point. Recovery may judge that transaction committed, so it can be
     /// neither rolled back nor confirmed: the database stops, and every
-    /// later `begin` / `commit` reports this error.
-    stopped: Mutex<Option<StorageError>>,
+    /// later `begin` / `commit` reports this error. Empty — one atomic
+    /// load to find out — on a healthy database.
+    stopped: OnceLock<StorageError>,
 }
 
 impl Database {
@@ -194,6 +255,7 @@ impl Database {
         let pool = BufferPool::new(store, buffer_pages);
         pool.set_pin_owned(false); // Durability::Relaxed is the default
         Database {
+            id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
             pool,
             alloc: Mutex::new(AllocState {
                 next_pid,
@@ -207,8 +269,8 @@ impl Database {
             open_txns: Mutex::new(HashMap::new()),
             txn_structs: Mutex::new(HashMap::new()),
             abort_epoch: AtomicU64::new(0),
-            commit_lock: Mutex::new(()),
-            stopped: Mutex::new(None),
+            commit_lock: FifoLock::default(),
+            stopped: OnceLock::new(),
         }
     }
 
@@ -239,13 +301,9 @@ impl Database {
         self.alloc.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn lock_stopped(&self) -> std::sync::MutexGuard<'_, Option<StorageError>> {
-        self.stopped.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Fail-stop check (see the `stopped` field).
     fn check_stopped(&self) -> Result<()> {
-        self.lock_stopped().clone().map_or(Ok(()), Err)
+        self.stopped.get().map_or(Ok(()), |e| Err(e.clone()))
     }
 
     fn lock_open_txns(&self) -> std::sync::MutexGuard<'_, HashMap<ThreadId, TxnId>> {
@@ -280,19 +338,29 @@ impl Database {
         }
         let txn = self.next_txn.fetch_add(1, Ordering::SeqCst);
         open.insert(me, txn);
+        THREAD_TXN.set((self.id, Some(txn)));
         Ok(txn)
     }
 
-    /// The calling thread's open transaction, if any.
+    /// The calling thread's open transaction, if any. Every page access
+    /// asks, so the answer comes from the thread's own cache (see
+    /// `THREAD_TXN`) and takes no lock unless the thread last used
+    /// another database.
     pub fn current_txn(&self) -> Option<TxnId> {
-        self.lock_open_txns().get(&std::thread::current().id()).copied()
+        let (db, txn) = THREAD_TXN.get();
+        if db == self.id {
+            return txn;
+        }
+        let txn = self.lock_open_txns().get(&std::thread::current().id()).copied();
+        THREAD_TXN.set((self.id, txn));
+        txn
     }
 
     /// Close the calling thread's transaction entry, returning its id.
     fn take_thread_txn(&self, what: &str) -> Result<TxnId> {
-        self.lock_open_txns()
-            .remove(&std::thread::current().id())
-            .ok_or_else(|| StorageError::TxnState(format!("{what} without an open transaction")))
+        let taken = self.lock_open_txns().remove(&std::thread::current().id());
+        THREAD_TXN.set((self.id, None));
+        taken.ok_or_else(|| StorageError::TxnState(format!("{what} without an open transaction")))
     }
 
     /// Commit the calling thread's transaction according to the
@@ -317,7 +385,9 @@ impl Database {
                 // exclusive. The root snapshot is taken inside, so two
                 // committers that each moved a root cannot stage a record
                 // carrying the other's stale one.
-                let _serial = self.commit_lock.lock().unwrap_or_else(|e| e.into_inner());
+                let wait_from = self.pool.obs_now_us();
+                let _serial = self.commit_lock.lock();
+                self.pool.record_wait(pdl_obs::LatencyClass::CommitLockWait, wait_from);
                 self.check_stopped()?;
                 let roots = self.durable_roots(&structs);
                 if staged.is_empty() && roots.is_none() {
@@ -371,7 +441,9 @@ impl Database {
                         // one is): this is not an abort. Rolling back
                         // would hand the transaction's pids to the next
                         // writer while recovery keeps its pages.
-                        *self.lock_stopped() = Some(e.clone());
+                        // `commit_lock` is held and `check_stopped`
+                        // passed under it: this is the first and only set.
+                        let _ = self.stopped.set(e.clone());
                         Err(e)
                     }
                     Err(e) => {
@@ -711,14 +783,11 @@ impl Database {
     /// must never navigate a shape another transaction changed but has
     /// not committed — the change may still be rolled back, and
     /// descending its half-published geometry could route an insert into
-    /// the wrong subtree. Callers hold the page's latch, so the
-    /// check-then-read is not racy against other structural writers.
-    pub(crate) fn with_page_struct<R>(&self, pid: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        let owner = self.pool.dirty_owner(pid);
-        if owner != pdl_core::NO_TXN && Some(owner) != self.current_txn() {
-            return Err(StorageError::TxnConflict { pid });
-        }
-        self.with_page(pid, f)
+    /// the wrong subtree. The check and the read are one pool call (one
+    /// acquisition of the cache mutex).
+    pub fn with_page_struct<R>(&self, pid: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        let txn = self.current_txn().unwrap_or(pdl_core::NO_TXN);
+        self.pool.with_page_struct(pid, txn, f)
     }
 
     /// Acquire the structural-writer latch on `pid` (see
@@ -763,8 +832,9 @@ impl Database {
         self.pool.with_store(|s| s.chip().recorder().snapshot())
     }
 
-    /// Snapshot of the pool-side recorder: the `latch_wait` contention
-    /// histogram plus structural-operation spans.
+    /// Snapshot of the pool-side recorder: the `latch_wait` and
+    /// `commit_lock_wait` contention histograms plus structural-operation
+    /// spans.
     pub fn pool_obs_snapshot(&self) -> pdl_obs::RecorderSnapshot {
         self.pool.pool_obs_snapshot()
     }
@@ -1045,6 +1115,166 @@ mod tests {
         d.commit().unwrap();
         assert_eq!(d.with_page(a, |p| p[0]).unwrap(), 1);
         assert_eq!(d.with_page(b, |p| p[0]).unwrap(), 2);
+    }
+
+    fn txn_state(what: &str) -> StorageError {
+        StorageError::TxnState(what.into())
+    }
+
+    #[test]
+    fn current_txn_follows_the_database_in_use() {
+        // Two databases used alternately on one thread: the thread's
+        // cache holds one of them at a time and must not answer for the
+        // other.
+        let (a, b) = (db(), db());
+        b.begin().unwrap();
+        b.commit().unwrap(); // so that the two hand out different ids
+        assert_eq!((a.current_txn(), b.current_txn()), (None, None));
+        let ta = a.begin().unwrap();
+        assert_eq!(b.current_txn(), None, "a's transaction is not b's");
+        assert_eq!(a.current_txn(), Some(ta), "and a still has it after the switch");
+        let tb = b.begin().unwrap();
+        assert_ne!(ta, tb);
+        assert_eq!((a.current_txn(), b.current_txn()), (Some(ta), Some(tb)));
+        // Mutations are attributed by the same answer: b's abort must
+        // take b's write back and leave a's alone.
+        let (pa, pb) = (a.alloc_page().unwrap(), b.alloc_page().unwrap());
+        a.with_page_mut(pa, |p| p.write(0, &[1; 4])).unwrap();
+        b.with_page_mut(pb, |p| p.write(0, &[2; 4])).unwrap();
+        b.abort().unwrap();
+        assert_eq!((a.current_txn(), b.current_txn()), (Some(ta), None));
+        a.commit().unwrap();
+        assert_eq!((a.current_txn(), b.current_txn()), (None, None));
+        assert_eq!(a.with_page(pa, |p| p[0]).unwrap(), 1);
+        assert_eq!(b.with_page(pb, |p| p[0]).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_transaction_is_invisible_to_other_threads() {
+        let d = db();
+        let mine = d.begin().unwrap();
+        std::thread::scope(|scope| {
+            let d = &d;
+            scope
+                .spawn(move || {
+                    assert_eq!(d.current_txn(), None);
+                    assert_eq!(d.commit(), Err(txn_state("commit without an open transaction")));
+                    assert_eq!(d.current_txn(), None);
+                })
+                .join()
+                .unwrap();
+        });
+        assert_eq!(d.current_txn(), Some(mine), "the other thread's commit closed nothing");
+        d.commit().unwrap();
+    }
+
+    #[test]
+    fn begin_follows_commit_and_abort_and_state_errors_are_unchanged() {
+        let d = db();
+        assert_eq!(d.commit(), Err(txn_state("commit without an open transaction")));
+        assert_eq!(d.abort(), Err(txn_state("abort without an open transaction")));
+        let first = d.begin().unwrap();
+        assert_eq!(d.begin(), Err(txn_state("a transaction is already open on this thread")));
+        assert_eq!(d.current_txn(), Some(first), "the refused begin left the open one alone");
+        d.commit().unwrap();
+        assert_eq!(d.current_txn(), None);
+        let second = d.begin().unwrap();
+        assert!(second > first);
+        assert_eq!(d.current_txn(), Some(second));
+        d.abort().unwrap();
+        assert_eq!(d.current_txn(), None);
+        assert_eq!(d.abort(), Err(txn_state("abort without an open transaction")));
+        let third = d.begin().unwrap();
+        assert_eq!(d.current_txn(), Some(third));
+        d.commit().unwrap();
+    }
+
+    fn sharded_pdl(obs: bool) -> Database {
+        let store = pdl_core::ShardedStore::with_uniform_chips(
+            FlashConfig::tiny(),
+            2,
+            MethodKind::Pdl { max_diff_size: 128 },
+            StoreOptions::new(32).with_obs(obs),
+        )
+        .unwrap();
+        Database::new(Box::new(store), 16).with_durability(Durability::Commit)
+    }
+
+    #[test]
+    fn a_btree_insert_into_cached_pages_never_waits_for_the_store() {
+        // The two-writer shape: one writer is inside the store (its
+        // commit protocol) while the other inserts into its own tree.
+        use crate::btree::KeyBuf;
+        use std::sync::mpsc;
+        let d = sharded_pdl(false);
+        let tree = BTree::create(&d).unwrap();
+        for k in 0..8u64 {
+            tree.insert(&d, &KeyBuf::new().push_u64(k).finish(), k).unwrap();
+        }
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let (d, tree) = (&d, &tree);
+            scope.spawn(move || {
+                d.with_store(|_| {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                })
+            });
+            entered_rx.recv().unwrap();
+            scope.spawn(move || {
+                d.begin().unwrap();
+                tree.insert(d, &KeyBuf::new().push_u64(100).finish(), 100).unwrap();
+                assert_eq!(tree.get(d, &KeyBuf::new().push_u64(100).finish()).unwrap(), Some(100));
+                done_tx.send(()).unwrap();
+                d.commit().unwrap(); // this one does need the store
+            });
+            let finished = done_rx.recv_timeout(std::time::Duration::from_secs(20)).is_ok();
+            release_tx.send(()).unwrap();
+            assert!(finished, "begin + insert + get waited for the store");
+        });
+        assert_eq!(tree.get(&d, &KeyBuf::new().push_u64(100).finish()).unwrap(), Some(100));
+    }
+
+    #[test]
+    fn durable_commits_record_their_wait_for_the_commit_lock() {
+        let waits = |d: &Database| {
+            for _ in 0..3 {
+                d.begin().unwrap();
+                let pid = d.alloc_page().unwrap();
+                d.with_page_mut(pid, |p| p.write(0, &[7; 4])).unwrap();
+                d.commit().unwrap();
+            }
+            d.pool_obs_snapshot().hist(pdl_obs::LatencyClass::CommitLockWait).count()
+        };
+        assert_eq!(waits(&sharded_pdl(true)), 3, "one sample per durable commit");
+        assert_eq!(waits(&sharded_pdl(false)), 0, "nothing is recorded with obs off");
+        let relaxed = sharded_pdl(true).with_durability(Durability::Relaxed);
+        assert_eq!(waits(&relaxed), 0, "a relaxed commit never takes the lock");
+    }
+
+    #[test]
+    fn the_commit_lock_is_granted_in_arrival_order() {
+        let lock = FifoLock::default();
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            let held = lock.lock();
+            for arrival in 1..=4u64 {
+                let (lock, order) = (&lock, &order);
+                scope.spawn(move || {
+                    let _turn = lock.lock();
+                    order.lock().unwrap().push(arrival);
+                });
+                // The next thread arrives only once this one holds its
+                // ticket.
+                while lock.turn.lock().unwrap().0 != arrival + 1 {
+                    std::thread::yield_now();
+                }
+            }
+            drop(held);
+        });
+        assert_eq!(*order.lock().unwrap(), [1, 2, 3, 4]);
     }
 
     #[test]

@@ -167,9 +167,16 @@ impl ShardedBufferPool {
         if store.options().obs {
             obs.enable(pdl_obs::DEFAULT_SPAN_CAPACITY);
         }
+        let notify_updates = store.consumes_updates();
         let stripes = (0..shards)
             .map(|_| {
-                Mutex::new(FrameCache::new(per_stripe, page_size, version_cap, retention_bytes))
+                Mutex::new(FrameCache::new(
+                    per_stripe,
+                    page_size,
+                    version_cap,
+                    retention_bytes,
+                    notify_updates,
+                ))
             })
             .collect();
         ShardedBufferPool {

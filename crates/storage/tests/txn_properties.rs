@@ -422,6 +422,11 @@ fn a_failed_durable_commit_is_an_abort_or_a_stop() {
             );
             break;
         };
+        assert_eq!(
+            d.current_txn(),
+            None,
+            "budget {budget}: the failed commit closed its transaction"
+        );
         let carries_on = d.begin().is_ok();
         if carries_on {
             aborted += 1;
