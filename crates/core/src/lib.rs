@@ -48,7 +48,8 @@ pub use ipl::Ipl;
 pub use ipu::Ipu;
 pub use opu::Opu;
 pub use page_store::{
-    ChangeRange, MethodKind, PageStore, StoreOptions, StructRootEntry, StructRootsSnapshot,
+    ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions, StructRootEntry,
+    StructRootsSnapshot,
 };
 pub use pdl::Pdl;
 pub use shard::{shard_pages, ShardedStore};

@@ -17,6 +17,27 @@
 //! A logical page may be larger than a physical page: it then spans
 //! `frames_per_page` physical *frames* (Experiment 2(b) uses 8 Kbyte
 //! logical pages on the 2 Kbyte-page chip).
+//!
+//! # Committing (`pdl-txn`)
+//!
+//! A crash-atomic commit is **one call**: [`PageStore::commit_batch`]
+//! takes a [`CommitBatch`] — the page images, each on behalf of a
+//! transaction, plus at most one structure-root snapshot — and returns
+//! only when all of it is durable. The caller sequences nothing; it only
+//! tells the two ways of not committing apart ([`CommitError`]):
+//!
+//! * `Rejected` — no page of the batch was staged (the store could not
+//!   make room, or could not fold a full root log into a checkpoint).
+//!   The store is as it was: abort the transactions and carry on.
+//! * `Failed` — the batch was opened, so recovery decides whether it
+//!   committed. The store refuses every later batch and `checkpoint`
+//!   with the same error; reads, plain `evict_page` and `flush` keep
+//!   working, and the obsolete marks the batch deferred stay deferred, so
+//!   no committed pre-image is destroyed on its behalf.
+//!
+//! PDL makes the batch all-or-nothing across a crash (`pdl/mod.rs`); the
+//! default gives OPU / IPU / IPL durable-but-not-atomic write-through —
+//! exactly the DBMS-independence gap the paper leaves open.
 
 use crate::error::CoreError;
 use crate::ftl::GcPolicy;
@@ -303,6 +324,67 @@ impl StructRootsSnapshot {
     }
 }
 
+/// One commit handed to [`PageStore::commit_batch`]. It borrows the
+/// caller's page images; nothing is copied to build it.
+#[derive(Clone, Debug, Default)]
+pub struct CommitBatch<'a> {
+    /// `(pid, image, txn)`: reflect `image` as logical page `pid` on
+    /// behalf of transaction `txn`, in this order.
+    pub pages: Vec<(u64, &'a [u8], u64)>,
+    /// The structure roots transaction `txn` publishes: authoritative
+    /// exactly when the batch commits. Stores without a root log accept
+    /// and discard them.
+    pub roots: Option<(&'a StructRootsSnapshot, u64)>,
+}
+
+impl CommitBatch<'_> {
+    /// The batch's transactions, each once, in order of first appearance.
+    pub(crate) fn txns(&self) -> Vec<u64> {
+        let mut txns = Vec::new();
+        for t in self.pages.iter().map(|p| p.2).chain(self.roots.map(|r| r.1)) {
+            note_txn(&mut txns, t);
+        }
+        txns
+    }
+}
+
+/// List `txn` among `txns` unless it already is (commit batches are a
+/// handful of transactions: a scan beats a set).
+pub(crate) fn note_txn(txns: &mut Vec<u64>, txn: u64) {
+    if !txns.contains(&txn) {
+        txns.push(txn);
+    }
+}
+
+/// Why a [`PageStore::commit_batch`] did not commit (see the module docs).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CommitError {
+    /// No page of the batch was staged; the store is unchanged.
+    Rejected(CoreError),
+    /// The batch was opened: recovery decides its outcome, and the store
+    /// answers every later batch and checkpoint with this error.
+    Failed(CoreError),
+}
+
+impl From<CommitError> for CoreError {
+    fn from(e: CommitError) -> CoreError {
+        match e {
+            CommitError::Rejected(e) | CommitError::Failed(e) => e,
+        }
+    }
+}
+
+impl std::fmt::Display for CommitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CommitError::Rejected(e) => write!(f, "commit batch rejected: {e}"),
+            CommitError::Failed(e) => write!(f, "commit batch failed after it was opened: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CommitError {}
+
 /// A page-update method: stores logical pages into flash memory.
 ///
 /// The trait is object-safe and `Send`, so `Box<dyn PageStore>` can move
@@ -442,64 +524,18 @@ pub trait PageStore: Send {
         self.evict_page(pid, page)
     }
 
-    // ------------------------------------------------------------------
-    // Transactional reflection (the `pdl-txn` subsystem).
-    //
-    // A commit batch runs txn_reserve -> txn_stage* -> txn_flush_stage ->
-    // txn_append_commit* -> txn_finalize. PDL implements it atomically:
-    // staged differentials and Case-3 base pages carry the transaction
-    // id, the commit record is the durable commit point, and obsolete
-    // marks on the superseded pre-images are deferred until the record
-    // is on flash — so a crash anywhere in the batch rolls the whole
-    // transaction back at recovery. The defaults below give the other
-    // methods (OPU / IPU / IPL) plain durable-but-not-atomic semantics,
-    // which is exactly the DBMS-independence gap the paper leaves open.
-    // ------------------------------------------------------------------
-
-    /// Whether this store makes commit batches all-or-nothing across a
-    /// crash (PDL); `false` means the batch is merely written through.
-    fn txn_supported(&self) -> bool {
-        false
-    }
-
-    /// Open a commit batch expected to reflect at most `pages` logical
-    /// pages, pre-running garbage collection so the batch itself never
-    /// triggers it mid-flight.
-    fn txn_reserve(&mut self, pages: u64) -> Result<()> {
-        let _ = pages;
-        Ok(())
-    }
-
-    /// Reflect one page on behalf of `txn` (tagged so recovery can
-    /// discard it if the commit record never lands).
-    fn txn_stage(&mut self, pid: u64, page: &[u8], txn: u64) -> Result<()> {
-        let _ = txn;
-        self.evict_page(pid, page)
-    }
-
-    /// Make everything staged so far durable *without* committing it
-    /// (multi-shard batches flush every shard before any commit record
-    /// is written).
-    fn txn_flush_stage(&mut self) -> Result<()> {
-        self.flush()
-    }
-
-    /// Append the durable commit record for `txn` to the write stream.
-    fn txn_append_commit(&mut self, txn: u64) -> Result<()> {
-        let _ = txn;
-        Ok(())
-    }
-
-    /// Append one codec-v3 *epoch record* proving the durable commit of
-    /// every transaction in `txns` at once (group commit writes one
-    /// record per batch instead of one per transaction). The default
-    /// falls back to per-transaction commit records — identical
-    /// durability semantics, just more record bytes.
-    fn txn_append_commit_epoch(&mut self, txns: &[u64]) -> Result<()> {
-        for &t in txns {
-            self.txn_append_commit(t)?;
-        }
-        Ok(())
+    /// Commit `batch` (see the module docs for the contract). The
+    /// default — OPU, IPU, IPL — evicts each page and flushes: durable
+    /// once it returns, not atomic across a crash, and any error counts
+    /// as `Failed` because pages may already be reflected.
+    fn commit_batch(&mut self, batch: &CommitBatch<'_>) -> std::result::Result<(), CommitError> {
+        let mut write_through = || {
+            for &(pid, page, _) in &batch.pages {
+                self.evict_page(pid, page)?;
+            }
+            self.flush()
+        };
+        write_through().map_err(CommitError::Failed)
     }
 
     // ------------------------------------------------------------------
@@ -542,12 +578,6 @@ pub trait PageStore: Send {
         Err(CoreError::BadConfig(format!("{} does not support version spill", self.name())))
     }
 
-    /// Flush the commit records and close the batch (PDL additionally
-    /// applies the deferred obsolete marks and releases its GC pins).
-    fn txn_finalize(&mut self) -> Result<()> {
-        self.flush()
-    }
-
     /// A safe lower bound for new transaction ids: above every id whose
     /// commit record (or live tag) still exists on flash, so a fresh id
     /// can never be "proven" committed by a stale record after a crash.
@@ -563,32 +593,12 @@ pub trait PageStore: Send {
         Err(CoreError::BadConfig(format!("{} does not support checkpointing", self.name())))
     }
 
-    /// Stage a durable structure-root record on behalf of `txn`, inside
-    /// an open commit batch (between the page stages and the commit
-    /// record). The record becomes authoritative exactly when `txn`'s
-    /// commit record does — a crash before it rolls both back together.
-    /// PDL with a configured checkpoint root region programs the record
-    /// into the region's live-half tail; everything else (and PDL without
-    /// a root region) accepts and discards it, leaving roots
-    /// memory-resident only.
-    fn txn_stage_struct_roots(&mut self, roots: &StructRootsSnapshot, txn: u64) -> Result<()> {
-        let _ = (roots, txn);
-        Ok(())
-    }
-
     /// The newest committed structure-root snapshot this store knows
     /// about — after recovery, the one resolved from the checkpoint
     /// region ([§4.5]'s mapping-table recovery extended to DBMS roots).
     /// `None` when the store does not persist roots.
     fn struct_roots(&self) -> Option<StructRootsSnapshot> {
         None
-    }
-
-    /// Free bytes remaining in the structure-root log before the next
-    /// checkpoint must compact it (u64::MAX when the store does not
-    /// persist roots, so callers never trigger a checkpoint for it).
-    fn struct_root_log_space(&self) -> u64 {
-        u64::MAX
     }
 
     /// Busy time (µs of simulated flash pipeline) accumulated per shard

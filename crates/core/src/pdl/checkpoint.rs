@@ -9,9 +9,10 @@
 //! the chip) is reserved and excluded from normal allocation and GC. It is
 //! split into two halves used alternately, double-buffer style:
 //! [`Pdl::checkpoint`] serialises the mapping tables (ppmt, vdct, the
-//! time-stamp bookkeeping, allocator counts, and — since codec v2 — the
-//! transaction tables: per-page tags, per-diff-page tag lists and live
-//! commit-record locations) plus a per-block *fingerprint*, writes them as
+//! time-stamp bookkeeping, allocator counts, the transaction tables —
+//! per-page tags, per-diff-page tag lists and live commit-record
+//! locations — and the structure roots) plus a per-block *fingerprint*,
+//! writes them as
 //! payload pages into the idle half, and commits by writing a header page
 //! last. A crash mid-checkpoint leaves the previous half's checkpoint
 //! intact.
@@ -46,11 +47,10 @@ use std::collections::HashSet;
 
 const PAYLOAD_MAGIC: u32 = 0x504C_4B31; // "PLK1"
 const HEADER_MAGIC: u32 = 0x504C_4831; // "PLH1"
-/// Codec v3 appends the registered structure-root snapshot to the
-/// payload; v2 checkpoints (no roots section) still load, with an empty
-/// snapshot — the delta loader accepts both.
+/// The one codec version ever deployed (v3: the registered
+/// structure-root snapshot closes the payload). A header or payload
+/// carrying any other version is no checkpoint: recovery scans in full.
 const VERSION: u16 = 3;
-const MIN_VERSION: u16 = 2;
 /// Fixed-size header record at the start of the header page's data area.
 const HEADER_LEN: usize = 4 + 2 + 2 + 8 + 8 + 4 + 4 + 8 + 4;
 
@@ -148,7 +148,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Serialise a structure-root snapshot (shared by the v3 payload section
+/// Serialise a structure-root snapshot (shared by the payload section
 /// and the tail records): next_pid u64, count u32, then per entry
 /// id u64, kind u8, pad [u8;3], npids u32, pids u64...
 fn push_roots(s: &mut Stream, roots: &StructRootsSnapshot) {
@@ -254,8 +254,7 @@ pub(crate) struct RootLogState {
 
 /// Resolve the durable structure roots and tail position from the
 /// checkpoint root region: baseline from the newest committed checkpoint
-/// payload (empty for v2), overridden by the newest *committed* tail
-/// record. `is_committed` decides record eligibility from the recovery
+/// payload, overridden by the newest *committed* tail record. `is_committed` decides record eligibility from the recovery
 /// tables (commit record present, not torn). Read-only, so running it
 /// twice — a second recovery — resolves identically.
 pub(crate) fn load_root_state(
@@ -349,8 +348,8 @@ fn read_root_record(
 }
 
 /// Parse just the roots section out of a committed checkpoint payload
-/// (`None` for v2 payloads or when the payload fails verification —
-/// callers fall back to an empty baseline).
+/// (`None` when the payload fails verification — callers fall back to an
+/// empty baseline).
 fn load_payload_roots(
     chip: &mut FlashChip,
     opts: &StoreOptions,
@@ -372,12 +371,8 @@ fn load_payload_roots(
     let nl = opts.num_logical_pages as usize;
     let k = opts.frames_per_page as usize;
     let mut c = Cursor { bytes: &payload, at: 0 };
-    if c.u32()? != PAYLOAD_MAGIC {
+    if c.u32()? != PAYLOAD_MAGIC || c.u16()? != VERSION {
         return Ok(None);
-    }
-    let version = c.u16()?;
-    if version < 3 {
-        return Ok(None); // v2: no roots section
     }
     // Skip the mapping-table sections (fixed arithmetic given the dims).
     c.skip(2 + 8 + 4 + 4)?; // k, nl, blocks, pages (already validated by the loader)
@@ -408,6 +403,9 @@ impl Pdl {
             return Err(CoreError::BadConfig(
                 "checkpointing needs a root region of at least 2 blocks".into(),
             ));
+        }
+        if let Some(e) = &self.batch_failed {
+            return Err(e.clone()); // a failed batch is still open: see `commit_batch`
         }
         if self.in_txn_batch {
             return Err(CoreError::BadConfig(
@@ -462,7 +460,7 @@ impl Pdl {
             let valid = self.alloc.valid_in(BlockId(b));
             s.push_u32(written - valid);
         }
-        // Transaction tables (codec v2): per-page tags and live
+        // Transaction tables: per-page tags and live
         // commit-record locations. Presence is recomputed at load time,
         // so it is not persisted.
         for t in &self.diff_txn {
@@ -486,7 +484,7 @@ impl Pdl {
             };
             s.push_u64(fp);
         }
-        // Codec v3: the registered structure roots ride in the payload,
+        // The registered structure roots ride in the payload,
         // compacting the tail records accumulated since the last
         // checkpoint into the baseline.
         push_roots(&mut s, &self.struct_roots);
@@ -600,7 +598,7 @@ fn find_latest_header(chip: &mut FlashChip, opts: &StoreOptions) -> Result<Optio
     let mut img = vec![0u8; g.data_size];
     chip.read_data(ppn, &mut img)?;
     let mut c = Cursor { bytes: &img, at: 0 };
-    if c.u32()? != HEADER_MAGIC || !(MIN_VERSION..=VERSION).contains(&c.u16()?) {
+    if c.u32()? != HEADER_MAGIC || c.u16()? != VERSION {
         return Ok(None);
     }
     let _pad = c.u16()?;
@@ -769,10 +767,8 @@ fn load_checkpoint_delta(
     let nl = opts.num_logical_pages as usize;
     let k = opts.frames_per_page as usize;
     let mut c = Cursor { bytes: &payload, at: 0 };
-    // v2 payloads simply end after the fingerprints (no roots section);
-    // the cursor never reads past what each version wrote.
     if c.u32()? != PAYLOAD_MAGIC
-        || !(MIN_VERSION..=VERSION).contains(&c.u16()?)
+        || c.u16()? != VERSION
         || c.u16()? as usize != k
         || c.u64()? as usize != nl
         || c.u32()? != g.num_blocks

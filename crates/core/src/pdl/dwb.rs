@@ -54,10 +54,6 @@ impl DiffWriteBuffer {
         self.capacity - self.used
     }
 
-    pub fn used(&self) -> usize {
-        self.used
-    }
-
     /// Number of staged records (diagnostics).
     #[allow(dead_code)]
     pub fn len(&self) -> usize {

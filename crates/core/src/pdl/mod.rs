@@ -28,22 +28,23 @@
 //!
 //! The paper's method is DBMS-independent at the page level, leaving
 //! transaction atomicity to the layer above. This store closes that gap
-//! with *differential commit records*: a commit batch
-//! ([`crate::PageStore::txn_reserve`] → `txn_stage`* → `txn_flush_stage`
-//! → `txn_append_commit` → `txn_finalize`) tags every staged differential
-//! (and Case-3 base page) with the owning transaction id and appends a
-//! durable [`CommitRecord`] through the same differential write buffer.
-//! The record is the commit point; until it is on flash,
+//! with *differential commit records*: [`crate::PageStore::commit_batch`]
+//! tags every staged differential (and Case-3 base page) with the owning
+//! transaction id and appends a durable [`CommitRecord`] through the same
+//! differential write buffer. The record is the commit point; until it is
+//! on flash,
 //!
 //! * obsolete marks on the superseded pre-images are **deferred** (they
-//!   are applied in `txn_finalize`, after the record is durable), and
+//!   are applied when the batch closes, after the record is durable), and
 //! * the blocks holding those pre-images are **pinned** against garbage
 //!   collection,
 //!
 //! so recovery can always roll a torn commit back to the previous
 //! committed state by discarding tagged pages whose transaction has no
-//! commit record. Commit records stay alive — compaction re-stages them —
-//! while any non-obsolete page still carries their transaction's tag (the
+//! commit record. A batch that errors once opened is never closed — marks
+//! stay deferred, pins stay, further batches are refused (`batch_failed`):
+//! whether it committed is recovery's call. Commit records stay alive —
+//! compaction re-stages them — while any non-obsolete page still carries their transaction's tag (the
 //! `presence` gauge below), and the tags themselves are shed as GC
 //! rewrites committed data, so steady state carries no transactional
 //! litter.
@@ -60,7 +61,9 @@ use crate::ftl::{
     make_spare, make_spare_preserving, make_spare_txn, mark_obsolete_lenient, AllocOutcome,
     AllocStream, BlockManager, GcPolicy, HeatTable,
 };
-use crate::page_store::{ChangeRange, MethodKind, PageStore, StoreOptions, StructRootsSnapshot};
+use crate::page_store::{
+    ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions, StructRootsSnapshot,
+};
 use crate::Result;
 use dwb::{DiffWriteBuffer, DwbEntry};
 use pdl_flash::{FlashChip, OpContext, PageKind, Ppn, SpareInfo};
@@ -158,8 +161,8 @@ pub struct Pdl {
     /// compacts into its payload baseline).
     struct_roots: StructRootsSnapshot,
     /// Root record staged in the open commit batch, promoted to
-    /// `struct_roots` at finalize (i.e. once its commit record is
-    /// durable); discarded if the batch never finalizes.
+    /// `struct_roots` when the batch closes (i.e. once its commit record
+    /// is durable).
     pending_roots: Option<(u64, StructRootsSnapshot)>,
     /// Transaction whose tail record is authoritative: its commit record
     /// is pinned (one presence ref) until a checkpoint compacts the log.
@@ -193,10 +196,13 @@ pub struct Pdl {
     /// compaction flush inside GC.
     deferred: Vec<Ppn>,
     /// Blocks holding the current batch's pre-images: excluded from GC
-    /// victim selection until finalize.
+    /// victim selection until the batch closes.
     batch_pins: HashSet<u32>,
-    /// Whether a `txn_reserve` .. `txn_finalize` batch is open.
+    /// Whether a commit batch is open (`batch_open` .. `batch_close`).
     in_txn_batch: bool,
+    /// The error that hit a batch after it was opened. The batch stays
+    /// open for good; `commit_batch` and `checkpoint` answer with this.
+    batch_failed: Option<CoreError>,
     // --- single-page failure handling --------------------------------
     /// Logical pages known corrupt with no redundant source, mapped to
     /// the physical page whose checksum failed. Reads report
@@ -292,6 +298,7 @@ impl Pdl {
             deferred: Vec::new(),
             batch_pins: HashSet::new(),
             in_txn_batch: false,
+            batch_failed: None,
             poisoned: HashMap::new(),
             twins: HashMap::new(),
             gc_moves: Vec::new(),
@@ -306,22 +313,12 @@ impl Pdl {
         })
     }
 
-    /// `Max_Differential_Size` this store runs with.
-    pub fn max_diff_size(&self) -> usize {
-        self.max_diff_size
-    }
-
     /// Use a different GC victim-selection policy (ablation). Also
     /// recorded in [`PageStore::options`], so recovering with the
     /// store's own options resumes the same policy.
     pub fn set_gc_policy(&mut self, policy: GcPolicy) {
         self.opts.gc_policy = policy;
         self.alloc.set_policy(policy);
-    }
-
-    /// Bytes currently staged in the differential write buffer.
-    pub fn dwb_used(&self) -> usize {
-        self.dwb.used()
     }
 
     /// Whether `txn`'s commit record is durable (diagnostics and tests).
@@ -694,12 +691,14 @@ impl Pdl {
     }
 
     // ------------------------------------------------------------------
-    // Page reflection (Figure 7), shared by `evict_page` and `txn_stage`
+    // Page reflection (Figure 7), shared by `evict_page` and `commit_batch`
     // ------------------------------------------------------------------
 
     /// `PDL_Writing` (Figure 7), with the differential tagged by `txn`
-    /// ([`NO_TXN`] for the plain auto-committed path).
-    fn stage_page(&mut self, pid: u64, page: &[u8], txn: u64) -> Result<()> {
+    /// ([`NO_TXN`] for the plain auto-committed path; a real id only
+    /// inside an open commit batch).
+    pub(crate) fn stage_page(&mut self, pid: u64, page: &[u8], txn: u64) -> Result<()> {
+        debug_assert!(txn == NO_TXN || self.in_txn_batch, "tagged staging outside a batch");
         self.opts.check_pid(pid)?;
         let ds = self.chip.geometry().data_size;
         self.opts.check_page_buf(ds, page)?;
@@ -1176,6 +1175,111 @@ impl Pdl {
     }
 }
 
+// pdl-txn: the steps of a commit batch, in the order `Pdl::commit_batch`
+// (one chip) and `ShardedStore::commit_batch_shared` (across chips) run
+// them: open -> `stage_page`* -> [flush] -> roots -> record -> close.
+impl Pdl {
+    /// Whether `roots`' record fits the root log's tail (always, without
+    /// a root region: the record is accepted and discarded).
+    pub(crate) fn root_log_fits(&self, roots: &StructRootsSnapshot) -> bool {
+        let npages = roots.encoded_len().div_ceil(self.chip.geometry().data_size) as u32;
+        self.opts.checkpoint_blocks < 2 || self.root_tail + npages <= self.root_tail_end
+    }
+
+    /// Open a batch of at most `pages` logical pages (and `roots`),
+    /// pre-running garbage collection so the batch itself rarely triggers
+    /// it (the pre-image pins keep it safe when it does). An error here
+    /// is a rejection: nothing was staged.
+    pub(crate) fn batch_open(
+        &mut self,
+        pages: u64,
+        roots: Option<&StructRootsSnapshot>,
+    ) -> std::result::Result<(), CommitError> {
+        debug_assert!(!self.in_txn_batch, "one commit batch at a time");
+        if roots.is_some_and(|r| !self.root_log_fits(r)) {
+            return Err(CommitError::Rejected(CoreError::StorageFull));
+        }
+        // Worst case per page: k base frames (Case 3) plus one flushed
+        // differential page; plus one page for the commit-record flush
+        // and one for any pre-existing buffer content.
+        let k = self.frames() as u64;
+        self.ensure_capacity(pages.saturating_mul(k + 1) + 2).map_err(CommitError::Rejected)?;
+        self.in_txn_batch = true;
+        Ok(())
+    }
+
+    /// Program `roots` into the root log's tail on behalf of `txn` (a
+    /// no-op without a root region: roots stay memory-resident). Recovery's
+    /// tail scan skips records of torn transactions, so the record is
+    /// authoritative exactly when `txn`'s commit record lands.
+    pub(crate) fn batch_stage_roots(
+        &mut self,
+        roots: &StructRootsSnapshot,
+        txn: u64,
+    ) -> Result<()> {
+        if self.opts.checkpoint_blocks < 2 {
+            return Ok(());
+        }
+        debug_assert!(self.in_txn_batch && self.root_log_fits(roots), "checked by batch_open");
+        let record = checkpoint::encode_root_record(roots, txn);
+        let g = self.chip.geometry();
+        let ts = self.ts.saturating_sub(1);
+        let mut img = vec![0xFFu8; g.data_size];
+        for chunk in record.chunks(g.data_size) {
+            img.fill(0xFF);
+            img[..chunk.len()].copy_from_slice(chunk);
+            let spare = make_spare(g.spare_size, PageKind::Checkpoint, txn, ts, &img);
+            self.chip.program_page(Ppn(self.root_tail), &img, &spare)?;
+            self.root_tail += 1;
+        }
+        if self.ckpt_live_half.is_none() {
+            self.root_tail_used = true;
+        }
+        self.presence_inc(txn);
+        self.pending_roots = Some((txn, roots.clone()));
+        Ok(())
+    }
+
+    /// Append durable proof of commit for `txns` to the write stream: one
+    /// commit record for a single transaction, one *epoch record* for
+    /// more (group commit proves a whole batch at once).
+    pub(crate) fn batch_record(&mut self, txns: &[u64]) -> Result<()> {
+        self.stage_commit_proofs(txns)?;
+        self.counters.txn_commits += txns.len() as u64;
+        if txns.len() > 1 {
+            self.counters.epoch_commits += 1;
+        }
+        Ok(())
+    }
+
+    /// Close the open batch. `committed`: flush the commit records (the
+    /// commit point); the superseded pre-images are then garbage on every
+    /// timeline and their obsolete marks can go out. Otherwise the batch
+    /// was rejected on another shard before anything was staged, and only
+    /// the marks of interleaved evictions are due.
+    pub(crate) fn batch_close(&mut self, committed: bool) -> Result<()> {
+        if committed {
+            self.flush()?;
+        }
+        for ppn in std::mem::take(&mut self.deferred) {
+            mark_obsolete_lenient(&mut self.chip, ppn)?;
+            self.counters.deferred_marks += 1;
+        }
+        // The batch's root record is committed along with it: promote it
+        // to the authoritative snapshot and drop the pin on the previous
+        // root-publishing transaction's commit record.
+        if let Some((txn, snap)) = self.pending_roots.take() {
+            self.struct_roots = snap;
+            if let Some(old) = self.live_root_txn.replace(txn) {
+                self.presence_dec(old, None)?;
+            }
+        }
+        self.batch_pins.clear();
+        self.in_txn_batch = false;
+        Ok(())
+    }
+}
+
 impl PageStore for Pdl {
     fn options(&self) -> &StoreOptions {
         &self.opts
@@ -1283,60 +1387,32 @@ impl PageStore for Pdl {
         self.flush_dwb()
     }
 
-    // --- pdl-txn: the atomic commit batch -----------------------------
-
-    fn txn_supported(&self) -> bool {
-        true
-    }
-
-    fn txn_reserve(&mut self, pages: u64) -> Result<()> {
-        // Worst case per page: k base frames (Case 3) plus one flushed
-        // differential page; plus one page for the commit-record flush
-        // and one for any pre-existing buffer content. Reserving up
-        // front keeps GC out of the batch in the common case (and the
-        // pre-image pins keep it safe when an interleaved operation
-        // triggers it anyway).
-        let k = self.frames() as u64;
-        self.ensure_capacity(pages.saturating_mul(k + 1) + 2)?;
-        self.in_txn_batch = true;
-        Ok(())
-    }
-
-    fn txn_stage(&mut self, pid: u64, page: &[u8], txn: u64) -> Result<()> {
-        debug_assert!(self.in_txn_batch, "txn_stage outside a reserve..finalize batch");
-        debug_assert_ne!(txn, NO_TXN, "txn_stage needs a real transaction id");
-        self.stage_page(pid, page, txn)
-    }
-
-    fn txn_flush_stage(&mut self) -> Result<()> {
-        if self.dwb.is_empty() {
-            return Ok(());
+    /// The single-chip commit sequence. A full root log is folded into a
+    /// checkpoint *before* the batch opens (the log is append-only between
+    /// checkpoints), so the batch itself never straddles one.
+    fn commit_batch(&mut self, batch: &CommitBatch<'_>) -> std::result::Result<(), CommitError> {
+        if let Some(e) = &self.batch_failed {
+            return Err(CommitError::Failed(e.clone()));
         }
-        self.ensure_capacity(1)?;
-        self.flush_dwb()
-    }
-
-    fn txn_append_commit(&mut self, txn: u64) -> Result<()> {
-        if CommitRecord::ENCODED_LEN > self.dwb.free_space() {
-            self.ensure_capacity(2)?;
-            self.flush_dwb()?;
+        let roots = batch.roots.map(|(r, _)| r);
+        if roots.is_some_and(|r| !self.root_log_fits(r)) {
+            Pdl::checkpoint(self).map_err(CommitError::Rejected)?;
         }
-        let ts = self.next_ts();
-        self.dwb.push_commit(CommitRecord { txn, ts });
-        self.counters.txn_commits += 1;
-        Ok(())
-    }
-
-    fn txn_append_commit_epoch(&mut self, txns: &[u64]) -> Result<()> {
-        if txns.is_empty() {
-            return Ok(());
-        }
-        self.stage_commit_proofs(txns)?;
-        self.counters.txn_commits += txns.len() as u64;
-        if txns.len() > 1 {
-            self.counters.epoch_commits += 1;
-        }
-        Ok(())
+        self.batch_open(batch.pages.len() as u64, roots)?;
+        let mut staged = || {
+            for &(pid, page, txn) in &batch.pages {
+                self.stage_page(pid, page, txn)?;
+            }
+            if let Some((r, txn)) = batch.roots {
+                self.batch_stage_roots(r, txn)?;
+            }
+            self.batch_record(&batch.txns())?;
+            self.batch_close(true)
+        };
+        staged().map_err(|e| {
+            self.batch_failed = Some(e.clone());
+            CommitError::Failed(e)
+        })
     }
 
     // --- retention-ledger spill tier ----------------------------------
@@ -1419,81 +1495,11 @@ impl PageStore for Pdl {
         Pdl::checkpoint(self)
     }
 
-    fn txn_stage_struct_roots(&mut self, roots: &StructRootsSnapshot, txn: u64) -> Result<()> {
-        if self.opts.checkpoint_blocks < 2 {
-            return Ok(()); // no root region: roots stay memory-resident
-        }
-        debug_assert!(self.in_txn_batch, "root staging outside a reserve..finalize batch");
-        let record = checkpoint::encode_root_record(roots, txn);
-        let g = self.chip.geometry();
-        let npages = record.len().div_ceil(g.data_size) as u32;
-        if self.root_tail + npages > self.root_tail_end {
-            return Err(CoreError::StorageFull);
-        }
-        // A pending record from a batch that aborted mid-protocol left a
-        // presence ref behind; replace it before taking our own.
-        if let Some((orphan, _)) = self.pending_roots.take() {
-            self.presence_dec(orphan, None)?;
-        }
-        // The record is programmed now but becomes authoritative only if
-        // `txn`'s commit record lands: recovery's tail scan skips records
-        // of torn transactions, so the crash-atomicity of the roots is
-        // exactly the batch's.
-        let ts = self.ts.saturating_sub(1);
-        let mut img = vec![0xFFu8; g.data_size];
-        for (i, chunk) in record.chunks(g.data_size).enumerate() {
-            img.fill(0xFF);
-            img[..chunk.len()].copy_from_slice(chunk);
-            let spare = make_spare(g.spare_size, PageKind::Checkpoint, txn, ts, &img);
-            self.chip.program_page(Ppn(self.root_tail + i as u32), &img, &spare)?;
-        }
-        self.root_tail += npages;
-        if self.ckpt_live_half.is_none() {
-            self.root_tail_used = true;
-        }
-        self.presence_inc(txn);
-        self.pending_roots = Some((txn, roots.clone()));
-        Ok(())
-    }
-
     fn struct_roots(&self) -> Option<StructRootsSnapshot> {
         if self.opts.checkpoint_blocks < 2 {
             return None;
         }
         Some(self.struct_roots.clone())
-    }
-
-    fn struct_root_log_space(&self) -> u64 {
-        if self.opts.checkpoint_blocks < 2 {
-            return u64::MAX;
-        }
-        (self.root_tail_end - self.root_tail) as u64 * self.chip.geometry().data_size as u64
-    }
-
-    fn txn_finalize(&mut self) -> Result<()> {
-        if !self.dwb.is_empty() {
-            self.ensure_capacity(1)?;
-            self.flush_dwb()?;
-        }
-        // The commit records are durable: the superseded pre-images are
-        // now garbage on every timeline, so their obsolete marks can go
-        // out.
-        for ppn in std::mem::take(&mut self.deferred) {
-            mark_obsolete_lenient(&mut self.chip, ppn)?;
-            self.counters.deferred_marks += 1;
-        }
-        // The batch's root record is committed along with it: promote it
-        // to the authoritative snapshot and drop the pin on the previous
-        // root-publishing transaction's commit record.
-        if let Some((txn, snap)) = self.pending_roots.take() {
-            self.struct_roots = snap;
-            if let Some(old) = self.live_root_txn.replace(txn) {
-                self.presence_dec(old, None)?;
-            }
-        }
-        self.batch_pins.clear();
-        self.in_txn_batch = false;
-        Ok(())
     }
 
     fn chip(&self) -> &FlashChip {
@@ -1779,16 +1785,13 @@ mod tests {
         }
         s.flush().unwrap();
         let txn = 7u64;
-        s.txn_reserve(2).unwrap();
         let mut p = filled(&s, 1);
         p[3..9].fill(0xEE);
-        s.txn_stage(0, &p, txn).unwrap();
         let mut p2 = filled(&s, 1);
         p2[40..44].fill(0xDD);
-        s.txn_stage(1, &p2, txn).unwrap();
-        assert!(!s.txn_committed(txn), "not committed until the record is durable");
-        s.txn_append_commit(txn).unwrap();
-        s.txn_finalize().unwrap();
+        assert!(!s.txn_committed(txn));
+        s.commit_batch(&CommitBatch { pages: vec![(0, &p, txn), (1, &p2, txn)], roots: None })
+            .unwrap();
         assert!(s.txn_committed(txn));
         assert_eq!(s.counters.txn_commits, 1);
         let mut out = filled(&s, 0);
@@ -1807,12 +1810,9 @@ mod tests {
         }
         s.flush().unwrap();
         // One tagged commit...
-        s.txn_reserve(2).unwrap();
         let mut p = vec![0u8; size];
         p[7] = 7;
-        s.txn_stage(0, &p, 42).unwrap();
-        s.txn_append_commit(42).unwrap();
-        s.txn_finalize().unwrap();
+        s.commit_batch(&CommitBatch { pages: vec![(0, &p, 42)], roots: None }).unwrap();
         assert!(s.presence.contains_key(&42));
         // ...then heavy untagged churn: compaction strips the tag and
         // eventually retires the commit record and every map entry.

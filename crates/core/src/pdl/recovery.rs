@@ -776,6 +776,7 @@ impl Pdl {
             deferred: Vec::new(),
             batch_pins: HashSet::new(),
             in_txn_batch: false,
+            batch_failed: None,
             poisoned: tables.poisoned,
             twins: tables.twins,
             spills: HashMap::new(),
@@ -1017,6 +1018,12 @@ mod tests {
     // pdl-txn: torn-commit recovery
     // ------------------------------------------------------------------
 
+    /// One transaction's pages through [`PageStore::commit_batch`].
+    fn commit(s: &mut Pdl, txn: u64, pages: &[(u64, &[u8])]) {
+        let pages = pages.iter().map(|&(pid, img)| (pid, img, txn)).collect();
+        s.commit_batch(&crate::CommitBatch { pages, roots: None }).unwrap();
+    }
+
     #[test]
     fn committed_transaction_survives_crash() {
         let mut s = fresh(8);
@@ -1025,15 +1032,11 @@ mod tests {
             s.write_page(pid, &vec![1u8; size]).unwrap();
         }
         s.flush().unwrap();
-        s.txn_reserve(2).unwrap();
         let mut a = vec![1u8; size];
         a[0] = 0xA1;
         let mut b = vec![1u8; size];
         b[9] = 0xB2;
-        s.txn_stage(0, &a, 50).unwrap();
-        s.txn_stage(1, &b, 50).unwrap();
-        s.txn_append_commit(50).unwrap();
-        s.txn_finalize().unwrap();
+        commit(&mut s, 50, &[(0, &a), (1, &b)]);
         let mut r = crash_and_recover(s, 8);
         assert!(r.txn_committed(50));
         let mut out = vec![0u8; size];
@@ -1057,13 +1060,13 @@ mod tests {
         pre1[2..6].fill(0x44); // give pid 1 a committed differential too
         s.write_page(1, &pre1).unwrap();
         s.flush().unwrap();
-        s.txn_reserve(2).unwrap();
+        s.batch_open(2, None).unwrap();
         let mut a = pre0.clone();
         a[5..9].fill(0xAA); // small change: differential
-        s.txn_stage(0, &a, 60).unwrap();
+        s.stage_page(0, &a, 60).unwrap();
         let b = vec![0xBBu8; size]; // whole-page change: Case-3 tagged base
-        s.txn_stage(1, &b, 60).unwrap();
-        s.txn_flush_stage().unwrap();
+        s.stage_page(1, &b, 60).unwrap();
+        s.flush().unwrap();
         // Crash here: no commit record was ever appended.
         let mut r = crash_and_recover(s, 8);
         assert!(!r.txn_committed(60));
@@ -1086,12 +1089,9 @@ mod tests {
             s.write_page(pid, &vec![7u8; size]).unwrap();
         }
         s.flush().unwrap();
-        s.txn_reserve(1).unwrap();
         let mut a = vec![7u8; size];
         a[11..15].fill(0xCC);
-        s.txn_stage(2, &a, 77).unwrap();
-        s.txn_append_commit(77).unwrap();
-        s.txn_finalize().unwrap();
+        commit(&mut s, 77, &[(2, &a)]);
         let r1 = crash_and_recover(s, 8);
         let mut r2 = crash_and_recover(r1, 8);
         let mut out = vec![0u8; size];
@@ -1107,17 +1107,14 @@ mod tests {
         s.write_page(1, &vec![1u8; size]).unwrap();
         s.flush().unwrap();
         // Committed txn 5 and torn txn 6.
-        s.txn_reserve(1).unwrap();
         let mut a = vec![1u8; size];
         a[0] = 2;
-        s.txn_stage(0, &a, 5).unwrap();
-        s.txn_append_commit(5).unwrap();
-        s.txn_finalize().unwrap();
-        s.txn_reserve(1).unwrap();
+        commit(&mut s, 5, &[(0, &a)]);
+        s.batch_open(1, None).unwrap();
         let mut b = vec![1u8; size];
         b[1] = 3;
-        s.txn_stage(1, &b, 6).unwrap();
-        s.txn_flush_stage().unwrap(); // no record: torn
+        s.stage_page(1, &b, 6).unwrap();
+        s.flush().unwrap(); // no record: torn
         let opts = *s.options();
         let mut chip = Box::new(s).into_chip();
         let scan = txn_precheck(&mut chip, &opts).unwrap();

@@ -20,12 +20,15 @@
 //! how the multi-threaded workload driver attributes simulated I/O time
 //! per thread without a global stats lock.
 
-use crate::page_store::{ChangeRange, MethodKind, PageStore, StoreOptions};
+use crate::page_store::{
+    note_txn, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
+};
 use crate::{build_store, error::CoreError, recover_store, Pdl, Result};
 use pdl_flash::{FlashChip, FlashStats, WearSummary};
 use std::collections::HashSet;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 /// Nanoseconds of CPU time consumed by the calling thread, from the
@@ -73,18 +76,58 @@ pub fn shard_pages(total: u64, n: usize, s: usize) -> u64 {
     }
 }
 
+/// One shard's store: it derefs to a [`PageStore`]; PDL shards are kept
+/// by type because a cross-shard commit runs their batch steps.
+enum Shard {
+    Pdl(Box<Pdl>),
+    Other(Box<dyn PageStore>),
+}
+
+impl Shard {
+    /// The PDL store behind a shard of a PDL-sharded store.
+    fn pdl(&mut self) -> &mut Pdl {
+        match self {
+            Shard::Pdl(p) => p,
+            Shard::Other(st) => unreachable!("{} shard in a PDL commit batch", st.name()),
+        }
+    }
+}
+
+impl Deref for Shard {
+    type Target = dyn PageStore;
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Shard::Pdl(p) => p.as_ref(),
+            Shard::Other(st) => st.as_ref(),
+        }
+    }
+}
+
+impl DerefMut for Shard {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            Shard::Pdl(p) => p.as_mut(),
+            Shard::Other(st) => st.as_mut(),
+        }
+    }
+}
+
 /// A hash-partitioned (striped) page store over N per-shard stores.
 pub struct ShardedStore {
-    shards: Vec<Mutex<Box<dyn PageStore>>>,
+    shards: Vec<Mutex<Shard>>,
     /// CPU nanoseconds each shard's lock was held by `*_shared`
     /// operations. The maximum over shards is the engine's critical path:
     /// `ops / max_busy` bounds the throughput any number of worker
     /// threads can reach, independent of how many cores the measuring
     /// machine happens to have.
     busy_ns: Vec<AtomicU64>,
-    /// Shards staged into by the current exclusive (`&mut self`) commit
-    /// batch — the involved set whose shards receive the commit record.
-    txn_staged_shards: Mutex<HashSet<usize>>,
+    /// One commit batch at a time (see
+    /// [`ShardedStore::commit_batch_shared`]).
+    commit_gate: Mutex<()>,
+    /// The error that hit a commit batch after it was opened on some
+    /// shard. Those shards' batches stay open; every later batch and
+    /// checkpoint gets this error back.
+    failed: OnceLock<CoreError>,
     opts: StoreOptions,
     kind: MethodKind,
     data_size: usize,
@@ -200,7 +243,7 @@ impl ShardedStore {
         // only its own chip. Building fresh stores is cheap, but recovery
         // reads every page header, so both paths share the scoped-thread
         // fan-out (§4.5's recovery cost divided by N).
-        let results: Vec<Result<Box<dyn PageStore>>> = std::thread::scope(|scope| {
+        let results: Vec<Result<Shard>> = std::thread::scope(|scope| {
             let handles: Vec<_> = chips
                 .into_iter()
                 .zip(deltas)
@@ -209,26 +252,33 @@ impl ShardedStore {
                     let shard_opts =
                         StoreOptions { num_logical_pages: shard_pages(total, n, s), ..opts };
                     let uncommitted = uncommitted.clone();
-                    scope.spawn(move || -> Result<Box<dyn PageStore>> {
-                        match (recovering, kind) {
-                            (true, MethodKind::Pdl { max_diff_size }) => match delta {
-                                Some(delta) => Ok(Box::new(Pdl::recover_with_delta(
-                                    chip,
-                                    shard_opts,
-                                    max_diff_size,
-                                    uncommitted.unwrap_or_default(),
-                                    delta,
-                                )?)),
-                                None => Ok(Box::new(Pdl::recover_with_uncommitted(
-                                    chip,
-                                    shard_opts,
-                                    max_diff_size,
-                                    uncommitted,
-                                )?)),
-                            },
-                            (true, _) => recover_store(chip, kind, shard_opts),
-                            (false, _) => build_store(chip, kind, shard_opts),
-                        }
+                    scope.spawn(move || -> Result<Shard> {
+                        Ok(match (recovering, kind) {
+                            (true, MethodKind::Pdl { max_diff_size }) => {
+                                Shard::Pdl(Box::new(match delta {
+                                    Some(delta) => Pdl::recover_with_delta(
+                                        chip,
+                                        shard_opts,
+                                        max_diff_size,
+                                        uncommitted.unwrap_or_default(),
+                                        delta,
+                                    )?,
+                                    None => Pdl::recover_with_uncommitted(
+                                        chip,
+                                        shard_opts,
+                                        max_diff_size,
+                                        uncommitted,
+                                    )?,
+                                }))
+                            }
+                            (false, MethodKind::Pdl { max_diff_size }) => {
+                                let mut chip = chip;
+                                chip.set_obs_enabled(shard_opts.obs);
+                                Shard::Pdl(Box::new(Pdl::new(chip, shard_opts, max_diff_size)?))
+                            }
+                            (true, _) => Shard::Other(recover_store(chip, kind, shard_opts)?),
+                            (false, _) => Shard::Other(build_store(chip, kind, shard_opts)?),
+                        })
                     })
                 })
                 .collect();
@@ -242,7 +292,8 @@ impl ShardedStore {
         Ok(ShardedStore {
             shards,
             busy_ns,
-            txn_staged_shards: Mutex::new(HashSet::new()),
+            commit_gate: Mutex::new(()),
+            failed: OnceLock::new(),
             opts,
             kind,
             data_size,
@@ -282,14 +333,13 @@ impl ShardedStore {
         Ok(((pid % n) as usize, pid / n))
     }
 
-    fn lock_shard(&self, s: usize) -> std::sync::MutexGuard<'_, Box<dyn PageStore>> {
+    fn lock_shard(&self, s: usize) -> std::sync::MutexGuard<'_, Shard> {
         self.shards[s].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Run `f` against shard `s`'s store (its pids are shard-local).
     pub fn with_shard<R>(&self, s: usize, f: impl FnOnce(&mut dyn PageStore) -> R) -> R {
-        let mut guard = self.lock_shard(s);
-        f(guard.as_mut())
+        f(&mut **self.lock_shard(s))
     }
 
     fn tracked<R>(
@@ -301,7 +351,7 @@ impl ShardedStore {
         let mut guard = self.lock_shard(s);
         let started = thread_cpu_ns();
         let before = guard.stats();
-        let r = f(guard.as_mut(), local)?;
+        let r = f(&mut **guard, local)?;
         let delta = guard.stats().delta_since(&before);
         self.busy_ns[s].fetch_add(thread_cpu_ns().saturating_sub(started), Ordering::Relaxed);
         Ok((r, delta))
@@ -431,12 +481,126 @@ impl ShardedStore {
     pub fn into_shard_chips(self) -> Vec<FlashChip> {
         self.shards
             .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).into_chips())
-            .flat_map(|chips| {
-                debug_assert_eq!(chips.len(), 1, "shards are single-chip stores");
-                chips
+            .map(|m| match m.into_inner().unwrap_or_else(|e| e.into_inner()) {
+                Shard::Pdl(p) => p.into_chip(),
+                Shard::Other(st) => st.into_chip(),
             })
             .collect()
+    }
+
+    /// Concurrent [`PageStore::commit_batch`]: the one place a cross-shard
+    /// commit is sequenced. A shard is *involved* when it stages pages or
+    /// (shard 0, which holds the root log) the structure roots; no other
+    /// shard is touched. Every involved shard is opened before any stages,
+    /// so a shard that cannot make room rejects the batch while nothing
+    /// needs undoing. Then: stage and flush each shard's pages (durable,
+    /// tagged, invisible after a crash) -> roots -> one commit/epoch record
+    /// per involved shard, proving the transactions that staged there ->
+    /// close. Recovery judges a transaction torn unless *every* shard
+    /// carrying its tags also carries a record, and closing a shard
+    /// destroys the pre-images a torn verdict rolls back to — so no shard
+    /// closes until every shard's record is durable. Batches queue on an
+    /// internal gate; reads and evictions on the same shards interleave.
+    pub fn commit_batch_shared(
+        &self,
+        batch: &CommitBatch<'_>,
+    ) -> std::result::Result<(), CommitError> {
+        let _one_at_a_time = self.commit_gate.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(e) = self.failed.get() {
+            return Err(CommitError::Failed(e.clone()));
+        }
+        let n = self.shards.len();
+        let mut pages: Vec<Vec<(u64, &[u8], u64)>> = vec![Vec::new(); n];
+        let mut txns: Vec<Vec<u64>> = vec![Vec::new(); n];
+        for &(pid, page, txn) in &batch.pages {
+            let (s, local) = self.locate(pid).map_err(CommitError::Rejected)?;
+            pages[s].push((local, page, txn));
+            note_txn(&mut txns[s], txn);
+        }
+        if let Some((_, txn)) = batch.roots {
+            // Shard 0 gets a commit record for the roots' transaction, so
+            // the winner check at recovery can prove it committed from
+            // shard 0's own tables (the torn verdict is already global).
+            note_txn(&mut txns[0], txn);
+        }
+        let involved: Vec<usize> = (0..n).filter(|&s| !txns[s].is_empty()).collect();
+        let fail = |e: CoreError| {
+            let _ = self.failed.set(e.clone());
+            CommitError::Failed(e)
+        };
+        if !matches!(self.kind, MethodKind::Pdl { .. }) {
+            // Not atomic: each involved shard writes its part through.
+            for &s in &involved {
+                let part = CommitBatch { pages: std::mem::take(&mut pages[s]), roots: None };
+                self.lock_shard(s).commit_batch(&part).map_err(|e| fail(e.into()))?;
+            }
+            return Ok(());
+        }
+
+        let roots = batch.roots.map(|(r, _)| r);
+        if roots.is_some_and(|r| !self.lock_shard(0).pdl().root_log_fits(r)) {
+            // The log is full: fold *every* shard into a fresh checkpoint
+            // before the batch opens, so no shard's batch straddles one.
+            self.checkpoint_shared().map_err(CommitError::Rejected)?;
+        }
+        for (i, &s) in involved.iter().enumerate() {
+            let roots = roots.filter(|_| s == 0);
+            let opened = self.lock_shard(s).pdl().batch_open(pages[s].len() as u64, roots);
+            if let Err(rejected) = opened {
+                for &o in &involved[..i] {
+                    self.lock_shard(o).pdl().batch_close(false).map_err(fail)?;
+                }
+                return Err(rejected);
+            }
+        }
+        let staging: Vec<usize> =
+            involved.iter().copied().filter(|&s| !pages[s].is_empty()).collect();
+        let run = || {
+            self.fan_out(&staging, &|s, st| {
+                for &(local, page, txn) in &pages[s] {
+                    st.stage_page(local, page, txn)?;
+                }
+                st.flush()
+            })?;
+            if let Some((r, txn)) = batch.roots {
+                self.lock_shard(0).pdl().batch_stage_roots(r, txn)?;
+            }
+            self.fan_out(&involved, &|s, st| {
+                st.batch_record(&txns[s])?;
+                st.flush()
+            })?;
+            self.fan_out(&involved, &|_, st| st.batch_close(true))
+        };
+        run().map_err(fail)
+    }
+
+    /// One phase of a commit batch as **submit-all / drain-all**: issue
+    /// the phase on every listed shard before waiting on any, then drain
+    /// each shard's command queue as the phase's completion barrier.
+    /// Shards are independent chips, so their simulated flash time
+    /// overlaps — the phase costs the *slowest* shard, not the sum — and
+    /// at queue depth 1 the drain is a no-op, so the same path is
+    /// exercised (and regression-tested) serially.
+    fn fan_out(
+        &self,
+        shards: &[usize],
+        phase: &dyn Fn(usize, &mut Pdl) -> Result<()>,
+    ) -> Result<()> {
+        for &s in shards {
+            phase(s, self.lock_shard(s).pdl())?;
+        }
+        for &s in shards {
+            self.lock_shard(s).chip_mut().drain();
+        }
+        Ok(())
+    }
+
+    /// Checkpoint every shard (see [`PageStore::checkpoint`]).
+    fn checkpoint_shared(&self) -> Result<()> {
+        if let Some(e) = self.failed.get() {
+            return Err(e.clone());
+        }
+        (0..self.shards.len()).try_for_each(|s| self.lock_shard(s).checkpoint())
     }
 }
 
@@ -485,98 +649,8 @@ impl PageStore for ShardedStore {
         self.per_shard_pipeline_us().into_iter().max().unwrap_or(0)
     }
 
-    // --- pdl-txn routing (exclusive commit batches, one txn at a time).
-    // The concurrent group-commit coordinator in pdl-storage drives the
-    // per-shard stores through `with_shard` instead, batching many
-    // transactions' records per shard flush.
-
-    fn txn_supported(&self) -> bool {
-        self.lock_shard(0).txn_supported()
-    }
-
-    fn txn_reserve(&mut self, pages: u64) -> Result<()> {
-        for shard in &mut self.shards {
-            shard.get_mut().unwrap_or_else(|e| e.into_inner()).txn_reserve(pages)?;
-        }
-        Ok(())
-    }
-
-    fn txn_stage(&mut self, pid: u64, page: &[u8], txn: u64) -> Result<()> {
-        let (s, local) = self.locate(pid)?;
-        self.txn_staged_shards.get_mut().unwrap_or_else(|e| e.into_inner()).insert(s);
-        self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).txn_stage(local, page, txn)
-    }
-
-    fn txn_flush_stage(&mut self) -> Result<()> {
-        let staged: Vec<usize> = self
-            .txn_staged_shards
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .copied()
-            .collect();
-        for s in staged {
-            self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).txn_flush_stage()?;
-        }
-        Ok(())
-    }
-
-    fn txn_append_commit(&mut self, txn: u64) -> Result<()> {
-        // One record per involved shard: recovery treats the commit as
-        // torn unless every shard carrying the transaction's tags also
-        // carries a record.
-        let staged: Vec<usize> = self
-            .txn_staged_shards
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .copied()
-            .collect();
-        for s in staged {
-            self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).txn_append_commit(txn)?;
-        }
-        Ok(())
-    }
-
-    fn txn_append_commit_epoch(&mut self, txns: &[u64]) -> Result<()> {
-        // One epoch record per involved shard, mirroring
-        // `txn_append_commit`. The concurrent group-commit coordinator
-        // instead drives per-shard stores through `with_shard` with each
-        // shard's own involved list, so only transactions that actually
-        // staged on a shard are proven there.
-        let staged: Vec<usize> = self
-            .txn_staged_shards
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .copied()
-            .collect();
-        for s in staged {
-            self.shards[s]
-                .get_mut()
-                .unwrap_or_else(|e| e.into_inner())
-                .txn_append_commit_epoch(txns)?;
-        }
-        Ok(())
-    }
-
-    fn txn_finalize(&mut self) -> Result<()> {
-        self.txn_staged_shards.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
-        // Two phases. A shard's `txn_finalize` flushes its commit record
-        // and then programs the deferred obsolete marks, which destroy
-        // the transaction's pre-images and retire the superseded
-        // transaction's commit record. Recovery needs a record on every
-        // involved shard, so no shard may do that until every shard's
-        // record is durable — a crash in between would leave this
-        // transaction torn and the previous one unprovable.
-        for shard in &mut self.shards {
-            shard.get_mut().unwrap_or_else(|e| e.into_inner()).txn_flush_stage()?;
-        }
-        // txn_reserve opened a batch on every shard; close them all.
-        for shard in &mut self.shards {
-            shard.get_mut().unwrap_or_else(|e| e.into_inner()).txn_finalize()?;
-        }
-        Ok(())
+    fn commit_batch(&mut self, batch: &CommitBatch<'_>) -> std::result::Result<(), CommitError> {
+        self.commit_batch_shared(batch)
     }
 
     fn txn_id_floor(&self) -> u64 {
@@ -602,28 +676,8 @@ impl PageStore for ShardedStore {
         self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).free_spill(local, handle)
     }
 
-    fn txn_stage_struct_roots(
-        &mut self,
-        roots: &crate::page_store::StructRootsSnapshot,
-        txn: u64,
-    ) -> Result<()> {
-        // Structure roots live on shard 0's root region. Marking shard 0
-        // staged guarantees it also gets a commit record, so the winner
-        // check at recovery can prove the record's transaction committed
-        // from shard 0's own tables (the torn verdict is already global).
-        self.txn_staged_shards.get_mut().unwrap_or_else(|e| e.into_inner()).insert(0);
-        self.shards[0]
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .txn_stage_struct_roots(roots, txn)
-    }
-
     fn struct_roots(&self) -> Option<crate::page_store::StructRootsSnapshot> {
         self.lock_shard(0).struct_roots()
-    }
-
-    fn struct_root_log_space(&self) -> u64 {
-        self.lock_shard(0).struct_root_log_space()
     }
 
     fn per_shard_busy_us(&self) -> Vec<u64> {
@@ -631,10 +685,7 @@ impl PageStore for ShardedStore {
     }
 
     fn checkpoint(&mut self) -> Result<()> {
-        for shard in &mut self.shards {
-            shard.get_mut().unwrap_or_else(|e| e.into_inner()).checkpoint()?;
-        }
-        Ok(())
+        self.checkpoint_shared()
     }
 
     fn chip(&self) -> &FlashChip {

@@ -2,7 +2,7 @@
 //! future work): correctness after arbitrary churn, crash-atomicity of
 //! checkpoint writing, and the read-cost advantage over the full scan.
 
-use pdl_core::{is_power_loss, PageStore, Pdl, StoreOptions};
+use pdl_core::{is_power_loss, CommitBatch, CommitError, PageStore, Pdl, StoreOptions};
 use pdl_flash::{FlashChip, FlashConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -243,24 +243,36 @@ fn sharded_recovery_precheck_rides_the_checkpoint_delta() {
             s.flush().unwrap();
         }
         // Committed transaction spanning both shards (pids 0 and 1).
-        s.txn_reserve(2).unwrap();
-        for pid in [0u64, 1] {
-            truth[pid as usize][0..8].fill(0xC0);
-            let p = truth[pid as usize].clone();
-            s.txn_stage(pid, &p, 500).unwrap();
+        for pid in [0usize, 1] {
+            truth[pid][0..8].fill(0xC0);
         }
-        s.txn_append_commit(500).unwrap();
-        s.txn_finalize().unwrap();
-        // Torn transaction spanning both shards: staged durably on both,
-        // but no commit record ever lands (crash before commit).
-        s.txn_reserve(2).unwrap();
-        for pid in [2u64, 3] {
-            let mut p = truth[pid as usize].clone();
-            p[0..8].fill(0xAD);
-            s.txn_stage(pid, &p, 501).unwrap();
+        let pages = vec![(0, &truth[0][..], 500), (1, &truth[1][..], 500)];
+        s.commit_batch(&CommitBatch { pages, roots: None }).unwrap();
+        // Torn transaction spanning both shards: power fails on each chip
+        // one program into the batch — the staged differential is flushed
+        // on both, no commit record ever lands.
+        let torn: Vec<Vec<u8>> = [2usize, 3]
+            .iter()
+            .map(|&pid| {
+                let mut p = truth[pid].clone();
+                p[0..8].fill(0xAD);
+                p
+            })
+            .collect();
+        for shard in 0..2 {
+            s.with_shard(shard, |st| st.chip_mut().arm_fault(1));
         }
-        s.txn_flush_stage().unwrap();
-        (s.into_shard_chips(), o, truth)
+        let before = s.per_shard_stats();
+        let pages = vec![(2, &torn[0][..], 501), (3, &torn[1][..], 501)];
+        let err = s.commit_batch(&CommitBatch { pages, roots: None }).unwrap_err();
+        assert!(matches!(err, CommitError::Failed(_)), "{err}");
+        for (shard, now) in s.per_shard_stats().iter().enumerate() {
+            let programs = now.delta_since(&before[shard]).total().writes;
+            assert_eq!(programs, 1, "shard {shard}: exactly the stage flush landed");
+        }
+        let mut chips = s.into_shard_chips();
+        chips.iter_mut().for_each(FlashChip::disarm_fault);
+        (chips, o, truth)
     };
 
     let (chips, o, _) = build_state(false);
@@ -285,6 +297,44 @@ fn sharded_recovery_precheck_rides_the_checkpoint_delta() {
         fast.read_page(pid as u64, &mut out).unwrap();
         assert_eq!(&out, expect, "pid {pid}");
     }
+}
+
+#[test]
+fn a_checkpoint_of_another_codec_version_is_no_checkpoint() {
+    // Patch the version field of a real checkpoint header from 3 to 2
+    // (programming NAND only clears bits): recovery must not trust a
+    // byte of it, and fall back to the full scan.
+    let build_state = |patch: bool| -> (FlashChip, Vec<Vec<u8>>) {
+        let mut s = fresh();
+        let truth = churn(&mut s, 400, 9);
+        s.checkpoint().unwrap();
+        let mut chip = Box::new(s).into_chip();
+        if patch {
+            let g = chip.geometry();
+            let header = (0..CKPT_BLOCKS * g.pages_per_block)
+                .map(pdl_flash::Ppn)
+                .find(|p| {
+                    let kind = chip.read_spare(*p).unwrap().map(|i| i.kind);
+                    kind == Some(pdl_flash::PageKind::CheckpointHead)
+                })
+                .expect("the checkpoint wrote a header page");
+            assert_eq!(chip.peek_data(header)[4..6], [3, 0], "magic u32, then version u16");
+            chip.set_nop_data(2); // allow the one extra program of the patch
+            chip.program_partial(header, 4, &[2, 0]).unwrap();
+        }
+        chip.reset_stats();
+        (chip, truth)
+    };
+    let fast = Pdl::recover(build_state(false).0, opts(), MAX_DIFF).unwrap();
+    let fast_reads = fast.chip().stats().recovery.reads;
+    let (chip, truth) = build_state(true);
+    let mut full = Pdl::recover(chip, opts(), MAX_DIFF).unwrap();
+    let full_reads = full.chip().stats().recovery.reads;
+    assert!(
+        fast_reads * 3 < full_reads,
+        "a version-2 header must send recovery to the full scan: {full_reads} vs {fast_reads}"
+    );
+    verify(&mut full, &truth);
 }
 
 #[test]

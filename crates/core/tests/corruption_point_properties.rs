@@ -16,7 +16,9 @@
 //!   block, and corrupting the live copy must repair from the twin —
 //!   byte for byte, at a cost far below a full recovery scan.
 
-use pdl_core::{build_store, is_page_corrupt, GcPolicy, MethodKind, PageStore, StoreOptions};
+use pdl_core::{
+    build_store, is_page_corrupt, CommitBatch, GcPolicy, MethodKind, PageStore, StoreOptions,
+};
 use pdl_flash::{BlockId, FlashChip, FlashConfig, PageKind, Ppn, SpareInfo};
 
 const PAGES: u64 = 24;
@@ -75,14 +77,16 @@ fn run_workload(kind: MethodKind) -> (Box<dyn PageStore>, Vec<Vec<u8>>) {
     if matches!(kind, MethodKind::Pdl { .. }) {
         for (k, ops) in script(9, 0x7C0FFEE).chunks(3).enumerate() {
             let txn = k as u64 + 1;
-            store.txn_reserve(ops.len() as u64).unwrap();
-            for (pid, fill, whole) in ops {
-                apply_op(&mut truth[*pid as usize], *fill, *whole);
-                let img = truth[*pid as usize].clone();
-                store.txn_stage(*pid, &img, txn).unwrap();
-            }
-            store.txn_append_commit(txn).unwrap();
-            store.txn_finalize().unwrap();
+            // Each op stages the page as it stands after that op.
+            let images: Vec<Vec<u8>> = ops
+                .iter()
+                .map(|(pid, fill, whole)| {
+                    apply_op(&mut truth[*pid as usize], *fill, *whole);
+                    truth[*pid as usize].clone()
+                })
+                .collect();
+            let pages = ops.iter().zip(&images).map(|(op, img)| (op.0, &img[..], txn)).collect();
+            store.commit_batch(&CommitBatch { pages, roots: None }).unwrap();
         }
     }
     store.flush().unwrap();

@@ -18,7 +18,8 @@
 //! post-flush update), and a second crash+recovery must agree.
 
 use pdl_core::{
-    build_store, is_power_loss, recover_store, GcPolicy, MethodKind, PageStore, StoreOptions,
+    build_store, is_power_loss, recover_store, CommitBatch, GcPolicy, MethodKind, PageStore,
+    StoreOptions,
 };
 use pdl_flash::{FlashChip, FlashConfig};
 use proptest::prelude::*;
@@ -295,19 +296,14 @@ fn exhaustive_crash_sweep_txn_commits() {
         states.push(next);
     }
 
-    // One transaction through the commit-batch protocol. Returns Err on
-    // the injected power loss.
+    // One transaction through `commit_batch`. Returns Err on the
+    // injected power loss.
     let run_txn =
         |store: &mut dyn PageStore, states: &[Vec<Vec<u8>>], k: usize| -> pdl_core::Result<()> {
             let txn = k as u64 + 1;
-            let pages = &txns[k];
-            store.txn_reserve(pages.len() as u64)?;
-            for (pid, _, _) in pages {
-                let img = states[k + 1][*pid as usize].clone();
-                store.txn_stage(*pid, &img, txn)?;
-            }
-            store.txn_append_commit(txn)?;
-            store.txn_finalize()
+            let pages =
+                txns[k].iter().map(|(pid, _, _)| (*pid, &states[k + 1][*pid as usize][..], txn));
+            Ok(store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None })?)
         };
 
     // Dry run: count the destructive operations of the transactional
@@ -408,24 +404,20 @@ fn exhaustive_crash_sweep_epoch_commits() {
         states.push(next);
     }
 
-    // One *batch* through the protocol: stage every member, then prove
-    // them all with a single epoch append.
-    let run_batch =
-        |store: &mut dyn PageStore, states: &[Vec<Vec<u8>>], b: usize| -> pdl_core::Result<()> {
-            let lo = b * BATCH;
-            let hi = (lo + BATCH).min(txns.len());
-            let total: u64 = (lo..hi).map(|k| txns[k].len() as u64).sum();
-            store.txn_reserve(total)?;
-            for k in lo..hi {
-                for (pid, _, _) in &txns[k] {
-                    let img = states[k + 1][*pid as usize].clone();
-                    store.txn_stage(*pid, &img, k as u64 + 1)?;
-                }
-            }
-            let ids: Vec<u64> = (lo..hi).map(|k| k as u64 + 1).collect();
-            store.txn_append_commit_epoch(&ids)?;
-            store.txn_finalize()
-        };
+    // One *batch* in one `commit_batch`: every member's pages, proven
+    // together by a single epoch record.
+    let run_batch = |store: &mut dyn PageStore,
+                     states: &[Vec<Vec<u8>>],
+                     b: usize|
+     -> pdl_core::Result<()> {
+        let lo = b * BATCH;
+        let hi = (lo + BATCH).min(txns.len());
+        let pages = (lo..hi).flat_map(|k| {
+            let after = &states[k + 1];
+            txns[k].iter().map(move |(pid, _, _)| (*pid, &after[*pid as usize][..], k as u64 + 1))
+        });
+        Ok(store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None })?)
+    };
 
     // Dry run: count destructive ops, prove GC ran inside the batches,
     // and prove the proofs really were epoch records, not a per-txn

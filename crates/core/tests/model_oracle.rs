@@ -11,7 +11,9 @@
 //! *what* they contain, so all policies must produce identical logical
 //! state.
 
-use pdl_core::{build_store, GcPolicy, MethodKind, PageStore, Pdl, ShardedStore, StoreOptions};
+use pdl_core::{
+    build_store, CommitBatch, GcPolicy, MethodKind, PageStore, Pdl, ShardedStore, StoreOptions,
+};
 use pdl_flash::{FlashChip, FlashConfig};
 use pdl_storage::{BTree, Database, Durability, HeapFile, Key, KeyBuf, ShardedBufferPool};
 use proptest::prelude::*;
@@ -140,19 +142,21 @@ proptest! {
     }
 
     /// Transactional shadow model (`pdl-txn`): arbitrary transactions —
-    /// each a batch of staged page writes ending in a durable commit or
-    /// in a torn/aborted outcome — against PDL's commit-batch protocol,
-    /// with a crash + recovery after *every* transaction. The shadow
-    /// applies only committed batches, so the comparison proves that
-    /// uncommitted writes are invisible after recovery and that aborted
-    /// batches restore the pre-images (base page + last committed
-    /// differential).
+    /// each one `commit_batch` of page writes, with power failing after
+    /// an arbitrary number of flash programs (often mid-batch, sometimes
+    /// never) — and a crash + recovery after *every* transaction. A batch
+    /// that returned `Ok` must be there after recovery; one that returned
+    /// `Err` must be there entirely or not at all (the fault may have hit
+    /// after the commit record), and the shadow follows whichever
+    /// recovery chose. So uncommitted writes are invisible after
+    /// recovery, and torn batches restore the pre-images (base page +
+    /// last committed differential).
     #[test]
     fn transactions_match_the_model_across_recovery(
         txns in proptest::collection::vec(
             (
                 proptest::collection::vec((0u64..PAGES, any::<u8>(), any::<bool>()), 1..4),
-                any::<bool>(),
+                0u64..12,
             ),
             1..12,
         ),
@@ -169,10 +173,10 @@ proptest! {
         }
         store.flush().expect("baseline durability point");
         let mut out = vec![0u8; size];
-        for (i, (writes, commit)) in txns.into_iter().enumerate() {
+        for (i, (writes, fault_after)) in txns.into_iter().enumerate() {
             let txn = i as u64 + 1;
             let mut staged = committed.clone();
-            store.txn_reserve(writes.len() as u64).expect("reserve");
+            let mut images: Vec<(u64, Vec<u8>)> = Vec::new();
             for (pid, payload, whole) in writes {
                 let pid = pid % PAGES;
                 let mut page = staged[&pid].clone();
@@ -184,31 +188,31 @@ proptest! {
                         *b = payload.wrapping_add(j as u8);
                     }
                 }
-                store.txn_stage(pid, &page, txn).expect("stage");
+                images.push((pid, page.clone()));
                 staged.insert(pid, page);
             }
-            if commit {
-                store.txn_append_commit(txn).expect("commit record");
-                store.txn_finalize().expect("finalize");
-                committed = staged;
-            } else {
-                // Torn / aborted: the stage may even be durable, but no
-                // commit record ever lands.
-                store.txn_flush_stage().expect("stage flush");
-            }
+            let pages = images.iter().map(|(pid, page)| (*pid, &page[..], txn)).collect();
+            store.chip_mut().arm_fault(fault_after);
+            let result = store.commit_batch(&CommitBatch { pages, roots: None });
             // Crash + recover after every transaction.
-            let chip = Box::new(store).into_chip();
+            let mut chip = Box::new(store).into_chip();
+            chip.disarm_fault();
             store = Pdl::recover(chip, opts, 64).expect("recover");
+            let mut now: HashMap<u64, Vec<u8>> = HashMap::new();
             for pid in 0..PAGES {
                 store.read_page(pid, &mut out).expect("read");
-                prop_assert_eq!(
-                    &out,
-                    &committed[&pid],
-                    "txn {} ({}): page {} diverged from the committed shadow",
-                    i,
-                    if commit { "committed" } else { "torn" },
-                    pid
-                );
+                now.insert(pid, out.clone());
+            }
+            let landed = now == staged;
+            prop_assert!(landed || result.is_err(), "txn {}: returned Ok, lost in recovery", i);
+            prop_assert!(
+                landed || now == committed,
+                "txn {} ({:?}): recovered neither the batch nor its pre-images",
+                i,
+                result
+            );
+            if landed {
+                committed = staged;
             }
         }
     }

@@ -20,7 +20,9 @@
 //! workload is a fixed pseudo-random script, and crash points are an
 //! exhaustive sweep over destructive-op indices.
 
-use pdl_core::{build_store, is_power_loss, recover_store, MethodKind, PageStore, StoreOptions};
+use pdl_core::{
+    build_store, is_power_loss, recover_store, CommitBatch, MethodKind, PageStore, StoreOptions,
+};
 use pdl_flash::{FlashChip, FlashConfig};
 
 const PAGES: u64 = 24;
@@ -149,20 +151,16 @@ fn inflight_crash_recovers_to_committed_prefix_at_qd16() {
         states.push(next);
     }
 
-    // One transaction through the commit-batch protocol. At QD=16 the
+    // One transaction through `commit_batch`. At QD=16 the
     // staged programs and the commit record are all *submitted*; nothing
     // here drains the queue, so the fault can land with the whole batch
     // still in flight.
     let run_txn =
         |store: &mut dyn PageStore, states: &[Vec<Vec<u8>>], k: usize| -> pdl_core::Result<()> {
             let txn = k as u64 + 1;
-            store.txn_reserve(txns[k].len() as u64)?;
-            for (pid, _) in &txns[k] {
-                let img = states[k + 1][*pid as usize].clone();
-                store.txn_stage(*pid, &img, txn)?;
-            }
-            store.txn_append_commit(txn)?;
-            store.txn_finalize()
+            let pages =
+                txns[k].iter().map(|(pid, _)| (*pid, &states[k + 1][*pid as usize][..], txn));
+            Ok(store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None })?)
         };
 
     // Dry run: count destructive ops so the sweep covers every index.

@@ -4,7 +4,10 @@
 //! behaviour. Plus: a multi-writer smoke test (8 threads, overlapping
 //! pages) and whole-engine crash recovery of every shard.
 
-use pdl_core::{build_store, ChangeRange, MethodKind, PageStore, ShardedStore, StoreOptions};
+use pdl_core::{
+    build_store, ChangeRange, CommitBatch, CommitError, CoreError, MethodKind, PageStore,
+    ShardedStore, StoreOptions,
+};
 use pdl_flash::{FlashChip, FlashConfig};
 use proptest::prelude::*;
 
@@ -201,4 +204,49 @@ fn disjoint_writers_round_trip() {
         store.read_page_shared(pid, &mut out).unwrap();
         assert_eq!(out, vec![pid as u8 + 1; size], "pid {pid}");
     }
+}
+
+/// Two PDL shards over the tiny chip, every page loaded and flushed.
+fn loaded_pdl_shards(opts: StoreOptions) -> (ShardedStore, Vec<u8>) {
+    let kind = MethodKind::Pdl { max_diff_size: 64 };
+    let mut store = ShardedStore::with_uniform_chips(FlashConfig::tiny(), 2, kind, opts).unwrap();
+    let page = vec![7u8; store.logical_page_size()];
+    for pid in 0..opts.num_logical_pages {
+        store.write_page(pid, &page).unwrap();
+    }
+    store.flush().unwrap();
+    (store, page)
+}
+
+#[test]
+fn a_commit_batch_leaves_uninvolved_shards_alone() {
+    let (mut store, mut page) = loaded_pdl_shards(StoreOptions::new(PAGES));
+    // Shard 1 holds an unflushed differential of its own.
+    page[9] = 1;
+    store.write_page(1, &page).unwrap();
+    let before = store.per_shard_stats();
+    page[9] = 2;
+    store.commit_batch(&CommitBatch { pages: vec![(0, &page, 41)], roots: None }).unwrap();
+    let after = store.per_shard_stats();
+    assert!(after[0].total().writes > before[0].total().writes, "shard 0 committed the batch");
+    assert_eq!(after[1], before[1], "shard 1 staged nothing: no reserve, no flush, no close");
+}
+
+#[test]
+fn a_rejected_batch_closes_what_it_opened_on_other_shards() {
+    // 60 pages fill most of each 128-page chip: shard 0 can reserve room
+    // for one page, shard 1 cannot for twenty.
+    let (mut store, page) = loaded_pdl_shards(StoreOptions::new(120).with_checkpoint_blocks(4));
+    let mut pages = vec![(0, &page[..], 51)];
+    pages.extend((0..20).map(|i| (2 * i + 1, &page[..], 51)));
+    let before = store.stats();
+    let err = store.commit_batch(&CommitBatch { pages, roots: None }).unwrap_err();
+    assert_eq!(err, CommitError::Rejected(CoreError::StorageFull));
+    assert_eq!(store.stats(), before, "a rejected batch staged nothing");
+    // Shard 0's batch was opened before shard 1 refused; it is closed
+    // again, so the store checkpoints and commits as if nothing happened.
+    store.checkpoint().unwrap();
+    store
+        .commit_batch(&CommitBatch { pages: vec![(0, &page, 52), (1, &page, 52)], roots: None })
+        .unwrap();
 }

@@ -62,6 +62,9 @@ pub struct FlashChip {
     /// Injected power-loss fault: remaining destructive operations before
     /// every further program/erase fails. `None` = disarmed.
     fault_countdown: Option<u64>,
+    /// The armed fault disarms itself after its first failure
+    /// ([`FlashChip::arm_fault_once`]).
+    fault_once: bool,
     /// Blocks whose erase failed: they accept no further programs.
     broken: Vec<bool>,
     /// Erase-cycle endurance limit; erases beyond it fail (`None` = no
@@ -92,6 +95,7 @@ impl FlashChip {
             stats: FlashStats::default(),
             context: OpContext::User,
             fault_countdown: None,
+            fault_once: false,
             broken: vec![false; g.num_blocks as usize],
             erase_limit: None,
             forced_erase_failures: vec![false; g.num_blocks as usize],
@@ -222,6 +226,18 @@ impl FlashChip {
     /// after the host "reboots" and calls [`FlashChip::disarm_fault`].
     pub fn arm_fault(&mut self, after_ops: u64) {
         self.fault_countdown = Some(after_ops);
+        self.fault_once = false;
+    }
+
+    /// Arm a fault that fires once: the next `after_ops` destructive
+    /// operations succeed, the one after fails with
+    /// [`FlashError::PowerLoss`], and then the chip works again — for
+    /// tests that cannot reach the chip to disarm it (it sits inside a
+    /// sharded store inside a database) and need the host to carry on
+    /// after a failed operation.
+    pub fn arm_fault_once(&mut self, after_ops: u64) {
+        self.fault_countdown = Some(after_ops);
+        self.fault_once = true;
     }
 
     pub fn disarm_fault(&mut self) {
@@ -284,6 +300,9 @@ impl FlashChip {
     fn destructive_op_gate(&mut self) -> Result<()> {
         if let Some(remaining) = self.fault_countdown.as_mut() {
             if *remaining == 0 {
+                if self.fault_once {
+                    self.fault_countdown = None;
+                }
                 return Err(FlashError::PowerLoss);
             }
             *remaining -= 1;
@@ -985,6 +1004,11 @@ mod tests {
         c.disarm_fault();
         c.erase_block(BlockId(0)).unwrap();
         assert!(c.is_erased(Ppn(0)));
+        // A one-shot fault fails exactly one operation.
+        c.arm_fault_once(0);
+        assert_eq!(c.program_page(Ppn(0), &data, &spare).unwrap_err(), FlashError::PowerLoss);
+        assert!(!c.fault_armed());
+        c.program_page(Ppn(0), &data, &spare).unwrap();
     }
 
     #[test]

@@ -26,13 +26,12 @@
 //! # Durable structure roots
 //!
 //! On a store with a PDL checkpoint region, every durable commit that
-//! changed a registered structure stages the full `StructId → StructRoot`
-//! snapshot into the checkpoint region's root log
-//! ([`pdl_core::PageStore::txn_stage_struct_roots`]), inside the same
-//! commit batch as the data — the record is authoritative exactly when
-//! the transaction's commit record is durable. After a crash,
-//! [`Database::recover_structures`] rebuilds the registered handles from
-//! the store alone; `attach` from externally remembered pids remains as
+//! changed a registered structure hands the full `StructId → StructRoot`
+//! snapshot to the store in the same [`pdl_core::CommitBatch`] as the
+//! data, to land in the checkpoint region's root log — the record is
+//! authoritative exactly when the transaction's commit record is
+//! durable. After a crash, [`Database::recover_structures`] rebuilds the
+//! registered handles from the store alone; `attach` from externally remembered pids remains as
 //! a compatibility path.
 
 use crate::btree::BTree;
@@ -41,7 +40,7 @@ use crate::error::StorageError;
 use crate::heap::HeapFile;
 use crate::view::{PageRead, StructId, StructRoot, ViewRegistry};
 use crate::{ReadGuard, ReadView, Result};
-use pdl_core::{PageStore, StructRootEntry, StructRootsSnapshot};
+use pdl_core::{CommitBatch, CommitError, PageStore, StructRootEntry, StructRootsSnapshot};
 use pdl_flash::FlashStats;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -146,10 +145,10 @@ pub enum Durability {
     /// the experiment I/O profiles unchanged.
     #[default]
     Relaxed,
-    /// Commit stages every dirtied page through the store's transactional
-    /// path, appends a durable commit record and flushes: all-or-nothing
-    /// across a crash (on PDL; other methods degrade to write-through
-    /// durability without atomicity).
+    /// Commit hands every dirtied page to the store as one
+    /// [`pdl_core::CommitBatch`]: all-or-nothing across a crash (on PDL;
+    /// other methods degrade to write-through durability without
+    /// atomicity).
     Commit,
 }
 
@@ -224,16 +223,19 @@ pub struct Database {
     /// lets heap handles invalidate their free-space estimates, which a
     /// rollback can leave *under*-estimating restored space.
     abort_epoch: AtomicU64,
-    /// Serializes the durable commit protocol (reserve → stage → commit
-    /// record → finalize) across threads. Latched structural mutation
-    /// runs concurrently; only the batch boundary is exclusive.
+    /// Serializes durable commits (snapshot the roots → one
+    /// `commit_batch`) across threads. Latched structural mutation runs
+    /// concurrently; only the batch boundary is exclusive.
     commit_lock: FifoLock,
-    /// The store error that hit a durable commit at or after its commit
-    /// point. Recovery may judge that transaction committed, so it can be
-    /// neither rolled back nor confirmed: the database stops, and every
-    /// later `begin` / `commit` reports this error. Empty — one atomic
-    /// load to find out — on a healthy database.
+    /// The store error behind a `CommitError::Failed`: the batch was
+    /// opened, recovery may judge that transaction committed, so it can
+    /// be neither rolled back nor confirmed. The database stops, and
+    /// every later `begin` / `commit` reports this error. Empty — one
+    /// atomic load to find out — on a healthy database.
     stopped: OnceLock<StorageError>,
+    /// Whether the store persists structure roots
+    /// ([`PageStore::struct_roots`]), asked once at construction.
+    has_root_log: bool,
 }
 
 impl Database {
@@ -247,7 +249,9 @@ impl Database {
     pub fn new(store: Box<dyn PageStore>, buffer_pages: usize) -> Database {
         let max_pages = store.options().num_logical_pages;
         let next_txn = store.txn_id_floor();
-        let next_pid = store.struct_roots().map_or(0, |snap| {
+        let persisted = store.struct_roots();
+        let has_root_log = persisted.is_some();
+        let next_pid = persisted.map_or(0, |snap| {
             let past_entries =
                 snap.entries.iter().flat_map(|e| e.pids.iter().map(|p| p + 1)).max().unwrap_or(0);
             snap.next_pid.max(past_entries)
@@ -271,6 +275,7 @@ impl Database {
             abort_epoch: AtomicU64::new(0),
             commit_lock: FifoLock::default(),
             stopped: OnceLock::new(),
+            has_root_log,
         }
     }
 
@@ -380,11 +385,10 @@ impl Database {
             }
             Durability::Commit => {
                 let staged = self.pool.collect_owned(txn);
-                // One durable batch at a time: latched mutation runs
-                // concurrently, only the reserve→finalize protocol is
-                // exclusive. The root snapshot is taken inside, so two
-                // committers that each moved a root cannot stage a record
-                // carrying the other's stale one.
+                // One durable batch at a time. The root snapshot is taken
+                // under the lock, so two committers that each moved a
+                // root cannot hand over a record carrying the other's
+                // stale one.
                 let wait_from = self.pool.obs_now_us();
                 let _serial = self.commit_lock.lock();
                 self.pool.record_wait(pdl_obs::LatencyClass::CommitLockWait, wait_from);
@@ -396,66 +400,33 @@ impl Database {
                     self.pool.release_owned(txn, structs);
                     return Ok(());
                 }
-                let mut at_commit_point = false;
-                let result = self.pool.with_store(|store| -> Result<()> {
-                    if let Some(r) = roots.as_ref() {
-                        // The root log is append-only between
-                        // checkpoints: when this record would overflow
-                        // the tail, fold the store into a fresh
-                        // checkpoint first — *before* the batch opens,
-                        // so the batch itself never straddles one.
-                        if store.struct_root_log_space() < r.encoded_len() as u64 {
-                            store.checkpoint()?;
-                        }
-                    }
-                    store.txn_reserve(staged.len() as u64)?;
-                    for (pid, data) in &staged {
-                        store.txn_stage(*pid, data, txn)?;
-                    }
-                    if store.num_shards() > 1 {
-                        // Multi-shard: every shard's differentials must
-                        // be durable before any commit record is.
-                        store.txn_flush_stage()?;
-                    }
-                    if let Some(r) = roots.as_ref() {
-                        // After the stage flush, before the commit
-                        // record: the record is on flash either way, and
-                        // it becomes authoritative exactly when the
-                        // commit record it names does.
-                        store.txn_stage_struct_roots(r, txn)?;
-                    }
-                    at_commit_point = true;
-                    store.txn_append_commit(txn)?;
-                    store.txn_finalize()?;
-                    Ok(())
-                });
-                match result {
+                let batch = CommitBatch {
+                    pages: staged.iter().map(|(pid, data)| (*pid, data.as_slice(), txn)).collect(),
+                    roots: roots.as_ref().map(|r| (r, txn)),
+                };
+                match self.pool.with_store(|store| store.commit_batch(&batch)) {
                     Ok(()) => {
                         self.clear_allocs(txn);
                         self.pool.commit_release(txn, structs);
                         Ok(())
                     }
-                    Err(e) if at_commit_point => {
-                        // Some or all commit records may be durable (a
-                        // deferred obsolete mark can fail after every
-                        // one is): this is not an abort. Rolling back
-                        // would hand the transaction's pids to the next
-                        // writer while recovery keeps its pages.
-                        // `commit_lock` is held and `check_stopped`
-                        // passed under it: this is the first and only set.
-                        let _ = self.stopped.set(e.clone());
-                        Err(e)
-                    }
-                    Err(e) => {
-                        // The commit record never became durable: roll
-                        // the frames back to their pre-images (dirty, so
-                        // a later write-back also supersedes whatever
-                        // tagged staging reached the store) and report
-                        // the transaction failed (`structs` is dropped
-                        // unpublished).
+                    Err(CommitError::Rejected(e)) => {
+                        // Nothing reached the store: roll the frames back
+                        // to their pre-images and report the transaction
+                        // failed (`structs` is dropped unpublished).
                         let _ = self.pool.rollback(txn);
                         self.rollback_allocs(txn);
                         self.abort_epoch.fetch_add(1, Ordering::SeqCst);
+                        Err(e.into())
+                    }
+                    Err(CommitError::Failed(e)) => {
+                        // Not an abort: rolling back would hand the
+                        // transaction's pids to the next writer while
+                        // recovery may keep its pages. `commit_lock` is
+                        // held and `check_stopped` passed under it: this
+                        // is the first and only set.
+                        let e = StorageError::from(e);
+                        let _ = self.stopped.set(e.clone());
                         Err(e)
                     }
                 }
@@ -646,10 +617,7 @@ impl Database {
     /// structure (the previously staged snapshot stays authoritative) or
     /// the backing store has no root log.
     fn durable_roots(&self, structs: &[(StructId, StructRoot)]) -> Option<StructRootsSnapshot> {
-        if structs.is_empty() {
-            return None;
-        }
-        if self.pool.with_store(|s| s.struct_root_log_space()) == u64::MAX {
+        if structs.is_empty() || !self.has_root_log {
             return None;
         }
         let mut roots = self.pool.current_roots();

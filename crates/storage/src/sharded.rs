@@ -40,10 +40,9 @@
 
 use crate::buffer::{BufferStats, FrameCache, NoVersioning, PageBackend, PageMut, VersionSource};
 use crate::db::TxnId;
-use crate::error::StorageError;
 use crate::view::{MvccState, PageRead, StructId, StructRoot, ViewRegistry};
 use crate::{ReadGuard, ReadView, Result};
-use pdl_core::{ChangeRange, PageStore, ShardedStore};
+use pdl_core::{ChangeRange, CommitBatch, CoreError, PageStore, ShardedStore};
 use pdl_flash::{FlashStats, WearSummary};
 use pdl_obs::{LatencyClass, Recorder, RecorderSnapshot, TraceTrack};
 use std::collections::HashMap;
@@ -478,34 +477,34 @@ impl ShardedBufferPool {
         }
     }
 
-    /// Execute one commit batch: stage every transaction's pages per
-    /// shard behind a single flush, then land every commit record per
-    /// shard behind a single flush, then finalize (deferred obsolete
-    /// marks). The leader is unique, so at most one batch runs at a time.
+    /// Execute one commit batch: hand every member's pages to the store
+    /// as a single [`CommitBatch`] (per shard, all the differentials land
+    /// behind one flush and all the commit records behind another), then
+    /// publish. The leader is unique, so at most one batch runs at a time.
     fn commit_batch(&self, batch: &[TxnId], group: bool) -> Result<()> {
-        let n = self.stripes.len();
-        // Gather: stripe `s` caches exactly shard `s`'s pages. Frames
-        // stay owned (and the undo images stay) until the whole batch is
-        // durable, so a failed batch can roll every member back.
-        let mut per_shard: Vec<Vec<(u64, Vec<u8>, TxnId)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut involved: Vec<Vec<TxnId>> = (0..n).map(|_| Vec::new()).collect();
+        // Gather. Frames stay owned (and the undo images stay) until the
+        // whole batch is durable, so a failed batch can roll every member
+        // back. `members` are the transactions that dirtied anything.
+        let mut owned: Vec<(u64, Vec<u8>, TxnId)> = Vec::new();
+        let mut members: Vec<TxnId> = Vec::new();
         for &t in batch {
-            for s in 0..n {
-                let pages = self.lock_stripe_ref(&self.stripes[s]).collect_owned(t);
-                if pages.is_empty() {
-                    continue;
-                }
-                involved[s].push(t);
-                for (pid, data) in pages {
-                    debug_assert_eq!(self.store.shard_of(pid), s);
-                    per_shard[s].push((self.store.local_pid(pid), data, t));
-                }
+            let before = owned.len();
+            for s in &self.stripes {
+                let pages = self.lock_stripe_ref(s).collect_owned(t);
+                owned.extend(pages.into_iter().map(|(pid, data)| (pid, data, t)));
+            }
+            if owned.len() > before {
+                members.push(t);
             }
         }
+        let staged = CommitBatch {
+            pages: owned.iter().map(|(pid, data, t)| (*pid, data.as_slice(), *t)).collect(),
+            roots: None,
+        };
         // For latency attribution a "group" commit is one that actually
         // absorbed companions; a group-mode batch of one experiences solo
         // latency and is classed accordingly.
-        match self.commit_batch_stages(&per_shard, &involved, group && batch.len() > 1) {
+        match self.commit_batch_observed(&staged, &members, group && batch.len() > 1) {
             Ok(()) => {
                 // Publish phase: the whole batch shares one commit
                 // timestamp, and view registration is gated while the
@@ -546,12 +545,12 @@ impl ShardedBufferPool {
                 Ok(())
             }
             Err(e) => {
-                // The batch failed mid-protocol: restore every member's
-                // pre-images, dirty, so later write-backs supersede any
-                // tagged staging (or, if the records did land before a
-                // finalize error, deterministically rewrite the
-                // pre-images) — either way the caller sees the
-                // transaction as failed and the pool stays consistent.
+                // Rejected, or failed after the store opened it — in which
+                // case the store refuses every later batch with the same
+                // error. Either way restore every member's pre-images,
+                // dirty, so later write-backs supersede any tagged staging:
+                // the caller sees the transaction as failed and the pool
+                // stays consistent.
                 for &t in batch {
                     let _ = self.abort(t);
                 }
@@ -560,36 +559,13 @@ impl ShardedBufferPool {
         }
     }
 
-    /// One phase of the commit protocol as **submit-all / drain-all**:
-    /// the leader issues every involved shard's flush before waiting on
-    /// any of them, then drains each shard's command queue as the phase's
-    /// completion barrier. Shards are independent chips, so their
-    /// simulated flash time overlaps — the phase costs the *slowest*
-    /// shard, not the sum — and at queue depth 1 the drain is a no-op, so
-    /// the same code path is exercised (and regression-tested) serially.
-    fn fan_out(
+    /// [`ShardedStore::commit_batch_shared`], with the batch's flash cost
+    /// and (under `StoreOptions::obs`) its commit latency sampled around
+    /// the call.
+    fn commit_batch_observed(
         &self,
-        active: &dyn Fn(usize) -> bool,
-        phase: &dyn Fn(usize, &mut dyn PageStore) -> pdl_core::Result<()>,
-    ) -> Result<()> {
-        let n = self.stripes.len();
-        for s in 0..n {
-            if active(s) {
-                self.store.with_shard(s, |st| phase(s, st)).map_err(StorageError::from)?;
-            }
-        }
-        for s in 0..n {
-            if active(s) {
-                self.store.with_shard(s, |st| st.chip_mut().drain());
-            }
-        }
-        Ok(())
-    }
-
-    fn commit_batch_stages(
-        &self,
-        per_shard: &[Vec<(u64, Vec<u8>, TxnId)>],
-        involved: &[Vec<TxnId>],
+        batch: &CommitBatch<'_>,
+        members: &[TxnId],
         group: bool,
     ) -> Result<()> {
         let n = self.stripes.len();
@@ -606,28 +582,7 @@ impl ShardedBufferPool {
         } else {
             0
         };
-        // Phase 1: every shard's differentials become durable (tagged,
-        // not yet visible after a crash).
-        self.fan_out(&|s| !per_shard[s].is_empty(), &|s, st| {
-            let items = &per_shard[s];
-            st.txn_reserve(items.len() as u64)?;
-            for (local, data, t) in items {
-                st.txn_stage(*local, data, *t)?;
-            }
-            st.txn_flush_stage()
-        })?;
-        // Phase 2: commit records — each shard proves exactly the batch
-        // members that staged to it with one *epoch record* (codec v3)
-        // covering their txn-id ranges, behind a single flush. A batch of
-        // one degenerates to a plain commit record; multi-member batches
-        // stop littering compaction with per-txn tags.
-        self.fan_out(&|s| !involved[s].is_empty(), &|s, st| {
-            st.txn_append_commit_epoch(&involved[s])?;
-            st.txn_flush_stage()
-        })?;
-        // Phase 3: the superseded pre-images are garbage on every
-        // timeline now.
-        self.fan_out(&|s| !per_shard[s].is_empty(), &|_, st| st.txn_finalize())?;
+        self.store.commit_batch_shared(batch).map_err(CoreError::from)?;
         // Attribute the batch's flash cost: the per-shard sum is what a
         // serial fan-out would have stalled for; the slowest shard is
         // the overlapped leader's critical path.
@@ -637,17 +592,11 @@ impl ShardedBufferPool {
             .fetch_add(deltas.iter().copied().max().unwrap_or(0), Ordering::Relaxed);
         if obs_on {
             // The batch's simulated-time critical path: the slowest
-            // shard's flash-busy delta across both flush phases. Every
+            // shard's flash-busy delta across the whole call. Every
             // member transaction experienced it, so each lands one
             // histogram sample; the batch itself is one span.
             let sample =
                 (0..n).map(|s| busy_us(s).saturating_sub(obs_before[s])).max().unwrap_or(0);
-            let members: Vec<TxnId> = {
-                let mut m: Vec<TxnId> = involved.iter().flatten().copied().collect();
-                m.sort_unstable();
-                m.dedup();
-                m
-            };
             let (class, ctx) = if group {
                 (LatencyClass::CommitGroup, "group")
             } else {
@@ -664,7 +613,7 @@ impl ShardedBufferPool {
                 start_us: obs_t0,
                 dur_us: sample,
                 block: members.len() as u64,
-                id: members.first().copied().unwrap_or(0),
+                id: members.iter().copied().min().unwrap_or(0),
             });
         }
         Ok(())

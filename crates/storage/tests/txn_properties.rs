@@ -3,7 +3,9 @@
 //! the sharded pool, and all-or-nothing recovery of cross-shard
 //! commits.
 
-use pdl_core::{build_store, MethodKind, PageStore, ShardedStore, StoreOptions};
+use pdl_core::{
+    build_store, CommitBatch, CommitError, MethodKind, PageStore, ShardedStore, StoreOptions,
+};
 use pdl_flash::{FlashChip, FlashConfig};
 use pdl_storage::{Database, Durability, ShardedBufferPool, StorageError};
 
@@ -188,33 +190,48 @@ fn group_commit_is_atomic_per_transaction_across_shards() {
     }
 }
 
-#[test]
-fn torn_cross_shard_commit_is_discarded_on_every_shard() {
-    // Stage a transaction's differentials durably on two shards but never
-    // write its commit records (simulating a crash between the stage
-    // flush and the record flush): sharded recovery must roll the whole
-    // transaction back, on both shards.
-    let store =
+/// A two-shard store with eight flushed pages of 5s, and one cross-shard
+/// batch (pid 0 on shard 0, pid 1 on shard 1) committed while power fails
+/// on the chips of `armed` one program into the batch: the staged
+/// differential is flushed there, the commit record never lands. Returns
+/// the recovered store.
+fn torn_cross_shard_commit(txn: u64, armed: &[usize]) -> ShardedStore {
+    let mut store =
         ShardedStore::with_uniform_chips(FlashConfig::tiny(), 2, KIND, StoreOptions::new(8))
             .unwrap();
-    let mut store = store;
     let size = store.logical_page_size();
     for pid in 0..8u64 {
         store.write_page(pid, &vec![5u8; size]).unwrap();
     }
     store.flush().unwrap();
-    let txn = 99u64;
-    store.txn_reserve(2).unwrap();
     let mut a = vec![5u8; size];
     a[0] = 0xAA;
     let mut b = vec![5u8; size];
     b[0] = 0xBB;
-    store.txn_stage(0, &a, txn).unwrap(); // shard 0
-    store.txn_stage(1, &b, txn).unwrap(); // shard 1
-    store.txn_flush_stage().unwrap();
-    // Crash here: no commit record anywhere.
-    let chips = store.into_shard_chips();
-    let mut back = ShardedStore::recover(chips, KIND, StoreOptions::new(8)).unwrap();
+    for &s in armed {
+        store.with_shard(s, |st| st.chip_mut().arm_fault(1));
+    }
+    let before = store.per_shard_stats();
+    let batch = CommitBatch { pages: vec![(0, &a, txn), (1, &b, txn)], roots: None };
+    let err = store.commit_batch(&batch).unwrap_err();
+    assert!(matches!(err, CommitError::Failed(_)), "{err}");
+    for (s, now) in store.per_shard_stats().iter().enumerate() {
+        // Stage flush everywhere; the record flush only where power held.
+        let programs = now.delta_since(&before[s]).total().writes;
+        assert_eq!(programs, if armed.contains(&s) { 1 } else { 2 }, "shard {s}");
+    }
+    let mut chips = store.into_shard_chips();
+    chips.iter_mut().for_each(FlashChip::disarm_fault);
+    ShardedStore::recover(chips, KIND, StoreOptions::new(8)).unwrap()
+}
+
+#[test]
+fn torn_cross_shard_commit_is_discarded_on_every_shard() {
+    // The differentials are durable on both shards, no commit record is
+    // (a crash between the stage flush and the record flush): sharded
+    // recovery must roll the whole transaction back, on both shards.
+    let mut back = torn_cross_shard_commit(99, &[0, 1]);
+    let size = back.logical_page_size();
     let mut out = vec![0u8; size];
     for pid in [0u64, 1] {
         back.read_page(pid, &mut out).unwrap();
@@ -227,32 +244,8 @@ fn half_recorded_cross_shard_commit_is_discarded_globally() {
     // The record lands on shard 0 but the crash hits before shard 1's
     // record: the union verdict must discard the transaction on *both*
     // shards, even the one whose record made it.
-    let mut store =
-        ShardedStore::with_uniform_chips(FlashConfig::tiny(), 2, KIND, StoreOptions::new(8))
-            .unwrap();
-    let size = store.logical_page_size();
-    for pid in 0..8u64 {
-        store.write_page(pid, &vec![5u8; size]).unwrap();
-    }
-    store.flush().unwrap();
-    let txn = 77u64;
-    store.txn_reserve(2).unwrap();
-    let mut a = vec![5u8; size];
-    a[0] = 0xAA;
-    let mut b = vec![5u8; size];
-    b[0] = 0xBB;
-    store.txn_stage(0, &a, txn).unwrap(); // shard 0
-    store.txn_stage(1, &b, txn).unwrap(); // shard 1
-    store.txn_flush_stage().unwrap();
-    // Only shard 0 gets the record (simulated partial record phase).
-    store
-        .with_shard(0, |st| -> pdl_core::Result<()> {
-            st.txn_append_commit(txn)?;
-            st.txn_flush_stage()
-        })
-        .unwrap();
-    let chips = store.into_shard_chips();
-    let mut back = ShardedStore::recover(chips, KIND, StoreOptions::new(8)).unwrap();
+    let mut back = torn_cross_shard_commit(77, &[1]);
+    let size = back.logical_page_size();
     let mut out = vec![0u8; size];
     for pid in [0u64, 1] {
         back.read_page(pid, &mut out).unwrap();
@@ -390,15 +383,54 @@ fn aborted_raw_allocations_are_stranded_but_counted() {
     assert_eq!(d.buffer_stats().leaked_pids, 2);
 }
 
+/// Crash: the pool and every in-memory table are gone, the chips come
+/// back through recovery.
+fn crash_and_recover(d: Database, pages: u64) -> Box<dyn PageStore> {
+    let mut chips = d.into_store_without_flush().into_chips();
+    chips.iter_mut().for_each(FlashChip::disarm_fault);
+    if chips.len() == 1 {
+        pdl_core::recover_store(chips.pop().unwrap(), KIND, StoreOptions::new(pages)).unwrap()
+    } else {
+        Box::new(ShardedStore::recover(chips, KIND, StoreOptions::new(pages)).unwrap())
+    }
+}
+
 #[test]
 fn a_failed_durable_commit_is_an_abort_or_a_stop() {
-    // Power fails at every flash operation of one durable commit. If the
-    // database lets the caller carry on, it rolled the transaction back
-    // and freed its pids — so recovery must agree the transaction never
-    // happened. A failure at or after the commit point (the record
-    // flushed, a deferred obsolete mark hit the fault) leaves that to
-    // recovery: the database stops, and says why from then on.
-    let (mut aborted, mut stopped) = (0, 0);
+    // An abort: the store *rejects* the batch before staging any of it —
+    // here 40 pages on a chip that cannot reserve room for them. The
+    // caller carries on, the transaction's pids are free again, and
+    // recovery agrees it never happened.
+    let d = db(64, 48);
+    for _ in 0..63 {
+        let pid = d.alloc_page().unwrap();
+        d.with_page_mut(pid, |p| p.write(0, &[0x11; 8])).unwrap();
+    }
+    d.flush().unwrap();
+    d.begin().unwrap();
+    for pid in 0..40 {
+        d.with_page_mut(pid, |p| p.write(4, b"txn-b")).unwrap();
+    }
+    let grown = d.alloc_page_structured().unwrap();
+    let rejected = d.commit().unwrap_err();
+    assert_eq!(rejected, StorageError::Store(pdl_core::CoreError::StorageFull));
+    assert_eq!(d.current_txn(), None, "the failed commit closed its transaction");
+    d.begin().unwrap();
+    assert_eq!(d.alloc_page_structured().unwrap(), grown, "an abort frees its pids");
+    d.with_page_mut(40, |p| p.write(4, b"txn-c")).unwrap();
+    d.commit().unwrap();
+    let mut back = crash_and_recover(d, 64);
+    let mut out = vec![0u8; back.logical_page_size()];
+    for pid in 0..=40 {
+        back.read_page(pid, &mut out).unwrap();
+        let want: &[u8] = if pid == 40 { b"txn-c" } else { &[0x11, 0x11, 0x11, 0x11, 0] };
+        assert_eq!(&out[4..9], want, "pid {pid}");
+    }
+
+    // A stop: power fails at every flash operation of one durable commit.
+    // The batch was opened, so whether it committed is recovery's call (a
+    // fault in a deferred obsolete mark comes after the commit point): the
+    // database stops, and says why from then on.
     for budget in 0.. {
         let d = db(16, 8);
         for _ in 0..4 {
@@ -411,37 +443,176 @@ fn a_failed_durable_commit_is_an_abort_or_a_stop() {
         // page is obsoleted by a deferred mark), page 2 by a few bytes.
         d.with_page_mut(0, |p| p.fill(0, 200, 0xAA)).unwrap();
         d.with_page_mut(2, |p| p.write(4, b"txn-b")).unwrap();
-        let grown = d.alloc_page_structured().unwrap();
         d.with_store(|s| s.chip_mut().arm_fault(budget));
         let result = d.commit();
         d.with_store(|s| s.chip_mut().disarm_fault());
         let Err(e) = result else {
-            assert!(
-                aborted > 0 && stopped > 0,
-                "{aborted} aborts, {stopped} stops before {budget}"
-            );
+            assert!(budget > 0, "the commit programmed nothing");
             break;
         };
-        assert_eq!(
-            d.current_txn(),
-            None,
-            "budget {budget}: the failed commit closed its transaction"
-        );
-        let carries_on = d.begin().is_ok();
-        if carries_on {
-            aborted += 1;
-            assert_eq!(d.alloc_page_structured().unwrap(), grown, "an abort frees its pids");
-        } else {
-            stopped += 1;
-            assert_eq!(d.begin().unwrap_err(), e, "a stopped database reports what stopped it");
-        }
-        let chip = d.into_store_without_flush().into_chip();
-        let mut back = pdl_core::recover_store(chip, KIND, StoreOptions::new(16)).unwrap();
-        let mut out = vec![0u8; back.logical_page_size()];
+        assert_eq!(d.current_txn(), None, "budget {budget}: the failed commit closed its txn");
+        assert_eq!(d.begin().unwrap_err(), e, "a stopped database reports what stopped it");
+        let mut back = crash_and_recover(d, 16);
         back.read_page(0, &mut out).unwrap();
         let committed = out[8] == 0xAA;
-        assert!(!(carries_on && committed), "budget {budget}: rolled back, recovered committed");
         back.read_page(2, &mut out).unwrap();
         assert_eq!(&out[4..9] == b"txn-b", committed, "budget {budget}: torn commit");
+    }
+}
+
+// ----------------------------------------------------------------------
+// A commit after a failed commit. Four pages hold 0x11 in their first
+// eight bytes, flushed. Transaction 1 rewrites 200 bytes of pages 0 and 1
+// (both Case 3: their old base pages die by deferred obsolete marks),
+// touches page 2, and its commit fails somewhere. Transaction 2 then
+// writes page 3. A store that forgets the failed batch is still open
+// programs *its* deferred marks when transaction 2 commits — destroying
+// pre-images whose only successors are tagged pages recovery discards.
+// ----------------------------------------------------------------------
+
+fn page_with(edits: &[(usize, &[u8])]) -> Vec<u8> {
+    let mut page = vec![0u8; 256];
+    page[0..8].fill(0x11);
+    for (at, bytes) in edits {
+        page[*at..*at + bytes.len()].copy_from_slice(bytes);
+    }
+    page
+}
+
+/// Pages 0..=3 after transaction 1 (and after transaction 2, for page 3).
+fn after_images() -> [Vec<u8>; 4] {
+    [
+        page_with(&[(0, &[0xAA; 200])]),
+        page_with(&[(0, &[0xBB; 200])]),
+        page_with(&[(4, b"txn-b")]),
+        page_with(&[(0, b"txn-2")]),
+    ]
+}
+
+/// What recovery may show: transaction 1 whole or not at all — not at all
+/// if the caller was told to carry on — and transaction 2 iff it
+/// returned `Ok`.
+fn check_two_commit_recovery(back: &mut dyn PageStore, carried_on: bool, second: bool, what: &str) {
+    let (before, after) = (page_with(&[]), after_images());
+    let mut now = vec![vec![0u8; 256]; 4];
+    for (pid, out) in now.iter_mut().enumerate() {
+        back.read_page(pid as u64, out).unwrap();
+    }
+    let first_landed = now[0] == after[0];
+    assert!(!(carried_on && first_landed), "{what}: rolled back, recovered committed");
+    for pid in 0..3 {
+        let want = if first_landed { &after[pid] } else { &before };
+        assert_eq!(&now[pid], want, "{what}: page {pid} (txn 1 landed: {first_landed})");
+    }
+    assert_eq!(&now[3], if second { &after[3] } else { &before }, "{what}: page 3");
+}
+
+/// Transaction 1's commit just failed with `e` on `d`: carry on if the
+/// database lets us, crash, recover, check. Returns whether it stopped.
+fn after_a_failed_commit(d: Database, e: StorageError, what: &str) -> bool {
+    assert_eq!(d.current_txn(), None, "{what}: the failed commit closed its transaction");
+    let (carried_on, second) = match d.begin() {
+        Ok(_) => {
+            d.with_page_mut(3, |p| p.write(0, b"txn-2")).unwrap();
+            (true, d.commit().is_ok())
+        }
+        Err(again) => {
+            assert_eq!(again, e, "{what}: a stopped database reports what stopped it");
+            (false, false)
+        }
+    };
+    let mut back = crash_and_recover(d, 16);
+    check_two_commit_recovery(back.as_mut(), carried_on, second, what);
+    !carried_on
+}
+
+fn first_transaction(d: &Database) {
+    d.begin().unwrap();
+    d.with_page_mut(0, |p| p.fill(0, 200, 0xAA)).unwrap();
+    d.with_page_mut(1, |p| p.fill(0, 200, 0xBB)).unwrap();
+    d.with_page_mut(2, |p| p.write(4, b"txn-b")).unwrap();
+    d.alloc_page_structured().unwrap();
+}
+
+#[test]
+fn a_commit_after_a_failed_commit_never_loses_a_preimage() {
+    // One chip: power fails `budget` flash operations into the first
+    // commit and is back for the second.
+    let mut stops = 0;
+    for budget in 0.. {
+        let d = db(16, 8);
+        for _ in 0..4 {
+            let pid = d.alloc_page().unwrap();
+            d.with_page_mut(pid, |p| p.write(0, &[0x11; 8])).unwrap();
+        }
+        d.flush().unwrap();
+        first_transaction(&d);
+        d.with_store(|s| s.chip_mut().arm_fault(budget));
+        let result = d.commit();
+        d.with_store(|s| s.chip_mut().disarm_fault());
+        let Err(e) = result else { break };
+        stops += after_a_failed_commit(d, e, &format!("one chip, budget {budget}")) as u32;
+    }
+    assert!(stops > 0, "the sweep never hit the commit");
+
+    // Two shards (pages 0 and 2 on shard 0, 1 and 3 on shard 1): one
+    // flash operation fails on one chip. The chips are out of reach once
+    // the database owns the store, so the fault is armed before, one-shot.
+    for armed in 0..2 {
+        for budget in 0.. {
+            let mut store = ShardedStore::with_uniform_chips(
+                FlashConfig::tiny(),
+                2,
+                KIND,
+                StoreOptions::new(16),
+            )
+            .unwrap();
+            for pid in 0..4 {
+                store.write_page(pid, &page_with(&[])).unwrap();
+            }
+            store.flush().unwrap();
+            store.with_shard(armed, |st| st.chip_mut().arm_fault_once(budget));
+            let d = Database::new_with_allocated(Box::new(store), 8, 4)
+                .with_durability(Durability::Commit);
+            first_transaction(&d);
+            let Err(e) = d.commit() else { break };
+            after_a_failed_commit(d, e, &format!("two shards, chip {armed}, budget {budget}"));
+        }
+    }
+}
+
+#[test]
+fn a_pool_batch_after_a_failed_batch_gets_the_stored_error() {
+    // The same two batches through the sharded pool's group-commit path,
+    // with power failing on both chips or on one of them only. The pool
+    // keeps going after a failed batch (it aborts the members), so it is
+    // the store that must refuse the next one.
+    for armed in [&[0usize, 1][..], &[0], &[1]] {
+        for budget in 0.. {
+            let what = format!("chips {armed:?}, budget {budget}");
+            let p = sharded_pool(2, 16, 8);
+            for pid in 0..4u64 {
+                p.with_page_mut(pid, |page| page.write(0, &[0x11; 8])).unwrap();
+            }
+            p.flush_all().unwrap();
+            let t1 = p.begin();
+            p.with_page_mut_txn(0, t1, |page| page.fill(0, 200, 0xAA)).unwrap();
+            p.with_page_mut_txn(1, t1, |page| page.fill(0, 200, 0xBB)).unwrap();
+            p.with_page_mut_txn(2, t1, |page| page.write(4, b"txn-b")).unwrap();
+            for &s in armed {
+                p.store().with_shard(s, |st| st.chip_mut().arm_fault(budget));
+            }
+            let result = p.commit(t1);
+            for s in 0..2 {
+                p.store().with_shard(s, |st| st.chip_mut().disarm_fault());
+            }
+            let Err(e) = result else { break };
+            let t2 = p.begin();
+            p.with_page_mut_txn(3, t2, |page| page.write(0, b"txn-2")).unwrap();
+            assert_eq!(p.commit(t2).unwrap_err(), e, "{what}: the store must refuse the batch");
+            let chips = p.into_store_without_flush().into_shard_chips();
+            let mut back = ShardedStore::recover(chips, KIND, StoreOptions::new(16)).unwrap();
+            check_two_commit_recovery(&mut back, false, false, &what);
+        }
     }
 }
