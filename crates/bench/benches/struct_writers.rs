@@ -16,6 +16,9 @@
 //! * zero ordering violations in the post-quiesce oracle scans;
 //! * zero torn snapshots observed by the concurrent reader;
 //! * `leaked_pids` and `active_views` both 0 after every run;
+//! * commit proofs were carried forward and released record pages
+//!   (`proof_pages_released > 0`; the second table shows what the live
+//!   differential pages still hold);
 //! * a crash after the run recovers every tree from the checkpointed
 //!   structure-root log alone (`recover_structures`, no `attach`).
 //!
@@ -117,6 +120,11 @@ fn main() {
             "speedup",
         ],
     );
+    let mut space = Table::new(
+        "live differential pages by valid count, and the proofs carried out of them",
+        &["shards", "vdct 1", "vdct 2-4", "vdct 5+", "proofs carried", "proof pages released"],
+    );
+    let mut proof_pages_released = 0u64;
     let mut reg = obs::bench_registry("struct_writers", scale.label());
     reg.set_u64("pages", PAGES);
     reg.set_u64("total_inserts", total);
@@ -160,10 +168,16 @@ fn main() {
         reg.set_f64(&format!("{pre}.bound_ops_per_s"), r.bound_ops_per_s());
         obs::put_buffer_stats(&mut reg, &format!("{pre}.buffer"), &r.buffer);
         obs::put_recorder_snapshot(&mut reg, &pre, &pool_snap);
+        let counters = obs::put_space_counters(&mut reg, &pre, &db.with_store(|s| s.counters()));
+        proof_pages_released += counters[4];
+        let mut row = vec![shards.to_string()];
+        row.extend(counters.iter().map(u64::to_string));
+        space.row(row);
 
         recovery_smoke(db, writers, total / writers as u64);
     }
     println!("{}", table.render());
+    println!("{}", space.render());
 
     let doc = reg.to_json();
     let parsed = json::parse(&doc).expect("registry emits valid JSON");
@@ -173,6 +187,10 @@ fn main() {
     println!(
         "4 shards / 4 writers: {ratio_at_4:.2}x the single-shard bound \
          (acceptance bar: >= 2x)"
+    );
+    assert!(
+        proof_pages_released > 0,
+        "durable commits must carry proofs forward and release their old record pages"
     );
     assert!(
         ratio_at_4 >= 2.0,

@@ -31,7 +31,7 @@
 //! Run with `cargo bench -p pdl-bench --bench txn_commit`; set
 //! `PDL_SCALE=quick|default|paper` to choose the transaction count.
 
-use pdl_core::{MethodKind, ShardedStore, StoreOptions};
+use pdl_core::{MethodKind, PageStore, ShardedStore, StoreOptions};
 use pdl_flash::FlashConfig;
 use pdl_obs::{json, LatencyClass, RecorderSnapshot};
 use pdl_storage::ShardedBufferPool;
@@ -65,7 +65,13 @@ fn build_pool() -> ShardedBufferPool {
     pool
 }
 
-fn run(scale: Scale, writers: usize, group: bool) -> (TxnCommitResult, RecorderSnapshot) {
+type StoreCounters = Vec<(&'static str, u64)>;
+
+fn run(
+    scale: Scale,
+    writers: usize,
+    group: bool,
+) -> (TxnCommitResult, RecorderSnapshot, StoreCounters) {
     let pool = build_pool();
     let cfg = TxnCommitConfig::new(writers, txns_per_writer(scale, writers))
         .with_pages_per_txn(2)
@@ -73,7 +79,8 @@ fn run(scale: Scale, writers: usize, group: bool) -> (TxnCommitResult, RecorderS
     let r = run_txn_commit_workload(&pool, &cfg).expect("workload");
     assert_eq!(r.buffer.leaked_pids, 0, "run stranded pids");
     assert_eq!(r.buffer.active_views, 0, "run leaked read views");
-    (r, pool.obs_pool_snapshot())
+    let counters = pool.store().counters();
+    (r, pool.obs_pool_snapshot(), counters)
 }
 
 /// Commit-latency distribution of one run: every committed transaction
@@ -108,20 +115,33 @@ fn main() {
             "speedup",
         ],
     );
+    let mut space = Table::new(
+        "live differential pages by valid count, and the proofs carried out of them",
+        &[
+            "writers",
+            "discipline",
+            "vdct 1",
+            "vdct 2-4",
+            "vdct 5+",
+            "proofs carried",
+            "proof pages released",
+        ],
+    );
     let mut reg = obs::bench_registry("txn_commit", scale.label());
     reg.set_u64("shards", SHARDS as u64);
     reg.set_u64("pages", PAGES);
     let mut ratio_at_16 = 0.0f64;
     for writers in [1usize, 4, 16] {
-        let (solo, solo_snap) = run(scale, writers, false);
-        let (group, group_snap) = run(scale, writers, true);
+        let (solo, solo_snap, solo_counters) = run(scale, writers, false);
+        let (group, group_snap, group_counters) = run(scale, writers, true);
         let ratio = group.bound_tps() / solo.bound_tps().max(f64::MIN_POSITIVE);
         if writers == 16 {
             ratio_at_16 = ratio;
         }
-        for (label, r, snap, speedup) in
-            [("solo", &solo, &solo_snap, 1.0), ("group", &group, &group_snap, ratio)]
-        {
+        for (label, r, snap, counters, speedup) in [
+            ("solo", &solo, &solo_snap, &solo_counters, 1.0),
+            ("group", &group, &group_snap, &group_counters, ratio),
+        ] {
             let commits = commit_hist(snap);
             assert_eq!(
                 commits.count(),
@@ -149,9 +169,15 @@ fn main() {
             // classes the batches actually hit) plus the merged view.
             obs::put_recorder_snapshot(&mut reg, &pre, snap);
             reg.set_hist(&format!("{pre}.commit.all"), &commits);
+            let mut row = vec![writers.to_string(), label.to_string()];
+            row.extend(
+                obs::put_space_counters(&mut reg, &pre, counters).iter().map(u64::to_string),
+            );
+            space.row(row);
         }
     }
     println!("{}", table.render());
+    println!("{}", space.render());
 
     let doc = reg.to_json();
     let parsed = json::parse(&doc).expect("registry emits valid JSON");

@@ -129,11 +129,16 @@ impl EpochRecord {
     pub fn from_ids(ts: u64, ids: &[u64]) -> EpochRecord {
         let mut sorted: Vec<u64> = ids.to_vec();
         sorted.sort_unstable();
-        sorted.dedup();
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        for id in sorted {
+        EpochRecord::from_sorted_ids(ts, &sorted)
+    }
+
+    /// [`EpochRecord::from_ids`] for ids already in ascending order.
+    pub fn from_sorted_ids(ts: u64, sorted: &[u64]) -> EpochRecord {
+        debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "ids must be sorted");
+        let mut ranges: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
+        for &id in sorted {
             match ranges.last_mut() {
-                Some((_, hi)) if *hi + 1 == id => *hi = id,
+                Some((_, hi)) if *hi == id || *hi + 1 == id => *hi = id,
                 _ => ranges.push((id, id)),
             }
         }

@@ -54,7 +54,7 @@
 //! future-work extension) can reuse it for its delta scan.
 
 use super::dwb::DiffWriteBuffer;
-use super::{Pdl, PdlCounters, PpmtEntry, NONE};
+use super::{Pdl, PdlCounters, PpmtEntry, TxnMap, NONE};
 use crate::diff::{Differential, PageRecord, NO_TXN};
 use crate::error::CoreError;
 use crate::ftl::BlockManager;
@@ -288,7 +288,7 @@ pub(crate) struct RecoveryTables {
     /// Live commit-record location per transaction. Pre-populated (and
     /// already counted in `vdct`) by the checkpoint fast path; the full
     /// scan fills it in [`RecoveryTables::finish`].
-    pub commit_locs: HashMap<u64, u32>,
+    pub commit_locs: TxnMap<u32>,
     /// Commit-record copies discovered by the scan, per transaction.
     pub commit_cands: HashMap<u64, Vec<u32>>,
     /// Pages holding at least one commit record (their obsoletion is
@@ -337,7 +337,7 @@ impl RecoveryTables {
             uncommitted,
             diff_txn: vec![NO_TXN; nl],
             base_txn: vec![NO_TXN; nl * k],
-            commit_locs: HashMap::new(),
+            commit_locs: TxnMap::default(),
             commit_cands: HashMap::new(),
             has_record: HashSet::new(),
             pending_dead: Vec::new(),
@@ -554,8 +554,8 @@ impl RecoveryTables {
     /// table) for every transaction still referenced, and set the
     /// remaining record-only pages obsolete. Returns the presence gauge
     /// the running store resumes with.
-    pub fn finish(&mut self, chip: &mut FlashChip) -> Result<HashMap<u64, u32>> {
-        let mut presence: HashMap<u64, u32> = HashMap::new();
+    pub fn finish(&mut self, chip: &mut FlashChip) -> Result<TxnMap<u32>> {
+        let mut presence: TxnMap<u32> = TxnMap::default();
         for (pid, t) in self.diff_txn.iter().enumerate() {
             if *t != NO_TXN && self.ppmt[pid].diff != NONE {
                 *presence.entry(*t).or_insert(0) += 1;
@@ -577,12 +577,18 @@ impl RecoveryTables {
         // One live record copy per referenced transaction (the lowest
         // surviving physical page, deterministically, so repeated
         // recoveries agree). The checkpoint fast path pre-counts loaded
-        // locations; only newly needed ones add to vdct here.
+        // locations, but a copy the delta scan found postdates the
+        // checkpoint — the proof was carried forward or compacted since —
+        // and the loaded location may by now be marked obsolete inside a
+        // block whose fingerprint never changed: the scanned copy takes
+        // over and the loaded reference is released below.
+        let mut stale: Vec<u32> = Vec::new();
         for t in presence.keys() {
-            if self.commit_locs.contains_key(t) {
-                continue;
-            }
+            let loaded = self.commit_locs.get(t).copied();
             let Some(cands) = self.commit_cands.get(t) else {
+                if loaded.is_some() {
+                    continue;
+                }
                 // Only committed transactions' tags survive the scan, so
                 // a record existed and is gone: serving the page would
                 // absorb a lost commit proof.
@@ -593,6 +599,21 @@ impl RecoveryTables {
             let loc = *cands.iter().min().expect("candidate list is never empty");
             self.vdct[loc as usize] += 1;
             self.commit_locs.insert(*t, loc);
+            stale.extend(loaded);
+        }
+        // Loaded proofs nothing references any more (every tag was
+        // superseded after the checkpoint) go the same way, so no table
+        // entry outlives a page the flash already calls obsolete.
+        self.commit_locs.retain(|t, loc| {
+            let referenced = presence.contains_key(t);
+            if !referenced {
+                stale.push(*loc);
+            }
+            referenced
+        });
+        stale.sort_unstable();
+        for loc in stale {
+            self.decrease_vdct(chip, loc)?;
         }
         // Single-page failures: a corrupt differential page with creation
         // time stamp T may have held the newest differential of *any*
@@ -742,7 +763,10 @@ impl Pdl {
                 alloc.retire_block(BlockId(b));
             }
         }
-        let committed = tables.commit_locs.keys().copied().collect();
+        // The carry queue, oldest transaction first: ids rise with age
+        // and the order must not depend on the map's.
+        let mut proof_fifo: Vec<u64> = tables.commit_locs.keys().copied().collect();
+        proof_fifo.sort_unstable();
         let (ckpt_seq, ckpt_live_half, struct_roots, live_root_txn, root_tail, root_tail_end) =
             match &root_state {
                 Some(rs) => {
@@ -771,8 +795,10 @@ impl Pdl {
             diff_txn: tables.diff_txn,
             base_txn: tables.base_txn,
             presence,
-            committed,
             commit_locs: tables.commit_locs,
+            proof_fifo: proof_fifo.into(),
+            #[cfg(test)]
+            carry_disabled: false,
             deferred: Vec::new(),
             batch_pins: HashSet::new(),
             in_txn_batch: false,

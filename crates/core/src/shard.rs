@@ -477,6 +477,18 @@ impl ShardedStore {
         (0..self.shards.len()).map(|s| self.lock_shard(s).pipeline_busy_us()).collect()
     }
 
+    /// [`Pdl::check_tables`] on every PDL shard (tests call this between
+    /// operations).
+    #[doc(hidden)]
+    pub fn check_tables(&self) -> std::result::Result<(), String> {
+        for s in 0..self.shards.len() {
+            if let Shard::Pdl(p) = &*self.lock_shard(s) {
+                p.check_tables().map_err(|e| format!("shard {s}: {e}"))?;
+            }
+        }
+        Ok(())
+    }
+
     /// Tear down and return every shard's chip, shard order.
     pub fn into_shard_chips(self) -> Vec<FlashChip> {
         self.shards

@@ -11,15 +11,18 @@
 //!   GC policies that change data placement (hot/cold runs two active
 //!   blocks during migration);
 //! * a property test over arbitrary checkpoint placement (checkpoints
-//!   must never change recovery semantics).
+//!   must never change recovery semantics);
+//! * the same exhaustive sweep over a commit-per-update workload whose
+//!   commit proofs are carried forward for generations — on one chip, on
+//!   two shards, and across a checkpoint.
 //!
 //! After recovery, every page must read back as a state the workload
 //! could legally have produced (the flushed state, or a committed
 //! post-flush update), and a second crash+recovery must agree.
 
 use pdl_core::{
-    build_store, is_power_loss, recover_store, CommitBatch, GcPolicy, MethodKind, PageStore,
-    StoreOptions,
+    build_store, is_power_loss, recover_store, CommitBatch, GcPolicy, MethodKind, PageStore, Pdl,
+    ShardedStore, StoreOptions,
 };
 use pdl_flash::{FlashChip, FlashConfig};
 use proptest::prelude::*;
@@ -481,6 +484,205 @@ fn exhaustive_crash_sweep_epoch_commits() {
             );
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// pdl-txn: proof carry-forward crash points
+// ----------------------------------------------------------------------
+
+/// How the carry sweep drives one PDL engine.
+struct CarryRig<S> {
+    opts: StoreOptions,
+    build: fn(StoreOptions) -> S,
+    chips: usize,
+    /// Arm chip `c`'s power failure after `budget` destructive ops.
+    arm: fn(&mut S, usize, u64),
+    /// Destructive operations (programs, marks, erases) per chip so far.
+    destructive: fn(&S) -> Vec<u64>,
+    /// Power off, disarm, recover.
+    reboot: fn(S, StoreOptions) -> S,
+    check: fn(&S) -> Result<(), String>,
+    /// Take a checkpoint before this transaction (index into the script).
+    checkpoint_before: Option<usize>,
+}
+
+const CARRY_PAGES: u64 = 12;
+
+/// A commit-per-update script: every transaction rewrites one page whole
+/// (Case 3 — its tag sits on a base page and lives until that page is
+/// rewritten again, so proofs live long) and every other one also patches
+/// a page of the other parity (a tagged differential, and a second shard
+/// when there are two).
+fn carry_script(count: usize) -> Vec<Vec<(u64, u8, bool)>> {
+    let mut x = 0x0CA2_21E5u64;
+    (0..count)
+        .map(|i| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let pid = (x >> 33) % CARRY_PAGES;
+            let mut pages = vec![(pid, (x >> 17) as u8, true)];
+            if i % 2 == 1 {
+                pages.push(((pid + 1 + 2 * ((x >> 40) % 3)) % CARRY_PAGES, (x >> 9) as u8, false));
+            }
+            pages
+        })
+        .collect()
+}
+
+/// Power fails at every destructive-op index of every chip while commit
+/// proofs are being carried forward; each time the recovered state must
+/// be a committed prefix of the script (a lost proof would surface as
+/// recovery's "live tag without a commit record"), the recovered tables
+/// must be consistent, and a second recovery must change nothing.
+fn carry_sweep<S: PageStore>(rig: CarryRig<S>) {
+    let txns = carry_script(26);
+    let load = |store: &mut S| -> Vec<Vec<u8>> {
+        let size = store.logical_page_size();
+        let initial: Vec<Vec<u8>> = (0..CARRY_PAGES).map(|p| vec![p as u8; size]).collect();
+        for pid in 0..CARRY_PAGES {
+            store.write_page(pid, &initial[pid as usize]).unwrap();
+        }
+        store.flush().unwrap();
+        initial
+    };
+    let mut store = (rig.build)(rig.opts);
+    let mut states: Vec<Vec<Vec<u8>>> = vec![load(&mut store)];
+    for txn_pages in &txns {
+        let mut next = states.last().unwrap().clone();
+        for (pid, fill, whole) in txn_pages {
+            apply_op(&mut next[*pid as usize], *fill, *whole);
+        }
+        states.push(next);
+    }
+    // The script up to the first power loss (`Ok(())`: it ran through).
+    let run = |store: &mut S| -> pdl_core::Result<()> {
+        for (k, txn_pages) in txns.iter().enumerate() {
+            if rig.checkpoint_before == Some(k) {
+                store.checkpoint()?;
+            }
+            let txn = k as u64 + 1;
+            let pages =
+                txn_pages.iter().map(|(pid, _, _)| (*pid, &states[k + 1][*pid as usize][..], txn));
+            store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None })?;
+        }
+        Ok(())
+    };
+
+    // Dry run: count each chip's destructive operations, and prove the
+    // script garbage-collects and carries proofs for generations.
+    let before = (rig.destructive)(&store);
+    run(&mut store).unwrap();
+    (rig.check)(&store).unwrap();
+    let destructive: Vec<u64> =
+        (rig.destructive)(&store).iter().zip(&before).map(|(a, b)| a - b).collect();
+    let counter =
+        |name: &str| store.counters().iter().find(|(k, _)| *k == name).map(|(_, v)| *v).unwrap();
+    assert!(counter("gc_runs") > 0, "the carry workload must garbage-collect");
+    assert!(
+        counter("proofs_carried") >= 3 * counter("txn_commits"),
+        "proofs must be carried for at least three generations ({} carried, {} commits)",
+        counter("proofs_carried"),
+        counter("txn_commits")
+    );
+    assert!(counter("proof_pages_released") >= 3);
+
+    let read_all = |store: &mut S| -> Vec<Vec<u8>> {
+        let mut out = vec![0u8; store.logical_page_size()];
+        (0..CARRY_PAGES)
+            .map(|pid| {
+                store.read_page(pid, &mut out).unwrap();
+                out.clone()
+            })
+            .collect()
+    };
+    for chip in 0..rig.chips {
+        for budget in 0..=destructive[chip] {
+            let at = format!("chip {chip} budget {budget}");
+            let mut store = (rig.build)(rig.opts);
+            load(&mut store);
+            (rig.arm)(&mut store, chip, budget);
+            if let Err(e) = run(&mut store) {
+                assert!(is_power_loss(&e), "{at}: unexpected error: {e}");
+            }
+            let mut r = (rig.reboot)(store, rig.opts);
+            (rig.check)(&r).unwrap_or_else(|e| panic!("{at}: {e}"));
+            let pages_now = read_all(&mut r);
+            assert!(
+                states.contains(&pages_now),
+                "{at}: recovered state matches no committed prefix — a torn transaction"
+            );
+            let mut r2 = (rig.reboot)(r, rig.opts);
+            (rig.check)(&r2).unwrap_or_else(|e| panic!("{at}, second recovery: {e}"));
+            assert_eq!(read_all(&mut r2), pages_now, "{at}: second recovery diverged");
+        }
+    }
+}
+
+/// `reserve_blocks`: large enough that the script garbage-collects
+/// inside its commit batches.
+fn carry_opts(reserve_blocks: u32) -> StoreOptions {
+    let mut opts = StoreOptions::new(CARRY_PAGES);
+    opts.reserve_blocks = reserve_blocks;
+    opts
+}
+
+fn one_chip_rig(opts: StoreOptions) -> CarryRig<Pdl> {
+    CarryRig {
+        opts,
+        build: |opts| Pdl::new(FlashChip::new(FlashConfig::tiny()), opts, 64).unwrap(),
+        chips: 1,
+        arm: |store, _, budget| store.chip_mut().arm_fault(budget),
+        destructive: |store| {
+            let total = store.stats().total();
+            vec![total.writes + total.erases]
+        },
+        reboot: |store, opts| {
+            let mut chip = Box::new(store).into_chip();
+            chip.disarm_fault();
+            Pdl::recover(chip, opts, 64).unwrap()
+        },
+        check: Pdl::check_tables,
+        checkpoint_before: None,
+    }
+}
+
+#[test]
+fn exhaustive_crash_sweep_proof_carry() {
+    carry_sweep(one_chip_rig(carry_opts(10)));
+}
+
+/// Across a checkpoint: the proofs it records are carried forward
+/// afterwards, so the delta scan meets checkpointed locations that are
+/// already obsolete inside blocks whose fingerprints never changed.
+#[test]
+fn exhaustive_crash_sweep_proof_carry_across_a_checkpoint() {
+    let rig = one_chip_rig(carry_opts(10).with_checkpoint_blocks(2));
+    carry_sweep(CarryRig { checkpoint_before: Some(9), ..rig });
+}
+
+/// Two shards through `ShardedStore::commit_batch_shared`, power failing
+/// on either chip.
+#[test]
+fn exhaustive_crash_sweep_proof_carry_two_shards() {
+    const KIND: MethodKind = MethodKind::Pdl { max_diff_size: 64 };
+    carry_sweep(CarryRig {
+        // Each chip holds half the pages: a larger reserve keeps it
+        // garbage-collecting within the script.
+        opts: carry_opts(12),
+        build: |opts| ShardedStore::with_uniform_chips(FlashConfig::tiny(), 2, KIND, opts).unwrap(),
+        chips: 2,
+        arm: |store, chip, budget| store.with_shard(chip, |st| st.chip_mut().arm_fault(budget)),
+        destructive: |store| {
+            let per_chip = store.per_shard_stats().into_iter();
+            per_chip.map(|st| st.total().writes + st.total().erases).collect()
+        },
+        reboot: |store, opts| {
+            let mut chips = store.into_shard_chips();
+            chips.iter_mut().for_each(FlashChip::disarm_fault);
+            ShardedStore::recover(chips, KIND, opts).unwrap()
+        },
+        check: ShardedStore::check_tables,
+        checkpoint_before: None,
+    });
 }
 
 proptest! {

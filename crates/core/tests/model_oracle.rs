@@ -4,7 +4,9 @@
 //! whole-page writes, partial updates, reads and flushes. The flash
 //! geometry is tiny, so garbage collection fires constantly; after
 //! *every* operation the store must agree with the model byte-for-byte
-//! on the page it touched, and at the end on the whole page space.
+//! on the page it touched, and at the end on the whole page space. The
+//! PDL engines additionally cross-check their own transaction tables
+//! (`check_tables`) after every operation and every recovery.
 //!
 //! The same operation sequence also runs under each GC policy — victim
 //! selection and hot/cold data placement change *where* pages live, never
@@ -43,9 +45,19 @@ impl Shadow {
     }
 }
 
+/// No tables to cross-check: the methods without `check_tables`.
+fn unchecked(_: &dyn PageStore) -> Result<(), String> {
+    Ok(())
+}
+
 /// Drive `store` and the shadow model through `ops`, comparing the
-/// touched page after every operation and every page at the end.
-fn drive(store: &mut dyn PageStore, ops: &[Op]) -> Result<(), TestCaseError> {
+/// touched page (and running `check`) after every operation and every
+/// page at the end.
+fn drive<S: PageStore + ?Sized>(
+    store: &mut S,
+    ops: &[Op],
+    check: fn(&S) -> Result<(), String>,
+) -> Result<(), TestCaseError> {
     let size = store.logical_page_size();
     let mut shadow = Shadow::new(size);
     let mut out = vec![0u8; size];
@@ -88,6 +100,8 @@ fn drive(store: &mut dyn PageStore, ops: &[Op]) -> Result<(), TestCaseError> {
             pid,
             i
         );
+        check(store)
+            .map_err(|e| TestCaseError::fail(format!("{} after op {i}: {e}", store.name())))?;
     }
     for pid in 0..PAGES {
         store
@@ -117,6 +131,80 @@ fn policies_for(kind: MethodKind) -> Vec<GcPolicy> {
     }
 }
 
+/// One scripted transaction: its `(pid, payload, whole_page)` writes and
+/// the number of flash programs after which power fails.
+type TxnScript = (Vec<(u64, u8, bool)>, u64);
+
+/// The transactional oracle's body, over either PDL engine: `arm(store,
+/// i, budget)` arms transaction `i`'s power failure, `reboot` crashes
+/// and recovers, `check` cross-checks the engine's tables — after every
+/// batch that returned `Ok` and after every recovery.
+fn txn_oracle<S: PageStore>(
+    txns: &[TxnScript],
+    mut store: S,
+    arm: impl Fn(&mut S, usize, u64),
+    reboot: impl Fn(S) -> S,
+    check: fn(&S) -> Result<(), String>,
+) -> Result<(), TestCaseError> {
+    let size = store.logical_page_size();
+    let mut committed: HashMap<u64, Vec<u8>> = HashMap::new();
+    for pid in 0..PAGES {
+        let page = vec![pid as u8; size];
+        store.write_page(pid, &page).expect("load");
+        committed.insert(pid, page);
+    }
+    store.flush().expect("baseline durability point");
+    let mut out = vec![0u8; size];
+    for (i, (writes, fault_after)) in txns.iter().enumerate() {
+        let txn = i as u64 + 1;
+        let mut staged = committed.clone();
+        let mut images: Vec<(u64, Vec<u8>)> = Vec::new();
+        for &(pid, payload, whole) in writes {
+            let pid = pid % PAGES;
+            let mut page = staged[&pid].clone();
+            if whole {
+                page.fill(payload);
+            } else {
+                let at = (payload as usize * 7) % (size - 16);
+                for (j, b) in page[at..at + 16].iter_mut().enumerate() {
+                    *b = payload.wrapping_add(j as u8);
+                }
+            }
+            images.push((pid, page.clone()));
+            staged.insert(pid, page);
+        }
+        let pages = images.iter().map(|(pid, page)| (*pid, &page[..], txn)).collect();
+        arm(&mut store, i, *fault_after);
+        let result = store.commit_batch(&CommitBatch { pages, roots: None });
+        if result.is_ok() {
+            check(&store)
+                .map_err(|e| TestCaseError::fail(format!("{} txn {i}: {e}", store.name())))?;
+        }
+        // Crash + recover after every transaction.
+        store = reboot(store);
+        check(&store).map_err(|e| {
+            TestCaseError::fail(format!("{} after recovery {i}: {e}", store.name()))
+        })?;
+        let mut now: HashMap<u64, Vec<u8>> = HashMap::new();
+        for pid in 0..PAGES {
+            store.read_page(pid, &mut out).expect("read");
+            now.insert(pid, out.clone());
+        }
+        let landed = now == staged;
+        prop_assert!(landed || result.is_err(), "txn {}: returned Ok, lost in recovery", i);
+        prop_assert!(
+            landed || now == committed,
+            "txn {} ({:?}): recovered neither the batch nor its pre-images",
+            i,
+            result
+        );
+        if landed {
+            committed = staged;
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -135,8 +223,13 @@ proptest! {
             for policy in policies_for(kind) {
                 let chip = FlashChip::new(FlashConfig::tiny());
                 let opts = StoreOptions::new(PAGES).with_gc_policy(policy);
-                let mut store = build_store(chip, kind, opts).unwrap();
-                drive(store.as_mut(), &ops)?;
+                if let MethodKind::Pdl { max_diff_size } = kind {
+                    let mut store = Pdl::new(chip, opts, max_diff_size).unwrap();
+                    drive(&mut store, &ops, Pdl::check_tables)?;
+                } else {
+                    let mut store = build_store(chip, kind, opts).unwrap();
+                    drive(store.as_mut(), &ops, unchecked)?;
+                }
             }
         }
     }
@@ -144,7 +237,8 @@ proptest! {
     /// Transactional shadow model (`pdl-txn`): arbitrary transactions —
     /// each one `commit_batch` of page writes, with power failing after
     /// an arbitrary number of flash programs (often mid-batch, sometimes
-    /// never) — and a crash + recovery after *every* transaction. A batch
+    /// never) — and a crash + recovery after *every* transaction, on one
+    /// chip and on the sharded engine at 1, 2 and 4 shards. A batch
     /// that returned `Ok` must be there after recovery; one that returned
     /// `Err` must be there entirely or not at all (the fault may have hit
     /// after the commit record), and the shadow follows whichever
@@ -162,58 +256,31 @@ proptest! {
         ),
     ) {
         let opts = StoreOptions::new(PAGES);
-        let mut store =
-            Pdl::new(FlashChip::new(FlashConfig::tiny()), opts, 64).expect("build");
-        let size = store.logical_page_size();
-        let mut committed: HashMap<u64, Vec<u8>> = HashMap::new();
-        for pid in 0..PAGES {
-            let page = vec![pid as u8; size];
-            store.write_page(pid, &page).expect("load");
-            committed.insert(pid, page);
-        }
-        store.flush().expect("baseline durability point");
-        let mut out = vec![0u8; size];
-        for (i, (writes, fault_after)) in txns.into_iter().enumerate() {
-            let txn = i as u64 + 1;
-            let mut staged = committed.clone();
-            let mut images: Vec<(u64, Vec<u8>)> = Vec::new();
-            for (pid, payload, whole) in writes {
-                let pid = pid % PAGES;
-                let mut page = staged[&pid].clone();
-                if whole {
-                    page.fill(payload);
-                } else {
-                    let at = (payload as usize * 7) % (size - 16);
-                    for (j, b) in page[at..at + 16].iter_mut().enumerate() {
-                        *b = payload.wrapping_add(j as u8);
-                    }
-                }
-                images.push((pid, page.clone()));
-                staged.insert(pid, page);
-            }
-            let pages = images.iter().map(|(pid, page)| (*pid, &page[..], txn)).collect();
-            store.chip_mut().arm_fault(fault_after);
-            let result = store.commit_batch(&CommitBatch { pages, roots: None });
-            // Crash + recover after every transaction.
-            let mut chip = Box::new(store).into_chip();
-            chip.disarm_fault();
-            store = Pdl::recover(chip, opts, 64).expect("recover");
-            let mut now: HashMap<u64, Vec<u8>> = HashMap::new();
-            for pid in 0..PAGES {
-                store.read_page(pid, &mut out).expect("read");
-                now.insert(pid, out.clone());
-            }
-            let landed = now == staged;
-            prop_assert!(landed || result.is_err(), "txn {}: returned Ok, lost in recovery", i);
-            prop_assert!(
-                landed || now == committed,
-                "txn {} ({:?}): recovered neither the batch nor its pre-images",
-                i,
-                result
-            );
-            if landed {
-                committed = staged;
-            }
+        txn_oracle(
+            &txns,
+            Pdl::new(FlashChip::new(FlashConfig::tiny()), opts, 64).expect("build"),
+            |store, _, budget| store.chip_mut().arm_fault(budget),
+            |store| {
+                let mut chip = Box::new(store).into_chip();
+                chip.disarm_fault();
+                Pdl::recover(chip, opts, 64).expect("recover")
+            },
+            Pdl::check_tables,
+        )?;
+        let kind = MethodKind::Pdl { max_diff_size: 64 };
+        for n in [1usize, 2, 4] {
+            txn_oracle(
+                &txns,
+                ShardedStore::with_uniform_chips(FlashConfig::tiny(), n, kind, opts).expect("build"),
+                // Power fails on one chip; the commit stops there.
+                |store, i, budget| store.with_shard(i % n, |st| st.chip_mut().arm_fault(budget)),
+                |store| {
+                    let mut chips = store.into_shard_chips();
+                    chips.iter_mut().for_each(FlashChip::disarm_fault);
+                    ShardedStore::recover(chips, kind, opts).expect("recover")
+                },
+                ShardedStore::check_tables,
+            )?;
         }
     }
 
@@ -613,7 +680,7 @@ proptest! {
                 StoreOptions::new(PAGES).with_gc_policy(policy),
             )
             .unwrap();
-            drive(&mut store, &ops)?;
+            drive(&mut store, &ops, ShardedStore::check_tables)?;
         }
     }
 }

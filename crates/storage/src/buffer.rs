@@ -179,7 +179,6 @@ const NIL: u32 = u32::MAX;
 
 struct Frame {
     pid: u64,
-    data: Vec<u8>,
     dirty: bool,
     /// Transaction that dirtied this frame ([`NO_TXN`] when none): the
     /// per-transaction change tracking of the `pdl-txn` subsystem.
@@ -368,6 +367,13 @@ impl VersionSource for NoVersioning {
 /// sharded pool (one cache per shard, each behind its own lock).
 pub(crate) struct FrameCache {
     frames: Vec<Frame>,
+    /// The page image of every frame, frame `i` at `i * page_size`: one
+    /// zero-filled allocation, so a frame costs no memory until it is
+    /// first used, and the whole cache goes back to the system when it is
+    /// dropped. (One `Vec` per frame came from the malloc arena of
+    /// whichever thread took the miss, and how much of an arena a drop
+    /// hands back depends on what else that thread left in it.)
+    slab: Vec<u8>,
     map: IdMap<usize>,
     capacity: usize,
     page_size: usize,
@@ -431,6 +437,7 @@ impl FrameCache {
         let capacity = capacity.max(1);
         FrameCache {
             frames: Vec::with_capacity(capacity.min(1024)),
+            slab: vec![0u8; capacity * page_size],
             map: IdMap::default(),
             capacity,
             page_size,
@@ -459,6 +466,15 @@ impl FrameCache {
 
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// The page image in frame `idx`.
+    fn page(&self, idx: usize) -> &[u8] {
+        &self.slab[idx * self.page_size..][..self.page_size]
+    }
+
+    fn page_mut(&mut self, idx: usize) -> &mut [u8] {
+        &mut self.slab[idx * self.page_size..][..self.page_size]
     }
 
     pub(crate) fn stats(&self) -> BufferStats {
@@ -490,7 +506,7 @@ impl FrameCache {
     ) -> Result<R> {
         let idx = self.fetch(backend, pid)?;
         self.touch(idx);
-        Ok(f(&self.frames[idx].data))
+        Ok(f(self.page(idx)))
     }
 
     /// [`Self::with_page`] for a structural descent by `txn` ([`NO_TXN`]
@@ -603,18 +619,19 @@ impl FrameCache {
                     "page {pid} already has a pending pre-image from another transaction"
                 ),
                 None => {
-                    let data = self.frames[idx].data.clone();
+                    let data = self.page(idx).to_vec();
                     self.chains.entry(pid).or_default().pending = Some(PendingUndo { txn, data });
                     created_pending = true;
                 }
             }
         } else if vsrc.capture_hint() {
-            auto_pre = Some(self.frames[idx].data.clone());
+            auto_pre = Some(self.page(idx).to_vec());
         }
         self.touch(idx);
         self.changes.clear();
         let frame = &mut self.frames[idx];
-        let mut page = PageMut { data: &mut frame.data, changes: &mut self.changes };
+        let data = &mut self.slab[idx * self.page_size..][..self.page_size];
+        let mut page = PageMut { data, changes: &mut self.changes };
         let r = f(&mut page);
         if !self.changes.is_empty() {
             frame.dirty = true;
@@ -626,7 +643,8 @@ impl FrameCache {
             // store hears of it when the page is reflected — unless it
             // asked for update commands.
             if self.notify_updates {
-                backend.apply(pid, &frame.data, &self.changes)?;
+                let data = &self.slab[idx * self.page_size..][..self.page_size];
+                backend.apply(pid, data, &self.changes)?;
             }
             // One auto-committed update command = one commit event: retain
             // the pre-image iff a view still needs it.
@@ -811,7 +829,6 @@ impl FrameCache {
             let idx = self.frames.len();
             self.frames.push(Frame {
                 pid: u64::MAX,
-                data: vec![0u8; self.page_size],
                 dirty: false,
                 owner: NO_TXN,
                 newer: self.lru,
@@ -826,7 +843,7 @@ impl FrameCache {
         } else {
             self.evict_lru(backend)?
         };
-        backend.read(pid, &mut self.frames[idx].data)?;
+        backend.read(pid, self.page_mut(idx))?;
         self.frames[idx].pid = pid;
         self.frames[idx].dirty = false;
         self.frames[idx].owner = NO_TXN;
@@ -870,7 +887,7 @@ impl FrameCache {
         let idx = at as usize;
         let pid = self.frames[idx].pid;
         if self.frames[idx].dirty {
-            backend.evict(pid, &self.frames[idx].data)?;
+            backend.evict(pid, self.page(idx))?;
             self.stats.dirty_writebacks += 1;
         }
         self.map.remove(&pid);
@@ -885,7 +902,7 @@ impl FrameCache {
         for idx in 0..self.frames.len() {
             if self.frames[idx].dirty && !(self.pin_owned && self.frames[idx].owner != NO_TXN) {
                 let pid = self.frames[idx].pid;
-                backend.evict(pid, &self.frames[idx].data)?;
+                backend.evict(pid, self.page(idx))?;
                 self.frames[idx].dirty = false;
                 self.frames[idx].owner = NO_TXN;
                 self.stats.dirty_writebacks += 1;
@@ -904,9 +921,9 @@ impl FrameCache {
         list.dedup();
         let mut out: Vec<(u64, Vec<u8>)> = list
             .iter()
-            .map(|&idx| &self.frames[idx as usize])
-            .filter(|f| f.owner == txn && f.dirty)
-            .map(|f| (f.pid, f.data.clone()))
+            .map(|&idx| (idx as usize, &self.frames[idx as usize]))
+            .filter(|(_, f)| f.owner == txn && f.dirty)
+            .map(|(idx, f)| (f.pid, self.slab[idx * self.page_size..][..self.page_size].to_vec()))
             .collect();
         out.sort_by_key(|(pid, _)| *pid);
         out
@@ -988,12 +1005,10 @@ impl FrameCache {
                 Some(idx) => idx,
                 None => self.fetch(backend, pid)?,
             };
-            {
-                let frame = &mut self.frames[idx];
-                frame.data.copy_from_slice(&undo);
-                frame.dirty = true;
-                frame.owner = NO_TXN;
-            }
+            self.page_mut(idx).copy_from_slice(&undo);
+            let frame = &mut self.frames[idx];
+            frame.dirty = true;
+            frame.owner = NO_TXN;
             // The restoration is itself an update command: tightly-coupled
             // (log-based) methods already persisted the aborted commands
             // as update logs via `apply`, and only a superseding
@@ -1002,7 +1017,7 @@ impl FrameCache {
             // loosely-coupled methods are not told.
             if self.notify_updates {
                 let full = ChangeRange::new(0, undo.len());
-                backend.apply(pid, &self.frames[idx].data, &[full])?;
+                backend.apply(pid, self.page(idx), &[full])?;
             }
         }
         Ok(())

@@ -127,6 +127,32 @@ pub fn put_retention_stats(
     reg.set_u64(&p("retention.pinned_skips"), pinned_skips);
 }
 
+/// The store counters that say what `space_amp` pays for beyond the base
+/// pages: live differential pages by valid count, then the commit proofs
+/// carried forward and the record pages that released.
+const SPACE_COUNTERS: [&str; 5] = [
+    "diff_pages_vdct_1",
+    "diff_pages_vdct_2_4",
+    "diff_pages_vdct_5_plus",
+    "proofs_carried",
+    "proof_pages_released",
+];
+
+/// `SPACE_COUNTERS` picked out of a store's
+/// [`pdl_core::PageStore::counters`] and set under `<prefix>.space.*`;
+/// returns the values in that order (0 where the method has none).
+pub fn put_space_counters(
+    reg: &mut MetricsRegistry,
+    prefix: &str,
+    counters: &[(&'static str, u64)],
+) -> [u64; 5] {
+    SPACE_COUNTERS.map(|name| {
+        let v = counters.iter().find(|(k, _)| *k == name).map_or(0, |(_, v)| *v);
+        reg.set_u64(&format!("{prefix}.space.{name}"), v);
+        v
+    })
+}
+
 /// Every latency class the recorder sampled, each under its snake-case
 /// name turned dotted (`commit_group` → `commit.group`), plus the span
 /// ring's occupancy. Classes with no samples are skipped, so a
