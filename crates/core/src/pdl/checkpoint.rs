@@ -439,7 +439,9 @@ impl Pdl {
         // strict ordering only for post-checkpoint pages, whose ts all
         // exceed the watermark, and purged entries reset to 0 anyway.
         // Instead of zeros we store the current global watermark for every
-        // live entry, which preserves the "newer wins" semantics.
+        // live entry, which preserves the "newer wins" semantics. (GC
+        // copies keep their old ts; `load_checkpoint_delta` ranks a loaded
+        // base below a relocated differential of its page.)
         let watermark = self.ts.saturating_sub(1);
         for e in &self.ppmt {
             for j in 0..k {
@@ -851,6 +853,12 @@ fn load_checkpoint_delta(
             tables.ppmt[pid].diff = NONE;
             tables.diff_ts[pid] = 0;
             tables.diff_txn[pid] = NO_TXN;
+            // GC compacted the differential out of that block before the
+            // erase, and the copy kept its creation time stamp — at or
+            // below the watermark the loaded base carries. The base is
+            // older than the differential it had at the checkpoint, so it
+            // must not outrank the copy: rank it below everything.
+            tables.frame_ts[pid * k..(pid + 1) * k].fill(0);
         }
     }
     tables.commit_locs.retain(|_, p| !in_invalid(*p));

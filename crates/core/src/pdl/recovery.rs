@@ -878,6 +878,7 @@ pub(crate) fn scan(
 mod tests {
     use super::*;
     use crate::error::is_power_loss;
+    use crate::ftl::GcPolicy;
     use crate::page_store::PageStore;
     use pdl_flash::FlashConfig;
 
@@ -1037,6 +1038,49 @@ mod tests {
         for pid in [0u64, 1, 2, 4, 5, 6, 7] {
             r.read_page(pid, &mut out).unwrap();
             assert!(out.iter().all(|&b| b == pid as u8), "pid {pid}");
+        }
+    }
+
+    /// A checkpoint loads every live base at its watermark. When GC later
+    /// moves a page's differential out of its block (the copy keeps its
+    /// older time stamp) and erases that block, fast recovery must still
+    /// apply the copy over the loaded base.
+    #[test]
+    fn a_differential_gc_moved_after_a_checkpoint_outranks_the_loaded_base() {
+        // Cost-benefit ages the block in: greedy keeps finding emptier ones.
+        let opts =
+            StoreOptions::new(8).with_checkpoint_blocks(2).with_gc_policy(GcPolicy::CostBenefit);
+        let mut s = Pdl::new(FlashChip::new(FlashConfig::tiny()), opts, MAX_DIFF).unwrap();
+        let size = s.logical_page_size();
+        let mut truth: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; size]).collect();
+        for (pid, t) in truth.iter().enumerate() {
+            s.write_page(pid as u64, t).unwrap();
+        }
+        truth[0][10..20].fill(0xEE);
+        s.write_page(0, &truth[0]).unwrap();
+        s.checkpoint().unwrap(); // flushes page 0's differential first
+        let g = s.chip().geometry();
+        let (base, victim) = (g.block_of(Ppn(s.ppmt[0].base[0])), g.block_of(Ppn(s.ppmt[0].diff)));
+        let erases = s.chip().erase_count(victim);
+        // Churn the other pages' differentials (page 0 is never written
+        // again) until GC has emptied and erased the differential's block.
+        for round in 1.. {
+            assert!(round < 500, "GC never picked the differential's block");
+            if s.chip().erase_count(victim) > erases {
+                break;
+            }
+            let pid = 1 + round % 7;
+            truth[pid][40..104].fill(round as u8);
+            s.write_page(pid as u64, &truth[pid]).unwrap();
+        }
+        s.flush().unwrap();
+        assert_ne!(g.block_of(Ppn(s.ppmt[0].diff)), victim, "GC moved the differential");
+        assert_eq!(g.block_of(Ppn(s.ppmt[0].base[0])), base, "the loaded base stays put");
+        let mut r = Pdl::recover(Box::new(s).into_chip(), opts, MAX_DIFF).unwrap();
+        let mut out = vec![0u8; size];
+        for (pid, t) in truth.iter().enumerate() {
+            r.read_page(pid as u64, &mut out).unwrap();
+            assert_eq!(&out, t, "pid {pid}");
         }
     }
 

@@ -1,33 +1,39 @@
-//! Crash testing in two tiers:
+//! Crash testing in three tiers:
 //!
-//! * an **exhaustive crash-point sweep**: a fixed, GC-heavy workload is
-//!   first dry-run to count its destructive flash operations (programs,
-//!   obsolete marks, erases), then re-run once per destructive-op index
-//!   with a power-loss fault armed at exactly that index
-//!   ([`pdl_flash::FlashChip::arm_fault`]). Every index is covered, so
-//!   crashes *inside* garbage collection — mid-migration, between a
-//!   relocation and the victim's erase, between erase and mapping update
-//!   — are all exercised deterministically, for each method and for the
-//!   GC policies that change data placement (hot/cold runs two active
-//!   blocks during migration);
+//! * an **exhaustive crash-point sweep**: a fixed, GC-heavy workload runs
+//!   once with a [`PowerLossJournal`] on its chip, and recovery is checked
+//!   on every crash image the journal hands back — the chip as a power
+//!   loss before each destructive flash operation (program, obsolete
+//!   mark, erase) would leave it, and after the last. Every index is
+//!   covered, so crashes *inside* garbage collection — mid-migration,
+//!   between a relocation and the victim's erase, between erase and
+//!   mapping update — are all exercised deterministically, for each
+//!   method and for the GC policies that change data placement
+//!   (hot/cold runs two active blocks during migration);
+//! * the same sweep over transactional workloads — per-transaction
+//!   commit records, epoch records, and commit proofs carried forward for
+//!   generations, on one chip, across a checkpoint and on two shards. Two
+//!   shards are swept under both power models: the whole device failing
+//!   at once (one journal over both chips) and one chip failing while the
+//!   other carries on ([`FlashChip::arm_fault`], one re-run per point);
 //! * a property test over arbitrary checkpoint placement (checkpoints
-//!   must never change recovery semantics);
-//! * the same exhaustive sweep over a commit-per-update workload whose
-//!   commit proofs are carried forward for generations — on one chip, on
-//!   two shards, and across a checkpoint.
+//!   must never change recovery semantics).
 //!
 //! After recovery, every page must read back as a state the workload
 //! could legally have produced (the flushed state, or a committed
-//! post-flush update), and a second crash+recovery must agree.
+//! post-flush update), and a second crash+recovery must agree. One test
+//! keeps the journal honest: its images equal `arm_fault`'s, point for
+//! point.
 
 use pdl_core::{
     build_store, is_power_loss, recover_store, CommitBatch, GcPolicy, MethodKind, PageStore, Pdl,
     ShardedStore, StoreOptions,
 };
-use pdl_flash::{FlashChip, FlashConfig};
+use pdl_flash::{FlashChip, FlashConfig, FlashGeometry, PowerLossJournal};
 use proptest::prelude::*;
 
 const PAGES: u64 = 24;
+const PDL: MethodKind = MethodKind::Pdl { max_diff_size: 64 };
 
 /// The fixed workload script: `(pid, fill, whole_page)` — a whole-page
 /// rewrite (base-page churn: OPU programs, PDL Case 3, IPL multi-sector
@@ -57,6 +63,24 @@ fn apply_op(page: &mut [u8], fill: u8, whole: bool) {
     }
 }
 
+/// Every page of the store, in pid order.
+fn read_all<S: PageStore + ?Sized>(store: &mut S) -> Vec<Vec<u8>> {
+    let mut out = vec![0u8; store.logical_page_size()];
+    (0..store.options().num_logical_pages)
+        .map(|pid| {
+            store.read_page(pid, &mut out).unwrap();
+            out.clone()
+        })
+        .collect()
+}
+
+/// A journal attached to the store's one chip.
+fn journal_on(store: &mut dyn PageStore) -> PowerLossJournal {
+    let journal = PowerLossJournal::new();
+    store.chip_mut().attach_journal(&journal);
+    journal
+}
+
 struct SweepSetup {
     kind: MethodKind,
     opts: StoreOptions,
@@ -64,13 +88,19 @@ struct SweepSetup {
 }
 
 impl SweepSetup {
-    fn build(&self) -> Box<dyn PageStore> {
-        build_store(FlashChip::new(self.config), self.kind, self.opts).unwrap()
+    fn new(kind: MethodKind, policy: GcPolicy, config: FlashConfig) -> SweepSetup {
+        let mut opts = StoreOptions::new(PAGES).with_gc_policy(policy);
+        // A large GC reserve shrinks the normally-allocatable space, so the
+        // out-place methods hit reclamation within a short script instead
+        // of needing thousands of operations to fill the chip.
+        opts.reserve_blocks = 10;
+        SweepSetup { kind, opts, config }
     }
 
-    /// Run phase 1 (load + pre-crash updates + flush); returns the
+    /// A store after phase 1 (load + pre-crash updates + flush), and the
     /// flushed page states.
-    fn phase1(&self, store: &mut dyn PageStore) -> Vec<Vec<u8>> {
+    fn phase1(&self) -> (Box<dyn PageStore>, Vec<Vec<u8>>) {
+        let mut store = build_store(FlashChip::new(self.config), self.kind, self.opts).unwrap();
         let size = store.logical_page_size();
         let mut flushed: Vec<Vec<u8>> = (0..PAGES).map(|_| vec![0u8; size]).collect();
         for pid in 0..PAGES {
@@ -78,11 +108,23 @@ impl SweepSetup {
         }
         for (pid, fill, whole) in script(20, 0x51EE7) {
             apply_op(&mut flushed[pid as usize], fill, whole);
-            let p = flushed[pid as usize].clone();
-            store.write_page(pid, &p).unwrap();
+            store.write_page(pid, &flushed[pid as usize]).unwrap();
         }
         store.flush().unwrap();
-        flushed
+        (store, flushed)
+    }
+
+    /// The post-flush writes, `(pid, page)` in order. IPL turns a
+    /// whole-page rewrite into dozens of log-sector programs, so a shorter
+    /// script already exercises several merges (its GC).
+    fn post_flush(&self, flushed: &[Vec<u8>]) -> Vec<(u64, Vec<u8>)> {
+        let len = if matches!(self.kind, MethodKind::Ipl { .. }) { 24 } else { 45 };
+        let mut pages = flushed.to_vec();
+        let writes = script(len, 0xCAFE).into_iter().map(|(pid, fill, whole)| {
+            apply_op(&mut pages[pid as usize], fill, whole);
+            (pid, pages[pid as usize].clone())
+        });
+        writes.collect()
     }
 }
 
@@ -92,107 +134,57 @@ fn sweep(kind: MethodKind, policy: GcPolicy) {
 }
 
 /// The sweep body, parameterized over the chip configuration so the same
-/// crash points can be replayed with a deep command queue (crashes with
+/// crash points can be taken with a deep command queue (crashes with
 /// commands still in flight).
 fn sweep_on(kind: MethodKind, policy: GcPolicy, config: FlashConfig) {
-    let mut opts = StoreOptions::new(PAGES).with_gc_policy(policy);
-    // A large GC reserve shrinks the normally-allocatable space, so the
-    // out-place methods hit reclamation within a short script instead of
-    // needing thousands of operations to fill the chip.
-    opts.reserve_blocks = 10;
-    let setup = SweepSetup { kind, opts, config };
-    // IPL turns a whole-page rewrite into dozens of log-sector programs,
-    // so a shorter script already exercises several merges (its GC) while
-    // keeping the per-index replay affordable.
-    let post_len = if matches!(kind, MethodKind::Ipl { .. }) { 24 } else { 45 };
-    let post_script = script(post_len, 0xCAFE);
-
-    // Dry run: count destructive operations of the post-flush phase and
-    // prove it garbage-collects (so the sweep covers mid-GC indices).
-    // The dry run must replay the *exact* page sequence of the faulted
-    // runs below — PDL's differential sizes (and hence its Case 1/2/3
-    // program counts) depend on page contents, so any divergence would
-    // make the destructive-op count wrong and leave tail indices
-    // unswept.
-    let mut store = setup.build();
-    let mut proto = setup.phase1(store.as_mut());
+    let setup = SweepSetup::new(kind, policy, config);
+    let (mut store, flushed) = setup.phase1();
+    let writes = setup.post_flush(&flushed);
+    let journal = journal_on(store.as_mut());
     let before = store.stats();
-    for (pid, fill, whole) in &post_script {
-        let pid = *pid as usize;
-        let mut page = proto[pid].clone();
-        apply_op(&mut page, *fill, *whole);
-        store.write_page(pid as u64, &page).unwrap();
-        proto[pid] = page;
+    // The journal position each write began at: a crash at image `g` may
+    // or may not have landed any write that began at or before `g`.
+    let mut began = Vec::new();
+    for (pid, page) in &writes {
+        began.push(journal.position());
+        store.write_page(*pid, page).unwrap();
     }
     let delta = store.stats().delta_since(&before);
-    let destructive = delta.total().writes + delta.total().erases;
     assert!(
         delta.gc.total_ops() > 0,
         "{}: the fixed workload must garbage-collect post-flush (got {delta:?})",
         store.name()
     );
+    assert_eq!(journal.position(), delta.total().writes + delta.total().erases);
+    assert_eq!(store.stats().pipeline.ordering_violations, 0);
 
-    // The sweep: crash after exactly `budget` destructive ops, for every
-    // budget (the final budget crashes nowhere — the control run).
-    for budget in 0..=destructive {
-        let mut store = setup.build();
-        let flushed = setup.phase1(store.as_mut());
-        let size = flushed[0].len();
-        store.chip_mut().arm_fault(budget);
-        let mut history: Vec<Vec<Vec<u8>>> = vec![Vec::new(); PAGES as usize];
-        for (pid, fill, whole) in &post_script {
-            let pid = *pid as usize;
-            let mut page = history[pid].last().cloned().unwrap_or_else(|| flushed[pid].clone());
-            apply_op(&mut page, *fill, *whole);
-            match store.write_page(pid as u64, &page) {
-                Ok(()) => history[pid].push(page),
-                Err(e) => {
-                    assert!(is_power_loss(&e), "budget {budget}: unexpected error: {e}");
-                    history[pid].push(page); // may or may not have landed
-                    break;
-                }
-            }
-        }
-
-        // Reboot and recover.
-        let mut chip = store.into_chip();
-        chip.disarm_fault();
-        let mut r = recover_store(chip, kind, setup.opts).unwrap();
-        let mut out = vec![0u8; size];
-        let mut first_states: Vec<Vec<u8>> = Vec::new();
-        let ipl = matches!(kind, MethodKind::Ipl { .. });
-        for pid in 0..PAGES as usize {
-            r.read_page(pid as u64, &mut out).unwrap();
-            if history[pid].is_empty() {
-                assert_eq!(
-                    out,
-                    flushed[pid],
-                    "{} budget {budget}: page {pid} must equal the flushed state",
-                    r.name()
-                );
-            } else {
-                // Touched pages: the flushed state or any state of the
-                // post-flush history (out-place writes are page-atomic).
-                // IPL is exempt from byte-exactness: its update logs are
-                // sector-granular, so a whole-page update interrupted
-                // mid-flush legally recovers as a mixture — the paper's
-                // §4.5 defers transactional atomicity to the DBMS above.
-                let legal = out == flushed[pid] || history[pid].iter().any(|h| h == &out) || ipl;
-                assert!(legal, "{} budget {budget}: page {pid} is torn", r.name());
-            }
-            first_states.push(out.clone());
-        }
-
-        // Idempotence: a second crash+recovery yields the same states.
-        let chip = r.into_chip();
-        let mut r2 = recover_store(chip, kind, setup.opts).unwrap();
-        for pid in 0..PAGES as usize {
-            r2.read_page(pid as u64, &mut out).unwrap();
-            assert_eq!(
-                out, first_states[pid],
-                "budget {budget}: second recovery diverged on page {pid}"
+    let ipl = matches!(kind, MethodKind::Ipl { .. });
+    for (g, chips) in journal.images().enumerate() {
+        let mut r = recover_store(chips.into_iter().next().unwrap(), kind, setup.opts).unwrap();
+        let first_states = read_all(r.as_mut());
+        assert_eq!(r.stats().pipeline.ordering_violations, 0, "image {g}");
+        for (pid, out) in first_states.iter().enumerate() {
+            let history: Vec<&Vec<u8>> = (writes.iter().zip(&began))
+                .filter(|((p, _), &at)| *p == pid as u64 && at <= g as u64)
+                .map(|((_, page), _)| page)
+                .collect();
+            // Untouched pages must equal the flushed state; touched ones
+            // the flushed state or any state of the post-flush history
+            // (out-place writes are page-atomic). IPL is exempt from
+            // byte-exactness: its update logs are sector-granular, so a
+            // whole-page update interrupted mid-flush legally recovers as
+            // a mixture — the paper's §4.5 defers transactional atomicity
+            // to the DBMS above.
+            let legal = *out == flushed[pid] || history.contains(&out);
+            assert!(
+                legal || ipl && !history.is_empty(),
+                "{} image {g}: page {pid} is torn",
+                r.name()
             );
         }
+        // Idempotence: a second crash+recovery yields the same states.
+        let mut r2 = recover_store(r.into_chip(), kind, setup.opts).unwrap();
+        assert_eq!(read_all(r2.as_mut()), first_states, "image {g}: second recovery diverged");
     }
 }
 
@@ -208,30 +200,26 @@ fn exhaustive_crash_sweep_opu_hot_cold() {
 
 #[test]
 fn exhaustive_crash_sweep_pdl() {
-    sweep(MethodKind::Pdl { max_diff_size: 64 }, GcPolicy::Greedy);
+    sweep(PDL, GcPolicy::Greedy);
 }
 
 #[test]
 fn exhaustive_crash_sweep_pdl_cost_benefit() {
-    sweep(MethodKind::Pdl { max_diff_size: 64 }, GcPolicy::CostBenefit);
+    sweep(PDL, GcPolicy::CostBenefit);
 }
 
 #[test]
 fn exhaustive_crash_sweep_pdl_hot_cold() {
-    sweep(MethodKind::Pdl { max_diff_size: 64 }, GcPolicy::HotCold);
+    sweep(PDL, GcPolicy::HotCold);
 }
 
-/// The PDL sweep replayed with a 16-deep command queue and 4 planes:
-/// every crash index now lands with commands potentially still in
-/// flight (queued but not drained), and recovery must agree with the
+/// The PDL sweep taken with a 16-deep command queue and 4 planes: every
+/// crash index now lands with commands potentially still in flight
+/// (queued but not drained), and recovery must agree with the
 /// synchronous sweep's legality rules anyway.
 #[test]
 fn exhaustive_crash_sweep_pdl_qd16() {
-    sweep_on(
-        MethodKind::Pdl { max_diff_size: 64 },
-        GcPolicy::Greedy,
-        FlashConfig::tiny().with_queue_depth(16).with_planes(4),
-    );
+    sweep_on(PDL, GcPolicy::Greedy, FlashConfig::tiny().with_queue_depth(16).with_planes(4));
 }
 
 #[test]
@@ -240,7 +228,7 @@ fn exhaustive_crash_sweep_ipl() {
 }
 
 // ----------------------------------------------------------------------
-// pdl-txn: commit-record crash points
+// pdl-txn: commit records, epoch records, proof carry-forward
 // ----------------------------------------------------------------------
 
 /// A TPC-C-style multi-page transaction script: every transaction bumps
@@ -265,248 +253,7 @@ fn txn_script(count: usize) -> Vec<Vec<(u64, u8, bool)>> {
         .collect()
 }
 
-/// The exhaustive commit-record sweep: crash after every destructive
-/// flash operation of a transactional workload, recover, and require the
-/// visible state to equal the state after some *prefix of committed
-/// transactions* — every transaction all-or-nothing, zero torn commits.
-#[test]
-fn exhaustive_crash_sweep_txn_commits() {
-    let kind = MethodKind::Pdl { max_diff_size: 64 };
-    let mut opts = StoreOptions::new(PAGES);
-    opts.reserve_blocks = 10; // force GC inside the commit batches too
-    let txns = txn_script(12);
-
-    let build = || build_store(FlashChip::new(FlashConfig::tiny()), kind, opts).unwrap();
-    let load = |store: &mut dyn PageStore| -> Vec<Vec<u8>> {
-        let size = store.logical_page_size();
-        let initial: Vec<Vec<u8>> = (0..PAGES).map(|p| vec![p as u8; size]).collect();
-        for pid in 0..PAGES {
-            store.write_page(pid, &initial[pid as usize]).unwrap();
-        }
-        store.flush().unwrap();
-        initial
-    };
-
-    // The page states after each committed prefix of the script.
-    let mut store = build();
-    let size = store.logical_page_size();
-    let mut states: Vec<Vec<Vec<u8>>> = vec![load(store.as_mut())];
-    for txn_pages in &txns {
-        let mut next = states.last().unwrap().clone();
-        for (pid, fill, whole) in txn_pages {
-            apply_op(&mut next[*pid as usize], *fill, *whole);
-        }
-        states.push(next);
-    }
-
-    // One transaction through `commit_batch`. Returns Err on the
-    // injected power loss.
-    let run_txn =
-        |store: &mut dyn PageStore, states: &[Vec<Vec<u8>>], k: usize| -> pdl_core::Result<()> {
-            let txn = k as u64 + 1;
-            let pages =
-                txns[k].iter().map(|(pid, _, _)| (*pid, &states[k + 1][*pid as usize][..], txn));
-            Ok(store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None })?)
-        };
-
-    // Dry run: count the destructive operations of the transactional
-    // phase (and prove it garbage-collects, so the sweep covers crashes
-    // inside GC inside commit batches).
-    let mut store = build();
-    load(store.as_mut());
-    let before = store.stats();
-    for k in 0..txns.len() {
-        run_txn(store.as_mut(), &states, k).unwrap();
-    }
-    let delta = store.stats().delta_since(&before);
-    assert!(delta.gc.total_ops() > 0, "the txn workload must garbage-collect ({delta:?})");
-    let destructive = delta.total().writes + delta.total().erases;
-
-    for budget in 0..=destructive {
-        let mut store = build();
-        load(store.as_mut());
-        store.chip_mut().arm_fault(budget);
-        for k in 0..txns.len() {
-            match run_txn(store.as_mut(), &states, k) {
-                Ok(()) => {}
-                Err(e) => {
-                    assert!(is_power_loss(&e), "budget {budget}: unexpected error: {e}");
-                    break;
-                }
-            }
-        }
-        let mut chip = store.into_chip();
-        chip.disarm_fault();
-        let mut r = recover_store(chip, kind, opts).unwrap();
-        let mut out = vec![0u8; size];
-        let mut pages_now: Vec<Vec<u8>> = Vec::with_capacity(PAGES as usize);
-        for pid in 0..PAGES {
-            r.read_page(pid, &mut out).unwrap();
-            pages_now.push(out.clone());
-        }
-        // Zero torn transactions: the whole database must equal the
-        // state after some committed prefix.
-        let matched = states.iter().position(|s| s == &pages_now);
-        assert!(
-            matched.is_some(),
-            "budget {budget}: recovered state matches no committed prefix — a torn transaction"
-        );
-        // A second crash + recovery must agree.
-        let chip = r.into_chip();
-        let mut r2 = recover_store(chip, kind, opts).unwrap();
-        for pid in 0..PAGES {
-            r2.read_page(pid, &mut out).unwrap();
-            assert_eq!(
-                out, pages_now[pid as usize],
-                "budget {budget}: second recovery diverged on page {pid}"
-            );
-        }
-    }
-}
-
-/// The commit-record sweep replayed through **epoch records** (codec v3
-/// kind 0x03): transactions are staged in batches of three and proven by
-/// one epoch record covering the batch's txn-id range instead of three
-/// per-txn records. The verdict at every crash point must agree with
-/// what per-txn records certify — a committed prefix of the script —
-/// and, because one epoch record lands atomically, the prefix must
-/// additionally sit on a batch boundary: an epoch commits all of its
-/// batch or none of it.
-#[test]
-fn exhaustive_crash_sweep_epoch_commits() {
-    const BATCH: usize = 3;
-    let kind = MethodKind::Pdl { max_diff_size: 64 };
-    let mut opts = StoreOptions::new(PAGES);
-    // A batch stages ~3x the pages of one transaction before its epoch
-    // record lands, so the reserve is a notch smaller than the per-txn
-    // sweep's: enough pressure to garbage-collect inside batches without
-    // starving a whole batch's reservation.
-    opts.reserve_blocks = 8;
-    let txns = txn_script(12);
-    let batches = txns.len().div_ceil(BATCH);
-
-    let build = || build_store(FlashChip::new(FlashConfig::tiny()), kind, opts).unwrap();
-    let load = |store: &mut dyn PageStore| -> Vec<Vec<u8>> {
-        let size = store.logical_page_size();
-        let initial: Vec<Vec<u8>> = (0..PAGES).map(|p| vec![p as u8; size]).collect();
-        for pid in 0..PAGES {
-            store.write_page(pid, &initial[pid as usize]).unwrap();
-        }
-        store.flush().unwrap();
-        initial
-    };
-
-    let mut store = build();
-    let size = store.logical_page_size();
-    let mut states: Vec<Vec<Vec<u8>>> = vec![load(store.as_mut())];
-    for txn_pages in &txns {
-        let mut next = states.last().unwrap().clone();
-        for (pid, fill, whole) in txn_pages {
-            apply_op(&mut next[*pid as usize], *fill, *whole);
-        }
-        states.push(next);
-    }
-
-    // One *batch* in one `commit_batch`: every member's pages, proven
-    // together by a single epoch record.
-    let run_batch = |store: &mut dyn PageStore,
-                     states: &[Vec<Vec<u8>>],
-                     b: usize|
-     -> pdl_core::Result<()> {
-        let lo = b * BATCH;
-        let hi = (lo + BATCH).min(txns.len());
-        let pages = (lo..hi).flat_map(|k| {
-            let after = &states[k + 1];
-            txns[k].iter().map(move |(pid, _, _)| (*pid, &after[*pid as usize][..], k as u64 + 1))
-        });
-        Ok(store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None })?)
-    };
-
-    // Dry run: count destructive ops, prove GC ran inside the batches,
-    // and prove the proofs really were epoch records, not a per-txn
-    // fallback.
-    let mut store = build();
-    load(store.as_mut());
-    let before = store.stats();
-    for b in 0..batches {
-        run_batch(store.as_mut(), &states, b).unwrap();
-    }
-    let delta = store.stats().delta_since(&before);
-    assert!(delta.gc.total_ops() > 0, "the epoch workload must garbage-collect ({delta:?})");
-    let epochs =
-        store.counters().iter().find(|(k, _)| *k == "epoch_commits").map(|(_, v)| *v).unwrap_or(0);
-    assert!(epochs >= batches as u64, "every batch must have landed an epoch record");
-    let destructive = delta.total().writes + delta.total().erases;
-
-    for budget in 0..=destructive {
-        let mut store = build();
-        load(store.as_mut());
-        store.chip_mut().arm_fault(budget);
-        for b in 0..batches {
-            match run_batch(store.as_mut(), &states, b) {
-                Ok(()) => {}
-                Err(e) => {
-                    assert!(is_power_loss(&e), "budget {budget}: unexpected error: {e}");
-                    break;
-                }
-            }
-        }
-        let mut chip = store.into_chip();
-        chip.disarm_fault();
-        let mut r = recover_store(chip, kind, opts).unwrap();
-        let mut out = vec![0u8; size];
-        let mut pages_now: Vec<Vec<u8>> = Vec::with_capacity(PAGES as usize);
-        for pid in 0..PAGES {
-            r.read_page(pid, &mut out).unwrap();
-            pages_now.push(out.clone());
-        }
-        // Same verdict space as per-txn records: some committed prefix...
-        let matched = states.iter().position(|s| s == &pages_now);
-        assert!(
-            matched.is_some(),
-            "budget {budget}: recovered state matches no committed prefix — a torn transaction"
-        );
-        // ...and epoch atomicity on top: the prefix ends on a batch
-        // boundary (an epoch record never commits part of its batch).
-        let k = matched.unwrap();
-        assert!(
-            k % BATCH == 0 || k == txns.len(),
-            "budget {budget}: prefix of {k} txns splits an epoch batch"
-        );
-        // A second crash + recovery must agree.
-        let chip = r.into_chip();
-        let mut r2 = recover_store(chip, kind, opts).unwrap();
-        for pid in 0..PAGES {
-            r2.read_page(pid, &mut out).unwrap();
-            assert_eq!(
-                out, pages_now[pid as usize],
-                "budget {budget}: second recovery diverged on page {pid}"
-            );
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// pdl-txn: proof carry-forward crash points
-// ----------------------------------------------------------------------
-
-/// How the carry sweep drives one PDL engine.
-struct CarryRig<S> {
-    opts: StoreOptions,
-    build: fn(StoreOptions) -> S,
-    chips: usize,
-    /// Arm chip `c`'s power failure after `budget` destructive ops.
-    arm: fn(&mut S, usize, u64),
-    /// Destructive operations (programs, marks, erases) per chip so far.
-    destructive: fn(&S) -> Vec<u64>,
-    /// Power off, disarm, recover.
-    reboot: fn(S, StoreOptions) -> S,
-    check: fn(&S) -> Result<(), String>,
-    /// Take a checkpoint before this transaction (index into the script).
-    checkpoint_before: Option<usize>,
-}
-
-const CARRY_PAGES: u64 = 12;
+const CARRY_PAGES: u64 = 24;
 
 /// A commit-per-update script: every transaction rewrites one page whole
 /// (Case 3 — its tag sits on a base page and lives until that page is
@@ -528,161 +275,322 @@ fn carry_script(count: usize) -> Vec<Vec<(u64, u8, bool)>> {
         .collect()
 }
 
-/// Power fails at every destructive-op index of every chip while commit
-/// proofs are being carried forward; each time the recovered state must
-/// be a committed prefix of the script (a lost proof would surface as
-/// recovery's "live tag without a commit record"), the recovered tables
-/// must be consistent, and a second recovery must change nothing.
-fn carry_sweep<S: PageStore>(rig: CarryRig<S>) {
-    let txns = carry_script(26);
-    let load = |store: &mut S| -> Vec<Vec<u8>> {
+/// A transactional workload: `txns` committed `batch` at a time, each
+/// `commit_batch` proven by one record (an epoch record when `batch` >
+/// 1). Transaction `k` is txn id `k + 1`.
+struct Commits {
+    txns: Vec<Vec<(u64, u8, bool)>>,
+    batch: usize,
+    /// Take a checkpoint before this transaction.
+    checkpoint_before: Option<usize>,
+}
+
+impl Commits {
+    fn new(txns: Vec<Vec<(u64, u8, bool)>>, batch: usize) -> Commits {
+        Commits { txns, batch, checkpoint_before: None }
+    }
+
+    /// Write page `p` filled with `p`, flush, and return the page states
+    /// after each committed prefix of the script.
+    fn load<S: PageStore + ?Sized>(&self, store: &mut S) -> Vec<Vec<Vec<u8>>> {
         let size = store.logical_page_size();
-        let initial: Vec<Vec<u8>> = (0..CARRY_PAGES).map(|p| vec![p as u8; size]).collect();
-        for pid in 0..CARRY_PAGES {
+        let pages = store.options().num_logical_pages;
+        let initial: Vec<Vec<u8>> = (0..pages).map(|p| vec![p as u8; size]).collect();
+        for pid in 0..pages {
             store.write_page(pid, &initial[pid as usize]).unwrap();
         }
         store.flush().unwrap();
-        initial
-    };
-    let mut store = (rig.build)(rig.opts);
-    let mut states: Vec<Vec<Vec<u8>>> = vec![load(&mut store)];
-    for txn_pages in &txns {
-        let mut next = states.last().unwrap().clone();
-        for (pid, fill, whole) in txn_pages {
-            apply_op(&mut next[*pid as usize], *fill, *whole);
+        let mut states = vec![initial];
+        for txn_pages in &self.txns {
+            let mut next = states.last().unwrap().clone();
+            for (pid, fill, whole) in txn_pages {
+                apply_op(&mut next[*pid as usize], *fill, *whole);
+            }
+            states.push(next);
         }
-        states.push(next);
+        states
     }
-    // The script up to the first power loss (`Ok(())`: it ran through).
-    let run = |store: &mut S| -> pdl_core::Result<()> {
-        for (k, txn_pages) in txns.iter().enumerate() {
-            if rig.checkpoint_before == Some(k) {
+
+    /// The script up to the first error; `returned(n)` after each commit
+    /// that returned, `n` transactions committed so far.
+    fn run<S: PageStore + ?Sized>(
+        &self,
+        store: &mut S,
+        states: &[Vec<Vec<u8>>],
+        mut returned: impl FnMut(usize),
+    ) -> pdl_core::Result<()> {
+        for (b, members) in self.txns.chunks(self.batch).enumerate() {
+            let lo = b * self.batch;
+            if self.checkpoint_before == Some(lo) {
                 store.checkpoint()?;
             }
-            let txn = k as u64 + 1;
-            let pages =
-                txn_pages.iter().map(|(pid, _, _)| (*pid, &states[k + 1][*pid as usize][..], txn));
+            let pages = members.iter().zip(lo..).flat_map(|(txn_pages, k)| {
+                let after = &states[k + 1];
+                txn_pages
+                    .iter()
+                    .map(move |(pid, _, _)| (*pid, &after[*pid as usize][..], k as u64 + 1))
+            });
             store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None })?;
+            returned(lo + members.len());
         }
         Ok(())
-    };
+    }
+}
 
-    // Dry run: count each chip's destructive operations, and prove the
-    // script garbage-collects and carries proofs for generations.
-    let before = (rig.destructive)(&store);
-    run(&mut store).unwrap();
+/// A callback handed each chip of a store with its shard index.
+type ChipFn<'a> = &'a mut dyn FnMut(usize, &mut FlashChip);
+
+/// How a commit sweep drives one PDL engine.
+struct Rig<S> {
+    config: FlashConfig,
+    opts: StoreOptions,
+    build: fn(FlashConfig, StoreOptions) -> S,
+    /// Hand every chip of the store, in shard order, to the callback.
+    each_chip: fn(&mut S, ChipFn),
+    recover: fn(Vec<FlashChip>, StoreOptions) -> S,
+    check: fn(&S) -> Result<(), String>,
+}
+
+fn one_chip_rig(config: FlashConfig, opts: StoreOptions) -> Rig<Pdl> {
+    Rig {
+        config,
+        opts,
+        build: |config, opts| Pdl::new(FlashChip::new(config), opts, 64).unwrap(),
+        each_chip: |store, f| f(0, store.chip_mut()),
+        recover: |mut chips, opts| Pdl::recover(chips.pop().unwrap(), opts, 64).unwrap(),
+        check: Pdl::check_tables,
+    }
+}
+
+/// Two shards through `ShardedStore::commit_batch_shared`.
+fn two_shard_rig(config: FlashConfig, opts: StoreOptions) -> Rig<ShardedStore> {
+    Rig {
+        config,
+        opts,
+        build: |config, opts| ShardedStore::with_uniform_chips(config, 2, PDL, opts).unwrap(),
+        each_chip: |store, f| (0..2).for_each(|s| store.with_shard(s, |st| f(s, st.chip_mut()))),
+        recover: |chips, opts| ShardedStore::recover(chips, PDL, opts).unwrap(),
+        check: ShardedStore::check_tables,
+    }
+}
+
+/// Where the power fails.
+enum Power {
+    /// On every chip at once, before each destructive op of the run.
+    WholeDevice,
+    /// On one chip at each of its destructive-op indices; the other chips
+    /// carry on until the error surfaces.
+    PerChip,
+}
+
+/// Power fails at every destructive-op index while `w` commits. Each time
+/// the recovered state must be a committed prefix of the script that
+/// keeps every transaction whose commit returned and ends on a batch
+/// boundary (a record commits all of its batch or none of it), the
+/// recovered tables must be consistent, and a second recovery must change
+/// nothing. `dry_run` checks that the fault-free run exercised what the
+/// sweep is for.
+fn commit_sweep<S: PageStore>(rig: &Rig<S>, w: &Commits, power: Power, dry_run: impl FnOnce(&S)) {
+    let mut store = (rig.build)(rig.config, rig.opts);
+    let states = w.load(&mut store);
+    let journal = PowerLossJournal::new();
+    let mut destructive = Vec::new();
+    (rig.each_chip)(&mut store, &mut |_, chip| {
+        chip.attach_journal(&journal);
+        destructive.push(chip.stats().total().writes + chip.stats().total().erases);
+    });
+    // (journal position, transactions committed) as each commit returned.
+    let mut returned = vec![(0, 0)];
+    w.run(&mut store, &states, |n| returned.push((journal.position(), n))).unwrap();
     (rig.check)(&store).unwrap();
-    let destructive: Vec<u64> =
-        (rig.destructive)(&store).iter().zip(&before).map(|(a, b)| a - b).collect();
-    let counter =
-        |name: &str| store.counters().iter().find(|(k, _)| *k == name).map(|(_, v)| *v).unwrap();
-    assert!(counter("gc_runs") > 0, "the carry workload must garbage-collect");
-    assert!(
-        counter("proofs_carried") >= 3 * counter("txn_commits"),
-        "proofs must be carried for at least three generations ({} carried, {} commits)",
-        counter("proofs_carried"),
-        counter("txn_commits")
-    );
-    assert!(counter("proof_pages_released") >= 3);
+    assert_eq!(store.stats().pipeline.ordering_violations, 0);
+    dry_run(&store);
+    (rig.each_chip)(&mut store, &mut |c, chip| {
+        destructive[c] = chip.stats().total().writes + chip.stats().total().erases - destructive[c];
+    });
 
-    let read_all = |store: &mut S| -> Vec<Vec<u8>> {
-        let mut out = vec![0u8; store.logical_page_size()];
-        (0..CARRY_PAGES)
-            .map(|pid| {
-                store.read_page(pid, &mut out).unwrap();
-                out.clone()
-            })
-            .collect()
+    let verify = |mut store: S, at: &str, confirmed: usize| {
+        (rig.check)(&store).unwrap_or_else(|e| panic!("{at}: {e}"));
+        let pages_now = read_all(&mut store);
+        assert_eq!(store.stats().pipeline.ordering_violations, 0, "{at}");
+        let k = states.iter().position(|s| *s == pages_now).unwrap_or_else(|| {
+            panic!("{at}: recovered state matches no committed prefix — a torn transaction")
+        });
+        assert!(k >= confirmed, "{at}: {k} transactions recovered, {confirmed} commits returned");
+        assert!(k % w.batch == 0 || k == w.txns.len(), "{at}: prefix of {k} splits a batch");
+        let mut r2 = (rig.recover)(Box::new(store).into_chips(), rig.opts);
+        (rig.check)(&r2).unwrap_or_else(|e| panic!("{at}, second recovery: {e}"));
+        assert_eq!(read_all(&mut r2), pages_now, "{at}: second recovery diverged");
     };
-    for chip in 0..rig.chips {
-        for budget in 0..=destructive[chip] {
-            let at = format!("chip {chip} budget {budget}");
-            let mut store = (rig.build)(rig.opts);
-            load(&mut store);
-            (rig.arm)(&mut store, chip, budget);
-            if let Err(e) = run(&mut store) {
-                assert!(is_power_loss(&e), "{at}: unexpected error: {e}");
+    match power {
+        Power::WholeDevice => {
+            for (g, chips) in journal.images().enumerate() {
+                let confirmed = returned.iter().rev().find(|(at, _)| *at <= g as u64).unwrap().1;
+                verify((rig.recover)(chips, rig.opts), &format!("image {g}"), confirmed);
             }
-            let mut r = (rig.reboot)(store, rig.opts);
-            (rig.check)(&r).unwrap_or_else(|e| panic!("{at}: {e}"));
-            let pages_now = read_all(&mut r);
-            assert!(
-                states.contains(&pages_now),
-                "{at}: recovered state matches no committed prefix — a torn transaction"
-            );
-            let mut r2 = (rig.reboot)(r, rig.opts);
-            (rig.check)(&r2).unwrap_or_else(|e| panic!("{at}, second recovery: {e}"));
-            assert_eq!(read_all(&mut r2), pages_now, "{at}: second recovery diverged");
+        }
+        Power::PerChip => {
+            let points =
+                destructive.iter().enumerate().flat_map(|(c, &n)| (0..=n).map(move |b| (c, b)));
+            for (c, budget) in points {
+                let at = format!("chip {c} budget {budget}");
+                let mut store = (rig.build)(rig.config, rig.opts);
+                w.load(&mut store);
+                (rig.each_chip)(&mut store, &mut |i, chip| {
+                    if i == c {
+                        chip.arm_fault(budget)
+                    }
+                });
+                let mut confirmed = 0;
+                if let Err(e) = w.run(&mut store, &states, |n| confirmed = n) {
+                    assert!(is_power_loss(&e), "{at}: unexpected error: {e}");
+                }
+                let mut chips = Box::new(store).into_chips();
+                chips.iter_mut().for_each(FlashChip::disarm_fault);
+                verify((rig.recover)(chips, rig.opts), &at, confirmed);
+            }
         }
     }
 }
 
-/// `reserve_blocks`: large enough that the script garbage-collects
-/// inside its commit batches.
-fn carry_opts(reserve_blocks: u32) -> StoreOptions {
-    let mut opts = StoreOptions::new(CARRY_PAGES);
+fn counter<S: PageStore>(store: &S, name: &str) -> u64 {
+    store.counters().iter().find(|(k, _)| *k == name).map_or(0, |(_, v)| *v)
+}
+
+fn opts(pages: u64, reserve_blocks: u32) -> StoreOptions {
+    let mut opts = StoreOptions::new(pages);
     opts.reserve_blocks = reserve_blocks;
     opts
 }
 
-fn one_chip_rig(opts: StoreOptions) -> CarryRig<Pdl> {
-    CarryRig {
-        opts,
-        build: |opts| Pdl::new(FlashChip::new(FlashConfig::tiny()), opts, 64).unwrap(),
-        chips: 1,
-        arm: |store, _, budget| store.chip_mut().arm_fault(budget),
-        destructive: |store| {
-            let total = store.stats().total();
-            vec![total.writes + total.erases]
-        },
-        reboot: |store, opts| {
-            let mut chip = Box::new(store).into_chip();
-            chip.disarm_fault();
-            Pdl::recover(chip, opts, 64).unwrap()
-        },
-        check: Pdl::check_tables,
-        checkpoint_before: None,
-    }
+/// The commit-record sweep: every transaction all-or-nothing, zero torn
+/// commits, also when GC runs inside a commit batch.
+#[test]
+fn exhaustive_crash_sweep_txn_commits() {
+    let w = Commits::new(txn_script(48), 1);
+    let rig = one_chip_rig(FlashConfig::tiny(), opts(PAGES, 10));
+    commit_sweep(&rig, &w, Power::WholeDevice, |store| {
+        assert!(store.stats().gc.total_ops() > 0, "the txn workload must garbage-collect");
+    });
+}
+
+/// The commit-record sweep through **epoch records** (codec v3 kind
+/// 0x03): transactions are committed in batches of three, each proven by
+/// one epoch record covering the batch's txn-id range. The verdict at
+/// every crash point must still be a committed prefix, and, because one
+/// epoch record lands atomically, a prefix on a batch boundary.
+#[test]
+fn exhaustive_crash_sweep_epoch_commits() {
+    let w = Commits::new(txn_script(48), 3);
+    // A batch stages ~3x the pages of one transaction before its epoch
+    // record lands, so the reserve is a notch smaller than the per-txn
+    // sweep's: enough pressure to garbage-collect inside batches without
+    // starving a whole batch's reservation.
+    let rig = one_chip_rig(FlashConfig::tiny(), opts(PAGES, 8));
+    let batches = w.txns.len().div_ceil(w.batch) as u64;
+    commit_sweep(&rig, &w, Power::WholeDevice, |store| {
+        assert!(store.stats().gc.total_ops() > 0, "the epoch workload must garbage-collect");
+        let epochs = counter(store, "epoch_commits");
+        assert!(epochs >= batches, "every batch must have landed an epoch record ({epochs})");
+    });
+}
+
+/// The carry sweeps' chip: the tiny geometry with 24 blocks, room for
+/// 24 pages, a 12-block GC reserve and a 4-block checkpoint region.
+fn carry_chip() -> FlashConfig {
+    let geometry = FlashGeometry { num_blocks: 24, ..FlashGeometry::tiny() };
+    FlashConfig { geometry, ..FlashConfig::tiny() }
+}
+
+/// Commit proofs carried forward for generations: a lost proof would
+/// surface as recovery's "live tag without a commit record". The reserve
+/// is large enough that the script garbage-collects inside its commit
+/// batches.
+fn carry_sweep<S: PageStore>(
+    rig: fn(FlashConfig, StoreOptions) -> Rig<S>,
+    opts: StoreOptions,
+    checkpoint_before: Option<usize>,
+    power: Power,
+) {
+    let rig = rig(carry_chip(), opts);
+    let w = Commits { checkpoint_before, ..Commits::new(carry_script(104), 1) };
+    commit_sweep(&rig, &w, power, |store| {
+        assert!(counter(store, "gc_runs") >= 3, "the carry workload must garbage-collect");
+        let (carried, commits) = (counter(store, "proofs_carried"), counter(store, "txn_commits"));
+        assert!(
+            carried >= 10 * commits,
+            "proofs must be carried for at least ten generations ({carried} carried, {commits} commits)"
+        );
+        assert!(counter(store, "proof_pages_released") >= 3);
+    });
 }
 
 #[test]
 fn exhaustive_crash_sweep_proof_carry() {
-    carry_sweep(one_chip_rig(carry_opts(10)));
+    carry_sweep(one_chip_rig, opts(CARRY_PAGES, 12), None, Power::WholeDevice);
 }
 
 /// Across a checkpoint: the proofs it records are carried forward
 /// afterwards, so the delta scan meets checkpointed locations that are
-/// already obsolete inside blocks whose fingerprints never changed.
+/// already obsolete inside blocks whose fingerprints never changed — and
+/// differentials GC moved out of erased blocks since, whose old time
+/// stamps must still outrank the base the checkpoint loaded.
 #[test]
 fn exhaustive_crash_sweep_proof_carry_across_a_checkpoint() {
-    let rig = one_chip_rig(carry_opts(10).with_checkpoint_blocks(2));
-    carry_sweep(CarryRig { checkpoint_before: Some(9), ..rig });
+    let opts = opts(CARRY_PAGES, 12).with_checkpoint_blocks(4);
+    carry_sweep(one_chip_rig, opts, Some(36), Power::WholeDevice);
 }
 
-/// Two shards through `ShardedStore::commit_batch_shared`, power failing
-/// on either chip.
+/// Two shards, power failing on either chip.
 #[test]
 fn exhaustive_crash_sweep_proof_carry_two_shards() {
-    const KIND: MethodKind = MethodKind::Pdl { max_diff_size: 64 };
-    carry_sweep(CarryRig {
-        // Each chip holds half the pages: a larger reserve keeps it
-        // garbage-collecting within the script.
-        opts: carry_opts(12),
-        build: |opts| ShardedStore::with_uniform_chips(FlashConfig::tiny(), 2, KIND, opts).unwrap(),
-        chips: 2,
-        arm: |store, chip, budget| store.with_shard(chip, |st| st.chip_mut().arm_fault(budget)),
-        destructive: |store| {
-            let per_chip = store.per_shard_stats().into_iter();
-            per_chip.map(|st| st.total().writes + st.total().erases).collect()
-        },
-        reboot: |store, opts| {
-            let mut chips = store.into_shard_chips();
-            chips.iter_mut().for_each(FlashChip::disarm_fault);
-            ShardedStore::recover(chips, KIND, opts).unwrap()
-        },
-        check: ShardedStore::check_tables,
-        checkpoint_before: None,
-    });
+    carry_sweep(two_shard_rig, opts(CARRY_PAGES, 12), None, Power::PerChip);
+}
+
+/// Two shards, power failing on both chips at once.
+#[test]
+fn exhaustive_crash_sweep_proof_carry_two_shards_whole_device() {
+    carry_sweep(two_shard_rig, opts(CARRY_PAGES, 12), None, Power::WholeDevice);
+}
+
+/// The journal against the replay it replaces: for the PDL plain and
+/// commit-record workloads, at queue depth 1 and 16, the chip a fault
+/// armed at `g` leaves equals journal image `g`, for every `g`, and the
+/// workload outlasts exactly as many budgets as the journal has images.
+#[test]
+fn journal_images_equal_arm_fault_replays() {
+    type Work<'a> = &'a dyn Fn(&mut dyn PageStore) -> pdl_core::Result<()>;
+    fn compare(prepare: &dyn Fn() -> Box<dyn PageStore>, work: Work, what: &str) {
+        let mut store = prepare();
+        let journal = journal_on(store.as_mut());
+        work(store.as_mut()).unwrap();
+        let images: Vec<u64> = journal.images().map(|c| c[0].image_fingerprint()).collect();
+        for (g, image) in images.iter().enumerate() {
+            let mut store = prepare();
+            store.chip_mut().arm_fault(g as u64);
+            let ran_through =
+                work(store.as_mut()).inspect_err(|e| assert!(is_power_loss(e))).is_ok();
+            assert_eq!(ran_through, g + 1 == images.len(), "{what}: budget {g}");
+            assert_eq!(store.chip().image_fingerprint(), *image, "{what}: image {g}");
+        }
+    }
+    for config in [FlashConfig::tiny(), FlashConfig::tiny().with_queue_depth(16).with_planes(4)] {
+        let setup = SweepSetup::new(PDL, GcPolicy::Greedy, config);
+        let writes = setup.post_flush(&setup.phase1().1);
+        let plain: Work =
+            &|store| writes.iter().try_for_each(|(p, page)| store.write_page(*p, page));
+        compare(&|| setup.phase1().0, plain, "plain");
+
+        let w = Commits::new(txn_script(48), 1);
+        let build = || build_store(FlashChip::new(config), PDL, opts(PAGES, 10)).unwrap();
+        let states = w.load(build().as_mut());
+        let prepare = || {
+            let mut store = build();
+            w.load(store.as_mut());
+            store
+        };
+        compare(&prepare, &|store| w.run(store, &states, |_| {}), "txn");
+    }
 }
 
 proptest! {

@@ -17,13 +17,11 @@
 //!   still recover to a committed prefix.
 //!
 //! Everything here is deterministic: the clock is simulated, the
-//! workload is a fixed pseudo-random script, and crash points are an
-//! exhaustive sweep over destructive-op indices.
+//! workload is a fixed pseudo-random script, and crash points are every
+//! crash image a [`PowerLossJournal`] took of one run.
 
-use pdl_core::{
-    build_store, is_power_loss, recover_store, CommitBatch, MethodKind, PageStore, StoreOptions,
-};
-use pdl_flash::{FlashChip, FlashConfig};
+use pdl_core::{build_store, recover_store, CommitBatch, MethodKind, StoreOptions};
+use pdl_flash::{FlashChip, FlashConfig, PowerLossJournal};
 
 const PAGES: u64 = 24;
 const DEPTHS: [u32; 3] = [1, 4, 16];
@@ -128,21 +126,16 @@ fn inflight_crash_recovers_to_committed_prefix_at_qd16() {
     let opts = gc_heavy_opts();
     let txns = txn_script(8);
 
-    let build = || build_store(FlashChip::new(config(16)), kind, opts).unwrap();
-    let load = |store: &mut dyn PageStore| {
-        let size = store.logical_page_size();
-        let initial: Vec<Vec<u8>> = (0..PAGES).map(|p| vec![p as u8; size]).collect();
-        for pid in 0..PAGES {
-            store.write_page(pid, &initial[pid as usize]).unwrap();
-        }
-        store.flush().unwrap();
-        initial
-    };
+    let mut store = build_store(FlashChip::new(config(16)), kind, opts).unwrap();
+    let size = store.logical_page_size();
+    let initial: Vec<Vec<u8>> = (0..PAGES).map(|p| vec![p as u8; size]).collect();
+    for pid in 0..PAGES {
+        store.write_page(pid, &initial[pid as usize]).unwrap();
+    }
+    store.flush().unwrap();
 
     // The database states after each committed prefix of the script.
-    let mut store = build();
-    let size = store.logical_page_size();
-    let mut states: Vec<Vec<Vec<u8>>> = vec![load(store.as_mut())];
+    let mut states: Vec<Vec<Vec<u8>>> = vec![initial];
     for txn in &txns {
         let mut next = states.last().unwrap().clone();
         for (pid, fill) in txn {
@@ -151,48 +144,29 @@ fn inflight_crash_recovers_to_committed_prefix_at_qd16() {
         states.push(next);
     }
 
-    // One transaction through `commit_batch`. At QD=16 the
+    // One transaction after another through `commit_batch`. At QD=16 the
     // staged programs and the commit record are all *submitted*; nothing
-    // here drains the queue, so the fault can land with the whole batch
-    // still in flight.
-    let run_txn =
-        |store: &mut dyn PageStore, states: &[Vec<Vec<u8>>], k: usize| -> pdl_core::Result<()> {
-            let txn = k as u64 + 1;
-            let pages =
-                txns[k].iter().map(|(pid, _)| (*pid, &states[k + 1][*pid as usize][..], txn));
-            Ok(store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None })?)
-        };
-
-    // Dry run: count destructive ops so the sweep covers every index.
-    let mut store = build();
-    load(store.as_mut());
+    // here drains the queue, so a crash image can cut the whole batch
+    // while it is still in flight.
+    let journal = PowerLossJournal::new();
+    store.chip_mut().attach_journal(&journal);
     let before = store.stats();
-    for k in 0..txns.len() {
-        run_txn(store.as_mut(), &states, k).unwrap();
+    for (k, txn) in txns.iter().enumerate() {
+        let pages =
+            txn.iter().map(|(pid, _)| (*pid, &states[k + 1][*pid as usize][..], k as u64 + 1));
+        store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None }).unwrap();
     }
     let delta = store.stats().delta_since(&before);
-    let destructive = delta.total().writes + delta.total().erases;
+    assert_eq!(journal.position(), delta.total().writes + delta.total().erases);
     assert!(delta.gc.total_ops() > 0, "the txn workload must garbage-collect ({delta:?})");
     assert!(store.stats().pipeline.max_inflight > 1, "the queue was never actually used");
+    // Every crash image is a prefix of this run, so its reads were checked here.
+    assert_eq!(store.stats().pipeline.ordering_violations, 0);
 
-    for budget in 0..=destructive {
-        let mut store = build();
-        load(store.as_mut());
-        store.chip_mut().arm_fault(budget);
-        for k in 0..txns.len() {
-            match run_txn(store.as_mut(), &states, k) {
-                Ok(()) => {}
-                Err(e) => {
-                    assert!(is_power_loss(&e), "budget {budget}: unexpected error: {e}");
-                    break;
-                }
-            }
-        }
-        // Power loss: whatever was still queued is gone with the crash —
-        // no drain, straight to recovery.
-        let mut chip = store.into_chip();
-        chip.disarm_fault();
-        let mut r = recover_store(chip, kind, opts).unwrap();
+    // Power loss before every destructive op: whatever was still queued
+    // is gone with the crash — no drain, straight to recovery.
+    for (g, mut chips) in journal.images().enumerate() {
+        let mut r = recover_store(chips.pop().unwrap(), kind, opts).unwrap();
         let mut out = vec![0u8; size];
         let mut pages_now: Vec<Vec<u8>> = Vec::with_capacity(PAGES as usize);
         for pid in 0..PAGES {
@@ -201,8 +175,8 @@ fn inflight_crash_recovers_to_committed_prefix_at_qd16() {
         }
         assert!(
             states.iter().any(|s| s == &pages_now),
-            "budget {budget}: recovered state matches no committed prefix"
+            "image {g}: recovered state matches no committed prefix"
         );
-        assert_eq!(r.stats().pipeline.ordering_violations, 0, "budget {budget}");
+        assert_eq!(r.stats().pipeline.ordering_violations, 0, "image {g}");
     }
 }

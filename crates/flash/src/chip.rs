@@ -7,6 +7,7 @@
 
 use crate::error::{FlashError, ProgramArea};
 use crate::geometry::{BlockId, FlashConfig, FlashGeometry, FlashTiming, Ppn};
+use crate::journal::{JournalOp, JournalTap, PowerLossJournal};
 use crate::pipeline::{CmdKind, Pipeline};
 use crate::spare::SpareInfo;
 use crate::stats::{FlashStats, OpContext, WearSummary};
@@ -65,6 +66,10 @@ pub struct FlashChip {
     /// The armed fault disarms itself after its first failure
     /// ([`FlashChip::arm_fault_once`]).
     fault_once: bool,
+    /// The power-loss journal every destructive op that passes the fault
+    /// gate is appended to ([`FlashChip::attach_journal`]); clones start
+    /// detached.
+    journal: JournalTap,
     /// Blocks whose erase failed: they accept no further programs.
     broken: Vec<bool>,
     /// Erase-cycle endurance limit; erases beyond it fail (`None` = no
@@ -96,6 +101,7 @@ impl FlashChip {
             context: OpContext::User,
             fault_countdown: None,
             fault_once: false,
+            journal: JournalTap::default(),
             broken: vec![false; g.num_blocks as usize],
             erase_limit: None,
             forced_erase_failures: vec![false; g.num_blocks as usize],
@@ -244,9 +250,32 @@ impl FlashChip {
         self.fault_countdown = None;
     }
 
-    /// Whether a fault is armed and has already fired at least once.
+    /// Whether a fault is armed: true from [`FlashChip::arm_fault`] or
+    /// [`FlashChip::arm_fault_once`] until [`FlashChip::disarm_fault`], or
+    /// until a once-armed fault has fired.
     pub fn fault_armed(&self) -> bool {
         self.fault_countdown.is_some()
+    }
+
+    /// Append every destructive op from now on to `journal`, which takes
+    /// a copy of the chip as it is now as its start image (see
+    /// [`PowerLossJournal`]). It sees exactly the ops
+    /// [`FlashChip::arm_fault`] counts. State changed outside the program
+    /// and erase calls after this (injected erase failures, corruption)
+    /// is not journaled.
+    pub fn attach_journal(&mut self, journal: &PowerLossJournal) {
+        self.journal = JournalTap::attach(journal, self);
+    }
+
+    /// A hash of everything a crash leaves on the chip — data, spare,
+    /// program counters, erase counts, broken blocks — and of nothing
+    /// else (stats, queue and recorder state are not in it). Test only.
+    pub fn image_fingerprint(&self) -> u64 {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        (&self.data, &self.spare, &self.data_programs, &self.spare_programs).hash(&mut h);
+        (&self.erase_counts, &self.broken).hash(&mut h);
+        h.finish()
     }
 
     /// Set an erase-endurance limit: blocks erased more than `cycles`
@@ -297,7 +326,9 @@ impl FlashChip {
         Ok(())
     }
 
-    fn destructive_op_gate(&mut self) -> Result<()> {
+    /// Sits after every validity check of a program or erase: the op
+    /// either fails on the armed fault or counts, and is journaled.
+    fn destructive_op_gate(&mut self, op: impl FnOnce() -> JournalOp) -> Result<()> {
         if let Some(remaining) = self.fault_countdown.as_mut() {
             if *remaining == 0 {
                 if self.fault_once {
@@ -307,6 +338,7 @@ impl FlashChip {
             }
             *remaining -= 1;
         }
+        self.journal.record(op);
         Ok(())
     }
 
@@ -584,7 +616,7 @@ impl FlashChip {
         if let Some(off) = first_conflict(&self.spare[sr.clone()], spare) {
             return Err(FlashError::ProgramConflict { ppn, byte_offset: off });
         }
-        self.destructive_op_gate()?;
+        self.destructive_op_gate(|| JournalOp::Page(ppn, data.into(), spare.into()))?;
         and_into(&mut self.data[dr], data);
         and_into(&mut self.spare[sr], spare);
         self.data_programs[p] += 1;
@@ -618,7 +650,7 @@ impl FlashChip {
         if let Some(off) = first_conflict(&self.data[target.clone()], bytes) {
             return Err(FlashError::ProgramConflict { ppn, byte_offset: offset + off });
         }
-        self.destructive_op_gate()?;
+        self.destructive_op_gate(|| JournalOp::Partial(ppn, offset, bytes.into()))?;
         and_into(&mut self.data[target], bytes);
         self.data_programs[p] += 1;
         self.charge_write(ppn);
@@ -649,7 +681,7 @@ impl FlashChip {
         if let Some(off) = first_conflict(&self.spare[target.clone()], bytes) {
             return Err(FlashError::ProgramConflict { ppn, byte_offset: offset + off });
         }
-        self.destructive_op_gate()?;
+        self.destructive_op_gate(|| JournalOp::Spare(ppn, offset, bytes.into()))?;
         and_into(&mut self.spare[target], bytes);
         self.spare_programs[p] += 1;
         self.charge_write(ppn);
@@ -683,7 +715,7 @@ impl FlashChip {
         if self.broken[block.0 as usize] {
             return Err(FlashError::BadBlock(block));
         }
-        self.destructive_op_gate()?;
+        self.destructive_op_gate(|| JournalOp::Erase(block))?;
         let worn_out =
             self.erase_limit.is_some_and(|limit| self.erase_counts[block.0 as usize] >= limit);
         if worn_out || self.forced_erase_failures[block.0 as usize] {

@@ -30,6 +30,14 @@
 //! [`FlashError::PowerLoss`], which lets crash-recovery algorithms be
 //! tested at every possible interleaving point. Page programming itself is
 //! atomic, matching the chip-level guarantee the paper relies on (§4.5).
+//! Beside it sits a **power-loss journal** ([`PowerLossJournal`],
+//! [`FlashChip::attach_journal`]): it records the same ops `arm_fault`
+//! counts during one fault-free run and hands back every crash image
+//! from it — the chip that `arm_fault(g)` would leave, for every `g` — so
+//! an exhaustive sweep runs its workload once instead of once per crash
+//! point. Chips that share a journal share one op order: their images
+//! are the whole device losing power at once, where `arm_fault` on one
+//! chip lets the others carry on.
 //!
 //! On top of the serial cost model sits a **pipelined command model**
 //! ([`PipelineConfig`], [`FlashChip::prefetch_page`], [`FlashChip::poll`],
@@ -41,6 +49,7 @@
 mod chip;
 mod error;
 mod geometry;
+mod journal;
 mod pipeline;
 mod spare;
 mod stats;
@@ -48,6 +57,7 @@ mod stats;
 pub use chip::{FlashChip, PageBuf};
 pub use error::FlashError;
 pub use geometry::{BlockId, FlashConfig, FlashGeometry, FlashTiming, Ppn};
+pub use journal::PowerLossJournal;
 pub use pipeline::PipelineConfig;
 pub use spare::{fnv1a32, PageKind, SpareInfo, NO_TXN, SPARE_BYTES_USED};
 pub use stats::{FlashStats, IntegrityCounts, OpContext, OpCounts, PipelineCounts, WearSummary};

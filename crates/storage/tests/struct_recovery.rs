@@ -14,10 +14,11 @@
 //! (the V3 region carries the roots through compaction). A second sweep
 //! commits the same batches from one thread and visits every crash point
 //! of the two-shard commit protocol, with power failing on both chips or
-//! on either one alone.
+//! on either one alone — per-chip fault budgets, one re-run per point —
+//! and, from one journaled run, on the whole device at once.
 
 use pdl_core::{is_power_loss, MethodKind, ShardedStore, StoreOptions};
-use pdl_flash::FlashConfig;
+use pdl_flash::{FlashChip, FlashConfig, PowerLossJournal};
 use pdl_storage::{BTree, Database, Durability, Key, KeyBuf, StorageError};
 
 const KIND: MethodKind = MethodKind::Pdl { max_diff_size: 256 };
@@ -56,11 +57,11 @@ fn dense_prefix_len(db: &Database, tree: &BTree, w: usize) -> u64 {
 /// Build a database and commit a baseline on two registered trees (deep
 /// enough that both roots grew, so the structure-root log is durably
 /// populated). Crash it cleanly and come back through the root log, so
-/// the faulted phase itself runs on recovered trees, with `budget` flash
-/// operations left on each chip of `armed`: the budget burns down inside
-/// that phase — split chains, staged flushes, commit records, root-record
-/// programs.
-fn recovered_baseline(armed: &[usize], budget: u64) -> (Database, Vec<BTree>) {
+/// the faulted phase itself runs on recovered trees, with `power` given
+/// each recovered chip (shard order) first: a fault budget burns down
+/// inside that phase — split chains, staged flushes, commit records,
+/// root-record programs — and a journal records it.
+fn recovered_baseline(mut power: impl FnMut(usize, &mut FlashChip)) -> (Database, Vec<BTree>) {
     let store = ShardedStore::with_uniform_chips(FlashConfig::scaled(16), SHARDS, KIND, options())
         .expect("store");
     let db = Database::new(Box::new(store), 128).with_durability(Durability::Commit);
@@ -79,8 +80,8 @@ fn recovered_baseline(armed: &[usize], budget: u64) -> (Database, Vec<BTree>) {
 
     let store = ShardedStore::recover(db.into_store_without_flush().into_chips(), KIND, options())
         .expect("baseline recover");
-    for &s in armed {
-        store.with_shard(s, |st| st.chip_mut().arm_fault(budget));
+    for s in 0..SHARDS {
+        store.with_shard(s, |st| power(s, st.chip_mut()));
     }
     let db = Database::new(Box::new(store), 128).with_durability(Durability::Commit);
     let trees: Vec<BTree> = db.recover_structures().into_iter().map(|s| s.into_btree()).collect();
@@ -89,7 +90,7 @@ fn recovered_baseline(armed: &[usize], budget: u64) -> (Database, Vec<BTree>) {
 }
 
 /// Power is gone: take the chips as the crash left them.
-fn crashed_chips(db: Database) -> Vec<pdl_flash::FlashChip> {
+fn crashed_chips(db: Database) -> Vec<FlashChip> {
     let mut chips = db.into_store_without_flush().into_chips();
     for c in &mut chips {
         c.disarm_fault();
@@ -100,8 +101,8 @@ fn crashed_chips(db: Database) -> Vec<pdl_flash::FlashChip> {
 /// Race two writers over the recovered baseline until `budget` flash
 /// operations exhaust on every chip. Returns the crashed chips plus each
 /// writer's count of batches whose commit *returned* `Ok`.
-fn run_until_power_loss(budget: u64) -> (Vec<pdl_flash::FlashChip>, Vec<u64>) {
-    let (db, trees) = recovered_baseline(&[0, 1], budget);
+fn run_until_power_loss(budget: u64) -> (Vec<FlashChip>, Vec<u64>) {
+    let (db, trees) = recovered_baseline(|_, chip| chip.arm_fault(budget));
 
     let confirmed: Vec<u64> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..2usize)
@@ -152,25 +153,20 @@ fn run_until_power_loss(budget: u64) -> (Vec<pdl_flash::FlashChip>, Vec<u64>) {
 }
 
 /// The same batches from one thread — writer 0's, then writer 1's — up to
-/// the first error, with only the chips of `armed` faulted. Nothing here
-/// depends on a scheduler: a (chips, budget) point fails every time or
-/// never.
-fn run_serially_until_power_loss(
-    armed: &[usize],
-    budget: u64,
-) -> (Vec<pdl_flash::FlashChip>, Vec<u64>) {
-    let (db, trees) = recovered_baseline(armed, budget);
-    let mut confirmed = vec![0u64; 2];
+/// the first error; `committed(w)` each time a commit of writer `w`
+/// returns. Nothing here depends on a scheduler: a crash point fails every
+/// time or never.
+fn commit_serially(db: &Database, trees: &[BTree], mut committed: impl FnMut(usize)) {
     let mut run = || -> Result<(), StorageError> {
         for (w, tree) in trees.iter().enumerate() {
             for b in 0..BATCHES {
                 db.begin()?;
                 for i in 0..BATCH {
                     let at = BASELINE + b * BATCH + i;
-                    tree.insert(&db, &key_of(w, at), at)?;
+                    tree.insert(db, &key_of(w, at), at)?;
                 }
                 db.commit()?;
-                confirmed[w] += 1;
+                committed(w);
             }
         }
         Ok(())
@@ -178,12 +174,23 @@ fn run_serially_until_power_loss(
     if let Err(e) = run() {
         assert!(power_lost(&e), "unexpected error: {e}");
     }
+}
+
+/// [`commit_serially`] with only the chips of `armed` faulted.
+fn run_serially_until_power_loss(armed: &[usize], budget: u64) -> (Vec<FlashChip>, Vec<u64>) {
+    let (db, trees) = recovered_baseline(|s, chip| {
+        if armed.contains(&s) {
+            chip.arm_fault(budget)
+        }
+    });
+    let mut confirmed = vec![0u64; 2];
+    commit_serially(&db, &trees, |w| confirmed[w] += 1);
     (crashed_chips(db), confirmed)
 }
 
 /// Recover chips into a fresh database and rebuild the trees from the
 /// checkpointed root log alone.
-fn recover(chips: Vec<pdl_flash::FlashChip>) -> (Database, Vec<BTree>) {
+fn recover(chips: Vec<FlashChip>) -> (Database, Vec<BTree>) {
     let store = ShardedStore::recover(chips, KIND, options()).expect("recover");
     let db = Database::new(Box::new(store), 128).with_durability(Durability::Commit);
     let trees: Vec<BTree> = db.recover_structures().into_iter().map(|s| s.into_btree()).collect();
@@ -244,7 +251,7 @@ fn crash_mid_split_sweep_recovers_committed_prefixes() {
 /// Recover, check, crash the recovered store again without flushing,
 /// recover again: the second recovery must reproduce the same committed
 /// state.
-fn check_recovery_is_idempotent(chips: Vec<pdl_flash::FlashChip>, confirmed: &[u64], what: &str) {
+fn check_recovery_is_idempotent(chips: Vec<FlashChip>, confirmed: &[u64], what: &str) {
     let (db, trees) = recover(chips);
     let lens = check_recovered(&db, &trees, confirmed);
     let (db2, trees2) = recover(db.into_store_without_flush().into_chips());
@@ -273,6 +280,29 @@ fn serial_crash_sweep_recovers_committed_prefixes_on_every_chip_subset() {
         }
         assert!(budget > 30, "chips {armed:?}: the run ends after {budget} flash operations");
     }
+}
+
+#[test]
+fn serial_crash_sweep_whole_device_recovers_committed_prefixes() {
+    // The same serial run once, journaled on both chips: power fails on
+    // the whole device before each flash operation of either chip. A
+    // batch counts as confirmed at every crash point at or after the
+    // journal position its commit returned at.
+    let journal = PowerLossJournal::new();
+    let (db, trees) = recovered_baseline(|_, chip| chip.attach_journal(&journal));
+    let mut returned: Vec<(usize, u64)> = Vec::new();
+    commit_serially(&db, &trees, |w| returned.push((w, journal.position())));
+    assert_eq!(returned.len() as u64, 2 * BATCHES, "the journaled run must commit every batch");
+    let mut points = 0;
+    for (g, chips) in journal.images().enumerate() {
+        let mut confirmed = vec![0u64; 2];
+        for &(w, at) in &returned {
+            confirmed[w] += u64::from(at <= g as u64);
+        }
+        check_recovery_is_idempotent(chips, &confirmed, &format!("whole device, image {g}"));
+        points += 1;
+    }
+    assert!(points > 60, "the run ends after {points} flash operations");
 }
 
 #[test]
