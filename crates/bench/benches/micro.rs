@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pdl_core::diff::Differential;
-use pdl_core::{build_store, MethodKind, StoreOptions};
+use pdl_core::{build_store, BatchPage, CommitBatch, MethodKind, StoreOptions};
 use pdl_flash::{fnv1a32, FlashChip, FlashConfig, PageKind, Ppn, SpareInfo};
 use pdl_storage::{BTree, Database, Durability, KeyBuf};
 use rand::rngs::StdRng;
@@ -95,6 +95,81 @@ fn bench_method_round_trips(c: &mut Criterion) {
                 store.evict_page(pid, &page).unwrap();
             })
         });
+    }
+    g.finish();
+}
+
+/// Commit staging with and without the held image: one stream of
+/// 12-page transactions, a few small edits per page, committed to PDL once
+/// with each page's held image (what the buffer pool hands in) and once
+/// without — the paper's path, which reads every base page back. The
+/// criterion row is host time per transaction; the line under it gives
+/// flash reads and simulated µs per transaction.
+fn bench_commit_staging(c: &mut Criterion) {
+    const PAGES: u64 = 1_024;
+    const PER_TXN: usize = 12;
+    let mut g = c.benchmark_group("commit_staging");
+    g.sample_size(20);
+    for held in [true, false] {
+        let chip = FlashChip::new(FlashConfig::scaled(64));
+        let kind = MethodKind::Pdl { max_diff_size: 256 };
+        let mut store = build_store(chip, kind, StoreOptions::new(PAGES)).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut pages: Vec<Vec<u8>> = (0..PAGES)
+            .map(|_| {
+                let mut page = vec![0u8; store.logical_page_size()];
+                rng.fill_bytes(&mut page);
+                page
+            })
+            .collect();
+        for (pid, page) in pages.iter().enumerate() {
+            store.write_page(pid as u64, page).unwrap();
+        }
+        store.flush().unwrap();
+        let before = store.stats().total();
+        let mut txns = 0u64;
+        let label = if held { "held_image" } else { "base_read" };
+        g.bench_function(format!("commit_12_pages_{label}"), |b| {
+            b.iter(|| {
+                txns += 1;
+                let mut pids: Vec<u64> = Vec::with_capacity(PER_TXN);
+                while pids.len() < PER_TXN {
+                    let pid = rng.gen_range(0..PAGES);
+                    if !pids.contains(&pid) {
+                        pids.push(pid);
+                    }
+                }
+                let held_images: Vec<Vec<u8>> =
+                    pids.iter().map(|&pid| pages[pid as usize].clone()).collect();
+                for &pid in &pids {
+                    let page = &mut pages[pid as usize];
+                    for _ in 0..rng.gen_range(1..=4) {
+                        let len = rng.gen_range(4..=24usize);
+                        let at = rng.gen_range(0..page.len() - len);
+                        rng.fill_bytes(&mut page[at..at + len]);
+                    }
+                }
+                let batch = CommitBatch {
+                    pages: pids
+                        .iter()
+                        .zip(&held_images)
+                        .map(|(&pid, image)| BatchPage {
+                            held: held.then_some(&image[..]),
+                            ..BatchPage::new(pid, &pages[pid as usize], txns)
+                        })
+                        .collect(),
+                    roots: None,
+                };
+                store.commit_batch(&batch).unwrap()
+            })
+        });
+        let cost = store.stats().total() - before;
+        println!(
+            "{:<48} {:>12.2} flash reads/txn {:>8.0} sim us/txn",
+            format!("commit_staging/{label}"),
+            cost.reads as f64 / txns as f64,
+            cost.total_us() as f64 / txns as f64
+        );
     }
     g.finish();
 }
@@ -214,6 +289,7 @@ criterion_group!(
     bench_diff_codec,
     bench_flash_ops,
     bench_method_round_trips,
+    bench_commit_staging,
     bench_btree,
     bench_buffer_pool
 );

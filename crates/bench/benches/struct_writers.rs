@@ -19,6 +19,8 @@
 //! * commit proofs were carried forward and released record pages
 //!   (`proof_pages_released > 0`; the second table shows what the live
 //!   differential pages still hold);
+//! * commits staged pages from the pool's held images instead of reading
+//!   their base pages back (`base_reads_skipped > 0`, same table);
 //! * a crash after the run recovers every tree from the checkpointed
 //!   structure-root log alone (`recover_structures`, no `attach`).
 //!
@@ -121,10 +123,19 @@ fn main() {
         ],
     );
     let mut space = Table::new(
-        "live differential pages by valid count, and the proofs carried out of them",
-        &["shards", "vdct 1", "vdct 2-4", "vdct 5+", "proofs carried", "proof pages released"],
+        "live differential pages by valid count, the proofs carried out of them, and the base \
+         reads held images spared",
+        &[
+            "shards",
+            "vdct 1",
+            "vdct 2-4",
+            "vdct 5+",
+            "proofs carried",
+            "proof pages released",
+            "base reads skipped",
+        ],
     );
-    let mut proof_pages_released = 0u64;
+    let (mut proof_pages_released, mut base_reads_skipped) = (0u64, 0u64);
     let mut reg = obs::bench_registry("struct_writers", scale.label());
     reg.set_u64("pages", PAGES);
     reg.set_u64("total_inserts", total);
@@ -170,6 +181,7 @@ fn main() {
         obs::put_recorder_snapshot(&mut reg, &pre, &pool_snap);
         let counters = obs::put_space_counters(&mut reg, &pre, &db.with_store(|s| s.counters()));
         proof_pages_released += counters[4];
+        base_reads_skipped += counters[5];
         let mut row = vec![shards.to_string()];
         row.extend(counters.iter().map(u64::to_string));
         space.row(row);
@@ -191,6 +203,10 @@ fn main() {
     assert!(
         proof_pages_released > 0,
         "durable commits must carry proofs forward and release their old record pages"
+    );
+    assert!(
+        base_reads_skipped > 0,
+        "durable commits must stage from the pool's held images, not only from base reads"
     );
     assert!(
         ratio_at_4 >= 2.0,

@@ -116,7 +116,8 @@ fn main() {
         ],
     );
     let mut space = Table::new(
-        "live differential pages by valid count, and the proofs carried out of them",
+        "live differential pages by valid count, the proofs carried out of them, and the base \
+         reads held images spared",
         &[
             "writers",
             "discipline",
@@ -125,6 +126,7 @@ fn main() {
             "vdct 5+",
             "proofs carried",
             "proof pages released",
+            "base reads skipped",
         ],
     );
     let mut reg = obs::bench_registry("txn_commit", scale.label());

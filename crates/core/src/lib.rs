@@ -48,8 +48,8 @@ pub use ipl::Ipl;
 pub use ipu::Ipu;
 pub use opu::Opu;
 pub use page_store::{
-    ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions, StructRootEntry,
-    StructRootsSnapshot,
+    BatchPage, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
+    StructRootEntry, StructRootsSnapshot,
 };
 pub use pdl::Pdl;
 pub use shard::{shard_pages, ShardedStore};

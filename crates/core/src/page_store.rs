@@ -23,7 +23,9 @@
 //! A crash-atomic commit is **one call**: [`PageStore::commit_batch`]
 //! takes a [`CommitBatch`] — the page images, each on behalf of a
 //! transaction, plus at most one structure-root snapshot — and returns
-//! only when all of it is durable. The caller sequences nothing; it only
+//! only when all of it is durable. A page may also carry the image the
+//! store holds for it right now ([`BatchPage::held`]), which spares PDL
+//! the base-page read of staging. The caller sequences nothing; it only
 //! tells the two ways of not committing apart ([`CommitError`]):
 //!
 //! * `Rejected` — no page of the batch was staged (the store could not
@@ -47,6 +49,12 @@ use pdl_flash::{FlashChip, FlashStats, WearSummary};
 /// A changed byte range within a logical page, reported by the storage
 /// system to [`PageStore::apply_update`]. Only log-based methods consume
 /// it — that is precisely the DBMS coupling the paper discusses.
+///
+/// A range is what an update command *wrote*, not what it changed: a
+/// slotted-page row update rewrites the whole row. That is why PDL's
+/// staging hint is a pre-image ([`BatchPage::held`]) it compares against,
+/// not the accumulated ranges, which would turn small changes into
+/// Case-3 rewrites.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChangeRange {
     pub offset: u32,
@@ -324,13 +332,36 @@ impl StructRootsSnapshot {
     }
 }
 
+/// One page of a [`CommitBatch`]: reflect `image` as logical page `pid`
+/// on behalf of transaction `txn`.
+#[derive(Clone, Copy, Debug)]
+pub struct BatchPage<'a> {
+    pub pid: u64,
+    pub image: &'a [u8],
+    pub txn: u64,
+    /// The image this store holds for `pid` right now — what
+    /// [`PageStore::read_page`] would return — when the caller has it. A
+    /// buffer manager has it in the undo image of a frame that was clean
+    /// when the transaction first touched it. PDL then stages `pid`
+    /// without reading its base page back; `None` (and every other store)
+    /// takes the paper's path. A wrong image here is a wrong page on
+    /// flash: the store trusts it.
+    pub held: Option<&'a [u8]>,
+}
+
+impl<'a> BatchPage<'a> {
+    /// A page with no held image.
+    pub fn new(pid: u64, image: &'a [u8], txn: u64) -> BatchPage<'a> {
+        BatchPage { pid, image, txn, held: None }
+    }
+}
+
 /// One commit handed to [`PageStore::commit_batch`]. It borrows the
 /// caller's page images; nothing is copied to build it.
 #[derive(Clone, Debug, Default)]
 pub struct CommitBatch<'a> {
-    /// `(pid, image, txn)`: reflect `image` as logical page `pid` on
-    /// behalf of transaction `txn`, in this order.
-    pub pages: Vec<(u64, &'a [u8], u64)>,
+    /// The pages to reflect, in this order.
+    pub pages: Vec<BatchPage<'a>>,
     /// The structure roots transaction `txn` publishes: authoritative
     /// exactly when the batch commits. Stores without a root log accept
     /// and discard them.
@@ -341,7 +372,7 @@ impl CommitBatch<'_> {
     /// The batch's transactions, each once, in order of first appearance.
     pub(crate) fn txns(&self) -> Vec<u64> {
         let mut txns = Vec::new();
-        for t in self.pages.iter().map(|p| p.2).chain(self.roots.map(|r| r.1)) {
+        for t in self.pages.iter().map(|p| p.txn).chain(self.roots.map(|r| r.1)) {
             note_txn(&mut txns, t);
         }
         txns
@@ -530,8 +561,8 @@ pub trait PageStore: Send {
     /// as `Failed` because pages may already be reflected.
     fn commit_batch(&mut self, batch: &CommitBatch<'_>) -> std::result::Result<(), CommitError> {
         let mut write_through = || {
-            for &(pid, page, _) in &batch.pages {
-                self.evict_page(pid, page)?;
+            for p in &batch.pages {
+                self.evict_page(p.pid, p.image)?;
             }
             self.flush()
         };

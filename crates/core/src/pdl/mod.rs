@@ -24,6 +24,17 @@
 //! differentials into fresh differential pages (§4.1). Crash recovery
 //! (§4.5) is in [`recovery`].
 //!
+//! Computing a differential needs the base page, which Figure 7 reads
+//! back from flash. A commit can instead hand the store the image it
+//! holds for the page ([`crate::BatchPage::held`]): outside the byte
+//! ranges of the page's current differential — which the store keeps in
+//! memory ([`spans`]) — that image *is* the base, so staging compares
+//! against it with every byte inside those ranges counted as changed. The
+//! differential is then a superset of the exact one and still rebuilds
+//! the page. Without a held image, or with the ranges unknown (after
+//! recovery, or after a plain eviction), staging reads the base as the
+//! paper does.
+//!
 //! # Transactional durability (`pdl-txn`)
 //!
 //! The paper's method is DBMS-independent at the page level, leaving
@@ -66,6 +77,7 @@
 mod checkpoint;
 mod dwb;
 mod recovery;
+mod spans;
 
 pub(crate) use checkpoint::{txn_precheck_fast, CheckpointDelta};
 
@@ -83,6 +95,7 @@ use crate::page_store::{
 use crate::Result;
 use dwb::{DiffWriteBuffer, DwbEntry};
 use pdl_flash::{FlashChip, OpContext, PageKind, Ppn, SpareInfo};
+use spans::DiffSpans;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -192,6 +205,9 @@ pub(crate) struct PdlCounters {
     pub proofs_carried: u64,
     /// Differential pages whose last reference was a carried proof.
     pub proof_pages_released: u64,
+    /// Pages staged against a held image instead of their base page
+    /// read back from flash.
+    pub base_reads_skipped: u64,
 }
 
 /// Page-differential logging store.
@@ -203,6 +219,8 @@ pub struct Pdl {
     max_diff_size: usize,
     /// Physical page mapping table, indexed by logical page id.
     ppmt: Vec<PpmtEntry>,
+    /// Byte ranges of each logical page's current differential.
+    spans: DiffSpans,
     /// Valid differential count table, indexed by physical page number.
     /// Live commit records count too: a differential page is reclaimable
     /// only once nothing in it gates visibility.
@@ -344,6 +362,7 @@ impl Pdl {
             opts,
             max_diff_size,
             ppmt: vec![PpmtEntry::default(); nl],
+            spans: DiffSpans::unknown(nl),
             vdct: vec![0u16; g.num_pages() as usize],
             dwb: DiffWriteBuffer::new(g.data_size),
             alloc,
@@ -404,7 +423,8 @@ impl Pdl {
     /// this between operations, never inside one): every `vdct` reference
     /// is a mapped differential or a live proof, every proof's page is
     /// alive and some tag still needs it, no proof is left staged outside
-    /// a batch, and the carry queue knows every proof.
+    /// a batch, the carry queue knows every proof, and every known range
+    /// entry matches its page's current differential.
     #[doc(hidden)]
     pub fn check_tables(&self) -> std::result::Result<(), String> {
         let refs: u64 = self.vdct.iter().map(|v| u64::from(*v)).sum();
@@ -429,6 +449,38 @@ impl Pdl {
             }
             if !queued.contains(txn) {
                 return Err(format!("proof of txn {txn} is missing from the carry queue"));
+            }
+        }
+        self.check_spans()
+    }
+
+    /// Every known range entry is exactly the runs of the page's current
+    /// differential: the write buffer's, else the one on flash (read
+    /// uncharged). A poisoned page's entry is never consulted.
+    fn check_spans(&self) -> std::result::Result<(), String> {
+        let ranges = |runs: &[crate::diff::DiffRun]| -> Vec<std::ops::Range<usize>> {
+            runs.iter().map(|r| r.offset as usize..r.offset as usize + r.bytes.len()).collect()
+        };
+        for pid in 0..self.ppmt.len() as u64 {
+            let Some(known) = self.spans.get(pid) else { continue };
+            if self.poisoned.contains_key(&pid) {
+                continue;
+            }
+            let known: Vec<_> = known.collect();
+            let current = match (self.dwb.get(pid), self.ppmt[pid as usize].diff) {
+                (Some(d), _) => ranges(&d.runs),
+                (None, NONE) => Vec::new(),
+                (None, dp) => match Differential::find_in_page(self.chip.peek_data(Ppn(dp)), pid) {
+                    Ok(Some(d)) => ranges(&d.runs),
+                    found => {
+                        return Err(format!("page {pid}: differential page {dp} holds {found:?}"))
+                    }
+                },
+            };
+            if known != current {
+                return Err(format!(
+                    "page {pid}: ranges {known:?} kept, current differential covers {current:?}"
+                ));
             }
         }
         Ok(())
@@ -719,6 +771,7 @@ impl Pdl {
             self.decrease_vdct(old.diff)?;
         }
         self.ppmt[pid as usize] = PpmtEntry { base: new_frames, diff: NONE };
+        self.spans.set_empty(pid);
         self.diff_txn[pid as usize] = NO_TXN;
         if initial {
             self.counters.initial_base_writes += 1;
@@ -830,12 +883,23 @@ impl Pdl {
 
     /// `PDL_Writing` (Figure 7), with the differential tagged by `txn`
     /// ([`NO_TXN`] for the plain auto-committed path; a real id only
-    /// inside an open commit batch).
-    pub(crate) fn stage_page(&mut self, pid: u64, page: &[u8], txn: u64) -> Result<()> {
+    /// inside an open commit batch). `held` is the image the store holds
+    /// for `pid` right now, when the caller has it
+    /// ([`crate::BatchPage::held`]).
+    pub(crate) fn stage_page(
+        &mut self,
+        pid: u64,
+        page: &[u8],
+        txn: u64,
+        held: Option<&[u8]>,
+    ) -> Result<()> {
         debug_assert!(txn == NO_TXN || self.in_txn_batch, "tagged staging outside a batch");
         self.opts.check_pid(pid)?;
         let ds = self.chip.geometry().data_size;
         self.opts.check_page_buf(ds, page)?;
+        if let Some(held) = held {
+            self.opts.check_page_buf(ds, held)?;
+        }
         let k = self.frames() as u64;
         // Worst case allocations: Case 3 writes k base frames; Case 2
         // writes one differential page.
@@ -853,10 +917,33 @@ impl Pdl {
             self.counters.case3 += 1;
             return Ok(());
         }
-        // Step 1: read the base page (charged to the writing step, as in
-        // Figure 12(b) where lighter areas of write bars are read time).
+        // Step 1: the base page to compare against. With a held image and
+        // the current differential's ranges known, it is built in memory:
+        // outside the ranges the held image is the base, and inside them
+        // every byte is made to differ from the new image, so the
+        // differential covers them whatever the base holds there (a
+        // superset of the exact one). Otherwise read the base (charged to
+        // the writing step, as in Figure 12(b) where lighter areas of
+        // write bars are read time).
         let mut base = std::mem::take(&mut self.base_buf);
-        let read = self.read_base_into(pid, &mut base);
+        let hinted = match held.and_then(|held| Some((held, self.spans.get(pid)?))) {
+            Some((held, ranges)) => {
+                base.copy_from_slice(held);
+                for r in ranges {
+                    for (b, n) in base[r.clone()].iter_mut().zip(&page[r]) {
+                        *b = !*n;
+                    }
+                }
+                true
+            }
+            None => false,
+        };
+        let read = if hinted {
+            self.counters.base_reads_skipped += 1;
+            Ok(())
+        } else {
+            self.read_base_into(pid, &mut base)
+        };
         if matches!(read, Err(CoreError::PageCorrupt { .. })) {
             // An unrepairable base frame surfaced during the read (which
             // poisoned the page); the overwrite in hand heals it. Repair
@@ -880,6 +967,10 @@ impl Pdl {
         });
         self.base_buf = base;
         let d = d?.map(|d| d.with_txn(txn));
+        #[cfg(debug_assertions)]
+        if let (true, Some(d)) = (hinted, &d) {
+            self.check_hinted(pid, d, page);
+        }
         // A repair inside the base read may have run GC: re-read the
         // mapping entry before relying on it below.
         let entry = self.ppmt[pid as usize];
@@ -887,7 +978,9 @@ impl Pdl {
             && entry.diff == NONE
             && self.dwb.get(pid).is_none()
         {
-            // Nothing changed relative to the stored state.
+            // Nothing changed relative to the stored state, which has no
+            // differential.
+            self.spans.set_empty(pid);
             self.counters.unchanged_skips += 1;
             return Ok(());
         }
@@ -919,8 +1012,42 @@ impl Pdl {
             self.counters.case2 += 1;
             self.flush_dwb()?;
         }
+        if txn == NO_TXN {
+            // Only commits hand in held images: the paper's eviction path
+            // keeps no ranges for a hint it never takes.
+            self.spans.forget(pid);
+        } else {
+            self.spans.set_runs(pid, &d.runs);
+        }
         self.dwb.push(d);
         Ok(())
+    }
+
+    /// Debug builds check every hinted differential against the base page
+    /// actually on flash (read uncharged): applied to it, the differential
+    /// must rebuild `page`. A base frame failing its checksum is skipped —
+    /// no image in hand makes it readable, and the next read reports it.
+    #[cfg(debug_assertions)]
+    fn check_hinted(&self, pid: u64, d: &Differential, page: &[u8]) {
+        let Some(mut base) = self.peek_base(pid) else { return };
+        d.apply(&mut base);
+        assert!(base == page, "hinted differential of page {pid} does not rebuild its image");
+    }
+
+    /// `pid`'s base page as it is on flash, read without charging the
+    /// chip; `None` when a frame fails its checksum.
+    #[cfg(any(test, debug_assertions))]
+    fn peek_base(&self, pid: u64) -> Option<Vec<u8>> {
+        let mut base = Vec::with_capacity(self.base_buf.len());
+        for &ppn in &self.ppmt[pid as usize].base[..self.frames()] {
+            let data = self.chip.peek_data(Ppn(ppn));
+            let info = SpareInfo::decode(self.chip.peek_spare(Ppn(ppn)))?;
+            if info.checksum != pdl_flash::fnv1a32(data) {
+                return None;
+            }
+            base.extend_from_slice(data);
+        }
+        Some(base)
     }
 
     // ------------------------------------------------------------------
@@ -1569,7 +1696,7 @@ impl PageStore for Pdl {
 
     /// `PDL_Writing` (Figure 7).
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()> {
-        self.stage_page(pid, page, NO_TXN)
+        self.stage_page(pid, page, NO_TXN, None)
     }
 
     /// Write-through (§4.5): "when the write-through command is called, PDL
@@ -1595,8 +1722,8 @@ impl PageStore for Pdl {
         }
         self.batch_open(batch.pages.len() as u64, roots)?;
         let mut staged = || {
-            for &(pid, page, txn) in &batch.pages {
-                self.stage_page(pid, page, txn)?;
+            for p in &batch.pages {
+                self.stage_page(p.pid, p.image, p.txn, p.held)?;
             }
             if let Some((r, txn)) = batch.roots {
                 self.batch_stage_roots(r, txn)?;
@@ -1745,6 +1872,7 @@ impl PageStore for Pdl {
             ("retention_pinned_skips", self.alloc.retention_skips()),
             ("proofs_carried", c.proofs_carried),
             ("proof_pages_released", c.proof_pages_released),
+            ("base_reads_skipped", c.base_reads_skipped),
             ("diff_pages_vdct_1", live(1..=1)),
             ("diff_pages_vdct_2_4", live(2..=4)),
             ("diff_pages_vdct_5_plus", live(5..=u16::MAX)),
@@ -1759,7 +1887,9 @@ impl PageStore for Pdl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BatchPage;
     use pdl_flash::FlashConfig;
+    use proptest::prelude::{prop_assert, prop_assert_eq, TestCaseError};
 
     fn store(pages: u64, max_diff: usize) -> Pdl {
         Pdl::new(FlashChip::new(FlashConfig::tiny()), StoreOptions::new(pages), max_diff).unwrap()
@@ -1995,8 +2125,11 @@ mod tests {
         let mut p2 = filled(&s, 1);
         p2[40..44].fill(0xDD);
         assert!(!s.txn_committed(txn));
-        s.commit_batch(&CommitBatch { pages: vec![(0, &p, txn), (1, &p2, txn)], roots: None })
-            .unwrap();
+        s.commit_batch(&CommitBatch {
+            pages: vec![BatchPage::new(0, &p, txn), BatchPage::new(1, &p2, txn)],
+            roots: None,
+        })
+        .unwrap();
         assert!(s.txn_committed(txn));
         assert_eq!(s.counters.txn_commits, 1);
         let mut out = filled(&s, 0);
@@ -2011,7 +2144,7 @@ mod tests {
     fn commit_in_two_flushes(s: &mut Pdl, txn: u64, pages: &[(u64, &[u8])]) {
         s.batch_open(pages.len() as u64, None).unwrap();
         for &(pid, page) in pages {
-            s.stage_page(pid, page, txn).unwrap();
+            s.stage_page(pid, page, txn, None).unwrap();
         }
         s.flush().unwrap();
         s.batch_record(&[txn]).unwrap();
@@ -2088,7 +2221,7 @@ mod tests {
         // between staging the fresh record and the flush.
         s.batch_open(1, None).unwrap();
         p[7] = 0xA7;
-        s.stage_page(7, &p, 7).unwrap();
+        s.stage_page(7, &p, 7, None).unwrap();
         s.flush().unwrap();
         let before = s.chip().stats().total();
         s.batch_record(&[7]).unwrap();
@@ -2135,7 +2268,7 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let page = filled(&s, (x >> 24) as u8);
             s.commit_batch(&CommitBatch {
-                pages: vec![((x >> 33) % PAGES, &page, txn)],
+                pages: vec![BatchPage::new((x >> 33) % PAGES, &page, txn)],
                 roots: None,
             })
             .unwrap();
@@ -2171,7 +2304,8 @@ mod tests {
         // One tagged commit...
         let mut p = vec![0u8; size];
         p[7] = 7;
-        s.commit_batch(&CommitBatch { pages: vec![(0, &p, 42)], roots: None }).unwrap();
+        s.commit_batch(&CommitBatch { pages: vec![BatchPage::new(0, &p, 42)], roots: None })
+            .unwrap();
         assert!(s.presence.contains_key(&42));
         // ...then heavy untagged churn: compaction strips the tag and
         // eventually retires the commit record and every map entry.
@@ -2191,6 +2325,161 @@ mod tests {
             let mut out = vec![0u8; size];
             s.read_page(pid as u64, &mut out).unwrap();
             assert_eq!(out, truth[pid], "pid {pid}");
+        }
+    }
+
+    #[test]
+    fn a_held_image_replaces_the_base_read() {
+        let mut s = store(8, 128);
+        let mut p = filled(&s, 1);
+        s.write_page(0, &p).unwrap();
+        s.flush().unwrap();
+        for round in 0..3u8 {
+            let held = p.clone();
+            p[10 + round as usize] = 0xA0 + round;
+            let before = s.chip().stats().total();
+            let page = BatchPage { held: Some(&held), ..BatchPage::new(0, &p, 1 + round as u64) };
+            s.commit_batch(&CommitBatch { pages: vec![page], roots: None }).unwrap();
+            let cost = s.chip().stats().total() - before;
+            assert_eq!(cost.reads, 0, "round {round}: staged without reading the base");
+            s.check_tables().unwrap();
+        }
+        assert_eq!(s.counters.base_reads_skipped, 3);
+        // The first round's differential covers byte 10 only; later rounds
+        // keep every byte of the one they supersede.
+        assert_eq!(s.spans.get(0).unwrap().collect::<Vec<_>>(), vec![10..13]);
+        let mut out = filled(&s, 0);
+        s.read_page(0, &mut out).unwrap();
+        assert_eq!(out, p);
+        // After a crash the ranges are unknown: the next commit reads.
+        let mut s =
+            Pdl::recover(PageStore::into_chip(Box::new(s)), StoreOptions::new(8), 128).unwrap();
+        let held = p.clone();
+        p[40] = 0xEE;
+        let before = s.chip().stats().total();
+        let page = BatchPage { held: Some(&held), ..BatchPage::new(0, &p, 9) };
+        s.commit_batch(&CommitBatch { pages: vec![page], roots: None }).unwrap();
+        assert_eq!((s.chip().stats().total() - before).reads, 1);
+        assert_eq!(s.counters.base_reads_skipped, 0);
+        s.check_tables().unwrap();
+    }
+
+    /// A small edit most of the time, a page-wide one (Case 3) now and
+    /// then, driven by the generator state `x`.
+    fn edit(page: &mut [u8], x: &mut u64) {
+        let mut next = || {
+            *x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (*x >> 33) as usize
+        };
+        if next() % 10 == 0 {
+            let fill = next() as u8;
+            page.iter_mut().step_by(2).for_each(|b| *b = fill);
+            return;
+        }
+        for _ in 0..1 + next() % 3 {
+            let len = 1 + next() % 20;
+            let at = next() % (page.len() - len);
+            let fill = next() as u8;
+            page[at..at + len].fill(fill);
+        }
+    }
+
+    /// Random commit batches over `pages` logical pages on a chip small
+    /// enough to garbage-collect, a random subset of each batch handed in
+    /// with its held image, and crashes between batches (`kind % 8 == 0`),
+    /// after which every page's ranges are unknown. Checked after every
+    /// batch: each held page whose ranges were known skipped its base
+    /// read and every other page paid exactly the paper's one, every
+    /// page's ranges cover the exact `diff(base, new)`, every page reads
+    /// back as the model, and the tables agree with each other.
+    fn hinted_commits(
+        pages: u64,
+        steps: &[(u64, usize, u8)],
+    ) -> std::result::Result<(), TestCaseError> {
+        let geometry = pdl_flash::FlashGeometry { num_blocks: 20, ..FlashConfig::tiny().geometry };
+        let config = FlashConfig { geometry, ..FlashConfig::tiny() };
+        let opts = StoreOptions::new(pages);
+        let mut s = Pdl::new(FlashChip::new(config), opts, 128).unwrap();
+        let size = s.logical_page_size();
+        let mut model: Vec<Vec<u8>> = (0..pages).map(|p| vec![p as u8; size]).collect();
+        for (pid, page) in model.iter().enumerate() {
+            s.write_page(pid as u64, page).unwrap();
+        }
+        s.flush().unwrap();
+        let (mut gc_runs, mut crashes) = (0, 0);
+        for (txn, &(seed, n, kind)) in (1..).zip(steps) {
+            if kind % 8 == 0 {
+                // Every batch committed: the crash loses nothing.
+                gc_runs += s.counters.gc_runs;
+                crashes += 1;
+                s = Pdl::recover(PageStore::into_chip(Box::new(s)), opts, 128).unwrap();
+                continue;
+            }
+            let mut x = seed;
+            let mut pids: Vec<u64> = Vec::new();
+            while pids.len() < n {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let pid = (x >> 33) % pages;
+                if !pids.contains(&pid) {
+                    pids.push(pid);
+                }
+            }
+            let held: Vec<Vec<u8>> = pids.iter().map(|&p| model[p as usize].clone()).collect();
+            for &pid in &pids {
+                edit(&mut model[pid as usize], &mut x);
+            }
+            let hinted = |i: usize| (seed >> i) & 1 == 1;
+            let skips = (0..pids.len()).filter(|&i| hinted(i) && s.spans.get(pids[i]).is_some());
+            let skips = skips.count() as u64;
+            let batch = CommitBatch {
+                pages: (0..pids.len())
+                    .map(|i| BatchPage {
+                        held: hinted(i).then_some(&held[i][..]),
+                        ..BatchPage::new(pids[i], &model[pids[i] as usize], txn)
+                    })
+                    .collect(),
+                roots: None,
+            };
+            let (skipped, reads) = (s.counters.base_reads_skipped, s.chip().stats().user.reads);
+            s.commit_batch(&batch).unwrap();
+            prop_assert_eq!(s.counters.base_reads_skipped - skipped, skips, "txn {}", txn);
+            let base_reads = s.chip().stats().user.reads - reads;
+            prop_assert_eq!(base_reads, pids.len() as u64 - skips, "txn {}: base reads", txn);
+            for &pid in &pids {
+                // Every run of the exact differential lies inside one range.
+                let base = s.peek_base(pid).unwrap();
+                let exact = Differential::compute(pid, 0, &base, &model[pid as usize], 8);
+                let kept: Vec<_> = s.spans.get(pid).unwrap().collect();
+                let covered = exact.runs.iter().all(|r| {
+                    let run = r.offset as usize..r.offset as usize + r.bytes.len();
+                    kept.iter().any(|k| k.start <= run.start && run.end <= k.end)
+                });
+                prop_assert!(covered, "txn {}: page {} ranges {:?}", txn, pid, kept);
+            }
+            let mut out = vec![0u8; size];
+            for (pid, want) in model.iter().enumerate() {
+                s.read_page(pid as u64, &mut out).unwrap();
+                prop_assert_eq!(&out, want, "txn {}: page {}", txn, pid);
+            }
+            s.check_tables().map_err(TestCaseError::fail)?;
+        }
+        prop_assert!(gc_runs + s.counters.gc_runs > 0, "the run must garbage-collect");
+        prop_assert!(crashes > 0, "the run must crash");
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn hinted_commits_match_the_model_through_gc_and_crashes(
+            pages in 32u64..=64,
+            steps in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), 1usize..=6, proptest::prelude::any::<u8>()),
+                100..160,
+            ),
+        ) {
+            hinted_commits(pages, &steps)?;
         }
     }
 }

@@ -778,6 +778,9 @@ impl Pdl {
             opts,
             max_diff_size,
             ppmt: tables.ppmt,
+            // Which bytes each recovered differential covers is on flash
+            // only: the first staging of every page reads its base.
+            spans: super::DiffSpans::unknown(opts.num_logical_pages as usize),
             vdct: tables.vdct,
             dwb: DiffWriteBuffer::new(g.data_size),
             alloc,
@@ -1090,7 +1093,7 @@ mod tests {
 
     /// One transaction's pages through [`PageStore::commit_batch`].
     fn commit(s: &mut Pdl, txn: u64, pages: &[(u64, &[u8])]) {
-        let pages = pages.iter().map(|&(pid, img)| (pid, img, txn)).collect();
+        let pages = pages.iter().map(|&(pid, img)| crate::BatchPage::new(pid, img, txn)).collect();
         s.commit_batch(&crate::CommitBatch { pages, roots: None }).unwrap();
     }
 
@@ -1133,9 +1136,9 @@ mod tests {
         s.batch_open(2, None).unwrap();
         let mut a = pre0.clone();
         a[5..9].fill(0xAA); // small change: differential
-        s.stage_page(0, &a, 60).unwrap();
+        s.stage_page(0, &a, 60, None).unwrap();
         let b = vec![0xBBu8; size]; // whole-page change: Case-3 tagged base
-        s.stage_page(1, &b, 60).unwrap();
+        s.stage_page(1, &b, 60, None).unwrap();
         s.flush().unwrap();
         // Crash here: no commit record was ever appended.
         let mut r = crash_and_recover(s, 8);
@@ -1183,7 +1186,7 @@ mod tests {
         s.batch_open(1, None).unwrap();
         let mut b = vec![1u8; size];
         b[1] = 3;
-        s.stage_page(1, &b, 6).unwrap();
+        s.stage_page(1, &b, 6, None).unwrap();
         s.flush().unwrap(); // no record: torn
         let opts = *s.options();
         let mut chip = Box::new(s).into_chip();

@@ -21,7 +21,7 @@
 //! per thread without a global stats lock.
 
 use crate::page_store::{
-    note_txn, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
+    note_txn, BatchPage, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
 };
 use crate::{build_store, error::CoreError, recover_store, Pdl, Result};
 use pdl_flash::{FlashChip, FlashStats, WearSummary};
@@ -522,12 +522,12 @@ impl ShardedStore {
             return Err(CommitError::Failed(e.clone()));
         }
         let n = self.shards.len();
-        let mut pages: Vec<Vec<(u64, &[u8], u64)>> = vec![Vec::new(); n];
+        let mut pages: Vec<Vec<BatchPage>> = vec![Vec::new(); n];
         let mut txns: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for &(pid, page, txn) in &batch.pages {
-            let (s, local) = self.locate(pid).map_err(CommitError::Rejected)?;
-            pages[s].push((local, page, txn));
-            note_txn(&mut txns[s], txn);
+        for p in &batch.pages {
+            let (s, local) = self.locate(p.pid).map_err(CommitError::Rejected)?;
+            pages[s].push(BatchPage { pid: local, ..*p });
+            note_txn(&mut txns[s], p.txn);
         }
         if let Some((_, txn)) = batch.roots {
             // Shard 0 gets a commit record for the roots' transaction, so
@@ -569,8 +569,8 @@ impl ShardedStore {
             involved.iter().copied().filter(|&s| !pages[s].is_empty()).collect();
         let run = || {
             self.fan_out(&staging, &|s, st| {
-                for &(local, page, txn) in &pages[s] {
-                    st.stage_page(local, page, txn)?;
+                for p in &pages[s] {
+                    st.stage_page(p.pid, p.image, p.txn, p.held)?;
                 }
                 st.flush()
             })?;

@@ -2,7 +2,7 @@
 //! future work): correctness after arbitrary churn, crash-atomicity of
 //! checkpoint writing, and the read-cost advantage over the full scan.
 
-use pdl_core::{is_power_loss, CommitBatch, CommitError, PageStore, Pdl, StoreOptions};
+use pdl_core::{is_power_loss, BatchPage, CommitBatch, CommitError, PageStore, Pdl, StoreOptions};
 use pdl_flash::{FlashChip, FlashConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -246,7 +246,7 @@ fn sharded_recovery_precheck_rides_the_checkpoint_delta() {
         for pid in [0usize, 1] {
             truth[pid][0..8].fill(0xC0);
         }
-        let pages = vec![(0, &truth[0][..], 500), (1, &truth[1][..], 500)];
+        let pages = vec![BatchPage::new(0, &truth[0], 500), BatchPage::new(1, &truth[1], 500)];
         s.commit_batch(&CommitBatch { pages, roots: None }).unwrap();
         // Torn transaction spanning both shards: power fails on each chip
         // one program into the batch — the staged differential is flushed
@@ -263,7 +263,7 @@ fn sharded_recovery_precheck_rides_the_checkpoint_delta() {
             s.with_shard(shard, |st| st.chip_mut().arm_fault(1));
         }
         let before = s.per_shard_stats();
-        let pages = vec![(2, &torn[0][..], 501), (3, &torn[1][..], 501)];
+        let pages = vec![BatchPage::new(2, &torn[0], 501), BatchPage::new(3, &torn[1], 501)];
         let err = s.commit_batch(&CommitBatch { pages, roots: None }).unwrap_err();
         assert!(matches!(err, CommitError::Failed(_)), "{err}");
         for (shard, now) in s.per_shard_stats().iter().enumerate() {

@@ -17,7 +17,8 @@
 //!   byte for byte, at a cost far below a full recovery scan.
 
 use pdl_core::{
-    build_store, is_page_corrupt, CommitBatch, GcPolicy, MethodKind, PageStore, StoreOptions,
+    build_store, is_page_corrupt, BatchPage, CommitBatch, GcPolicy, MethodKind, PageStore,
+    StoreOptions,
 };
 use pdl_flash::{BlockId, FlashChip, FlashConfig, PageKind, Ppn, SpareInfo};
 
@@ -85,7 +86,8 @@ fn run_workload(kind: MethodKind) -> (Box<dyn PageStore>, Vec<Vec<u8>>) {
                     truth[*pid as usize].clone()
                 })
                 .collect();
-            let pages = ops.iter().zip(&images).map(|(op, img)| (op.0, &img[..], txn)).collect();
+            let pages =
+                ops.iter().zip(&images).map(|(op, img)| BatchPage::new(op.0, img, txn)).collect();
             store.commit_batch(&CommitBatch { pages, roots: None }).unwrap();
         }
     }

@@ -26,8 +26,8 @@
 //! point.
 
 use pdl_core::{
-    build_store, is_power_loss, recover_store, CommitBatch, GcPolicy, MethodKind, PageStore, Pdl,
-    ShardedStore, StoreOptions,
+    build_store, is_power_loss, recover_store, BatchPage, CommitBatch, GcPolicy, MethodKind,
+    PageStore, Pdl, ShardedStore, StoreOptions,
 };
 use pdl_flash::{FlashChip, FlashConfig, FlashGeometry, PowerLossJournal};
 use proptest::prelude::*;
@@ -326,9 +326,9 @@ impl Commits {
             }
             let pages = members.iter().zip(lo..).flat_map(|(txn_pages, k)| {
                 let after = &states[k + 1];
-                txn_pages
-                    .iter()
-                    .map(move |(pid, _, _)| (*pid, &after[*pid as usize][..], k as u64 + 1))
+                txn_pages.iter().map(move |(pid, _, _)| {
+                    BatchPage::new(*pid, &after[*pid as usize], k as u64 + 1)
+                })
             });
             store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None })?;
             returned(lo + members.len());

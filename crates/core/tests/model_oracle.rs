@@ -14,7 +14,8 @@
 //! state.
 
 use pdl_core::{
-    build_store, CommitBatch, GcPolicy, MethodKind, PageStore, Pdl, ShardedStore, StoreOptions,
+    build_store, BatchPage, CommitBatch, GcPolicy, MethodKind, PageStore, Pdl, ShardedStore,
+    StoreOptions,
 };
 use pdl_flash::{FlashChip, FlashConfig};
 use pdl_storage::{BTree, Database, Durability, HeapFile, Key, KeyBuf, ShardedBufferPool};
@@ -173,7 +174,7 @@ fn txn_oracle<S: PageStore>(
             images.push((pid, page.clone()));
             staged.insert(pid, page);
         }
-        let pages = images.iter().map(|(pid, page)| (*pid, &page[..], txn)).collect();
+        let pages = images.iter().map(|(pid, page)| BatchPage::new(*pid, page, txn)).collect();
         arm(&mut store, i, *fault_after);
         let result = store.commit_batch(&CommitBatch { pages, roots: None });
         if result.is_ok() {

@@ -20,7 +20,7 @@
 //! workload is a fixed pseudo-random script, and crash points are every
 //! crash image a [`PowerLossJournal`] took of one run.
 
-use pdl_core::{build_store, recover_store, CommitBatch, MethodKind, StoreOptions};
+use pdl_core::{build_store, recover_store, BatchPage, CommitBatch, MethodKind, StoreOptions};
 use pdl_flash::{FlashChip, FlashConfig, PowerLossJournal};
 
 const PAGES: u64 = 24;
@@ -152,8 +152,9 @@ fn inflight_crash_recovers_to_committed_prefix_at_qd16() {
     store.chip_mut().attach_journal(&journal);
     let before = store.stats();
     for (k, txn) in txns.iter().enumerate() {
-        let pages =
-            txn.iter().map(|(pid, _)| (*pid, &states[k + 1][*pid as usize][..], k as u64 + 1));
+        let pages = txn
+            .iter()
+            .map(|(pid, _)| BatchPage::new(*pid, &states[k + 1][*pid as usize], k as u64 + 1));
         store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None }).unwrap();
     }
     let delta = store.stats().delta_since(&before);

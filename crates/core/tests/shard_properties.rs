@@ -5,8 +5,8 @@
 //! pages) and whole-engine crash recovery of every shard.
 
 use pdl_core::{
-    build_store, ChangeRange, CommitBatch, CommitError, CoreError, MethodKind, PageStore,
-    ShardedStore, StoreOptions,
+    build_store, BatchPage, ChangeRange, CommitBatch, CommitError, CoreError, MethodKind,
+    PageStore, ShardedStore, StoreOptions,
 };
 use pdl_flash::{FlashChip, FlashConfig};
 use proptest::prelude::*;
@@ -226,7 +226,9 @@ fn a_commit_batch_leaves_uninvolved_shards_alone() {
     store.write_page(1, &page).unwrap();
     let before = store.per_shard_stats();
     page[9] = 2;
-    store.commit_batch(&CommitBatch { pages: vec![(0, &page, 41)], roots: None }).unwrap();
+    store
+        .commit_batch(&CommitBatch { pages: vec![BatchPage::new(0, &page, 41)], roots: None })
+        .unwrap();
     let after = store.per_shard_stats();
     assert!(after[0].total().writes > before[0].total().writes, "shard 0 committed the batch");
     assert_eq!(after[1], before[1], "shard 1 staged nothing: no reserve, no flush, no close");
@@ -237,8 +239,8 @@ fn a_rejected_batch_closes_what_it_opened_on_other_shards() {
     // 60 pages fill most of each 128-page chip: shard 0 can reserve room
     // for one page, shard 1 cannot for twenty.
     let (mut store, page) = loaded_pdl_shards(StoreOptions::new(120).with_checkpoint_blocks(4));
-    let mut pages = vec![(0, &page[..], 51)];
-    pages.extend((0..20).map(|i| (2 * i + 1, &page[..], 51)));
+    let mut pages = vec![BatchPage::new(0, &page, 51)];
+    pages.extend((0..20).map(|i| BatchPage::new(2 * i + 1, &page, 51)));
     let before = store.stats();
     let err = store.commit_batch(&CommitBatch { pages, roots: None }).unwrap_err();
     assert_eq!(err, CommitError::Rejected(CoreError::StorageFull));
@@ -247,6 +249,9 @@ fn a_rejected_batch_closes_what_it_opened_on_other_shards() {
     // again, so the store checkpoints and commits as if nothing happened.
     store.checkpoint().unwrap();
     store
-        .commit_batch(&CommitBatch { pages: vec![(0, &page, 52), (1, &page, 52)], roots: None })
+        .commit_batch(&CommitBatch {
+            pages: vec![BatchPage::new(0, &page, 52), BatchPage::new(1, &page, 52)],
+            roots: None,
+        })
         .unwrap();
 }

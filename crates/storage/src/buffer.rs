@@ -67,7 +67,7 @@
 use crate::error::{RetentionTrigger, StorageError};
 use crate::view::{MvccState, StructId, StructRoot, ViewRegistry};
 use crate::{ReadGuard, ReadView, Result};
-use pdl_core::{ChangeRange, PageStore, NO_TXN};
+use pdl_core::{BatchPage, ChangeRange, PageStore, NO_TXN};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -196,6 +196,26 @@ struct Frame {
 struct PendingUndo {
     txn: u64,
     data: Vec<u8>,
+    /// The frame was clean at the first touch, with owned frames pinned:
+    /// `data` is then the image the store holds for the page until the
+    /// commit, since nothing can reflect the page meanwhile.
+    held: bool,
+}
+
+/// A page a transaction dirtied, copied out for its commit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct OwnedPage {
+    pub pid: u64,
+    pub image: Vec<u8>,
+    /// The image the store holds for the page, when the pool knows it
+    /// ([`pdl_core::BatchPage::held`]).
+    pub held: Option<Vec<u8>>,
+}
+
+impl OwnedPage {
+    pub(crate) fn batch_page(&self, txn: u64) -> BatchPage<'_> {
+        BatchPage { pid: self.pid, image: &self.image, txn, held: self.held.as_deref() }
+    }
 }
 
 /// The version history of one logical page. `committed` holds
@@ -620,7 +640,9 @@ impl FrameCache {
                 ),
                 None => {
                     let data = self.page(idx).to_vec();
-                    self.chains.entry(pid).or_default().pending = Some(PendingUndo { txn, data });
+                    let held = self.pin_owned && !self.frames[idx].dirty;
+                    self.chains.entry(pid).or_default().pending =
+                        Some(PendingUndo { txn, data, held });
                     created_pending = true;
                 }
             }
@@ -911,21 +933,31 @@ impl FrameCache {
         Ok(())
     }
 
-    /// Copy `txn`'s dirtied page images for commit staging. The frames
-    /// stay owned (and the pending pre-images stay) until
-    /// [`Self::end_txn`] confirms the staging succeeded — so a failed
-    /// commit can still roll back.
-    pub(crate) fn collect_owned(&mut self, txn: u64) -> Vec<(u64, Vec<u8>)> {
+    /// Copy `txn`'s dirtied page images for commit staging, each with the
+    /// image the store holds for it where the pending pre-image is that
+    /// image. The frames stay owned (and the pending pre-images stay)
+    /// until [`Self::end_txn`] confirms the staging succeeded — so a
+    /// failed commit can still roll back.
+    pub(crate) fn collect_owned(&mut self, txn: u64) -> Vec<OwnedPage> {
         let Some(list) = self.owned.get_mut(&txn) else { return Vec::new() };
         list.sort_unstable();
         list.dedup();
-        let mut out: Vec<(u64, Vec<u8>)> = list
+        let mut out: Vec<OwnedPage> = list
             .iter()
             .map(|&idx| (idx as usize, &self.frames[idx as usize]))
             .filter(|(_, f)| f.owner == txn && f.dirty)
-            .map(|(idx, f)| (f.pid, self.slab[idx * self.page_size..][..self.page_size].to_vec()))
+            .map(|(idx, f)| OwnedPage {
+                pid: f.pid,
+                image: self.slab[idx * self.page_size..][..self.page_size].to_vec(),
+                held: self
+                    .chains
+                    .get(&f.pid)
+                    .and_then(|c| c.pending.as_ref())
+                    .filter(|p| p.txn == txn && p.held)
+                    .map(|p| p.data.clone()),
+            })
             .collect();
-        out.sort_by_key(|(pid, _)| *pid);
+        out.sort_by_key(|p| p.pid);
         out
     }
 
@@ -1552,7 +1584,7 @@ impl BufferPool {
         self.lock_cache().set_pin_owned(pin);
     }
 
-    pub(crate) fn collect_owned(&self, txn: u64) -> Vec<(u64, Vec<u8>)> {
+    pub(crate) fn collect_owned(&self, txn: u64) -> Vec<OwnedPage> {
         self.lock_cache().collect_owned(txn)
     }
 
@@ -1822,8 +1854,8 @@ mod tests {
         capacity: usize,
         pin_owned: bool,
         tick: u64,
-        /// pid → (transaction, pre-image)
-        pending: std::collections::BTreeMap<u64, (u64, Vec<u8>)>,
+        /// pid → (transaction, pre-image, whether the store holds it)
+        pending: std::collections::BTreeMap<u64, (u64, Vec<u8>, bool)>,
         store: HashMap<u64, Vec<u8>>,
         evictions: u64,
         dirty_writebacks: u64,
@@ -1894,7 +1926,8 @@ mod tests {
             let Some(value) = value else { return Ok(()) };
             let f = &mut self.frames[idx];
             if txn != NO_TXN {
-                self.pending.entry(pid).or_insert_with(|| (txn, f.data.clone()));
+                let held = self.pin_owned && !f.dirty;
+                self.pending.entry(pid).or_insert_with(|| (txn, f.data.clone(), held));
                 f.owner = txn;
             }
             f.data[0] = value;
@@ -1902,14 +1935,22 @@ mod tests {
             Ok(())
         }
 
-        fn collect_owned(&self, txn: u64) -> Vec<(u64, Vec<u8>)> {
-            let mut out: Vec<(u64, Vec<u8>)> = self
+        fn collect_owned(&self, txn: u64) -> Vec<OwnedPage> {
+            let mut out: Vec<OwnedPage> = self
                 .frames
                 .iter()
                 .filter(|f| f.owner == txn && f.dirty)
-                .map(|f| (f.pid, f.data.clone()))
+                .map(|f| OwnedPage {
+                    pid: f.pid,
+                    image: f.data.clone(),
+                    held: self
+                        .pending
+                        .get(&f.pid)
+                        .filter(|(t, _, held)| *t == txn && *held)
+                        .map(|(_, data, _)| data.clone()),
+                })
                 .collect();
-            out.sort_by_key(|(pid, _)| *pid);
+            out.sort_by_key(|p| p.pid);
             out
         }
 
@@ -1918,14 +1959,14 @@ mod tests {
                 f.owner = NO_TXN;
                 f.dirty &= !clean;
             }
-            self.pending.retain(|_, (t, _)| *t != txn);
+            self.pending.retain(|_, (t, ..)| *t != txn);
         }
 
         fn rollback(&mut self, txn: u64) -> Result<()> {
             let pids: Vec<u64> =
-                self.pending.iter().filter(|(_, (t, _))| *t == txn).map(|(pid, _)| *pid).collect();
+                self.pending.iter().filter(|(_, (t, ..))| *t == txn).map(|(pid, _)| *pid).collect();
             for pid in pids {
-                let (_, undo) = self.pending.remove(&pid).expect("listed above");
+                let (_, undo, _) = self.pending.remove(&pid).expect("listed above");
                 let idx = self.fetch(pid)?; // a refill, not a use
                 let f = &mut self.frames[idx];
                 (f.data, f.dirty, f.owner) = (undo, true, NO_TXN);
@@ -1986,7 +2027,7 @@ mod tests {
                     // page, and the layers above keep a second
                     // transaction off it.
                     if txn != NO_TXN
-                        && model.pending.get(&pid).is_some_and(|(t, _)| *t != txn)
+                        && model.pending.get(&pid).is_some_and(|(t, ..)| *t != txn)
                         && model.dirty_owner(pid) == NO_TXN
                     {
                         continue;
@@ -2009,11 +2050,19 @@ mod tests {
                     // frames turn clean) or relaxed (they stay dirty).
                     let staged = cache.collect_owned(txn);
                     prop_assert_eq!(&staged, &model.collect_owned(txn), "step {}: commit", step);
+                    // A held image is exactly what the store holds.
+                    for p in &staged {
+                        if let Some(held) = &p.held {
+                            let stored = backend.pages.get(&p.pid).cloned();
+                            let stored = stored.unwrap_or_else(|| vec![0; MODEL_PAGE]);
+                            prop_assert_eq!(held, &stored, "step {}: page {} held", step, p.pid);
+                        }
+                    }
                     let clean = value % 2 == 0;
                     if clean {
-                        for (pid, data) in staged {
-                            backend.pages.insert(pid, data.clone());
-                            model.store.insert(pid, data);
+                        for p in staged {
+                            backend.pages.insert(p.pid, p.image.clone());
+                            model.store.insert(p.pid, p.image);
                         }
                     }
                     cache.end_txn(&mut backend, txn, None, clean, &[]);

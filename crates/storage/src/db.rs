@@ -401,7 +401,7 @@ impl Database {
                     return Ok(());
                 }
                 let batch = CommitBatch {
-                    pages: staged.iter().map(|(pid, data)| (*pid, data.as_slice(), txn)).collect(),
+                    pages: staged.iter().map(|p| p.batch_page(txn)).collect(),
                     roots: roots.as_ref().map(|r| (r, txn)),
                 };
                 match self.pool.with_store(|store| store.commit_batch(&batch)) {

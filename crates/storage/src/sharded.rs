@@ -38,7 +38,9 @@
 //! timestamp *after* mutating, under the owning stripe's lock, so a view
 //! that ever observed the old image keeps observing it.
 
-use crate::buffer::{BufferStats, FrameCache, NoVersioning, PageBackend, PageMut, VersionSource};
+use crate::buffer::{
+    BufferStats, FrameCache, NoVersioning, OwnedPage, PageBackend, PageMut, VersionSource,
+};
 use crate::db::TxnId;
 use crate::view::{MvccState, PageRead, StructId, StructRoot, ViewRegistry};
 use crate::{ReadGuard, ReadView, Result};
@@ -485,20 +487,20 @@ impl ShardedBufferPool {
         // Gather. Frames stay owned (and the undo images stay) until the
         // whole batch is durable, so a failed batch can roll every member
         // back. `members` are the transactions that dirtied anything.
-        let mut owned: Vec<(u64, Vec<u8>, TxnId)> = Vec::new();
+        let mut owned: Vec<(OwnedPage, TxnId)> = Vec::new();
         let mut members: Vec<TxnId> = Vec::new();
         for &t in batch {
             let before = owned.len();
             for s in &self.stripes {
                 let pages = self.lock_stripe_ref(s).collect_owned(t);
-                owned.extend(pages.into_iter().map(|(pid, data)| (pid, data, t)));
+                owned.extend(pages.into_iter().map(|p| (p, t)));
             }
             if owned.len() > before {
                 members.push(t);
             }
         }
         let staged = CommitBatch {
-            pages: owned.iter().map(|(pid, data, t)| (*pid, data.as_slice(), *t)).collect(),
+            pages: owned.iter().map(|(p, t)| p.batch_page(*t)).collect(),
             roots: None,
         };
         // For latency attribution a "group" commit is one that actually

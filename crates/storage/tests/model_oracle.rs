@@ -11,7 +11,7 @@
 //! the pool must report zero leaked pids and zero live views (aborted
 //! split allocations must return to the free list).
 
-use pdl_core::{MethodKind, ShardedStore, StoreOptions};
+use pdl_core::{MethodKind, PageStore, ShardedStore, StoreOptions};
 use pdl_flash::FlashConfig;
 use pdl_storage::{BTree, Database, Durability, Key, KeyBuf, StorageError};
 use std::collections::BTreeMap;
@@ -137,6 +137,14 @@ fn check_clean(db: &Database) {
     let stats = db.buffer_stats();
     assert_eq!(stats.leaked_pids, 0, "aborted split allocations must return to the free list");
     assert_eq!(stats.active_views, 0, "no read view may outlive the run");
+    // The oracle must have judged commits staged from the pool's held
+    // images, not only the paper's base-read path.
+    assert!(db.with_store(base_reads_skipped) > 0, "no commit staged from a held image");
+}
+
+/// Pages the store staged against a held image instead of a base read.
+fn base_reads_skipped(store: &mut dyn PageStore) -> u64 {
+    store.counters().iter().find(|(k, _)| *k == "base_reads_skipped").map_or(0, |(_, v)| *v)
 }
 
 #[test]

@@ -176,8 +176,15 @@ fn commit_serially(db: &Database, trees: &[BTree], mut committed: impl FnMut(usi
     }
 }
 
-/// [`commit_serially`] with only the chips of `armed` faulted.
-fn run_serially_until_power_loss(armed: &[usize], budget: u64) -> (Vec<FlashChip>, Vec<u64>) {
+/// Pages the store staged against a held image instead of a base read.
+fn base_reads_skipped(db: &Database) -> u64 {
+    let counters = db.with_store(|s| s.counters());
+    counters.iter().find(|(k, _)| *k == "base_reads_skipped").map_or(0, |(_, v)| *v)
+}
+
+/// [`commit_serially`] with only the chips of `armed` faulted. Also
+/// returns how many pages the run staged from held images.
+fn run_serially_until_power_loss(armed: &[usize], budget: u64) -> (Vec<FlashChip>, Vec<u64>, u64) {
     let (db, trees) = recovered_baseline(|s, chip| {
         if armed.contains(&s) {
             chip.arm_fault(budget)
@@ -185,7 +192,8 @@ fn run_serially_until_power_loss(armed: &[usize], budget: u64) -> (Vec<FlashChip
     });
     let mut confirmed = vec![0u64; 2];
     commit_serially(&db, &trees, |w| confirmed[w] += 1);
-    (crashed_chips(db), confirmed)
+    let skipped = base_reads_skipped(&db);
+    (crashed_chips(db), confirmed, skipped)
 }
 
 /// Recover chips into a fresh database and rebuild the trees from the
@@ -270,10 +278,14 @@ fn serial_crash_sweep_recovers_committed_prefixes_on_every_chip_subset() {
         // A budget the run outlasts is the end: larger ones fault nowhere.
         let mut budget = 1u64;
         loop {
-            let (chips, confirmed) = run_serially_until_power_loss(armed, budget);
+            let (chips, confirmed, skipped) = run_serially_until_power_loss(armed, budget);
             let faulted = confirmed != [BATCHES, BATCHES];
             check_recovery_is_idempotent(chips, &confirmed, &format!("{armed:?}, {budget}"));
             if !faulted {
+                // The baseline was recovered, so every page's first commit
+                // read its base; the later ones must have used the pool's
+                // held images, or this sweep never crashed that path.
+                assert!(skipped > 0, "chips {armed:?}: no commit staged from a held image");
                 break;
             }
             budget += 1;
@@ -293,6 +305,7 @@ fn serial_crash_sweep_whole_device_recovers_committed_prefixes() {
     let mut returned: Vec<(usize, u64)> = Vec::new();
     commit_serially(&db, &trees, |w| returned.push((w, journal.position())));
     assert_eq!(returned.len() as u64, 2 * BATCHES, "the journaled run must commit every batch");
+    assert!(base_reads_skipped(&db) > 0, "no commit staged from a held image");
     let mut points = 0;
     for (g, chips) in journal.images().enumerate() {
         let mut confirmed = vec![0u64; 2];

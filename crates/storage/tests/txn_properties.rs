@@ -4,12 +4,18 @@
 //! commits.
 
 use pdl_core::{
-    build_store, CommitBatch, CommitError, MethodKind, PageStore, ShardedStore, StoreOptions,
+    build_store, BatchPage, CommitBatch, CommitError, MethodKind, PageStore, ShardedStore,
+    StoreOptions,
 };
 use pdl_flash::{FlashChip, FlashConfig};
 use pdl_storage::{Database, Durability, ShardedBufferPool, StorageError};
 
 const KIND: MethodKind = MethodKind::Pdl { max_diff_size: 128 };
+
+/// Pages the store staged against a held image instead of a base read.
+fn base_reads_skipped(store: &dyn PageStore) -> u64 {
+    store.counters().iter().find(|(k, _)| *k == "base_reads_skipped").map_or(0, |(_, v)| *v)
+}
 
 fn db(pages: u64, buffer: usize) -> Database {
     let chip = FlashChip::new(FlashConfig::tiny());
@@ -29,6 +35,9 @@ fn committed_transaction_survives_crash_recovery() {
     d.with_page_mut(0, |p| p.write(0, b"txn-a")).unwrap();
     d.with_page_mut(2, |p| p.write(4, b"txn-b")).unwrap();
     d.commit().unwrap();
+    // Both frames were clean at the first touch: the pool handed the store
+    // their images, and neither base page was read back.
+    assert_eq!(d.with_store(|s| base_reads_skipped(s)), 2);
     // Crash: drop the pool without flushing, recover from the chip.
     let store = d.into_store_without_flush();
     let chip = store.into_chip();
@@ -167,6 +176,9 @@ fn group_commit_is_atomic_per_transaction_across_shards() {
             });
         }
     });
+    // Every page was clean when its transaction first touched it: all 48
+    // stagings came from the held images.
+    assert_eq!(base_reads_skipped(p.store()), 48);
     for w in 0..4u64 {
         for off in [0u64, 4] {
             for i in 0..4u64 {
@@ -212,7 +224,10 @@ fn torn_cross_shard_commit(txn: u64, armed: &[usize]) -> ShardedStore {
         store.with_shard(s, |st| st.chip_mut().arm_fault(1));
     }
     let before = store.per_shard_stats();
-    let batch = CommitBatch { pages: vec![(0, &a, txn), (1, &b, txn)], roots: None };
+    let batch = CommitBatch {
+        pages: vec![BatchPage::new(0, &a, txn), BatchPage::new(1, &b, txn)],
+        roots: None,
+    };
     let err = store.commit_batch(&batch).unwrap_err();
     assert!(matches!(err, CommitError::Failed(_)), "{err}");
     for (s, now) in store.per_shard_stats().iter().enumerate() {

@@ -129,13 +129,15 @@ pub fn put_retention_stats(
 
 /// The store counters that say what `space_amp` pays for beyond the base
 /// pages: live differential pages by valid count, then the commit proofs
-/// carried forward and the record pages that released.
-const SPACE_COUNTERS: [&str; 5] = [
+/// carried forward and the record pages that released — and, on the
+/// read side of staging, the base pages a held image spared.
+const SPACE_COUNTERS: [&str; 6] = [
     "diff_pages_vdct_1",
     "diff_pages_vdct_2_4",
     "diff_pages_vdct_5_plus",
     "proofs_carried",
     "proof_pages_released",
+    "base_reads_skipped",
 ];
 
 /// `SPACE_COUNTERS` picked out of a store's
@@ -145,7 +147,7 @@ pub fn put_space_counters(
     reg: &mut MetricsRegistry,
     prefix: &str,
     counters: &[(&'static str, u64)],
-) -> [u64; 5] {
+) -> [u64; 6] {
     SPACE_COUNTERS.map(|name| {
         let v = counters.iter().find(|(k, _)| *k == name).map_or(0, |(_, v)| *v);
         reg.set_u64(&format!("{prefix}.space.{name}"), v);
