@@ -17,33 +17,32 @@
 //! last. A crash mid-checkpoint leaves the previous half's checkpoint
 //! intact.
 //!
-//! Recovery ([`try_fast_recover`]) loads the newest committed checkpoint
-//! and then performs a **delta scan**: for each block it reads at most two
-//! spare areas (first and last-written page) and compares against the
-//! fingerprint. Unchanged blocks are skipped entirely; blocks that grew a
-//! tail are scanned from the old fill level; erased/rewritten blocks are
-//! purged from the tables and rescanned in full, replayed through the same
-//! Figure-11 logic as the full scan. For a fresh checkpoint this turns
-//! recovery from one read per *page* into about one read per *block* — a
-//! ~`pages_per_block`x reduction.
+//! Recovery's read pass ([`load_checkpoint_delta`]) loads the newest
+//! committed checkpoint and then performs a **delta scan**: for each block
+//! it reads at most two spare areas (first and last-written page) and
+//! compares against the fingerprint. Unchanged blocks are skipped
+//! entirely; blocks that grew a tail are read from the old fill level;
+//! erased/rewritten blocks are purged from the tables and read in full.
+//! What it reads becomes the census the full scan would have built, and
+//! the verdict and the replay run over it unchanged. For a fresh
+//! checkpoint this turns recovery from one read per *page* into about one
+//! read per *block* — a ~`pages_per_block`x reduction.
 //!
-//! The torn-transaction verdict composes with the delta scan: a
-//! checkpoint is only ever taken outside a commit batch, so every tag it
-//! records belongs to a committed transaction whose record location it
-//! also records. Anything newer — including a commit torn by the crash —
-//! lives in blocks the fingerprints flag as changed, so the verdict only
-//! needs a mini-precheck over those blocks plus the checkpointed record
-//! set.
+//! The torn-transaction verdict composes with the delta: a checkpoint is
+//! only ever taken outside a commit batch, so every tag it records belongs
+//! to a committed transaction whose record location it also records.
+//! Anything newer — including a commit torn by the crash — lives in blocks
+//! the fingerprints flag as changed, so the verdict runs over the delta
+//! census seeded with the loaded tables and record set.
 
-use super::recovery::RecoveryTables;
+use super::recovery::{Census, RecoveryTables};
 use super::{Pdl, PpmtEntry, NONE};
 use crate::diff::NO_TXN;
 use crate::error::CoreError;
 use crate::ftl::make_spare;
 use crate::page_store::{StoreOptions, StructRootEntry, StructRootsSnapshot};
 use crate::Result;
-use pdl_flash::{BlockId, FlashChip, OpContext, PageKind, Ppn, SpareInfo};
-use std::collections::HashSet;
+use pdl_flash::{BlockId, FlashChip, PageKind, Ppn, SpareInfo};
 
 const PAYLOAD_MAGIC: u32 = 0x504C_4B31; // "PLK1"
 const HEADER_MAGIC: u32 = 0x504C_4831; // "PLH1"
@@ -614,142 +613,15 @@ fn find_latest_header(chip: &mut FlashChip, opts: &StoreOptions) -> Result<Optio
     }))
 }
 
-/// Attempt checkpoint-based recovery: load the newest committed checkpoint
-/// and delta-scan only the blocks that changed since. Returns `None` when
-/// no usable checkpoint exists (caller falls back to the full scan).
-/// `uncommitted` carries a globally computed torn set (sharded recovery);
-/// `None` means "derive it from the changed blocks".
-pub(crate) fn try_fast_recover(
+/// The read pass of fast recovery: load and verify the newest committed
+/// checkpoint, classify every block against its fingerprint, purge table
+/// entries living in erased/rewritten blocks, and read the changed pages
+/// into a census seeded with the loaded tables. Returns `None` when no
+/// usable checkpoint exists.
+pub(super) fn load_checkpoint_delta(
     chip: &mut FlashChip,
     opts: &StoreOptions,
-    uncommitted: Option<HashSet<u64>>,
-) -> Result<Option<RecoveryTables>> {
-    chip.set_context(OpContext::Recovery);
-    let result = fast_recover_inner(chip, opts, uncommitted);
-    chip.set_context(OpContext::User);
-    result
-}
-
-/// The checkpoint-aware torn-commit precheck: the read-only first pass of
-/// sharded recovery, restricted to the blocks changed since the latest
-/// committed checkpoint (exactly the restriction the single-store fast
-/// path applies to its table rebuild). Falls back to the full-chip
-/// [`super::recovery::txn_precheck`] scan when no usable checkpoint
-/// exists — so under a fresh checkpoint the per-shard precheck costs
-/// ~two spare reads per block instead of one read per page, restoring
-/// the `pages_per_block`× fast-recovery win for sharded stores.
-///
-/// Returns the loaded [`CheckpointDelta`] alongside the torn set so the
-/// per-shard table rebuild can replay it directly instead of loading and
-/// classifying the same checkpoint a second time.
-pub(crate) fn txn_precheck_fast(
-    chip: &mut FlashChip,
-    opts: &StoreOptions,
-) -> Result<(HashSet<u64>, Option<CheckpointDelta>)> {
-    if opts.checkpoint_blocks > 0 {
-        chip.set_context(OpContext::Recovery);
-        let result = (|| -> Result<Option<(HashSet<u64>, CheckpointDelta)>> {
-            match load_checkpoint_delta(chip, opts)? {
-                Some(delta) => {
-                    let torn = derive_torn_from_delta(chip, opts, &delta)?;
-                    Ok(Some((torn, delta)))
-                }
-                None => Ok(None),
-            }
-        })();
-        chip.set_context(OpContext::User);
-        if let Some((torn, delta)) = result? {
-            return Ok((torn, Some(delta)));
-        }
-    }
-    Ok((super::recovery::txn_precheck(chip, opts)?.torn(), None))
-}
-
-/// A loaded checkpoint plus the block-level delta classification against
-/// the current chip state: `invalidated` blocks were erased/rewritten
-/// since the checkpoint (their table entries are already purged),
-/// `tail_scan` blocks only grew a tail past the recorded fill level.
-pub(crate) struct CheckpointDelta {
-    tables: RecoveryTables,
-    invalidated: Vec<u32>,
-    tail_scan: Vec<(u32, u32)>,
-}
-
-/// Replay a loaded checkpoint delta into final recovery tables under the
-/// supplied torn-transaction verdict (the second pass of fast recovery).
-pub(crate) fn replay_delta(
-    chip: &mut FlashChip,
-    mut delta: CheckpointDelta,
-    uncommitted: HashSet<u64>,
-) -> Result<RecoveryTables> {
-    chip.set_context(OpContext::Recovery);
-    let result = replay_delta_inner(chip, &mut delta, uncommitted);
-    chip.set_context(OpContext::User);
-    result?;
-    Ok(delta.tables)
-}
-
-fn replay_delta_inner(
-    chip: &mut FlashChip,
-    delta: &mut CheckpointDelta,
-    uncommitted: HashSet<u64>,
-) -> Result<()> {
-    let g = chip.geometry();
-    delta.tables.uncommitted = uncommitted;
-    // Replay invalidated blocks fully and grown tails partially.
-    let tables = &mut delta.tables;
-    let mut data_buf = vec![0u8; g.data_size];
-    let mut replay =
-        |chip: &mut FlashChip, tables: &mut RecoveryTables, b: u32, from: u32| -> Result<()> {
-            for i in from..g.pages_per_block {
-                let ppn = g.page_at(BlockId(b), i);
-                let Some(info) = chip.read_spare(ppn)? else { continue };
-                if info.kind == PageKind::Free {
-                    break; // blocks fill sequentially
-                }
-                tables.written[b as usize] += 1;
-                if info.obsolete {
-                    tables.obsolete[b as usize] += 1;
-                    continue;
-                }
-                tables.apply_page(chip, ppn, info, &mut data_buf)?;
-            }
-            Ok(())
-        };
-    for b in delta.invalidated.clone() {
-        replay(chip, tables, b, 0)?;
-    }
-    for (b, from) in delta.tail_scan.clone() {
-        replay(chip, tables, b, from)?;
-    }
-    Ok(())
-}
-
-fn fast_recover_inner(
-    chip: &mut FlashChip,
-    opts: &StoreOptions,
-    uncommitted: Option<HashSet<u64>>,
-) -> Result<Option<RecoveryTables>> {
-    let Some(mut delta) = load_checkpoint_delta(chip, opts)? else { return Ok(None) };
-
-    // The torn-transaction verdict: supplied globally (sharded recovery
-    // unions every shard's precheck) or derived from the changed blocks.
-    let torn = match uncommitted {
-        Some(u) => u,
-        None => derive_torn_from_delta(chip, opts, &delta)?,
-    };
-    replay_delta_inner(chip, &mut delta, torn)?;
-    Ok(Some(delta.tables))
-}
-
-/// Load and verify the newest committed checkpoint, classify every block
-/// against its fingerprint, and purge table entries living in
-/// erased/rewritten blocks. Returns `None` when no usable checkpoint
-/// exists.
-fn load_checkpoint_delta(
-    chip: &mut FlashChip,
-    opts: &StoreOptions,
-) -> Result<Option<CheckpointDelta>> {
+) -> Result<Option<Census>> {
     let g = chip.geometry();
     let Some(header) = find_latest_header(chip, opts)? else { return Ok(None) };
 
@@ -778,7 +650,7 @@ fn load_checkpoint_delta(
     {
         return Ok(None);
     }
-    let mut tables = RecoveryTables::empty(opts, g.num_pages(), g.num_blocks, HashSet::new());
+    let mut tables = RecoveryTables::empty(opts, g);
     for pid in 0..nl {
         let mut e = PpmtEntry::default();
         for j in 0..k {
@@ -871,63 +743,14 @@ fn load_checkpoint_delta(
         tables.obsolete[*b as usize] = 0;
     }
 
-    Ok(Some(CheckpointDelta { tables, invalidated, tail_scan }))
-}
-
-/// The torn-transaction verdict over a checkpoint delta. Every tag the
-/// checkpoint recorded is committed (checkpoints never run inside a
-/// batch), so only the changed blocks can carry a torn transaction's
-/// tags — and only they (plus the checkpointed record set) can prove a
-/// commit. The loaded tables seed the time-stamp domination baselines,
-/// so tags already superseded by checkpointed committed state read as
-/// dead.
-fn derive_torn_from_delta(
-    chip: &mut FlashChip,
-    opts: &StoreOptions,
-    delta: &CheckpointDelta,
-) -> Result<HashSet<u64>> {
-    let g = chip.geometry();
-    let nl = opts.num_logical_pages as usize;
-    let k = opts.frames_per_page as usize;
-    let tables = &delta.tables;
-    let mut verdict = super::recovery::TxnVerdict::new(k);
-    for t in tables.commit_locs.keys() {
-        verdict.note_record(*t);
+    // Invalidated blocks are read in full, grown tails from the old fill
+    // level.
+    let mut census = Census::new(tables);
+    for b in invalidated {
+        census.read_block(chip, b, 0, &mut img)?;
     }
-    for pid in 0..nl {
-        if tables.ppmt[pid].diff != NONE {
-            verdict.note_committed_diff(pid as u64, tables.diff_ts[pid]);
-        }
-        for j in 0..k {
-            if tables.ppmt[pid].base[j] != NONE {
-                verdict.note_committed_base((pid * k + j) as u64, tables.frame_ts[pid * k + j]);
-            }
-        }
+    for (b, from) in tail_scan {
+        census.read_block(chip, b, from, &mut img)?;
     }
-    let mut data_buf = vec![0u8; g.data_size];
-    let mut sweep = |chip: &mut FlashChip,
-                     verdict: &mut super::recovery::TxnVerdict,
-                     b: u32,
-                     from: u32|
-     -> Result<()> {
-        for i in from..g.pages_per_block {
-            let ppn = g.page_at(BlockId(b), i);
-            let Some(info) = chip.read_spare(ppn)? else { continue };
-            if info.kind == PageKind::Free {
-                break;
-            }
-            if info.obsolete {
-                continue;
-            }
-            verdict.note_page(chip, ppn, info, &mut data_buf)?;
-        }
-        Ok(())
-    };
-    for b in &delta.invalidated {
-        sweep(chip, &mut verdict, *b, 0)?;
-    }
-    for (b, from) in &delta.tail_scan {
-        sweep(chip, &mut verdict, *b, *from)?;
-    }
-    Ok(verdict.resolve().torn())
+    Ok(Some(census))
 }

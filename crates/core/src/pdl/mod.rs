@@ -79,7 +79,7 @@ mod dwb;
 mod recovery;
 mod spans;
 
-pub(crate) use checkpoint::{txn_precheck_fast, CheckpointDelta};
+pub(crate) use recovery::{read_census, Census};
 
 use crate::diff::{
     CommitRecord, Differential, EpochRecord, PageRecord, EPOCH_HEADER, NO_TXN, RECORD_HEADER,

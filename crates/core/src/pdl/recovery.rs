@@ -24,24 +24,48 @@
 //! and a crash before that erase leaves two equal-`ts` differential
 //! copies resolved the same way.
 //!
-//! # The transaction pass
+//! # One read pass, then memory
 //!
-//! Recovery now runs in two passes. The first ([`txn_precheck`]) is
-//! read-only: it collects, per chip, the set of transactions that appear
-//! as *tags* (on differentials or Case-3 base pages) and the set that
-//! appear as durable *commit records*. A transaction is **torn** — it
-//! crashed between its first staged page and its commit record — exactly
-//! when some chip carries its tag but no local record (the commit
-//! protocol writes a record to every involved shard, and garbage
-//! collection keeps a shard's record alive while anything on that shard
-//! still carries the tag). The second pass is the Figure-11 scan with the
-//! torn set in hand: tagged base pages of torn transactions are set
-//! obsolete, tagged differentials of torn transactions are skipped, and —
-//! because the commit batch *deferred* the obsolete marks on the
-//! pre-images it superseded — the previous committed state is still on
-//! flash and wins the time-stamp resolution. Commit records themselves
-//! are re-registered (and counted in the valid-differential table) while
-//! any surviving page still carries their tag.
+//! Figure 11 costs one spare-area read per physical page plus one data
+//! read per differential page, and that is all recovery reads. The read
+//! pass ([`read_census`], obs recovery phase 0) keeps a [`Census`]: for
+//! every written, non-obsolete page the spare fields the replay uses, and
+//! for a differential page the header of each record on it (the payload
+//! stays on flash) and whether its data verified. Everything after it
+//! runs over the census:
+//!
+//! * **The transaction verdict** ([`Census::verdict`]) collects the
+//!   transactions that appear as *tags* (on differentials or Case-3 base
+//!   pages) and the ones that appear in durable *commit records*. A
+//!   transaction is **torn** — it crashed between its first staged page
+//!   and its commit record — exactly when some chip carries a live tag of
+//!   it but no local record (the commit protocol writes a record to every
+//!   involved shard, and garbage collection keeps a shard's record alive
+//!   while anything on that shard still carries the tag).
+//! * **The replay** ([`Census::replay`], phase 1) is Figure 11's loop body
+//!   with the torn set in hand: tagged base pages of torn transactions are
+//!   set obsolete, tagged differentials of torn transactions are skipped,
+//!   and — because the commit batch *deferred* the obsolete marks on the
+//!   pre-images it superseded — the previous committed state is still on
+//!   flash and wins the time-stamp resolution. Commit records are
+//!   re-registered (and counted in the valid-differential table) while any
+//!   surviving page still carries their tag; [`RecoveryTables::finish`]
+//!   (phase 2) picks the copy.
+//!
+//! The replay programs the obsolete marks Figure 11's scan would, in the
+//! same page order, without asking the chip first: a page the read pass
+//! met was live then, and one recovery marks a page at most once. Only a
+//! page a loaded checkpoint points at lies outside the census — the
+//! running store may have marked it since — and its spare area is read
+//! before it is marked, so a repeated recovery never programs a mark
+//! twice.
+//!
+//! A differential page whose data fails its checksum is filed as corrupt
+//! by the replay, while the verdict still reads its records from the
+//! unverified bytes: a commit record there must not tear a transaction
+//! whose other pages are intact. When such a record is the only proof of
+//! a live tag, recovery refuses (`Corruption`) — it neither rolls the
+//! commit back nor lets unverified bytes prove it.
 //!
 //! Data that only reached the differential write buffer is not recovered,
 //! "analogous to the situation where data retained only in the file buffer
@@ -49,9 +73,9 @@
 //! the write-through call ([`crate::PageStore::flush`]) or a transaction
 //! commit.
 //!
-//! The per-page replay logic lives in [`RecoveryTables`] so that the
+//! The per-page replay logic lives in [`RecoveryTables`], so the
 //! checkpointed fast-recovery path (`checkpoint.rs`, the paper's §4.5
-//! future-work extension) can reuse it for its delta scan.
+//! future-work extension) replays its delta through the same code.
 
 use super::dwb::DiffWriteBuffer;
 use super::{Pdl, PdlCounters, PpmtEntry, TxnMap, NONE};
@@ -60,43 +84,113 @@ use crate::error::CoreError;
 use crate::ftl::BlockManager;
 use crate::page_store::StoreOptions;
 use crate::Result;
-use pdl_flash::{BlockId, FlashChip, OpContext, PageKind, Ppn, SpareInfo};
+use pdl_flash::{BlockId, FlashChip, FlashGeometry, OpContext, PageKind, Ppn, SpareInfo};
 use std::collections::{HashMap, HashSet};
 
-/// Read-ahead window of the sequential recovery scans: how many page
-/// reads are kept in flight ahead of the cursor. Sized to fill a deep
-/// (16-slot) command queue without monopolising it.
+/// Read-ahead window of the sequential full scan: how many page reads are
+/// kept in flight ahead of the cursor. Sized to fill a deep (16-slot)
+/// command queue without monopolising it.
 const SCAN_READAHEAD: u32 = 8;
 
-/// The torn-commit verdict builder (first, read-only pass).
-///
-/// It collects every *tagged* candidate (differential or base page) with
-/// its creation time stamp, every commit record, and the newest
-/// *committed* time stamp per logical page / frame (untagged data, plus
-/// baselines from a loaded checkpoint). [`TxnVerdict::resolve`] then
-/// computes which tags are **live** — not dominated by newer committed
-/// data under the same time-stamp order the Figure-11 resolution uses —
-/// and a transaction is *torn* exactly when it has a live tag on a chip
-/// without a local commit record. Dead (superseded) tags are ignored:
-/// the running store drops its presence count and may retire the commit
-/// record the moment a tag is dominated, and this verdict mirrors that.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct TxnVerdict {
-    frames_per_page: usize,
-    records: HashSet<u64>,
-    /// `(pid, ts, txn)` of tagged differentials.
-    diff_cands: Vec<(u64, u64, u64)>,
-    /// `(frame, ts, txn)` of tagged base pages.
-    base_cands: Vec<(u64, u64, u64)>,
-    /// Newest committed base ts per frame.
-    eff_frame: HashMap<u64, u64>,
-    /// Newest committed differential ts per pid.
-    eff_diff: HashMap<u64, u64>,
+/// What recovery needs of one record on a differential page: its header.
+#[derive(Clone, Copy, Debug)]
+enum RecHead {
+    /// A differential of logical page `pid` (saturated at `u32::MAX`, past
+    /// every store's page range).
+    Diff { pid: u32, ts: u64, txn: u64 },
+    /// Commit proof of the `n` transaction ids from `lo`: one for a commit
+    /// record, one run per range of an epoch record (`n == 0` for an epoch
+    /// record without ranges).
+    Proof { n: u32, lo: u64, ts: u64 },
 }
 
-/// Resolved first-pass result: live tags and local commit records.
+/// A written, non-obsolete page as the read pass found it.
+#[derive(Clone, Copy, Debug)]
+struct Found {
+    ppn: u32,
+    kind: PageKind,
+    /// Differential page: the data matched the spare-area checksum.
+    verified: bool,
+    /// Differential page: the records parsed (from the bytes read,
+    /// verified or not); their headers follow the previous differential
+    /// page's in [`Pages::recs`].
+    parsed: bool,
+    tag: u64,
+    ts: u64,
+    txn: u64,
+}
+
+// The census of a 64 K-page chip stays a few MB.
+const _: () = assert!(std::mem::size_of::<RecHead>() == 24);
+const _: () = assert!(std::mem::size_of::<Found>() == 32);
+
+/// The ids a [`RecHead::Proof`] proves committed.
+fn proof_ids(n: u32, lo: u64) -> impl Iterator<Item = u64> {
+    (0..u64::from(n)).map(move |i| lo + i)
+}
+
+/// Append the headers of every record in a differential page's data area
+/// to `out`. `false`, with `out` as it was, when the area does not parse —
+/// or holds an epoch range of 2³² ids or more, which no store writes.
+fn push_headers(out: &mut Vec<RecHead>, data: &[u8]) -> bool {
+    let start = out.len();
+    let Ok(records) = Differential::parse_page(data) else { return false };
+    for rec in records {
+        match rec {
+            PageRecord::Diff(d) => {
+                let pid = u32::try_from(d.pid).unwrap_or(u32::MAX);
+                out.push(RecHead::Diff { pid, ts: d.ts, txn: d.txn });
+            }
+            PageRecord::Commit(c) => out.push(RecHead::Proof { n: 1, lo: c.txn, ts: c.ts }),
+            PageRecord::Epoch(e) => {
+                if e.ranges.is_empty() {
+                    out.push(RecHead::Proof { n: 0, lo: 0, ts: e.ts });
+                }
+                for (lo, hi) in e.ranges {
+                    let Some(n) = (hi - lo).checked_add(1).and_then(|n| u32::try_from(n).ok())
+                    else {
+                        out.truncate(start);
+                        return false;
+                    };
+                    out.push(RecHead::Proof { n, lo, ts: e.ts });
+                }
+            }
+        }
+    }
+    true
+}
+
+/// The pages a read pass found, in read order, with the record headers of
+/// all differential pages in one flat vector.
+#[derive(Default)]
+struct Pages {
+    found: Vec<Found>,
+    recs: Vec<RecHead>,
+    /// End of each differential page's headers in `recs`, `found` order.
+    ends: Vec<usize>,
+}
+
+impl Pages {
+    /// Every page with its record headers (empty unless a parsed
+    /// differential page).
+    fn iter(&self) -> impl Iterator<Item = (&Found, &[RecHead])> + '_ {
+        let mut ends = self.ends.iter();
+        let mut start = 0;
+        self.found.iter().map(move |page| {
+            if page.kind != PageKind::Diff {
+                return (page, &[][..]);
+            }
+            let end = *ends.next().expect("one end per differential page");
+            let recs = &self.recs[start..end];
+            start = end;
+            (page, recs)
+        })
+    }
+}
+
+/// The verdict: live tags and local commit records.
 #[derive(Clone, Debug, Default)]
-pub struct TxnScan {
+pub(crate) struct TxnScan {
     pub tagged: HashSet<u64>,
     pub records: HashSet<u64>,
 }
@@ -104,170 +198,259 @@ pub struct TxnScan {
 impl TxnScan {
     /// Transactions torn on this chip: live-tagged but without a local
     /// commit record. (For a sharded store the torn sets of every shard
-    /// are unioned before the second pass.)
-    pub fn torn(&self) -> HashSet<u64> {
+    /// are unioned before any shard replays.)
+    pub(crate) fn torn(&self) -> HashSet<u64> {
         self.tagged.difference(&self.records).copied().collect()
     }
 }
 
-impl TxnVerdict {
-    pub fn new(frames_per_page: usize) -> TxnVerdict {
-        TxnVerdict { frames_per_page, ..TxnVerdict::default() }
+/// Everything recovery learns from flash, gathered by one read pass
+/// (module docs): the tables the replay starts from — empty, or a loaded
+/// checkpoint purged of the blocks changed since — and every page the
+/// pass found.
+pub(crate) struct Census {
+    tables: RecoveryTables,
+    pages: Pages,
+}
+
+impl Census {
+    pub(super) fn new(tables: RecoveryTables) -> Census {
+        Census { tables, pages: Pages::default() }
     }
 
-    pub fn note_committed_base(&mut self, frame: u64, ts: u64) {
-        let e = self.eff_frame.entry(frame).or_insert(0);
-        *e = (*e).max(ts);
-    }
-
-    pub fn note_committed_diff(&mut self, pid: u64, ts: u64) {
-        let e = self.eff_diff.entry(pid).or_insert(0);
-        *e = (*e).max(ts);
-    }
-
-    pub fn note_record(&mut self, txn: u64) {
-        self.records.insert(txn);
-    }
-
-    /// Feed one non-obsolete page into the verdict.
-    pub fn note_page(
+    /// Read pages `from..` of `block` up to the first free one (blocks
+    /// fill sequentially). `buf` is a page-sized scratch buffer.
+    pub(super) fn read_block(
         &mut self,
         chip: &mut FlashChip,
-        ppn: Ppn,
-        info: SpareInfo,
-        data_buf: &mut [u8],
+        block: u32,
+        from: u32,
+        buf: &mut [u8],
     ) -> Result<()> {
-        match info.kind {
-            PageKind::Base => {
-                if info.txn == NO_TXN {
-                    self.note_committed_base(info.tag, info.ts);
-                } else {
-                    self.base_cands.push((info.tag, info.ts, info.txn));
-                }
+        let g = chip.geometry();
+        self.tables.scanned_from[block as usize] = from;
+        for i in from..g.pages_per_block {
+            let ppn = g.page_at(BlockId(block), i);
+            let Some(info) = chip.read_spare(ppn)? else { continue };
+            if info.kind == PageKind::Free {
+                break;
             }
-            PageKind::Diff => {
-                chip.read_data(ppn, data_buf)?;
-                // An unparseable page contributes nothing; the main scan
-                // will set it obsolete.
-                let Ok(records) = Differential::parse_page(data_buf) else { return Ok(()) };
-                for rec in records {
-                    match rec {
-                        PageRecord::Diff(d) => {
-                            if d.txn == NO_TXN {
-                                self.note_committed_diff(d.pid, d.ts);
-                            } else {
-                                self.diff_cands.push((d.pid, d.ts, d.txn));
-                            }
-                        }
-                        PageRecord::Commit(c) => self.note_record(c.txn),
-                        // An epoch record proves every member id durably
-                        // committed, exactly as per-txn records would.
-                        PageRecord::Epoch(e) => {
-                            for id in e.ids() {
-                                self.note_record(id);
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
+            self.note(chip, ppn, info, buf)?;
         }
         Ok(())
     }
 
-    /// Compute the live tag set. A tagged candidate whose transaction has
-    /// a local record counts as committed and joins the domination
-    /// baselines (so a committed rewrite kills the tags it superseded);
-    /// domination is non-strict — a GC twin with an equal time stamp and
-    /// identical content dominates its tagged original.
-    pub fn resolve(mut self) -> TxnScan {
-        for (frame, ts, txn) in &self.base_cands {
-            if self.records.contains(txn) {
-                let e = self.eff_frame.entry(*frame).or_insert(0);
-                *e = (*e).max(*ts);
+    /// Count one written page and keep it when it is live, reading a
+    /// differential page's data (once, verified) on the way.
+    fn note(
+        &mut self,
+        chip: &mut FlashChip,
+        ppn: Ppn,
+        info: SpareInfo,
+        buf: &mut [u8],
+    ) -> Result<()> {
+        let block = chip.geometry().block_of(ppn).0 as usize;
+        self.tables.written[block] += 1;
+        if info.obsolete {
+            self.tables.obsolete[block] += 1;
+            return Ok(());
+        }
+        let mut page = Found {
+            ppn: ppn.0,
+            kind: info.kind,
+            verified: true,
+            parsed: true,
+            tag: info.tag,
+            ts: info.ts,
+            txn: info.txn,
+        };
+        if info.kind == PageKind::Diff {
+            // `buf` holds the bytes even when they fail the checksum: the
+            // verdict reads their records, the replay does not.
+            page.verified = match chip.read_data_verified(ppn, buf) {
+                Ok(()) => true,
+                Err(pdl_flash::FlashError::ChecksumMismatch(_)) => false,
+                Err(e) => return Err(e.into()),
+            };
+            page.parsed = push_headers(&mut self.pages.recs, buf);
+            self.pages.ends.push(self.pages.recs.len());
+        }
+        self.pages.found.push(page);
+        Ok(())
+    }
+
+    /// The torn-commit verdict over the census. It computes which tags are
+    /// **live** — not dominated by newer committed data under the
+    /// time-stamp order the replay uses — and a transaction is *torn*
+    /// exactly when it has a live tag on a chip without a local commit
+    /// record. Dead (superseded) tags are ignored: the running store drops
+    /// its presence count and may retire the commit record the moment a
+    /// tag is dominated, and this verdict mirrors that. The loaded tables
+    /// count as committed: a checkpoint is never taken inside a batch.
+    pub(crate) fn verdict(&self) -> TxnScan {
+        let t = &self.tables;
+        let k = t.frames_per_page;
+        let nl = t.ppmt.len();
+        let mut records: HashSet<u64> = t.commit_locs.keys().copied().collect();
+        for rec in &self.pages.recs {
+            if let RecHead::Proof { n, lo, .. } = *rec {
+                records.extend(proof_ids(n, lo));
             }
         }
-        for (pid, ts, txn) in &self.diff_cands {
-            if self.records.contains(txn) {
-                let e = self.eff_diff.entry(*pid).or_insert(0);
-                *e = (*e).max(*ts);
+        let committed = |txn: u64| txn == NO_TXN || records.contains(&txn);
+        // Only unrecorded transactions can be torn, so only their tags
+        // need a liveness check; without one there is nothing to judge.
+        let unrecorded = |(page, recs): (&Found, &[RecHead])| {
+            (page.kind == PageKind::Base && !committed(page.txn))
+                || recs.iter().any(|r| matches!(*r, RecHead::Diff { txn, .. } if !committed(txn)))
+        };
+        if !self.pages.iter().any(unrecorded) {
+            return TxnScan { tagged: HashSet::new(), records };
+        }
+        // Newest committed time stamp per frame and per logical page. A
+        // tag whose transaction has a local record counts as committed, so
+        // a committed rewrite kills the tags it superseded.
+        let mut eff_frame = vec![0u64; nl * k];
+        let mut eff_diff = vec![0u64; nl];
+        for pid in 0..nl {
+            if t.ppmt[pid].diff != NONE {
+                eff_diff[pid] = t.diff_ts[pid];
+            }
+            for j in 0..k {
+                if t.ppmt[pid].base[j] != NONE {
+                    eff_frame[pid * k + j] = t.frame_ts[pid * k + j];
+                }
             }
         }
-        let k = self.frames_per_page.max(1) as u64;
+        let slot = |i: u64| usize::try_from(i).unwrap_or(usize::MAX);
+        for (page, recs) in self.pages.iter() {
+            if page.kind == PageKind::Base && committed(page.txn) {
+                if let Some(e) = eff_frame.get_mut(slot(page.tag)) {
+                    *e = (*e).max(page.ts);
+                }
+            }
+            for rec in recs {
+                if let RecHead::Diff { pid, ts, txn } = *rec {
+                    if let Some(e) = eff_diff.get_mut(pid as usize).filter(|_| committed(txn)) {
+                        *e = (*e).max(ts);
+                    }
+                }
+            }
+        }
+        // Domination is non-strict: a GC twin with an equal time stamp and
+        // identical content dominates its tagged original.
         let mut tagged = HashSet::new();
-        // Only unrecorded transactions can be torn, so only their
-        // candidates need a liveness check.
-        for (frame, ts, txn) in &self.base_cands {
-            if self.records.contains(txn) {
-                continue;
+        for (page, recs) in self.pages.iter() {
+            if page.kind == PageKind::Base
+                && !committed(page.txn)
+                && eff_frame.get(slot(page.tag)).copied().unwrap_or(0) < page.ts
+            {
+                tagged.insert(page.txn);
             }
-            if self.eff_frame.get(frame).copied().unwrap_or(0) < *ts {
-                tagged.insert(*txn);
-            }
-        }
-        for (pid, ts, txn) in &self.diff_cands {
-            if self.records.contains(txn) {
-                continue;
-            }
-            // A differential is live only while newer than every base
-            // frame of its page and newer than any committed differential.
-            let base_ts = (0..k)
-                .map(|j| self.eff_frame.get(&(pid * k + j)).copied().unwrap_or(0))
-                .max()
-                .unwrap_or(0);
-            let committed_ts = base_ts.max(self.eff_diff.get(pid).copied().unwrap_or(0));
-            if committed_ts < *ts {
-                tagged.insert(*txn);
+            for rec in recs {
+                let RecHead::Diff { pid, ts, txn } = *rec else { continue };
+                if committed(txn) {
+                    continue;
+                }
+                // A differential is live only while newer than every base
+                // frame of its page and newer than any committed one.
+                let pid = pid as usize;
+                let frames = eff_frame.get(pid * k..(pid + 1) * k).unwrap_or_default();
+                let newest = frames.iter().copied().chain(eff_diff.get(pid).copied()).max();
+                if newest.unwrap_or(0) < ts {
+                    tagged.insert(txn);
+                }
             }
         }
-        TxnScan { tagged, records: self.records }
+        TxnScan { tagged, records }
+    }
+
+    /// Phase 1: replay every page the read pass found into the tables, in
+    /// read order, discarding the tags of `uncommitted` (torn)
+    /// transactions. It reads nothing (see [`RecoveryTables::mark_obsolete`]
+    /// for the one exception) and drops the census when done.
+    pub(crate) fn replay(
+        self,
+        chip: &mut FlashChip,
+        uncommitted: HashSet<u64>,
+    ) -> Result<RecoveryTables> {
+        let Census { mut tables, pages } = self;
+        tables.uncommitted = uncommitted;
+        chip.set_context(OpContext::Recovery);
+        let t0 = chip.sim_now_us();
+        let result = pages.iter().try_for_each(|(page, recs)| tables.apply_page(chip, page, recs));
+        crate::page_store::obs_event(
+            chip,
+            pdl_flash::LatencyClass::RecoveryPhase,
+            "recovery_replay",
+            "recovery",
+            t0,
+            0,
+            1, // phase 1: in-memory replay
+        );
+        chip.set_context(OpContext::User);
+        result?;
+        Ok(tables)
     }
 }
 
-/// The read-only transaction pass over a whole chip (outside the
-/// checkpoint root region).
-pub(crate) fn txn_precheck(chip: &mut FlashChip, opts: &StoreOptions) -> Result<TxnScan> {
-    let g = chip.geometry();
+/// Phase 0, recovery's only read pass: the census of the blocks changed
+/// since the newest usable checkpoint, carrying that checkpoint's tables,
+/// or — when there is none — of every page outside the root region.
+pub(crate) fn read_census(chip: &mut FlashChip, opts: &StoreOptions) -> Result<Census> {
+    opts.validate(chip)?;
     chip.set_context(OpContext::Recovery);
     let t0 = chip.sim_now_us();
-    let result = (|| -> Result<TxnScan> {
-        let mut verdict = TxnVerdict::new(opts.frames_per_page as usize);
-        let mut data_buf = vec![0u8; g.data_size];
-        let first = opts.checkpoint_blocks * g.pages_per_block;
-        // Sequential read-ahead: keep the next window of pages in flight
-        // while the current one is consumed (free at queue depth 1).
-        let mut next_pf = first;
-        for p in first..g.num_pages() {
-            let end = (p + 1 + SCAN_READAHEAD).min(g.num_pages());
-            while next_pf < end {
-                chip.prefetch_page(Ppn(next_pf))?;
-                next_pf += 1;
+    let result = (|| -> Result<Census> {
+        if opts.checkpoint_blocks > 0 {
+            if let Some(census) = super::checkpoint::load_checkpoint_delta(chip, opts)? {
+                return Ok(census);
             }
-            let ppn = Ppn(p);
-            let Some(info) = chip.read_spare(ppn)? else { continue };
-            if info.obsolete {
-                continue;
-            }
-            verdict.note_page(chip, ppn, info, &mut data_buf)?;
         }
-        Ok(verdict.resolve())
+        full_scan(chip, opts)
     })();
     crate::page_store::obs_event(
         chip,
         pdl_flash::LatencyClass::RecoveryPhase,
-        "recovery",
+        "recovery_read",
         "recovery",
         t0,
         0,
-        0, // phase 0: transaction precheck pass
+        0, // phase 0: the read pass
     );
     chip.set_context(OpContext::User);
     result
 }
 
+/// The scan of Figure 11: read every physical page outside the checkpoint
+/// root region. Borrows the chip, so a crashed recovery can simply be
+/// retried.
+fn full_scan(chip: &mut FlashChip, opts: &StoreOptions) -> Result<Census> {
+    let g = chip.geometry();
+    let mut census = Census::new(RecoveryTables::empty(opts, g));
+    census.tables.scanned_from[opts.checkpoint_blocks as usize..].fill(0);
+    let mut buf = vec![0u8; g.data_size];
+    let first = opts.checkpoint_blocks * g.pages_per_block;
+    // The scan is strictly sequential: keep the next window of page reads
+    // in flight while the current page is consumed (free at queue depth 1).
+    let mut next_pf = first;
+    for p in first..g.num_pages() {
+        let end = (p + 1 + SCAN_READAHEAD).min(g.num_pages());
+        while next_pf < end {
+            chip.prefetch_page(Ppn(next_pf))?;
+            next_pf += 1;
+        }
+        let ppn = Ppn(p);
+        match chip.read_spare(ppn)? {
+            Some(info) if info.kind != PageKind::Free => census.note(chip, ppn, info, &mut buf)?,
+            _ => {}
+        }
+    }
+    Ok(census)
+}
+
 /// Mapping tables under reconstruction, plus the time-stamp bookkeeping
-/// Figure 11 relies on and the transaction bookkeeping the torn-commit
-/// pass produces.
+/// Figure 11 relies on and the transaction bookkeeping the verdict feeds.
 pub(crate) struct RecoveryTables {
     pub ppmt: Vec<PpmtEntry>,
     pub vdct: Vec<u16>,
@@ -277,9 +460,13 @@ pub(crate) struct RecoveryTables {
     pub diff_ts: Vec<u64>,
     pub written: Vec<u32>,
     pub obsolete: Vec<u32>,
+    /// First page index per block the read pass read (`pages_per_block`:
+    /// none): a page at or past it is in the census unless it was free or
+    /// obsolete then.
+    scanned_from: Vec<u32>,
     pub max_ts: u64,
     /// Transactions whose commits are torn: their tagged pages are
-    /// discarded by the scan.
+    /// discarded by the replay.
     pub uncommitted: HashSet<u64>,
     /// Tag of the winning differential per logical page.
     pub diff_txn: Vec<u64>,
@@ -289,7 +476,7 @@ pub(crate) struct RecoveryTables {
     /// already counted in `vdct`) by the checkpoint fast path; the full
     /// scan fills it in [`RecoveryTables::finish`].
     pub commit_locs: TxnMap<u32>,
-    /// Commit-record copies discovered by the scan, per transaction.
+    /// Commit-record copies discovered by the replay, per transaction.
     pub commit_cands: HashMap<u64, Vec<u32>>,
     /// Pages holding at least one commit record (their obsoletion is
     /// decided in [`RecoveryTables::finish`], once record liveness is
@@ -318,23 +505,20 @@ pub(crate) struct RecoveryTables {
 }
 
 impl RecoveryTables {
-    pub fn empty(
-        opts: &StoreOptions,
-        num_flash_pages: u32,
-        num_blocks: u32,
-        uncommitted: HashSet<u64>,
-    ) -> RecoveryTables {
+    pub fn empty(opts: &StoreOptions, g: FlashGeometry) -> RecoveryTables {
         let nl = opts.num_logical_pages as usize;
         let k = opts.frames_per_page as usize;
+        let blocks = g.num_blocks as usize;
         RecoveryTables {
             ppmt: vec![PpmtEntry::default(); nl],
-            vdct: vec![0u16; num_flash_pages as usize],
+            vdct: vec![0u16; g.num_pages() as usize],
             frame_ts: vec![0u64; nl * k],
             diff_ts: vec![0u64; nl],
-            written: vec![0u32; num_blocks as usize],
-            obsolete: vec![0u32; num_blocks as usize],
+            written: vec![0u32; blocks],
+            obsolete: vec![0u32; blocks],
+            scanned_from: vec![g.pages_per_block; blocks],
             max_ts: 0,
-            uncommitted,
+            uncommitted: HashSet::new(),
             diff_txn: vec![NO_TXN; nl],
             base_txn: vec![NO_TXN; nl * k],
             commit_locs: TxnMap::default(),
@@ -358,58 +542,50 @@ impl RecoveryTables {
                 // finish(), once record liveness is known.
                 self.pending_dead.push(dp);
             } else {
-                self.obsolete_diff_page(chip, dp)?;
+                self.mark_obsolete(chip, Ppn(dp))?;
             }
         }
         Ok(())
     }
 
-    fn obsolete_diff_page(&mut self, chip: &mut FlashChip, dp: u32) -> Result<()> {
-        let ppn = Ppn(dp);
-        // Idempotent under repeated recovery: check before writing.
-        let already = chip.read_spare(ppn)?.map(|i| i.obsolete).unwrap_or(false);
-        if !already {
+    /// Set a useless page obsolete and count it. A page the read pass met
+    /// was live then and is marked once, so it is marked without a look;
+    /// a page only a loaded checkpoint knows (the running store may have
+    /// marked it since) has its spare read first, keeping a repeated
+    /// recovery from programming a mark twice.
+    fn mark_obsolete(&mut self, chip: &mut FlashChip, ppn: Ppn) -> Result<()> {
+        let g = chip.geometry();
+        let block = g.block_of(ppn).0 as usize;
+        let read = g.page_in_block(ppn) >= self.scanned_from[block];
+        debug_assert!(
+            !read || !SpareInfo::decode(chip.peek_spare(ppn)).is_some_and(|i| i.obsolete),
+            "recovery marks {ppn} obsolete twice"
+        );
+        if read || !chip.read_spare(ppn)?.is_some_and(|i| i.obsolete) {
             crate::ftl::mark_obsolete_lenient(chip, ppn)?;
         }
-        let block = (dp / chip.geometry().pages_per_block) as usize;
         self.obsolete[block] += 1;
         Ok(())
     }
 
-    fn mark_page_obsolete(&mut self, chip: &mut FlashChip, ppn: Ppn) -> Result<()> {
-        let already = chip.read_spare(ppn)?.map(|i| i.obsolete).unwrap_or(false);
-        if !already {
-            crate::ftl::mark_obsolete_lenient(chip, ppn)?;
-        }
-        self.obsolete[chip.geometry().block_of(ppn).0 as usize] += 1;
-        Ok(())
-    }
-
-    /// Replay one non-free, non-obsolete physical page into the tables
-    /// (Figure 11's loop body). `data_buf` is a page-sized scratch buffer.
-    pub fn apply_page(
-        &mut self,
-        chip: &mut FlashChip,
-        ppn: Ppn,
-        info: SpareInfo,
-        data_buf: &mut [u8],
-    ) -> Result<()> {
-        let g = chip.geometry();
-        let p = ppn.0;
+    /// Replay one page the read pass found (Figure 11's loop body); a
+    /// differential page comes with its record headers.
+    fn apply_page(&mut self, chip: &mut FlashChip, page: &Found, recs: &[RecHead]) -> Result<()> {
+        let ppn = Ppn(page.ppn);
+        let p = page.ppn;
         let k = self.frames_per_page;
         let nl = self.ppmt.len();
-        let num_frames = nl * k;
-        self.max_ts = self.max_ts.max(info.ts);
-        match info.kind {
+        self.max_ts = self.max_ts.max(page.ts);
+        match page.kind {
             // Case 1: r is a base page.
             PageKind::Base => {
                 // Torn transaction: the page never became visible.
-                if info.txn != NO_TXN && self.uncommitted.contains(&info.txn) {
-                    return self.mark_page_obsolete(chip, ppn);
+                if page.txn != NO_TXN && self.uncommitted.contains(&page.txn) {
+                    return self.mark_obsolete(chip, ppn);
                 }
-                let frame = info.tag as usize;
-                if frame >= num_frames {
-                    return self.mark_page_obsolete(chip, ppn);
+                let frame = page.tag as usize;
+                if frame >= nl * k {
+                    return self.mark_obsolete(chip, ppn);
                 }
                 let pid = frame / k;
                 let j = frame % k;
@@ -417,19 +593,14 @@ impl RecoveryTables {
                 // Equal-ts twins arise from GC copies; when compaction
                 // shed a committed tag, the untagged twin is the one
                 // whose validity is unconditional — prefer it.
-                let untagged_twin = info.ts == self.frame_ts[frame]
+                let untagged_twin = page.ts == self.frame_ts[frame]
                     && self.base_txn[frame] != NO_TXN
-                    && info.txn == NO_TXN;
-                if cur == NONE || info.ts > self.frame_ts[frame] || untagged_twin {
+                    && page.txn == NO_TXN;
+                if cur == NONE || page.ts > self.frame_ts[frame] || untagged_twin {
                     // r is a more recent base page.
                     if cur != NONE {
-                        let old = Ppn(cur);
-                        let already = chip.read_spare(old)?.map(|i| i.obsolete).unwrap_or(false);
-                        if !already {
-                            crate::ftl::mark_obsolete_lenient(chip, old)?;
-                        }
-                        self.obsolete[g.block_of(old).0 as usize] += 1;
-                        if info.ts == self.frame_ts[frame] {
+                        self.mark_obsolete(chip, Ppn(cur))?;
+                        if page.ts == self.frame_ts[frame] {
                             // Equal-ts duplicates are byte-identical GC
                             // copies: the loser stays on flash — free
                             // redundancy for single-page repair.
@@ -437,11 +608,11 @@ impl RecoveryTables {
                         }
                     }
                     self.ppmt[pid].base[j] = p;
-                    self.frame_ts[frame] = info.ts;
-                    self.base_txn[frame] = info.txn;
+                    self.frame_ts[frame] = page.ts;
+                    self.base_txn[frame] = page.txn;
                     // r more recent than differential(pid)? Then the
                     // differential must be obsolete.
-                    if self.ppmt[pid].diff != NONE && info.ts > self.diff_ts[pid] {
+                    if self.ppmt[pid].diff != NONE && page.ts > self.diff_ts[pid] {
                         let dp = self.ppmt[pid].diff;
                         self.decrease_vdct(chip, dp)?;
                         self.ppmt[pid].diff = NONE;
@@ -450,8 +621,8 @@ impl RecoveryTables {
                     }
                 } else {
                     // The table already holds a more recent base page.
-                    self.mark_page_obsolete(chip, ppn)?;
-                    if info.ts == self.frame_ts[frame] && cur != NONE {
+                    self.mark_obsolete(chip, ppn)?;
+                    if page.ts == self.frame_ts[frame] && cur != NONE {
                         self.twins.insert(cur, p);
                     }
                 }
@@ -459,70 +630,59 @@ impl RecoveryTables {
             }
             // Case 2: r is a differential page.
             PageKind::Diff => {
-                match chip.read_data_verified(ppn, data_buf) {
-                    Ok(()) => {}
-                    Err(pdl_flash::FlashError::ChecksumMismatch(_)) => {
-                        // The records are unreadable, and any logical page
-                        // whose newest differential lived here would be
-                        // silently stale without one. Deliberately *not*
-                        // marked obsolete: a repeated recovery must
-                        // re-detect it (the poison set is in-memory only).
-                        self.corrupt_diffs.push((p, info.ts));
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e.into()),
+                if !page.verified {
+                    // The records are unreadable, and any logical page
+                    // whose newest differential lived here would be
+                    // silently stale without one. Deliberately *not*
+                    // marked obsolete: a repeated recovery must re-detect
+                    // it (the poison set is in-memory only).
+                    self.corrupt_diffs.push((p, page.ts));
+                    return Ok(());
                 }
-                let records = match Differential::parse_page(data_buf) {
-                    Ok(r) => r,
-                    Err(_) => {
-                        // Unparseable: nothing in it can be trusted.
-                        return self.mark_page_obsolete(chip, ppn);
-                    }
-                };
-                for rec in records {
-                    match rec {
-                        PageRecord::Commit(c) => {
-                            self.max_ts = self.max_ts.max(c.ts);
-                            self.commit_cands.entry(c.txn).or_default().push(p);
-                            self.has_record.insert(p);
-                        }
-                        PageRecord::Epoch(e) => {
-                            // Each member behaves as if it had its own
-                            // record on this page: a candidate location per
-                            // member, sharing the page. finish() then keeps
-                            // the page alive while any member is referenced.
-                            self.max_ts = self.max_ts.max(e.ts);
-                            for id in e.ids() {
+                if !page.parsed {
+                    // Unparseable: nothing in it can be trusted.
+                    return self.mark_obsolete(chip, ppn);
+                }
+                for rec in recs {
+                    match *rec {
+                        RecHead::Proof { n, lo, ts } => {
+                            // Each proven id behaves as if it had its own
+                            // record on this page: a candidate location
+                            // per id, sharing the page. finish() then
+                            // keeps the page alive while any of them is
+                            // referenced.
+                            self.max_ts = self.max_ts.max(ts);
+                            for id in proof_ids(n, lo) {
                                 self.commit_cands.entry(id).or_default().push(p);
                             }
                             self.has_record.insert(p);
                         }
-                        PageRecord::Diff(d) => {
-                            if d.txn != NO_TXN && self.uncommitted.contains(&d.txn) {
+                        RecHead::Diff { pid, ts, txn } => {
+                            if txn != NO_TXN && self.uncommitted.contains(&txn) {
                                 // Torn transaction: the differential never
                                 // became visible.
                                 continue;
                             }
-                            let pid = d.pid as usize;
+                            let pid = pid as usize;
                             if pid >= nl {
                                 continue;
                             }
-                            self.max_ts = self.max_ts.max(d.ts);
+                            self.max_ts = self.max_ts.max(ts);
                             let base_ts =
                                 (0..k).map(|j| self.frame_ts[pid * k + j]).max().unwrap_or(0);
                             // Same untagged-twin preference as for bases.
-                            let untagged_twin = d.ts == self.diff_ts[pid]
+                            let untagged_twin = ts == self.diff_ts[pid]
                                 && self.diff_txn[pid] != NO_TXN
-                                && d.txn == NO_TXN;
-                            if d.ts > base_ts && (d.ts > self.diff_ts[pid] || untagged_twin) {
+                                && txn == NO_TXN;
+                            if ts > base_ts && (ts > self.diff_ts[pid] || untagged_twin) {
                                 // d is the most recent differential of pid.
                                 if self.ppmt[pid].diff != NONE {
                                     let dp = self.ppmt[pid].diff;
                                     self.decrease_vdct(chip, dp)?;
                                 }
                                 self.ppmt[pid].diff = p;
-                                self.diff_ts[pid] = d.ts;
-                                self.diff_txn[pid] = d.txn;
+                                self.diff_ts[pid] = ts;
+                                self.diff_txn[pid] = txn;
                                 self.vdct[p as usize] += 1;
                             }
                         }
@@ -533,7 +693,7 @@ impl RecoveryTables {
                         self.pending_dead.push(p);
                     } else {
                         // r does not contain any valid differential.
-                        self.obsolete_diff_page(chip, ppn.0)?;
+                        self.mark_obsolete(chip, ppn)?;
                     }
                 }
                 Ok(())
@@ -541,7 +701,7 @@ impl RecoveryTables {
             // Spilled cold MVCC versions are a flash-resident cache of
             // in-memory retention state; no read view survives a crash, so
             // every spill page is garbage after one.
-            PageKind::Spill => self.mark_page_obsolete(chip, ppn),
+            PageKind::Spill => self.mark_obsolete(chip, ppn),
             other => {
                 Err(CoreError::Corruption(format!("PDL recovery found a {other:?} page at {ppn}")))
             }
@@ -643,78 +803,39 @@ impl RecoveryTables {
             if self.vdct[p as usize] > 0 {
                 continue; // a chosen record keeps it alive
             }
-            let ppn = Ppn(p);
-            let already = chip.read_spare(ppn)?.map(|i| i.obsolete).unwrap_or(false);
-            if !already {
-                crate::ftl::mark_obsolete_lenient(chip, ppn)?;
-            }
-            self.obsolete[chip.geometry().block_of(ppn).0 as usize] += 1;
+            self.mark_obsolete(chip, Ppn(p))?;
         }
         Ok(presence)
     }
 }
 
 impl Pdl {
-    /// Rebuild a PDL store from chip contents after a crash. When the
-    /// store was built with a checkpoint root region
+    /// Rebuild a PDL store from chip contents after a crash: the read
+    /// pass, the torn-transaction verdict, the replay (module docs). When
+    /// the store was built with a checkpoint root region
     /// ([`StoreOptions::with_checkpoint_blocks`]), the latest committed
-    /// checkpoint is loaded and only blocks changed since are scanned;
-    /// otherwise (or when no checkpoint exists) the full Figure-11 scan
-    /// runs. The torn-transaction verdict is computed locally: on a
-    /// single chip every commit record is local, so tagged-without-record
-    /// means torn.
-    pub fn recover(chip: FlashChip, opts: StoreOptions, max_diff_size: usize) -> Result<Pdl> {
-        Pdl::recover_with_uncommitted(chip, opts, max_diff_size, None)
+    /// checkpoint is loaded and only blocks changed since are read;
+    /// otherwise (or when no checkpoint exists) every page is. On a single
+    /// chip every commit record is local, so tagged-without-record means
+    /// torn.
+    pub fn recover(mut chip: FlashChip, opts: StoreOptions, max_diff_size: usize) -> Result<Pdl> {
+        let census = read_census(&mut chip, &opts)?;
+        let torn = census.verdict().torn();
+        Pdl::from_census(chip, opts, max_diff_size, census, torn)
     }
 
-    /// [`Pdl::recover`] continuing from a [`super::CheckpointDelta`] the
-    /// caller already loaded (the sharded engine's precheck loads and
-    /// classifies the checkpoint once; the table rebuild replays the same
-    /// delta instead of re-reading the checkpoint region).
-    pub(crate) fn recover_with_delta(
-        mut chip: FlashChip,
-        opts: StoreOptions,
-        max_diff_size: usize,
-        uncommitted: HashSet<u64>,
-        delta: super::CheckpointDelta,
-    ) -> Result<Pdl> {
-        opts.validate(&chip)?;
-        let tables = super::checkpoint::replay_delta(&mut chip, delta, uncommitted)?;
-        Pdl::from_recovered(chip, opts, max_diff_size, tables)
-    }
-
-    /// [`Pdl::recover`] with the torn-transaction set supplied by the
-    /// caller — the sharded engine unions every shard's precheck before
-    /// any shard resolves, so a transaction torn on one chip is
+    /// Finish a recovery whose read pass already ran: replay `census` with
+    /// `uncommitted` as the torn set. The sharded engine unions every
+    /// shard's verdict first, so a transaction torn on one chip is
     /// discarded on all of them.
-    pub fn recover_with_uncommitted(
+    pub(crate) fn from_census(
         mut chip: FlashChip,
         opts: StoreOptions,
         max_diff_size: usize,
-        uncommitted: Option<HashSet<u64>>,
+        census: Census,
+        uncommitted: HashSet<u64>,
     ) -> Result<Pdl> {
-        opts.validate(&chip)?;
-        if opts.checkpoint_blocks > 0 {
-            if let Some(tables) =
-                super::checkpoint::try_fast_recover(&mut chip, &opts, uncommitted.clone())?
-            {
-                return Pdl::from_recovered(chip, opts, max_diff_size, tables);
-            }
-        }
-        let uncommitted = match uncommitted {
-            Some(u) => u,
-            None => txn_precheck(&mut chip, &opts)?.torn(),
-        };
-        let tables = scan(&mut chip, &opts, uncommitted)?;
-        Pdl::from_recovered(chip, opts, max_diff_size, tables)
-    }
-
-    pub(crate) fn from_recovered(
-        mut chip: FlashChip,
-        opts: StoreOptions,
-        max_diff_size: usize,
-        mut tables: RecoveryTables,
-    ) -> Result<Pdl> {
+        let mut tables = census.replay(&mut chip, uncommitted)?;
         let g = chip.geometry();
         // Resolve the durable structure roots first: the winning tail
         // record's transaction must be noted before `finish` runs so its
@@ -740,11 +861,11 @@ impl Pdl {
             crate::page_store::obs_event(
                 &mut chip,
                 pdl_flash::LatencyClass::RecoveryPhase,
-                "recovery",
+                "recovery_finish",
                 "recovery",
                 t0,
                 0,
-                2, // phase 2: table finishing / record resolution
+                2, // phase 2: finish (record resolution, poisoning, sweep)
             );
             chip.set_context(OpContext::User);
             r?
@@ -822,61 +943,6 @@ impl Pdl {
     }
 }
 
-/// The scan of Figure 11: for every physical page (outside the checkpoint
-/// root region), read the spare area and update the tables according to
-/// the page's type and time stamps. Borrows the chip so a crashed
-/// (power-loss) scan can simply be retried. `uncommitted` is the torn
-/// transaction set from the precheck pass.
-pub(crate) fn scan(
-    chip: &mut FlashChip,
-    opts: &StoreOptions,
-    uncommitted: HashSet<u64>,
-) -> Result<RecoveryTables> {
-    let g = chip.geometry();
-    let mut tables = RecoveryTables::empty(opts, g.num_pages(), g.num_blocks, uncommitted);
-    chip.set_context(OpContext::Recovery);
-    let t0 = chip.sim_now_us();
-    let result = (|| -> Result<()> {
-        let mut data_buf = vec![0u8; g.data_size];
-        let first = opts.checkpoint_blocks * g.pages_per_block;
-        // Figure-11's scan is strictly sequential: issue the next window
-        // of page reads while the current page is consumed.
-        let mut next_pf = first;
-        for p in first..g.num_pages() {
-            let end = (p + 1 + SCAN_READAHEAD).min(g.num_pages());
-            while next_pf < end {
-                chip.prefetch_page(Ppn(next_pf))?;
-                next_pf += 1;
-            }
-            let ppn = Ppn(p);
-            let block = g.block_of(ppn).0 as usize;
-            let Some(info) = chip.read_spare(ppn)? else { continue };
-            if info.kind == PageKind::Free {
-                continue;
-            }
-            tables.written[block] += 1;
-            if info.obsolete {
-                tables.obsolete[block] += 1;
-                continue;
-            }
-            tables.apply_page(chip, ppn, info, &mut data_buf)?;
-        }
-        Ok(())
-    })();
-    crate::page_store::obs_event(
-        chip,
-        pdl_flash::LatencyClass::RecoveryPhase,
-        "recovery",
-        "recovery",
-        t0,
-        0,
-        1, // phase 1: the Figure-11 full scan
-    );
-    chip.set_context(OpContext::User);
-    result?;
-    Ok(tables)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -948,12 +1014,13 @@ mod tests {
         }
         s.flush().unwrap();
         let r1 = crash_and_recover(s, 8);
-        let stats_after_first = r1.chip().stats().recovery;
+        let first = r1.chip().stats().recovery;
         let mut r2 = crash_and_recover(r1, 8);
-        // Second recovery performs the same scan but never needs to mark
-        // anything obsolete again.
+        // Second recovery performs the same reads but never needs to mark
+        // anything obsolete again (the ledger is cumulative).
         let second = r2.chip().stats().recovery;
-        assert_eq!(second.writes, stats_after_first.writes, "no new obsolete marks");
+        assert_eq!(second.writes, first.writes, "no new obsolete marks");
+        assert_eq!(second.reads - first.reads, first.reads, "the same reads");
         for pid in 0..8u64 {
             let mut out = vec![0u8; size];
             r2.read_page(pid, &mut out).unwrap();
@@ -1013,35 +1080,127 @@ mod tests {
             s.write_page(pid, &vec![pid as u8; size]).unwrap();
         }
         // Leave work for recovery: crash an eviction between the new base
-        // program and the obsolete mark, so a stale copy co-exists.
+        // program and the obsolete mark, so a stale copy co-exists ...
         s.chip_mut().arm_fault(1);
         let err = s.write_page(3, &vec![0x77u8; size]).unwrap_err();
         assert!(is_power_loss(&err));
         s.chip_mut().disarm_fault();
+        // ... and stage a batch (a differential and a Case-3 base) whose
+        // commit record never lands, so the verdict drives marks too.
+        s.batch_open(2, None).unwrap();
+        let mut a = vec![0u8; size];
+        a[5..9].fill(0xAA);
+        s.stage_page(0, &a, 60, None).unwrap();
+        s.stage_page(1, &vec![0xBBu8; size], 60, None).unwrap();
+        let torn_base = Ppn(s.ppmt[1].base[0]);
+        s.flush().unwrap();
 
+        let opts = *s.options();
         let mut chip = Box::new(s).into_chip();
-        let opts = StoreOptions::new(8);
-        // Crash during recovery repeatedly with growing op budgets; the
-        // scan only marks useless pages obsolete, so partial progress
-        // persists on the chip and later attempts converge.
-        let mut attempts = 0;
-        for budget in 0..8u64 {
-            chip.arm_fault(budget);
-            attempts += 1;
-            if scan(&mut chip, &opts, HashSet::new()).is_ok() {
-                break;
+        let journal = pdl_flash::PowerLossJournal::new();
+        chip.attach_journal(&journal);
+        let r = Pdl::recover(chip, opts, MAX_DIFF).unwrap();
+        let obsolete = |chip: &FlashChip, ppn| {
+            SpareInfo::decode(chip.peek_spare(ppn)).is_some_and(|i| i.obsolete)
+        };
+        assert!(obsolete(r.chip(), torn_base), "the verdict set the torn base obsolete");
+        assert!(journal.position() >= 3, "stale base, torn base, torn differential page");
+        drop(r);
+        // Power fails before each of recovery's own marks in turn; the
+        // marks only ever set useless pages obsolete, so recovering the
+        // image again converges on the same state, and a third recovery
+        // has nothing left to mark.
+        for (g, mut chips) in journal.images().enumerate() {
+            let mut r = Pdl::recover(chips.pop().unwrap(), opts, MAX_DIFF).unwrap();
+            let mut out = vec![0u8; size];
+            for pid in 0..8u64 {
+                r.read_page(pid, &mut out).unwrap();
+                let want = if pid == 3 { 0x77 } else { pid as u8 };
+                assert!(out.iter().all(|&b| b == want), "image {g}, pid {pid}");
             }
+            let writes = r.chip().stats().recovery.writes;
+            let r = Pdl::recover(Box::new(r).into_chip(), opts, MAX_DIFF).unwrap();
+            assert_eq!(r.chip().stats().recovery.writes, writes, "image {g}: third recovery");
         }
-        chip.disarm_fault();
-        assert!(attempts >= 1);
-        let mut r = Pdl::recover(chip, opts, MAX_DIFF).unwrap();
-        let mut out = vec![0u8; size];
-        r.read_page(3, &mut out).unwrap();
-        assert!(out.iter().all(|&b| b == 0x77), "newest base must win after crashes");
-        for pid in [0u64, 1, 2, 4, 5, 6, 7] {
-            r.read_page(pid, &mut out).unwrap();
-            assert!(out.iter().all(|&b| b == pid as u8), "pid {pid}");
+    }
+
+    /// Figure 11's cost, exactly: one spare read per page outside the root
+    /// region plus one data read per differential page not yet obsolete —
+    /// every page is read once, verdict included.
+    #[test]
+    fn recovery_reads_every_page_once() {
+        let mut s = fresh(8);
+        let size = s.logical_page_size();
+        for pid in 0..8u64 {
+            s.write_page(pid, &vec![pid as u8; size]).unwrap();
         }
+        for pid in 0..4u64 {
+            let mut p = vec![pid as u8; size];
+            p[20..30].fill(0xCD);
+            s.write_page(pid, &p).unwrap();
+        }
+        s.flush().unwrap();
+        let mut a = vec![5u8; size];
+        a[0] = 0xA5;
+        commit(&mut s, 50, &[(5, &a), (6, &vec![0xB6u8; size])]);
+        s.batch_open(2, None).unwrap();
+        let mut b = vec![2u8; size];
+        b[9] = 0xB2;
+        s.stage_page(2, &b, 51, None).unwrap();
+        s.stage_page(7, &vec![0xB7u8; size], 51, None).unwrap();
+        s.flush().unwrap(); // no record: torn
+        let opts = *s.options();
+        let chip = Box::new(s).into_chip();
+        let g = chip.geometry();
+        let live_diff_pages = (0..g.num_pages())
+            .filter(|&p| {
+                SpareInfo::decode(chip.peek_spare(Ppn(p)))
+                    .is_some_and(|i| i.kind == PageKind::Diff && !i.obsolete)
+            })
+            .count() as u64;
+        assert!(live_diff_pages >= 3, "plain, committed and torn differential pages");
+        assert_eq!(chip.stats().recovery.reads, 0);
+        let r = Pdl::recover(chip, opts, MAX_DIFF).unwrap();
+        assert!(r.txn_committed(50) && !r.txn_committed(51));
+        assert_eq!(r.chip().stats().recovery.reads, u64::from(g.num_pages()) + live_diff_pages);
+    }
+
+    /// The verdict reads a checksum-failed differential page's records
+    /// from the unverified bytes; the replay files the page as corrupt. A
+    /// commit record there must keep its transaction from being judged
+    /// torn: rolling it back would serve the pre-images of its intact
+    /// pages. With the page's only proof unreadable, recovery refuses
+    /// rather than trust the bytes to prove the commit.
+    #[test]
+    fn a_corrupt_page_holding_the_only_commit_record_never_rolls_the_commit_back() {
+        let mut s = fresh(8);
+        let size = s.logical_page_size();
+        for pid in 0..4u64 {
+            s.write_page(pid, &vec![1u8; size]).unwrap();
+        }
+        s.flush().unwrap();
+        // Page 0 gets a differential, page 1 a Case-3 base page tagged 50;
+        // the record shares the differential's page.
+        let mut a = vec![1u8; size];
+        a[3..9].fill(0xA1);
+        commit(&mut s, 50, &[(0, &a), (1, &vec![0xB2u8; size])]);
+        let record = Ppn(s.commit_locs[&50]);
+        assert_eq!(record.0, s.ppmt[0].diff, "the record rides the differential's page");
+        let opts = *s.options();
+        let mut chip = Box::new(s).into_chip();
+        chip.corrupt_spare(record).unwrap();
+
+        let census = read_census(&mut chip, &opts).unwrap();
+        let verdict = census.verdict();
+        assert!(verdict.records.contains(&50), "the verdict read the unverified record");
+        assert!(verdict.torn().is_empty(), "a verified-only census would tear txn 50");
+        let Err(err) = Pdl::from_census(chip, opts, MAX_DIFF, census, verdict.torn()) else {
+            panic!("recovery served txn 50 without a readable commit record");
+        };
+        assert!(
+            matches!(&err, CoreError::Corruption(m) if m.contains("without a commit record")),
+            "{err}"
+        );
     }
 
     /// A checkpoint loads every live base at its watermark. When GC later
@@ -1190,7 +1349,7 @@ mod tests {
         s.flush().unwrap(); // no record: torn
         let opts = *s.options();
         let mut chip = Box::new(s).into_chip();
-        let scan = txn_precheck(&mut chip, &opts).unwrap();
+        let scan = read_census(&mut chip, &opts).unwrap().verdict();
         // Only unrecorded live tags matter for the verdict: txn 5 is
         // proven committed by its record, txn 6 is live-tagged without
         // one — torn.

@@ -23,6 +23,7 @@
 use crate::page_store::{
     note_txn, BatchPage, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
 };
+use crate::pdl::{read_census, Census};
 use crate::{build_store, error::CoreError, recover_store, Pdl, Result};
 use pdl_flash::{FlashChip, FlashStats, WearSummary};
 use std::collections::HashSet;
@@ -148,8 +149,9 @@ impl ShardedStore {
         Self::build(chips, kind, opts, false)
     }
 
-    /// Rebuild a sharded store from chips that survived a crash. Shard
-    /// recovery scans run in parallel, one thread per shard.
+    /// Rebuild a sharded store from chips that survived a crash. Each
+    /// shard's read pass, and then each shard's replay, runs on a thread
+    /// of its own.
     pub fn recover(
         chips: Vec<FlashChip>,
         kind: MethodKind,
@@ -159,7 +161,7 @@ impl ShardedStore {
     }
 
     fn build(
-        chips: Vec<FlashChip>,
+        mut chips: Vec<FlashChip>,
         kind: MethodKind,
         opts: StoreOptions,
         recovering: bool,
@@ -182,94 +184,58 @@ impl ShardedStore {
         }
 
         let total = opts.num_logical_pages;
+        let shard_opts =
+            |s: usize| StoreOptions { num_logical_pages: shard_pages(total, n, s), ..opts };
         // PDL recovery resolves torn transactions *globally*: a commit is
         // valid only if every shard that carries its tags also carries a
-        // local commit record, so the read-only precheck runs over every
-        // chip first and the union of the per-shard torn sets gates every
-        // shard's table rebuild. The precheck is checkpoint-aware: under
-        // a fresh checkpoint it only sweeps the blocks changed since, and
-        // it hands the loaded checkpoint delta to the table rebuild so
-        // the checkpoint region is read exactly once per shard.
+        // local commit record. So every shard's read pass (checkpoint-aware:
+        // under a fresh checkpoint it reads only the blocks changed since)
+        // runs first, the per-shard torn sets are unioned from the
+        // censuses, and each shard then replays its own census under the
+        // union: every page is read once.
+        let mut censuses: Vec<Option<Census>> = (0..n).map(|_| None).collect();
+        let mut torn = HashSet::new();
         if recovering && matches!(kind, MethodKind::Pdl { .. }) {
-            let mut chips = chips;
-            let prechecks: Vec<Result<(HashSet<u64>, Option<crate::pdl::CheckpointDelta>)>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = chips
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(s, chip)| {
-                            let shard_opts = StoreOptions {
-                                num_logical_pages: shard_pages(total, n, s),
-                                ..opts
-                            };
-                            scope.spawn(move || crate::pdl::txn_precheck_fast(chip, &shard_opts))
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("precheck panicked")).collect()
-                });
-            let mut union = HashSet::new();
-            let mut deltas = Vec::with_capacity(n);
-            for r in prechecks {
-                let (torn, delta) = r?;
-                union.extend(torn);
-                deltas.push(delta);
+            let read: Vec<Result<Census>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = chips
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(s, chip)| {
+                        let shard_opts = shard_opts(s);
+                        scope.spawn(move || read_census(chip, &shard_opts))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("read pass panicked")).collect()
+            });
+            for (slot, census) in censuses.iter_mut().zip(read) {
+                let census = census?;
+                torn.extend(census.verdict().torn());
+                *slot = Some(census);
             }
-            return Self::build_shards(
-                chips,
-                kind,
-                opts,
-                recovering,
-                Some(union),
-                deltas,
-                data_size,
-            );
         }
-        let no_deltas = (0..n).map(|_| None).collect();
-        Self::build_shards(chips, kind, opts, recovering, None, no_deltas, data_size)
-    }
-
-    fn build_shards(
-        chips: Vec<FlashChip>,
-        kind: MethodKind,
-        opts: StoreOptions,
-        recovering: bool,
-        uncommitted: Option<HashSet<u64>>,
-        deltas: Vec<Option<crate::pdl::CheckpointDelta>>,
-        data_size: usize,
-    ) -> Result<ShardedStore> {
-        let n = chips.len();
-        let total = opts.num_logical_pages;
-        // Per-shard recovery is embarrassingly parallel: each shard scans
-        // only its own chip. Building fresh stores is cheap, but recovery
-        // reads every page header, so both paths share the scoped-thread
-        // fan-out (§4.5's recovery cost divided by N).
+        // Building fresh stores is cheap, but recovery replays every page
+        // it read, so both paths share the scoped-thread fan-out (§4.5's
+        // recovery cost divided by N).
+        let torn = &torn;
         let results: Vec<Result<Shard>> = std::thread::scope(|scope| {
             let handles: Vec<_> = chips
                 .into_iter()
-                .zip(deltas)
+                .zip(censuses)
                 .enumerate()
-                .map(|(s, (chip, delta))| {
-                    let shard_opts =
-                        StoreOptions { num_logical_pages: shard_pages(total, n, s), ..opts };
-                    let uncommitted = uncommitted.clone();
+                .map(|(s, (chip, census))| {
+                    let shard_opts = shard_opts(s);
                     scope.spawn(move || -> Result<Shard> {
                         Ok(match (recovering, kind) {
                             (true, MethodKind::Pdl { max_diff_size }) => {
-                                Shard::Pdl(Box::new(match delta {
-                                    Some(delta) => Pdl::recover_with_delta(
-                                        chip,
-                                        shard_opts,
-                                        max_diff_size,
-                                        uncommitted.unwrap_or_default(),
-                                        delta,
-                                    )?,
-                                    None => Pdl::recover_with_uncommitted(
-                                        chip,
-                                        shard_opts,
-                                        max_diff_size,
-                                        uncommitted,
-                                    )?,
-                                }))
+                                let census = census.expect("a recovering PDL shard read a census");
+                                let pdl = Pdl::from_census(
+                                    chip,
+                                    shard_opts,
+                                    max_diff_size,
+                                    census,
+                                    torn.clone(),
+                                )?;
+                                Shard::Pdl(Box::new(pdl))
                             }
                             (false, MethodKind::Pdl { max_diff_size }) => {
                                 let mut chip = chip;

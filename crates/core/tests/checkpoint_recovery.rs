@@ -90,6 +90,31 @@ fn post_checkpoint_updates_survive_via_delta_scan() {
 }
 
 #[test]
+fn delta_recovery_never_re_marks_what_the_running_store_marked() {
+    // After the checkpoint, whole-page rewrites supersede loaded base
+    // pages and small ones loaded differentials; the running store marks
+    // every superseded page itself. The delta replay meets those pages
+    // only through the loaded tables, so it must look before it marks.
+    let mut s = fresh();
+    let mut truth = churn(&mut s, 200, 10);
+    s.checkpoint().unwrap();
+    for pid in 0..40usize {
+        if pid < 20 {
+            truth[pid].fill(pid as u8);
+        } else {
+            truth[pid][100..120].fill(0x5C);
+        }
+        s.write_page(pid as u64, &truth[pid]).unwrap();
+    }
+    s.flush().unwrap();
+    let mut r = Pdl::recover(Box::new(s).into_chip(), opts(), MAX_DIFF).unwrap();
+    verify(&mut r, &truth);
+    assert_eq!(r.chip().stats().recovery.writes, 0, "nothing was left to mark");
+    let r = Pdl::recover(Box::new(r).into_chip(), opts(), MAX_DIFF).unwrap();
+    assert_eq!(r.chip().stats().recovery.writes, 0, "nor after a second recovery");
+}
+
+#[test]
 fn fresh_checkpoint_recovery_reads_far_fewer_pages() {
     // Full scan: one read per page. Fast recovery: ~two reads per block
     // plus the checkpoint itself.
@@ -200,11 +225,12 @@ fn bad_root_region_configs_are_rejected() {
 
 #[test]
 fn sharded_recovery_precheck_rides_the_checkpoint_delta() {
-    // The torn-commit precheck of sharded recovery must be restricted to
-    // the blocks changed since each shard's checkpoint (the single-store
-    // fast path's restriction), restoring the ~pages_per_block× recovery
-    // read reduction under sharding — while still resolving a cross-shard
-    // torn commit correctly from the delta alone.
+    // Each shard's read pass — the census the torn-commit verdict and the
+    // replay both run over — must be restricted to the blocks changed
+    // since the shard's checkpoint (the single-store fast path's
+    // restriction), keeping the ~pages_per_block× recovery read reduction
+    // under sharding, while still resolving a cross-shard torn commit
+    // correctly from the delta alone.
     use pdl_core::{MethodKind, ShardedStore};
 
     const SPAGES: u64 = 128;
@@ -285,7 +311,7 @@ fn sharded_recovery_precheck_rides_the_checkpoint_delta() {
 
     assert!(
         fast_reads * 3 < full_reads,
-        "checkpoint-aware sharded recovery (precheck included) must read far fewer pages: \
+        "checkpoint-aware sharded recovery must read far fewer pages: \
          {fast_reads} vs {full_reads}"
     );
 

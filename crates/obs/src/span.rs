@@ -10,7 +10,8 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
     /// Operation kind: `"read"`, `"program"`, `"erase"`, `"gc"`,
-    /// `"recovery"`, `"repair"`, `"commit"`.
+    /// `"recovery"` (PDL's phases: `"recovery_read"`, `"recovery_replay"`,
+    /// `"recovery_finish"`), `"repair"`, `"commit"`.
     pub name: &'static str,
     /// Attribution context: `"user"`, `"gc"`, `"recovery"`, or the
     /// commit discipline (`"solo"` / `"group"`).

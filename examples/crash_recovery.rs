@@ -29,8 +29,10 @@ fn main() {
     store.flush().expect("write-through");
     println!("loaded {PAGES} pages, updated {}, flushed", PAGES / 2);
 
-    // Crash mid-eviction: allow two more flash programs, then cut power.
-    store.chip_mut().arm_fault(2);
+    // Crash mid-eviction: a whole-page change is written as a new base
+    // page and the old one is then set obsolete; allow the program, cut
+    // power before the mark.
+    store.chip_mut().arm_fault(1);
     let mut interrupted = 0u64;
     for pid in 0..PAGES {
         page.fill(0xEE);
@@ -51,20 +53,19 @@ fn main() {
     let mut chip = store.into_chip();
     chip.disarm_fault();
 
-    // A second crash in the middle of the recovery scan itself: the
-    // algorithm only marks useless pages obsolete, so restarting is safe.
-    chip.arm_fault(1);
-    match Pdl::recover(chip.clone(), StoreOptions::new(PAGES), 256) {
-        Ok(_) => println!("recovery completed before the injected fault"),
-        Err(e) => {
-            assert!(pdl_core::is_power_loss(&e));
-            println!("crashed during recovery, restarting the scan...");
-        }
-    }
+    // A second crash in the middle of recovery itself, at its first
+    // obsolete mark (the stale base page): the algorithm only marks
+    // useless pages obsolete, so restarting is safe.
+    chip.arm_fault(0);
+    let Err(e) = Pdl::recover(chip.clone(), StoreOptions::new(PAGES), 256) else {
+        panic!("recovery had a stale base page to mark")
+    };
+    assert!(pdl_core::is_power_loss(&e));
+    println!("crashed during recovery, restarting it...");
     chip.disarm_fault();
     let mut recovered = recover_store(chip, KIND, StoreOptions::new(PAGES)).expect("recover");
     let scan = recovered.chip().stats().recovery;
-    println!("recovery scan: {} reads, {} obsolete marks", scan.reads, scan.writes);
+    println!("recovery: {} reads, {} obsolete marks", scan.reads, scan.writes);
 
     // Atomicity check: every page is either its flushed content or the
     // fully-committed post-crash write (0xEE) — never a torn mixture.
