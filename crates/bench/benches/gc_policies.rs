@@ -106,7 +106,7 @@ fn run_config(
         store.per_shard_busy().iter().map(Duration::as_secs_f64).fold(0.0, f64::max);
     // The workload driver resets statistics before its measured cycles,
     // so these figures are measurement-scoped.
-    let stats = store.stats_shared();
+    let stats = PageStore::stats(&store);
     Point {
         policy: label,
         shards,

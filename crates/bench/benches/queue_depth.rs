@@ -37,7 +37,7 @@ use pdl_bench::tpcc_exp::{run_tpcc_qd_point_traced, QdObs, QdPoint};
 use pdl_core::{MethodKind, ShardedStore, StoreOptions};
 use pdl_flash::{FlashConfig, IntegrityCounts, PipelineCounts};
 use pdl_obs::{json, max_concurrent_lanes};
-use pdl_storage::ShardedBufferPool;
+use pdl_storage::{Database, Durability};
 use pdl_workload::{
     obs, pipeline_table, run_snapshot_read_workload, Scale, SnapshotReadConfig, Table,
 };
@@ -74,15 +74,15 @@ fn run_readers_point(scale: Scale, depth: u32) -> ReaderPoint {
         StoreOptions::new(PAGES),
     )
     .expect("store");
-    let pool = ShardedBufferPool::new(store, PAGES as usize / 4);
+    let db = Database::new(Box::new(store), PAGES as usize / 4).with_durability(Durability::Commit);
     for pid in 0..PAGES {
-        pool.with_page_mut(pid, |p| p.write(0, &[0; 8])).expect("load");
+        db.with_page_mut(pid, |p| p.write(0, &[0; 8])).expect("load");
     }
-    pool.flush_all().expect("load flush");
+    db.flush().expect("load flush");
 
     let cfg =
         SnapshotReadConfig::new(READERS, WRITERS).with_scans(scans).with_txns_per_writer(txns);
-    let r = run_snapshot_read_workload(&pool, &cfg).expect("workload");
+    let r = run_snapshot_read_workload(&db, &cfg).expect("workload");
     assert_eq!(r.torn_scans, 0, "QD {depth}: torn scan");
     assert_eq!(r.pipeline.ordering_violations, 0, "QD {depth}: ordering violation");
 
@@ -92,7 +92,7 @@ fn run_readers_point(scale: Scale, depth: u32) -> ReaderPoint {
         pipeline_us: r.pipeline_us_max_shard,
         serial_us: r.flash_us_max_shard,
         pipeline: r.pipeline,
-        integrity: pool.io_stats().integrity,
+        integrity: db.io_stats().integrity,
     }
 }
 

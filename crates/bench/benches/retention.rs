@@ -27,7 +27,7 @@
 use pdl_core::{MethodKind, ShardedStore, StoreOptions};
 use pdl_flash::FlashConfig;
 use pdl_obs::json;
-use pdl_storage::ShardedBufferPool;
+use pdl_storage::{Database, Durability};
 use pdl_workload::{
     obs, run_snapshot_read_workload, Scale, SnapshotReadConfig, SnapshotReadResult, Table,
 };
@@ -54,7 +54,7 @@ fn workload_size(scale: Scale) -> (u64, u64) {
 
 struct BudgetRun {
     result: SnapshotReadResult,
-    /// Pool statistics sampled after the epoch sweep (the workload
+    /// Buffer statistics sampled after the epoch sweep (the workload
     /// result's sample predates it, and the sweep is where the cold
     /// ledger resolves happen).
     stats: pdl_storage::BufferStats,
@@ -67,7 +67,7 @@ struct BudgetRun {
     commits_per_sec: f64,
 }
 
-fn build_pool(budget_bytes: u64) -> ShardedBufferPool {
+fn build_db(budget_bytes: u64) -> Database {
     // The version-count cap is parked at the ceiling so the byte budget
     // is the only retention trigger — the knob this bench turns.
     let opts = StoreOptions::new(PAGES)
@@ -81,13 +81,13 @@ fn build_pool(budget_bytes: u64) -> ShardedBufferPool {
         opts,
     )
     .expect("store");
-    let pool = ShardedBufferPool::new(store, PAGES as usize / 4);
+    let db = Database::new(Box::new(store), PAGES as usize / 4).with_durability(Durability::Commit);
     for pid in 0..PAGES {
         let seed: Vec<u8> = (0..16).map(|i| (pid as u8).wrapping_mul(37).wrapping_add(i)).collect();
-        pool.with_page_mut(pid, |p| p.write(0, &seed)).expect("seed");
+        db.with_page_mut(pid, |p| p.write(0, &seed)).expect("seed");
     }
-    pool.flush_all().expect("seed flush");
-    pool
+    db.flush().expect("seed flush");
+    db
 }
 
 fn run(
@@ -97,14 +97,14 @@ fn run(
     reg: &mut pdl_obs::MetricsRegistry,
 ) -> BudgetRun {
     let (scans, txns) = workload_size(scale);
-    let pool = build_pool(budget_bytes);
+    let db = build_db(budget_bytes);
 
     // The epoch view: opened before the first writer commits, held
     // across the whole run. Its oracle is captured through the view
     // itself, before the workload's measurement window opens.
-    let view = pool.begin_read();
+    let view = db.begin_read();
     let oracle: Vec<Vec<u8>> = (0..PAGES)
-        .map(|pid| pool.with_page_at(&view, pid, |pg| pg.to_vec()).expect("open-time read"))
+        .map(|pid| db.with_page_at(&view, pid, |pg| pg.to_vec()).expect("open-time read"))
         .collect();
 
     let cfg = SnapshotReadConfig {
@@ -113,7 +113,7 @@ fn run(
     }
     .with_scans(scans)
     .with_txns_per_writer(txns);
-    let result = run_snapshot_read_workload(&pool, &cfg).expect("workload");
+    let result = run_snapshot_read_workload(&db, &cfg).expect("workload");
 
     // Every page the epoch view reads after the run must still carry its
     // open-time bytes — the written groups have long overrun any finite
@@ -121,32 +121,27 @@ fn run(
     // ledger.
     let mut mismatches = 0u64;
     for pid in 0..PAGES {
-        let got = pool
+        let got = db
             .with_page_at(&view, pid, |pg| pg.to_vec())
             .expect("the ledger must keep the epoch view alive: no SnapshotTooOld");
         if got != oracle[pid as usize] {
             mismatches += 1;
         }
     }
-    pool.release_read(view);
+    db.release_read(view);
 
-    let stats = pool.stats();
-    let snap = pool.obs_snapshot();
-    let pinned_skips: u64 = (0..SHARDS)
-        .map(|s| {
-            pool.store().with_shard(s, |st| {
-                st.counters()
-                    .iter()
-                    .find(|(name, _)| *name == "retention_pinned_skips")
-                    .map(|(_, v)| *v)
-                    .unwrap_or(0)
-            })
-        })
-        .sum();
+    let stats = db.buffer_stats();
+    let snap = db.obs_snapshot();
+    // The sharded store sums its shards' counters.
+    let (pinned_skips, spill_supported) = db.with_store(|s| {
+        let counters = s.counters();
+        let pinned = counters.iter().find(|(name, _)| *name == "retention_pinned_skips");
+        (pinned.map_or(0, |(_, v)| *v), s.spill_supported())
+    });
     // "Enabled" means engaged: the store can spill *and* a finite budget
     // exists to trip it (`obs_gate` fails an enabled ledger that never
     // resolved a cold version, and the unbounded point never should).
-    let ledger_enabled = pool.store().spill_supported_shared() && budget_bytes > 0;
+    let ledger_enabled = spill_supported && budget_bytes > 0;
     let commits_per_sec =
         result.committed as f64 / (result.flash_us_max_shard.max(1) as f64 / 1_000_000.0);
 
@@ -159,7 +154,7 @@ fn run(
     reg.set_f64(&format!("{label}.bound_commits_per_sec"), commits_per_sec);
     obs::put_buffer_stats(reg, &format!("{label}.buffer"), &stats);
     obs::put_retention_stats(reg, label, &stats, pinned_skips, ledger_enabled);
-    obs::put_flash_stats(reg, label, &pool.io_stats());
+    obs::put_flash_stats(reg, label, &db.io_stats());
     obs::put_recorder_snapshot(reg, label, &snap);
 
     BudgetRun { result, stats, mismatches, pinned_skips, commits_per_sec }

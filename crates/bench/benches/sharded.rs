@@ -20,7 +20,7 @@
 //! `PDL_SCALE=quick|default|paper` to choose the scale and
 //! `PDL_BENCH_THREADS` to override the worker count.
 
-use pdl_core::{MethodKind, ShardedStore, StoreOptions};
+use pdl_core::{MethodKind, PageStore, ShardedStore, StoreOptions};
 use pdl_flash::FlashConfig;
 use pdl_workload::{
     db_pages_for, load_database, run_threaded_update_workload, wear_table, Measurement,
@@ -85,7 +85,9 @@ fn run_config(scale: Scale, shards: usize, threads: usize, mode: PageSetMode) ->
     let wall_secs = started.elapsed().as_secs_f64();
     let max_busy_secs =
         store.per_shard_busy().iter().map(Duration::as_secs_f64).fold(0.0, f64::max);
-    Point { shards, measurement, wall_secs, max_busy_secs, wear: store.per_shard_wear() }
+    let mut wear = Vec::new();
+    store.for_each_chip(&mut |c| wear.push(c.wear_summary()));
+    Point { shards, measurement, wall_secs, max_busy_secs, wear }
 }
 
 fn mode_label(mode: PageSetMode) -> &'static str {

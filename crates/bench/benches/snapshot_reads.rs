@@ -26,7 +26,7 @@
 
 use pdl_core::{MethodKind, ShardedStore, StoreOptions};
 use pdl_flash::FlashConfig;
-use pdl_storage::ShardedBufferPool;
+use pdl_storage::{Database, Durability};
 use pdl_workload::{
     run_snapshot_read_workload, Scale, SnapshotReadConfig, SnapshotReadResult, Table,
 };
@@ -46,7 +46,7 @@ fn workload_size(scale: Scale) -> (u64, u64) {
     }
 }
 
-fn build_pool() -> ShardedBufferPool {
+fn build_db() -> Database {
     let store = ShardedStore::with_uniform_chips(
         FlashConfig::scaled(64),
         SHARDS,
@@ -56,17 +56,17 @@ fn build_pool() -> ShardedBufferPool {
     .expect("store");
     // A small cache (1/4 of the space) keeps scans faulting into flash,
     // so the read path carries real simulated I/O.
-    let pool = ShardedBufferPool::new(store, PAGES as usize / 4);
+    let db = Database::new(Box::new(store), PAGES as usize / 4).with_durability(Durability::Commit);
     for pid in 0..PAGES {
-        pool.with_page_mut(pid, |p| p.write(0, &[0; 8])).expect("load");
+        db.with_page_mut(pid, |p| p.write(0, &[0; 8])).expect("load");
     }
-    pool.flush_all().expect("load flush");
-    pool
+    db.flush().expect("load flush");
+    db
 }
 
 fn run(scale: Scale, locked: bool, structure_churn: bool) -> SnapshotReadResult {
     let (scans, txns) = workload_size(scale);
-    let pool = build_pool();
+    let db = build_db();
     let cfg = SnapshotReadConfig {
         pages_per_txn: PAGES_PER_TXN,
         ..SnapshotReadConfig::new(READERS, WRITERS)
@@ -75,7 +75,7 @@ fn run(scale: Scale, locked: bool, structure_churn: bool) -> SnapshotReadResult 
     .with_txns_per_writer(txns)
     .with_locked_baseline(locked)
     .with_structure_churn(structure_churn);
-    let r = run_snapshot_read_workload(&pool, &cfg).expect("workload");
+    let r = run_snapshot_read_workload(&db, &cfg).expect("workload");
     assert_eq!(
         r.torn_scans, 0,
         "every scan must observe atomic commit groups \

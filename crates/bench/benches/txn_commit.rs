@@ -2,14 +2,15 @@
 //! commits, over 1 / 4 / 16 concurrent writers.
 //!
 //! Every writer issues multi-page transactions (2 pages each, the
-//! TPC-C-style atomic unit) against a sharded PDL store through the
-//! [`pdl_storage::ShardedBufferPool`] and commits through one of two
-//! disciplines:
+//! TPC-C-style atomic unit) against a sharded PDL store through a
+//! [`pdl_storage::Database`] in `Durability::Commit` mode and commits
+//! through one of two disciplines:
 //!
-//! * **solo** — each transaction pays its own differential-write-buffer
-//!   flush and commit-record flush (the Adaptive-Logging "commit
-//!   latency first" end of the trade-off);
-//! * **group** — the group-commit coordinator batches concurrently
+//! * **solo** — the workload lets one committer at a time into
+//!   `Database::commit`, so each transaction pays its own
+//!   differential-write-buffer flush and commit-record flush (the
+//!   Adaptive-Logging "commit latency first" end of the trade-off);
+//! * **group** — the database's group-commit queue batches concurrently
 //!   committing transactions, so a whole batch's differentials share
 //!   flash pages and its commit records share one flush per shard
 //!   (amortizing the flush the way the paper's Case-2 buffer amortizes
@@ -21,20 +22,20 @@
 //! At 16 writers group commit must reach >= 1.5x solo (the pdl-txn
 //! acceptance bar); the run fails loudly if it does not.
 //!
-//! Each pool runs with the recorder on, so the run also reports the
+//! Each database runs with the recorder on, so the run also reports the
 //! **commit-latency distribution** (simulated-µs p50/p99 per committed
 //! transaction, queue and flush stalls included) for each discipline,
 //! and emits everything as a unified `BENCH_txn_commit.json`
-//! (`pdl-metrics-v1`). The pool's leak gauges (`leaked_pids`,
-//! `active_views`) must read 0 after every run.
+//! (`pdl-metrics-v1`). The leak gauges (`leaked_pids`, `active_views`)
+//! must read 0 after every run.
 //!
 //! Run with `cargo bench -p pdl-bench --bench txn_commit`; set
 //! `PDL_SCALE=quick|default|paper` to choose the transaction count.
 
-use pdl_core::{MethodKind, PageStore, ShardedStore, StoreOptions};
+use pdl_core::{MethodKind, ShardedStore, StoreOptions};
 use pdl_flash::FlashConfig;
 use pdl_obs::{json, LatencyClass, RecorderSnapshot};
-use pdl_storage::ShardedBufferPool;
+use pdl_storage::{Database, Durability};
 use pdl_workload::{obs, run_txn_commit_workload, Scale, Table, TxnCommitConfig, TxnCommitResult};
 
 const SHARDS: usize = 4;
@@ -49,7 +50,7 @@ fn txns_per_writer(scale: Scale, writers: usize) -> u64 {
     (total / writers as u64).max(8)
 }
 
-fn build_pool() -> ShardedBufferPool {
+fn build_db() -> Database {
     let store = ShardedStore::with_uniform_chips(
         FlashConfig::scaled(64),
         SHARDS,
@@ -57,12 +58,12 @@ fn build_pool() -> ShardedBufferPool {
         StoreOptions::new(PAGES).with_obs(true),
     )
     .expect("store");
-    let pool = ShardedBufferPool::new(store, 256);
+    let db = Database::new(Box::new(store), 256).with_durability(Durability::Commit);
     for pid in 0..PAGES {
-        pool.with_page_mut(pid, |p| p.write(0, &[1; 8])).expect("load");
+        db.with_page_mut(pid, |p| p.write(0, &[1; 8])).expect("load");
     }
-    pool.flush_all().expect("load flush");
-    pool
+    db.flush().expect("load flush");
+    db
 }
 
 type StoreCounters = Vec<(&'static str, u64)>;
@@ -72,15 +73,15 @@ fn run(
     writers: usize,
     group: bool,
 ) -> (TxnCommitResult, RecorderSnapshot, StoreCounters) {
-    let pool = build_pool();
+    let db = build_db();
     let cfg = TxnCommitConfig::new(writers, txns_per_writer(scale, writers))
         .with_pages_per_txn(2)
         .with_group(group);
-    let r = run_txn_commit_workload(&pool, &cfg).expect("workload");
+    let r = run_txn_commit_workload(&db, &cfg).expect("workload");
     assert_eq!(r.buffer.leaked_pids, 0, "run stranded pids");
     assert_eq!(r.buffer.active_views, 0, "run leaked read views");
-    let counters = pool.store().counters();
-    (r, pool.obs_pool_snapshot(), counters)
+    let counters = db.with_store(|s| s.counters());
+    (r, db.obs_snapshot(), counters)
 }
 
 /// Commit-latency distribution of one run: every committed transaction
@@ -168,7 +169,8 @@ fn main() {
             reg.set_f64(&format!("{pre}.bound_tps"), r.bound_tps());
             obs::put_buffer_stats(&mut reg, &format!("{pre}.buffer"), &r.buffer);
             // `<pre>.commit.solo.*` / `<pre>.commit.group.*` (whichever
-            // classes the batches actually hit) plus the merged view.
+            // classes the batches actually hit), the chips' op classes,
+            // plus the merged commit view.
             obs::put_recorder_snapshot(&mut reg, &pre, snap);
             reg.set_hist(&format!("{pre}.commit.all"), &commits);
             let mut row = vec![writers.to_string(), label.to_string()];

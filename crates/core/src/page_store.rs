@@ -99,7 +99,7 @@ pub struct StoreOptions {
     /// and re-warms over the first updates, like any unflushed state).
     pub gc_policy: GcPolicy,
     /// Upper bound on the committed page versions a buffer pool retains
-    /// (per frame cache / stripe) for MVCC snapshot readers. When a
+    /// for MVCC snapshot readers. When a
     /// commit would exceed the cap, the oldest versions are discarded and
     /// read views older than the discard watermark fail with
     /// "snapshot too old" — so the pool's memory stays flat no matter how
@@ -472,7 +472,9 @@ pub trait PageStore: Send {
     /// store, the maximum over shards (they are independent chips). At
     /// queue depth 1 this equals `stats().total().total_us()`.
     fn pipeline_busy_us(&self) -> u64 {
-        self.chip().pipeline_busy_us()
+        let mut busy = 0;
+        self.for_each_chip(&mut |c| busy = busy.max(c.pipeline_busy_us()));
+        busy
     }
 
     /// Access to the underlying chip (statistics, wear, timing).
@@ -480,16 +482,26 @@ pub trait PageStore: Send {
     /// # Panics
     ///
     /// Panics on stores that span more than one chip
-    /// ([`PageStore::num_shards`] > 1); those expose aggregate accounting
-    /// via [`PageStore::stats`] / [`PageStore::wear_summary`] instead.
+    /// ([`PageStore::num_shards`] > 1); read those through
+    /// [`PageStore::for_each_chip`] or the aggregates
+    /// ([`PageStore::stats`], [`PageStore::wear_summary`]) instead.
     fn chip(&self) -> &FlashChip;
     fn chip_mut(&mut self) -> &mut FlashChip;
+
+    /// Visit every underlying chip, shard order: the one chip of a plain
+    /// method, each shard's chip on a sharded store. Per-chip statistics,
+    /// pipeline clocks and recorders are read through this.
+    fn for_each_chip(&self, f: &mut dyn FnMut(&FlashChip)) {
+        f(self.chip())
+    }
 
     /// Aggregate flash statistics — on a sharded store, summed over every
     /// shard's chip. Prefer this over `chip().stats()` in engine-agnostic
     /// code (drivers, buffer pools, reports).
     fn stats(&self) -> FlashStats {
-        self.chip().stats()
+        let mut total = FlashStats::default();
+        self.for_each_chip(&mut |c| total += c.stats());
+        total
     }
 
     /// Reset the statistics ledgers of every underlying chip.
@@ -500,7 +512,9 @@ pub trait PageStore: Send {
     /// Aggregate wear (erase-count) summary over every underlying chip's
     /// blocks.
     fn wear_summary(&self) -> WearSummary {
-        self.chip().wear_summary()
+        let mut wear = WearSummary::default();
+        self.for_each_chip(&mut |c| wear.merge(&c.wear_summary()));
+        wear
     }
 
     /// Number of independent partitions this store routes pages across
@@ -630,15 +644,6 @@ pub trait PageStore: Send {
     /// `None` when the store does not persist roots.
     fn struct_roots(&self) -> Option<StructRootsSnapshot> {
         None
-    }
-
-    /// Busy time (µs of simulated flash pipeline) accumulated per shard
-    /// since the last stats reset, index = shard. Single-chip stores
-    /// report one entry; the sharded store reports each chip's own
-    /// pipeline clock, whose maximum is the critical-path bound the
-    /// `struct_writers` bench gates on.
-    fn per_shard_busy_us(&self) -> Vec<u64> {
-        vec![self.pipeline_busy_us()]
     }
 }
 

@@ -1439,7 +1439,7 @@ impl Pdl {
 }
 
 // pdl-txn: the steps of a commit batch, in the order `Pdl::commit_batch`
-// (one chip) and `ShardedStore::commit_batch_shared` (across chips) run
+// (one chip) and `ShardedStore::commit_batch` (across chips) run
 // them: open -> `stage_page`* -> [flush] -> roots -> record -> close.
 impl Pdl {
     /// Whether `roots`' record fits the root log's tail (always, without
@@ -2139,7 +2139,7 @@ mod tests {
         assert_eq!(out, p2);
     }
 
-    /// The steps `ShardedStore::commit_batch_shared` runs on one shard:
+    /// The steps `ShardedStore::commit_batch` runs on one shard:
     /// the tagged pages land in one flush, the commit record in the next.
     fn commit_in_two_flushes(s: &mut Pdl, txn: u64, pages: &[(u64, &[u8])]) {
         s.batch_open(pages.len() as u64, None).unwrap();

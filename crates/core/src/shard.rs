@@ -25,7 +25,7 @@ use crate::page_store::{
 };
 use crate::pdl::{read_census, Census};
 use crate::{build_store, error::CoreError, recover_store, Pdl, Result};
-use pdl_flash::{FlashChip, FlashStats, WearSummary};
+use pdl_flash::{FlashChip, FlashStats};
 use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,9 +122,6 @@ pub struct ShardedStore {
     /// threads can reach, independent of how many cores the measuring
     /// machine happens to have.
     busy_ns: Vec<AtomicU64>,
-    /// One commit batch at a time (see
-    /// [`ShardedStore::commit_batch_shared`]).
-    commit_gate: Mutex<()>,
     /// The error that hit a commit batch after it was opened on some
     /// shard. Those shards' batches stay open; every later batch and
     /// checkpoint gets this error back.
@@ -255,15 +252,7 @@ impl ShardedStore {
             shards.push(Mutex::new(r?));
         }
         let busy_ns = (0..n).map(|_| AtomicU64::new(0)).collect();
-        Ok(ShardedStore {
-            shards,
-            busy_ns,
-            commit_gate: Mutex::new(()),
-            failed: OnceLock::new(),
-            opts,
-            kind,
-            data_size,
-        })
+        Ok(ShardedStore { shards, busy_ns, failed: OnceLock::new(), opts, kind, data_size })
     }
 
     /// Convenience: N identically-configured chips from one config.
@@ -362,11 +351,6 @@ impl ShardedStore {
         Ok(())
     }
 
-    /// Aggregate flash statistics over every shard, without `&mut`.
-    pub fn stats_shared(&self) -> FlashStats {
-        self.per_shard_stats().into_iter().fold(FlashStats::default(), |a, b| a + b)
-    }
-
     /// Reset every shard chip's statistics ledger and the busy-time
     /// counters.
     pub fn reset_stats_shared(&self) {
@@ -397,52 +381,6 @@ impl ShardedStore {
         }
     }
 
-    /// Per-shard wear summaries, shard order.
-    pub fn per_shard_wear(&self) -> Vec<WearSummary> {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).wear_summary()).collect()
-    }
-
-    /// Concurrent [`PageStore::spill_page`]: park a cold version's bytes
-    /// on the owning shard's chip, returning the retention-ledger handle
-    /// plus the flash-cost delta. The handle is shard-local; `pid` routes
-    /// every later [`ShardedStore::read_spill_shared`] /
-    /// [`ShardedStore::free_spill_shared`] back to the same shard, so
-    /// `(pid, handle)` is globally unambiguous.
-    pub fn spill_page_shared(&self, pid: u64, page: &[u8]) -> Result<(u64, FlashStats)> {
-        self.tracked(pid, |s, local| s.spill_page(local, page))
-    }
-
-    /// Concurrent [`PageStore::read_spill`].
-    pub fn read_spill_shared(&self, pid: u64, handle: u64, out: &mut [u8]) -> Result<FlashStats> {
-        Ok(self.tracked(pid, |s, local| s.read_spill(local, handle, out))?.1)
-    }
-
-    /// Concurrent [`PageStore::free_spill`].
-    pub fn free_spill_shared(&self, pid: u64, handle: u64) -> Result<FlashStats> {
-        Ok(self.tracked(pid, |s, local| s.free_spill(local, handle))?.1)
-    }
-
-    /// Whether the shard method supports version spill (uniform across
-    /// shards: they all run the same method).
-    pub fn spill_supported_shared(&self) -> bool {
-        self.lock_shard(0).spill_supported()
-    }
-
-    /// Concurrent [`PageStore::prefetch`]: hint the owning shard without
-    /// waiting for the reads (range-scan read-ahead).
-    pub fn prefetch_shared(&self, pid: u64) -> Result<()> {
-        let (s, local) = self.locate(pid)?;
-        self.lock_shard(s).prefetch(local)
-    }
-
-    /// Per-shard pipeline busy time (µs) since the last stats reset,
-    /// shard order. The maximum entry is the flash critical path of the
-    /// engine: shards are independent chips, so simulated time advances
-    /// on each in parallel.
-    pub fn per_shard_pipeline_us(&self) -> Vec<u64> {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).pipeline_busy_us()).collect()
-    }
-
     /// [`Pdl::check_tables`] on every PDL shard (tests call this between
     /// operations).
     #[doc(hidden)]
@@ -464,92 +402,6 @@ impl ShardedStore {
                 Shard::Other(st) => st.into_chip(),
             })
             .collect()
-    }
-
-    /// Concurrent [`PageStore::commit_batch`]: the one place a cross-shard
-    /// commit is sequenced. A shard is *involved* when it stages pages or
-    /// (shard 0, which holds the root log) the structure roots; no other
-    /// shard is touched. Every involved shard is opened before any stages,
-    /// so a shard that cannot make room rejects the batch while nothing
-    /// needs undoing. Then: stage and flush each shard's pages (durable,
-    /// tagged, invisible after a crash) -> roots -> one commit/epoch record
-    /// per involved shard, proving the transactions that staged there ->
-    /// close. Recovery judges a transaction torn unless *every* shard
-    /// carrying its tags also carries a record, and closing a shard
-    /// destroys the pre-images a torn verdict rolls back to — so no shard
-    /// closes until every shard's record is durable. Batches queue on an
-    /// internal gate; reads and evictions on the same shards interleave.
-    pub fn commit_batch_shared(
-        &self,
-        batch: &CommitBatch<'_>,
-    ) -> std::result::Result<(), CommitError> {
-        let _one_at_a_time = self.commit_gate.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(e) = self.failed.get() {
-            return Err(CommitError::Failed(e.clone()));
-        }
-        let n = self.shards.len();
-        let mut pages: Vec<Vec<BatchPage>> = vec![Vec::new(); n];
-        let mut txns: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for p in &batch.pages {
-            let (s, local) = self.locate(p.pid).map_err(CommitError::Rejected)?;
-            pages[s].push(BatchPage { pid: local, ..*p });
-            note_txn(&mut txns[s], p.txn);
-        }
-        if let Some((_, txn)) = batch.roots {
-            // Shard 0 gets a commit record for the roots' transaction, so
-            // the winner check at recovery can prove it committed from
-            // shard 0's own tables (the torn verdict is already global).
-            note_txn(&mut txns[0], txn);
-        }
-        let involved: Vec<usize> = (0..n).filter(|&s| !txns[s].is_empty()).collect();
-        let fail = |e: CoreError| {
-            let _ = self.failed.set(e.clone());
-            CommitError::Failed(e)
-        };
-        if !matches!(self.kind, MethodKind::Pdl { .. }) {
-            // Not atomic: each involved shard writes its part through.
-            for &s in &involved {
-                let part = CommitBatch { pages: std::mem::take(&mut pages[s]), roots: None };
-                self.lock_shard(s).commit_batch(&part).map_err(|e| fail(e.into()))?;
-            }
-            return Ok(());
-        }
-
-        let roots = batch.roots.map(|(r, _)| r);
-        if roots.is_some_and(|r| !self.lock_shard(0).pdl().root_log_fits(r)) {
-            // The log is full: fold *every* shard into a fresh checkpoint
-            // before the batch opens, so no shard's batch straddles one.
-            self.checkpoint_shared().map_err(CommitError::Rejected)?;
-        }
-        for (i, &s) in involved.iter().enumerate() {
-            let roots = roots.filter(|_| s == 0);
-            let opened = self.lock_shard(s).pdl().batch_open(pages[s].len() as u64, roots);
-            if let Err(rejected) = opened {
-                for &o in &involved[..i] {
-                    self.lock_shard(o).pdl().batch_close(false).map_err(fail)?;
-                }
-                return Err(rejected);
-            }
-        }
-        let staging: Vec<usize> =
-            involved.iter().copied().filter(|&s| !pages[s].is_empty()).collect();
-        let run = || {
-            self.fan_out(&staging, &|s, st| {
-                for p in &pages[s] {
-                    st.stage_page(p.pid, p.image, p.txn, p.held)?;
-                }
-                st.flush()
-            })?;
-            if let Some((r, txn)) = batch.roots {
-                self.lock_shard(0).pdl().batch_stage_roots(r, txn)?;
-            }
-            self.fan_out(&involved, &|s, st| {
-                st.batch_record(&txns[s])?;
-                st.flush()
-            })?;
-            self.fan_out(&involved, &|_, st| st.batch_close(true))
-        };
-        run().map_err(fail)
     }
 
     /// One phase of a commit batch as **submit-all / drain-all**: issue
@@ -621,14 +473,84 @@ impl PageStore for ShardedStore {
         self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).prefetch(local)
     }
 
-    fn pipeline_busy_us(&self) -> u64 {
-        // Shards are independent chips: the engine's flash critical path
-        // is the slowest shard, not the sum.
-        self.per_shard_pipeline_us().into_iter().max().unwrap_or(0)
-    }
-
+    /// The one place a cross-shard commit is sequenced. A shard is
+    /// *involved* when it stages pages or (shard 0, which holds the root
+    /// log) the structure roots; no other shard is touched. Every involved
+    /// shard is opened before any stages, so a shard that cannot make room
+    /// rejects the batch while nothing needs undoing. Then: stage and flush each shard's pages (durable,
+    /// tagged, invisible after a crash) -> roots -> one commit/epoch record
+    /// per involved shard, proving the transactions that staged there ->
+    /// close. Recovery judges a transaction torn unless *every* shard
+    /// carrying its tags also carries a record, and closing a shard
+    /// destroys the pre-images a torn verdict rolls back to — so no shard
+    /// closes until every shard's record is durable.
     fn commit_batch(&mut self, batch: &CommitBatch<'_>) -> std::result::Result<(), CommitError> {
-        self.commit_batch_shared(batch)
+        if let Some(e) = self.failed.get() {
+            return Err(CommitError::Failed(e.clone()));
+        }
+        let n = self.shards.len();
+        let mut pages: Vec<Vec<BatchPage>> = vec![Vec::new(); n];
+        let mut txns: Vec<Vec<u64>> = vec![Vec::new(); n];
+        for p in &batch.pages {
+            let (s, local) = self.locate(p.pid).map_err(CommitError::Rejected)?;
+            pages[s].push(BatchPage { pid: local, ..*p });
+            note_txn(&mut txns[s], p.txn);
+        }
+        if let Some((_, txn)) = batch.roots {
+            // Shard 0 gets a commit record for the roots' transaction, so
+            // the winner check at recovery can prove it committed from
+            // shard 0's own tables (the torn verdict is already global).
+            note_txn(&mut txns[0], txn);
+        }
+        let involved: Vec<usize> = (0..n).filter(|&s| !txns[s].is_empty()).collect();
+        let fail = |e: CoreError| {
+            let _ = self.failed.set(e.clone());
+            CommitError::Failed(e)
+        };
+        if !matches!(self.kind, MethodKind::Pdl { .. }) {
+            // Not atomic: each involved shard writes its part through.
+            for &s in &involved {
+                let part = CommitBatch { pages: std::mem::take(&mut pages[s]), roots: None };
+                self.lock_shard(s).commit_batch(&part).map_err(|e| fail(e.into()))?;
+            }
+            return Ok(());
+        }
+
+        let roots = batch.roots.map(|(r, _)| r);
+        if roots.is_some_and(|r| !self.lock_shard(0).pdl().root_log_fits(r)) {
+            // The log is full: fold *every* shard into a fresh checkpoint
+            // before the batch opens, so no shard's batch straddles one.
+            self.checkpoint_shared().map_err(CommitError::Rejected)?;
+        }
+        for (i, &s) in involved.iter().enumerate() {
+            let roots = roots.filter(|_| s == 0);
+            let opened = self.lock_shard(s).pdl().batch_open(pages[s].len() as u64, roots);
+            if let Err(rejected) = opened {
+                for &o in &involved[..i] {
+                    self.lock_shard(o).pdl().batch_close(false).map_err(fail)?;
+                }
+                return Err(rejected);
+            }
+        }
+        let staging: Vec<usize> =
+            involved.iter().copied().filter(|&s| !pages[s].is_empty()).collect();
+        let run = || {
+            self.fan_out(&staging, &|s, st| {
+                for p in &pages[s] {
+                    st.stage_page(p.pid, p.image, p.txn, p.held)?;
+                }
+                st.flush()
+            })?;
+            if let Some((r, txn)) = batch.roots {
+                self.lock_shard(0).pdl().batch_stage_roots(r, txn)?;
+            }
+            self.fan_out(&involved, &|s, st| {
+                st.batch_record(&txns[s])?;
+                st.flush()
+            })?;
+            self.fan_out(&involved, &|_, st| st.batch_close(true))
+        };
+        run().map_err(fail)
     }
 
     fn txn_id_floor(&self) -> u64 {
@@ -658,10 +580,6 @@ impl PageStore for ShardedStore {
         self.lock_shard(0).struct_roots()
     }
 
-    fn per_shard_busy_us(&self) -> Vec<u64> {
-        self.per_shard_pipeline_us()
-    }
-
     fn checkpoint(&mut self) -> Result<()> {
         self.checkpoint_shared()
     }
@@ -669,9 +587,15 @@ impl PageStore for ShardedStore {
     fn chip(&self) -> &FlashChip {
         panic!(
             "ShardedStore spans {} chips and has no single chip; \
-             use stats()/wear_summary()/with_shard()",
+             use for_each_chip()/stats()/with_shard()",
             self.shards.len()
         );
+    }
+
+    fn for_each_chip(&self, f: &mut dyn FnMut(&FlashChip)) {
+        for s in 0..self.shards.len() {
+            f(self.lock_shard(s).chip());
+        }
     }
 
     fn chip_mut(&mut self) -> &mut FlashChip {
@@ -682,18 +606,10 @@ impl PageStore for ShardedStore {
         );
     }
 
-    fn stats(&self) -> FlashStats {
-        self.stats_shared()
-    }
-
     fn reset_stats(&mut self) {
         for shard in &mut self.shards {
             shard.get_mut().unwrap_or_else(|e| e.into_inner()).reset_stats();
         }
-    }
-
-    fn wear_summary(&self) -> WearSummary {
-        WearSummary::merged(self.per_shard_wear())
     }
 
     fn num_shards(&self) -> usize {

@@ -362,7 +362,7 @@ fn one_chip_rig(config: FlashConfig, opts: StoreOptions) -> Rig<Pdl> {
     }
 }
 
-/// Two shards through `ShardedStore::commit_batch_shared`.
+/// Two shards through `ShardedStore::commit_batch`.
 fn two_shard_rig(config: FlashConfig, opts: StoreOptions) -> Rig<ShardedStore> {
     Rig {
         config,

@@ -18,7 +18,7 @@ use pdl_core::{
     StoreOptions,
 };
 use pdl_flash::{FlashChip, FlashConfig};
-use pdl_storage::{BTree, Database, Durability, HeapFile, Key, KeyBuf, ShardedBufferPool};
+use pdl_storage::{BTree, Database, Durability, HeapFile, Key, KeyBuf};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
@@ -378,12 +378,12 @@ proptest! {
         }
     }
 
-    /// The sharded pool (PDL, N in {1, 2, 4}): a reader opened before a
-    /// batch of durably committed cross-shard transactions sees exactly
-    /// the model's state at open time — and a crash (poisoning every
-    /// stripe while a view is open) followed by `ShardedStore::recover`
-    /// lands on exactly the committed model, from which fresh views read
-    /// correctly again.
+    /// A durable database over a sharded store (PDL, N in {1, 2, 4}): a
+    /// reader opened before a batch of durably committed cross-shard
+    /// transactions sees exactly the model's state at open time — and a
+    /// crash (dropping the pool while a view is open) followed by
+    /// `ShardedStore::recover` lands on exactly the committed model, from
+    /// which fresh views read correctly again.
     #[test]
     fn sharded_snapshot_readers_across_crash_recovery(
         txns in proptest::collection::vec(
@@ -397,24 +397,26 @@ proptest! {
     ) {
         let kind = MethodKind::Pdl { max_diff_size: 64 };
         let opts = StoreOptions::new(PAGES);
+        let open = |store: ShardedStore| {
+            Database::new(Box::new(store), 8).with_durability(Durability::Commit)
+        };
         for n in [1usize, 2, 4] {
             let store =
                 ShardedStore::with_uniform_chips(FlashConfig::tiny(), n, kind, opts).unwrap();
-            let mut pool = ShardedBufferPool::new(store, 8);
+            let mut pool = open(store);
             let size = pool.page_size();
             let mut model: Vec<Vec<u8>> = (0..PAGES).map(|p| vec![p as u8; size]).collect();
             for (pid, page) in model.iter().enumerate() {
                 let img = page.clone();
                 pool.with_page_mut(pid as u64, |p| p.write(0, &img)).unwrap();
             }
-            pool.flush_all().unwrap();
+            pool.flush().unwrap();
             for (i, (writes, commit)) in txns.iter().enumerate() {
                 if i == crash_at {
                     // Crash mid-read: a view is open when the pool dies.
                     let _doomed = pool.begin_read();
-                    let chips = pool.into_store_without_flush().into_shard_chips();
-                    let store = ShardedStore::recover(chips, kind, opts).unwrap();
-                    pool = ShardedBufferPool::new(store, 8);
+                    let chips = pool.into_store_without_flush().into_chips();
+                    pool = open(ShardedStore::recover(chips, kind, opts).unwrap());
                     // Recovery lands on exactly the committed model (every
                     // commit below is durable), visible to a fresh view.
                     let view = pool.begin_read();
@@ -431,7 +433,7 @@ proptest! {
                 let at_open = model.clone();
                 let view = pool.begin_read();
                 let mut staged = model.clone();
-                let txn = pool.begin();
+                pool.begin().unwrap();
                 for (pid, payload, whole) in writes {
                     let pid = (pid % PAGES) as usize;
                     if *whole {
@@ -443,13 +445,13 @@ proptest! {
                         }
                     }
                     let img = staged[pid].clone();
-                    pool.with_page_mut_txn(pid as u64, txn, |p| p.write(0, &img)).unwrap();
+                    pool.with_page_mut(pid as u64, |p| p.write(0, &img)).unwrap();
                 }
                 if *commit {
-                    pool.commit(txn).unwrap();
+                    pool.commit().unwrap();
                     model = staged;
                 } else {
-                    pool.abort(txn).unwrap();
+                    pool.abort().unwrap();
                 }
                 for pid in 0..PAGES as usize {
                     let seen = pool.with_page_at(&view, pid as u64, |p| p.to_vec()).unwrap();
@@ -466,7 +468,7 @@ proptest! {
                 pool.release_read(view);
             }
             prop_assert_eq!(pool.retained_versions(), 0, "all views released");
-            prop_assert_eq!(pool.stats().active_views, 0, "the view registry drained");
+            prop_assert_eq!(pool.buffer_stats().active_views, 0, "the view registry drained");
         }
     }
 

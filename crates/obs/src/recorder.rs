@@ -79,9 +79,9 @@ pub enum LatencyClass {
     /// retention ledger (a cold version spilled out of the DRAM chains):
     /// the penalty an epoch-long view pays per cold page it touches.
     ColdVersionRead,
-    /// Host-clock wait of a durable commit for the database's serial
-    /// commit section (`commit_lock`), one sample per commit that took
-    /// the lock — zero when it was free. What group commit would remove.
+    /// Host-clock wait of a durable commit in the database's group-commit
+    /// queue, from queuing until a leader takes it into a batch: one
+    /// sample per durable commit, near zero when no batch was running.
     CommitLockWait,
 }
 

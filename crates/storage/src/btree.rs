@@ -354,7 +354,7 @@ impl BTree {
     }
 
     /// [`BTree::get`] through any [`PageRead`] — e.g. a
-    /// [`crate::DbSnapshot`] or [`crate::PoolSnapshot`] for a snapshot
+    /// [`crate::DbSnapshot`] for a snapshot
     /// lookup that is isolated from concurrent writers.
     ///
     /// The leaf probe is a *move-right* loop: when every entry in the

@@ -43,10 +43,8 @@
 //! cache mutex is taken under any number of latches; the MVCC registry
 //! and the store mutex are leaves, taken under the cache mutex or on
 //! their own, never one under the other. (`Database` adds its own
-//! leaves — allocator, open-transaction table, pending structure roots —
-//! and `commit_lock`, which is taken with none of the above held, is
-//! granted in arrival order and covers the store for the length of a
-//! commit protocol.)
+//! leaves — allocator, open-transaction table, pending structure roots,
+//! the group-commit queue — each taken with none of the above held.)
 //!
 //! **A buffer hit — [`BufferPool::with_page`], the structural read, a
 //! mutation — takes the cache mutex once and no other global lock.** The
@@ -264,23 +262,13 @@ pub struct BufferStats {
     /// leaked view pinning version retention forever — hold views through
     /// [`crate::ReadGuard`] to make leaks impossible.
     pub active_views: u64,
-    /// Sum over group-commit batches of the per-shard flash time their
-    /// record flushes charged, totalled across shards (pool-level, like
-    /// `active_views`: set by the sharded pool, not merged per stripe).
-    pub commit_flush_us_sum: u64,
-    /// Same flushes, but counting only each batch's *slowest* shard — the
-    /// commit critical path when the leader submits to all shards and
-    /// then drains. The gap to `commit_flush_us_sum` is the fan-out time
-    /// the overlapped leader saves over serial per-shard flushing.
-    pub commit_flush_us_max: u64,
     /// Logical pages permanently stranded by rollbacks: raw
     /// [`crate::Database::alloc_page`] pids an aborted (or
     /// failed-durable-commit) transaction allocated. The caller may hold
     /// such a pid outside any registered structure, so the allocator
     /// cannot reissue it — structure-owned allocations go back to the
     /// free list instead and never appear here. A gauge set by the
-    /// database when statistics are sampled (like `active_views`), not a
-    /// per-stripe counter.
+    /// database when statistics are sampled (like `active_views`).
     pub leaked_pids: u64,
 }
 
@@ -293,31 +281,13 @@ impl BufferStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Fold another cache's statistics into this one (stripe aggregation).
-    /// `active_views`, the commit-flush gauges and `leaked_pids` are
-    /// pool- or database-level (the registry, the group-commit leader and
-    /// the page allocator are shared across stripes), so they are not
-    /// summed here; their owner sets them after merging.
-    pub fn merge(&mut self, other: &BufferStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.dirty_writebacks += other.dirty_writebacks;
-        self.version_reads += other.version_reads;
-        self.spilled_versions += other.spilled_versions;
-        self.ledger_hits += other.ledger_hits;
-        self.flash_resolves += other.flash_resolves;
-    }
 }
 
 /// The page-store operations a frame cache needs from its backing store.
 ///
 /// [`BufferPool`] backs this with its mutex-guarded `Box<dyn PageStore>`
-/// (locked per call, so a call that is never made never waits); the
-/// striped pool backs it with the `*_shared` entry points of a shared
-/// `ShardedStore`, so each stripe can fault and write back pages while
-/// holding only its own lock.
+/// (locked per call, so a call that is never made never waits); the unit
+/// tests back it with an in-memory map.
 pub(crate) trait PageBackend {
     fn read(&mut self, pid: u64, out: &mut [u8]) -> Result<()>;
     fn apply(&mut self, pid: u64, page_after: &[u8], changes: &[ChangeRange]) -> Result<()>;
@@ -382,9 +352,7 @@ impl VersionSource for NoVersioning {
     }
 }
 
-/// An LRU frame cache: the store-independent core shared by
-/// [`BufferPool`] (one cache over the whole store) and the striped
-/// sharded pool (one cache per shard, each behind its own lock).
+/// An LRU frame cache: the store-independent core of [`BufferPool`].
 pub(crate) struct FrameCache {
     frames: Vec<Frame>,
     /// The page image of every frame, frame `i` at `i * page_size`: one
@@ -561,7 +529,7 @@ impl FrameCache {
     }
 
     /// [`Self::with_page_at`] plus whether the read resolved a cold
-    /// version from the flash ledger (the pools time those reads into the
+    /// version from the flash ledger (the pool times those reads into the
     /// `cold_version_read` histogram).
     pub(crate) fn with_page_at_traced<B: PageBackend, R>(
         &mut self,
@@ -1257,7 +1225,7 @@ pub struct BufferPool {
     /// Host-clock epoch the pool's spans are timed against.
     obs_epoch: Instant,
     /// Shard count of the backing store — the lane structural spans are
-    /// attributed to (`pid % num_shards`, the stripe mapping).
+    /// attributed to (`pid % num_shards`, the shard mapping).
     num_shards: u32,
 }
 
@@ -1526,7 +1494,7 @@ impl BufferPool {
 
     /// Record a structural-operation span (`split`, `merge`,
     /// `root-publish`): `id` is the subject pid, `block` the transaction,
-    /// and the lane is the pid's stripe (`pid % num_shards`), so a trace
+    /// and the lane is the pid's shard (`pid % num_shards`), so a trace
     /// shows concurrent descents as parallel lanes. `start_us` comes from
     /// [`BufferPool::obs_now_us`]; the call is a no-op when that returned
     /// `None`.
@@ -1588,36 +1556,34 @@ impl BufferPool {
         self.lock_cache().collect_owned(txn)
     }
 
-    /// Allocate the transaction's commit timestamp and publish its
-    /// structural changes at that timestamp, under one registry lock — so
-    /// a view either predates the whole commit (pages *and* roots) or
-    /// sees all of it. Also returns the registry's active read-timestamp
-    /// set for the gap-precise cap enforcement that follows.
-    fn alloc_commit_ts(&self, structs: Vec<(StructId, StructRoot)>) -> (Option<u64>, Vec<u64>) {
-        let mut m = self.lock_mvcc();
-        let (ts, retain) = m.alloc_commit();
-        for (id, root) in structs {
-            m.publish_struct(id, retain.then_some(ts), root);
+    /// Publish a commit of `txns` at one commit timestamp: allocate it
+    /// and publish `structs` (their structural changes) under the
+    /// registry lock, then close every transaction — pending pre-images
+    /// become committed versions where a read view predates the commit,
+    /// frames lose their owner — all under one hold of the cache mutex.
+    /// A view that registers meanwhile reads at the new clock, and its
+    /// first read waits for the cache mutex: it sees the whole commit,
+    /// never one page of it before another. `durable`: the images are on
+    /// flash and the frames become clean; otherwise (relaxed durability)
+    /// they stay dirty and reach flash by ordinary eviction.
+    pub(crate) fn publish_commit(
+        &self,
+        txns: &[u64],
+        structs: Vec<(StructId, StructRoot)>,
+        durable: bool,
+    ) {
+        let mut cache = self.lock_cache();
+        let (ts, active) = {
+            let mut m = self.lock_mvcc();
+            let (ts, retain) = m.alloc_commit();
+            for (id, root) in structs {
+                m.publish_struct(id, retain.then_some(ts), root);
+            }
+            (retain.then_some(ts), m.active_ts())
+        };
+        for &txn in txns {
+            cache.end_txn(&mut StoreBackend(&self.store), txn, ts, durable, &active);
         }
-        (retain.then_some(ts), m.active_ts())
-    }
-
-    /// Confirm a durable commit: `txn`'s frames become clean (their
-    /// images are on flash) and unowned; pending pre-images become
-    /// committed versions if a read view predates the commit; `structs`
-    /// are the transaction's structural changes, published at the commit
-    /// timestamp.
-    pub(crate) fn commit_release(&self, txn: u64, structs: Vec<(StructId, StructRoot)>) {
-        let (ts, active) = self.alloc_commit_ts(structs);
-        self.lock_cache().end_txn(&mut StoreBackend(&self.store), txn, ts, true, &active);
-    }
-
-    /// Release `txn`'s ownership without any I/O (relaxed-durability
-    /// commit): the frames stay dirty and reach flash by ordinary
-    /// eviction, exactly as if the writes had been auto-committed.
-    pub(crate) fn release_owned(&self, txn: u64, structs: Vec<(StructId, StructRoot)>) {
-        let (ts, active) = self.alloc_commit_ts(structs);
-        self.lock_cache().end_txn(&mut StoreBackend(&self.store), txn, ts, false, &active);
     }
 
     pub(crate) fn rollback(&self, txn: u64) -> Result<()> {

@@ -35,7 +35,7 @@
 //! a compatibility path.
 
 use crate::btree::BTree;
-use crate::buffer::{BufferPool, BufferStats, PageLatch, PageMut};
+use crate::buffer::{BufferPool, BufferStats, OwnedPage, PageLatch, PageMut};
 use crate::error::StorageError;
 use crate::heap::HeapFile;
 use crate::view::{PageRead, StructId, StructRoot, ViewRegistry};
@@ -61,43 +61,69 @@ thread_local! {
     static THREAD_TXN: Cell<(u64, Option<TxnId>)> = const { Cell::new((0, None)) };
 }
 
-/// A lock granted strictly in arrival order (a ticket lock).
-///
-/// `commit_lock` is one: a writer's next batch is a few buffer hits, far
-/// shorter than the wake-up of a thread parked on the lock, so with a
-/// barging mutex the writer that just committed retakes the lock before
-/// the one that waited has run, and that one sits out two or three
-/// commits in a row. In arrival order a writer waits for one commit per
-/// writer ahead of it.
+/// A durable commit waiting for its batch (see [`Database::commit`]).
+struct Committer {
+    txn: TxnId,
+    structs: Vec<(StructId, StructRoot)>,
+    pages: Vec<OwnedPage>,
+    /// Host-clock µs the committer joined the queue (`None` with
+    /// observability off): its `commit_lock_wait` sample ends when a
+    /// leader takes it into a batch.
+    queued_at: Option<u64>,
+}
+
+/// The group-commit queue: committers wait here, in arrival order, for
+/// a leader to take them into a batch and report back.
 #[derive(Default)]
-struct FifoLock {
-    /// `(next ticket to hand out, ticket now served)`.
-    turn: Mutex<(u64, u64)>,
-    served: Condvar,
+struct CommitQueue {
+    waiting: Vec<Committer>,
+    /// A leader holds the lead: it is gathering or running a batch.
+    leading: bool,
+    /// Outcomes of finished batches, until each member collects its own.
+    done: HashMap<TxnId, Result<()>>,
 }
 
-struct FifoGuard<'a>(&'a FifoLock);
-
-impl FifoLock {
-    fn lock(&self) -> FifoGuard<'_> {
-        let mut turn = self.turn.lock().unwrap_or_else(|e| e.into_inner());
-        let mine = turn.0;
-        turn.0 += 1;
-        while turn.1 != mine {
-            turn = self.served.wait(turn).unwrap_or_else(|e| e.into_inner());
-        }
-        FifoGuard(self)
-    }
+/// Take the next batch off the front of the queue: every waiting
+/// committer, except that over a root log at most one member may change
+/// structures. The batch's root record is proven by that member's commit
+/// record alone, and across shards one member can commit while another
+/// is torn (each needs a record on every shard it wrote), so a record
+/// carrying two members' roots could outlive one of them. A second such
+/// committer, and everyone behind it, waits for the next batch.
+fn next_batch(waiting: &mut Vec<Committer>, root_log: bool) -> Vec<Committer> {
+    let mut root_writers = waiting.iter().enumerate().filter(|(_, c)| !c.structs.is_empty());
+    let cut = match (root_log, root_writers.nth(1)) {
+        (true, Some((second, _))) => second,
+        _ => waiting.len(),
+    };
+    waiting.drain(..cut).collect()
 }
 
-impl Drop for FifoGuard<'_> {
+/// A leader's hold on the commit queue. Dropping it posts the batch's
+/// outcome to every member and hands the lead on — also when the batch
+/// panicked, which stops the database (the store may hold part of the
+/// batch) instead of leaving every committer waiting for a leader that
+/// is gone.
+struct Leader<'a> {
+    db: &'a Database,
+    batch: Vec<Committer>,
+    /// Set once the batch ran to an outcome; `None` on unwind.
+    outcome: Option<Result<()>>,
+}
+
+impl Drop for Leader<'_> {
     fn drop(&mut self) {
-        let mut turn = self.0.turn.lock().unwrap_or_else(|e| e.into_inner());
-        turn.1 += 1;
-        let waiting = turn.0 != turn.1;
-        drop(turn);
-        if waiting {
-            self.0.served.notify_all();
+        let outcome = self.outcome.take().unwrap_or_else(|| {
+            let e = StorageError::Internal("a commit batch panicked".into());
+            Err(self.db.stopped.get_or_init(|| e).clone())
+        });
+        let mut queue = self.db.lock_commits();
+        queue.done.extend(self.batch.iter().map(|c| (c.txn, outcome.clone())));
+        queue.leading = false;
+        // Everyone asleep is a member of this batch or still queued; a
+        // lone committer wakes nobody.
+        if self.batch.len() > 1 || !queue.waiting.is_empty() {
+            self.db.batch_done.notify_all();
         }
     }
 }
@@ -223,10 +249,16 @@ pub struct Database {
     /// lets heap handles invalidate their free-space estimates, which a
     /// rollback can leave *under*-estimating restored space.
     abort_epoch: AtomicU64,
-    /// Serializes durable commits (snapshot the roots → one
-    /// `commit_batch`) across threads. Latched structural mutation runs
-    /// concurrently; only the batch boundary is exclusive.
-    commit_lock: FifoLock,
+    /// Durable commits waiting for a batch (see [`Database::commit`]).
+    commits: Mutex<CommitQueue>,
+    /// Signalled when a leader finishes a batch.
+    batch_done: Condvar,
+    /// Commit latency on the simulated clock (`CommitSolo` /
+    /// `CommitGroup` histograms and one `commit` span per batch);
+    /// recording only when `obs`.
+    commit_obs: Mutex<pdl_obs::Recorder>,
+    /// `StoreOptions::obs` of the store, asked once at construction.
+    obs: bool,
     /// The store error behind a `CommitError::Failed`: the batch was
     /// opened, recovery may judge that transaction committed, so it can
     /// be neither rolled back nor confirmed. The database stops, and
@@ -256,6 +288,11 @@ impl Database {
                 snap.entries.iter().flat_map(|e| e.pids.iter().map(|p| p + 1)).max().unwrap_or(0);
             snap.next_pid.max(past_entries)
         });
+        let obs = store.options().obs;
+        let mut commit_obs = pdl_obs::Recorder::disabled();
+        if obs {
+            commit_obs.enable(pdl_obs::DEFAULT_SPAN_CAPACITY);
+        }
         let pool = BufferPool::new(store, buffer_pages);
         pool.set_pin_owned(false); // Durability::Relaxed is the default
         Database {
@@ -273,7 +310,10 @@ impl Database {
             open_txns: Mutex::new(HashMap::new()),
             txn_structs: Mutex::new(HashMap::new()),
             abort_epoch: AtomicU64::new(0),
-            commit_lock: FifoLock::default(),
+            commits: Mutex::new(CommitQueue::default()),
+            batch_done: Condvar::new(),
+            commit_obs: Mutex::new(commit_obs),
+            obs,
             stopped: OnceLock::new(),
             has_root_log,
         }
@@ -370,6 +410,19 @@ impl Database {
 
     /// Commit the calling thread's transaction according to the
     /// configured [`Durability`].
+    ///
+    /// A durable commit goes through the **group-commit queue**. The
+    /// committer copies out its pages and queues; if no batch is running
+    /// it becomes the leader: while other transactions are open it first
+    /// yields a few times (the gather phase), then takes every waiting
+    /// committer, in arrival order, into one [`CommitBatch`] (one
+    /// structure-root snapshot for the whole batch), hands it to the
+    /// store in one call and publishes every member at one commit
+    /// timestamp. A committer that arrives while a batch runs rides the
+    /// next one. Per shard, a batch's differentials share flash pages and
+    /// its commit records share one flush — the commit-time batching of
+    /// Adaptive Logging (Yao et al.).
+    /// A batch of one is exactly the solo commit.
     pub fn commit(&self) -> Result<()> {
         let txn = self.take_thread_txn("commit")?;
         let structs: Vec<(StructId, StructRoot)> = self
@@ -377,61 +430,165 @@ impl Database {
             .remove(&txn)
             .map(|m| m.into_iter().collect())
             .unwrap_or_default();
-        match self.durability {
-            Durability::Relaxed => {
-                self.clear_allocs(txn);
-                self.pool.release_owned(txn, structs);
+        if self.durability == Durability::Relaxed {
+            self.clear_allocs(txn);
+            self.pool.publish_commit(&[txn], structs, false);
+            return Ok(());
+        }
+        let pages = self.pool.collect_owned(txn);
+        if pages.is_empty() && (structs.is_empty() || !self.has_root_log) {
+            // Read-only (or no root log): nothing to make durable.
+            self.check_stopped()?;
+            self.clear_allocs(txn);
+            self.pool.publish_commit(&[txn], structs, false);
+            return Ok(());
+        }
+        let queued_at = self.pool.obs_now_us();
+        let mut queue = self.lock_commits();
+        queue.waiting.push(Committer { txn, structs, pages, queued_at });
+        loop {
+            if let Some(outcome) = queue.done.remove(&txn) {
+                return outcome;
+            }
+            if queue.leading {
+                queue = self.batch_done.wait(queue).unwrap_or_else(|e| e.into_inner());
+                continue;
+            }
+            queue.leading = true;
+            if !self.lock_open_txns().is_empty() {
+                // Gather: other transactions are open, and a few yields
+                // let those about to commit queue for this batch even
+                // when cores are scarce. A lone transaction skips it.
+                drop(queue);
+                for _ in 0..4 {
+                    std::thread::yield_now();
+                }
+                queue = self.lock_commits();
+            }
+            let batch = next_batch(&mut queue.waiting, self.has_root_log);
+            drop(queue);
+            let mut leader = Leader { db: self, batch, outcome: None };
+            leader.outcome = Some(self.run_batch(&leader.batch));
+            drop(leader);
+            queue = self.lock_commits();
+        }
+    }
+
+    fn lock_commits(&self) -> std::sync::MutexGuard<'_, CommitQueue> {
+        self.commits.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Committers queued behind the running batch.
+    #[cfg(test)]
+    pub(crate) fn queued_commits(&self) -> usize {
+        self.lock_commits().waiting.len()
+    }
+
+    /// A leader holds the lead: it is gathering or running a batch.
+    #[cfg(test)]
+    pub(crate) fn batch_running(&self) -> bool {
+        self.lock_commits().leading
+    }
+
+    /// Run one group-commit batch (the leader's half of
+    /// [`Database::commit`]); the outcome is every member's.
+    fn run_batch(&self, batch: &[Committer]) -> Result<()> {
+        for c in batch {
+            self.pool.record_wait(pdl_obs::LatencyClass::CommitLockWait, c.queued_at);
+        }
+        self.check_stopped()?;
+        let txns: Vec<TxnId> = batch.iter().map(|c| c.txn).collect();
+        // In arrival order: where two members moved one structure, the
+        // root snapshot and the registry both keep the later move.
+        let structs: Vec<(StructId, StructRoot)> =
+            batch.iter().flat_map(|c| c.structs.iter().cloned()).collect();
+        // The root snapshot is taken by the one leader, so two batches
+        // that each moved a root cannot hand over a record carrying the
+        // other's stale one. Its record is proven by the commit record of
+        // the member that changed a structure (`next_batch` admits one).
+        let roots = self.durable_roots(&structs);
+        let root_txn = batch.iter().find(|c| !c.structs.is_empty()).map_or(txns[0], |c| c.txn);
+        let staged = CommitBatch {
+            pages: batch.iter().flat_map(|c| c.pages.iter().map(|p| p.batch_page(c.txn))).collect(),
+            roots: roots.as_ref().map(|r| (r, root_txn)),
+        };
+        match self.store_commit(&staged, &txns) {
+            Ok(()) => {
+                txns.iter().for_each(|&t| self.clear_allocs(t));
+                self.pool.publish_commit(&txns, structs, true);
                 Ok(())
             }
-            Durability::Commit => {
-                let staged = self.pool.collect_owned(txn);
-                // One durable batch at a time. The root snapshot is taken
-                // under the lock, so two committers that each moved a
-                // root cannot hand over a record carrying the other's
-                // stale one.
-                let wait_from = self.pool.obs_now_us();
-                let _serial = self.commit_lock.lock();
-                self.pool.record_wait(pdl_obs::LatencyClass::CommitLockWait, wait_from);
-                self.check_stopped()?;
-                let roots = self.durable_roots(&structs);
-                if staged.is_empty() && roots.is_none() {
-                    // Read-only (or no root log): nothing to make durable.
-                    self.clear_allocs(txn);
-                    self.pool.release_owned(txn, structs);
-                    return Ok(());
+            Err(CommitError::Rejected(e)) => {
+                // Nothing reached the store: roll every member's frames
+                // back to their pre-images and report the transactions
+                // failed (`structs` is dropped unpublished).
+                for &t in &txns {
+                    let _ = self.pool.rollback(t);
+                    self.rollback_allocs(t);
+                    self.abort_epoch.fetch_add(1, Ordering::SeqCst);
                 }
-                let batch = CommitBatch {
-                    pages: staged.iter().map(|p| p.batch_page(txn)).collect(),
-                    roots: roots.as_ref().map(|r| (r, txn)),
-                };
-                match self.pool.with_store(|store| store.commit_batch(&batch)) {
-                    Ok(()) => {
-                        self.clear_allocs(txn);
-                        self.pool.commit_release(txn, structs);
-                        Ok(())
-                    }
-                    Err(CommitError::Rejected(e)) => {
-                        // Nothing reached the store: roll the frames back
-                        // to their pre-images and report the transaction
-                        // failed (`structs` is dropped unpublished).
-                        let _ = self.pool.rollback(txn);
-                        self.rollback_allocs(txn);
-                        self.abort_epoch.fetch_add(1, Ordering::SeqCst);
-                        Err(e.into())
-                    }
-                    Err(CommitError::Failed(e)) => {
-                        // Not an abort: rolling back would hand the
-                        // transaction's pids to the next writer while
-                        // recovery may keep its pages. `commit_lock` is
-                        // held and `check_stopped` passed under it: this
-                        // is the first and only set.
-                        let e = StorageError::from(e);
-                        let _ = self.stopped.set(e.clone());
-                        Err(e)
-                    }
-                }
+                Err(e.into())
+            }
+            Err(CommitError::Failed(e)) => {
+                // Not an abort: rolling back would hand the batch's pids
+                // to the next writer while recovery may keep its pages.
+                // Only a leader gets here, one at a time, after
+                // `check_stopped` passed: this is the first and only set.
+                let e = StorageError::from(e);
+                let _ = self.stopped.set(e.clone());
+                Err(e)
             }
         }
+    }
+
+    /// [`PageStore::commit_batch`], with the batch's commit latency
+    /// recorded when observability is on: the slowest chip's
+    /// pipeline-busy delta across the call (queue and flush stalls
+    /// included) is one `CommitSolo` or `CommitGroup` sample per
+    /// member, and the batch is one `commit` span.
+    fn store_commit(
+        &self,
+        batch: &CommitBatch<'_>,
+        txns: &[TxnId],
+    ) -> std::result::Result<(), CommitError> {
+        if !self.obs {
+            return self.pool.with_store(|store| store.commit_batch(batch));
+        }
+        let busy = |store: &dyn PageStore| {
+            let mut busy = Vec::new();
+            store.for_each_chip(&mut |c| busy.push(c.pipeline_busy_us()));
+            busy
+        };
+        let (result, start_us, sample) = self.pool.with_store(|store| {
+            let mut start_us = 0;
+            store.for_each_chip(&mut |c| start_us = start_us.max(c.sim_now_us()));
+            let before = busy(store);
+            let result = store.commit_batch(batch);
+            let after = busy(store);
+            let sample =
+                after.iter().zip(&before).map(|(a, b)| a.saturating_sub(*b)).max().unwrap_or(0);
+            (result, start_us, sample)
+        });
+        if result.is_ok() {
+            let (class, ctx) = match txns.len() {
+                1 => (pdl_obs::LatencyClass::CommitSolo, "solo"),
+                _ => (pdl_obs::LatencyClass::CommitGroup, "group"),
+            };
+            let mut rec = self.commit_obs.lock().unwrap_or_else(|e| e.into_inner());
+            for _ in txns {
+                rec.record(class, sample);
+            }
+            rec.push_span(pdl_obs::Span {
+                name: "commit",
+                ctx,
+                lane: 0,
+                start_us,
+                dur_us: sample,
+                block: txns.len() as u64,
+                id: txns.iter().copied().min().unwrap_or(0),
+            });
+        }
+        result
     }
 
     /// Abort the calling thread's transaction: every touched page
@@ -773,7 +930,7 @@ impl Database {
 
     /// Record a structural-operation span (`split`, `root-publish`, ...)
     /// attributed to `pid`, the calling thread's transaction and the
-    /// pid's stripe. No-op when `start_us` is `None`.
+    /// pid's shard. No-op when `start_us` is `None`.
     pub fn struct_span(&self, name: &'static str, pid: u64, start_us: Option<u64>) {
         self.pool.struct_span(name, pid, self.current_txn().unwrap_or(0), start_us)
     }
@@ -791,13 +948,29 @@ impl Database {
 
     /// Whether observability recording is on (set by `StoreOptions::obs`).
     pub fn obs_enabled(&self) -> bool {
-        self.pool.with_store(|s| s.options().obs)
+        self.obs
     }
 
-    /// Snapshot of the underlying chip's recorder: latency histograms
-    /// per op class × context, plus the span ring.
+    /// Every chip's recorder snapshot, shard order.
+    fn chip_snapshots(&self) -> Vec<pdl_obs::RecorderSnapshot> {
+        let mut snaps = Vec::new();
+        self.with_store(|s| s.for_each_chip(&mut |c| snaps.push(c.recorder().snapshot())));
+        snaps
+    }
+
+    fn commit_obs_snapshot(&self) -> pdl_obs::RecorderSnapshot {
+        self.commit_obs.lock().unwrap_or_else(|e| e.into_inner()).snapshot()
+    }
+
+    /// Everything recorded on the simulated clock: every chip's latency
+    /// histograms per op class × context, merged, plus the commit-latency
+    /// histograms; the spans of every chip, then the commit spans.
     pub fn obs_snapshot(&self) -> pdl_obs::RecorderSnapshot {
-        self.pool.with_store(|s| s.chip().recorder().snapshot())
+        let mut snaps = self.chip_snapshots();
+        snaps.push(self.commit_obs_snapshot());
+        let mut merged = pdl_obs::RecorderSnapshot::merged(&snaps);
+        merged.spans = snaps.into_iter().flat_map(|s| s.spans).collect();
+        merged
     }
 
     /// Snapshot of the pool-side recorder: the `latch_wait` and
@@ -807,16 +980,31 @@ impl Database {
         self.pool.pool_obs_snapshot()
     }
 
-    /// Chrome trace-event JSON of the chip's simulated-clock track.
-    /// Deterministic for a fixed seed; the host-clock structural track
-    /// is exported separately via [`Database::obs_struct_trace_json`].
+    /// Chrome trace-event JSON of the simulated-clock tracks: one per
+    /// chip (`chip`, or `shard0`, `shard1`, ... on a sharded store), plus
+    /// `commit` once a durable commit has been recorded. Deterministic
+    /// for a fixed seed; the host-clock structural track is exported
+    /// separately via [`Database::obs_struct_trace_json`].
     pub fn obs_trace_json(&self) -> String {
-        let chip = self.obs_snapshot();
-        let tracks = vec![pdl_obs::TraceTrack {
-            name: "chip".to_string(),
-            spans: chip.spans,
-            dropped_spans: chip.dropped_spans,
-        }];
+        let chips = self.chip_snapshots();
+        let one_chip = chips.len() == 1;
+        let mut tracks: Vec<pdl_obs::TraceTrack> = chips
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| pdl_obs::TraceTrack {
+                name: if one_chip { "chip".to_string() } else { format!("shard{i}") },
+                spans: s.spans,
+                dropped_spans: s.dropped_spans,
+            })
+            .collect();
+        let commits = self.commit_obs_snapshot();
+        if !commits.spans.is_empty() || commits.dropped_spans > 0 {
+            tracks.push(pdl_obs::TraceTrack {
+                name: "commit".to_string(),
+                spans: commits.spans,
+                dropped_spans: commits.dropped_spans,
+            });
+        }
         pdl_obs::chrome_trace(&tracks)
     }
 
@@ -1223,26 +1411,126 @@ mod tests {
     }
 
     #[test]
-    fn the_commit_lock_is_granted_in_arrival_order() {
-        let lock = FifoLock::default();
-        let order = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let held = lock.lock();
-            for arrival in 1..=4u64 {
-                let (lock, order) = (&lock, &order);
-                scope.spawn(move || {
-                    let _turn = lock.lock();
-                    order.lock().unwrap().push(arrival);
-                });
-                // The next thread arrives only once this one holds its
-                // ticket.
-                while lock.turn.lock().unwrap().0 != arrival + 1 {
-                    std::thread::yield_now();
-                }
-            }
-            drop(held);
-        });
-        assert_eq!(*order.lock().unwrap(), [1, 2, 3, 4]);
+    fn a_batch_carries_at_most_one_root_writer_over_a_root_log() {
+        let committer = |txn: TxnId, moves_a_root: bool| Committer {
+            txn,
+            structs: if moves_a_root {
+                vec![(txn, StructRoot::BTree { root: txn })]
+            } else {
+                Vec::new()
+            },
+            pages: Vec::new(),
+            queued_at: None,
+        };
+        let queue = || {
+            vec![
+                committer(1, false),
+                committer(2, true),
+                committer(3, false),
+                committer(4, true),
+                committer(5, false),
+            ]
+        };
+        let txns = |batch: Vec<Committer>| batch.iter().map(|c| c.txn).collect::<Vec<_>>();
+        let mut waiting = queue();
+        assert_eq!(txns(next_batch(&mut waiting, true)), [1, 2, 3]);
+        assert_eq!(txns(next_batch(&mut waiting, true)), [4, 5], "arrival order kept");
+        assert!(waiting.is_empty());
+        let mut waiting = queue();
+        assert_eq!(txns(next_batch(&mut waiting, false)), [1, 2, 3, 4, 5], "no root log");
+    }
+
+    /// A store whose `commit_batch` reports that it was entered, waits
+    /// for a go-ahead, then panics.
+    struct PanicsOnCommit {
+        inner: Box<dyn PageStore>,
+        entered: std::sync::mpsc::Sender<()>,
+        go: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl PageStore for PanicsOnCommit {
+        fn options(&self) -> &StoreOptions {
+            self.inner.options()
+        }
+        fn read_page(&mut self, pid: u64, out: &mut [u8]) -> pdl_core::Result<()> {
+            self.inner.read_page(pid, out)
+        }
+        fn apply_update(
+            &mut self,
+            pid: u64,
+            page_after: &[u8],
+            changes: &[pdl_core::ChangeRange],
+        ) -> pdl_core::Result<()> {
+            self.inner.apply_update(pid, page_after, changes)
+        }
+        fn consumes_updates(&self) -> bool {
+            self.inner.consumes_updates()
+        }
+        fn evict_page(&mut self, pid: u64, page: &[u8]) -> pdl_core::Result<()> {
+            self.inner.evict_page(pid, page)
+        }
+        fn flush(&mut self) -> pdl_core::Result<()> {
+            self.inner.flush()
+        }
+        fn chip(&self) -> &FlashChip {
+            self.inner.chip()
+        }
+        fn chip_mut(&mut self) -> &mut FlashChip {
+            self.inner.chip_mut()
+        }
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn into_chips(self: Box<Self>) -> Vec<FlashChip> {
+            self.inner.into_chips()
+        }
+        fn commit_batch(&mut self, _: &CommitBatch<'_>) -> std::result::Result<(), CommitError> {
+            self.entered.send(()).unwrap();
+            let _ = self.go.recv();
+            panic!("the store panicked inside commit_batch");
+        }
+    }
+
+    #[test]
+    fn a_panicking_batch_stops_the_database_instead_of_hanging_committers() {
+        use std::sync::{mpsc, Arc};
+        use std::time::{Duration, Instant};
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel();
+        let chip = FlashChip::new(FlashConfig::tiny());
+        let inner =
+            build_store(chip, MethodKind::Pdl { max_diff_size: 128 }, StoreOptions::new(16))
+                .unwrap();
+        let store = PanicsOnCommit { inner, entered: entered_tx, go: go_rx };
+        let d = Arc::new(Database::new(Box::new(store), 8).with_durability(Durability::Commit));
+        for pid in 0..2 {
+            d.with_page(pid, |_| ()).unwrap(); // cached: the follower never waits for the store
+        }
+        let commit = |d: Arc<Database>, pid: u64| {
+            std::thread::spawn(move || {
+                d.begin().unwrap();
+                d.with_page_mut(pid, |p| p.write(0, &[1; 4])).unwrap();
+                d.commit()
+            })
+        };
+        // The leader is inside the store when a second committer queues.
+        let leader = commit(d.clone(), 0);
+        entered_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let follower = commit(d.clone(), 1);
+        std::thread::spawn(move || done_tx.send(follower.join().unwrap()));
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while d.queued_commits() < 1 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(d.queued_commits(), 1, "the follower queues behind the leader");
+        go_tx.send(()).unwrap();
+        assert!(leader.join().is_err(), "the leader's batch panicked");
+        let queued = done_rx.recv_timeout(Duration::from_secs(20));
+        let Ok(Err(stopped)) = queued else { panic!("the queued committer got {queued:?}") };
+        assert_eq!(stopped, StorageError::Internal("a commit batch panicked".into()));
+        // A later committer is refused, not left waiting for a leader.
+        assert_eq!(d.begin(), Err(stopped));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! pages ([`pdl_core::PageStore::evict_page`]).
 //!
 //! On top of that contract sits the **MVCC read layer**: non-mutating
-//! reads take shared borrows (`&Database`, `&ShardedBufferPool`), and a
+//! reads take shared borrows (`&Database`), and a
 //! [`ReadView`] freezes the whole page space at a commit-clock position
 //! by resolving reads against per-page version chains (see
 //! [`BufferPool`] / `FrameCache`). Every read entry point — [`BTree`]
@@ -25,6 +25,8 @@ mod btree;
 mod buffer;
 mod db;
 mod error;
+#[cfg(test)]
+#[path = "sharded_tests.rs"]
 mod sharded;
 pub mod slotted;
 mod view;
@@ -34,7 +36,6 @@ pub use buffer::{read_u16, read_u64, BufferPool, BufferStats, PageLatch, PageMut
 pub use db::{Database, DbSnapshot, Durability, RecordId, RecoveredStructure, TxnId};
 pub use error::{RetentionTrigger, StorageError};
 pub use heap::HeapFile;
-pub use sharded::{PoolSnapshot, ShardedBufferPool};
 pub use view::{PageRead, ReadGuard, ReadView, StructId, StructRoot, ViewRegistry};
 
 /// Construct a [`PageMut`] over a raw buffer, for page-format tests and

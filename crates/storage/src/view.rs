@@ -72,8 +72,8 @@ impl ReadView {
 }
 
 /// The release half of a view registry: anything a [`ReadGuard`] can hand
-/// its view back to. Implemented by [`crate::Database`],
-/// [`crate::BufferPool`] and [`crate::ShardedBufferPool`].
+/// its view back to. Implemented by [`crate::Database`] and
+/// [`crate::BufferPool`].
 pub trait ViewRegistry {
     /// Open a snapshot at the current commit clock.
     fn begin_read(&self) -> ReadView;
@@ -184,9 +184,8 @@ fn compact_struct_undo(undo: &mut Vec<(u64, StructRoot)>, active: &BTreeMap<u64,
 /// engine (B+-tree lookups and scans, heap-file gets, TPC-C's read-only
 /// transactions) is written against.
 ///
-/// Implementations: `&Database` (latest committed state),
-/// `DbSnapshot` / `PoolSnapshot` (a [`ReadView`]'s frozen state), and
-/// `&ShardedBufferPool` (latest state, concurrent).
+/// Implementations: `&Database` (latest committed state) and
+/// `DbSnapshot` (a [`ReadView`]'s frozen state).
 pub trait PageRead {
     /// Logical page size in bytes.
     fn page_size(&self) -> usize;
@@ -220,12 +219,11 @@ pub trait PageRead {
 /// The MVCC registry a pool keeps behind a mutex: the commit clock, the
 /// multiset of active read timestamps, and the structure-root log.
 ///
-/// Lock discipline (shared by both pools): the registry lock is only ever
-/// held briefly and never while acquiring a frame lock — *except* that a
-/// writer holding a frame lock may take it to allocate a commit
-/// timestamp. View registration additionally waits out `committing`, the
-/// window in which a group commit publishes its batch across stripes, so
-/// a cross-shard commit is observed atomically or not at all.
+/// Lock discipline: the registry lock is only ever held briefly and
+/// never while acquiring the cache lock — a writer holding the cache lock
+/// may take it to allocate a commit timestamp. A commit is published under
+/// one hold of the cache lock (`BufferPool::publish_commit`), so a view
+/// observes a multi-page or multi-shard commit atomically or not at all.
 #[derive(Debug, Default)]
 pub(crate) struct MvccState {
     /// Commit clock: bumped once per commit event (a transaction commit,
@@ -233,8 +231,6 @@ pub(crate) struct MvccState {
     pub(crate) clock: u64,
     /// Active read timestamps -> number of open views at that timestamp.
     pub(crate) active: BTreeMap<u64, usize>,
-    /// A group-commit batch is mid-publish: registration must wait.
-    pub(crate) committing: bool,
     /// The structure-root log: registered structures' current state plus
     /// commit-clock-keyed pre-states for open views.
     structs: HashMap<StructId, StructState>,

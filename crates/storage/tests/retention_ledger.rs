@@ -8,14 +8,14 @@
 //! `with_page_at` resolves them DRAM-chain → ledger → flash read. The
 //! oracle is byte-for-byte: every page read through the view equals the
 //! image captured at open time, for 1, 2, and 4 shards, with zero
-//! `SnapshotTooOld`. Afterwards the pool is crashed without a flush and
+//! `SnapshotTooOld`. Afterwards the database is crashed without a flush and
 //! recovered; the committed end state must survive byte-for-byte too
 //! (spill pages are volatile retention state — recovery discards them,
 //! never user data).
 
 use pdl_core::{MethodKind, ShardedStore, StoreOptions};
 use pdl_flash::FlashConfig;
-use pdl_storage::ShardedBufferPool;
+use pdl_storage::{Database, Durability};
 
 const KIND: MethodKind = MethodKind::Pdl { max_diff_size: 256 };
 const PAGES: u64 = 64;
@@ -41,16 +41,26 @@ fn options(shards: usize) -> StoreOptions {
     opts
 }
 
-fn build_pool(shards: usize) -> ShardedBufferPool {
+fn open(store: ShardedStore) -> Database {
+    Database::new(Box::new(store), PAGES as usize / 4).with_durability(Durability::Commit)
+}
+
+fn build_pool(shards: usize) -> Database {
     let store =
         ShardedStore::with_uniform_chips(FlashConfig::scaled(16), shards, KIND, options(shards))
             .expect("store");
-    let pool = ShardedBufferPool::new(store, PAGES as usize / 4);
+    let pool = open(store);
     for pid in 0..PAGES {
         pool.with_page_mut(pid, |p| p.write(0, &seed_image(pid, pool.page_size()))).expect("seed");
     }
-    pool.flush_all().expect("seed flush");
+    pool.flush().expect("seed flush");
     pool
+}
+
+/// Crash without writing anything back, then recover every shard.
+fn crash_and_recover(pool: Database, shards: usize) -> Database {
+    let chips = pool.into_store_without_flush().into_chips();
+    open(ShardedStore::recover(chips, KIND, options(shards)).expect("recover"))
 }
 
 fn seed_image(pid: u64, size: usize) -> Vec<u8> {
@@ -63,16 +73,16 @@ fn round_image(pid: u64, round: u64, size: usize) -> Vec<u8> {
 
 /// Commit `ROUNDS` full rewrites of the page space in `PAGES_PER_TXN`
 /// transactions (the GC-heavy storm the view must outlive).
-fn storm(pool: &ShardedBufferPool) {
+fn storm(pool: &Database) {
     let size = pool.page_size();
     for round in 1..=ROUNDS {
         for chunk in 0..PAGES / PAGES_PER_TXN {
-            let txn = pool.begin();
+            pool.begin().expect("begin");
             for pid in chunk * PAGES_PER_TXN..(chunk + 1) * PAGES_PER_TXN {
-                pool.with_page_mut_txn(pid, txn, |p| p.write(0, &round_image(pid, round, size)))
+                pool.with_page_mut(pid, |p| p.write(0, &round_image(pid, round, size)))
                     .expect("stamp");
             }
-            pool.commit(txn).expect("commit");
+            pool.commit().expect("commit");
         }
     }
 }
@@ -109,7 +119,7 @@ fn epoch_long_view_reads_open_time_bytes_from_the_flash_ledger() {
             }
         });
 
-        let stats = pool.stats();
+        let stats = pool.buffer_stats();
         assert!(
             stats.spilled_versions > 0,
             "{shards} shard(s): the cap overrun must have spilled versions to flash"
@@ -130,9 +140,7 @@ fn epoch_long_view_reads_open_time_bytes_from_the_flash_ledger() {
 
         // Crash without writing anything back: committed state survives,
         // the (released) ledger does not need to.
-        let chips = pool.into_store_without_flush().into_shard_chips();
-        let store = ShardedStore::recover(chips, KIND, options(shards)).expect("recover");
-        let recovered = ShardedBufferPool::new(store, PAGES as usize / 4);
+        let recovered = crash_and_recover(pool, shards);
         for pid in 0..PAGES {
             let got = recovered.with_page(pid, |pg| pg.to_vec()).expect("post-crash read");
             assert_eq!(
@@ -158,19 +166,17 @@ fn crash_with_a_live_ledger_discards_spills_and_keeps_committed_state() {
     // Prove the ledger is populated (the crash below orphans it).
     let probe = pool.with_page_at(&view, 0, |pg| pg.to_vec()).expect("ledger read");
     assert_eq!(probe, seed_image(0, size));
-    assert!(pool.stats().flash_resolves > 0);
+    assert!(pool.buffer_stats().flash_resolves > 0);
     // Crash with the view never released: `view` is dropped here without
     // `release_read`, exactly what power loss does to an open scan.
-    let chips = pool.into_store_without_flush().into_shard_chips();
-    let store = ShardedStore::recover(chips, KIND, options(2)).expect("recover");
-    let recovered = ShardedBufferPool::new(store, PAGES as usize / 4);
+    let recovered = crash_and_recover(pool, 2);
     for pid in 0..PAGES {
         let got = recovered.with_page(pid, |pg| pg.to_vec()).expect("post-crash read");
         assert_eq!(got, round_image(pid, ROUNDS, size), "page {pid} diverged after crash");
     }
     // A fresh view on the recovered pool starts clean: no spilled
     // versions, no ledger traffic, reads come from the live pages.
-    let stats = recovered.stats();
+    let stats = recovered.buffer_stats();
     assert_eq!(stats.spilled_versions, 0);
     assert_eq!(stats.ledger_hits, 0);
 }

@@ -1,14 +1,13 @@
 //! Transactional storage semantics (`pdl-txn`): commit durability,
-//! abort pre-image restoration, conflict detection, group commit over
-//! the sharded pool, and all-or-nothing recovery of cross-shard
-//! commits.
+//! abort pre-image restoration, conflict detection, group commit over a
+//! sharded store, and all-or-nothing recovery of cross-shard commits.
 
 use pdl_core::{
     build_store, BatchPage, CommitBatch, CommitError, MethodKind, PageStore, ShardedStore,
     StoreOptions,
 };
 use pdl_flash::{FlashChip, FlashConfig};
-use pdl_storage::{Database, Durability, ShardedBufferPool, StorageError};
+use pdl_storage::{Database, Durability, StorageError};
 
 const KIND: MethodKind = MethodKind::Pdl { max_diff_size: 128 };
 
@@ -140,7 +139,12 @@ fn buffer_full_of_pinned_frames_is_reported() {
     d.with_page_mut(2, |p| p.write(0, &[3])).unwrap();
 }
 
-fn sharded_pool(shards: usize, pages: u64, capacity: usize) -> ShardedBufferPool {
+/// A database in `Durability::Commit` mode over `store`.
+fn durable(store: ShardedStore, capacity: usize) -> Database {
+    Database::new(Box::new(store), capacity).with_durability(Durability::Commit)
+}
+
+fn sharded_db(shards: usize, pages: u64, capacity: usize) -> Database {
     let store = ShardedStore::with_uniform_chips(
         FlashConfig::tiny(),
         shards,
@@ -148,37 +152,37 @@ fn sharded_pool(shards: usize, pages: u64, capacity: usize) -> ShardedBufferPool
         StoreOptions::new(pages),
     )
     .unwrap();
-    ShardedBufferPool::new(store, capacity)
+    durable(store, capacity)
 }
 
 #[test]
 fn group_commit_is_atomic_per_transaction_across_shards() {
-    let p = sharded_pool(4, 32, 64);
+    let p = sharded_db(4, 32, 64);
     for pid in 0..32u64 {
         p.with_page_mut(pid, |page| page.write(0, &[1; 4])).unwrap();
     }
-    p.flush_all().unwrap();
+    p.flush().unwrap();
     // Four concurrent writers, each committing multi-shard transactions.
     std::thread::scope(|scope| {
         for w in 0..4u64 {
             let p = &p;
             scope.spawn(move || {
                 for round in 0..6u64 {
-                    let txn = p.begin();
+                    p.begin().unwrap();
                     // Each txn touches two pages on different shards
                     // (pid % 4 is the shard).
                     let a = w * 8 + round % 4;
                     let b = w * 8 + 4 + (round + 1) % 4;
-                    p.with_page_mut_txn(a, txn, |page| page.write(0, &[w as u8 + 10; 4])).unwrap();
-                    p.with_page_mut_txn(b, txn, |page| page.write(0, &[w as u8 + 10; 4])).unwrap();
-                    p.commit(txn).unwrap();
+                    p.with_page_mut(a, |page| page.write(0, &[w as u8 + 10; 4])).unwrap();
+                    p.with_page_mut(b, |page| page.write(0, &[w as u8 + 10; 4])).unwrap();
+                    p.commit().unwrap();
                 }
             });
         }
     });
     // Every page was clean when its transaction first touched it: all 48
     // stagings came from the held images.
-    assert_eq!(base_reads_skipped(p.store()), 48);
+    assert_eq!(p.with_store(|s| base_reads_skipped(s)), 48);
     for w in 0..4u64 {
         for off in [0u64, 4] {
             for i in 0..4u64 {
@@ -188,9 +192,7 @@ fn group_commit_is_atomic_per_transaction_across_shards() {
         }
     }
     // Everything committed must survive a crash + sharded recovery.
-    let store = p.into_store_without_flush();
-    let chips = store.into_shard_chips();
-    let mut back = ShardedStore::recover(chips, KIND, StoreOptions::new(32)).unwrap();
+    let mut back = crash_and_recover(p, 32);
     let mut out = vec![0u8; back.logical_page_size()];
     for w in 0..4u64 {
         for off in [0u64, 4] {
@@ -266,48 +268,6 @@ fn half_recorded_cross_shard_commit_is_discarded_globally() {
         back.read_page(pid, &mut out).unwrap();
         assert_eq!(out, vec![5u8; size], "pid {pid} must roll back globally");
     }
-}
-
-#[test]
-fn group_commit_batches_share_flushes() {
-    // Sequentially committed singles vs one grouped batch of the same
-    // writes: the group must program fewer flash pages. Drive the group
-    // case by committing from many threads at once.
-    let solo = sharded_pool(2, 16, 16);
-    for pid in 0..16u64 {
-        solo.with_page_mut(pid, |page| page.write(0, &[9; 4])).unwrap();
-    }
-    solo.flush_all().unwrap();
-    let before = solo.io_stats().total();
-    for i in 0..8u64 {
-        let txn = solo.begin();
-        solo.with_page_mut_txn(i, txn, |page| page.write(1, &[i as u8; 4])).unwrap();
-        solo.commit_solo(txn).unwrap();
-    }
-    let solo_writes = (solo.io_stats().total() - before).writes;
-
-    let grouped = sharded_pool(2, 16, 16);
-    for pid in 0..16u64 {
-        grouped.with_page_mut(pid, |page| page.write(0, &[9; 4])).unwrap();
-    }
-    grouped.flush_all().unwrap();
-    let before = grouped.io_stats().total();
-    std::thread::scope(|scope| {
-        for i in 0..8u64 {
-            let grouped = &grouped;
-            scope.spawn(move || {
-                let txn = grouped.begin();
-                grouped.with_page_mut_txn(i, txn, |page| page.write(1, &[i as u8; 4])).unwrap();
-                grouped.commit(txn).unwrap();
-            });
-        }
-    });
-    let grouped_writes = (grouped.io_stats().total() - before).writes;
-    assert!(
-        grouped_writes <= solo_writes,
-        "group commit must not write more pages than solo commits \
-         (grouped {grouped_writes} vs solo {solo_writes})"
-    );
 }
 
 #[test]
@@ -598,36 +558,46 @@ fn a_commit_after_a_failed_commit_never_loses_a_preimage() {
 
 #[test]
 fn a_pool_batch_after_a_failed_batch_gets_the_stored_error() {
-    // The same two batches through the sharded pool's group-commit path,
-    // with power failing on both chips or on one of them only. The pool
-    // keeps going after a failed batch (it aborts the members), so it is
-    // the store that must refuse the next one.
+    // Transaction 1 through the database's group-commit path over two
+    // shards, with power failing on both chips or on one of them only. A
+    // batch that failed after it was opened stops the database, and the
+    // store it failed on must refuse the next batch with the same error.
     for armed in [&[0usize, 1][..], &[0], &[1]] {
         for budget in 0.. {
             let what = format!("chips {armed:?}, budget {budget}");
-            let p = sharded_pool(2, 16, 8);
-            for pid in 0..4u64 {
-                p.with_page_mut(pid, |page| page.write(0, &[0x11; 8])).unwrap();
+            let mut store = ShardedStore::with_uniform_chips(
+                FlashConfig::tiny(),
+                2,
+                KIND,
+                StoreOptions::new(16),
+            )
+            .unwrap();
+            for pid in 0..4 {
+                store.write_page(pid, &page_with(&[])).unwrap();
             }
-            p.flush_all().unwrap();
-            let t1 = p.begin();
-            p.with_page_mut_txn(0, t1, |page| page.fill(0, 200, 0xAA)).unwrap();
-            p.with_page_mut_txn(1, t1, |page| page.fill(0, 200, 0xBB)).unwrap();
-            p.with_page_mut_txn(2, t1, |page| page.write(4, b"txn-b")).unwrap();
+            store.flush().unwrap();
             for &s in armed {
-                p.store().with_shard(s, |st| st.chip_mut().arm_fault(budget));
+                store.with_shard(s, |st| st.chip_mut().arm_fault(budget));
             }
-            let result = p.commit(t1);
-            for s in 0..2 {
-                p.store().with_shard(s, |st| st.chip_mut().disarm_fault());
-            }
-            let Err(e) = result else { break };
-            let t2 = p.begin();
-            p.with_page_mut_txn(3, t2, |page| page.write(0, b"txn-2")).unwrap();
-            assert_eq!(p.commit(t2).unwrap_err(), e, "{what}: the store must refuse the batch");
-            let chips = p.into_store_without_flush().into_shard_chips();
-            let mut back = ShardedStore::recover(chips, KIND, StoreOptions::new(16)).unwrap();
-            check_two_commit_recovery(&mut back, false, false, &what);
+            let d = Database::new_with_allocated(Box::new(store), 8, 4)
+                .with_durability(Durability::Commit);
+            first_transaction(&d);
+            let Err(e) = d.commit() else {
+                assert!(budget > 0, "chips {armed:?}: the sweep never hit the commit");
+                break;
+            };
+            let Err(stopped) = d.begin() else {
+                panic!("{what}: a failed batch must stop the database")
+            };
+            assert_eq!(stopped, e, "{what}: a stopped database reports what stopped it");
+            let second = page_with(&[(0, b"txn-2")]);
+            let batch =
+                CommitBatch { pages: vec![BatchPage::new(3, &second, u64::MAX)], roots: None };
+            let refused = d.with_store(|s| s.commit_batch(&batch)).unwrap_err();
+            let StorageError::Store(cause) = e else { panic!("{what}: {e}") };
+            assert_eq!(refused, CommitError::Failed(cause), "{what}: the store refuses");
+            let mut back = crash_and_recover(d, 16);
+            check_two_commit_recovery(back.as_mut(), false, false, &what);
         }
     }
 }

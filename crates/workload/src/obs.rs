@@ -14,7 +14,7 @@
 //! * `integrity.{detected_corruptions,repaired_pages}`.
 //! * `wear.{num_blocks,min_erases,avg_erases,max_erases,total_erases}`.
 //! * `buffer.{hits,misses,evictions,dirty_writebacks,version_reads,
-//!   active_views,commit_flush_us_sum,commit_flush_us_max,leaked_pids}`.
+//!   active_views,leaked_pids}`.
 //! * `retention.{ledger_enabled,spilled_versions,ledger_hits,
 //!   flash_resolves,pinned_skips}` for the flash version-retention
 //!   ledger (`obs_gate` cross-checks `ledger_enabled` against
@@ -93,8 +93,6 @@ pub fn put_buffer_stats(reg: &mut MetricsRegistry, prefix: &str, b: &BufferStats
     reg.set_u64(&format!("{prefix}.dirty_writebacks"), b.dirty_writebacks);
     reg.set_u64(&format!("{prefix}.version_reads"), b.version_reads);
     reg.set_u64(&format!("{prefix}.active_views"), b.active_views);
-    reg.set_u64(&format!("{prefix}.commit_flush_us_sum"), b.commit_flush_us_sum);
-    reg.set_u64(&format!("{prefix}.commit_flush_us_max"), b.commit_flush_us_max);
     reg.set_u64(&format!("{prefix}.leaked_pids"), b.leaked_pids);
 }
 

@@ -1,5 +1,7 @@
 //! The mixed readers-alongside-writers driver: N snapshot scanners race
-//! M committing writers over one [`ShardedBufferPool`].
+//! M committing writers over one [`Database`] (in
+//! [`pdl_storage::Durability::Commit`] mode, typically over a sharded
+//! store).
 //!
 //! Each writer owns a contiguous page group spanning every shard and
 //! stamps a monotonically increasing round counter into *all* of its
@@ -23,8 +25,8 @@
 //!   experiments use (on a one-core host the wall clock cannot separate
 //!   the disciplines, but the serialization structure can).
 
-use pdl_core::PageStore;
-use pdl_storage::{PageRead, ShardedBufferPool, StorageError, StructId, StructRoot};
+use pdl_flash::FlashStats;
+use pdl_storage::{Database, PageRead, StorageError, StructId, StructRoot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -116,7 +118,7 @@ pub struct SnapshotReadResult {
     /// Command-queue gauges of the run, aggregated over the shards
     /// (`max_inflight` is the run-level peak, not a delta).
     pub pipeline: pdl_flash::PipelineCounts,
-    /// Pool statistics sampled at the end of the run. `active_views` and
+    /// Buffer statistics sampled at the end of the run. `active_views` and
     /// `leaked_pids` must both read 0 after a clean teardown — the
     /// benches assert on them.
     pub buffer: pdl_storage::BufferStats,
@@ -136,14 +138,21 @@ impl SnapshotReadResult {
     }
 }
 
+/// Every chip's flash ledger and pipeline clock, shard order.
+fn per_chip(db: &Database) -> Vec<(FlashStats, u64)> {
+    let mut chips = Vec::new();
+    db.with_store(|s| s.for_each_chip(&mut |c| chips.push((c.stats(), c.pipeline_busy_us()))));
+    chips
+}
+
 /// Run the workload. Writer `w` owns pages
 /// `[w * pages_per_txn, (w+1) * pages_per_txn)`; pages past
 /// `writers * pages_per_txn` are read-only ballast the scanners fault in.
 pub fn run_snapshot_read_workload(
-    pool: &ShardedBufferPool,
+    db: &Database,
     cfg: &SnapshotReadConfig,
 ) -> pdl_storage::Result<SnapshotReadResult> {
-    let num_pages = pool.store().options().num_logical_pages;
+    let num_pages = db.with_store(|s| s.options().num_logical_pages);
     let group = cfg.pages_per_txn.max(1) as u64;
     assert!(
         cfg.writers as u64 * group <= num_pages,
@@ -155,13 +164,13 @@ pub fn run_snapshot_read_workload(
     // registers its page-list structure, one page long to start.
     let mut struct_ids: Vec<StructId> = Vec::new();
     for w in 0..cfg.writers as u64 {
-        let txn = pool.begin();
+        db.begin()?;
         for pid in w * group..(w + 1) * group {
-            pool.with_page_mut_txn(pid, txn, |page| page.write(0, &0u64.to_le_bytes()))?;
+            db.with_page_mut(pid, |page| page.write(0, &0u64.to_le_bytes()))?;
         }
-        pool.commit(txn)?;
+        db.commit()?;
         if cfg.structure_churn {
-            struct_ids.push(pool.register_struct(StructRoot::Heap { pages: vec![w * group] }));
+            struct_ids.push(db.register_struct(StructRoot::Heap { pages: vec![w * group] }));
         }
     }
     let struct_ids = &struct_ids;
@@ -169,15 +178,13 @@ pub fn run_snapshot_read_workload(
     let big_lock = Mutex::new(()); // the locked baseline's read path
     let torn = AtomicU64::new(0);
     let retries = AtomicU64::new(0);
-    let stats_before = pool.store().per_shard_stats();
-    let pipeline_before = pool.store().per_shard_pipeline_us();
-    let cache_before = pool.stats();
+    let chips_before = per_chip(db);
+    let cache_before = db.buffer_stats();
     let started = Instant::now();
 
     let results: Vec<pdl_storage::Result<u64>> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for w in 0..cfg.writers as u64 {
-            let pool = &pool;
             let big_lock = &big_lock;
             let cfg = *cfg;
             handles.push(scope.spawn(move || -> pdl_storage::Result<u64> {
@@ -187,7 +194,7 @@ pub fn run_snapshot_read_workload(
                     let _serial = cfg
                         .locked_baseline
                         .then(|| big_lock.lock().unwrap_or_else(|e| e.into_inner()));
-                    let txn = pool.begin();
+                    db.begin()?;
                     if cfg.structure_churn {
                         // Grow (or collapse) the registered page list and
                         // stamp exactly the listed pages; the shape change
@@ -195,30 +202,21 @@ pub fn run_snapshot_read_workload(
                         len = if len == group { 1 } else { len + 1 };
                         let pages: Vec<u64> = (w * group..w * group + len).collect();
                         for &pid in &pages {
-                            pool.with_page_mut_txn(pid, txn, |page| {
-                                page.write(0, &round.to_le_bytes())
-                            })?;
+                            db.with_page_mut(pid, |page| page.write(0, &round.to_le_bytes()))?;
                         }
-                        pool.publish_struct_txn(
-                            txn,
-                            struct_ids[w as usize],
-                            StructRoot::Heap { pages },
-                        );
+                        db.publish_struct(struct_ids[w as usize], StructRoot::Heap { pages });
                     } else {
                         for pid in w * group..(w + 1) * group {
-                            pool.with_page_mut_txn(pid, txn, |page| {
-                                page.write(0, &round.to_le_bytes())
-                            })?;
+                            db.with_page_mut(pid, |page| page.write(0, &round.to_le_bytes()))?;
                         }
                     }
-                    pool.commit(txn)?;
+                    db.commit()?;
                     committed += 1;
                 }
                 Ok(committed)
             }));
         }
         for _ in 0..cfg.readers {
-            let pool = &pool;
             let big_lock = &big_lock;
             let torn = &torn;
             let retries = &retries;
@@ -229,19 +227,19 @@ pub fn run_snapshot_read_workload(
                     let outcome = if cfg.locked_baseline {
                         let _serial = big_lock.lock().unwrap_or_else(|e| e.into_inner());
                         if cfg.structure_churn {
-                            scan_structs(*pool, struct_ids, group, num_pages)
+                            scan_structs(db, struct_ids, group, num_pages)
                         } else {
-                            scan_current(pool, cfg.writers as u64, group, num_pages)
+                            scan_current(db, cfg.writers as u64, group, num_pages)
                         }
                     } else if cfg.structure_churn {
                         // The leak-proof bracket: the guard releases the
                         // view even on a `?` early return below.
-                        pool.with_read_view(|view| {
-                            scan_structs(&pool.snapshot(view), struct_ids, group, num_pages)
+                        db.with_read_view(|view| {
+                            scan_structs(&db.snapshot(view), struct_ids, group, num_pages)
                         })
                     } else {
-                        pool.with_read_view(|view| {
-                            scan_snapshot(pool, view, cfg.writers as u64, group, num_pages)
+                        db.with_read_view(|view| {
+                            scan_snapshot(db, view, cfg.writers as u64, group, num_pages)
                         })
                     };
                     match outcome {
@@ -274,39 +272,30 @@ pub fn run_snapshot_read_workload(
             scans += r?;
         }
     }
-    let stats_after = pool.store().per_shard_stats();
-    let per_shard_us: Vec<u64> = stats_after
-        .iter()
-        .zip(stats_before.iter())
-        .map(|(a, b)| (a.total() - b.total()).total_us())
-        .collect();
-    let pipeline_us_max_shard = pool
-        .store()
-        .per_shard_pipeline_us()
-        .iter()
-        .zip(pipeline_before.iter())
-        .map(|(a, b)| a.saturating_sub(*b))
-        .max()
-        .unwrap_or(0);
-    let mut pipeline = stats_after
-        .iter()
-        .zip(stats_before.iter())
-        .map(|(a, b)| a.delta_since(b).pipeline)
+    let chips_after = per_chip(db);
+    let chips = || chips_after.iter().zip(chips_before.iter());
+    let per_shard_us: Vec<u64> =
+        chips().map(|((a, _), (b, _))| (a.total() - b.total()).total_us()).collect();
+    let pipeline_us_max_shard =
+        chips().map(|((_, a), (_, b))| a.saturating_sub(*b)).max().unwrap_or(0);
+    let mut pipeline = chips()
+        .map(|((a, _), (b, _))| a.delta_since(b).pipeline)
         .fold(pdl_flash::PipelineCounts::default(), |acc, p| acc + p);
     // `max_inflight` is a high-water mark, so its delta is 0 whenever the
     // peak predates the workload; report the run-level peak instead.
-    pipeline.max_inflight = stats_after.iter().map(|s| s.pipeline.max_inflight).max().unwrap_or(0);
+    pipeline.max_inflight =
+        chips_after.iter().map(|(s, _)| s.pipeline.max_inflight).max().unwrap_or(0);
     Ok(SnapshotReadResult {
         scans,
         committed,
         torn_scans: torn.load(Ordering::Relaxed),
         too_old_retries: retries.load(Ordering::Relaxed),
-        version_reads: pool.stats().version_reads - cache_before.version_reads,
+        version_reads: db.buffer_stats().version_reads - cache_before.version_reads,
         flash_us_total: per_shard_us.iter().sum(),
         flash_us_max_shard: per_shard_us.iter().copied().max().unwrap_or(0),
         pipeline_us_max_shard,
         pipeline,
-        buffer: pool.stats(),
+        buffer: db.buffer_stats(),
         wall: started.elapsed(),
     })
 }
@@ -314,7 +303,7 @@ pub fn run_snapshot_read_workload(
 /// One full sweep through a [`pdl_storage::ReadView`]; returns whether
 /// every writer group was observed atomically.
 fn scan_snapshot(
-    pool: &ShardedBufferPool,
+    db: &Database,
     view: &pdl_storage::ReadView,
     writers: u64,
     group: u64,
@@ -324,8 +313,8 @@ fn scan_snapshot(
     for w in 0..writers {
         let mut first = None;
         for pid in w * group..(w + 1) * group {
-            let stamp = pool
-                .with_page_at(view, pid, |pg| u64::from_le_bytes(pg[0..8].try_into().unwrap()))?;
+            let stamp =
+                db.with_page_at(view, pid, |pg| u64::from_le_bytes(pg[0..8].try_into().unwrap()))?;
             match first {
                 None => first = Some(stamp),
                 Some(f) if f != stamp => consistent = false,
@@ -334,7 +323,7 @@ fn scan_snapshot(
         }
     }
     for pid in writers * group..num_pages {
-        pool.with_page_at(view, pid, |pg| pg[0])?;
+        db.with_page_at(view, pid, |pg| pg[0])?;
     }
     Ok(consistent)
 }
@@ -381,7 +370,7 @@ fn scan_structs<S: PageRead>(
 /// The locked baseline's sweep: plain current-state reads (the caller
 /// holds the global lock, which is what makes them consistent).
 fn scan_current(
-    pool: &ShardedBufferPool,
+    db: &Database,
     writers: u64,
     group: u64,
     num_pages: u64,
@@ -390,8 +379,7 @@ fn scan_current(
     for w in 0..writers {
         let mut first = None;
         for pid in w * group..(w + 1) * group {
-            let stamp =
-                pool.with_page(pid, |pg| u64::from_le_bytes(pg[0..8].try_into().unwrap()))?;
+            let stamp = db.with_page(pid, |pg| u64::from_le_bytes(pg[0..8].try_into().unwrap()))?;
             match first {
                 None => first = Some(stamp),
                 Some(f) if f != stamp => consistent = false,
@@ -400,7 +388,7 @@ fn scan_current(
         }
     }
     for pid in writers * group..num_pages {
-        pool.with_page(pid, |pg| pg[0])?;
+        db.with_page(pid, |pg| pg[0])?;
     }
     Ok(consistent)
 }
@@ -410,8 +398,9 @@ mod tests {
     use super::*;
     use pdl_core::{MethodKind, ShardedStore, StoreOptions};
     use pdl_flash::FlashConfig;
+    use pdl_storage::Durability;
 
-    fn pool(shards: usize, pages: u64, capacity: usize) -> ShardedBufferPool {
+    fn pool(shards: usize, pages: u64, capacity: usize) -> Database {
         let store = ShardedStore::with_uniform_chips(
             FlashConfig::scaled(16),
             shards,
@@ -419,12 +408,12 @@ mod tests {
             StoreOptions::new(pages),
         )
         .unwrap();
-        let pool = ShardedBufferPool::new(store, capacity);
+        let db = Database::new(Box::new(store), capacity).with_durability(Durability::Commit);
         for pid in 0..pages {
-            pool.with_page_mut(pid, |p| p.write(0, &[0; 8])).unwrap();
+            db.with_page_mut(pid, |p| p.write(0, &[0; 8])).unwrap();
         }
-        pool.flush_all().unwrap();
-        pool
+        db.flush().unwrap();
+        db
     }
 
     #[test]
@@ -453,7 +442,7 @@ mod tests {
         assert_eq!(r.committed, 48);
         assert_eq!(r.torn_scans, 0, "structure shape and page stamps must move atomically");
         // Teardown: the view registry drained and nothing stayed pinned.
-        assert_eq!(p.stats().active_views, 0);
+        assert_eq!(p.buffer_stats().active_views, 0);
         assert_eq!(p.retained_versions(), 0);
         assert_eq!(p.retained_struct_versions(), 0);
     }

@@ -114,6 +114,13 @@ impl StructWritersResult {
     }
 }
 
+/// Every chip's pipeline busy time (µs), shard order.
+fn per_chip_busy_us(db: &Database) -> Vec<u64> {
+    let mut busy = Vec::new();
+    db.with_store(|s| s.for_each_chip(&mut |c| busy.push(c.pipeline_busy_us())));
+    busy
+}
+
 fn key_of(writer: usize, i: u64) -> Key {
     KeyBuf::new().push_u8(writer as u8).push_u64(i).finish()
 }
@@ -152,7 +159,7 @@ pub fn run_struct_writers_workload(
     db.commit()?;
 
     let io_before = db.io_stats().total();
-    let busy_before = db.with_store(|s| s.per_shard_busy_us());
+    let busy_before = per_chip_busy_us(db);
     let started = Instant::now();
     let stop = AtomicBool::new(false);
     let retries = AtomicU64::new(0);
@@ -242,7 +249,7 @@ pub fn run_struct_writers_workload(
     }
 
     let (snapshots_taken, torn_snapshots) = *reader_out.lock().unwrap_or_else(|e| e.into_inner());
-    let busy_after = db.with_store(|s| s.per_shard_busy_us());
+    let busy_after = per_chip_busy_us(db);
     let per_shard_busy_us: Vec<u64> = busy_after
         .iter()
         .zip(busy_before.iter().chain(std::iter::repeat(&0)))

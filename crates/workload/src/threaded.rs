@@ -223,7 +223,7 @@ pub fn run_threaded_update_workload(
     // between batches, so workers stay off any global synchronisation.
     let batch = 1024u64.min(cfg.update.warmup_max_cycles.max(1));
     loop {
-        let erases = store.stats_shared().total().erases;
+        let erases = PageStore::stats(store).total().erases;
         let steady = erases >= cfg.update.warmup_erase_target
             && warmup_cycles >= cfg.update.warmup_min_cycles;
         if steady || warmup_cycles >= cfg.update.warmup_max_cycles {
@@ -232,7 +232,7 @@ pub fn run_threaded_update_workload(
         let m = run_workers(store, cfg, batch, false, &mut gens)?;
         warmup_cycles += m.warmup_cycles;
     }
-    let warmup_erases = store.stats_shared().total().erases;
+    let warmup_erases = PageStore::stats(store).total().erases;
 
     store.reset_stats_shared();
     let mut m = run_workers(store, cfg, cfg.update.measured_cycles, true, &mut gens)?;
@@ -272,7 +272,7 @@ mod tests {
         assert!(m.read_step.total().reads >= m.cycles);
         assert!(m.write_step.total().writes > 0);
         // Attributed per-thread costs cover exactly what the chips saw.
-        let chip_total = store.stats_shared().total();
+        let chip_total = PageStore::stats(&store).total();
         let attributed = m.read_step.total() + m.write_step.total();
         assert_eq!(attributed, chip_total);
     }

@@ -1,10 +1,12 @@
 //! The transactional commit driver (`pdl-txn`): W concurrent writers
-//! issue multi-page transactions against a [`ShardedBufferPool`] and
-//! commit them either through the **group-commit coordinator** (batches
-//! share differential pages and commit-record flushes per shard) or
-//! **solo** (every transaction pays its own flushes) — the commit-latency
-//! versus flash-throughput trade-off Adaptive Logging (Yao et al.)
-//! studies at commit time.
+//! issue multi-page transactions against a [`Database`] in
+//! [`pdl_storage::Durability::Commit`] mode and commit them either
+//! through its **group-commit queue** (batches share differential pages
+//! and commit-record flushes per shard) or **solo** (the workload lets one
+//! committer at a time reach the database, so every batch holds one
+//! transaction and pays its own flushes) — the commit-latency versus
+//! flash-throughput trade-off Adaptive Logging (Yao et al.) studies at
+//! commit time.
 //!
 //! Throughput is reported against *simulated flash time* (the same
 //! machine-independent accounting every experiment in this repo uses):
@@ -13,8 +15,8 @@
 //! advantage is fewer page programs per committed transaction.
 
 use crate::mutate::UpdateGen;
-use pdl_core::PageStore;
-use pdl_storage::ShardedBufferPool;
+use pdl_storage::Database;
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// Parameters of a transactional commit workload.
@@ -26,7 +28,8 @@ pub struct TxnCommitConfig {
     pub txns_per_writer: u64,
     /// Pages each transaction updates (its multi-page atomic unit).
     pub pages_per_txn: usize,
-    /// `true` = group commit; `false` = solo commits (the baseline).
+    /// `true` = group commit; `false` = solo commits (the baseline): the
+    /// workload serializes `commit()` calls, so no batch has company.
     pub group: bool,
     pub seed: u64,
 }
@@ -55,7 +58,7 @@ pub struct TxnCommitResult {
     pub writes: u64,
     /// Simulated flash time consumed by the run (µs).
     pub flash_us: u64,
-    /// Pool statistics sampled at the end of the run. `leaked_pids` and
+    /// Buffer statistics sampled at the end of the run. `leaked_pids` and
     /// `active_views` must both read 0 after a clean run — a nonzero
     /// value is a leak, and the benches assert on it.
     pub buffer: pdl_storage::BufferStats,
@@ -78,18 +81,23 @@ impl TxnCommitResult {
 /// its pages per transaction, and commits. Statistics are deltas over
 /// the run.
 pub fn run_txn_commit_workload(
-    pool: &ShardedBufferPool,
+    db: &Database,
     cfg: &TxnCommitConfig,
 ) -> pdl_storage::Result<TxnCommitResult> {
-    let num_pages = pool.store().options().num_logical_pages;
-    let page_size = pool.page_size();
+    let num_pages = db.with_store(|s| s.options().num_logical_pages);
+    let page_size = db.page_size();
     let writers = cfg.writers.max(1);
-    let before = pool.io_stats();
+    let solo = Mutex::new(());
+    // Writers start together: a run of a few hundred short transactions
+    // is over before the last thread is spawned otherwise, and no two
+    // commits would ever meet.
+    let start = Barrier::new(writers);
+    let before = db.io_stats();
     let started = Instant::now();
     let results: Vec<pdl_storage::Result<u64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..writers)
             .map(|w| {
-                let pool = &pool;
+                let (solo, start) = (&solo, &start);
                 let cfg = *cfg;
                 scope.spawn(move || -> pdl_storage::Result<u64> {
                     let mut gen = UpdateGen::new(
@@ -99,22 +107,24 @@ pub fn run_txn_commit_workload(
                     );
                     let owned = pdl_core::shard_pages(num_pages, writers, w);
                     let mut committed = 0u64;
+                    start.wait();
                     for _ in 0..cfg.txns_per_writer {
-                        let txn = pool.begin();
+                        db.begin()?;
                         for k in 0..cfg.pages_per_txn {
                             // The k-th page of this txn, within w's class.
                             let local = (gen.pick_page(owned.max(1)) + k as u64) % owned.max(1);
                             let pid = w as u64 + local * writers as u64;
-                            pool.with_page_mut_txn(pid, txn, |page| {
+                            db.with_page_mut(pid, |page| {
                                 let len = page.len();
                                 let at = (committed as usize * 13 + k * 31) % (len - 8);
                                 page.write(at, &[(committed as u8).wrapping_add(k as u8); 8]);
                             })?;
                         }
                         if cfg.group {
-                            pool.commit(txn)?;
+                            db.commit()?;
                         } else {
-                            pool.commit_solo(txn)?;
+                            let _alone = solo.lock().unwrap_or_else(|e| e.into_inner());
+                            db.commit()?;
                         }
                         committed += 1;
                     }
@@ -128,12 +138,12 @@ pub fn run_txn_commit_workload(
     for r in results {
         committed += r?;
     }
-    let delta = pool.io_stats().total() - before.total();
+    let delta = db.io_stats().total() - before.total();
     Ok(TxnCommitResult {
         committed,
         writes: delta.writes,
         flash_us: delta.total_us(),
-        buffer: pool.stats(),
+        buffer: db.buffer_stats(),
         wall: started.elapsed(),
     })
 }
@@ -143,8 +153,9 @@ mod tests {
     use super::*;
     use pdl_core::{MethodKind, ShardedStore, StoreOptions};
     use pdl_flash::FlashConfig;
+    use pdl_storage::Durability;
 
-    fn pool(shards: usize, pages: u64) -> ShardedBufferPool {
+    fn pool(shards: usize, pages: u64) -> Database {
         let store = ShardedStore::with_uniform_chips(
             FlashConfig::scaled(8),
             shards,
@@ -152,12 +163,12 @@ mod tests {
             StoreOptions::new(pages),
         )
         .unwrap();
-        let pool = ShardedBufferPool::new(store, 256);
+        let db = Database::new(Box::new(store), 256).with_durability(Durability::Commit);
         for pid in 0..pages {
-            pool.with_page_mut(pid, |p| p.write(0, &[1; 4])).unwrap();
+            db.with_page_mut(pid, |p| p.write(0, &[1; 4])).unwrap();
         }
-        pool.flush_all().unwrap();
-        pool
+        db.flush().unwrap();
+        db
     }
 
     #[test]

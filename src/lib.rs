@@ -9,7 +9,7 @@
 //! |---|---|
 //! | [`flash`] | NAND chip emulator (Table 1 geometry/timing, 1→0 programming, NOP budgets, erase, wear, fault injection) |
 //! | [`core`] | the page-update methods: **PDL** (the paper's contribution), OPU, IPU and IPL, over a shared FTL with greedy GC — plus the sharded concurrent engine ([`core::ShardedStore`]) |
-//! | [`storage`] | DBMS substrate: buffer pool (single and shard-striped), slotted pages, heap files, B+-tree |
+//! | [`storage`] | DBMS substrate: buffer pool with group commit and read views, slotted pages, heap files, B+-tree |
 //! | [`tpcc`] | the TPC-C workload of Experiment 7 |
 //! | [`workload`] | the synthetic update-operation drivers of Experiments 1–6, single- and multi-threaded |
 //!
@@ -65,8 +65,7 @@ pub mod prelude {
         PageKind, Ppn, WearSummary,
     };
     pub use pdl_storage::{
-        BTree, BufferPool, Database, Durability, HeapFile, KeyBuf, RecordId, ShardedBufferPool,
-        TxnId,
+        BTree, BufferPool, Database, Durability, HeapFile, KeyBuf, RecordId, TxnId,
     };
     pub use pdl_workload::{
         load_database, run_mix_workload, run_threaded_update_workload, run_update_workload,
