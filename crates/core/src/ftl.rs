@@ -564,7 +564,7 @@ impl BlockManager {
         self.active = None;
         self.active_cold = None;
         // Retention pins do not survive a crash: the read views holding
-        // them are gone, and recovery marks spill pages dead.
+        // them are gone, and recovery counts spill pages dead.
         self.retained.fill(0);
         self.retention_skips.set(0);
         for b in 0..self.states.len() {

@@ -10,12 +10,11 @@
 //! split into two halves used alternately, double-buffer style:
 //! [`Pdl::checkpoint`] serialises the mapping tables (ppmt, vdct, the
 //! time-stamp bookkeeping, allocator counts, the transaction tables —
-//! per-page tags, per-diff-page tag lists and live commit-record
-//! locations — and the structure roots) plus a per-block *fingerprint*,
-//! writes them as
-//! payload pages into the idle half, and commits by writing a header page
-//! last. A crash mid-checkpoint leaves the previous half's checkpoint
-//! intact.
+//! per-page tags, per-diff-page tag lists, live commit-record locations
+//! and the transaction-id floor — and the structure roots) plus a
+//! per-block *fingerprint*, writes them as payload pages into the idle
+//! half, and commits by writing a header page last. A crash
+//! mid-checkpoint leaves the previous half's checkpoint intact.
 //!
 //! Recovery's read pass ([`load_checkpoint_delta`]) loads the newest
 //! committed checkpoint and then performs a **delta scan**: for each block
@@ -40,16 +39,17 @@ use super::{Pdl, PpmtEntry, NONE};
 use crate::diff::NO_TXN;
 use crate::error::CoreError;
 use crate::ftl::make_spare;
-use crate::page_store::{StoreOptions, StructRootEntry, StructRootsSnapshot};
+use crate::page_store::{PageStore as _, StoreOptions, StructRootEntry, StructRootsSnapshot};
 use crate::Result;
-use pdl_flash::{BlockId, FlashChip, PageKind, Ppn, SpareInfo};
+use pdl_flash::{BlockId, FlashChip, PageBuf, PageKind, Ppn, SpareInfo};
 
 const PAYLOAD_MAGIC: u32 = 0x504C_4B31; // "PLK1"
 const HEADER_MAGIC: u32 = 0x504C_4831; // "PLH1"
-/// The one codec version ever deployed (v3: the registered
-/// structure-root snapshot closes the payload). A header or payload
-/// carrying any other version is no checkpoint: recovery scans in full.
-const VERSION: u16 = 3;
+/// The codec version (v4: the transaction-id floor follows the commit
+/// locations; v3 had none, and the registered structure-root snapshot
+/// closes the payload in both). A header or payload carrying any other
+/// version is no checkpoint: recovery scans in full.
+const VERSION: u16 = 4;
 /// Fixed-size header record at the start of the header page's data area.
 const HEADER_LEN: usize = 4 + 2 + 2 + 8 + 8 + 4 + 4 + 8 + 4;
 
@@ -98,7 +98,7 @@ fn encode_identity(out: &mut [u8], info: Option<SpareInfo>) {
 
 /// Serialised checkpoint stream layout (little-endian, fixed order):
 /// dims, ppmt, frame_ts, diff_ts, vdct, written, obsolete, txn tables,
-/// fingerprints.
+/// txn-id floor, fingerprints, structure roots.
 struct Stream(Vec<u8>);
 
 impl Stream {
@@ -233,7 +233,9 @@ fn decode_root_record(bytes: &[u8]) -> Option<(u64, StructRootsSnapshot)> {
 /// The structure-root log state resolved at recovery: the authoritative
 /// snapshot, where the live-half tail resumes, and which transaction's
 /// record is currently authoritative (so its commit record stays
-/// retained until the next checkpoint compacts the log).
+/// retained until the next checkpoint compacts the log). The default is
+/// a store without a root region.
+#[derive(Default)]
 pub(crate) struct RootLogState {
     pub seq: u64,
     pub live_half: Option<u8>,
@@ -249,6 +251,8 @@ pub(crate) struct RootLogState {
     /// The transaction whose tail record is authoritative (`None` when
     /// the roots come from the checkpoint payload baseline).
     pub live_txn: Option<u64>,
+    /// Above every transaction id of a tail record, committed or torn.
+    pub txn_floor: u64,
 }
 
 /// Resolve the durable structure roots and tail position from the
@@ -279,6 +283,7 @@ pub(crate) fn load_root_state(
     // one wins and the first free page (or torn trailer) ends the log.
     let mut at = start;
     let mut live_txn = None;
+    let mut txn_floor = 1;
     let mut img = vec![0u8; g.data_size];
     while at < tail_end {
         match chip.read_spare(Ppn(at))? {
@@ -297,6 +302,7 @@ pub(crate) fn load_root_state(
             }
             break;
         };
+        txn_floor = txn_floor.max(txn.saturating_add(1));
         if is_committed(txn) {
             roots = snap;
             live_txn = Some(txn);
@@ -312,6 +318,7 @@ pub(crate) fn load_root_state(
         tail_used: live_half.is_none() && at > start,
         roots,
         live_txn,
+        txn_floor,
     })
 }
 
@@ -355,18 +362,7 @@ fn load_payload_roots(
     header: &Header,
 ) -> Result<Option<StructRootsSnapshot>> {
     let g = chip.geometry();
-    let mut payload = Vec::with_capacity(header.payload_len as usize);
-    let mut img = vec![0u8; g.data_size];
-    for i in 0..header.payload_pages {
-        if chip.read_data(Ppn(header.base_ppn + i), &mut img).is_err() {
-            return Ok(None);
-        }
-        payload.extend_from_slice(&img);
-    }
-    payload.truncate(header.payload_len as usize);
-    if payload.len() != header.payload_len as usize || (fnv1a64(&payload) as u32) != header.csum {
-        return Ok(None);
-    }
+    let Some(payload) = read_payload(chip, header) else { return Ok(None) };
     let nl = opts.num_logical_pages as usize;
     let k = opts.frames_per_page as usize;
     let mut c = Cursor { bytes: &payload, at: 0 };
@@ -386,6 +382,7 @@ fn load_payload_roots(
     c.skip(nl * k * 8)?; // base_txn
     let n_locs = c.u32()? as usize;
     c.skip(n_locs * 12)?;
+    c.skip(8)?; // txn-id floor
     c.skip(blocks * 8)?; // fingerprints
     Ok(Some(parse_roots(&mut c)?))
 }
@@ -411,72 +408,10 @@ impl Pdl {
                 "checkpoint inside an open commit batch is not allowed".into(),
             ));
         }
-        use crate::page_store::PageStore as _;
         self.flush()?;
 
         let g = self.chip.geometry();
-        let nl = self.opts.num_logical_pages as usize;
-        let k = self.opts.frames_per_page as usize;
-
-        // Serialise the tables.
-        let mut s = Stream(Vec::with_capacity(64 * 1024));
-        s.push_u32(PAYLOAD_MAGIC);
-        s.push_u16(VERSION);
-        s.push_u16(k as u16);
-        s.push_u64(nl as u64);
-        s.push_u32(g.num_blocks);
-        s.push_u32(g.num_pages());
-        for e in &self.ppmt {
-            for j in 0..k {
-                s.push_u32(e.base[j]);
-            }
-            s.push_u32(e.diff);
-        }
-        // The recovery bookkeeping is not held by a running store; rebuild
-        // it from the spare areas we already track implicitly. We persist
-        // ts watermarks per frame/pid as "unknown" (0): replay relies on
-        // strict ordering only for post-checkpoint pages, whose ts all
-        // exceed the watermark, and purged entries reset to 0 anyway.
-        // Instead of zeros we store the current global watermark for every
-        // live entry, which preserves the "newer wins" semantics. (GC
-        // copies keep their old ts; `load_checkpoint_delta` ranks a loaded
-        // base below a relocated differential of its page.)
-        let watermark = self.ts.saturating_sub(1);
-        for e in &self.ppmt {
-            for j in 0..k {
-                s.push_u64(if e.base[j] == NONE { 0 } else { watermark });
-            }
-        }
-        for e in &self.ppmt {
-            s.push_u64(if e.diff == NONE { 0 } else { watermark });
-        }
-        for v in &self.vdct {
-            s.push_u16(*v);
-        }
-        for b in 0..g.num_blocks {
-            s.push_u32(self.alloc.written_in(BlockId(b)));
-        }
-        for b in 0..g.num_blocks {
-            let written = self.alloc.written_in(BlockId(b));
-            let valid = self.alloc.valid_in(BlockId(b));
-            s.push_u32(written - valid);
-        }
-        // Transaction tables: per-page tags and live
-        // commit-record locations. Presence is recomputed at load time,
-        // so it is not persisted.
-        for t in &self.diff_txn {
-            s.push_u64(*t);
-        }
-        for t in &self.base_txn {
-            s.push_u64(*t);
-        }
-        s.push_u32(self.commit_locs.len() as u32);
-        let mut loc_entries: Vec<(&u64, &u32)> = self.commit_locs.iter().collect();
-        loc_entries.sort_by_key(|(t, _)| **t);
-        for (t, p) in loc_entries {
-            s.push_u64(*t);
-            s.push_u32(*p);
-        }
+        let mut s = self.encode_tables();
         for b in 0..g.num_blocks {
             let fp = if b < r {
                 u64::MAX // root region: never delta-scanned
@@ -491,6 +426,7 @@ impl Pdl {
         push_roots(&mut s, &self.struct_roots);
         let payload = s.0;
         let csum = fnv1a64(&payload);
+        let watermark = self.ts.saturating_sub(1);
 
         // Pick the idle half and erase it. Before the first checkpoint
         // the structure-root log grows from page 0 of half 0, so the
@@ -562,6 +498,82 @@ impl Pdl {
         self.counters.checkpoints += 1;
         Ok(())
     }
+
+    /// The payload's tables section: dims, mapping and count tables,
+    /// per-block counts, transaction tables and the txn-id floor. Reads
+    /// nothing.
+    fn encode_tables(&self) -> Stream {
+        let g = self.chip.geometry();
+        let nl = self.opts.num_logical_pages as usize;
+        let k = self.opts.frames_per_page as usize;
+        let mut s = Stream(Vec::with_capacity(64 * 1024));
+        s.push_u32(PAYLOAD_MAGIC);
+        s.push_u16(VERSION);
+        s.push_u16(k as u16);
+        s.push_u64(nl as u64);
+        s.push_u32(g.num_blocks);
+        s.push_u32(g.num_pages());
+        for e in &self.ppmt {
+            for j in 0..k {
+                s.push_u32(e.base[j]);
+            }
+            s.push_u32(e.diff);
+        }
+        // The recovery bookkeeping is not held by a running store; rebuild
+        // it from the spare areas we already track implicitly. We persist
+        // ts watermarks per frame/pid as "unknown" (0): replay relies on
+        // strict ordering only for post-checkpoint pages, whose ts all
+        // exceed the watermark, and purged entries reset to 0 anyway.
+        // Instead of zeros we store the current global watermark for every
+        // live entry, which preserves the "newer wins" semantics. (GC
+        // copies keep their old ts; `load_checkpoint_delta` ranks a loaded
+        // base below a relocated differential of its page.)
+        let watermark = self.ts.saturating_sub(1);
+        for e in &self.ppmt {
+            for j in 0..k {
+                s.push_u64(if e.base[j] == NONE { 0 } else { watermark });
+            }
+        }
+        for e in &self.ppmt {
+            s.push_u64(if e.diff == NONE { 0 } else { watermark });
+        }
+        for v in &self.vdct {
+            s.push_u16(*v);
+        }
+        for b in 0..g.num_blocks {
+            s.push_u32(self.alloc.written_in(BlockId(b)));
+        }
+        for b in 0..g.num_blocks {
+            let written = self.alloc.written_in(BlockId(b));
+            let valid = self.alloc.valid_in(BlockId(b));
+            s.push_u32(written - valid);
+        }
+        // Transaction tables: per-page tags and live
+        // commit-record locations. Presence is recomputed at load time,
+        // so it is not persisted.
+        for t in &self.diff_txn {
+            s.push_u64(*t);
+        }
+        for t in &self.base_txn {
+            s.push_u64(*t);
+        }
+        s.push_u32(self.commit_locs.len() as u32);
+        let mut loc_entries: Vec<(&u64, &u32)> = self.commit_locs.iter().collect();
+        loc_entries.sort_by_key(|(t, _)| **t);
+        for (t, p) in loc_entries {
+            s.push_u64(*t);
+            s.push_u32(*p);
+        }
+        s.push_u64(self.txn_id_floor());
+        s
+    }
+
+    /// A digest of the tables a checkpoint records: two recoveries of one
+    /// crash image must agree on it.
+    #[doc(hidden)]
+    pub fn tables_digest(&self) -> u64 {
+        fnv1a64(&self.encode_tables().0)
+    }
 }
 
 /// A decoded header page.
@@ -572,6 +584,20 @@ struct Header {
     payload_pages: u32,
     payload_len: u64,
     csum: u32,
+}
+
+/// The payload of the checkpoint `header` commits, or `None` when it does
+/// not read back whole and verified.
+fn read_payload(chip: &mut FlashChip, header: &Header) -> Option<Vec<u8>> {
+    let mut payload = Vec::with_capacity(header.payload_len as usize);
+    let mut img = vec![0u8; chip.geometry().data_size];
+    for i in 0..header.payload_pages {
+        chip.read_data(Ppn(header.base_ppn + i), &mut img).ok()?;
+        payload.extend_from_slice(&img);
+    }
+    payload.truncate(header.payload_len as usize);
+    let whole = payload.len() == header.payload_len as usize;
+    (whole && fnv1a64(&payload) as u32 == header.csum).then_some(payload)
 }
 
 /// Find the newest committed checkpoint header in the root region.
@@ -624,18 +650,8 @@ pub(super) fn load_checkpoint_delta(
 ) -> Result<Option<Census>> {
     let g = chip.geometry();
     let Some(header) = find_latest_header(chip, opts)? else { return Ok(None) };
-
-    // Read and verify the payload.
-    let mut payload = Vec::with_capacity(header.payload_len as usize);
-    let mut img = vec![0u8; g.data_size];
-    for i in 0..header.payload_pages {
-        chip.read_data(Ppn(header.base_ppn + i), &mut img)?;
-        payload.extend_from_slice(&img);
-    }
-    payload.truncate(header.payload_len as usize);
-    if payload.len() != header.payload_len as usize || (fnv1a64(&payload) as u32) != header.csum {
-        return Ok(None); // torn or stale checkpoint: fall back
-    }
+    // A torn or stale checkpoint: fall back.
+    let Some(payload) = read_payload(chip, &header) else { return Ok(None) };
 
     // Deserialise; any dimension mismatch disqualifies the checkpoint.
     let nl = opts.num_logical_pages as usize;
@@ -686,6 +702,7 @@ pub(super) fn load_checkpoint_delta(
         let p = c.u32()?;
         tables.commit_locs.insert(t, p);
     }
+    tables.txn_floor = c.u64()?;
     let mut fingerprints = vec![0u64; g.num_blocks as usize];
     for fp in fingerprints.iter_mut() {
         *fp = c.u64()?;
@@ -746,11 +763,12 @@ pub(super) fn load_checkpoint_delta(
     // Invalidated blocks are read in full, grown tails from the old fill
     // level.
     let mut census = Census::new(tables);
+    let mut buf = PageBuf::for_chip(chip);
     for b in invalidated {
-        census.read_block(chip, b, 0, &mut img)?;
+        census.read_block(chip, b, 0, &mut buf)?;
     }
     for (b, from) in tail_scan {
-        census.read_block(chip, b, from, &mut img)?;
+        census.read_block(chip, b, from, &mut buf)?;
     }
     Ok(Some(census))
 }

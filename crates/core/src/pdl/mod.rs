@@ -278,6 +278,10 @@ pub struct Pdl {
     /// re-proves them in. A superset of `commit_locs`' keys — retired
     /// transactions are pruned when they reach the front.
     proof_fifo: VecDeque<u64>,
+    /// Above every transaction id this store has seen on flash (recovery's
+    /// read pass, a loaded checkpoint) or recorded since: see
+    /// [`PageStore::txn_id_floor`].
+    txn_floor: u64,
     /// Test switch: stage no carried proofs (the space bound's baseline).
     #[cfg(test)]
     carry_disabled: bool,
@@ -386,6 +390,7 @@ impl Pdl {
             presence: TxnMap::default(),
             commit_locs: TxnMap::default(),
             proof_fifo: VecDeque::new(),
+            txn_floor: 1,
             #[cfg(test)]
             carry_disabled: false,
             deferred: Vec::new(),
@@ -1512,6 +1517,7 @@ impl Pdl {
     pub(crate) fn batch_record(&mut self, txns: &[u64]) -> Result<()> {
         for &txn in txns {
             self.commit_locs.entry(txn).or_insert(PROOF_FRESH);
+            self.txn_floor = self.txn_floor.max(txn + 1);
         }
         if self.stage_commit_proofs(txns)? {
             self.carry_proofs();
@@ -1808,9 +1814,9 @@ impl PageStore for Pdl {
     }
 
     fn txn_id_floor(&self) -> u64 {
-        let recorded = self.commit_locs.keys().max().copied();
-        let tagged = self.presence.keys().max().copied();
-        recorded.max(tagged).map(|m| m + 1).unwrap_or(1)
+        // Tags of a batch still open are not recorded yet.
+        let tagged = self.presence.keys().max().map_or(1, |m| m + 1);
+        self.txn_floor.max(tagged)
     }
 
     fn checkpoint(&mut self) -> Result<()> {

@@ -77,6 +77,35 @@ pub fn shard_pages(total: u64, n: usize, s: usize) -> u64 {
     }
 }
 
+/// Every shard's recovery read pass, each on a thread of its own, and the
+/// union of their torn sets: a commit torn on one shard is torn on all.
+fn read_censuses(
+    chips: &mut [FlashChip],
+    opts: &StoreOptions,
+) -> Result<(Vec<Census>, HashSet<u64>)> {
+    let n = chips.len();
+    let read: Vec<Result<Census>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = chips
+            .iter_mut()
+            .enumerate()
+            .map(|(s, chip)| {
+                let pages = shard_pages(opts.num_logical_pages, n, s);
+                let shard_opts = StoreOptions { num_logical_pages: pages, ..*opts };
+                scope.spawn(move || read_census(chip, &shard_opts))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("read pass panicked")).collect()
+    });
+    let mut torn = HashSet::new();
+    let censuses = read.into_iter().map(|census| {
+        let census = census?;
+        torn.extend(census.verdict().torn());
+        Ok(census)
+    });
+    let censuses = censuses.collect::<Result<Vec<_>>>()?;
+    Ok((censuses, torn))
+}
+
 /// One shard's store: it derefs to a [`PageStore`]; PDL shards are kept
 /// by type because a cross-shard commit runs their batch steps.
 enum Shard {
@@ -190,26 +219,12 @@ impl ShardedStore {
         // runs first, the per-shard torn sets are unioned from the
         // censuses, and each shard then replays its own census under the
         // union: every page is read once.
-        let mut censuses: Vec<Option<Census>> = (0..n).map(|_| None).collect();
-        let mut torn = HashSet::new();
-        if recovering && matches!(kind, MethodKind::Pdl { .. }) {
-            let read: Vec<Result<Census>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chips
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(s, chip)| {
-                        let shard_opts = shard_opts(s);
-                        scope.spawn(move || read_census(chip, &shard_opts))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("read pass panicked")).collect()
-            });
-            for (slot, census) in censuses.iter_mut().zip(read) {
-                let census = census?;
-                torn.extend(census.verdict().torn());
-                *slot = Some(census);
-            }
-        }
+        let (censuses, torn) = if recovering && matches!(kind, MethodKind::Pdl { .. }) {
+            let (censuses, torn) = read_censuses(&mut chips, &opts)?;
+            (censuses.into_iter().map(Some).collect(), torn)
+        } else {
+            ((0..n).map(|_| None).collect::<Vec<_>>(), HashSet::new())
+        };
         // Building fresh stores is cheap, but recovery replays every page
         // it read, so both paths share the scoped-thread fan-out (§4.5's
         // recovery cost divided by N).
@@ -253,6 +268,18 @@ impl ShardedStore {
         }
         let busy_ns = (0..n).map(|_| AtomicU64::new(0)).collect();
         Ok(ShardedStore { shards, busy_ns, failed: OnceLock::new(), opts, kind, data_size })
+    }
+
+    /// The torn-commit verdict recovery reaches on the crash image `chips`
+    /// (shard order; one chip is a single store), read from clones so the
+    /// image is untouched, and how many of its pages carry a tag or commit
+    /// proof of a torn transaction: the most obsolete marks recovery may
+    /// program on it.
+    #[doc(hidden)]
+    pub fn torn_pages(chips: &[FlashChip], opts: &StoreOptions) -> Result<(HashSet<u64>, u64)> {
+        let (censuses, torn) = read_censuses(&mut chips.to_vec(), opts)?;
+        let pages: usize = censuses.iter().map(|c| c.pages_carrying(&torn)).sum();
+        Ok((torn, pages as u64))
     }
 
     /// Convenience: N identically-configured chips from one config.
@@ -391,6 +418,19 @@ impl ShardedStore {
             }
         }
         Ok(())
+    }
+
+    /// [`Pdl::tables_digest`] over every PDL shard, shard order.
+    #[doc(hidden)]
+    pub fn tables_digest(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for s in 0..self.shards.len() {
+            if let Shard::Pdl(p) = &*self.lock_shard(s) {
+                p.tables_digest().hash(&mut h);
+            }
+        }
+        h.finish()
     }
 
     /// Tear down and return every shard's chip, shard order.

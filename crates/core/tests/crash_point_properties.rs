@@ -21,15 +21,16 @@
 //!
 //! After recovery, every page must read back as a state the workload
 //! could legally have produced (the flushed state, or a committed
-//! post-flush update), and a second crash+recovery must agree. One test
-//! keeps the journal honest: its images equal `arm_fault`'s, point for
-//! point.
+//! post-flush update), and a second crash+recovery must agree. PDL's
+//! recovery must also leave flash alone on every image: no erase, and no
+//! program but the obsolete marks of torn pages. One test keeps the
+//! journal honest: its images equal `arm_fault`'s, point for point.
 
 use pdl_core::{
     build_store, is_power_loss, recover_store, BatchPage, CommitBatch, GcPolicy, MethodKind,
     PageStore, Pdl, ShardedStore, StoreOptions,
 };
-use pdl_flash::{FlashChip, FlashConfig, FlashGeometry, PowerLossJournal};
+use pdl_flash::{FlashChip, FlashConfig, FlashGeometry, OpCounts, PowerLossJournal};
 use proptest::prelude::*;
 
 const PAGES: u64 = 24;
@@ -160,7 +161,12 @@ fn sweep_on(kind: MethodKind, policy: GcPolicy, config: FlashConfig) {
 
     let ipl = matches!(kind, MethodKind::Ipl { .. });
     for (g, chips) in journal.images().enumerate() {
-        let mut r = recover_store(chips.into_iter().next().unwrap(), kind, setup.opts).unwrap();
+        let mut r: Box<dyn PageStore> = if kind == PDL {
+            let rig = one_chip_rig(config, setup.opts);
+            Box::new(recover_checked(&rig, chips, &format!("image {g}")))
+        } else {
+            recover_store(chips.into_iter().next().unwrap(), kind, setup.opts).unwrap()
+        };
         let first_states = read_all(r.as_mut());
         assert_eq!(r.stats().pipeline.ordering_violations, 0, "image {g}");
         for (pid, out) in first_states.iter().enumerate() {
@@ -349,6 +355,7 @@ struct Rig<S> {
     each_chip: fn(&mut S, ChipFn),
     recover: fn(Vec<FlashChip>, StoreOptions) -> S,
     check: fn(&S) -> Result<(), String>,
+    digest: fn(&S) -> u64,
 }
 
 fn one_chip_rig(config: FlashConfig, opts: StoreOptions) -> Rig<Pdl> {
@@ -359,6 +366,7 @@ fn one_chip_rig(config: FlashConfig, opts: StoreOptions) -> Rig<Pdl> {
         each_chip: |store, f| f(0, store.chip_mut()),
         recover: |mut chips, opts| Pdl::recover(chips.pop().unwrap(), opts, 64).unwrap(),
         check: Pdl::check_tables,
+        digest: Pdl::tables_digest,
     }
 }
 
@@ -371,7 +379,33 @@ fn two_shard_rig(config: FlashConfig, opts: StoreOptions) -> Rig<ShardedStore> {
         each_chip: |store, f| (0..2).for_each(|s| store.with_shard(s, |st| f(s, st.chip_mut()))),
         recover: |chips, opts| ShardedStore::recover(chips, PDL, opts).unwrap(),
         check: ShardedStore::check_tables,
+        digest: ShardedStore::tables_digest,
     }
+}
+
+/// Recover the crash image `chips` and check what recovery wrote: no
+/// erase, and no program unless a transaction is torn — then at most one
+/// obsolete mark per page carrying a torn tag or commit proof. A second
+/// recovery of the same image must rebuild the same tables with the same
+/// reads.
+fn recover_checked<S: PageStore>(rig: &Rig<S>, chips: Vec<FlashChip>, at: &str) -> S {
+    let (torn, torn_pages) = ShardedStore::torn_pages(&chips, &rig.opts).unwrap();
+    let before = chips.iter().fold(OpCounts::default(), |sum, c| sum + c.stats().recovery);
+    let twin = (rig.recover)(chips.clone(), rig.opts);
+    let store = (rig.recover)(chips, rig.opts);
+    let cost = store.stats().recovery - before;
+    assert_eq!(cost.erases, 0, "{at}: recovery erased");
+    if torn.is_empty() {
+        assert_eq!(cost.writes, 0, "{at}: recovery programmed with nothing torn");
+    } else {
+        assert!(cost.writes <= torn_pages, "{at}: {} marks, {torn_pages} torn pages", cost.writes);
+    }
+    assert_eq!(
+        ((rig.digest)(&twin), twin.stats().recovery.reads),
+        ((rig.digest)(&store), store.stats().recovery.reads),
+        "{at}: two recoveries of one image disagree"
+    );
+    store
 }
 
 /// Where the power fails.
@@ -426,7 +460,8 @@ fn commit_sweep<S: PageStore>(rig: &Rig<S>, w: &Commits, power: Power, dry_run: 
         Power::WholeDevice => {
             for (g, chips) in journal.images().enumerate() {
                 let confirmed = returned.iter().rev().find(|(at, _)| *at <= g as u64).unwrap().1;
-                verify((rig.recover)(chips, rig.opts), &format!("image {g}"), confirmed);
+                let at = format!("image {g}");
+                verify(recover_checked(rig, chips, &at), &at, confirmed);
             }
         }
         Power::PerChip => {
@@ -447,7 +482,7 @@ fn commit_sweep<S: PageStore>(rig: &Rig<S>, w: &Commits, power: Power, dry_run: 
                 }
                 let mut chips = Box::new(store).into_chips();
                 chips.iter_mut().for_each(FlashChip::disarm_fault);
-                verify((rig.recover)(chips, rig.opts), &at, confirmed);
+                verify(recover_checked(rig, chips, &at), &at, confirmed);
             }
         }
     }

@@ -527,9 +527,10 @@ impl FlashChip {
         self.stats.integrity.repaired_pages += 1;
     }
 
-    /// Read and decode just the spare area. One read operation (the chip
-    /// still streams the whole page; recovery scans are priced per page,
-    /// matching the paper's "one scan through physical pages" estimate).
+    /// Read and decode just the spare area. One read operation: the chip
+    /// still streams the whole page, so a caller that needs the data too
+    /// (recovery's read pass) reads it with [`FlashChip::read_full`]
+    /// instead of paying a second read.
     pub fn read_spare(&mut self, ppn: Ppn) -> Result<Option<SpareInfo>> {
         self.check_ppn(ppn)?;
         let sr = self.spare_range(ppn);

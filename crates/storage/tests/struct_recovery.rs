@@ -15,10 +15,12 @@
 //! commits the same batches from one thread and visits every crash point
 //! of the two-shard commit protocol, with power failing on both chips or
 //! on either one alone — per-chip fault budgets, one re-run per point —
-//! and, from one journaled run, on the whole device at once.
+//! and, from one journaled run, on the whole device at once, where
+//! recovery must also leave flash alone: no erase, and no program but the
+//! obsolete marks of torn pages.
 
-use pdl_core::{is_power_loss, MethodKind, ShardedStore, StoreOptions};
-use pdl_flash::{FlashChip, FlashConfig, PowerLossJournal};
+use pdl_core::{is_power_loss, MethodKind, PageStore, ShardedStore, StoreOptions};
+use pdl_flash::{FlashChip, FlashConfig, OpCounts, PowerLossJournal};
 use pdl_storage::{BTree, Database, Durability, Key, KeyBuf, StorageError};
 
 const KIND: MethodKind = MethodKind::Pdl { max_diff_size: 256 };
@@ -256,6 +258,32 @@ fn crash_mid_split_sweep_recovers_committed_prefixes() {
     }
 }
 
+/// What recovering the crash image `chips` writes: no erase, and no
+/// program unless a transaction is torn — then at most one obsolete mark
+/// per page carrying a torn tag or commit proof. A second recovery of the
+/// same image must rebuild the same tables with the same reads.
+fn check_recovery_writes(chips: &[FlashChip], what: &str) {
+    let (torn, torn_pages) = ShardedStore::torn_pages(chips, &options()).unwrap();
+    let recovered = |chips: &[FlashChip]| {
+        let before = chips.iter().fold(OpCounts::default(), |sum, c| sum + c.stats().recovery);
+        let store = ShardedStore::recover(chips.to_vec(), KIND, options()).expect("recover");
+        (store.tables_digest(), store.stats().recovery - before)
+    };
+    let (digest, cost) = recovered(chips);
+    assert_eq!(cost.erases, 0, "{what}: recovery erased");
+    if torn.is_empty() {
+        assert_eq!(cost.writes, 0, "{what}: recovery programmed with nothing torn");
+    } else {
+        assert!(
+            cost.writes <= torn_pages,
+            "{what}: {} marks, {torn_pages} torn pages",
+            cost.writes
+        );
+    }
+    let (again, cost2) = recovered(chips);
+    assert_eq!((again, cost2.reads), (digest, cost.reads), "{what}: two recoveries disagree");
+}
+
 /// Recover, check, crash the recovered store again without flushing,
 /// recover again: the second recovery must reproduce the same committed
 /// state.
@@ -312,7 +340,9 @@ fn serial_crash_sweep_whole_device_recovers_committed_prefixes() {
         for &(w, at) in &returned {
             confirmed[w] += u64::from(at <= g as u64);
         }
-        check_recovery_is_idempotent(chips, &confirmed, &format!("whole device, image {g}"));
+        let what = format!("whole device, image {g}");
+        check_recovery_writes(&chips, &what);
+        check_recovery_is_idempotent(chips, &confirmed, &what);
         points += 1;
     }
     assert!(points > 60, "the run ends after {points} flash operations");

@@ -268,6 +268,17 @@ fn half_recorded_cross_shard_commit_is_discarded_globally() {
         back.read_page(pid, &mut out).unwrap();
         assert_eq!(out, vec![5u8; size], "pid {pid} must roll back globally");
     }
+    // Overwriting pid 1 supersedes shard 1's torn tag. Shard 0 still has
+    // txn 77's record and tag on flash unless recovery marked them, and a
+    // second recovery would then prove the transaction there.
+    back.write_page(1, &vec![6u8; size]).unwrap();
+    back.flush().unwrap();
+    let mut again =
+        ShardedStore::recover(back.into_shard_chips(), KIND, StoreOptions::new(8)).unwrap();
+    again.read_page(0, &mut out).unwrap();
+    assert_eq!(out, vec![5u8; size], "pid 0 stays rolled back");
+    again.read_page(1, &mut out).unwrap();
+    assert_eq!(out, vec![6u8; size]);
 }
 
 #[test]

@@ -2,14 +2,30 @@
 //! snapshot the mapping tables into a reserved root region, then recover
 //! by delta-scanning only the blocks that changed since.
 //!
-//! Run with `cargo run --release --example fast_recovery`.
+//! Run with `cargo run --release --example fast_recovery`. Exits non-zero
+//! if either recovery programs a page: nothing on these images is torn.
 
 use page_differential_logging::prelude::*;
+use pdl_flash::OpCounts;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 const PAGES: u64 = 4_096;
 const MAX_DIFF: usize = 256;
+
+/// Print one recovery's cost; exit non-zero if it programmed anything.
+fn report(what: &str, cost: OpCounts) {
+    println!(
+        "{what:<26} {:>7} reads, {:>6.1} ms simulated, {} programs",
+        cost.reads,
+        cost.total_us() as f64 / 1000.0,
+        cost.writes
+    );
+    if cost.writes != 0 {
+        eprintln!("{what} programmed {} pages on an image with nothing torn", cost.writes);
+        std::process::exit(1);
+    }
+}
 
 fn build(checkpointed: bool) -> (Pdl, StoreOptions) {
     // 512 blocks = 64 MiB of data area; the root region is 8 blocks (1.6%).
@@ -49,11 +65,7 @@ fn main() {
     let chip = Box::new(s).into_chip();
     let r = Pdl::recover(chip, opts, MAX_DIFF).expect("recover");
     let full = r.chip().stats().recovery;
-    println!(
-        "full-scan recovery:        {:>7} reads, {:>6.1} ms simulated",
-        full.reads,
-        full.total_us() as f64 / 1000.0
-    );
+    report("full-scan recovery:", full);
 
     // Checkpointed: snapshot after the churn, then light post-churn.
     let (mut s, opts) = build(true);
@@ -73,11 +85,7 @@ fn main() {
     let chip = Box::new(s).into_chip();
     let r = Pdl::recover(chip, opts, MAX_DIFF).expect("recover");
     let fast = r.chip().stats().recovery;
-    println!(
-        "checkpoint + delta scan:   {:>7} reads, {:>6.1} ms simulated",
-        fast.reads,
-        fast.total_us() as f64 / 1000.0
-    );
+    report("checkpoint + delta scan:", fast);
     println!(
         "\nspeedup: {:.1}x fewer reads (most unchanged blocks skipped entirely)",
         full.reads as f64 / fast.reads as f64
