@@ -51,7 +51,7 @@ pub use page_store::{
     BatchPage, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
     StructRootEntry, StructRootsSnapshot,
 };
-pub use pdl::Pdl;
+pub use pdl::{IdHasher, IdMap, Pdl};
 pub use shard::{shard_pages, ShardedStore};
 
 use pdl_flash::FlashChip;

@@ -111,18 +111,18 @@ const PROOF_RESTAGED: u32 = u32::MAX - 1;
 /// Most live commit proofs one record flush carries forward.
 const CARRY_MAX: usize = 16;
 
-/// Hasher for the maps keyed by a transaction id the engine issued
-/// itself: one multiply, folded so both the bucket index (low bits) and
-/// the control byte (high bits) depend on the whole key. Carrying proofs
-/// looks every carried id up twice per record flush (still alive? then:
-/// re-point it), inside the commit's serial section; SipHash was a third
-/// of that. (`pdl-storage`'s `IdHasher` is the same function; sharing it
-/// means moving it into this crate — left to a change that re-measures
-/// the pool's hit path.)
+/// Hasher for maps keyed by one `u64` the engine issued itself (a
+/// transaction id here, a logical page id in `pdl-storage`'s frame
+/// cache): one multiply, folded so both the bucket index (low bits) and
+/// the control byte (high bits) depend on the whole key. SipHash's
+/// protection against chosen keys buys nothing for such ids, and it cost
+/// a third of the carried-proof lookups in a commit's serial section and
+/// 3 % of a buffer hit.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct TxnHasher(u64);
+pub struct IdHasher(u64);
 
-impl Hasher for TxnHasher {
+impl Hasher for IdHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         // Not the path a `u64` key takes; correct for any other.
         for &byte in bytes {
@@ -130,18 +130,20 @@ impl Hasher for TxnHasher {
         }
     }
 
+    #[inline]
     fn write_u64(&mut self, id: u64) {
         let x = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.0 = x ^ (x >> 32);
     }
 
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
 }
 
-/// A `HashMap` keyed by a transaction id.
-pub(crate) type TxnMap<V> = HashMap<u64, V, BuildHasherDefault<TxnHasher>>;
+/// A `HashMap` keyed by a transaction or page id.
+pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// One entry of the physical page mapping table: `<base page address,
 /// differential page address>` (Figure 6). `NONE` marks absent entries;
@@ -267,13 +269,13 @@ pub struct Pdl {
     /// the moment the superseding committed data is durable — recovery's
     /// torn-commit verdict ignores dead tags symmetrically, via the same
     /// time-stamp domination the Figure-11 resolution uses.
-    presence: TxnMap<u32>,
+    presence: IdMap<u32>,
     /// Physical page holding the live commit record of each transaction
     /// still referenced by live tags ([`PROOF_FRESH`] / [`PROOF_RESTAGED`]
     /// while the only copy that counts is staged). A transaction is
     /// durably committed exactly when it has an entry other than
     /// [`PROOF_FRESH`].
-    commit_locs: TxnMap<u32>,
+    commit_locs: IdMap<u32>,
     /// Live proofs, oldest location first: the order `carry_proofs`
     /// re-proves them in. A superset of `commit_locs`' keys — retired
     /// transactions are pruned when they reach the front.
@@ -387,8 +389,8 @@ impl Pdl {
             root_tail_used: false,
             diff_txn: vec![NO_TXN; nl],
             base_txn: vec![NO_TXN; nl * k],
-            presence: TxnMap::default(),
-            commit_locs: TxnMap::default(),
+            presence: IdMap::default(),
+            commit_locs: IdMap::default(),
             proof_fifo: VecDeque::new(),
             txn_floor: 1,
             #[cfg(test)]
@@ -2244,11 +2246,12 @@ mod tests {
     #[test]
     fn txn_hasher_spreads_sequential_and_strided_ids() {
         // The map picks a bucket from a hash's low bits and tags the entry
-        // with its top seven: both must vary over the ids a chip sees —
-        // consecutive transactions, or every n-th on one shard of n.
+        // with its top seven: both must vary over the ids the engine keys
+        // maps by — consecutive transactions or pids, every n-th on one
+        // shard of n, and strides far past a shard count.
         use std::hash::BuildHasher;
-        let build = BuildHasherDefault::<TxnHasher>::default();
-        for stride in [1u64, 2, 4, 7, 1 << 32] {
+        let build = BuildHasherDefault::<IdHasher>::default();
+        for stride in [1u64, 2, 4, 7, 1024, 1 << 32] {
             let hashes: Vec<u64> = (0..1024u64).map(|i| build.hash_one(i * stride)).collect();
             let buckets: HashSet<u64> = hashes.iter().map(|h| h % 1024).collect();
             let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();

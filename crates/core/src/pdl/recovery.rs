@@ -81,7 +81,7 @@
 
 use super::checkpoint::RootLogState;
 use super::dwb::DiffWriteBuffer;
-use super::{Pdl, PdlCounters, PpmtEntry, TxnMap, NONE};
+use super::{IdMap, Pdl, PdlCounters, PpmtEntry, NONE};
 use crate::diff::{Differential, PageRecord, NO_TXN};
 use crate::error::CoreError;
 use crate::ftl::BlockManager;
@@ -466,7 +466,7 @@ pub(crate) struct RecoveryTables {
     /// Live commit-record location per transaction. Pre-populated (and
     /// already counted in `vdct`) by the checkpoint fast path; the full
     /// scan fills it in [`RecoveryTables::finish`].
-    pub commit_locs: TxnMap<u32>,
+    pub commit_locs: IdMap<u32>,
     /// Commit-record copies discovered by the replay, per transaction.
     pub commit_cands: HashMap<u64, Vec<u32>>,
     /// Differential pages that lost every differential: dead unless
@@ -511,7 +511,7 @@ impl RecoveryTables {
             torn_pages: Vec::new(),
             diff_txn: vec![NO_TXN; nl],
             base_txn: vec![NO_TXN; nl * k],
-            commit_locs: TxnMap::default(),
+            commit_locs: IdMap::default(),
             commit_cands: HashMap::new(),
             pending_dead: Vec::new(),
             corrupt_diffs: Vec::new(),
@@ -702,8 +702,8 @@ impl RecoveryTables {
     /// record-only pages obsolete, and mark the dead torn pages — the only
     /// programs recovery issues. Returns the presence gauge the running
     /// store resumes with.
-    pub fn finish(&mut self, chip: &mut FlashChip) -> Result<TxnMap<u32>> {
-        let mut presence: TxnMap<u32> = TxnMap::default();
+    pub fn finish(&mut self, chip: &mut FlashChip) -> Result<IdMap<u32>> {
+        let mut presence: IdMap<u32> = IdMap::default();
         for (pid, t) in self.diff_txn.iter().enumerate() {
             if *t != NO_TXN && self.ppmt[pid].diff != NONE {
                 *presence.entry(*t).or_insert(0) += 1;

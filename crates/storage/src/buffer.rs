@@ -1,9 +1,11 @@
-//! The DBMS buffer pool.
+//! The buffer pool's parts: the LRU frame cache, page latches, and the
+//! adapter through which both reach the page store.
 //!
-//! An LRU page cache over any [`PageStore`]. The pool is the point where
-//! the paper's two coupling styles meet the storage engine:
+//! [`crate::Database`] is the buffer pool: it owns one [`FrameCache`]
+//! over any [`PageStore`], and that cache is where the paper's two
+//! coupling styles meet the storage engine:
 //!
-//! * every mutation goes through [`BufferPool::with_page_mut`], whose
+//! * every mutation goes through [`crate::Database::with_page_mut`], whose
 //!   [`PageMut`] records the changed byte ranges of the *update command*
 //!   and reports them to [`PageStore::apply_update`] — exactly the
 //!   update-log hook a tightly-coupled (log-based) method needs;
@@ -39,20 +41,21 @@
 //! # Lock order, and what a buffer hit costs
 //!
 //! One order, everywhere: **page latch → cache → { MVCC registry |
-//! store }**. A latch is only ever taken with no pool mutex held; the
-//! cache mutex is taken under any number of latches; the MVCC registry
-//! and the store mutex are leaves, taken under the cache mutex or on
-//! their own, never one under the other. (`Database` adds its own
-//! leaves — allocator, open-transaction table, pending structure roots,
-//! the group-commit queue — each taken with none of the above held.)
+//! store }**. A latch is only ever taken with no database mutex held;
+//! the cache mutex is taken under any number of latches; the MVCC
+//! registry and the store mutex are leaves, taken under the cache mutex
+//! or on their own, never one under the other. (The allocator, the
+//! open-transaction table, the pending structure roots and the
+//! group-commit queue are leaves too, each taken with none of the above
+//! held.)
 //!
-//! **A buffer hit — [`BufferPool::with_page`], the structural read, a
-//! mutation — takes the cache mutex once and no other global lock.** The
-//! store mutex is taken only to do flash work:
+//! **A buffer hit — [`crate::Database::with_page`], the structural read,
+//! a mutation — takes the cache mutex once and no other global lock.**
+//! The store mutex is taken only to do flash work:
 //!
 //! * a miss (`read_page`) and the write-back of the victim it evicts;
-//! * [`BufferPool::flush_all`], [`BufferPool::with_store`] and the commit
-//!   protocol `Database::commit` runs through it;
+//! * [`crate::Database::flush`], [`crate::Database::with_store`] and the
+//!   commit protocol of [`crate::Database::commit`];
 //! * version spill and its read-back / free (retention ledger);
 //! * rollback and mutation, **only** over a store that consumes update
 //!   notifications ([`PageStore::consumes_updates`]: IPL, or PDL / OPU
@@ -63,15 +66,10 @@
 //! the version's commit timestamp).
 
 use crate::error::{RetentionTrigger, StorageError};
-use crate::view::{MvccState, StructId, StructRoot, ViewRegistry};
-use crate::{ReadGuard, ReadView, Result};
-use pdl_core::{BatchPage, ChangeRange, PageStore, NO_TXN};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::Result;
+use pdl_core::{BatchPage, ChangeRange, IdMap, PageStore, NO_TXN};
 use std::sync::{Condvar, Mutex};
 use std::thread::ThreadId;
-use std::time::Instant;
 
 /// A mutable view of a buffered page that records which bytes change.
 pub struct PageMut<'a> {
@@ -142,35 +140,6 @@ pub fn read_u16(page: &[u8], offset: usize) -> u16 {
 pub fn read_u64(page: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(page[offset..offset + 8].try_into().expect("8 bytes"))
 }
-
-/// Hasher for maps keyed by one `u64` the engine issued itself (a
-/// logical page id, a transaction id): one multiply, folded so both the
-/// bucket index (low bits) and the control byte (high bits) depend on the
-/// whole key. SipHash's protection against chosen keys buys nothing here
-/// and was 3 % of the hit path.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Not the path a `u64` key takes; correct for any other.
-        for &byte in bytes {
-            self.write_u64(byte as u64);
-        }
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        let x = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = x ^ (x >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` keyed by a page or transaction id.
-pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// End-of-list marker for the frame recency links.
 const NIL: u32 = u32::MAX;
@@ -285,9 +254,9 @@ impl BufferStats {
 
 /// The page-store operations a frame cache needs from its backing store.
 ///
-/// [`BufferPool`] backs this with its mutex-guarded `Box<dyn PageStore>`
-/// (locked per call, so a call that is never made never waits); the unit
-/// tests back it with an in-memory map.
+/// [`StoreBackend`] backs this with the database's mutex-guarded
+/// `Box<dyn PageStore>` (locked per call, so a call that is never made
+/// never waits); the unit tests back it with an in-memory map.
 pub(crate) trait PageBackend {
     fn read(&mut self, pid: u64, out: &mut [u8]) -> Result<()>;
     fn apply(&mut self, pid: u64, page_after: &[u8], changes: &[ChangeRange]) -> Result<()>;
@@ -352,7 +321,8 @@ impl VersionSource for NoVersioning {
     }
 }
 
-/// An LRU frame cache: the store-independent core of [`BufferPool`].
+/// An LRU frame cache: the store-independent core of the buffer pool
+/// [`crate::Database`] runs.
 pub(crate) struct FrameCache {
     frames: Vec<Frame>,
     /// The page image of every frame, frame `i` at `i * page_size`: one
@@ -452,10 +422,6 @@ impl FrameCache {
         self.pin_owned = pin;
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The page image in frame `idx`.
     fn page(&self, idx: usize) -> &[u8] {
         &self.slab[idx * self.page_size..][..self.page_size]
@@ -482,6 +448,7 @@ impl FrameCache {
     }
 
     /// Bytes of committed version payload currently retained.
+    #[cfg(test)]
     pub(crate) fn retained_version_bytes(&self) -> usize {
         self.retained_bytes
     }
@@ -1038,6 +1005,7 @@ impl FrameCache {
 
     /// Drop every cached page and version chain without writing back
     /// (crash simulation).
+    #[cfg(test)]
     pub(crate) fn clear(&mut self) {
         self.frames.clear();
         self.map.clear();
@@ -1064,7 +1032,7 @@ impl FrameCache {
 /// writer latches strictly along a root-to-leaf descent, and leaf-chain
 /// walks latch strictly left-to-right, so the wait-for graph follows one
 /// global partial order (tree order, then leaf order) and cannot cycle.
-struct LatchTable {
+pub(crate) struct LatchTable {
     state: Mutex<LatchState>,
     cv: Condvar,
 }
@@ -1079,8 +1047,15 @@ struct LatchState {
 }
 
 impl LatchTable {
-    fn new() -> LatchTable {
+    pub(crate) fn new() -> LatchTable {
         LatchTable { state: Mutex::new(LatchState::default()), cv: Condvar::new() }
+    }
+
+    /// Latch `pid`, blocking while another thread holds it; also returns
+    /// whether the acquisition had to wait.
+    pub(crate) fn latch(&self, pid: u64) -> (PageLatch<'_>, bool) {
+        let waited = self.acquire(pid);
+        (PageLatch { latches: self, pid }, waited)
     }
 
     /// Blocking acquire of `pid`'s latch; returns whether the acquisition
@@ -1119,14 +1094,14 @@ impl LatchTable {
     }
 }
 
-/// RAII guard for one page latch (see [`BufferPool::latch_page`]):
+/// RAII guard for one page latch (see [`crate::Database::latch_page`]):
 /// releases on drop, so early returns and panics cannot strand a latch.
 /// Dropping latches in reverse-acquisition order is not required for
 /// correctness — only the *acquisition* order matters for deadlock
 /// freedom.
 #[must_use = "a page latch blocks other structural writers until dropped"]
 pub struct PageLatch<'p> {
-    pool: &'p BufferPool,
+    latches: &'p LatchTable,
     pid: u64,
 }
 
@@ -1139,13 +1114,13 @@ impl PageLatch<'_> {
 
 impl Drop for PageLatch<'_> {
     fn drop(&mut self) {
-        self.pool.latches.release(self.pid);
+        self.latches.release(self.pid);
     }
 }
 
-/// Backend adapter over [`BufferPool`]'s mutex-guarded store (locked per
+/// Backend adapter over the database's mutex-guarded store (locked per
 /// operation; the cache lock is always taken first).
-struct StoreBackend<'a>(&'a Mutex<Box<dyn PageStore>>);
+pub(crate) struct StoreBackend<'a>(pub(crate) &'a Mutex<Box<dyn PageStore>>);
 
 impl StoreBackend<'_> {
     fn lock(&self) -> std::sync::MutexGuard<'_, Box<dyn PageStore>> {
@@ -1183,488 +1158,65 @@ impl PageBackend for StoreBackend<'_> {
     }
 }
 
-/// [`VersionSource`] over a pool's MVCC registry.
-struct PoolVersioner<'a> {
-    active_views: &'a AtomicUsize,
-    mvcc: &'a Mutex<MvccState>,
-}
-
-impl VersionSource for PoolVersioner<'_> {
-    fn capture_hint(&self) -> bool {
-        self.active_views.load(Ordering::SeqCst) > 0
-    }
-
-    fn commit_ts(&self) -> Option<(u64, Vec<u64>)> {
-        let mut m = self.mvcc.lock().unwrap_or_else(|e| e.into_inner());
-        let (ts, retain) = m.alloc_commit();
-        retain.then(|| (ts, m.active_ts()))
-    }
-}
-
-/// An LRU buffer pool over a page store, with MVCC read views.
-///
-/// Reads — current ([`BufferPool::with_page`]) or through a snapshot
-/// ([`BufferPool::with_page_at`]) — take `&self`, so concurrent readers
-/// are expressible in the type system; the pool is internally locked
-/// (cache, store and MVCC registry each behind their own mutex).
-pub struct BufferPool {
-    store: Mutex<Box<dyn PageStore>>,
-    cache: Mutex<FrameCache>,
-    mvcc: Mutex<MvccState>,
-    active_views: AtomicUsize,
-    page_size: usize,
-    /// Per-page latches for structural writers (crab-walk descents).
-    latches: LatchTable,
-    /// Pool-side recorder for host-clock structural observability
-    /// (latch-wait and commit-lock-wait histograms + split/root-publish
-    /// spans). Disabled unless
-    /// `StoreOptions::obs` is set, in which case `obs` below keeps the
-    /// hot-path cost to one branch.
-    recorder: Mutex<pdl_obs::Recorder>,
-    obs: bool,
-    /// Host-clock epoch the pool's spans are timed against.
-    obs_epoch: Instant,
-    /// Shard count of the backing store — the lane structural spans are
-    /// attributed to (`pid % num_shards`, the shard mapping).
-    num_shards: u32,
-}
-
-impl BufferPool {
-    /// `capacity` is the number of buffered pages (the paper's Experiment 7
-    /// varies it from 0.1% to 10% of the database size).
-    pub fn new(store: Box<dyn PageStore>, capacity: usize) -> BufferPool {
-        let page_size = store.logical_page_size();
-        let version_cap = store.options().snapshot_version_cap as usize;
-        let retention_bytes = store.options().snapshot_retention_bytes as usize;
-        let obs = store.options().obs;
-        let num_shards = store.num_shards().max(1) as u32;
-        let mut recorder = pdl_obs::Recorder::disabled();
-        if obs {
-            recorder.enable(pdl_obs::DEFAULT_SPAN_CAPACITY);
-        }
-        let cache = FrameCache::new(
-            capacity,
-            page_size,
-            version_cap,
-            retention_bytes,
-            store.consumes_updates(),
-        );
-        BufferPool {
-            cache: Mutex::new(cache),
-            store: Mutex::new(store),
-            mvcc: Mutex::new(MvccState::default()),
-            active_views: AtomicUsize::new(0),
-            page_size,
-            latches: LatchTable::new(),
-            recorder: Mutex::new(recorder),
-            obs,
-            obs_epoch: Instant::now(),
-            num_shards,
-        }
-    }
-
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, FrameCache> {
-        self.cache.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_mvcc(&self) -> std::sync::MutexGuard<'_, MvccState> {
-        self.mvcc.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.lock_cache().capacity()
-    }
-
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    pub fn stats(&self) -> BufferStats {
-        let mut stats = self.lock_cache().stats();
-        stats.active_views = self.active_views.load(Ordering::SeqCst) as u64;
-        stats
-    }
-
-    /// Run `f` against the underlying page store (exclusive: the store
-    /// mutex is held for the duration — misses and write-backs wait,
-    /// buffer hits do not).
-    pub fn with_store<R>(&self, f: impl FnOnce(&mut dyn PageStore) -> R) -> R {
-        let mut guard = self.store.lock().unwrap_or_else(|e| e.into_inner());
-        f(guard.as_mut())
-    }
-
-    /// Read access to the current image of a page.
-    pub fn with_page<R>(&self, pid: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        self.lock_cache().with_page(&mut StoreBackend(&self.store), pid, f)
-    }
-
-    /// Structural-descent read by `txn` ([`NO_TXN`] outside a
-    /// transaction): [`Self::with_page`], except that a page whose dirty
-    /// frame *another* uncommitted transaction owns is a
-    /// [`StorageError::TxnConflict`] — the owner check and the read
-    /// happen under one acquisition of the cache mutex. A structural
-    /// writer must never navigate a shape another transaction changed
-    /// but has not committed: the change may yet be rolled back.
-    pub(crate) fn with_page_struct<R>(
-        &self,
-        pid: u64,
-        txn: u64,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R> {
-        self.lock_cache().with_page_struct(&mut StoreBackend(&self.store), pid, txn, f)
-    }
-
-    /// Issue a flash read-ahead for `pid` without waiting. Skipped when
-    /// the page is already buffered (a prefetch would charge a phantom
-    /// read); errors are swallowed — a failed prefetch only means the
-    /// later demand read pays the full latency.
-    pub fn prefetch(&self, pid: u64) {
-        if self.lock_cache().is_cached(pid) {
-            return;
-        }
-        let _ = self.with_store(|s| s.prefetch(pid));
-    }
-
-    // ------------------------------------------------------------------
-    // MVCC read views
-    // ------------------------------------------------------------------
-
-    /// Open a snapshot at the current commit clock. Commits (and
-    /// auto-committed update commands) after this point are invisible to
-    /// reads through the returned view.
-    pub fn begin_read(&self) -> ReadView {
-        let ts = self.lock_mvcc().register();
-        self.active_views.fetch_add(1, Ordering::SeqCst);
-        ReadView::new(ts)
-    }
-
-    /// Release a view, pruning every version no remaining reader needs
-    /// (retention-ledger spills included: their flash pages are freed).
-    pub fn release_read(&self, view: ReadView) {
-        let floor = self.lock_mvcc().deregister(view.read_ts());
-        self.active_views.fetch_sub(1, Ordering::SeqCst);
-        self.lock_cache().prune_committed(&mut StoreBackend(&self.store), floor);
-    }
-
-    /// Open a leak-proof snapshot: the returned guard releases the view
-    /// when dropped, so early returns and panics can never freeze the
-    /// version-retention floor.
-    pub fn read_view(&self) -> ReadGuard<'_, BufferPool> {
-        ReadGuard::new(self)
-    }
-
-    /// Run `f` under a freshly opened view, releasing it on every exit
-    /// path (including `?` early returns inside `f` and panics).
-    pub fn with_read_view<R>(&self, f: impl FnOnce(&ReadView) -> R) -> R {
-        let guard = self.read_view();
-        f(guard.view())
-    }
-
-    /// Snapshot read of `pid` as of `view`. A read resolved from the
-    /// flash retention ledger (a cold spilled version) lands a sample in
-    /// the `cold_version_read` histogram when observability is on.
-    pub fn with_page_at<R>(
-        &self,
-        view: &ReadView,
-        pid: u64,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R> {
-        if !self.obs {
-            return self.lock_cache().with_page_at(
-                &mut StoreBackend(&self.store),
-                pid,
-                view.read_ts(),
-                f,
-            );
-        }
-        let start = Instant::now();
-        let (r, cold) = self.lock_cache().with_page_at_traced(
-            &mut StoreBackend(&self.store),
-            pid,
-            view.read_ts(),
-            f,
-        )?;
-        if cold {
-            let us = start.elapsed().as_micros() as u64;
-            let mut rec = self.recorder.lock().unwrap_or_else(|e| e.into_inner());
-            rec.record(pdl_obs::LatencyClass::ColdVersionRead, us);
-        }
-        Ok(r)
-    }
-
-    /// Retained committed versions (diagnostics / tests).
-    pub fn retained_versions(&self) -> usize {
-        self.lock_cache().retained_versions()
-    }
-
-    /// Bytes of retained committed version payload (diagnostics / tests).
-    pub fn retained_version_bytes(&self) -> usize {
-        self.lock_cache().retained_version_bytes()
-    }
-
-    // ------------------------------------------------------------------
-    // Structure-root log (see `view.rs`): registered structures resolve
-    // their root state through the same commit clock the page version
-    // chains use, so stale BTree / HeapFile handles are snapshot-safe.
-    // ------------------------------------------------------------------
-
-    /// Register a structure at its creation-time state.
-    pub fn register_struct(&self, root: StructRoot) -> StructId {
-        self.lock_mvcc().register_struct(root)
-    }
-
-    /// Current committed state of a registered structure.
-    pub fn struct_current(&self, id: StructId) -> Option<StructRoot> {
-        self.lock_mvcc().struct_current(id)
-    }
-
-    /// Current committed state of a registered structure, only if newer
-    /// than generation `seen` (see `MvccState::struct_current_if_newer`).
-    pub fn struct_current_if_newer(&self, id: StructId, seen: u64) -> Option<(u64, StructRoot)> {
-        self.lock_mvcc().struct_current_if_newer(id, seen)
-    }
-
-    /// Drop a structure's registration (handle teardown; see
-    /// `MvccState::deregister_struct`).
-    pub fn deregister_struct(&self, id: StructId) {
-        self.lock_mvcc().deregister_struct(id)
-    }
-
-    /// Record an auto-committed structural change (no open transaction):
-    /// the change rides the commit clock as of now — every page command
-    /// it consisted of has already allocated its commit timestamp, so
-    /// views opened before the change resolve the superseded pre-state.
-    pub fn publish_struct(&self, id: StructId, root: StructRoot) {
-        let mut m = self.lock_mvcc();
-        let ts = m.clock;
-        let retain = !m.active.is_empty();
-        m.publish_struct(id, retain.then_some(ts), root);
-    }
-
-    /// Resolve a registered structure's state as of `read_ts`.
-    pub(crate) fn resolve_struct(&self, id: StructId, read_ts: u64) -> Option<StructRoot> {
-        self.lock_mvcc().resolve_struct(id, read_ts)
-    }
-
-    /// Structure-root pre-states currently retained (diagnostics/tests).
-    pub fn retained_struct_versions(&self) -> usize {
-        self.lock_mvcc().retained_struct_versions()
-    }
-
-    /// Every registered structure's current committed state, ascending by
-    /// id — what a durable commit serializes into the store's root log.
-    pub(crate) fn current_roots(&self) -> Vec<(StructId, StructRoot)> {
-        self.lock_mvcc().current_roots()
-    }
-
-    // ------------------------------------------------------------------
-    // Page latches (structural writers) + pool-side observability
-    // ------------------------------------------------------------------
-
-    /// Acquire the latch on logical page `pid`, blocking while another
-    /// thread holds it. Structural writers (B+-tree crab-walk descents,
-    /// heap growth) couple through these; readers never take them. Lock
-    /// order: latches are acquired strictly root-to-leaf (and left-to-
-    /// right along the leaf chain), and the cache/store/MVCC mutexes are
-    /// only taken *under* a latch, never the other way round.
-    pub fn latch_page(&self, pid: u64) -> PageLatch<'_> {
-        let wait_from = self.obs_now_us();
-        if self.latches.acquire(pid) {
-            self.record_wait(pdl_obs::LatencyClass::LatchWait, wait_from);
-        }
-        PageLatch { pool: self, pid }
-    }
-
-    /// Host-clock µs since the pool's observability epoch (`None` when
-    /// observability is off — the one branch disabled recording costs).
-    pub fn obs_now_us(&self) -> Option<u64> {
-        self.obs.then(|| self.obs_epoch.elapsed().as_micros() as u64)
-    }
-
-    /// Record the host-clock time since `start_us` as one `class` sample
-    /// (a latch wait, or a wait the layer above timed around a lock of
-    /// its own). `start_us` comes from [`BufferPool::obs_now_us`]; the
-    /// call is a no-op when that returned `None`.
-    pub(crate) fn record_wait(&self, class: pdl_obs::LatencyClass, start_us: Option<u64>) {
-        let Some(start_us) = start_us else { return };
-        let end_us = self.obs_epoch.elapsed().as_micros() as u64;
-        let mut rec = self.recorder.lock().unwrap_or_else(|e| e.into_inner());
-        rec.record(class, end_us.saturating_sub(start_us));
-    }
-
-    /// Record a structural-operation span (`split`, `merge`,
-    /// `root-publish`): `id` is the subject pid, `block` the transaction,
-    /// and the lane is the pid's shard (`pid % num_shards`), so a trace
-    /// shows concurrent descents as parallel lanes. `start_us` comes from
-    /// [`BufferPool::obs_now_us`]; the call is a no-op when that returned
-    /// `None`.
-    pub fn struct_span(&self, name: &'static str, pid: u64, txn: u64, start_us: Option<u64>) {
-        let Some(start_us) = start_us else { return };
-        let end_us = self.obs_epoch.elapsed().as_micros() as u64;
-        let lane = (pid % self.num_shards as u64) as u32;
-        let mut rec = self.recorder.lock().unwrap_or_else(|e| e.into_inner());
-        rec.push_span(pdl_obs::Span {
-            name,
-            ctx: "struct",
-            lane,
-            start_us,
-            dur_us: end_us.saturating_sub(start_us),
-            block: txn,
-            id: pid,
-        });
-    }
-
-    /// Snapshot of the pool-side recorder: the `latch_wait` and
-    /// `commit_lock_wait` contention histograms plus the
-    /// structural-operation spans.
-    pub fn pool_obs_snapshot(&self) -> pdl_obs::RecorderSnapshot {
-        self.recorder.lock().unwrap_or_else(|e| e.into_inner()).snapshot()
-    }
-
-    /// Mutable access to a page. The closure's writes through [`PageMut`]
-    /// form **one update command**: after it returns, the recorded ranges
-    /// are reported to the page store (tightly-coupled methods write their
-    /// update logs here). The command auto-commits: its pre-image joins
-    /// the page's version chain when an open read view predates it.
-    pub fn with_page_mut<R>(&self, pid: u64, f: impl FnOnce(&mut PageMut) -> R) -> Result<R> {
-        let vsrc = PoolVersioner { active_views: &self.active_views, mvcc: &self.mvcc };
-        self.lock_cache().with_page_mut_txn(&mut StoreBackend(&self.store), pid, NO_TXN, &vsrc, f)
-    }
-
-    /// Mutable access on behalf of an open transaction (see
-    /// [`crate::Database::begin`]); versioning happens at commit.
-    pub fn with_page_mut_txn<R>(
-        &self,
-        pid: u64,
-        txn: u64,
-        f: impl FnOnce(&mut PageMut) -> R,
-    ) -> Result<R> {
-        self.lock_cache().with_page_mut_txn(
-            &mut StoreBackend(&self.store),
-            pid,
-            txn,
-            &NoVersioning,
-            f,
-        )
-    }
-
-    pub(crate) fn set_pin_owned(&self, pin: bool) {
-        self.lock_cache().set_pin_owned(pin);
-    }
-
-    pub(crate) fn collect_owned(&self, txn: u64) -> Vec<OwnedPage> {
-        self.lock_cache().collect_owned(txn)
-    }
-
-    /// Publish a commit of `txns` at one commit timestamp: allocate it
-    /// and publish `structs` (their structural changes) under the
-    /// registry lock, then close every transaction — pending pre-images
-    /// become committed versions where a read view predates the commit,
-    /// frames lose their owner — all under one hold of the cache mutex.
-    /// A view that registers meanwhile reads at the new clock, and its
-    /// first read waits for the cache mutex: it sees the whole commit,
-    /// never one page of it before another. `durable`: the images are on
-    /// flash and the frames become clean; otherwise (relaxed durability)
-    /// they stay dirty and reach flash by ordinary eviction.
-    pub(crate) fn publish_commit(
-        &self,
-        txns: &[u64],
-        structs: Vec<(StructId, StructRoot)>,
-        durable: bool,
-    ) {
-        let mut cache = self.lock_cache();
-        let (ts, active) = {
-            let mut m = self.lock_mvcc();
-            let (ts, retain) = m.alloc_commit();
-            for (id, root) in structs {
-                m.publish_struct(id, retain.then_some(ts), root);
-            }
-            (retain.then_some(ts), m.active_ts())
-        };
-        for &txn in txns {
-            cache.end_txn(&mut StoreBackend(&self.store), txn, ts, durable, &active);
-        }
-    }
-
-    pub(crate) fn rollback(&self, txn: u64) -> Result<()> {
-        self.lock_cache().rollback(&mut StoreBackend(&self.store), txn)
-    }
-
-    /// Write every dirty page back and flush the store's buffers
-    /// (write-through, the durability point of §4.5).
-    pub fn flush_all(&self) -> Result<()> {
-        self.lock_cache().write_back_dirty(&mut StoreBackend(&self.store))?;
-        self.with_store(|s| s.flush())?;
-        Ok(())
-    }
-
-    /// Drop every cached page without writing back (crash simulation).
-    pub fn poison_cache(&self) {
-        self.lock_cache().clear();
-    }
-
-    /// Consume the pool, flushing everything, and return the store.
-    pub fn into_store(self) -> Result<Box<dyn PageStore>> {
-        self.flush_all()?;
-        Ok(self.store.into_inner().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Consume the pool *without* writing anything back (crash
-    /// simulation: cached dirty pages and uncommitted transactions are
-    /// lost, exactly as on a power failure).
-    pub fn into_store_without_flush(self) -> Box<dyn PageStore> {
-        self.store.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl ViewRegistry for BufferPool {
-    fn begin_read(&self) -> ReadView {
-        BufferPool::begin_read(self)
-    }
-
-    fn release_read(&self, view: ReadView) {
-        BufferPool::release_read(self, view)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdl_core::{build_store, MethodKind, StoreOptions};
+    use crate::{Database, Durability};
+    use pdl_core::{build_store, MethodKind, ShardedStore, StoreOptions};
     use pdl_flash::{FlashChip, FlashConfig};
     use proptest::prelude::*;
+    use std::collections::HashMap;
+    use std::sync::atomic::Ordering;
 
-    fn pool(capacity: usize, kind: MethodKind) -> BufferPool {
-        let chip = FlashChip::new(FlashConfig::tiny());
-        let store = build_store(chip, kind, StoreOptions::new(24)).unwrap();
-        BufferPool::new(store, capacity)
+    /// A database over `store` whose open transactions' frames are
+    /// pinned (durable commits), with `capacity` frames.
+    fn pool_over(store: Box<dyn PageStore>, capacity: usize) -> Database {
+        Database::new(store, capacity).with_durability(Durability::Commit)
+    }
+
+    /// A 24-page `kind` store over `shards` tiny chips: the plain store
+    /// for one, a `ShardedStore` otherwise.
+    fn store(kind: MethodKind, shards: usize) -> Box<dyn PageStore> {
+        let opts = StoreOptions::new(24);
+        if shards == 1 {
+            return build_store(FlashChip::new(FlashConfig::tiny()), kind, opts).unwrap();
+        }
+        Box::new(ShardedStore::with_uniform_chips(FlashConfig::tiny(), shards, kind, opts).unwrap())
+    }
+
+    fn pool(capacity: usize, kind: MethodKind) -> Database {
+        pool_over(store(kind, 1), capacity)
     }
 
     #[test]
     fn writes_survive_eviction_pressure() {
-        let p = pool(2, MethodKind::Pdl { max_diff_size: 128 });
-        for pid in 0..8u64 {
-            p.with_page_mut(pid, |page| page.write(0, &[pid as u8; 4])).unwrap();
+        for shards in [1, 2] {
+            let p = pool_over(store(MethodKind::Pdl { max_diff_size: 128 }, shards), 2);
+            for pid in 0..8u64 {
+                p.with_page_mut(pid, |page| page.write(0, &[pid as u8; 4])).unwrap();
+            }
+            for pid in 0..8u64 {
+                let b = p.with_page(pid, |page| page[0]).unwrap();
+                assert_eq!(b, pid as u8, "{shards} shards, pid {pid}");
+            }
+            assert!(p.buffer_stats().evictions > 0, "{shards} shards");
+            assert!(p.buffer_stats().dirty_writebacks > 0, "{shards} shards");
         }
-        for pid in 0..8u64 {
-            let b = p.with_page(pid, |page| page[0]).unwrap();
-            assert_eq!(b, pid as u8, "pid {pid}");
-        }
-        assert!(p.stats().evictions > 0);
-        assert!(p.stats().dirty_writebacks > 0);
     }
 
     #[test]
     fn hits_do_not_touch_flash() {
-        let p = pool(4, MethodKind::Opu);
-        p.with_page_mut(1, |page| page.write(0, b"abcd")).unwrap();
-        let before = p.with_store(|s| s.chip().stats().total());
-        for _ in 0..10 {
-            p.with_page(1, |page| page[0]).unwrap();
+        for shards in [1, 2] {
+            let p = pool_over(store(MethodKind::Opu, shards), 4);
+            p.with_page_mut(1, |page| page.write(0, b"abcd")).unwrap();
+            let before = p.io_stats().total();
+            for _ in 0..10 {
+                p.with_page(1, |page| page[0]).unwrap();
+            }
+            let d = p.io_stats().total() - before;
+            assert_eq!(d.total_ops(), 0, "{shards} shards: cache hits must be free");
+            assert_eq!(p.buffer_stats().hits, 10, "{shards} shards");
         }
-        let d = p.with_store(|s| s.chip().stats().total()) - before;
-        assert_eq!(d.total_ops(), 0, "cache hits must be free");
-        assert_eq!(p.stats().hits, 10);
     }
 
     #[test]
@@ -1672,8 +1224,8 @@ mod tests {
         let p = pool(1, MethodKind::Opu);
         p.with_page(0, |_| ()).unwrap();
         p.with_page(1, |_| ()).unwrap(); // evicts page 0, clean
-        assert_eq!(p.stats().dirty_writebacks, 0);
-        assert_eq!(p.stats().evictions, 1);
+        assert_eq!(p.buffer_stats().dirty_writebacks, 0);
+        assert_eq!(p.buffer_stats().evictions, 1);
     }
 
     #[test]
@@ -1685,11 +1237,11 @@ mod tests {
             page.fill(0, len, 7);
         })
         .unwrap();
-        p.flush_all().unwrap();
+        p.flush().unwrap();
         // A small update command becomes an update log, readable back.
         p.with_page_mut(3, |page| page.write(10, &[9, 9])).unwrap();
-        p.flush_all().unwrap();
-        p.poison_cache(); // read it back from the store, not the frame
+        p.flush().unwrap();
+        p.lock_cache().clear(); // read it back from the store, not the frame
         let (a, b) = p.with_page(3, |page| (page[10], page[12])).unwrap();
         assert_eq!(a, 9);
         assert_eq!(b, 7);
@@ -1699,7 +1251,7 @@ mod tests {
     fn flush_all_makes_state_durable() {
         let p = pool(4, MethodKind::Pdl { max_diff_size: 128 });
         p.with_page_mut(0, |page| page.write(5, b"xyz")).unwrap();
-        p.flush_all().unwrap();
+        p.flush().unwrap();
         let store = p.into_store().unwrap();
         let chip = store.into_chip();
         let mut back = pdl_core::recover_store(
@@ -1720,40 +1272,30 @@ mod tests {
         p.with_page(1, |_| ()).unwrap();
         p.with_page(0, |_| ()).unwrap(); // 1 is now LRU
         p.with_page(2, |_| ()).unwrap(); // evicts 1
-        let before = p.stats().misses;
+        let misses = || p.buffer_stats().misses;
+        let before = misses();
         p.with_page(0, |_| ()).unwrap(); // still cached
-        assert_eq!(p.stats().misses, before);
+        assert_eq!(misses(), before);
         p.with_page(1, |_| ()).unwrap(); // miss, evicts 2
-        assert_eq!(p.stats().misses, before + 1);
+        assert_eq!(misses(), before + 1);
         // A frame an open transaction dirtied is pinned: when it is the
         // least recently used one, the next-oldest frame goes instead.
-        p.with_page_mut_txn(0, 7, |page| page.write(0, &[1])).unwrap();
+        let txn = p.begin().unwrap();
+        p.with_page_mut(0, |page| page.write(0, &[1])).unwrap();
         p.with_page(1, |_| ()).unwrap(); // 0 is now LRU, and pinned
         p.with_page(2, |_| ()).unwrap(); // evicts 1
-        assert_eq!(p.stats().misses, before + 2);
+        assert_eq!(misses(), before + 2);
         p.with_page(0, |_| ()).unwrap(); // still cached
-        assert_eq!(p.stats().misses, before + 2);
-        assert_eq!(p.lock_cache().dirty_owner(0), 7);
+        assert_eq!(misses(), before + 2);
+        assert_eq!(p.lock_cache().dirty_owner(0), txn);
         // With every frame pinned there is nothing to evict.
-        p.with_page_mut_txn(2, 8, |page| page.write(0, &[2])).unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                p.begin().unwrap();
+                p.with_page_mut(2, |page| page.write(0, &[2])).unwrap();
+            });
+        });
         assert_eq!(p.with_page(3, |_| ()), Err(StorageError::BufferPinned));
-    }
-
-    #[test]
-    fn id_hasher_spreads_sequential_and_strided_ids() {
-        // The map picks a bucket from a hash's low bits and tags the entry
-        // with its top seven: both must vary over the ids a pool sees —
-        // consecutive pids, one shard's pids (a stride), transaction ids.
-        use std::collections::HashSet;
-        use std::hash::BuildHasher;
-        let build = BuildHasherDefault::<IdHasher>::default();
-        for stride in [1u64, 2, 7, 1024, 1 << 32] {
-            let hashes: Vec<u64> = (0..1024u64).map(|i| build.hash_one(i * stride)).collect();
-            let buckets: HashSet<u64> = hashes.iter().map(|h| h % 1024).collect();
-            let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
-            assert!(buckets.len() >= 600, "stride {stride}: {} of 1024 buckets", buckets.len());
-            assert_eq!(tags.len(), 128, "stride {stride}");
-        }
     }
 
     #[test]
@@ -2104,7 +1646,7 @@ mod tests {
         // the newest committed data.
         assert_eq!(p.with_page_at(&view, 0, |pg| pg[0]).unwrap(), 1);
         assert_eq!(p.with_page(0, |pg| pg[0]).unwrap(), 3);
-        assert!(p.stats().version_reads > 0);
+        assert!(p.buffer_stats().version_reads > 0);
         p.release_read(view);
         assert_eq!(p.retained_versions(), 0, "release prunes the chain");
     }
@@ -2137,7 +1679,7 @@ mod tests {
         let store =
             build_store(chip, MethodKind::Opu, StoreOptions::new(24).with_snapshot_version_cap(3))
                 .unwrap();
-        let p = BufferPool::new(store, 8);
+        let p = pool_over(store, 8);
         p.with_page_mut(0, |page| page.write(0, &[1; 4])).unwrap();
         let view = p.begin_read();
         for round in 0..8u8 {
@@ -2164,21 +1706,22 @@ mod tests {
                 .with_snapshot_retention_bytes(2 * 256),
         )
         .unwrap();
-        let p = BufferPool::new(store, 8);
+        let p = pool_over(store, 8);
         p.with_page_mut(0, |page| page.write(0, &[1; 4])).unwrap();
         let view = p.begin_read();
         for round in 0..6u8 {
             p.with_page_mut(round as u64 % 3, |page| page.write(0, &[round + 20; 4])).unwrap();
         }
+        let retained_bytes = || p.lock_cache().retained_version_bytes();
         assert!(
-            p.retained_version_bytes() <= 2 * 256,
+            retained_bytes() <= 2 * 256,
             "the byte budget bounds retention: {} bytes",
-            p.retained_version_bytes()
+            retained_bytes()
         );
         let err = p.with_page_at(&view, 0, |_| ()).unwrap_err();
         assert!(matches!(err, StorageError::SnapshotTooOld { .. }), "got {err:?}");
         p.release_read(view);
-        assert_eq!(p.retained_version_bytes(), 0, "release prunes the byte ledger too");
+        assert_eq!(retained_bytes(), 0, "release prunes the byte ledger too");
     }
 
     #[test]
@@ -2187,15 +1730,15 @@ mod tests {
         p.with_page_mut(0, |page| page.write(0, &[1; 4])).unwrap();
         {
             let guard = p.read_view();
-            assert_eq!(p.stats().active_views, 1, "the gauge counts the open guard");
+            assert_eq!(p.buffer_stats().active_views, 1, "the gauge counts the open guard");
             p.with_page_mut(0, |page| page.write(0, &[2; 4])).unwrap();
             assert_eq!(p.with_page_at(guard.view(), 0, |pg| pg[0]).unwrap(), 1);
         }
-        assert_eq!(p.stats().active_views, 0, "drop released the view");
+        assert_eq!(p.buffer_stats().active_views, 0, "drop released the view");
         assert_eq!(p.retained_versions(), 0, "and pruned what it pinned");
         let r = p.with_read_view(|view| p.with_page_at(view, 0, |pg| pg[0]));
         assert_eq!(r.unwrap(), 2);
-        assert_eq!(p.stats().active_views, 0, "the closure helper releases on exit");
+        assert_eq!(p.buffer_stats().active_views, 0, "the closure helper releases on exit");
     }
 
     // ------------------------------------------------------------------
@@ -2206,18 +1749,18 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    fn pool_with_policy(kind: MethodKind, policy: GcPolicy) -> BufferPool {
+    fn pool_with_policy(kind: MethodKind, policy: GcPolicy) -> Database {
         let chip = FlashChip::new(FlashConfig::tiny());
         let opts = StoreOptions::new(24).with_gc_policy(policy);
-        BufferPool::new(build_store(chip, kind, opts).unwrap(), 8)
+        pool_over(build_store(chip, kind, opts).unwrap(), 8)
     }
 
-    /// Park one thread inside [`BufferPool::with_store`], run the three
+    /// Park one thread inside [`Database::with_store`], run the three
     /// kinds of buffer hit on another, and report whether they were done
     /// within `patience` — that is, while the store was still held. No
     /// interleaving is left to the scheduler: the store is released only
     /// after the answer is in.
-    fn hits_finish_while_the_store_is_held(p: &BufferPool, patience: Duration) -> bool {
+    fn hits_finish_while_the_store_is_held(p: &Database, patience: Duration) -> bool {
         for pid in 0..3u64 {
             p.with_page(pid, |_| ()).unwrap();
         }
@@ -2234,9 +1777,11 @@ mod tests {
             entered_rx.recv().unwrap();
             scope.spawn(move || {
                 p.with_page(0, |page| page[0]).unwrap();
-                p.with_page_struct(1, NO_TXN, |page| page[0]).unwrap();
-                p.with_page_mut_txn(2, 7, |page| page.write(0, &[1; 4])).unwrap();
+                p.with_page_struct(1, |page| page[0]).unwrap();
+                p.begin().unwrap();
+                p.with_page_mut(2, |page| page.write(0, &[1; 4])).unwrap();
                 done_tx.send(()).unwrap();
+                p.abort().unwrap();
             });
             let finished = done_rx.recv_timeout(patience).is_ok();
             release_tx.send(()).unwrap();
@@ -2258,7 +1803,7 @@ mod tests {
             StoreOptions::new(24),
         )
         .unwrap();
-        let p = BufferPool::new(Box::new(sharded), 8);
+        let p = pool_over(Box::new(sharded), 8);
         assert!(hits_finish_while_the_store_is_held(&p, generous), "sharded PDL");
     }
 
@@ -2303,7 +1848,7 @@ mod tests {
                     direct.apply_update(pid as u64, image, &[ChangeRange::new(at, 8)]).unwrap();
                 }
             }
-            p.flush_all().unwrap();
+            p.flush().unwrap();
             for (pid, image) in images.iter().enumerate() {
                 direct.evict_page(pid as u64, image).unwrap();
             }
@@ -2372,7 +1917,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_share_the_pool() {
-        // &BufferPool reads from several threads: the type-system witness
+        // &Database reads from several threads: the type-system witness
         // that non-mutating reads no longer need `&mut`.
         let p = pool(8, MethodKind::Opu);
         for pid in 0..8u64 {

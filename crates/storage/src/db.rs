@@ -1,7 +1,11 @@
-//! The database facade: a buffer pool plus a logical-page allocator.
+//! The database: the buffer pool over one page store, MVCC read views,
+//! a logical-page allocator and transactions, in one type.
 //!
-//! Heap files and B+-trees allocate their pages here; the page-update
-//! method underneath decides how those logical pages land in flash.
+//! [`Database`] owns the store behind a mutex, the LRU frame cache
+//! (`FrameCache`, see `buffer.rs`) behind another, the MVCC registry and
+//! the page latch table; every read and write goes through it. Heap
+//! files and B+-trees allocate their pages here; the page-update method
+//! underneath decides how those logical pages land in flash.
 //!
 //! Reads take `&Database`. Plain reads see the *live* page image —
 //! including an open transaction's in-flight writes, since transactions
@@ -15,7 +19,7 @@
 //! Mutations take `&Database` too: the database is interior-mutable
 //! (allocator, transaction table and structure registry each behind
 //! their own lock), and structural writers — B+-tree splits, heap
-//! growth — serialize per *page* through the buffer pool's latch table
+//! growth — serialize per *page* through the latch table
 //! ([`Database::latch_page`]), not per database. Transactions are keyed
 //! by thread: [`Database::begin`] opens at most one transaction per
 //! thread, and every `with_page_mut` on that thread is tracked against
@@ -35,18 +39,22 @@
 //! a compatibility path.
 
 use crate::btree::BTree;
-use crate::buffer::{BufferPool, BufferStats, OwnedPage, PageLatch, PageMut};
+use crate::buffer::{
+    BufferStats, FrameCache, LatchTable, NoVersioning, OwnedPage, PageLatch, PageMut, StoreBackend,
+    VersionSource,
+};
 use crate::error::StorageError;
 use crate::heap::HeapFile;
-use crate::view::{PageRead, StructId, StructRoot, ViewRegistry};
+use crate::view::{MvccState, PageRead, StructId, StructRoot};
 use crate::{ReadGuard, ReadView, Result};
-use pdl_core::{CommitBatch, CommitError, PageStore, StructRootEntry, StructRootsSnapshot};
+use pdl_core::{CommitBatch, CommitError, PageStore, StructRootEntry, StructRootsSnapshot, NO_TXN};
 use pdl_flash::FlashStats;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::ThreadId;
+use std::time::Instant;
 
 /// Source of [`Database::id`] values: never 0, never reused.
 static NEXT_DB_ID: AtomicU64 = AtomicU64::new(1);
@@ -219,15 +227,35 @@ struct AllocState {
     leaked: u64,
 }
 
-/// A database: buffer pool + logical-page allocator + transactions.
+/// A database: buffer pool + MVCC read views + logical-page allocator +
+/// transactions.
 ///
 /// All of it behind `&self`: readers, writers and transaction control
-/// are safe to call from any number of threads (`Database: Sync`).
+/// are safe to call from any number of threads (`Database: Sync`). The
+/// cache, the store and the MVCC registry each sit behind their own
+/// mutex (lock order: see `buffer.rs`).
 pub struct Database {
     /// Process-unique identity, validating the per-thread
     /// `current_txn` cache.
     id: u64,
-    pool: BufferPool,
+    store: Mutex<Box<dyn PageStore>>,
+    cache: Mutex<FrameCache>,
+    mvcc: Mutex<MvccState>,
+    /// Open read views: lets an auto-committed command skip the MVCC
+    /// registry when no view could need its pre-image.
+    active_views: AtomicUsize,
+    page_size: usize,
+    /// Per-page latches for structural writers (crab-walk descents).
+    latches: LatchTable,
+    /// Host-clock recorder: the latch-wait, commit-lock-wait and
+    /// cold-version-read histograms plus the structural-operation spans.
+    /// Recording only when `obs`.
+    pool_obs: Mutex<pdl_obs::Recorder>,
+    /// Host-clock epoch `pool_obs` times against.
+    obs_epoch: Instant,
+    /// Shard count of the store — the lane structural spans are
+    /// attributed to (`pid % num_shards`, the shard mapping).
+    num_shards: u32,
     alloc: Mutex<AllocState>,
     max_pages: u64,
     durability: Durability,
@@ -240,7 +268,7 @@ pub struct Database {
     open_txns: Mutex<HashMap<ThreadId, TxnId>>,
     /// Each open transaction's uncommitted structural changes (B+-tree
     /// roots, heap page lists), keyed by [`StructId`]: published into the
-    /// pool's structure-root log at the commit timestamp, discarded on
+    /// structure-root log at the commit timestamp, discarded on
     /// abort. Current-state reads on the owning thread see them
     /// (read-your-writes, like the in-place frame mutations); snapshot
     /// reads never do.
@@ -289,15 +317,33 @@ impl Database {
             snap.next_pid.max(past_entries)
         });
         let obs = store.options().obs;
-        let mut commit_obs = pdl_obs::Recorder::disabled();
-        if obs {
-            commit_obs.enable(pdl_obs::DEFAULT_SPAN_CAPACITY);
-        }
-        let pool = BufferPool::new(store, buffer_pages);
-        pool.set_pin_owned(false); // Durability::Relaxed is the default
+        let recorder = || {
+            let mut rec = pdl_obs::Recorder::disabled();
+            if obs {
+                rec.enable(pdl_obs::DEFAULT_SPAN_CAPACITY);
+            }
+            Mutex::new(rec)
+        };
+        let page_size = store.logical_page_size();
+        let mut cache = FrameCache::new(
+            buffer_pages,
+            page_size,
+            store.options().snapshot_version_cap as usize,
+            store.options().snapshot_retention_bytes as usize,
+            store.consumes_updates(),
+        );
+        cache.set_pin_owned(false); // Durability::Relaxed is the default
         Database {
             id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
-            pool,
+            num_shards: store.num_shards().max(1) as u32,
+            store: Mutex::new(store),
+            cache: Mutex::new(cache),
+            mvcc: Mutex::new(MvccState::default()),
+            active_views: AtomicUsize::new(0),
+            page_size,
+            latches: LatchTable::new(),
+            pool_obs: recorder(),
+            obs_epoch: Instant::now(),
             alloc: Mutex::new(AllocState {
                 next_pid,
                 free_pids: Vec::new(),
@@ -312,7 +358,7 @@ impl Database {
             abort_epoch: AtomicU64::new(0),
             commits: Mutex::new(CommitQueue::default()),
             batch_done: Condvar::new(),
-            commit_obs: Mutex::new(commit_obs),
+            commit_obs: recorder(),
             obs,
             stopped: OnceLock::new(),
             has_root_log,
@@ -320,21 +366,25 @@ impl Database {
     }
 
     /// Re-wrap a store whose first `allocated` pages are already in use
-    /// (e.g. to change the buffer size after loading a database).
+    /// (e.g. to change the buffer size after loading a database). The
+    /// frontier never falls below the one [`Database::new`] derives from
+    /// the store's root log.
     pub fn new_with_allocated(
         store: Box<dyn PageStore>,
         buffer_pages: usize,
         allocated: u64,
     ) -> Database {
         let db = Database::new(store, buffer_pages);
-        db.lock_alloc().next_pid = allocated;
+        let mut alloc = db.lock_alloc();
+        alloc.next_pid = alloc.next_pid.max(allocated);
+        drop(alloc);
         db
     }
 
     /// Choose the commit guarantee (default: [`Durability::Relaxed`]).
     pub fn with_durability(mut self, durability: Durability) -> Database {
         self.durability = durability;
-        self.pool.set_pin_owned(durability == Durability::Commit);
+        self.lock_cache().set_pin_owned(durability == Durability::Commit);
         self
     }
 
@@ -342,8 +392,16 @@ impl Database {
         self.durability
     }
 
-    fn lock_alloc(&self) -> std::sync::MutexGuard<'_, AllocState> {
+    fn lock_alloc(&self) -> MutexGuard<'_, AllocState> {
         self.alloc.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub(crate) fn lock_cache(&self) -> MutexGuard<'_, FrameCache> {
+        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn lock_mvcc(&self) -> MutexGuard<'_, MvccState> {
+        self.mvcc.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Fail-stop check (see the `stopped` field).
@@ -351,13 +409,11 @@ impl Database {
         self.stopped.get().map_or(Ok(()), |e| Err(e.clone()))
     }
 
-    fn lock_open_txns(&self) -> std::sync::MutexGuard<'_, HashMap<ThreadId, TxnId>> {
+    fn lock_open_txns(&self) -> MutexGuard<'_, HashMap<ThreadId, TxnId>> {
         self.open_txns.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn lock_txn_structs(
-        &self,
-    ) -> std::sync::MutexGuard<'_, HashMap<TxnId, HashMap<StructId, StructRoot>>> {
+    fn lock_txn_structs(&self) -> MutexGuard<'_, HashMap<TxnId, HashMap<StructId, StructRoot>>> {
         self.txn_structs.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -371,7 +427,7 @@ impl Database {
     /// [`Database::commit`] or [`Database::abort`] (on the same thread),
     /// every mutation is tagged with the returned id, its first touch of
     /// a page snapshots the pre-image, and (in [`Durability::Commit`]
-    /// mode) its dirty pages are pinned in the buffer pool.
+    /// mode) its dirty pages are pinned in the cache.
     pub fn begin(&self) -> Result<TxnId> {
         self.check_stopped()?;
         let me = std::thread::current().id();
@@ -432,18 +488,18 @@ impl Database {
             .unwrap_or_default();
         if self.durability == Durability::Relaxed {
             self.clear_allocs(txn);
-            self.pool.publish_commit(&[txn], structs, false);
+            self.publish_commit(&[txn], structs, false);
             return Ok(());
         }
-        let pages = self.pool.collect_owned(txn);
+        let pages = self.lock_cache().collect_owned(txn);
         if pages.is_empty() && (structs.is_empty() || !self.has_root_log) {
             // Read-only (or no root log): nothing to make durable.
             self.check_stopped()?;
             self.clear_allocs(txn);
-            self.pool.publish_commit(&[txn], structs, false);
+            self.publish_commit(&[txn], structs, false);
             return Ok(());
         }
-        let queued_at = self.pool.obs_now_us();
+        let queued_at = self.obs_now_us();
         let mut queue = self.lock_commits();
         queue.waiting.push(Committer { txn, structs, pages, queued_at });
         loop {
@@ -474,7 +530,7 @@ impl Database {
         }
     }
 
-    fn lock_commits(&self) -> std::sync::MutexGuard<'_, CommitQueue> {
+    fn lock_commits(&self) -> MutexGuard<'_, CommitQueue> {
         self.commits.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -494,7 +550,7 @@ impl Database {
     /// [`Database::commit`]); the outcome is every member's.
     fn run_batch(&self, batch: &[Committer]) -> Result<()> {
         for c in batch {
-            self.pool.record_wait(pdl_obs::LatencyClass::CommitLockWait, c.queued_at);
+            self.record_wait(pdl_obs::LatencyClass::CommitLockWait, c.queued_at);
         }
         self.check_stopped()?;
         let txns: Vec<TxnId> = batch.iter().map(|c| c.txn).collect();
@@ -515,7 +571,7 @@ impl Database {
         match self.store_commit(&staged, &txns) {
             Ok(()) => {
                 txns.iter().for_each(|&t| self.clear_allocs(t));
-                self.pool.publish_commit(&txns, structs, true);
+                self.publish_commit(&txns, structs, true);
                 Ok(())
             }
             Err(CommitError::Rejected(e)) => {
@@ -523,7 +579,7 @@ impl Database {
                 // back to their pre-images and report the transactions
                 // failed (`structs` is dropped unpublished).
                 for &t in &txns {
-                    let _ = self.pool.rollback(t);
+                    let _ = self.rollback(t);
                     self.rollback_allocs(t);
                     self.abort_epoch.fetch_add(1, Ordering::SeqCst);
                 }
@@ -552,14 +608,14 @@ impl Database {
         txns: &[TxnId],
     ) -> std::result::Result<(), CommitError> {
         if !self.obs {
-            return self.pool.with_store(|store| store.commit_batch(batch));
+            return self.with_store(|store| store.commit_batch(batch));
         }
         let busy = |store: &dyn PageStore| {
             let mut busy = Vec::new();
             store.for_each_chip(&mut |c| busy.push(c.pipeline_busy_us()));
             busy
         };
-        let (result, start_us, sample) = self.pool.with_store(|store| {
+        let (result, start_us, sample) = self.with_store(|store| {
             let mut start_us = 0;
             store.for_each_chip(&mut |c| start_us = start_us.max(c.sim_now_us()));
             let before = busy(store);
@@ -591,6 +647,36 @@ impl Database {
         result
     }
 
+    /// Publish a commit of `txns` at one commit timestamp: allocate it
+    /// and publish `structs` (their structural changes) under the
+    /// registry lock, then close every transaction — pending pre-images
+    /// become committed versions where a read view predates the commit,
+    /// frames lose their owner — all under one hold of the cache mutex.
+    /// A view that registers meanwhile reads at the new clock, and its
+    /// first read waits for the cache mutex: it sees the whole commit,
+    /// never one page of it before another. `durable`: the images are on
+    /// flash and the frames become clean; otherwise (relaxed durability)
+    /// they stay dirty and reach flash by ordinary eviction.
+    fn publish_commit(&self, txns: &[TxnId], structs: Vec<(StructId, StructRoot)>, durable: bool) {
+        let mut cache = self.lock_cache();
+        let (ts, active) = {
+            let mut m = self.lock_mvcc();
+            let (ts, retain) = m.alloc_commit();
+            for (id, root) in structs {
+                m.publish_struct(id, retain.then_some(ts), root);
+            }
+            (retain.then_some(ts), m.active_ts())
+        };
+        for &txn in txns {
+            cache.end_txn(&mut StoreBackend(&self.store), txn, ts, durable, &active);
+        }
+    }
+
+    /// Restore every page `txn` touched to its pre-image.
+    fn rollback(&self, txn: TxnId) -> Result<()> {
+        self.lock_cache().rollback(&mut StoreBackend(&self.store), txn)
+    }
+
     /// Abort the calling thread's transaction: every touched page
     /// returns to its pre-image (the base page plus the last committed
     /// differential, as cached at first touch), and every structural
@@ -613,7 +699,7 @@ impl Database {
         let txn = self.take_thread_txn("abort")?;
         self.lock_txn_structs().remove(&txn);
         self.abort_epoch.fetch_add(1, Ordering::SeqCst);
-        let r = self.pool.rollback(txn);
+        let r = self.rollback(txn);
         self.rollback_allocs(txn);
         r
     }
@@ -645,19 +731,24 @@ impl Database {
     /// clock: commits after this point — including any open
     /// transaction's eventual commit — are invisible through the view.
     pub fn begin_read(&self) -> ReadView {
-        self.pool.begin_read()
+        let ts = self.lock_mvcc().register();
+        self.active_views.fetch_add(1, Ordering::SeqCst);
+        ReadView::new(ts)
     }
 
-    /// Release a view, letting the pool prune versions no reader needs.
+    /// Release a view, pruning every version no remaining reader needs
+    /// (retention-ledger spills included: their flash pages are freed).
     pub fn release_read(&self, view: ReadView) {
-        self.pool.release_read(view)
+        let floor = self.lock_mvcc().deregister(view.read_ts());
+        self.active_views.fetch_sub(1, Ordering::SeqCst);
+        self.lock_cache().prune_committed(&mut StoreBackend(&self.store), floor);
     }
 
     /// Open a leak-proof snapshot: the returned guard releases the view
     /// when dropped, so a `?` mid-scan (e.g. on
     /// [`StorageError::SnapshotTooOld`]) or a panic can never leak the
     /// view and freeze the version-retention floor.
-    pub fn read_view(&self) -> ReadGuard<'_, Database> {
+    pub fn read_view(&self) -> ReadGuard<'_> {
         ReadGuard::new(self)
     }
 
@@ -669,14 +760,27 @@ impl Database {
         f(guard.view())
     }
 
-    /// Snapshot read of one page as of `view`.
+    /// Snapshot read of one page as of `view`. A read resolved from the
+    /// flash retention ledger (a cold spilled version) lands a sample in
+    /// the `cold_version_read` histogram when observability is on.
     pub fn with_page_at<R>(
         &self,
         view: &ReadView,
         pid: u64,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
-        self.pool.with_page_at(view, pid, f)
+        let mut backend = StoreBackend(&self.store);
+        if !self.obs {
+            return self.lock_cache().with_page_at(&mut backend, pid, view.read_ts(), f);
+        }
+        let start = Instant::now();
+        let (r, cold) =
+            self.lock_cache().with_page_at_traced(&mut backend, pid, view.read_ts(), f)?;
+        if cold {
+            let us = start.elapsed().as_micros() as u64;
+            self.lock_pool_obs().record(pdl_obs::LatencyClass::ColdVersionRead, us);
+        }
+        Ok(r)
     }
 
     /// A [`PageRead`] adapter over `view`: hand it to the read entry
@@ -688,7 +792,7 @@ impl Database {
 
     // ------------------------------------------------------------------
     // Structure-root log: registered structures (B+-trees, heap files)
-    // version their root state through the pool's commit clock, so stale
+    // version their root state through the commit clock, so stale
     // handles and snapshot scans always resolve the right shape.
     // ------------------------------------------------------------------
 
@@ -696,7 +800,7 @@ impl Database {
     /// *before* the structure was created is not snapshot-safe for it
     /// (its pages read as their pre-creation bytes).
     pub fn register_struct(&self, root: StructRoot) -> StructId {
-        self.pool.register_struct(root)
+        self.lock_mvcc().register_struct(root)
     }
 
     /// The structure's state as the calling thread sees it: its open
@@ -708,7 +812,7 @@ impl Database {
                 return Some(root.clone());
             }
         }
-        self.pool.struct_current(id)
+        self.lock_mvcc().struct_current(id)
     }
 
     /// [`Database::struct_current`] gated on a generation counter: `None`
@@ -727,19 +831,27 @@ impl Database {
                 return None;
             }
         }
-        self.pool.struct_current_if_newer(id, seen)
+        self.lock_mvcc().struct_current_if_newer(id, seen)
     }
 
     /// Record a structural change. Inside the calling thread's
     /// transaction it stays pending (visible to this thread, published at
     /// commit, discarded on abort); outside one it auto-commits onto the
-    /// root log immediately.
+    /// root log immediately: the change rides the commit clock as of now
+    /// — every page command it consisted of has already allocated its
+    /// commit timestamp, so views opened before the change resolve the
+    /// superseded pre-state.
     pub fn publish_struct(&self, id: StructId, root: StructRoot) {
         match self.current_txn() {
             Some(txn) => {
                 self.lock_txn_structs().entry(txn).or_default().insert(id, root);
             }
-            None => self.pool.publish_struct(id, root),
+            None => {
+                let mut m = self.lock_mvcc();
+                let ts = m.clock;
+                let retain = !m.active.is_empty();
+                m.publish_struct(id, retain.then_some(ts), root);
+            }
         }
     }
 
@@ -747,7 +859,7 @@ impl Database {
     /// / `HeapFile::detach` call this so dead handles do not strand
     /// registry entries).
     pub fn deregister_struct(&self, id: StructId) {
-        self.pool.deregister_struct(id)
+        self.lock_mvcc().deregister_struct(id)
     }
 
     /// Rollbacks (aborts and failed durable commits) so far — heap
@@ -759,12 +871,12 @@ impl Database {
 
     /// Structure-root pre-states currently retained (diagnostics/tests).
     pub fn retained_struct_versions(&self) -> usize {
-        self.pool.retained_struct_versions()
+        self.lock_mvcc().retained_struct_versions()
     }
 
     /// Retained committed page versions (diagnostics/tests).
     pub fn retained_versions(&self) -> usize {
-        self.pool.retained_versions()
+        self.lock_cache().retained_versions()
     }
 
     /// Build the durable root-log record a committing transaction
@@ -777,7 +889,7 @@ impl Database {
         if structs.is_empty() || !self.has_root_log {
             return None;
         }
-        let mut roots = self.pool.current_roots();
+        let mut roots = self.lock_mvcc().current_roots();
         for (id, root) in structs {
             match roots.binary_search_by_key(id, |(i, _)| *i) {
                 Ok(at) => roots[at].1 = root.clone(),
@@ -805,7 +917,7 @@ impl Database {
     /// the self-contained recovery path: no externally remembered root
     /// pids, no `attach`.
     pub fn recover_structures(&self) -> Vec<RecoveredStructure> {
-        let Some(snap) = self.pool.with_store(|s| s.struct_roots()) else {
+        let Some(snap) = self.with_store(|s| s.struct_roots()) else {
             return Vec::new();
         };
         let mut entries = snap.entries;
@@ -828,7 +940,7 @@ impl Database {
     /// log — into a fresh checkpoint (PDL §4.5's fuzzy checkpoint; a
     /// no-op on methods without one).
     pub fn checkpoint(&self) -> Result<()> {
-        Ok(self.pool.with_store(|s| s.checkpoint())?)
+        Ok(self.with_store(|s| s.checkpoint())?)
     }
 
     /// Allocate the next logical page for a caller that may keep the pid
@@ -883,23 +995,30 @@ impl Database {
     }
 
     pub fn page_size(&self) -> usize {
-        self.pool.page_size()
+        self.page_size
     }
 
     /// Read access to the current image of a page (`&self`: concurrent
     /// readers are expressible in the type system).
     pub fn with_page<R>(&self, pid: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        self.pool.with_page(pid, f)
+        self.lock_cache().with_page(&mut StoreBackend(&self.store), pid, f)
     }
 
-    /// Mutable page access; tracked against the calling thread's open
-    /// transaction, if any. A page dirtied by *another* uncommitted
-    /// transaction fails with [`StorageError::TxnConflict`].
+    /// Mutable page access. The closure's writes through [`PageMut`]
+    /// form **one update command**: after it returns, the recorded ranges
+    /// are reported to the page store (tightly-coupled methods write their
+    /// update logs here). The command is tracked against the calling
+    /// thread's open transaction, if any (versioning happens at commit);
+    /// without one it auto-commits, and its pre-image joins the page's
+    /// version chain when an open read view predates it. A page dirtied
+    /// by *another* uncommitted transaction fails with
+    /// [`StorageError::TxnConflict`].
     pub fn with_page_mut<R>(&self, pid: u64, f: impl FnOnce(&mut PageMut) -> R) -> Result<R> {
-        match self.current_txn() {
-            Some(txn) => self.pool.with_page_mut_txn(pid, txn, f),
-            None => self.pool.with_page_mut(pid, f),
-        }
+        let (txn, vsrc): (TxnId, &dyn VersionSource) = match self.current_txn() {
+            Some(txn) => (txn, &NoVersioning),
+            None => (NO_TXN, self),
+        };
+        self.lock_cache().with_page_mut_txn(&mut StoreBackend(&self.store), pid, txn, vsrc, f)
     }
 
     /// Structural-descent read: like [`Database::with_page`], but fails
@@ -908,42 +1027,82 @@ impl Database {
     /// must never navigate a shape another transaction changed but has
     /// not committed — the change may still be rolled back, and
     /// descending its half-published geometry could route an insert into
-    /// the wrong subtree. The check and the read are one pool call (one
-    /// acquisition of the cache mutex).
+    /// the wrong subtree. The check and the read happen under one
+    /// acquisition of the cache mutex.
     pub fn with_page_struct<R>(&self, pid: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        let txn = self.current_txn().unwrap_or(pdl_core::NO_TXN);
-        self.pool.with_page_struct(pid, txn, f)
+        let txn = self.current_txn().unwrap_or(NO_TXN);
+        self.lock_cache().with_page_struct(&mut StoreBackend(&self.store), pid, txn, f)
     }
 
-    /// Acquire the structural-writer latch on `pid` (see
-    /// [`BufferPool::latch_page`]): blocks while another thread holds it,
-    /// releases on drop.
+    /// Acquire the latch on logical page `pid`, blocking while another
+    /// thread holds it; the latch releases on drop. Structural writers
+    /// (B+-tree crab-walk descents, heap growth) couple through these;
+    /// readers never take them. Lock order: latches are acquired strictly
+    /// root-to-leaf (and left-to-right along the leaf chain), and the
+    /// cache/store/MVCC mutexes are only taken *under* a latch, never the
+    /// other way round.
     pub fn latch_page(&self, pid: u64) -> PageLatch<'_> {
-        self.pool.latch_page(pid)
+        let wait_from = self.obs_now_us();
+        let (latch, waited) = self.latches.latch(pid);
+        if waited {
+            self.record_wait(pdl_obs::LatencyClass::LatchWait, wait_from);
+        }
+        latch
+    }
+
+    /// Host-clock µs since the observability epoch (`None` when
+    /// observability is off — the one branch disabled recording costs).
+    fn obs_now_us(&self) -> Option<u64> {
+        self.obs.then(|| self.obs_epoch.elapsed().as_micros() as u64)
+    }
+
+    fn lock_pool_obs(&self) -> MutexGuard<'_, pdl_obs::Recorder> {
+        self.pool_obs.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Record the host-clock time since `start_us` (from `obs_now_us`) as
+    /// one `class` sample; a no-op when `start_us` is `None`.
+    fn record_wait(&self, class: pdl_obs::LatencyClass, start_us: Option<u64>) {
+        let Some(start_us) = start_us else { return };
+        let end_us = self.obs_epoch.elapsed().as_micros() as u64;
+        self.lock_pool_obs().record(class, end_us.saturating_sub(start_us));
     }
 
     /// Host-clock µs for a structural span's start (`None` with
     /// observability off; pass it straight to [`Database::struct_span`]).
     pub fn struct_span_start(&self) -> Option<u64> {
-        self.pool.obs_now_us()
+        self.obs_now_us()
     }
 
     /// Record a structural-operation span (`split`, `root-publish`, ...)
     /// attributed to `pid`, the calling thread's transaction and the
-    /// pid's shard. No-op when `start_us` is `None`.
+    /// pid's shard (`pid % num_shards`), so a trace shows concurrent
+    /// descents as parallel lanes. No-op when `start_us` is `None`.
     pub fn struct_span(&self, name: &'static str, pid: u64, start_us: Option<u64>) {
-        self.pool.struct_span(name, pid, self.current_txn().unwrap_or(0), start_us)
+        let Some(start_us) = start_us else { return };
+        let end_us = self.obs_epoch.elapsed().as_micros() as u64;
+        let span = pdl_obs::Span {
+            name,
+            ctx: "struct",
+            lane: (pid % self.num_shards as u64) as u32,
+            start_us,
+            dur_us: end_us.saturating_sub(start_us),
+            block: self.current_txn().unwrap_or(0),
+            id: pid,
+        };
+        self.lock_pool_obs().push_span(span);
     }
 
     pub fn buffer_stats(&self) -> BufferStats {
-        let mut stats = self.pool.stats();
+        let mut stats = self.lock_cache().stats();
+        stats.active_views = self.active_views.load(Ordering::SeqCst) as u64;
         stats.leaked_pids = self.lock_alloc().leaked;
         stats
     }
 
     /// Flash statistics of the underlying chip.
     pub fn io_stats(&self) -> FlashStats {
-        self.pool.with_store(|s| s.stats())
+        self.with_store(|s| s.stats())
     }
 
     /// Whether observability recording is on (set by `StoreOptions::obs`).
@@ -977,7 +1136,7 @@ impl Database {
     /// `commit_lock_wait` contention histograms plus structural-operation
     /// spans.
     pub fn pool_obs_snapshot(&self) -> pdl_obs::RecorderSnapshot {
-        self.pool.pool_obs_snapshot()
+        self.lock_pool_obs().snapshot()
     }
 
     /// Chrome trace-event JSON of the simulated-clock tracks: one per
@@ -1008,12 +1167,12 @@ impl Database {
         pdl_obs::chrome_trace(&tracks)
     }
 
-    /// Chrome trace-event JSON of the pool's host-clock structural track
+    /// Chrome trace-event JSON of the host-clock structural track
     /// (split / root-publish / heap-grow). Concurrent writers show as
     /// parallel lanes; timestamps are wall-clock, so this export is not
     /// byte-deterministic across runs.
     pub fn obs_struct_trace_json(&self) -> String {
-        let pool = self.pool.pool_obs_snapshot();
+        let pool = self.pool_obs_snapshot();
         let tracks = vec![pdl_obs::TraceTrack {
             name: "struct".to_string(),
             spans: pool.spans,
@@ -1023,32 +1182,54 @@ impl Database {
     }
 
     pub fn reset_io_stats(&self) {
-        self.pool.with_store(|s| s.reset_stats());
+        self.with_store(|s| s.reset_stats());
     }
 
     /// Method label of the underlying page store.
     pub fn method_name(&self) -> String {
-        self.pool.with_store(|s| s.name())
+        self.with_store(|s| s.name())
     }
 
-    /// Run `f` against the underlying page store (exclusive access).
+    /// Run `f` against the underlying page store (exclusive: the store
+    /// mutex is held for the duration — misses and write-backs wait,
+    /// buffer hits do not).
     pub fn with_store<R>(&self, f: impl FnOnce(&mut dyn PageStore) -> R) -> R {
-        self.pool.with_store(f)
+        f(self.store.lock().unwrap_or_else(|e| e.into_inner()).as_mut())
     }
 
-    /// Write-through everything (durability point).
+    /// Write every dirty page back and flush the store's buffers
+    /// (write-through, the durability point of §4.5).
     pub fn flush(&self) -> Result<()> {
-        self.pool.flush_all()
+        self.lock_cache().write_back_dirty(&mut StoreBackend(&self.store))?;
+        self.with_store(|s| s.flush())?;
+        Ok(())
     }
 
     /// Tear down, flushing, and hand back the page store.
     pub fn into_store(self) -> Result<Box<dyn PageStore>> {
-        self.pool.into_store()
+        self.flush()?;
+        Ok(self.into_store_without_flush())
     }
 
-    /// Tear down *without* flushing (crash simulation).
+    /// Tear down *without* flushing (crash simulation: cached dirty
+    /// pages and uncommitted transactions are lost, exactly as on a power
+    /// failure).
     pub fn into_store_without_flush(self) -> Box<dyn PageStore> {
-        self.pool.into_store_without_flush()
+        self.store.into_inner().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Auto-committed update commands take their commit timestamps from the
+/// MVCC registry.
+impl VersionSource for Database {
+    fn capture_hint(&self) -> bool {
+        self.active_views.load(Ordering::SeqCst) > 0
+    }
+
+    fn commit_ts(&self) -> Option<(u64, Vec<u64>)> {
+        let mut m = self.lock_mvcc();
+        let (ts, retain) = m.alloc_commit();
+        retain.then(|| (ts, m.active_ts()))
     }
 }
 
@@ -1062,24 +1243,20 @@ impl PageRead for Database {
         Database::with_page(self, pid, f)
     }
 
+    /// Skipped when the page is already buffered (a prefetch would charge
+    /// a phantom read); errors are swallowed — a failed prefetch only
+    /// means the later demand read pays the full latency.
     fn prefetch(&self, pid: u64) {
-        self.pool.prefetch(pid);
+        if self.lock_cache().is_cached(pid) {
+            return;
+        }
+        let _ = self.with_store(|s| s.prefetch(pid));
     }
 
     fn struct_root(&self, id: StructId) -> Option<StructRoot> {
         // Pending-aware: the open transaction reads its own structural
         // writes, matching the in-place frame mutations it also sees.
         self.struct_current(id)
-    }
-}
-
-impl ViewRegistry for Database {
-    fn begin_read(&self) -> ReadView {
-        Database::begin_read(self)
-    }
-
-    fn release_read(&self, view: ReadView) {
-        Database::release_read(self, view)
     }
 }
 
@@ -1106,14 +1283,14 @@ impl PageRead for DbSnapshot<'_> {
     }
 
     fn prefetch(&self, pid: u64) {
-        self.db.pool.prefetch(pid);
+        self.db.prefetch(pid);
     }
 
     fn struct_root(&self, id: StructId) -> Option<StructRoot> {
         // As of the view: a root moved by a later split resolves to its
         // pre-split pre-state, never to any open transaction's pending
         // changes.
-        self.db.pool.resolve_struct(id, self.view.read_ts())
+        self.db.lock_mvcc().resolve_struct(id, self.view.read_ts())
     }
 }
 
@@ -1531,6 +1708,36 @@ mod tests {
         assert_eq!(stopped, StorageError::Internal("a commit batch panicked".into()));
         // A later committer is refused, not left waiting for a leader.
         assert_eq!(d.begin(), Err(stopped));
+    }
+
+    #[test]
+    fn a_rewrap_below_the_recovered_frontier_never_reissues_a_tree_page() {
+        use crate::btree::KeyBuf;
+        let kind = MethodKind::Pdl { max_diff_size: 128 };
+        let opts = || StoreOptions::new(256).with_checkpoint_blocks(2);
+        let store = build_store(FlashChip::new(FlashConfig::scaled(16)), kind, opts()).unwrap();
+        let d = Database::new(store, 64).with_durability(Durability::Commit);
+        let key = |k: u64| KeyBuf::new().push_u64(k).finish();
+        let tree = BTree::create(&d).unwrap();
+        d.begin().unwrap();
+        for k in 0..400u64 {
+            tree.insert(&d, &key(k), k).unwrap();
+        }
+        d.commit().unwrap();
+        d.checkpoint().unwrap();
+        // The tree allocated every pid below the frontier.
+        let frontier = d.allocated_pages();
+        assert!(frontier > 1, "the tree split");
+        let chip = d.into_store_without_flush().into_chip();
+        let store = pdl_core::recover_store(chip, kind, opts()).unwrap();
+        let d = Database::new_with_allocated(store, 64, 0);
+        let tree = d.recover_structures().pop().expect("the tree is in the root log").into_btree();
+        let pid = d.alloc_page().unwrap();
+        assert!(pid >= frontier, "pid {pid} is the tree's (frontier {frontier})");
+        d.with_page_mut(pid, |p| p.fill(0, p.len(), 0xFF)).unwrap();
+        for k in 0..400u64 {
+            assert_eq!(tree.get(&d, &key(k)).unwrap(), Some(k), "key {k}");
+        }
     }
 
     #[test]

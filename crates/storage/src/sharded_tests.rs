@@ -1,6 +1,7 @@
-//! `Database` over a `ShardedStore`: one buffer pool over every shard.
+//! `Database` over a `ShardedStore`: one frame cache over every shard.
 //! Group commit, read views that see a cross-shard commit whole or not
-//! at all, and observability exports that span every chip.
+//! at all, and observability exports that span every chip. (Eviction
+//! pressure and free cache hits over two shards are `buffer.rs` tests.)
 
 mod tests {
     use crate::{Database, Durability};
@@ -170,34 +171,6 @@ mod tests {
             back.read_page(pid, &mut out).unwrap();
             assert_eq!(out[..4], [pid as u8; 4], "pid {pid} after recovery");
         }
-    }
-
-    #[test]
-    fn writes_survive_eviction_pressure() {
-        let d = db(4, 32, 4);
-        for pid in 0..32u64 {
-            d.with_page_mut(pid, |page| page.write(0, &[pid as u8; 4])).unwrap();
-        }
-        for pid in 0..32u64 {
-            let b = d.with_page(pid, |page| page[0]).unwrap();
-            assert_eq!(b, pid as u8, "pid {pid}");
-        }
-        let stats = d.buffer_stats();
-        assert!(stats.evictions > 0);
-        assert!(stats.dirty_writebacks > 0);
-    }
-
-    #[test]
-    fn cache_hits_do_not_touch_flash() {
-        let d = db(2, 8, 8);
-        d.with_page_mut(1, |page| page.write(0, b"abcd")).unwrap();
-        let before = d.io_stats().total();
-        for _ in 0..10 {
-            d.with_page(1, |page| page[0]).unwrap();
-        }
-        let delta = d.io_stats().total() - before;
-        assert_eq!(delta.total_ops(), 0, "cache hits must be free");
-        assert_eq!(d.buffer_stats().hits, 10);
     }
 
     #[test]

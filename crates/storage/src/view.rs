@@ -1,11 +1,11 @@
-//! Read views: MVCC snapshots over a buffer pool.
+//! Read views: MVCC snapshots over the database's buffer pool.
 //!
-//! A [`ReadView`] captures the pool's commit clock at open time. Every
-//! read through the view resolves against the per-page version chains the
-//! pool retains (see `FrameCache`): a page superseded by a commit *after*
-//! the view opened reads as its pre-commit image, a page owned by an
-//! in-flight transaction reads as its last committed image, and anything
-//! else reads as the current frame. The result is snapshot isolation for
+//! A [`ReadView`] captures the database's commit clock at open time.
+//! Every read through the view resolves against the per-page version
+//! chains the frame cache retains (see `FrameCache`): a page superseded
+//! by a commit *after* the view opened reads as its pre-commit image, a
+//! page owned by an in-flight transaction reads as its last committed
+//! image, and anything else reads as the current frame. The result is snapshot isolation for
 //! readers that never blocks writers — the same "reuse what the write
 //! path already materializes" move the paper makes for differentials: the
 //! undo images transactions must keep anyway *are* the version chain.
@@ -13,8 +13,8 @@
 //! Views are explicit handles: open with `begin_read` (or the leak-proof
 //! [`ReadGuard`] from `read_view` / `with_read_view`), read through
 //! `with_page_at` (or a [`PageRead`] snapshot adapter), and hand the view
-//! back with `release_read` so the pool can prune versions no reader
-//! needs. A view that lingers past the pool's retention budget
+//! back with `release_read` so the cache can prune versions no reader
+//! needs. A view that lingers past the retention budget
 //! ([`pdl_core::StoreOptions::snapshot_version_cap`] versions or
 //! [`pdl_core::StoreOptions::snapshot_retention_bytes`] bytes, whichever
 //! trips first) is cut off: the oldest versions are discarded and the
@@ -37,7 +37,7 @@
 //! The log is pruned by the same min-active-view floor, so with no
 //! readers it holds nothing beyond the live roots.
 
-use crate::Result;
+use crate::{Database, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -71,42 +71,29 @@ impl ReadView {
     }
 }
 
-/// The release half of a view registry: anything a [`ReadGuard`] can hand
-/// its view back to. Implemented by [`crate::Database`] and
-/// [`crate::BufferPool`].
-pub trait ViewRegistry {
-    /// Open a snapshot at the current commit clock.
-    fn begin_read(&self) -> ReadView;
-
-    /// Release a view, letting the registry prune versions no remaining
-    /// reader needs.
-    fn release_read(&self, view: ReadView);
-}
-
 /// A [`ReadView`] that releases itself on drop.
 ///
 /// `begin_read` / `release_read` are a leak hazard: any early return (a
 /// `?` on [`crate::StorageError::SnapshotTooOld`] mid-scan, a panic in a
 /// scan callback) between the two calls leaks the view, freezing the
 /// version-retention floor forever. A guard ties the release to scope
-/// exit instead. Obtain one from `read_view()` on any [`ViewRegistry`],
-/// or run a whole scan under `with_read_view`.
+/// exit instead. Obtain one from [`Database::read_view`], or run a whole
+/// scan under [`Database::with_read_view`].
 ///
-/// The guard borrows its registry shared, so on a single-writer
-/// [`crate::Database`] it fits whole-scan brackets; a reader that must
-/// interleave with `&mut` mutations (e.g. a test pinning a snapshot
-/// across writes) keeps using the raw `begin_read` / `release_read`
-/// pair, which the teardown assertions and the `active_views` gauge keep
-/// honest.
+/// The guard borrows the database shared, so writers on any thread —
+/// this one included — keep committing while it is held; the raw
+/// `begin_read` / `release_read` pair stays for views that must outlive
+/// a scope, which the teardown assertions and the `active_views` gauge
+/// keep honest.
 #[must_use = "a read guard pins page versions until it is dropped"]
-pub struct ReadGuard<'p, P: ViewRegistry + ?Sized> {
-    registry: &'p P,
+pub struct ReadGuard<'p> {
+    db: &'p Database,
     view: Option<ReadView>,
 }
 
-impl<'p, P: ViewRegistry + ?Sized> ReadGuard<'p, P> {
-    pub(crate) fn new(registry: &'p P) -> ReadGuard<'p, P> {
-        ReadGuard { registry, view: Some(registry.begin_read()) }
+impl<'p> ReadGuard<'p> {
+    pub(crate) fn new(db: &'p Database) -> ReadGuard<'p> {
+        ReadGuard { db, view: Some(db.begin_read()) }
     }
 
     /// The guarded view (for `with_page_at` / snapshot adapters).
@@ -118,7 +105,7 @@ impl<'p, P: ViewRegistry + ?Sized> ReadGuard<'p, P> {
     pub fn release(self) {}
 }
 
-impl<P: ViewRegistry + ?Sized> std::ops::Deref for ReadGuard<'_, P> {
+impl std::ops::Deref for ReadGuard<'_> {
     type Target = ReadView;
 
     fn deref(&self) -> &ReadView {
@@ -126,16 +113,16 @@ impl<P: ViewRegistry + ?Sized> std::ops::Deref for ReadGuard<'_, P> {
     }
 }
 
-impl<P: ViewRegistry + ?Sized> Drop for ReadGuard<'_, P> {
+impl Drop for ReadGuard<'_> {
     fn drop(&mut self) {
         if let Some(view) = self.view.take() {
-            self.registry.release_read(view);
+            self.db.release_read(view);
         }
     }
 }
 
-/// Handle to a structure registered in a pool's structure-root log (see
-/// [`MvccState`]): a [`crate::BTree`] or [`crate::HeapFile`] whose
+/// Handle to a structure registered in the structure-root log (see
+/// `MvccState`): a [`crate::BTree`] or [`crate::HeapFile`] whose
 /// structural state is versioned by the commit clock.
 pub type StructId = u64;
 
@@ -216,13 +203,14 @@ pub trait PageRead {
     }
 }
 
-/// The MVCC registry a pool keeps behind a mutex: the commit clock, the
-/// multiset of active read timestamps, and the structure-root log.
+/// The MVCC registry the database keeps behind a mutex: the commit
+/// clock, the multiset of active read timestamps, and the structure-root
+/// log.
 ///
 /// Lock discipline: the registry lock is only ever held briefly and
 /// never while acquiring the cache lock — a writer holding the cache lock
 /// may take it to allocate a commit timestamp. A commit is published under
-/// one hold of the cache lock (`BufferPool::publish_commit`), so a view
+/// one hold of the cache lock (`Database::publish_commit`), so a view
 /// observes a multi-page or multi-shard commit atomically or not at all.
 #[derive(Debug, Default)]
 pub(crate) struct MvccState {

@@ -64,9 +64,7 @@ pub mod prelude {
         BlockId, FlashChip, FlashConfig, FlashGeometry, FlashStats, FlashTiming, OpContext,
         PageKind, Ppn, WearSummary,
     };
-    pub use pdl_storage::{
-        BTree, BufferPool, Database, Durability, HeapFile, KeyBuf, RecordId, TxnId,
-    };
+    pub use pdl_storage::{BTree, Database, Durability, HeapFile, KeyBuf, RecordId, TxnId};
     pub use pdl_workload::{
         load_database, run_mix_workload, run_threaded_update_workload, run_update_workload,
         MixConfig, PageSetMode, Scale, ThreadedConfig, UpdateConfig,
