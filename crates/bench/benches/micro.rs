@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks: wall-clock cost of the hot primitives
-//! (differential codec, emulator operations, method round trips, B+-tree
-//! operations). These measure *our implementation's* speed, complementing
+//! (differential codec, emulator operations, method round trips, one
+//! garbage collection, B+-tree operations). These measure *our implementation's* speed, complementing
 //! the experiment benches which report *simulated flash* time.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pdl_core::diff::Differential;
-use pdl_core::{build_store, BatchPage, CommitBatch, MethodKind, StoreOptions};
+use pdl_core::{build_store, BatchPage, CommitBatch, MethodKind, PageStore, StoreOptions};
 use pdl_flash::{fnv1a32, FlashChip, FlashConfig, PageKind, Ppn, SpareInfo};
 use pdl_storage::{BTree, Database, Durability, KeyBuf};
 use rand::rngs::StdRng;
@@ -174,6 +174,70 @@ fn bench_commit_staging(c: &mut Criterion) {
     g.finish();
 }
 
+/// One PDL garbage collection, by what its victims hold: rewriting 64
+/// pages page-wide in turn (Case 3) leaves whole blocks dead, and 2 %
+/// updates of 1 024 random pages leave victims with live base pages and
+/// differentials to move. The criterion row is host time per GC, the
+/// write that triggered it included; the line under it gives GC flash
+/// reads per GC.
+fn bench_gc(c: &mut Criterion) {
+    let mut g = c.benchmark_group("gc");
+    g.sample_size(20);
+    for (label, pages, page_wide) in
+        [("victim_all_dead", 64u64, true), ("victim_partly_live", 1_024, false)]
+    {
+        let chip = FlashChip::new(FlashConfig::scaled(32));
+        let kind = MethodKind::Pdl { max_diff_size: 256 };
+        let mut store = build_store(chip, kind, StoreOptions::new(pages)).unwrap();
+        let mut page = vec![0u8; store.logical_page_size()];
+        let mut rng = StdRng::seed_from_u64(5);
+        for pid in 0..pages {
+            store.write_page(pid, &page).unwrap();
+        }
+        let gc_runs = |s: &dyn PageStore| {
+            s.counters().into_iter().find(|(k, _)| *k == "gc_runs").map_or(0, |(_, v)| v)
+        };
+        let (runs, reads) = (gc_runs(&*store), store.stats().gc.reads);
+        let mut next = 0u64;
+        g.bench_function(label, |b| {
+            b.iter_custom(|iters| {
+                let mut spent = Duration::ZERO;
+                for _ in 0..iters {
+                    let before = gc_runs(&*store);
+                    while gc_runs(&*store) == before {
+                        let pid = if page_wide {
+                            next += 1;
+                            page.fill(next as u8);
+                            next % pages
+                        } else {
+                            let pid = rng.gen_range(0..pages);
+                            store.read_page(pid, &mut page).unwrap();
+                            let at = rng.gen_range(0..page.len() - 41);
+                            rng.fill_bytes(&mut page[at..at + 41]);
+                            pid
+                        };
+                        let start = Instant::now();
+                        store.write_page(pid, &page).unwrap();
+                        let took = start.elapsed();
+                        if gc_runs(&*store) > before {
+                            spent += took;
+                        }
+                    }
+                }
+                spent
+            })
+        });
+        let collections = gc_runs(&*store) - runs;
+        let gc_reads = store.stats().gc.reads - reads;
+        println!(
+            "{:<48} {:>12.2} flash reads/gc ({collections} collections)",
+            format!("gc/{label}"),
+            gc_reads as f64 / collections as f64
+        );
+    }
+    g.finish();
+}
+
 fn bench_btree(c: &mut Criterion) {
     let mut g = c.benchmark_group("btree");
     g.sample_size(20);
@@ -290,6 +354,7 @@ criterion_group!(
     bench_flash_ops,
     bench_method_round_trips,
     bench_commit_staging,
+    bench_gc,
     bench_btree,
     bench_buffer_pool
 );

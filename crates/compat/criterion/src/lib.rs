@@ -1,7 +1,7 @@
 //! Offline stand-in for the [`criterion`](https://crates.io/crates/criterion)
 //! crate: a small wall-clock micro-benchmark harness with criterion's
 //! calling convention (`criterion_group!`/`criterion_main!`, benchmark
-//! groups, `Bencher::iter`/`iter_batched`). It reports the mean
+//! groups, `Bencher::iter`/`iter_batched`/`iter_custom`). It reports the mean
 //! nanoseconds per iteration over a fixed measurement window; it performs
 //! no statistical analysis, outlier rejection or HTML reporting.
 
@@ -66,6 +66,17 @@ impl Bencher {
             let start = Instant::now();
             black_box(routine(input));
             self.elapsed += start.elapsed();
+            self.iters += 1;
+        }
+    }
+
+    /// Let `routine` run and time `iters` iterations itself, returning
+    /// the time they took — for a cost that only some of the work a
+    /// routine must do incurs.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        black_box(routine(8));
+        while self.elapsed < self.window {
+            self.elapsed += routine(1);
             self.iters += 1;
         }
     }
@@ -181,6 +192,13 @@ mod tests {
         let mut b = Bencher::new(Duration::from_millis(5));
         b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::SmallInput);
         assert!(b.iters > 0);
+    }
+
+    #[test]
+    fn iter_custom_sums_the_reported_time() {
+        let mut b = Bencher::new(Duration::from_millis(5));
+        b.iter_custom(|iters| Duration::from_micros(100) * iters as u32);
+        assert_eq!(b.ns_per_iter(), 100_000.0);
     }
 
     #[test]

@@ -18,6 +18,14 @@
 //!   so victim blocks tend towards all-hot (cheap to collect) or all-cold
 //!   (rarely collected);
 //! * [`GcPolicy::WearAware`] — greedy with wear tie-breaking (ablation).
+//!
+//! Page validity lives here too, in RAM: a *dead bit* per physical page,
+//! set when the method reports the page obsolete ([`BlockManager::note_obsolete`])
+//! and cleared when its block is erased — the per-page validity bitmap
+//! page-mapping FTLs keep for GC (Dayan & Bonnet). GC asks
+//! [`BlockManager::is_dead`] instead of reading a victim page's spare area,
+//! so it reads only the pages it moves. The on-flash obsolete mark is
+//! still programmed (Figure 8), but nothing at run time reads it back.
 
 use crate::error::CoreError;
 use crate::Result;
@@ -60,7 +68,8 @@ pub enum AllocStream {
     Cold,
 }
 
-/// Per-block allocator with pluggable GC victim selection.
+/// Per-block allocator with pluggable GC victim selection, and the
+/// in-RAM record of which written pages are dead.
 #[derive(Clone, Debug)]
 pub struct BlockManager {
     pages_per_block: u32,
@@ -73,8 +82,12 @@ pub struct BlockManager {
     active_cold: Option<(u32, u32)>,
     /// Pages allocated (and presumed programmed) per block.
     written: Vec<u32>,
-    /// Pages marked obsolete per block.
+    /// Pages marked obsolete per block: the popcount of the block's
+    /// bits in `dead`.
     obsolete: Vec<u32>,
+    /// One bit per physical page, set while the page is written and
+    /// holds nothing live (bit `p % 64` of word `p / 64`).
+    dead: Vec<u64>,
     /// Victim-selection policy.
     policy: GcPolicy,
     /// Erase count per block, mirrored here for the wear-aware policy.
@@ -137,6 +150,7 @@ impl BlockManager {
             active_cold: None,
             written: vec![0; num_blocks as usize],
             obsolete: vec![0; num_blocks as usize],
+            dead: vec![0; (num_blocks as usize * pages_per_block as usize).div_ceil(64)],
             policy: GcPolicy::Greedy,
             erases: vec![0; num_blocks as usize],
             alloc_seq: 0,
@@ -372,11 +386,70 @@ impl BlockManager {
         self.hot_allocs[block.0 as usize]
     }
 
-    /// Record that `ppn` was marked obsolete.
+    /// Record that `ppn` holds nothing live any more: its dead bit is set
+    /// and its block's obsolete count rises. Each page dies once per
+    /// erase cycle.
     pub fn note_obsolete(&mut self, ppn: Ppn) {
         let b = (ppn.0 / self.pages_per_block) as usize;
-        debug_assert!(self.obsolete[b] < self.written[b], "obsolete count overflow in block {b}");
-        self.obsolete[b] += 1;
+        debug_assert!(ppn.0 % self.pages_per_block < self.written[b], "{ppn} was never written");
+        debug_assert!(!self.is_dead(ppn), "{ppn} noted obsolete twice");
+        self.set_dead(ppn);
+    }
+
+    fn set_dead(&mut self, ppn: Ppn) {
+        self.dead[ppn.0 as usize / 64] |= 1 << (ppn.0 % 64);
+        self.obsolete[(ppn.0 / self.pages_per_block) as usize] += 1;
+    }
+
+    /// Whether `ppn` was noted obsolete since its block's last erase. A
+    /// written page that is not dead is live: GC moves it.
+    pub fn is_dead(&self, ppn: Ppn) -> bool {
+        self.dead[ppn.0 as usize / 64] & (1 << (ppn.0 % 64)) != 0
+    }
+
+    /// Clear the dead bits of `block`'s pages.
+    fn clear_dead(&mut self, block: usize) {
+        let first = block * self.pages_per_block as usize;
+        for p in first..first + self.pages_per_block as usize {
+            self.dead[p / 64] &= !(1 << (p % 64));
+        }
+    }
+
+    /// Check the page bitmap against the method's tables (tests call this
+    /// between operations): every block's obsolete count is the popcount
+    /// of its dead bits, no page past a block's fill level is dead, and in
+    /// every block that is neither reserved nor retired a written page is
+    /// dead exactly when `live` says the tables hold nothing there.
+    pub fn check_pages(&self, live: impl Fn(Ppn) -> bool) -> std::result::Result<(), String> {
+        for b in 0..self.states.len() {
+            let first = b as u32 * self.pages_per_block;
+            let written = self.written[b];
+            let mut dead = 0;
+            for i in 0..self.pages_per_block {
+                let ppn = Ppn(first + i);
+                let is_dead = self.is_dead(ppn);
+                dead += u32::from(is_dead);
+                if i >= written {
+                    if is_dead {
+                        return Err(format!("{ppn} is dead past block {b}'s fill level {written}"));
+                    }
+                } else if !matches!(self.states[b], BlockState::Reserved | BlockState::Bad)
+                    && is_dead == live(ppn)
+                {
+                    let (bit, tables) = if is_dead { ("dead", "live") } else { ("live", "dead") };
+                    return Err(format!(
+                        "{ppn} is {bit} in the page bitmap, {tables} in the tables"
+                    ));
+                }
+            }
+            if dead != self.obsolete[b] {
+                return Err(format!(
+                    "block {b} counts {} obsolete pages, its bitmap {dead}",
+                    self.obsolete[b]
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Record that `ppn` holds a retention-ledger-pinned page (a spilled
@@ -546,6 +619,7 @@ impl BlockManager {
         self.states[b] = BlockState::Free;
         self.written[b] = 0;
         self.obsolete[b] = 0;
+        self.clear_dead(b);
         self.erases[b] += 1;
         self.hot_allocs[b] = 0;
         debug_assert_eq!(self.retained[b], 0, "erasing a block with live retention pins");
@@ -554,12 +628,14 @@ impl BlockManager {
     }
 
     /// Rebuild allocator state after a crash-recovery scan: per-block
-    /// written/obsolete page counts as found on flash. Partially-written
-    /// blocks become `Used` (their erased tail is reclaimed by future GC);
-    /// `Reserved` blocks keep their state.
-    pub fn rebuild(&mut self, written: &[u32], obsolete: &[u32]) {
+    /// written page counts as found on flash, and the page set `live`
+    /// that the recovered tables hold something in. Every other written
+    /// page is dead, and each block's obsolete count is their number.
+    /// Partially-written blocks become `Used` (their erased tail is
+    /// reclaimed by future GC); `Reserved` blocks keep their state.
+    pub fn rebuild(&mut self, written: &[u32], live: impl Fn(Ppn) -> bool) {
         assert_eq!(written.len(), self.states.len());
-        assert_eq!(obsolete.len(), self.states.len());
+        self.dead.fill(0);
         self.free.clear();
         self.active = None;
         self.active_cold = None;
@@ -572,7 +648,13 @@ impl BlockManager {
                 continue;
             }
             self.written[b] = written[b];
-            self.obsolete[b] = obsolete[b];
+            self.obsolete[b] = 0;
+            for i in 0..written[b] {
+                let ppn = Ppn(b as u32 * self.pages_per_block + i);
+                if !live(ppn) {
+                    self.set_dead(ppn);
+                }
+            }
             if written[b] == 0 {
                 self.states[b] = BlockState::Free;
                 self.free.push_back(b as u32);
@@ -727,6 +809,12 @@ mod tests {
         BlockManager::new(8, 4, 2)
     }
 
+    /// A `rebuild` live set in which the first `dead[b]` pages of each
+    /// block `b` hold nothing.
+    fn live_past(dead: &[u32], pages_per_block: u32) -> impl Fn(Ppn) -> bool + '_ {
+        move |p| p.0 % pages_per_block >= dead[(p.0 / pages_per_block) as usize]
+    }
+
     #[test]
     fn allocates_sequentially_within_blocks() {
         let mut m = mgr();
@@ -804,7 +892,7 @@ mod tests {
         written[3] = 2;
         written[2] = 4;
         obsolete[2] = 2;
-        m.rebuild(&written, &obsolete);
+        m.rebuild(&written, live_past(&obsolete, 4));
         assert_eq!(m.free_blocks(), 6);
         // Block 3 reclaims 2 (tail), block 2 reclaims 2 (obsolete): greedy
         // picks the first best found.
@@ -834,7 +922,7 @@ mod tests {
         let mut written = vec![4u32; 4];
         written[3] = 0;
         let obsolete = vec![2u32; 4];
-        m.rebuild(&written, &obsolete);
+        m.rebuild(&written, live_past(&obsolete, 4));
         // Wear blocks 0 and 1 heavily.
         m.erases[0] = 10;
         m.erases[1] = 10;
@@ -872,7 +960,7 @@ mod tests {
         obsolete[1] = 3; // block 1: u = 0.25
         obsolete[0] = 1; // block 0: u = 0.75
         obsolete[2] = 1;
-        m.rebuild(&written, &obsolete);
+        m.rebuild(&written, live_past(&obsolete, 4));
         // All ages equal (rebuild resets the clock): lowest u wins.
         assert_eq!(m.pick_victim(u32::MAX), Some(BlockId(1)));
     }
@@ -1040,5 +1128,46 @@ mod tests {
         }
         m.note_obsolete(Ppn(2));
         assert_eq!(m.total_valid(), 5);
+    }
+
+    #[test]
+    fn dead_bits_follow_obsolete_notes_erases_and_rebuilds() {
+        let mut m = mgr();
+        for _ in 0..6 {
+            let _ = m.alloc(false).unwrap();
+        }
+        m.note_obsolete(Ppn(1));
+        m.note_obsolete(Ppn(4));
+        let dead: Vec<u32> = (0..6).filter(|&p| m.is_dead(Ppn(p))).collect();
+        assert_eq!(dead, [1, 4]);
+        assert_eq!((m.obsolete_in(BlockId(0)), m.obsolete_in(BlockId(1))), (1, 1));
+        m.check_pages(|p| ![1, 4].contains(&p.0)).unwrap();
+        // The bitmap disagreeing with the tables either way is reported.
+        assert!(m.check_pages(|p| p.0 != 1).is_err());
+        assert!(m.check_pages(|p| ![1, 4, 5].contains(&p.0)).is_err());
+        m.note_obsolete(Ppn(0));
+        m.note_obsolete(Ppn(2));
+        m.note_obsolete(Ppn(3));
+        m.on_erased(BlockId(0));
+        assert!((0..4).all(|p| !m.is_dead(Ppn(p))), "an erase clears its block's bits");
+        assert!(m.is_dead(Ppn(4)));
+        // Recovery: the tables' live set decides every written page.
+        let mut written = vec![0u32; 8];
+        written[2] = 3;
+        m.rebuild(&written, |p| p.0 == 9);
+        let dead: Vec<u32> = (0..32).filter(|&p| m.is_dead(Ppn(p))).collect();
+        assert_eq!(dead, [8, 10]);
+        assert_eq!(m.obsolete_in(BlockId(2)), 2);
+        m.check_pages(|p| p.0 == 9).unwrap();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "noted obsolete twice")]
+    fn a_page_dies_once() {
+        let mut m = mgr();
+        let _ = m.alloc(false).unwrap();
+        m.note_obsolete(Ppn(0));
+        m.note_obsolete(Ppn(0));
     }
 }

@@ -543,6 +543,10 @@ impl Pdl {
         for b in 0..g.num_blocks {
             s.push_u32(self.alloc.written_in(BlockId(b)));
         }
+        // Per-block obsolete counts. Nothing reads them any more (the
+        // loaders skip them; recovery derives the counts from its
+        // tables), but they stay until the format next changes, since
+        // a smaller payload would move the cost of loading it.
         for b in 0..g.num_blocks {
             let written = self.alloc.written_in(BlockId(b));
             let valid = self.alloc.valid_in(BlockId(b));
@@ -687,9 +691,9 @@ pub(super) fn load_checkpoint_delta(
     for b in 0..g.num_blocks as usize {
         tables.written[b] = c.u32()?;
     }
-    for b in 0..g.num_blocks as usize {
-        tables.obsolete[b] = c.u32()?;
-    }
+    // Per-block obsolete counts: recovery derives them from the final
+    // tables instead.
+    c.skip(g.num_blocks as usize * 4)?;
     for pid in 0..nl {
         tables.diff_txn[pid] = c.u64()?;
     }
@@ -757,7 +761,6 @@ pub(super) fn load_checkpoint_delta(
             *v = 0;
         }
         tables.written[*b as usize] = 0;
-        tables.obsolete[*b as usize] = 0;
     }
 
     // Invalidated blocks are read in full, grown tails from the old fill

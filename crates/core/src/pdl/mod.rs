@@ -21,8 +21,13 @@
 //! the page-based method").
 //!
 //! Garbage collection relocates valid base pages and *compacts* valid
-//! differentials into fresh differential pages (§4.1). Crash recovery
-//! (§4.5) is in [`recovery`].
+//! differentials into fresh differential pages (§4.1). Which pages are
+//! valid is known in RAM — the mapping table, the valid differential
+//! count table and the spill ledger decide it, and the allocator's page
+//! bitmap ([`BlockManager::is_dead`]) records it — so GC skips a victim's
+//! dead pages unread and reads each live one once, spare and data
+//! together. Crash recovery (§4.5) is in [`recovery`]; it rebuilds the
+//! bitmap from the tables it recovers.
 //!
 //! Computing a differential needs the base page, which Figure 7 reads
 //! back from flash. A commit can instead hand the store the image it
@@ -94,7 +99,7 @@ use crate::page_store::{
 };
 use crate::Result;
 use dwb::{DiffWriteBuffer, DwbEntry};
-use pdl_flash::{FlashChip, OpContext, PageKind, Ppn, SpareInfo};
+use pdl_flash::{FlashChip, OpContext, PageBuf, PageKind, Ppn, SpareInfo};
 use spans::DiffSpans;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -160,6 +165,19 @@ impl Default for PpmtEntry {
     }
 }
 
+/// The physical pages the mapping tables hold something live in: every
+/// mapped base frame, and every differential page with `vdct > 0` (a
+/// current differential or a live commit proof).
+pub(crate) fn live_pages(ppmt: &[PpmtEntry], vdct: &[u16], frames: usize) -> Vec<bool> {
+    let mut live: Vec<bool> = vdct.iter().map(|v| *v > 0).collect();
+    for e in ppmt {
+        for &p in e.base[..frames].iter().filter(|p| **p != NONE) {
+            live[p as usize] = true;
+        }
+    }
+    live
+}
+
 /// Event counters exposed through [`PageStore::counters`].
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct PdlCounters {
@@ -171,6 +189,8 @@ pub(crate) struct PdlCounters {
     pub diff_pages_obsoleted: u64,
     pub gc_runs: u64,
     pub compacted_diffs: u64,
+    /// Differential pages GC read to compact (the salvaged ones included).
+    pub compacted_pages: u64,
     pub relocated_bases: u64,
     /// GC base-page migrations routed to the hot / cold stream
     /// (hot/cold policy; both zero under the single-stream policies).
@@ -430,8 +450,10 @@ impl Pdl {
     /// this between operations, never inside one): every `vdct` reference
     /// is a mapped differential or a live proof, every proof's page is
     /// alive and some tag still needs it, no proof is left staged outside
-    /// a batch, the carry queue knows every proof, and every known range
-    /// entry matches its page's current differential.
+    /// a batch, the carry queue knows every proof, every known range
+    /// entry matches its page's current differential, and the allocator's
+    /// page bitmap calls a written page dead exactly when no base frame,
+    /// differential or proof (`vdct > 0`) or spill ledger entry lives there.
     #[doc(hidden)]
     pub fn check_tables(&self) -> std::result::Result<(), String> {
         let refs: u64 = self.vdct.iter().map(|v| u64::from(*v)).sum();
@@ -458,6 +480,11 @@ impl Pdl {
                 return Err(format!("proof of txn {txn} is missing from the carry queue"));
             }
         }
+        let mut live = live_pages(&self.ppmt, &self.vdct, self.frames());
+        for &p in self.spill_rev.keys() {
+            live[p as usize] = true;
+        }
+        self.alloc.check_pages(|p| live[p.0 as usize])?;
         self.check_spans()
     }
 
@@ -1093,16 +1120,26 @@ impl Pdl {
         self.gc_moves.clear();
         let written = self.alloc.written_in(victim);
         let mut staged_from_victim = false;
+        let mut page = PageBuf::for_chip(&self.chip);
         for idx in 0..written {
             let ppn = g.page_at(victim, idx);
-            let Some(info) = self.chip.read_spare(ppn)? else { continue };
-            if info.kind == PageKind::Free || info.obsolete {
+            // Validity is in RAM: a dead page is skipped unread. The test
+            // is made page by page, because moving one page can kill a
+            // later one (shedding a committed tag can retire the proof
+            // stored there).
+            if self.alloc.is_dead(ppn) {
                 continue;
             }
+            // A live page is read once, spare and data together, and
+            // moved from the buffer in hand.
+            self.chip.read_full(ppn, &mut page)?;
+            let Some(info) = page.spare_info() else { continue };
             match info.kind {
-                PageKind::Base => self.relocate_base(ppn, info)?,
-                PageKind::Diff => staged_from_victim |= self.compact_diff_page(ppn)?,
-                PageKind::Spill => self.relocate_spill(ppn, info)?,
+                PageKind::Base => self.relocate_base(ppn, info, &page.data)?,
+                PageKind::Diff => staged_from_victim |= self.compact_diff_page(ppn, &page.data)?,
+                PageKind::Spill => self.relocate_spill(ppn, info, &page.data)?,
+                // Allocated, but the program never happened.
+                PageKind::Free => {}
                 other => {
                     return Err(CoreError::Corruption(format!(
                         "PDL GC found a {other:?} page at {ppn}"
@@ -1163,30 +1200,27 @@ impl Pdl {
         Ok(())
     }
 
-    /// Move a valid base page to a new location, preserving its creation
-    /// time stamp so recovery ordering is unaffected. A commit-visibility
-    /// tag is shed once its transaction is durably committed (and the
-    /// presence that kept the commit record alive goes with it); an
-    /// in-flight tag travels with the copy.
-    fn relocate_base(&mut self, ppn: Ppn, info: SpareInfo) -> Result<()> {
+    /// Move a valid base page, read into `data`, to a new location,
+    /// preserving its creation time stamp so recovery ordering is
+    /// unaffected. A commit-visibility tag is shed once its transaction is
+    /// durably committed (and the presence that kept the commit record
+    /// alive goes with it); an in-flight tag travels with the copy.
+    fn relocate_base(&mut self, ppn: Ppn, info: SpareInfo, data: &[u8]) -> Result<()> {
         let k = self.frames() as u64;
         let pid = (info.tag / k) as usize;
         let j = (info.tag % k) as usize;
-        if pid >= self.ppmt.len() || self.ppmt[pid].base[j] != ppn.0 {
-            // A stale copy that predates recovery; it dies with the block.
+        let mapped = pid < self.ppmt.len() && self.ppmt[pid].base[j] == ppn.0;
+        debug_assert!(mapped, "GC found live base page {ppn} that no frame maps");
+        if !mapped {
             return Ok(());
         }
         let g = self.chip.geometry();
-        let mut buf = std::mem::take(&mut self.frame_buf);
-        let read = self.chip.read_data(ppn, &mut buf);
-        self.frame_buf = buf;
-        read?;
         // Detection during migration: count a mismatch, but keep moving
         // the frame — with its *original* stored checksum, so the damage
         // stays detectable at the new location instead of being laundered
         // by the rewrite. (For an intact frame the preserved checksum is
         // identical to a freshly computed one.)
-        let corrupt = self.chip.verify_read(ppn, &self.frame_buf).is_err();
+        let corrupt = self.chip.verify_read(ppn, data).is_err();
         let frame = pid * self.frames() + j;
         let txn = if info.txn != NO_TXN && self.txn_committed(info.txn) {
             self.base_txn[frame] = NO_TXN;
@@ -1203,9 +1237,9 @@ impl Pdl {
         let spare = if corrupt {
             make_spare_preserving(g.spare_size, &SpareInfo { txn, ..info })
         } else {
-            make_spare_txn(g.spare_size, PageKind::Base, info.tag, info.ts, txn, &self.frame_buf)
+            make_spare_txn(g.spare_size, PageKind::Base, info.tag, info.ts, txn, data)
         };
-        self.chip.program_page(q, &self.frame_buf, &spare)?;
+        self.chip.program_page(q, data, &spare)?;
         self.ppmt[pid].base[j] = q.0;
         // Keep the repair registry pointing at the live copy, and record
         // the move in case the victim's erase fails (old copy becomes a
@@ -1222,31 +1256,27 @@ impl Pdl {
         Ok(())
     }
 
-    /// Move a live retention-ledger spill page out of a GC victim,
-    /// re-pointing its handle — "GC never reclaims a ledger-pinned
-    /// pre-image" means relocated, never destroyed. A spill page with no
-    /// ledger entry (a crash leftover, or freed moments ago) is dead and
-    /// dies with the block.
-    fn relocate_spill(&mut self, ppn: Ppn, info: SpareInfo) -> Result<()> {
-        let Some(&(handle, j)) = self.spill_rev.get(&ppn.0) else {
-            return Ok(());
-        };
+    /// Move a live retention-ledger spill page, read into `data`, out of a
+    /// GC victim, re-pointing its handle — "GC never reclaims a
+    /// ledger-pinned pre-image" means relocated, never destroyed. (A spill
+    /// page with no ledger entry — a crash leftover, or a freed one — is
+    /// dead, and GC never reads it.)
+    fn relocate_spill(&mut self, ppn: Ppn, info: SpareInfo, data: &[u8]) -> Result<()> {
+        let entry = self.spill_rev.get(&ppn.0).copied();
+        debug_assert!(entry.is_some(), "GC found live spill page {ppn} with no ledger entry");
+        let Some((handle, j)) = entry else { return Ok(()) };
         let g = self.chip.geometry();
-        let mut buf = std::mem::take(&mut self.frame_buf);
-        let read = self.chip.read_data(ppn, &mut buf);
-        self.frame_buf = buf;
-        read?;
         // As with base relocation: a failing checksum travels with the
         // copy (never laundered), surfacing at the reader instead.
-        let corrupt = self.chip.verify_read(ppn, &self.frame_buf).is_err();
+        let corrupt = self.chip.verify_read(ppn, data).is_err();
         // Cold by definition: a spilled pre-image is never rewritten.
         let q = self.alloc_page(AllocStream::Cold)?;
         let spare = if corrupt {
             make_spare_preserving(g.spare_size, &info)
         } else {
-            make_spare(g.spare_size, PageKind::Spill, info.tag, info.ts, &self.frame_buf)
+            make_spare(g.spare_size, PageKind::Spill, info.tag, info.ts, data)
         };
-        self.chip.program_page(q, &self.frame_buf, &spare)?;
+        self.chip.program_page(q, data, &spare)?;
         self.spill_rev.remove(&ppn.0);
         self.spill_rev.insert(q.0, (handle, j));
         self.spills.get_mut(&handle).expect("rev map implies entry")[j as usize] = q.0;
@@ -1297,13 +1327,12 @@ impl Pdl {
     /// re-staged so they outlive every page still tagged with their
     /// transaction (their `commit_locs` entry reads [`PROOF_RESTAGED`]
     /// until the flush: the victim's count is zeroed here, so there is
-    /// nothing left to release). Returns whether anything was staged.
-    fn compact_diff_page(&mut self, ppn: Ppn) -> Result<bool> {
-        let mut buf = std::mem::take(&mut self.frame_buf);
-        let read = self.chip.read_data_verified(ppn, &mut buf);
-        let parsed = read.map_err(CoreError::from).and_then(|()| Differential::parse_page(&buf));
-        self.frame_buf = buf;
-        let records = match parsed {
+    /// nothing left to release). `data` is the page's data area, read by
+    /// GC. Returns whether anything was staged.
+    fn compact_diff_page(&mut self, ppn: Ppn, data: &[u8]) -> Result<bool> {
+        self.counters.compacted_pages += 1;
+        let verified = self.chip.verify_read(ppn, data).map_err(CoreError::from);
+        let records = match verified.and_then(|()| Differential::parse_page(data)) {
             Ok(r) => r,
             Err(CoreError::Flash(pdl_flash::FlashError::ChecksumMismatch(_))) => {
                 return self.salvage_corrupt_diff_page(ppn)
@@ -1860,6 +1889,7 @@ impl PageStore for Pdl {
             ("diff_pages_obsoleted", c.diff_pages_obsoleted),
             ("gc_runs", c.gc_runs),
             ("compacted_diffs", c.compacted_diffs),
+            ("compacted_pages", c.compacted_pages),
             ("relocated_bases", c.relocated_bases),
             ("migrated_hot", c.migrated_hot),
             ("migrated_cold", c.migrated_cold),
@@ -2187,13 +2217,17 @@ mod tests {
         // ...and before that, GC compacts the record's page: the proof is
         // re-staged into the same buffer and the victim's count zeroed.
         s.in_gc = true;
-        assert!(s.compact_diff_page(Ppn(record_page)).unwrap());
+        let data = s.chip.peek_data(Ppn(record_page)).to_vec();
+        assert!(s.compact_diff_page(Ppn(record_page), &data).unwrap());
         assert_eq!(s.vdct[record_page as usize], 0);
         s.flush_dwb().unwrap();
         s.in_gc = false;
         for ppn in std::mem::take(&mut s.deferred) {
             mark_obsolete_lenient(&mut s.chip, ppn).unwrap();
         }
+        // This hand-driven pass erases no victim: count the compacted
+        // page dead, as the erase would have reclaimed it.
+        s.alloc.note_obsolete(Ppn(record_page));
         // The dying tag released the proof's new location (not the
         // victim's), and nothing pins the freshly written page but the
         // differential in it.
@@ -2390,6 +2424,139 @@ mod tests {
             let at = next() % (page.len() - len);
             let fill = next() as u8;
             page[at..at + len].fill(fill);
+        }
+    }
+
+    /// Run `op` and check what GC read during it: one read per page it
+    /// moved — a relocated base, a compacted differential page, a moved
+    /// spill page — and none for a dead page. Returns what GC did: no run,
+    /// runs that moved pages, or one run that moved nothing (its victim
+    /// held no live page, and it read nothing).
+    fn gc_step(s: &mut Pdl, op: impl FnOnce(&mut Pdl)) -> Gc {
+        let (c, reads) = (s.counters, s.chip().stats().gc.reads);
+        op(s);
+        let moved = (s.counters.relocated_bases - c.relocated_bases)
+            + (s.counters.compacted_pages - c.compacted_pages)
+            + (s.counters.spill_relocations - c.spill_relocations);
+        assert_eq!(s.chip().stats().gc.reads - reads, moved, "GC reads exactly the pages it moves");
+        s.check_tables().unwrap();
+        match s.counters.gc_runs - c.gc_runs {
+            0 => Gc::Idle,
+            1 if moved == 0 => Gc::AllDead,
+            _ => Gc::Moved,
+        }
+    }
+
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Gc {
+        Idle,
+        Moved,
+        AllDead,
+    }
+
+    /// Mixed traffic over `model`'s pages: commit batches of one to three
+    /// edited pages (a page-wide edit, Case 3, now and then), plain
+    /// evictions, and spilled versions that stay live across GC until
+    /// freed; then page 0 is rewritten page-wide (Case 3) 24 times, each
+    /// copy killing the one before. Returns how many operations
+    /// garbage-collected moving pages, and how many collected one victim
+    /// that held nothing live.
+    fn gc_churn(s: &mut Pdl, model: &mut [Vec<u8>], x: &mut u64, txn: &mut u64) -> (u32, u32) {
+        let n = model.len() as u64;
+        let next = |x: &mut u64| {
+            *x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            *x >> 33
+        };
+        let (mut moving, mut all_dead) = (0, 0);
+        let mut spills: VecDeque<(u64, u64)> = VecDeque::new();
+        for round in 0..400 {
+            let gc = match next(x) % 16 {
+                0..=6 => {
+                    let mut pids: Vec<u64> = Vec::new();
+                    for _ in 0..1 + next(x) % 3 {
+                        let pid = next(x) % n;
+                        if !pids.contains(&pid) {
+                            edit(&mut model[pid as usize], x);
+                            pids.push(pid);
+                        }
+                    }
+                    *txn += 1;
+                    let pages = pids.iter().map(|&p| BatchPage::new(p, &model[p as usize], *txn));
+                    let batch = CommitBatch { pages: pages.collect(), roots: None };
+                    gc_step(s, |s| s.commit_batch(&batch).unwrap())
+                }
+                // Spill on 14 and free on 15, keeping one to eight live.
+                14 if spills.len() < 8 => {
+                    let pid = next(x) % n;
+                    let page = &model[pid as usize];
+                    gc_step(s, |s| spills.push_back((pid, s.spill_page(pid, page).unwrap())))
+                }
+                15 if !spills.is_empty() => {
+                    let (pid, handle) = spills.pop_front().unwrap();
+                    gc_step(s, |s| s.free_spill(pid, handle).unwrap())
+                }
+                _ => {
+                    let pid = next(x) % n;
+                    edit(&mut model[pid as usize], x);
+                    gc_step(s, |s| s.write_page(pid, &model[pid as usize]).unwrap())
+                }
+            };
+            if round % 50 == 0 {
+                gc_step(s, |s| s.flush().unwrap());
+            }
+            moving += u32::from(gc == Gc::Moved);
+            all_dead += u32::from(gc == Gc::AllDead);
+        }
+        for (pid, handle) in spills {
+            gc_step(s, |s| s.free_spill(pid, handle).unwrap());
+        }
+        for fill in 0..24 {
+            model[0].fill(fill);
+            let gc = gc_step(s, |s| s.write_page(0, &model[0]).unwrap());
+            moving += u32::from(gc == Gc::Moved);
+            all_dead += u32::from(gc == Gc::AllDead);
+        }
+        let mut out = vec![0u8; model[0].len()];
+        for (pid, want) in model.iter().enumerate() {
+            s.read_page(pid as u64, &mut out).unwrap();
+            assert_eq!(&out, want, "page {pid}");
+        }
+        (moving, all_dead)
+    }
+
+    #[test]
+    fn gc_reads_only_the_pages_it_moves() {
+        // On 16 blocks space is tight: GC moves live spill pages, but
+        // collects a block before it is all dead. On 22 it is not.
+        for blocks in [16, 22] {
+            let geometry =
+                pdl_flash::FlashGeometry { num_blocks: blocks, ..FlashConfig::tiny().geometry };
+            let chip = FlashChip::new(FlashConfig { geometry, ..FlashConfig::tiny() });
+            let opts = StoreOptions::new(32).with_checkpoint_blocks(4);
+            let mut s = Pdl::new(chip, opts, 128).unwrap();
+            let size = s.logical_page_size();
+            let mut model: Vec<Vec<u8>> = (0..32).map(|p| vec![p as u8; size]).collect();
+            for (pid, page) in model.iter().enumerate() {
+                s.write_page(pid as u64, page).unwrap();
+            }
+            let (mut x, mut txn) = (0x6C_u64, 0);
+            let mut check = |s: &mut Pdl, phase: &str| {
+                let (moving, all_dead) = gc_churn(s, &mut model, &mut x, &mut txn);
+                assert!(moving > 0, "{blocks} blocks, {phase}: GC must move pages");
+                assert!(blocks == 16 || all_dead > 0, "{phase}: no victim held nothing live");
+            };
+            check(&mut s, "fresh store");
+            assert!(blocks > 16 || s.counters.spill_relocations > 0, "GC must move a spill page");
+            // The bitmap rebuilt by a full-scan recovery, then by a
+            // checkpoint plus a delta scan, guides GC the same way.
+            s.flush().unwrap();
+            let mut s = Pdl::recover(PageStore::into_chip(Box::new(s)), opts, 128).unwrap();
+            s.check_tables().unwrap();
+            check(&mut s, "after a full-scan recovery");
+            s.checkpoint().unwrap();
+            let mut s = Pdl::recover(PageStore::into_chip(Box::new(s)), opts, 128).unwrap();
+            s.check_tables().unwrap();
+            check(&mut s, "after a checkpoint-delta recovery");
         }
     }
 

@@ -9,12 +9,13 @@
 //! not yet set to obsolete, and likewise for differential pages).
 //!
 //! Figure 11 then sets every useless page obsolete; this recovery only
-//! counts it obsolete in memory, and the next recovery's time stamps rule
-//! it out again. Time stamps cannot re-derive a torn transaction, so a
-//! page whose every live record is torn is the one page it marks. It never
-//! writes data, so it stays correct when the system crashes again during
-//! recovery and the scan restarts from the beginning (the paper's
-//! repeated-failure guarantee).
+//! leaves it out of the recovered tables — the allocator counts every
+//! written page the tables hold nothing in as dead — and the next
+//! recovery's time stamps rule it out again. Time stamps cannot
+//! re-derive a torn transaction, so a page whose every live record is
+//! torn is the one page it marks. It never writes data, so it stays
+//! correct when the system crashes again during recovery and the scan
+//! restarts from the beginning (the paper's repeated-failure guarantee).
 //!
 //! The same time-stamp versioning covers crashes **mid-migration**:
 //! garbage collection relocates a valid base page by programming a copy
@@ -245,7 +246,6 @@ impl Census {
         let block = chip.geometry().block_of(ppn).0 as usize;
         self.tables.written[block] += 1;
         if info.obsolete {
-            self.tables.obsolete[block] += 1;
             return Ok(());
         }
         let mut page = Found {
@@ -443,9 +443,6 @@ pub(crate) struct RecoveryTables {
     /// ts(dp, differential(pid)) per logical page.
     pub diff_ts: Vec<u64>,
     pub written: Vec<u32>,
-    /// Pages per block counted obsolete: marked on flash before the crash,
-    /// or found useless by the replay (which marks only torn pages).
-    pub obsolete: Vec<u32>,
     pub max_ts: u64,
     /// Above every transaction id on flash: the ids the read pass saw, torn
     /// ones included, and a loaded checkpoint's floor. A torn tag left
@@ -469,9 +466,6 @@ pub(crate) struct RecoveryTables {
     pub commit_locs: IdMap<u32>,
     /// Commit-record copies discovered by the replay, per transaction.
     pub commit_cands: HashMap<u64, Vec<u32>>,
-    /// Differential pages that lost every differential: dead unless
-    /// [`RecoveryTables::finish`] keeps a commit record on them.
-    pending_dead: Vec<u32>,
     /// Differential pages whose data failed checksum verification,
     /// with their creation time stamps. They are *not* marked obsolete
     /// (so a repeated recovery re-detects them); [`RecoveryTables::finish`]
@@ -490,7 +484,6 @@ pub(crate) struct RecoveryTables {
     /// until the next checkpoint compacts the root log.
     pub root_ref: Option<u64>,
     frames_per_page: usize,
-    pages_per_block: u32,
 }
 
 impl RecoveryTables {
@@ -504,7 +497,6 @@ impl RecoveryTables {
             frame_ts: vec![0u64; nl * k],
             diff_ts: vec![0u64; nl],
             written: vec![0u32; blocks],
-            obsolete: vec![0u32; blocks],
             max_ts: 0,
             txn_floor: 1,
             uncommitted: HashSet::new(),
@@ -513,28 +505,17 @@ impl RecoveryTables {
             base_txn: vec![NO_TXN; nl * k],
             commit_locs: IdMap::default(),
             commit_cands: HashMap::new(),
-            pending_dead: Vec::new(),
             corrupt_diffs: Vec::new(),
             poisoned: HashMap::new(),
             twins: HashMap::new(),
             root_ref: None,
             frames_per_page: k,
-            pages_per_block: g.pages_per_block,
         }
     }
 
     fn decrease_vdct(&mut self, dp: u32) {
         debug_assert!(self.vdct[dp as usize] > 0, "recovery vdct underflow");
         self.vdct[dp as usize] -= 1;
-        if self.vdct[dp as usize] == 0 {
-            self.pending_dead.push(dp);
-        }
-    }
-
-    /// Count a useless page obsolete, in memory only: the page stays on
-    /// flash as it is until GC erases its block.
-    fn note_dead(&mut self, p: u32) {
-        self.obsolete[(p / self.pages_per_block) as usize] += 1;
     }
 
     /// Raise the id floor past `txn` (nothing for [`NO_TXN`]).
@@ -558,12 +539,10 @@ impl RecoveryTables {
                 // Torn transaction: the page never became visible.
                 if self.uncommitted.contains(&page.txn) {
                     self.torn_pages.push(p);
-                    self.note_dead(p);
                     return Ok(());
                 }
                 let frame = page.tag as usize;
                 if frame >= nl * k {
-                    self.note_dead(p);
                     return Ok(());
                 }
                 let pid = frame / k;
@@ -577,14 +556,11 @@ impl RecoveryTables {
                     && page.txn == NO_TXN;
                 if cur == NONE || page.ts > self.frame_ts[frame] || untagged_twin {
                     // r is a more recent base page.
-                    if cur != NONE {
-                        self.note_dead(cur);
-                        if page.ts == self.frame_ts[frame] {
-                            // Equal-ts duplicates are byte-identical GC
-                            // copies: the loser stays on flash — free
-                            // redundancy for single-page repair.
-                            self.twins.insert(p, cur);
-                        }
+                    if cur != NONE && page.ts == self.frame_ts[frame] {
+                        // Equal-ts duplicates are byte-identical GC copies:
+                        // the loser stays on flash — free redundancy for
+                        // single-page repair.
+                        self.twins.insert(p, cur);
                     }
                     self.ppmt[pid].base[j] = p;
                     self.frame_ts[frame] = page.ts;
@@ -598,12 +574,9 @@ impl RecoveryTables {
                         self.diff_ts[pid] = 0;
                         self.diff_txn[pid] = NO_TXN;
                     }
-                } else {
-                    // The table already holds a more recent base page.
-                    self.note_dead(p);
-                    if page.ts == self.frame_ts[frame] && cur != NONE {
-                        self.twins.insert(cur, p);
-                    }
+                } else if page.ts == self.frame_ts[frame] && cur != NONE {
+                    // The table already holds an equal-ts twin.
+                    self.twins.insert(cur, p);
                 }
                 Ok(())
             }
@@ -620,7 +593,6 @@ impl RecoveryTables {
                 }
                 if !page.parsed {
                     // Unparseable: nothing in it can be trusted.
-                    self.note_dead(p);
                     return Ok(());
                 }
                 let mut torn = false;
@@ -675,19 +647,12 @@ impl RecoveryTables {
                 if torn {
                     self.torn_pages.push(p);
                 }
-                if self.vdct[p as usize] == 0 {
-                    // r does not contain any valid differential.
-                    self.pending_dead.push(p);
-                }
                 Ok(())
             }
             // Spilled cold MVCC versions are a flash-resident cache of
             // in-memory retention state; no read view survives a crash, so
             // every spill page is garbage after one.
-            PageKind::Spill => {
-                self.note_dead(p);
-                Ok(())
-            }
+            PageKind::Spill => Ok(()),
             other => Err(CoreError::Corruption(format!(
                 "PDL recovery found a {other:?} page at {}",
                 Ppn(p)
@@ -784,13 +749,6 @@ impl RecoveryTables {
                 }
             }
         }
-        // Sweep: pages that lost every differential and hold no chosen
-        // record are useless now.
-        for p in std::mem::take(&mut self.pending_dead) {
-            if self.vdct[p as usize] == 0 {
-                self.note_dead(p); // no chosen record keeps it alive
-            }
-        }
         for p in std::mem::take(&mut self.torn_pages) {
             if self.vdct[p as usize] == 0 {
                 crate::ftl::mark_obsolete_lenient(chip, Ppn(p))?;
@@ -851,7 +809,11 @@ impl Pdl {
         for b in 0..opts.checkpoint_blocks {
             alloc.reserve_block(BlockId(b));
         }
-        alloc.rebuild(&tables.written, &tables.obsolete);
+        // Every written page the recovered tables hold nothing in is dead:
+        // superseded, torn, a spill page, a differential page left with no
+        // live record, or one whose data failed its checksum.
+        let live = super::live_pages(&tables.ppmt, &tables.vdct, opts.frames_per_page as usize);
+        alloc.rebuild(&tables.written, |p| live[p.0 as usize]);
         // Blocks whose erase failed before the crash are permanently
         // broken on the chip; retire them up front so GC never selects
         // one as a victim (its erase would fail again, forever).
@@ -1169,6 +1131,35 @@ mod tests {
             matches!(&err, CoreError::Corruption(m) if m.contains("without a commit record")),
             "{err}"
         );
+    }
+
+    /// Recovery counts a page dead exactly when its tables hold nothing
+    /// there. A spilled version is live when a checkpoint records its
+    /// block, but no read view survives a crash: when the delta scan skips
+    /// that unchanged block, the spill page must still come back dead, or
+    /// GC would take it for a live page it has to move.
+    #[test]
+    fn a_spill_page_in_a_block_the_delta_scan_skips_recovers_dead() {
+        let opts = StoreOptions::new(8).with_checkpoint_blocks(2);
+        let mut s = Pdl::new(FlashChip::new(FlashConfig::tiny()), opts, MAX_DIFF).unwrap();
+        let size = s.logical_page_size();
+        for pid in 0..4 {
+            s.write_page(pid, &vec![pid as u8; size]).unwrap();
+        }
+        let handle = s.spill_page(0, &vec![0xAB; size]).unwrap();
+        let spill = Ppn(s.spills[&handle][0]);
+        for pid in 4..8 {
+            s.write_page(pid, &vec![pid as u8; size]).unwrap();
+        }
+        s.checkpoint().unwrap();
+        // The block is full and nothing in it dies: the delta scan skips it.
+        let (g, block) = (s.chip().geometry(), s.chip().geometry().block_of(spill));
+        assert_eq!(s.alloc.written_in(block), g.pages_per_block);
+        assert_eq!(s.alloc.valid_in(block), g.pages_per_block);
+        let r = Pdl::recover(Box::new(s).into_chip(), opts, MAX_DIFF).unwrap();
+        assert!(r.alloc.is_dead(spill));
+        assert_eq!(r.alloc.valid_in(block), r.alloc.written_in(block) - 1);
+        r.check_tables().unwrap();
     }
 
     /// A checkpoint loads every live base at its watermark. When GC later

@@ -6,7 +6,8 @@
 //! *every* operation the store must agree with the model byte-for-byte
 //! on the page it touched, and at the end on the whole page space. The
 //! PDL engines additionally cross-check their own transaction tables
-//! (`check_tables`) after every operation and every recovery.
+//! (`check_tables`) after every operation and every recovery, and OPU
+//! checks its allocator's page bitmap against its mapping table.
 //!
 //! The same operation sequence also runs under each GC policy — victim
 //! selection and hot/cold data placement change *where* pages live, never
@@ -14,7 +15,7 @@
 //! state.
 
 use pdl_core::{
-    build_store, BatchPage, CommitBatch, GcPolicy, MethodKind, PageStore, Pdl, ShardedStore,
+    build_store, BatchPage, CommitBatch, GcPolicy, MethodKind, Opu, PageStore, Pdl, ShardedStore,
     StoreOptions,
 };
 use pdl_flash::{FlashChip, FlashConfig};
@@ -227,6 +228,8 @@ proptest! {
                 if let MethodKind::Pdl { max_diff_size } = kind {
                     let mut store = Pdl::new(chip, opts, max_diff_size).unwrap();
                     drive(&mut store, &ops, Pdl::check_tables)?;
+                } else if kind == MethodKind::Opu {
+                    drive(&mut Opu::new(chip, opts).unwrap(), &ops, Opu::check_tables)?;
                 } else {
                     let mut store = build_store(chip, kind, opts).unwrap();
                     drive(store.as_mut(), &ops, unchecked)?;
