@@ -6,8 +6,6 @@
 //!
 //! For each configuration the table reports:
 //!
-//! * **bound ops/s** — the machine-independent concurrency bound
-//!   `cycles / max-shard-busy-time`, as in the `sharded` bench;
 //! * **sim us/op** — simulated flash I/O time per update operation;
 //! * **WA** — write amplification (total page programs per user page
 //!   program; GC migration traffic is the difference from 1.0);
@@ -23,20 +21,18 @@
 //! them, and cost-benefit / hot-cold pull ahead — the divergence Dayan &
 //! Bonnet's Figures 4-6 show growing with skew.
 //!
+//! One thread drives every configuration, so stdout depends on the scale
+//! alone: at quick scale it is checked in as
+//! `crates/bench/golden/gc_policies.quick.txt`.
+//!
 //! Run with `cargo bench -p pdl-bench --bench gc_policies`; set
-//! `PDL_SCALE=quick|default|paper` and `PDL_BENCH_THREADS` as usual.
+//! `PDL_SCALE=quick|default|paper` as usual.
 
 use pdl_core::{GcPolicy, MethodKind, PageStore, ShardedStore, StoreOptions};
 use pdl_flash::FlashConfig;
 use pdl_workload::{
-    db_pages_for, load_database, run_threaded_update_workload, Measurement, PageSetMode, Scale,
-    Table, ThreadedConfig, UpdateConfig,
+    db_pages_for, load_database, run_update_workload, Measurement, Scale, Table, UpdateConfig,
 };
-use std::time::Duration;
-
-fn threads_from_env() -> usize {
-    std::env::var("PDL_BENCH_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4)
-}
 
 const POLICIES: [(GcPolicy, &str); 3] = [
     (GcPolicy::Greedy, "greedy"),
@@ -48,7 +44,6 @@ struct Point {
     policy: &'static str,
     shards: usize,
     measurement: Measurement,
-    max_busy_secs: f64,
     write_amp: f64,
     migrated: u64,
     gc_erases: u64,
@@ -60,8 +55,7 @@ fn run_config(
     policy: GcPolicy,
     label: &'static str,
     shards: usize,
-    threads: usize,
-    mode: PageSetMode,
+    skewed: bool,
 ) -> Point {
     let kind = MethodKind::Pdl { max_diff_size: 256 };
     let blocks_per_shard = (scale.num_blocks() / shards as u32).max(8);
@@ -78,32 +72,17 @@ fn run_config(
     .expect("store");
     load_database(&mut store).expect("load");
 
-    // Warm into steady state (not timed) so the hot/cold heat gauge and
-    // the block populations reach their stable regime before measuring.
-    let warm = ThreadedConfig::new(
-        threads,
-        UpdateConfig::new(2.0, 1)
-            .with_measured_cycles(0)
-            .with_warmup(
-                scale.warmup_erases_per_block() * scale.num_blocks() as u64 / 4,
-                scale.warmup_max_cycles() / 4,
-            )
-            .with_phase_jitter(110),
-    )
-    .with_mode(mode);
-    run_threaded_update_workload(&store, &warm).expect("warm-up");
-
-    let measured = ThreadedConfig::new(
-        threads,
-        UpdateConfig::new(2.0, 1)
-            .with_measured_cycles(scale.measured_cycles() * 8)
-            .with_warmup(0, 0),
-    )
-    .with_mode(mode);
-    store.reset_busy();
-    let measurement = run_threaded_update_workload(&store, &measured).expect("measure");
-    let max_busy_secs =
-        store.per_shard_busy().iter().map(Duration::as_secs_f64).fold(0.0, f64::max);
+    // Warm into steady state (not measured) so the hot/cold heat gauge
+    // and the block populations reach their stable regime, then measure.
+    let cfg = UpdateConfig::new(2.0, 1)
+        .with_measured_cycles(scale.measured_cycles() * 8)
+        .with_warmup(
+            scale.warmup_erases_per_block() * scale.num_blocks() as u64 / 4,
+            scale.warmup_max_cycles() / 4,
+        )
+        .with_phase_jitter(110)
+        .with_skew(skewed);
+    let measurement = run_update_workload(&mut store, &cfg).expect("workload");
     // The workload driver resets statistics before its measured cycles,
     // so these figures are measurement-scoped.
     let stats = PageStore::stats(&store);
@@ -111,7 +90,6 @@ fn run_config(
         policy: label,
         shards,
         measurement,
-        max_busy_secs,
         write_amp: stats.write_amplification(),
         migrated: stats.migrated_pages(),
         gc_erases: stats.gc_erases(),
@@ -119,33 +97,22 @@ fn run_config(
     }
 }
 
-fn mode_label(mode: PageSetMode) -> &'static str {
-    match mode {
-        PageSetMode::Disjoint => "disjoint",
-        PageSetMode::Overlapping => "uniform",
-        PageSetMode::Skewed => "skewed 80/20",
-    }
-}
-
 fn main() {
     let scale = Scale::from_env();
-    let threads = threads_from_env();
     println!("# GC policies: greedy vs cost-benefit vs hot/cold (PDL 256B)");
     println!(
-        "workload: %Changed = 2, N = 1 | threads: {threads} | scale: {} | \
-         constant total flash budget per shard count",
+        "workload: %Changed = 2, N = 1 | scale: {} | constant total flash budget per shard count",
         scale.label()
     );
     println!();
 
-    for mode in [PageSetMode::Overlapping, PageSetMode::Skewed] {
+    for (skewed, page_set) in [(false, "uniform"), (true, "skewed 80/20")] {
         let mut t = Table::new(
-            format!("{} page set, {threads} threads", mode_label(mode)),
+            format!("{page_set} page set"),
             &[
                 "policy",
                 "shards",
                 "cycles",
-                "bound ops/s",
                 "sim us/op",
                 "WA",
                 "migrated",
@@ -155,14 +122,12 @@ fn main() {
         );
         for (policy, label) in POLICIES {
             for shards in [1usize, 2, 4] {
-                eprintln!("... {label} x{shards} ({})", mode_label(mode));
-                let p = run_config(scale, policy, label, shards, threads, mode);
-                let bound_ops = p.measurement.cycles as f64 / p.max_busy_secs;
+                eprintln!("... {label} x{shards} ({page_set})");
+                let p = run_config(scale, policy, label, shards, skewed);
                 t.row(vec![
                     p.policy.to_string(),
                     p.shards.to_string(),
                     p.measurement.cycles.to_string(),
-                    format!("{bound_ops:.0}"),
                     format!("{:.1}", p.measurement.overall_us_per_op()),
                     format!("{:.3}", p.write_amp),
                     p.migrated.to_string(),

@@ -4,6 +4,8 @@
 //! `benches/`. The shared machinery lives here so the bench targets stay
 //! thin and the shape assertions can run as ordinary tests.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod runner;
 pub mod tpcc_exp;

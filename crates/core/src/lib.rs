@@ -31,6 +31,8 @@
 //! assert_eq!(out, page);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 mod error;
 mod ftl;

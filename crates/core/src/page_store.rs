@@ -419,9 +419,8 @@ impl std::error::Error for CommitError {}
 /// A page-update method: stores logical pages into flash memory.
 ///
 /// The trait is object-safe and `Send`, so `Box<dyn PageStore>` can move
-/// between threads — the property the sharded engine
-/// ([`crate::ShardedStore`]) builds on by placing one boxed store behind
-/// each shard lock.
+/// between threads — behind the store mutex of a database, or onto the
+/// thread that recovers one shard of a [`crate::ShardedStore`].
 pub trait PageStore: Send {
     /// The options this store was built with.
     fn options(&self) -> &StoreOptions;

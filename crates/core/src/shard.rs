@@ -1,24 +1,26 @@
-//! The sharded concurrent engine: [`ShardedStore`] partitions the logical
-//! page space across N independent [`PageStore`] instances, each over its
-//! own [`FlashChip`].
+//! The sharded engine: [`ShardedStore`] partitions the logical page space
+//! across N independent [`PageStore`] instances, each over its own
+//! [`FlashChip`].
 //!
 //! PDL's invariants are all *per logical page* (a write reflects only the
 //! difference of one page; at most one page is programmed per reflection;
 //! at most two pages are read to recreate one), so any partition of the
-//! page space preserves them while unlocking parallelism — the same
-//! argument made for partition-parallel page-mapping FTLs and for
-//! partitioned recovery in distributed in-memory databases.
+//! page space preserves them — the same argument made for
+//! partition-parallel page-mapping FTLs and for partitioned recovery in
+//! distributed in-memory databases.
 //!
 //! Pages are striped round-robin: page `p` lives on shard `p % N` as that
 //! shard's local page `p / N`. The mapping is deterministic and
 //! stateless, so crash recovery reconstructs it from `(total, N)` alone,
 //! and both sequential and uniform-random workloads spread evenly.
 //!
-//! Each shard sits behind its own lock; operations on different shards
-//! never serialize. The `*_shared` methods take `&self` and return the
-//! [`FlashStats`] delta the operation caused on its shard's chip, which is
-//! how the multi-threaded workload driver attributes simulated I/O time
-//! per thread without a global stats lock.
+//! The store is a plain router: it owns its shards and reaches each one
+//! through `&self`/`&mut self`. Concurrency lives one layer up, in
+//! `pdl_storage::Database` (buffer hits that never take the store, group
+//! commit). What the shards do buy is overlap: a cross-shard commit batch
+//! issues each phase on every involved shard before draining any, so the
+//! phase costs the slowest shard's simulated flash time, and recovery runs
+//! every shard's read pass and replay on a thread of its own.
 
 use crate::page_store::{
     note_txn, BatchPage, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
@@ -28,43 +30,6 @@ use crate::{build_store, error::CoreError, recover_store, Pdl, Result};
 use pdl_flash::{FlashChip, FlashStats};
 use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
-
-/// Nanoseconds of CPU time consumed by the calling thread, from the
-/// kernel's per-thread clock. Unlike a wall clock, this does not inflate
-/// when the scheduler preempts a thread mid-operation (e.g. more worker
-/// threads than cores), so per-shard busy accounting stays a faithful
-/// critical-path measure on oversubscribed machines.
-#[cfg(target_os = "linux")]
-fn thread_cpu_ns() -> u64 {
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-    extern "C" {
-        fn clock_gettime(clk: i32, tp: *mut Timespec) -> i32;
-    }
-    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
-    // SAFETY: `ts` is a valid out-pointer and the clock id is a Linux
-    // constant; the call writes the timespec and nothing else.
-    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-    if rc != 0 {
-        return 0;
-    }
-    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
-}
-
-/// Monotonic fallback where no per-thread CPU clock is exposed.
-#[cfg(not(target_os = "linux"))]
-fn thread_cpu_ns() -> u64 {
-    use std::sync::OnceLock;
-    static START: OnceLock<std::time::Instant> = OnceLock::new();
-    START.get_or_init(std::time::Instant::now).elapsed().as_nanos() as u64
-}
 
 /// Number of logical pages shard `s` owns when `total` pages are striped
 /// across `n` shards.
@@ -144,17 +109,11 @@ impl DerefMut for Shard {
 
 /// A hash-partitioned (striped) page store over N per-shard stores.
 pub struct ShardedStore {
-    shards: Vec<Mutex<Shard>>,
-    /// CPU nanoseconds each shard's lock was held by `*_shared`
-    /// operations. The maximum over shards is the engine's critical path:
-    /// `ops / max_busy` bounds the throughput any number of worker
-    /// threads can reach, independent of how many cores the measuring
-    /// machine happens to have.
-    busy_ns: Vec<AtomicU64>,
+    shards: Vec<Shard>,
     /// The error that hit a commit batch after it was opened on some
     /// shard. Those shards' batches stay open; every later batch and
     /// checkpoint gets this error back.
-    failed: OnceLock<CoreError>,
+    failed: Option<CoreError>,
     opts: StoreOptions,
     kind: MethodKind,
     data_size: usize,
@@ -262,12 +221,8 @@ impl ShardedStore {
                 .collect();
             handles.into_iter().map(|h| h.join().expect("shard builder panicked")).collect()
         });
-        let mut shards = Vec::with_capacity(n);
-        for r in results {
-            shards.push(Mutex::new(r?));
-        }
-        let busy_ns = (0..n).map(|_| AtomicU64::new(0)).collect();
-        Ok(ShardedStore { shards, busy_ns, failed: OnceLock::new(), opts, kind, data_size })
+        let shards = results.into_iter().collect::<Result<Vec<_>>>()?;
+        Ok(ShardedStore { shards, failed: None, opts, kind, data_size })
     }
 
     /// The torn-commit verdict recovery reaches on the crash image `chips`
@@ -315,105 +270,22 @@ impl ShardedStore {
         Ok(((pid % n) as usize, pid / n))
     }
 
-    fn lock_shard(&self, s: usize) -> std::sync::MutexGuard<'_, Shard> {
-        self.shards[s].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Run `f` against shard `s`'s store (its pids are shard-local).
-    pub fn with_shard<R>(&self, s: usize, f: impl FnOnce(&mut dyn PageStore) -> R) -> R {
-        f(&mut **self.lock_shard(s))
-    }
-
-    fn tracked<R>(
-        &self,
-        pid: u64,
-        f: impl FnOnce(&mut dyn PageStore, u64) -> Result<R>,
-    ) -> Result<(R, FlashStats)> {
-        let (s, local) = self.locate(pid)?;
-        let mut guard = self.lock_shard(s);
-        let started = thread_cpu_ns();
-        let before = guard.stats();
-        let r = f(&mut **guard, local)?;
-        let delta = guard.stats().delta_since(&before);
-        self.busy_ns[s].fetch_add(thread_cpu_ns().saturating_sub(started), Ordering::Relaxed);
-        Ok((r, delta))
-    }
-
-    /// Concurrent [`PageStore::read_page`]: locks only the owning shard
-    /// and returns the flash-cost delta of the operation.
-    pub fn read_page_shared(&self, pid: u64, out: &mut [u8]) -> Result<FlashStats> {
-        Ok(self.tracked(pid, |s, local| s.read_page(local, out))?.1)
-    }
-
-    /// Concurrent [`PageStore::apply_update`].
-    pub fn apply_update_shared(
-        &self,
-        pid: u64,
-        page_after: &[u8],
-        changes: &[ChangeRange],
-    ) -> Result<FlashStats> {
-        Ok(self.tracked(pid, |s, local| s.apply_update(local, page_after, changes))?.1)
-    }
-
-    /// Concurrent [`PageStore::evict_page`].
-    pub fn evict_page_shared(&self, pid: u64, page: &[u8]) -> Result<FlashStats> {
-        Ok(self.tracked(pid, |s, local| s.evict_page(local, page))?.1)
-    }
-
-    /// Concurrent whole-page write (update notification + reflection).
-    pub fn write_page_shared(&self, pid: u64, page: &[u8]) -> Result<FlashStats> {
-        Ok(self
-            .tracked(pid, |s, local| {
-                s.apply_update(local, page, &[ChangeRange::new(0, page.len())])?;
-                s.evict_page(local, page)
-            })?
-            .1)
-    }
-
-    /// Write-through every shard.
-    pub fn flush_shared(&self) -> Result<()> {
-        for s in 0..self.shards.len() {
-            self.lock_shard(s).flush()?;
-        }
-        Ok(())
-    }
-
-    /// Reset every shard chip's statistics ledger and the busy-time
-    /// counters.
-    pub fn reset_stats_shared(&self) {
-        for s in 0..self.shards.len() {
-            self.lock_shard(s).reset_stats();
-        }
-        self.reset_busy();
+    /// Shard `s`'s store (its pids are shard-local).
+    pub fn shard_mut(&mut self, s: usize) -> &mut dyn PageStore {
+        &mut *self.shards[s]
     }
 
     /// Per-shard flash statistics, shard order.
     pub fn per_shard_stats(&self) -> Vec<FlashStats> {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).stats()).collect()
-    }
-
-    /// CPU time each shard's lock has been held by `*_shared` operations
-    /// since the last [`ShardedStore::reset_busy`]. The maximum entry is
-    /// the engine's critical path: no thread count can push past
-    /// `ops / max_busy` operations per second, so shrinking it by adding
-    /// shards is exactly the concurrency sharding buys.
-    pub fn per_shard_busy(&self) -> Vec<Duration> {
-        self.busy_ns.iter().map(|b| Duration::from_nanos(b.load(Ordering::Relaxed))).collect()
-    }
-
-    /// Zero the per-shard busy-time counters.
-    pub fn reset_busy(&self) {
-        for b in &self.busy_ns {
-            b.store(0, Ordering::Relaxed);
-        }
+        self.shards.iter().map(|s| s.stats()).collect()
     }
 
     /// [`Pdl::check_tables`] on every PDL shard (tests call this between
     /// operations).
     #[doc(hidden)]
     pub fn check_tables(&self) -> std::result::Result<(), String> {
-        for s in 0..self.shards.len() {
-            if let Shard::Pdl(p) = &*self.lock_shard(s) {
+        for (s, shard) in self.shards.iter().enumerate() {
+            if let Shard::Pdl(p) = shard {
                 p.check_tables().map_err(|e| format!("shard {s}: {e}"))?;
             }
         }
@@ -425,8 +297,8 @@ impl ShardedStore {
     pub fn tables_digest(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        for s in 0..self.shards.len() {
-            if let Shard::Pdl(p) = &*self.lock_shard(s) {
+        for shard in &self.shards {
+            if let Shard::Pdl(p) = shard {
                 p.tables_digest().hash(&mut h);
             }
         }
@@ -437,7 +309,7 @@ impl ShardedStore {
     pub fn into_shard_chips(self) -> Vec<FlashChip> {
         self.shards
             .into_iter()
-            .map(|m| match m.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            .map(|shard| match shard {
                 Shard::Pdl(p) => p.into_chip(),
                 Shard::Other(st) => st.into_chip(),
             })
@@ -452,25 +324,51 @@ impl ShardedStore {
     /// at queue depth 1 the drain is a no-op, so the same path is
     /// exercised (and regression-tested) serially.
     fn fan_out(
-        &self,
+        &mut self,
         shards: &[usize],
         phase: &dyn Fn(usize, &mut Pdl) -> Result<()>,
     ) -> Result<()> {
         for &s in shards {
-            phase(s, self.lock_shard(s).pdl())?;
+            phase(s, self.shards[s].pdl())?;
         }
         for &s in shards {
-            self.lock_shard(s).chip_mut().drain();
+            self.shards[s].chip_mut().drain();
         }
         Ok(())
     }
 
-    /// Checkpoint every shard (see [`PageStore::checkpoint`]).
-    fn checkpoint_shared(&self) -> Result<()> {
-        if let Some(e) = self.failed.get() {
-            return Err(e.clone());
+    /// The staged half of a PDL commit batch, every involved shard already
+    /// open: pages, roots, one record per involved shard, close.
+    fn run_batch(
+        &mut self,
+        batch: &CommitBatch<'_>,
+        pages: &[Vec<BatchPage>],
+        txns: &[Vec<u64>],
+        involved: &[usize],
+    ) -> Result<()> {
+        let staging: Vec<usize> =
+            involved.iter().copied().filter(|&s| !pages[s].is_empty()).collect();
+        self.fan_out(&staging, &|s, st| {
+            for p in &pages[s] {
+                st.stage_page(p.pid, p.image, p.txn, p.held)?;
+            }
+            st.flush()
+        })?;
+        if let Some((r, txn)) = batch.roots {
+            self.shards[0].pdl().batch_stage_roots(r, txn)?;
         }
-        (0..self.shards.len()).try_for_each(|s| self.lock_shard(s).checkpoint())
+        self.fan_out(involved, &|s, st| {
+            st.batch_record(&txns[s])?;
+            st.flush()
+        })?;
+        self.fan_out(involved, &|_, st| st.batch_close(true))
+    }
+
+    /// Stop the store on `e`: the first such error is returned to every
+    /// later batch and checkpoint.
+    fn fail(&mut self, e: CoreError) -> CommitError {
+        self.failed.get_or_insert_with(|| e.clone());
+        CommitError::Failed(e)
     }
 }
 
@@ -481,36 +379,30 @@ impl PageStore for ShardedStore {
 
     fn read_page(&mut self, pid: u64, out: &mut [u8]) -> Result<()> {
         let (s, local) = self.locate(pid)?;
-        self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).read_page(local, out)
+        self.shards[s].read_page(local, out)
     }
 
     fn apply_update(&mut self, pid: u64, page_after: &[u8], changes: &[ChangeRange]) -> Result<()> {
         let (s, local) = self.locate(pid)?;
-        self.shards[s]
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .apply_update(local, page_after, changes)
+        self.shards[s].apply_update(local, page_after, changes)
     }
 
     fn consumes_updates(&self) -> bool {
-        (0..self.shards.len()).any(|s| self.lock_shard(s).consumes_updates())
+        self.shards.iter().any(|s| s.consumes_updates())
     }
 
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()> {
         let (s, local) = self.locate(pid)?;
-        self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).evict_page(local, page)
+        self.shards[s].evict_page(local, page)
     }
 
     fn flush(&mut self) -> Result<()> {
-        for shard in &mut self.shards {
-            shard.get_mut().unwrap_or_else(|e| e.into_inner()).flush()?;
-        }
-        Ok(())
+        self.shards.iter_mut().try_for_each(|s| s.flush())
     }
 
     fn prefetch(&mut self, pid: u64) -> Result<()> {
         let (s, local) = self.locate(pid)?;
-        self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).prefetch(local)
+        self.shards[s].prefetch(local)
     }
 
     /// The one place a cross-shard commit is sequenced. A shard is
@@ -525,7 +417,7 @@ impl PageStore for ShardedStore {
     /// destroys the pre-images a torn verdict rolls back to — so no shard
     /// closes until every shard's record is durable.
     fn commit_batch(&mut self, batch: &CommitBatch<'_>) -> std::result::Result<(), CommitError> {
-        if let Some(e) = self.failed.get() {
+        if let Some(e) = &self.failed {
             return Err(CommitError::Failed(e.clone()));
         }
         let n = self.shards.len();
@@ -543,112 +435,93 @@ impl PageStore for ShardedStore {
             note_txn(&mut txns[0], txn);
         }
         let involved: Vec<usize> = (0..n).filter(|&s| !txns[s].is_empty()).collect();
-        let fail = |e: CoreError| {
-            let _ = self.failed.set(e.clone());
-            CommitError::Failed(e)
-        };
         if !matches!(self.kind, MethodKind::Pdl { .. }) {
             // Not atomic: each involved shard writes its part through.
             for &s in &involved {
                 let part = CommitBatch { pages: std::mem::take(&mut pages[s]), roots: None };
-                self.lock_shard(s).commit_batch(&part).map_err(|e| fail(e.into()))?;
+                self.shards[s].commit_batch(&part).map_err(|e| self.fail(e.into()))?;
             }
             return Ok(());
         }
 
         let roots = batch.roots.map(|(r, _)| r);
-        if roots.is_some_and(|r| !self.lock_shard(0).pdl().root_log_fits(r)) {
+        if roots.is_some_and(|r| !self.shards[0].pdl().root_log_fits(r)) {
             // The log is full: fold *every* shard into a fresh checkpoint
             // before the batch opens, so no shard's batch straddles one.
-            self.checkpoint_shared().map_err(CommitError::Rejected)?;
+            self.checkpoint().map_err(CommitError::Rejected)?;
         }
         for (i, &s) in involved.iter().enumerate() {
             let roots = roots.filter(|_| s == 0);
-            let opened = self.lock_shard(s).pdl().batch_open(pages[s].len() as u64, roots);
+            let opened = self.shards[s].pdl().batch_open(pages[s].len() as u64, roots);
             if let Err(rejected) = opened {
                 for &o in &involved[..i] {
-                    self.lock_shard(o).pdl().batch_close(false).map_err(fail)?;
+                    self.shards[o].pdl().batch_close(false).map_err(|e| self.fail(e))?;
                 }
                 return Err(rejected);
             }
         }
-        let staging: Vec<usize> =
-            involved.iter().copied().filter(|&s| !pages[s].is_empty()).collect();
-        let run = || {
-            self.fan_out(&staging, &|s, st| {
-                for p in &pages[s] {
-                    st.stage_page(p.pid, p.image, p.txn, p.held)?;
-                }
-                st.flush()
-            })?;
-            if let Some((r, txn)) = batch.roots {
-                self.lock_shard(0).pdl().batch_stage_roots(r, txn)?;
-            }
-            self.fan_out(&involved, &|s, st| {
-                st.batch_record(&txns[s])?;
-                st.flush()
-            })?;
-            self.fan_out(&involved, &|_, st| st.batch_close(true))
-        };
-        run().map_err(fail)
+        self.run_batch(batch, &pages, &txns, &involved).map_err(|e| self.fail(e))
     }
 
     fn txn_id_floor(&self) -> u64 {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).txn_id_floor()).max().unwrap_or(1)
+        self.shards.iter().map(|s| s.txn_id_floor()).max().unwrap_or(1)
     }
 
     fn spill_supported(&self) -> bool {
-        self.lock_shard(0).spill_supported()
+        self.shards[0].spill_supported()
     }
 
     fn spill_page(&mut self, pid: u64, page: &[u8]) -> Result<u64> {
         let (s, local) = self.locate(pid)?;
-        self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).spill_page(local, page)
+        self.shards[s].spill_page(local, page)
     }
 
     fn read_spill(&mut self, pid: u64, handle: u64, out: &mut [u8]) -> Result<()> {
         let (s, local) = self.locate(pid)?;
-        self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).read_spill(local, handle, out)
+        self.shards[s].read_spill(local, handle, out)
     }
 
     fn free_spill(&mut self, pid: u64, handle: u64) -> Result<()> {
         let (s, local) = self.locate(pid)?;
-        self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).free_spill(local, handle)
+        self.shards[s].free_spill(local, handle)
     }
 
     fn struct_roots(&self) -> Option<crate::page_store::StructRootsSnapshot> {
-        self.lock_shard(0).struct_roots()
+        self.shards[0].struct_roots()
     }
 
     fn checkpoint(&mut self) -> Result<()> {
-        self.checkpoint_shared()
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        self.shards.iter_mut().try_for_each(|s| s.checkpoint())
     }
 
     fn chip(&self) -> &FlashChip {
         panic!(
             "ShardedStore spans {} chips and has no single chip; \
-             use for_each_chip()/stats()/with_shard()",
+             use for_each_chip()/stats()/shard_mut()",
             self.shards.len()
         );
     }
 
     fn for_each_chip(&self, f: &mut dyn FnMut(&FlashChip)) {
-        for s in 0..self.shards.len() {
-            f(self.lock_shard(s).chip());
+        for shard in &self.shards {
+            f(shard.chip());
         }
     }
 
     fn chip_mut(&mut self) -> &mut FlashChip {
         panic!(
             "ShardedStore spans {} chips and has no single chip; \
-             use reset_stats()/with_shard()",
+             use reset_stats()/shard_mut()",
             self.shards.len()
         );
     }
 
     fn reset_stats(&mut self) {
         for shard in &mut self.shards {
-            shard.get_mut().unwrap_or_else(|e| e.into_inner()).reset_stats();
+            shard.reset_stats();
         }
     }
 
@@ -664,8 +537,8 @@ impl PageStore for ShardedStore {
         // Sum per-shard counters by key, preserving shard 0's key order.
         let mut keys: Vec<&'static str> = Vec::new();
         let mut sums: Vec<u64> = Vec::new();
-        for s in 0..self.shards.len() {
-            for (k, v) in self.lock_shard(s).counters() {
+        for shard in &self.shards {
+            for (k, v) in shard.counters() {
                 match keys.iter().position(|x| *x == k) {
                     Some(i) => sums[i] += v,
                     None => {
@@ -738,24 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_ops_report_flash_deltas() {
-        let s = sharded(2, 8);
-        let size = s.logical_page_size();
-        let page = vec![7u8; size];
-        let d = s.write_page_shared(3, &page).unwrap();
-        assert!(d.total().writes > 0, "{d:?}");
-        let mut out = vec![0u8; size];
-        let d = s.read_page_shared(3, &mut out).unwrap();
-        assert_eq!(out, page);
-        assert!(d.total().reads > 0, "{d:?}");
-        // The delta only covers the owning shard: aggregate equals sum.
-        let agg = s.stats();
-        let per: FlashStats =
-            s.per_shard_stats().into_iter().fold(FlashStats::default(), |a, b| a + b);
-        assert_eq!(agg, per);
-    }
-
-    #[test]
     fn aggregates_span_all_shards() {
         let mut s = sharded(4, 16);
         let size = s.logical_page_size();
@@ -765,6 +620,9 @@ mod tests {
         s.flush().unwrap();
         let stats = PageStore::stats(&s);
         assert!(stats.total().writes >= 16);
+        let per: FlashStats =
+            s.per_shard_stats().into_iter().fold(FlashStats::default(), |a, b| a + b);
+        assert_eq!(stats, per, "aggregate stats are the sum of the shards'");
         let wear = PageStore::wear_summary(&s);
         assert_eq!(wear.num_blocks, 4 * FlashConfig::tiny().geometry.num_blocks);
         PageStore::reset_stats(&mut s);
@@ -849,9 +707,7 @@ mod tests {
         // allocator — covered by the method unit tests), not just the
         // facade echoing its own input.
         for shard in 0..s.num_shards() {
-            s.with_shard(shard, |st| {
-                assert_eq!(st.options().gc_policy, GcPolicy::HotCold, "shard {shard}");
-            });
+            assert_eq!(s.shard_mut(shard).options().gc_policy, GcPolicy::HotCold, "shard {shard}");
         }
         // And the engine stays correct when churned into GC under the
         // policy: a hot 4-page set over write-once cold pages.

@@ -293,7 +293,7 @@ fn sharded_recovery_precheck_rides_the_checkpoint_delta() {
             })
             .collect();
         for shard in 0..2 {
-            s.with_shard(shard, |st| st.chip_mut().arm_fault(1));
+            s.shard_mut(shard).chip_mut().arm_fault(1);
         }
         let before = s.per_shard_stats();
         let pages = vec![BatchPage::new(2, &torn[0], 501), BatchPage::new(3, &torn[1], 501)];

@@ -376,7 +376,7 @@ fn two_shard_rig(config: FlashConfig, opts: StoreOptions) -> Rig<ShardedStore> {
         config,
         opts,
         build: |config, opts| ShardedStore::with_uniform_chips(config, 2, PDL, opts).unwrap(),
-        each_chip: |store, f| (0..2).for_each(|s| store.with_shard(s, |st| f(s, st.chip_mut()))),
+        each_chip: |store, f| (0..2).for_each(|s| f(s, store.shard_mut(s).chip_mut())),
         recover: |chips, opts| ShardedStore::recover(chips, PDL, opts).unwrap(),
         check: ShardedStore::check_tables,
         digest: ShardedStore::tables_digest,

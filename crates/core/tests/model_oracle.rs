@@ -277,7 +277,7 @@ proptest! {
                 &txns,
                 ShardedStore::with_uniform_chips(FlashConfig::tiny(), n, kind, opts).expect("build"),
                 // Power fails on one chip; the commit stops there.
-                |store, i, budget| store.with_shard(i % n, |st| st.chip_mut().arm_fault(budget)),
+                |store, i, budget| store.shard_mut(i % n).chip_mut().arm_fault(budget),
                 |store| {
                     let mut chips = store.into_shard_chips();
                     chips.iter_mut().for_each(FlashChip::disarm_fault);

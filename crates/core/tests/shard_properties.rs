@@ -1,14 +1,16 @@
 //! Sharding correctness: a [`ShardedStore`] must be observably identical
 //! to a single store of the same method over any update trace, because
 //! striping only partitions the page space — it never changes per-page
-//! behaviour. Plus: a multi-writer smoke test (8 threads, overlapping
-//! pages) and whole-engine crash recovery of every shard.
+//! behaviour. Plus: multi-writer smoke tests (8 threads on overlapping
+//! pages, 4 on disjoint ones, all through one `Database`) and whole-engine
+//! crash recovery of every shard.
 
 use pdl_core::{
     build_store, BatchPage, ChangeRange, CommitBatch, CommitError, CoreError, MethodKind,
     PageStore, ShardedStore, StoreOptions,
 };
 use pdl_flash::{FlashChip, FlashConfig};
+use pdl_storage::Database;
 use proptest::prelude::*;
 
 const PAGES: u64 = 20;
@@ -111,10 +113,10 @@ proptest! {
     }
 }
 
-/// 8 writer threads hammer overlapping pages through the shared entry
-/// points; after the join every page must hold exactly one of the writes
-/// that targeted it (page programming is atomic per shard), and crash
-/// recovery of all shards must preserve the flushed state.
+/// 8 writer threads hammer overlapping pages through one [`Database`]
+/// over 4 shards; after the join every page must hold exactly one of the
+/// writes that targeted it, and crash recovery of all shards must preserve
+/// the flushed state.
 #[test]
 fn concurrent_writers_then_crash_recovery() {
     const WRITERS: u64 = 8;
@@ -123,11 +125,14 @@ fn concurrent_writers_then_crash_recovery() {
     let store =
         ShardedStore::with_uniform_chips(FlashConfig::tiny(), 4, kind, StoreOptions::new(PAGES))
             .unwrap();
-    let size = store.logical_page_size();
+    // Fewer frames than pages: writers evict each other's pages to the
+    // shards while they run.
+    let db = Database::new(Box::new(store), 8);
+    let size = db.page_size();
 
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
-            let store = &store;
+            let db = &db;
             scope.spawn(move || {
                 let mut page = vec![0u8; size];
                 for r in 0..ROUNDS {
@@ -140,16 +145,16 @@ fn concurrent_writers_then_crash_recovery() {
                         page[i] = w as u8 + 1;
                         page[i + 1] = r as u8;
                     }
-                    store.write_page_shared(pid, &page).unwrap();
+                    db.with_page_mut(pid, |p| p.write(0, &page)).unwrap();
                 }
             });
         }
     });
 
     // Post-join: every page is a consistent snapshot of one write.
-    let mut out = vec![0u8; size];
+    let read = |pid: u64| db.with_page(pid, <[u8]>::to_vec).unwrap();
     for pid in 0..PAGES {
-        store.read_page_shared(pid, &mut out).unwrap();
+        let out = read(pid);
         let (w, r) = (out[0], out[1]);
         assert!(w >= 1 && w as u64 <= WRITERS, "pid {pid}: writer tag {w}");
         assert!((r as u64) < ROUNDS, "pid {pid}: round tag {r}");
@@ -158,50 +163,45 @@ fn concurrent_writers_then_crash_recovery() {
             assert_eq!(out[i + 1], r, "pid {pid}: torn page at byte {i}");
         }
     }
-    store.flush_shared().unwrap();
-    let expect: Vec<Vec<u8>> = (0..PAGES)
-        .map(|pid| {
-            let mut p = vec![0u8; size];
-            store.read_page_shared(pid, &mut p).unwrap();
-            p
-        })
-        .collect();
+    let expect: Vec<Vec<u8>> = (0..PAGES).map(read).collect();
 
-    // Crash: drop all in-memory state, recover every shard from its chip.
-    let chips = store.into_shard_chips();
+    // Flush, then crash: drop all in-memory state, recover every shard
+    // from its chip.
+    let chips = db.into_store().unwrap().into_chips();
     assert_eq!(chips.len(), 4);
     let mut back = ShardedStore::recover(chips, kind, StoreOptions::new(PAGES)).unwrap();
+    let mut out = vec![0u8; size];
     for (pid, want) in expect.iter().enumerate() {
         back.read_page(pid as u64, &mut out).unwrap();
         assert_eq!(&out, want, "pid {pid} after recovery");
     }
 }
 
-/// Concurrent readers and writers on disjoint page sets scale without
-/// interference: all data lands correctly.
+/// Writers on disjoint page sets through one [`Database`] over 4 shards:
+/// all data lands correctly.
 #[test]
 fn disjoint_writers_round_trip() {
     let kind = MethodKind::Opu;
     let store =
         ShardedStore::with_uniform_chips(FlashConfig::tiny(), 4, kind, StoreOptions::new(PAGES))
             .unwrap();
-    let size = store.logical_page_size();
+    let db = Database::new(Box::new(store), 8);
+    let size = db.page_size();
     std::thread::scope(|scope| {
         for w in 0..4u64 {
-            let store = &store;
+            let db = &db;
             scope.spawn(move || {
-                let mut page = vec![0u8; size];
                 // Disjoint sets: writer w owns pids congruent to w mod 4.
                 for pid in (w..PAGES).step_by(4) {
-                    page.fill(pid as u8 + 1);
-                    store.write_page_shared(pid, &page).unwrap();
+                    db.with_page_mut(pid, |p| p.fill(0, size, pid as u8 + 1)).unwrap();
                 }
             });
         }
     });
+    let mut store = db.into_store().unwrap();
     let mut out = vec![0u8; size];
     for pid in 0..PAGES {
-        store.read_page_shared(pid, &mut out).unwrap();
+        store.read_page(pid, &mut out).unwrap();
         assert_eq!(out, vec![pid as u8 + 1; size], "pid {pid}");
     }
 }

@@ -128,7 +128,7 @@ fn the_id_floor_passes_a_torn_id_left_on_a_shard() {
         })
         .collect();
     for s in 0..2 {
-        store.with_shard(s, |st| st.chip_mut().arm_fault(1));
+        store.shard_mut(s).chip_mut().arm_fault(1);
     }
     let pages = vec![BatchPage::new(0, &torn[0], 77), BatchPage::new(1, &torn[1], 77)];
     let err = store.commit_batch(&CommitBatch { pages, roots: None }).unwrap_err();

@@ -46,6 +46,8 @@
 //! ([`FlashChip::pipeline_busy_us`] is the makespan). At the default queue
 //! depth of 1 the pipeline reproduces the serial sum exactly.
 
+#![forbid(unsafe_code)]
+
 mod chip;
 mod error;
 mod geometry;

@@ -30,6 +30,8 @@
 //! JSON is written and validated by [`json`] — hand-rolled, because this
 //! workspace builds offline without serde.
 
+#![forbid(unsafe_code)]
+
 mod hist;
 pub mod json;
 mod recorder;

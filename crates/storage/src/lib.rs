@@ -20,6 +20,8 @@
 //! scans, [`HeapFile`] gets and scans — is generic over [`PageRead`], so
 //! the same code path serves current-state reads and frozen snapshots.
 
+#![forbid(unsafe_code)]
+
 mod btree;
 mod buffer;
 mod db;

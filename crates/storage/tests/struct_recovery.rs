@@ -80,10 +80,11 @@ fn recovered_baseline(mut power: impl FnMut(usize, &mut FlashChip)) -> (Database
     let roots = db.with_store(|s| s.struct_roots()).expect("root log populated");
     assert_eq!(roots.entries.len(), 2, "both trees must be in the durable root log");
 
-    let store = ShardedStore::recover(db.into_store_without_flush().into_chips(), KIND, options())
-        .expect("baseline recover");
+    let mut store =
+        ShardedStore::recover(db.into_store_without_flush().into_chips(), KIND, options())
+            .expect("baseline recover");
     for s in 0..SHARDS {
-        store.with_shard(s, |st| power(s, st.chip_mut()));
+        power(s, store.shard_mut(s).chip_mut());
     }
     let db = Database::new(Box::new(store), 128).with_durability(Durability::Commit);
     let trees: Vec<BTree> = db.recover_structures().into_iter().map(|s| s.into_btree()).collect();

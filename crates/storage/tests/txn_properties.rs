@@ -223,7 +223,7 @@ fn torn_cross_shard_commit(txn: u64, armed: &[usize]) -> ShardedStore {
     let mut b = vec![5u8; size];
     b[0] = 0xBB;
     for &s in armed {
-        store.with_shard(s, |st| st.chip_mut().arm_fault(1));
+        store.shard_mut(s).chip_mut().arm_fault(1);
     }
     let before = store.per_shard_stats();
     let batch = CommitBatch {
@@ -557,7 +557,7 @@ fn a_commit_after_a_failed_commit_never_loses_a_preimage() {
                 store.write_page(pid, &page_with(&[])).unwrap();
             }
             store.flush().unwrap();
-            store.with_shard(armed, |st| st.chip_mut().arm_fault_once(budget));
+            store.shard_mut(armed).chip_mut().arm_fault_once(budget);
             let d = Database::new_with_allocated(Box::new(store), 8, 4)
                 .with_durability(Durability::Commit);
             first_transaction(&d);
@@ -588,7 +588,7 @@ fn a_pool_batch_after_a_failed_batch_gets_the_stored_error() {
             }
             store.flush().unwrap();
             for &s in armed {
-                store.with_shard(s, |st| st.chip_mut().arm_fault(budget));
+                store.shard_mut(s).chip_mut().arm_fault(budget);
             }
             let d = Database::new_with_allocated(Box::new(store), 8, 4)
                 .with_durability(Durability::Commit);

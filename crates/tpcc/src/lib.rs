@@ -11,6 +11,8 @@
 //! *counts* shrink so the database keeps the paper's ratio to the emulated
 //! chip (see DESIGN.md §2).
 
+#![forbid(unsafe_code)]
+
 mod db;
 mod error;
 mod loader;

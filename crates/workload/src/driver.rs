@@ -31,6 +31,10 @@ pub struct UpdateConfig {
     /// Where successive update commands land within a page (ablation; the
     /// default models sequential record updates, see [`Placement`]).
     pub placement: Placement,
+    /// The page set: `false` picks every page uniformly, `true` under the
+    /// 80/20 skew of [`UpdateGen::pick_page_skewed`] (the regime where GC
+    /// victim-selection policies diverge).
+    pub skewed: bool,
     pub seed: u64,
 }
 
@@ -102,7 +106,7 @@ fn warm_up(
         }
         // Check the target only every batch to keep the loop tight.
         for _ in 0..256 {
-            let pid = gen.pick_page(num_pages);
+            let pid = cfg.pick_page(gen, num_pages);
             one_cycle(store, gen, page, pid, cfg.n_updates_till_write)?;
             cycles += 1;
         }
@@ -121,7 +125,7 @@ pub fn run_update_workload(store: &mut dyn PageStore, cfg: &UpdateConfig) -> Res
     let num_pages = store.options().num_logical_pages;
     let mut m = Measurement { warmup_cycles, warmup_erases, ..Measurement::default() };
     for _ in 0..cfg.measured_cycles {
-        let pid = gen.pick_page(num_pages);
+        let pid = cfg.pick_page(&mut gen, num_pages);
         // Reading step.
         let before = store.stats();
         store.read_page(pid, &mut page)?;
@@ -154,7 +158,7 @@ pub fn run_mix_workload(store: &mut dyn PageStore, cfg: &MixConfig) -> Result<Me
     let num_pages = store.options().num_logical_pages;
     let mut m = Measurement { warmup_cycles, warmup_erases, ..Measurement::default() };
     for _ in 0..cfg.update.measured_cycles {
-        let pid = gen.pick_page(num_pages);
+        let pid = cfg.update.pick_page(&mut gen, num_pages);
         if gen.next_is_update(cfg.pct_update_ops) {
             let before = store.stats();
             store.read_page(pid, &mut page)?;
@@ -191,7 +195,17 @@ impl UpdateConfig {
             warmup_min_cycles: 0,
             phase_jitter: 0,
             placement: Placement::RoundRobin,
+            skewed: false,
             seed: 0xC0FFEE,
+        }
+    }
+
+    /// The next page an update (or read-only) operation addresses.
+    fn pick_page(&self, gen: &mut UpdateGen, num_pages: u64) -> u64 {
+        if self.skewed {
+            gen.pick_page_skewed(num_pages)
+        } else {
+            gen.pick_page(num_pages)
         }
     }
 
@@ -218,6 +232,11 @@ impl UpdateConfig {
 
     pub fn with_placement(mut self, placement: Placement) -> UpdateConfig {
         self.placement = placement;
+        self
+    }
+
+    pub fn with_skew(mut self, skewed: bool) -> UpdateConfig {
+        self.skewed = skewed;
         self
     }
 

@@ -20,6 +20,8 @@
 //!   warmed until "garbage collection is invoked for each block at least
 //!   ten times on the average", scaled down by default (see [`Scale`]).
 
+#![forbid(unsafe_code)]
+
 mod driver;
 mod measure;
 mod mutate;
@@ -28,7 +30,6 @@ mod readers;
 mod report;
 mod scale;
 mod struct_writers;
-mod threaded;
 mod txn;
 
 pub use driver::{load_database, run_mix_workload, run_update_workload, MixConfig, UpdateConfig};
@@ -38,5 +39,4 @@ pub use readers::{run_snapshot_read_workload, SnapshotReadConfig, SnapshotReadRe
 pub use report::{format_us, pipeline_table, wear_table, Table};
 pub use scale::{chip_for, db_pages_for, Scale};
 pub use struct_writers::{run_struct_writers_workload, StructWritersConfig, StructWritersResult};
-pub use threaded::{run_threaded_update_workload, PageSetMode, ThreadedConfig};
 pub use txn::{run_txn_commit_workload, TxnCommitConfig, TxnCommitResult};

@@ -27,12 +27,6 @@ impl StepCosts {
     pub fn total_us(&self) -> u64 {
         self.total().total_us()
     }
-
-    /// Fold another step's costs into this one (per-thread merging).
-    pub fn merge(&mut self, other: &StepCosts) {
-        self.regular += other.regular;
-        self.gc += other.gc;
-    }
 }
 
 /// Result of a measured workload phase.
@@ -54,19 +48,6 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Fold another thread's measurement into this one: operation counts
-    /// and step costs add up. `warmup_cycles` adds (total work done);
-    /// `warmup_erases` takes the maximum, since each thread observes the
-    /// same global erase gauge rather than a private share of it.
-    pub fn merge(&mut self, other: &Measurement) {
-        self.cycles += other.cycles;
-        self.read_ops += other.read_ops;
-        self.read_step.merge(&other.read_step);
-        self.write_step.merge(&other.write_step);
-        self.warmup_cycles += other.warmup_cycles;
-        self.warmup_erases = self.warmup_erases.max(other.warmup_erases);
-    }
-
     /// Total operations (cycles + read-only operations).
     pub fn total_ops(&self) -> u64 {
         self.cycles + self.read_ops

@@ -8,10 +8,10 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`flash`] | NAND chip emulator (Table 1 geometry/timing, 1→0 programming, NOP budgets, erase, wear, fault injection) |
-//! | [`core`] | the page-update methods: **PDL** (the paper's contribution), OPU, IPU and IPL, over a shared FTL with greedy GC — plus the sharded concurrent engine ([`core::ShardedStore`]) |
-//! | [`storage`] | DBMS substrate: buffer pool with group commit and read views, slotted pages, heap files, B+-tree |
+//! | [`core`] | the page-update methods: **PDL** (the paper's contribution), OPU, IPU and IPL, over a shared FTL with greedy GC — plus [`core::ShardedStore`], which stripes the page space across N chips |
+//! | [`storage`] | DBMS substrate and the one concurrent path: [`storage::Database`], a buffer pool with group commit and read views, plus slotted pages, heap files, B+-tree |
 //! | [`tpcc`] | the TPC-C workload of Experiment 7 |
-//! | [`workload`] | the synthetic update-operation drivers of Experiments 1–6, single- and multi-threaded |
+//! | [`workload`] | the synthetic update-operation drivers of Experiments 1–6 (uniform or 80/20-skewed page sets) and the concurrent `Database` drivers |
 //!
 //! Every table and figure of the paper's evaluation is regenerated by a
 //! bench target in `crates/bench` — see EXPERIMENTS.md.
@@ -48,6 +48,8 @@
 //! assert!(t.total_us() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use pdl_core as core;
 pub use pdl_flash as flash;
 pub use pdl_storage as storage;
@@ -66,7 +68,6 @@ pub mod prelude {
     };
     pub use pdl_storage::{BTree, Database, Durability, HeapFile, KeyBuf, RecordId, TxnId};
     pub use pdl_workload::{
-        load_database, run_mix_workload, run_threaded_update_workload, run_update_workload,
-        MixConfig, PageSetMode, Scale, ThreadedConfig, UpdateConfig,
+        load_database, run_mix_workload, run_update_workload, MixConfig, Scale, UpdateConfig,
     };
 }
