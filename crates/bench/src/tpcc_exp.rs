@@ -51,19 +51,14 @@ pub fn run_tpcc_point(
     let chip = FlashChip::new(FlashConfig::scaled(blocks));
     let store = build_store(chip, kind, StoreOptions::new(num_pages))?;
 
-    // Load with a tiny provisional buffer; the real buffer is set below.
+    // Load with a tiny provisional buffer, then resize it to the
+    // experiment's share of the loaded database.
     let db = Database::new(store, 256);
     let mut t: TpccDb =
         load(db, tpcc_scale, seed).map_err(|e| CoreError::BadConfig(e.to_string()))?;
     let loaded = t.db.allocated_pages();
-
-    // Re-wrap the store with the experiment's buffer size, carrying the
-    // table and index handles across the rebuild.
     let buffer_pages = ((loaded as f64 * buffer_pct / 100.0).round() as usize).max(2);
-    t.detach_structures();
-    let store = t.db.into_store().map_err(|e| CoreError::BadConfig(e.to_string()))?;
-    t.db = Database::new_with_allocated(store, buffer_pages, loaded);
-    t.attach_structures();
+    t.db.set_buffer_pages(buffer_pages).map_err(|e| CoreError::BadConfig(e.to_string()))?;
 
     let mut r = TpccRand::new(seed ^ 0xABCD);
     run_mix(&mut t, &mut r, warmup).map_err(|e| CoreError::BadConfig(e.to_string()))?;
@@ -172,10 +167,7 @@ fn run_tpcc_qd_point_inner(
     // so the command stream is dominated by program/erase bursts,
     // exactly the commands a deeper queue can overlap.
     let buffer_pages = ((loaded as f64 * 30.0 / 100.0).round() as usize).max(2);
-    t.detach_structures();
-    let store = t.db.into_store().map_err(|e| CoreError::BadConfig(e.to_string()))?;
-    t.db = Database::new_with_allocated(store, buffer_pages, loaded);
-    t.attach_structures();
+    t.db.set_buffer_pages(buffer_pages).map_err(|e| CoreError::BadConfig(e.to_string()))?;
 
     let mut r = TpccRand::new(seed ^ 0xABCD);
     let run_chunked = |t: &mut TpccDb, r: &mut TpccRand, total: u64| -> Result<(), CoreError> {

@@ -253,12 +253,6 @@ impl ShardedStore {
         (pid % self.shards.len() as u64) as usize
     }
 
-    /// `pid`'s shard-local page id (the striping contract: page `p` is
-    /// shard `p % N`'s local page `p / N`).
-    pub fn local_pid(&self, pid: u64) -> u64 {
-        pid / self.shards.len() as u64
-    }
-
     /// The method every shard runs.
     pub fn kind(&self) -> MethodKind {
         self.kind

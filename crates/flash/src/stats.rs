@@ -43,10 +43,6 @@ impl OpCounts {
     pub fn total_ops(&self) -> u64 {
         self.reads + self.writes + self.erases
     }
-
-    pub fn is_zero(&self) -> bool {
-        self.total_ops() == 0
-    }
 }
 
 impl Add for OpCounts {

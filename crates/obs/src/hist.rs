@@ -145,19 +145,6 @@ impl LatencyHistogram {
     pub fn p99_us(&self) -> u64 {
         self.quantile_us(0.99)
     }
-
-    /// Non-empty buckets as `(lo_us, hi_us, count)` (debug/export).
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = bucket_bounds(i);
-                (lo, hi, c)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -50,9 +50,8 @@
 use crate::buffer::{read_u16, read_u64, PageLatch, PageMut};
 use crate::db::Database;
 use crate::error::StorageError;
-use crate::view::{PageRead, StructId, StructRoot};
+use crate::view::{resolve_struct, PageRead, StructId, StructRoot};
 use crate::Result;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Index key: 16 bytes, compared lexicographically.
 pub type Key = [u8; 16];
@@ -209,44 +208,26 @@ fn remove_entry_at(page: &mut PageMut, idx: usize) {
 
 /// A B+-tree rooted at a page.
 ///
-/// A tree built with [`BTree::create`] (or re-attached with
-/// [`BTree::attach`]) is **registered** in its database's structure-root
-/// log: every committed root move is recorded against the MVCC commit
-/// clock, so *any* handle — however stale — resolves the right root for
-/// whatever it reads through. A snapshot scan descends the root as of the
-/// view's timestamp; a current-state read descends the latest committed
-/// root (plus the open transaction's pending move, for the writer
-/// itself); and [`crate::Database::abort`] rolls a split's root move back
-/// along with the page bytes. [`BTree::open`] still builds a raw,
-/// unregistered handle pinned to a fixed root pid.
+/// A handle belongs to the one [`Database`] that created
+/// ([`BTree::create`]) or attached ([`BTree::attach`]) it, and is always
+/// registered in that database's structure-root log: every committed
+/// root move is recorded against the MVCC commit clock, so *any* handle —
+/// however stale — resolves the right root for whatever it reads
+/// through. A snapshot scan descends the root as of the view's
+/// timestamp; a current-state read descends the latest committed root
+/// (plus the open transaction's pending move, for the writer itself); and
+/// [`crate::Database::abort`] rolls a split's root move back along with
+/// the page bytes. Used with any other database, every operation panics
+/// naming the handle's structure id.
 ///
-/// All operations take `&self`: one registered handle may be shared
-/// across writer threads (`BTree: Sync`), with mutations coupling through
-/// the database's page-latch table. Unregistered ([`BTree::open`])
-/// handles mirror the root locally and are only safe for single-threaded
-/// mutation.
+/// All operations take `&self`: one handle may be shared across writer
+/// threads (`BTree: Sync`), with mutations coupling through the
+/// database's page-latch table.
 pub struct BTree {
-    /// Root mirror: authoritative for unregistered handles, a cache of
-    /// the last observed root for registered ones (which resolve the
-    /// structure-root log per operation).
-    root: AtomicU64,
-    id: Option<StructId>,
+    id: StructId,
 }
 
 impl BTree {
-    /// Allocate a node page. Registered trees allocate structured: a
-    /// rollback undoes every reference to the new node (page bytes and
-    /// the pending root publication), so the pid is safe to reissue. An
-    /// unregistered handle keeps its root mirror across an abort, so its
-    /// allocations stay raw (stranded-but-counted on rollback).
-    fn alloc_node(&self, db: &Database) -> Result<u64> {
-        if self.id.is_some() {
-            db.alloc_page_structured()
-        } else {
-            db.alloc_page()
-        }
-    }
-
     /// Create an empty tree (allocates the root leaf) and register it in
     /// the database's structure-root log.
     ///
@@ -256,64 +237,26 @@ impl BTree {
     pub fn create(db: &Database) -> Result<BTree> {
         let root = db.alloc_page()?;
         db.with_page_mut(root, |p| init_node(p, KIND_LEAF, NO_PID))?;
-        let id = db.register_struct(StructRoot::BTree { root });
-        Ok(BTree { root: AtomicU64::new(root), id: Some(id) })
+        Ok(BTree::attach(db, root))
     }
 
-    /// The root pid as of this handle's last operation. Registered trees
-    /// resolve the authoritative root per read through the structure-root
-    /// log; prefer [`BTree::current_root`] where a [`PageRead`] is at
-    /// hand.
-    pub fn root_pid(&self) -> u64 {
-        self.root.load(Ordering::SeqCst)
-    }
-
-    /// Re-attach a raw handle at a known root pid. The handle is
-    /// *unregistered*: it always descends exactly `root`, which is only
-    /// snapshot-safe if the caller captured the root together with its
-    /// [`crate::ReadView`]. Prefer registered handles (`create` /
-    /// `attach`), which resolve the root per read.
-    pub fn open(root: u64) -> BTree {
-        BTree { root: AtomicU64::new(root), id: None }
-    }
-
-    /// Re-attach a handle at a known root pid *and* register it in the
-    /// structure-root log. This is the compatibility path for callers
-    /// that remembered the root themselves; after a crash, prefer
+    /// Register a tree that already exists at `root` in `db`'s
+    /// structure-root log: the restart path for a caller that remembered
+    /// the root. After a crash on a store with a root log, prefer
     /// [`crate::Database::recover_structures`], which rebuilds every
-    /// registered tree from the store's checkpointed root log alone.
+    /// registered tree from the store alone.
     pub fn attach(db: &Database, root: u64) -> BTree {
-        let id = db.register_struct(StructRoot::BTree { root });
-        BTree { root: AtomicU64::new(root), id: Some(id) }
+        BTree { id: db.register_struct(StructRoot::BTree { root }) }
     }
 
     /// The root this handle descends through `s`: the registered root as
     /// `s` resolves it (current committed state, or the state at a
-    /// snapshot's timestamp), falling back to the handle's own pid for
-    /// unregistered handles.
+    /// snapshot's timestamp).
     pub fn current_root<S: PageRead>(&self, s: &S) -> u64 {
-        match self.id.and_then(|id| s.struct_root(id)) {
-            Some(StructRoot::BTree { root }) => root,
-            _ => self.root.load(Ordering::SeqCst),
+        match resolve_struct(s, self.id) {
+            StructRoot::BTree { root } => root,
+            StructRoot::Heap { .. } => unreachable!("structure {} is a b+-tree", self.id),
         }
-    }
-
-    /// Pin the handle at its committed root and drop its registration —
-    /// the structure-root registry lives in the database, so a handle
-    /// that must outlive a database teardown (crash simulation, buffer
-    /// resize re-wrap) detaches first and [`BTree::register`]s in the
-    /// rebuilt database after.
-    pub fn detach(&mut self, db: &Database) {
-        self.root.store(self.current_root(db), Ordering::SeqCst);
-        if let Some(id) = self.id.take() {
-            db.deregister_struct(id);
-        }
-    }
-
-    /// Register the handle's current root in `db`'s structure-root log
-    /// (the second half of the detach/register rebuild protocol).
-    pub fn register(&mut self, db: &Database) {
-        self.id = Some(db.register_struct(StructRoot::BTree { root: self.root_pid() }));
     }
 
     /// Descend to the leaf for `key` through any [`PageRead`] (the
@@ -414,9 +357,6 @@ impl BTree {
             if self.current_root(db) != root {
                 continue;
             }
-            if self.id.is_some() {
-                self.root.store(root, Ordering::SeqCst);
-            }
             // Crab-walk down. `path` and `latches` stay parallel: the
             // retained prefix is, from the top, a safe node (or the
             // root) followed by only-full ancestors — exactly the chain
@@ -459,7 +399,10 @@ impl BTree {
             // was retained un-safe, so every ancestor in `path` is still
             // latched.
             let span = db.struct_span_start();
-            let right = self.alloc_node(db)?;
+            // Split nodes allocate structured: a rollback undoes every
+            // reference to them (page bytes and the pending root
+            // publication), so their pids are safe to reissue.
+            let right = db.alloc_page_structured()?;
             let mid = cap / 2;
             let (sep, moved, old_next) = db.with_page(leaf, |p| {
                 let moved: Vec<(Key, u64)> =
@@ -520,20 +463,17 @@ impl BTree {
                 // Grow the tree. The new root is unreachable until the
                 // publication below, so it needs no latch.
                 let span = db.struct_span_start();
-                let new_root = self.alloc_node(db)?;
+                let new_root = db.alloc_page_structured()?;
                 db.with_page_mut(new_root, |p| {
                     init_node(p, KIND_INTERNAL, top);
                     write_entry(p, 0, &sep, right);
                     p.write_u16(OFF_COUNT, 1);
                 })?;
-                self.root.store(new_root, Ordering::SeqCst);
                 // Publish the root move: pending inside a transaction
                 // (committed with it, undone by abort), auto-committed
                 // onto the structure-root log otherwise — so snapshot
                 // readers keep resolving the pre-split root.
-                if let Some(id) = self.id {
-                    db.publish_struct(id, StructRoot::BTree { root: new_root });
-                }
+                db.publish_struct(self.id, StructRoot::BTree { root: new_root });
                 db.struct_span("root-publish", new_root, span);
                 return Ok(());
             }
@@ -549,7 +489,7 @@ impl BTree {
             }
             // Split the internal node: promote the middle key.
             let span = db.struct_span_start();
-            let new_node = self.alloc_node(db)?;
+            let new_node = db.alloc_page_structured()?;
             let mid = cap / 2;
             let (promoted, moved_child0, moved) = db.with_page(parent, |p| {
                 let promoted = entry_key(p, mid);
@@ -931,11 +871,8 @@ mod tests {
         for v in 0..100u64 {
             t.insert(&d, &key(v), v).unwrap();
         }
-        // A raw handle frozen at the view-time root (the pre-root-log
-        // discipline) still works...
         let view = d.begin_read();
-        let frozen = BTree::open(t.root_pid());
-        let root_at_view = t.root_pid();
+        let root_at_view = t.current_root(&d);
         // Churn hard enough to split leaves and grow the tree while the
         // view is open.
         for v in 100..400u64 {
@@ -945,33 +882,48 @@ mod tests {
             t.delete(&d, &key(v)).unwrap();
         }
         assert_ne!(t.current_root(&d), root_at_view, "the churn grew the tree");
-        // The snapshot still sees exactly the first 100 entries — through
-        // the frozen handle AND through the live (stale-rooted) handle:
-        // the structure-root log resolves the view-time root for it.
+        // The snapshot still sees exactly the first 100 entries: the
+        // structure-root log resolves the view-time root for the handle.
         let snap = d.snapshot(&view);
         assert_eq!(t.current_root(&snap), root_at_view, "root resolved as of the view");
-        for handle in [&frozen, &t] {
-            let mut seen = Vec::new();
-            handle
-                .range_at(&snap, &key(0), &key(999), |_, v| {
-                    seen.push(v);
-                    true
-                })
-                .unwrap();
-            assert_eq!(seen, (0..100).collect::<Vec<u64>>());
-            assert_eq!(handle.get_at(&snap, &key(42)).unwrap(), Some(42));
-            assert_eq!(
-                handle.get_at(&snap, &key(200)).unwrap(),
-                None,
-                "post-view insert invisible"
-            );
-        }
+        let mut seen = Vec::new();
+        t.range_at(&snap, &key(0), &key(999), |_, v| {
+            seen.push(v);
+            true
+        })
+        .unwrap();
+        assert_eq!(seen, (0..100).collect::<Vec<u64>>());
+        assert_eq!(t.get_at(&snap, &key(42)).unwrap(), Some(42));
+        assert_eq!(t.get_at(&snap, &key(200)).unwrap(), None, "post-view insert invisible");
         let _ = snap;
         d.release_read(view);
-        // ...while current reads see the churned tree.
+        // Current reads see the churned tree.
         assert_eq!(t.get(&d, &key(42)).unwrap(), None, "deleted");
         assert_eq!(t.get(&d, &key(200)).unwrap(), Some(200));
         t.check_invariants(&d).unwrap();
+    }
+
+    #[test]
+    fn a_tree_used_with_another_database_panics_naming_its_id() {
+        let (d, other) = (db(), db());
+        let t = BTree::create(&d).unwrap();
+        for v in 0..50u64 {
+            t.insert(&d, &key(v), v).unwrap();
+        }
+        let expected = format!("structure {} is not registered in this database", t.id);
+        let view = other.begin_read();
+        let snap = other.snapshot(&view);
+        let reads: [&dyn Fn(); 4] = [
+            &|| drop(t.get(&other, &key(1))),
+            &|| drop(t.insert(&other, &key(1), 1)),
+            &|| drop(t.delete(&other, &key(1))),
+            &|| drop(t.range_at(&snap, &key(0), &key(9), |_, _| true)),
+        ];
+        for read in reads {
+            assert_eq!(crate::view::tests::panic_message(read), expected);
+        }
+        other.release_read(view);
+        assert_eq!(t.get(&d, &key(1)).unwrap(), Some(1), "its own database still reads it");
     }
 
     #[test]

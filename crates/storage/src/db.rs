@@ -35,8 +35,10 @@
 //! data, to land in the checkpoint region's root log — the record is
 //! authoritative exactly when the transaction's commit record is
 //! durable. After a crash, [`Database::recover_structures`] rebuilds the
-//! registered handles from the store alone; `attach` from externally remembered pids remains as
-//! a compatibility path.
+//! registered handles from the store alone. Stores without a root log
+//! (OPU, IPU, IPL, and PDL without a checkpoint region) restart through
+//! `BTree::attach` / `HeapFile::attach` at roots the caller remembered.
+//! Either way a handle belongs to the one database that registered it.
 
 use crate::btree::BTree;
 use crate::buffer::{
@@ -227,6 +229,21 @@ struct AllocState {
     leaked: u64,
 }
 
+/// An empty frame cache of `frames` pages over `store`, pinning
+/// transactions' pages when commits are durable.
+fn new_frame_cache(store: &dyn PageStore, frames: usize, durability: Durability) -> FrameCache {
+    let opts = store.options();
+    let mut cache = FrameCache::new(
+        frames,
+        store.logical_page_size(),
+        opts.snapshot_version_cap as usize,
+        opts.snapshot_retention_bytes as usize,
+        store.consumes_updates(),
+    );
+    cache.set_pin_owned(durability == Durability::Commit);
+    cache
+}
+
 /// A database: buffer pool + MVCC read views + logical-page allocator +
 /// transactions.
 ///
@@ -325,14 +342,7 @@ impl Database {
             Mutex::new(rec)
         };
         let page_size = store.logical_page_size();
-        let mut cache = FrameCache::new(
-            buffer_pages,
-            page_size,
-            store.options().snapshot_version_cap as usize,
-            store.options().snapshot_retention_bytes as usize,
-            store.consumes_updates(),
-        );
-        cache.set_pin_owned(false); // Durability::Relaxed is the default
+        let cache = new_frame_cache(&*store, buffer_pages, Durability::Relaxed);
         Database {
             id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
             num_shards: store.num_shards().max(1) as u32,
@@ -365,10 +375,9 @@ impl Database {
         }
     }
 
-    /// Re-wrap a store whose first `allocated` pages are already in use
-    /// (e.g. to change the buffer size after loading a database). The
-    /// frontier never falls below the one [`Database::new`] derives from
-    /// the store's root log.
+    /// Wrap a store whose first `allocated` pages are already in use
+    /// (a recovered store without a root log). The frontier never falls
+    /// below the one [`Database::new`] derives from the store's root log.
     pub fn new_with_allocated(
         store: Box<dyn PageStore>,
         buffer_pages: usize,
@@ -731,7 +740,7 @@ impl Database {
     /// clock: commits after this point — including any open
     /// transaction's eventual commit — are invisible through the view.
     pub fn begin_read(&self) -> ReadView {
-        let ts = self.lock_mvcc().register();
+        let ts = self.lock_mvcc().register_view();
         self.active_views.fetch_add(1, Ordering::SeqCst);
         ReadView::new(ts)
     }
@@ -739,7 +748,7 @@ impl Database {
     /// Release a view, pruning every version no remaining reader needs
     /// (retention-ledger spills included: their flash pages are freed).
     pub fn release_read(&self, view: ReadView) {
-        let floor = self.lock_mvcc().deregister(view.read_ts());
+        let floor = self.lock_mvcc().deregister_view(view.read_ts());
         self.active_views.fetch_sub(1, Ordering::SeqCst);
         self.lock_cache().prune_committed(&mut StoreBackend(&self.store), floor);
     }
@@ -853,13 +862,6 @@ impl Database {
                 m.publish_struct(id, retain.then_some(ts), root);
             }
         }
-    }
-
-    /// Drop a structure's registration (handle teardown: `BTree::detach`
-    /// / `HeapFile::detach` call this so dead handles do not strand
-    /// registry entries).
-    pub fn deregister_struct(&self, id: StructId) {
-        self.lock_mvcc().deregister_struct(id)
     }
 
     /// Rollbacks (aborts and failed durable commits) so far — heap
@@ -1202,6 +1204,28 @@ impl Database {
     pub fn flush(&self) -> Result<()> {
         self.lock_cache().write_back_dirty(&mut StoreBackend(&self.store))?;
         self.with_store(|s| s.flush())?;
+        Ok(())
+    }
+
+    /// Resize the buffer to `frames` pages: write every dirty page back
+    /// and flush, as [`Database::flush`] does, then start over with an
+    /// empty frame cache of the new size (and zeroed
+    /// [`Database::buffer_stats`] counters). Registered structures,
+    /// the allocator and the commit clock carry on unchanged.
+    ///
+    /// Fails with [`StorageError::TxnState`], changing nothing, while
+    /// any transaction or read view is open: their pages and versions
+    /// live in the frames.
+    pub fn set_buffer_pages(&self, frames: usize) -> Result<()> {
+        let mut cache = self.lock_cache();
+        if !self.lock_open_txns().is_empty() || self.active_views.load(Ordering::SeqCst) > 0 {
+            return Err(StorageError::TxnState(
+                "cannot resize the buffer while a transaction or read view is open".into(),
+            ));
+        }
+        cache.write_back_dirty(&mut StoreBackend(&self.store))?;
+        self.with_store(|s| s.flush())?;
+        *cache = self.with_store(|s| new_frame_cache(s, frames, self.durability));
         Ok(())
     }
 
@@ -1738,6 +1762,98 @@ mod tests {
         for k in 0..400u64 {
             assert_eq!(tree.get(&d, &key(k)).unwrap(), Some(k), "key {k}");
         }
+    }
+
+    /// Twin databases for the resize tests: a PDL store under a 16-frame
+    /// buffer, one B+-tree and one heap file.
+    fn resize_twin() -> (Database, BTree, HeapFile) {
+        let store = build_store(
+            FlashChip::new(FlashConfig::scaled(16)),
+            MethodKind::Pdl { max_diff_size: 128 },
+            StoreOptions::new(256),
+        )
+        .unwrap();
+        let d = Database::new(store, 16);
+        let (tree, heap) = (BTree::create(&d).unwrap(), HeapFile::create(&d));
+        (d, tree, heap)
+    }
+
+    /// Insert keys `keys` into the tree, each pointing at a heap record
+    /// of its own.
+    fn resize_fill(d: &Database, tree: &BTree, heap: &HeapFile, keys: std::ops::Range<u64>) {
+        for k in keys {
+            let rid = heap.insert(d, &k.to_le_bytes().repeat(8)).unwrap();
+            tree.insert(d, &crate::btree::KeyBuf::new().push_u64(k).finish(), rid.to_u64())
+                .unwrap();
+        }
+    }
+
+    /// Every key `0..n` reads back through the tree, and its record
+    /// through the heap file.
+    fn resize_check(d: &Database, tree: &BTree, heap: &HeapFile, n: u64) {
+        for k in 0..n {
+            let rid = tree.get(d, &crate::btree::KeyBuf::new().push_u64(k).finish()).unwrap();
+            let rid = RecordId::from_u64(rid.unwrap_or_else(|| panic!("key {k} lost")));
+            assert_eq!(heap.get(d, rid, |b| b.to_vec()).unwrap(), k.to_le_bytes().repeat(8));
+        }
+        let mut records = 0;
+        heap.scan(d, |_, _| records += 1).unwrap();
+        assert_eq!(records, n);
+    }
+
+    #[test]
+    fn set_buffer_pages_shrinks_and_grows_at_the_flash_cost_of_a_flush() {
+        // `a` flushes where `b` resizes; both then take the new size, so
+        // they stay twins and `a`'s flush prices `b`'s resize.
+        let (a, tree_a, heap_a) = resize_twin();
+        let (b, tree_b, heap_b) = resize_twin();
+        let root = tree_b.current_root(&b);
+        let mut n = 0;
+        for (frames, more) in [(4, 400), (64, 400)] {
+            resize_fill(&a, &tree_a, &heap_a, n..n + more);
+            resize_fill(&b, &tree_b, &heap_b, n..n + more);
+            n += more;
+            assert_eq!(a.io_stats(), b.io_stats());
+            let before = a.io_stats().total().writes;
+            a.flush().unwrap();
+            assert!(a.io_stats().total().writes > before, "dirty pages were buffered");
+            b.set_buffer_pages(frames).unwrap();
+            assert_eq!(b.io_stats(), a.io_stats(), "a resize does the flash I/O of a flush");
+            assert_eq!(b.buffer_stats(), BufferStats::default(), "an empty cache");
+            a.set_buffer_pages(frames).unwrap();
+            assert_eq!(a.io_stats(), b.io_stats(), "resizing a flushed buffer writes nothing");
+            resize_check(&b, &tree_b, &heap_b, n);
+            resize_check(&a, &tree_a, &heap_a, n);
+        }
+        assert_ne!(tree_b.current_root(&b), root, "the tree split");
+        let misses = b.buffer_stats().misses;
+        resize_check(&b, &tree_b, &heap_b, n);
+        assert_eq!(b.buffer_stats().misses, misses, "64 frames hold the whole database");
+    }
+
+    #[test]
+    fn set_buffer_pages_refuses_while_a_transaction_or_a_view_is_open() {
+        let (d, tree, heap) = resize_twin();
+        resize_fill(&d, &tree, &heap, 0..100);
+        let refused = |d: &Database| {
+            let (io, buffer) = (d.io_stats(), d.buffer_stats());
+            let err = d.set_buffer_pages(4).unwrap_err();
+            assert!(matches!(err, StorageError::TxnState(_)), "got {err:?}");
+            assert_eq!(d.io_stats(), io, "nothing was written back");
+            assert_eq!(d.buffer_stats(), buffer, "the cache is the same");
+        };
+        d.begin().unwrap();
+        resize_fill(&d, &tree, &heap, 100..150);
+        refused(&d);
+        d.commit().unwrap();
+        let view = d.begin_read();
+        refused(&d);
+        d.release_read(view);
+        // The refusals changed nothing: the committed keys are all
+        // there, and with both closed the resize goes through.
+        resize_check(&d, &tree, &heap, 150);
+        d.set_buffer_pages(4).unwrap();
+        resize_check(&d, &tree, &heap, 150);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! in-memory free-space map.
 //!
 //! A heap file built with [`HeapFile::create`] (or re-attached with
-//! [`HeapFile::attach`]) is **registered** in its database's
+//! [`HeapFile::attach`]) is always **registered** in its database's
 //! structure-root log: the ordered page list is versioned by the MVCC
 //! commit clock, so a snapshot scan visits exactly the pages the file had
 //! at the view's timestamp (growth committed later is invisible), and
@@ -30,15 +30,15 @@
 
 use crate::db::{Database, RecordId};
 use crate::error::StorageError;
-use crate::view::{PageRead, StructId, StructRoot};
+use crate::view::{resolve_struct, PageRead, StructId, StructRoot};
 use crate::{slotted, Result};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// The per-file placement state, behind [`HeapFile`]'s mutex.
 struct HeapState {
-    /// The page list as of this handle's last operation; registered files
-    /// resolve the authoritative list per operation.
+    /// The page list as of this handle's last operation; readers resolve
+    /// the authoritative list per operation.
     pages: Vec<u64>,
     /// Approximate usable space per page (post-compaction bytes), keyed
     /// by pid. Missing entries are treated as "unknown, try it": the
@@ -63,11 +63,10 @@ impl HeapState {
     }
 
     /// Sync with the database: drop free-space estimates made stale by
-    /// any rollback since the last sync, and (for registered files)
-    /// refresh the mirrored page list from the structure-root log when
-    /// its generation moved — which undoes the local effects of an
-    /// aborted growth.
-    fn sync(&mut self, id: Option<StructId>, db: &Database) {
+    /// any rollback since the last sync, and refresh the mirrored page
+    /// list from the structure-root log when its generation moved —
+    /// which undoes the local effects of an aborted growth.
+    fn sync(&mut self, id: StructId, db: &Database) {
         let epoch = db.abort_epoch();
         if epoch != self.fsm_epoch {
             self.fsm.clear();
@@ -76,13 +75,11 @@ impl HeapState {
             // already applied: force a re-fetch.
             self.list_gen = u64::MAX;
         }
-        if let Some(id) = id {
-            if let Some((gen, StructRoot::Heap { pages })) =
-                db.struct_current_if_newer(id, self.list_gen)
-            {
-                self.pages = pages;
-                self.list_gen = gen;
-            }
+        if let Some((gen, StructRoot::Heap { pages })) =
+            db.struct_current_if_newer(id, self.list_gen)
+        {
+            self.pages = pages;
+            self.list_gen = gen;
         }
     }
 
@@ -94,43 +91,33 @@ impl HeapState {
 }
 
 /// An unordered collection of variable-length records.
+///
+/// A handle belongs to the one [`Database`] that created
+/// ([`HeapFile::create`]) or attached ([`HeapFile::attach`]) it, and is
+/// always registered in that database's structure-root log. Used with
+/// any other database, an insert or a scan panics naming the handle's
+/// structure id.
 pub struct HeapFile {
-    /// Registration in the structure-root log ([`HeapFile::new`] builds
-    /// an unregistered file whose page list lives only in this handle).
-    id: Option<StructId>,
+    id: StructId,
     state: Mutex<HeapState>,
 }
 
-impl Default for HeapFile {
-    fn default() -> Self {
-        HeapFile::new()
-    }
-}
-
 impl HeapFile {
-    /// An unregistered heap file: the page list lives only in this
-    /// handle, so snapshot scans are only safe right after the view
-    /// opens. Prefer [`HeapFile::create`].
-    pub fn new() -> HeapFile {
-        HeapFile { id: None, state: Mutex::new(HeapState::fresh(Vec::new(), 0)) }
-    }
-
     /// Create an empty heap file registered in the database's
     /// structure-root log.
     pub fn create(db: &Database) -> HeapFile {
-        let id = db.register_struct(StructRoot::Heap { pages: Vec::new() });
-        HeapFile { id: Some(id), state: Mutex::new(HeapState::fresh(Vec::new(), db.abort_epoch())) }
+        HeapFile::attach(db, Vec::new())
     }
 
-    /// Re-attach a handle over a known page list *and* register it. This
-    /// is the compatibility path for callers that remembered the list
-    /// themselves; after a crash, prefer
+    /// Register a file that already exists over `pages` in `db`'s
+    /// structure-root log: the restart path for a caller that remembered
+    /// the list. After a crash on a store with a root log, prefer
     /// [`crate::Database::recover_structures`], which rebuilds every
-    /// registered file from the store's checkpointed root log alone. The
-    /// free-space map starts unknown and re-warms from the pages.
+    /// registered file from the store alone. The free-space map starts
+    /// unknown and re-warms from the pages.
     pub fn attach(db: &Database, pages: Vec<u64>) -> HeapFile {
         let id = db.register_struct(StructRoot::Heap { pages: pages.clone() });
-        HeapFile { id: Some(id), state: Mutex::new(HeapState::fresh(pages, db.abort_epoch())) }
+        HeapFile { id, state: Mutex::new(HeapState::fresh(pages, db.abort_epoch())) }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HeapState> {
@@ -142,39 +129,14 @@ impl HeapFile {
         self.lock().pages.len()
     }
 
-    /// The page list as of this handle's last operation. For the
-    /// authoritative (or snapshot-resolved) list, use
-    /// [`HeapFile::pages_in`].
-    pub fn pages(&self) -> Vec<u64> {
-        self.lock().pages.clone()
-    }
-
     /// The page list as `s` resolves it: the current committed list (plus
     /// the open transaction's pending growth for the writer itself), or
     /// the list as of a snapshot's timestamp.
     pub fn pages_in<S: PageRead>(&self, s: &S) -> Vec<u64> {
-        match self.id.and_then(|id| s.struct_root(id)) {
-            Some(StructRoot::Heap { pages }) => pages,
-            _ => self.lock().pages.clone(),
+        match resolve_struct(s, self.id) {
+            StructRoot::Heap { pages } => pages,
+            StructRoot::BTree { .. } => unreachable!("structure {} is a heap file", self.id),
         }
-    }
-
-    /// Pin the handle at its committed page list and drop its
-    /// registration — for carrying the file across a database teardown;
-    /// [`HeapFile::register`] it in the rebuilt database after.
-    pub fn detach(&mut self, db: &Database) {
-        let pages = self.pages_in(db);
-        self.lock().pages = pages;
-        if let Some(id) = self.id.take() {
-            db.deregister_struct(id);
-        }
-    }
-
-    /// Register the handle's current page list in `db`'s structure-root
-    /// log (the second half of the detach/register rebuild protocol).
-    pub fn register(&mut self, db: &Database) {
-        let pages = self.lock().pages.clone();
-        self.id = Some(db.register_struct(StructRoot::Heap { pages }));
     }
 
     /// Insert a record, appending a fresh page when none fits. The
@@ -218,13 +180,11 @@ impl HeapFile {
                 return Ok(RecordId::new(pid, slot));
             }
         }
-        // Grow the file. Registered files allocate structured (a rollback
+        // Grow the file. The page is a structured allocation: a rollback
         // undoes the pending page-list publication and the handle resyncs
-        // from the root log, so the pid is safe to reissue); unregistered
-        // handles keep their local list across an abort, so their growth
-        // stays a raw, stranded-on-rollback allocation.
+        // from the root log, so the pid is safe to reissue.
         let span = db.struct_span_start();
-        let pid = if self.id.is_some() { db.alloc_page_structured() } else { db.alloc_page() }?;
+        let pid = db.alloc_page_structured()?;
         let (slot, usable) = db.with_page_mut(pid, |p| {
             slotted::init(p);
             let slot = slotted::insert(p, bytes)?;
@@ -237,9 +197,7 @@ impl HeapFile {
         // with it, undone by abort), auto-committed onto the
         // structure-root log otherwise — so snapshot scans keep resolving
         // the pre-growth page list.
-        if let Some(id) = self.id {
-            db.publish_struct(id, StructRoot::Heap { pages: st.pages.clone() });
-        }
+        db.publish_struct(self.id, StructRoot::Heap { pages: st.pages.clone() });
         db.struct_span("heap-grow", pid, span);
         slot.map(|s| RecordId::new(pid, s)).ok_or(StorageError::TooLarge {
             size: bytes.len(),
@@ -310,11 +268,7 @@ impl HeapFile {
     /// committed after the view opened is invisible — even through a
     /// stale handle.
     pub fn scan_at<S: PageRead>(&self, s: &S, mut f: impl FnMut(RecordId, &[u8])) -> Result<()> {
-        let pages: Vec<u64> = match self.id.and_then(|id| s.struct_root(id)) {
-            Some(StructRoot::Heap { pages }) => pages,
-            _ => self.lock().pages.clone(),
-        };
-        for pid in pages {
+        for pid in self.pages_in(s) {
             s.with_page(pid, |page| {
                 if slotted::is_formatted(page) {
                     for (slot, bytes) in slotted::iter(page) {
@@ -342,7 +296,7 @@ mod tests {
     #[test]
     fn insert_get_round_trip() {
         let d = db(64);
-        let h = HeapFile::new();
+        let h = HeapFile::create(&d);
         let rid = h.insert(&d, b"record one").unwrap();
         let got = h.get(&d, rid, |b| b.to_vec()).unwrap();
         assert_eq!(got, b"record one");
@@ -351,7 +305,7 @@ mod tests {
     #[test]
     fn grows_over_many_pages_and_scans_all() {
         let d = db(64);
-        let h = HeapFile::new();
+        let h = HeapFile::create(&d);
         let mut rids = Vec::new();
         for i in 0..500u32 {
             let rec = vec![i as u8; 100];
@@ -375,7 +329,7 @@ mod tests {
     #[test]
     fn update_in_place_and_moving() {
         let d = db(64);
-        let h = HeapFile::new();
+        let h = HeapFile::create(&d);
         // Fill one page so in-page growth is impossible.
         let first = h.insert(&d, &[1u8; 400]).unwrap();
         while h.num_pages() == 1 {
@@ -392,7 +346,7 @@ mod tests {
     #[test]
     fn delete_then_reuse_space() {
         let d = db(64);
-        let h = HeapFile::new();
+        let h = HeapFile::create(&d);
         let mut rids = Vec::new();
         for _ in 0..18 {
             rids.push(h.insert(&d, &[5u8; 100]).unwrap());
@@ -410,7 +364,7 @@ mod tests {
     #[test]
     fn missing_records_error() {
         let d = db(64);
-        let h = HeapFile::new();
+        let h = HeapFile::create(&d);
         let rid = h.insert(&d, b"x").unwrap();
         h.delete(&d, rid).unwrap();
         assert!(matches!(h.get(&d, rid, |_| ()), Err(StorageError::RecordNotFound { .. })));
@@ -445,6 +399,28 @@ mod tests {
         let mut n = 0;
         h.scan(&d, |_, _| n += 1).unwrap();
         assert_eq!(n, 120);
+    }
+
+    #[test]
+    fn a_heap_file_used_with_another_database_panics_naming_its_id() {
+        let (d, other) = (db(64), db(64));
+        let h = HeapFile::create(&d);
+        let rid = h.insert(&d, b"record").unwrap();
+        let expected = format!("structure {} is not registered in this database", h.id);
+        let view = other.begin_read();
+        let snap = other.snapshot(&view);
+        let uses: [&dyn Fn(); 4] = [
+            &|| drop(h.insert(&other, b"x")),
+            &|| drop(h.scan(&other, |_, _| ())),
+            &|| drop(h.pages_in(&other)),
+            &|| drop(h.scan_at(&snap, |_, _| ())),
+        ];
+        for f in uses {
+            assert_eq!(crate::view::tests::panic_message(f), expected);
+        }
+        other.release_read(view);
+        assert_eq!(h.get(&d, rid, |b| b.to_vec()).unwrap(), b"record");
+        h.insert(&d, b"still usable").unwrap();
     }
 
     #[test]

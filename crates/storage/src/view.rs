@@ -42,11 +42,22 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide [`StructId`] allocator: ids are unique across *every*
-/// registry, so a handle that (incorrectly) outlives its database and
-/// meets a rebuilt registry resolves to "unknown id" — a safe fallback to
-/// the handle's own state — instead of silently aliasing whatever
-/// structure happened to re-use the id.
+/// registry, so a handle used with a database that never registered it
+/// meets an unknown id and panics naming it, instead of silently
+/// aliasing whatever structure happened to re-use the id.
 static NEXT_STRUCT_ID: AtomicU64 = AtomicU64::new(0);
+
+/// The panic of a handle used with a database that never registered it.
+fn unregistered(id: StructId) -> ! {
+    panic!("structure {id} is not registered in this database")
+}
+
+/// `id`'s root state as `s` resolves it; panics when `s` reads a
+/// database that never registered `id` (a handle belongs to the database
+/// that created or attached it).
+pub(crate) fn resolve_struct<S: PageRead>(s: &S, id: StructId) -> StructRoot {
+    s.struct_root(id).unwrap_or_else(|| unregistered(id))
+}
 
 /// A snapshot handle: reads through it see the database exactly as of the
 /// commit clock value captured when the view was opened.
@@ -185,13 +196,9 @@ pub trait PageRead {
     /// isolation level: the current committed state for live readers, the
     /// state *as of the view's `read_ts`* for snapshot readers — so a
     /// stale [`crate::BTree`] / [`crate::HeapFile`] handle is always
-    /// snapshot-safe. `None` when the reader has no structure registry or
-    /// the id is unknown to it (callers fall back to the handle's own
-    /// cached state).
-    fn struct_root(&self, id: StructId) -> Option<StructRoot> {
-        let _ = id;
-        None
-    }
+    /// snapshot-safe. `None` when the id is unknown to the reader's
+    /// database.
+    fn struct_root(&self, id: StructId) -> Option<StructRoot>;
 
     /// Read-ahead hint: the caller will read `pid` soon (a range scan
     /// hints the next leaf while the current one is consumed). Purely an
@@ -226,7 +233,7 @@ pub(crate) struct MvccState {
 
 impl MvccState {
     /// Register a view at the current clock.
-    pub(crate) fn register(&mut self) -> u64 {
+    pub(crate) fn register_view(&mut self) -> u64 {
         let ts = self.clock;
         *self.active.entry(ts).or_insert(0) += 1;
         ts
@@ -237,7 +244,7 @@ impl MvccState {
     /// remain (every retained version may be pruned). Structure-root
     /// pre-states are pruned here directly (they live in the registry);
     /// the caller prunes the page version chains with the same floor.
-    pub(crate) fn deregister(&mut self, ts: u64) -> u64 {
+    pub(crate) fn deregister_view(&mut self, ts: u64) -> u64 {
         if let Some(n) = self.active.get_mut(&ts) {
             *n -= 1;
             if *n == 0 {
@@ -258,7 +265,7 @@ impl MvccState {
         floor
     }
 
-    /// The current retention floor (see [`MvccState::deregister`]).
+    /// The current retention floor (see [`MvccState::deregister_view`]).
     pub(crate) fn floor(&self) -> u64 {
         self.active.keys().next().copied().unwrap_or(u64::MAX)
     }
@@ -292,14 +299,6 @@ impl MvccState {
         id
     }
 
-    /// Drop a structure's registration (and any pre-states it retained).
-    /// Called by handle `detach`: open views lose the structure's
-    /// versioned state and fall back to the handle's own, so detach only
-    /// at teardown, not under active snapshot scans.
-    pub(crate) fn deregister_struct(&mut self, id: StructId) {
-        self.structs.remove(&id);
-    }
-
     /// The current committed state of `id` (`None`: never registered
     /// here).
     pub(crate) fn struct_current(&self, id: StructId) -> Option<StructRoot> {
@@ -308,13 +307,14 @@ impl MvccState {
 
     /// The current committed state of `id` *only if* it changed since
     /// generation `seen` (with the new generation), so mirroring handles
-    /// skip the clone on the hot path when nothing moved.
+    /// skip the clone on the hot path when nothing moved. Panics when
+    /// `id` was never registered here.
     pub(crate) fn struct_current_if_newer(
         &self,
         id: StructId,
         seen: u64,
     ) -> Option<(u64, StructRoot)> {
-        let s = self.structs.get(&id)?;
+        let s = self.structs.get(&id).unwrap_or_else(|| unregistered(id));
         (s.gen != seen).then(|| (s.gen, s.current.clone()))
     }
 
@@ -330,10 +330,7 @@ impl MvccState {
         version_at: Option<u64>,
         root: StructRoot,
     ) {
-        let Some(s) = self.structs.get_mut(&id) else {
-            debug_assert!(false, "published structure {id} that was never registered");
-            return;
-        };
+        let s = self.structs.get_mut(&id).unwrap_or_else(|| unregistered(id));
         if s.current == root {
             return;
         }
@@ -385,22 +382,34 @@ impl MvccState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Run `f`, which must panic, and return its panic message.
+    pub(crate) fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => {
+                payload.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string())
+            }
+        }
+    }
 
     #[test]
     fn registry_tracks_views_and_floor() {
         let mut m = MvccState::default();
         assert_eq!(m.floor(), u64::MAX);
-        let a = m.register();
+        let a = m.register_view();
         assert_eq!(a, 0);
         let (c1, retain) = m.alloc_commit();
         assert_eq!(c1, 1);
         assert!(retain, "an active view pins versions");
-        let b = m.register();
+        let b = m.register_view();
         assert_eq!(b, 1);
-        assert_eq!(m.deregister(a), 1, "floor moves to the remaining view");
-        assert_eq!(m.deregister(b), 1, "no views left: prune bound clamps to the clock");
+        assert_eq!(m.deregister_view(a), 1, "floor moves to the remaining view");
+        assert_eq!(m.deregister_view(b), 1, "no views left: prune bound clamps to the clock");
         let (_, retain) = m.alloc_commit();
         assert!(!retain, "no views, nothing to retain");
     }
@@ -408,21 +417,21 @@ mod tests {
     #[test]
     fn duplicate_timestamps_refcount() {
         let mut m = MvccState::default();
-        let a = m.register();
-        let b = m.register();
+        let a = m.register_view();
+        let b = m.register_view();
         assert_eq!(a, b);
-        assert_eq!(m.deregister(a), b);
-        assert_eq!(m.deregister(b), 0, "clamped to the clock, not u64::MAX");
+        assert_eq!(m.deregister_view(a), b);
+        assert_eq!(m.deregister_view(b), 0, "clamped to the clock, not u64::MAX");
     }
 
     #[test]
     fn struct_log_resolves_pre_states_by_view_timestamp() {
         let mut m = MvccState::default();
         let id = m.register_struct(StructRoot::BTree { root: 1 });
-        let early = m.register(); // ts 0
+        let early = m.register_view(); // ts 0
         let (c1, retain) = m.alloc_commit();
         m.publish_struct(id, retain.then_some(c1), StructRoot::BTree { root: 2 });
-        let mid = m.register(); // ts 1
+        let mid = m.register_view(); // ts 1
         let (c2, retain) = m.alloc_commit();
         m.publish_struct(id, retain.then_some(c2), StructRoot::BTree { root: 3 });
         assert_eq!(m.resolve_struct(id, early), Some(StructRoot::BTree { root: 1 }));
@@ -431,9 +440,9 @@ mod tests {
         assert_eq!(m.struct_current(id), Some(StructRoot::BTree { root: 3 }));
         assert_eq!(m.retained_struct_versions(), 2);
         // Releasing the views prunes the pre-states they pinned.
-        m.deregister(early);
+        m.deregister_view(early);
         assert_eq!(m.retained_struct_versions(), 1);
-        m.deregister(mid);
+        m.deregister_view(mid);
         assert_eq!(m.retained_struct_versions(), 0);
         assert_eq!(m.resolve_struct(id, m.clock), Some(StructRoot::BTree { root: 3 }));
     }
@@ -442,7 +451,7 @@ mod tests {
     fn struct_log_folds_changes_within_one_commit() {
         let mut m = MvccState::default();
         let id = m.register_struct(StructRoot::Heap { pages: vec![7] });
-        let view = m.register();
+        let view = m.register_view();
         let (ts, retain) = m.alloc_commit();
         // Two root changes inside one commit event: a view opened before
         // the commit must resolve the state before *both*.
@@ -452,7 +461,7 @@ mod tests {
         assert_eq!(m.struct_current(id), Some(StructRoot::Heap { pages: vec![7, 8, 9] }));
         assert_eq!(m.retained_struct_versions(), 1, "one pre-state per commit event");
         // No views: publishing just replaces the current state.
-        m.deregister(view);
+        m.deregister_view(view);
         m.publish_struct(id, None, StructRoot::Heap { pages: vec![7, 8, 9, 10] });
         assert_eq!(m.retained_struct_versions(), 0);
         assert_eq!(m.struct_current(id), Some(StructRoot::Heap { pages: vec![7, 8, 9, 10] }));
@@ -472,7 +481,7 @@ mod tests {
         // pre-states no view can ever read are compacted away.
         let mut m = MvccState::default();
         let id = m.register_struct(StructRoot::Heap { pages: vec![0] });
-        let epoch = m.register();
+        let epoch = m.register_view();
         for round in 1..=100u64 {
             let (ts, retain) = m.alloc_commit();
             let pages: Vec<u64> = (0..=round).collect();
@@ -481,7 +490,7 @@ mod tests {
         assert_eq!(m.retained_struct_versions(), 1, "one band with an active view");
         assert_eq!(m.resolve_struct(id, epoch), Some(StructRoot::Heap { pages: vec![0] }));
         // A second view in a middle band pins exactly one more entry.
-        let mid = m.register();
+        let mid = m.register_view();
         for round in 101..=200u64 {
             let (ts, retain) = m.alloc_commit();
             let pages: Vec<u64> = (0..=round).collect();
@@ -492,8 +501,8 @@ mod tests {
             m.resolve_struct(id, mid),
             Some(StructRoot::Heap { pages: (0..=100).collect() })
         );
-        m.deregister(epoch);
-        m.deregister(mid);
+        m.deregister_view(epoch);
+        m.deregister_view(mid);
         assert_eq!(m.retained_struct_versions(), 0);
     }
 }

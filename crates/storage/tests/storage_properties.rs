@@ -107,7 +107,7 @@ proptest! {
             MethodKind::Ipl { log_bytes_per_block: 512 },
         ][kind_idx];
         let d = database(kind);
-        let h = HeapFile::new();
+        let h = HeapFile::create(&d);
         let mut model: Vec<(RecordId, Vec<u8>)> = Vec::new();
         for (op, sel, len) in &ops {
             match op {

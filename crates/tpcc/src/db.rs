@@ -4,7 +4,7 @@
 use crate::error::TpccError;
 use crate::schema::*;
 use crate::Result;
-use pdl_storage::{BTree, Database, HeapFile, Key, KeyBuf, PageRead, RecordId};
+use pdl_storage::{BTree, Database, HeapFile, Key, KeyBuf, PageRead, RecordId, StructRoot};
 
 /// Row counts: the TPC-C cardinalities, scalable so the benchmark fits the
 /// emulated chip (the paper runs a ~1 Gbyte database; see DESIGN.md §2 on
@@ -157,90 +157,96 @@ pub struct TpccDb {
 impl TpccDb {
     /// Create the (empty) table and index structures.
     pub fn create(db: Database, scale: TpccScale) -> Result<TpccDb> {
+        TpccDb::build(db, scale, |db| Ok(BTree::create(db)?), |db| Ok(HeapFile::create(db)))
+    }
+
+    /// Re-open a TPC-C database at structure roots taken with
+    /// [`TpccDb::roots`] — e.g. over a store recovered after a crash,
+    /// which has no root log to rebuild them from.
+    pub fn open(db: Database, scale: TpccScale, roots: Vec<StructRoot>) -> Result<TpccDb> {
+        let (mut trees, mut heaps) = (Vec::new(), Vec::new());
+        for root in roots {
+            match root {
+                StructRoot::BTree { root } => trees.push(root),
+                StructRoot::Heap { pages } => heaps.push(pages),
+            }
+        }
+        let (mut trees, mut heaps) = (trees.into_iter(), heaps.into_iter());
+        let wrong_count = || TpccError::BadConfig("roots do not match the TPC-C schema".into());
+        let t = TpccDb::build(
+            db,
+            scale,
+            |db| trees.next().map(|root| BTree::attach(db, root)).ok_or_else(wrong_count),
+            |db| heaps.next().map(|pages| HeapFile::attach(db, pages)).ok_or_else(wrong_count),
+        )?;
+        if trees.next().is_some() || heaps.next().is_some() {
+            return Err(wrong_count());
+        }
+        Ok(t)
+    }
+
+    /// Every index's and table's committed root, in creation order: what
+    /// [`TpccDb::open`] takes.
+    pub fn roots(&self) -> Vec<StructRoot> {
+        let db = &self.db;
+        let indexes = [
+            &self.idx_warehouse,
+            &self.idx_district,
+            &self.idx_customer,
+            &self.idx_customer_name,
+            &self.idx_order,
+            &self.idx_order_customer,
+            &self.idx_new_order,
+            &self.idx_order_line,
+            &self.idx_item,
+            &self.idx_stock,
+        ];
+        let tables = [
+            &self.warehouse,
+            &self.district,
+            &self.customer,
+            &self.history,
+            &self.new_order,
+            &self.order,
+            &self.order_line,
+            &self.item,
+            &self.stock,
+        ];
+        let indexes = indexes.map(|t| StructRoot::BTree { root: t.current_root(db) });
+        let tables = tables.map(|h| StructRoot::Heap { pages: h.pages_in(db) });
+        indexes.into_iter().chain(tables).collect()
+    }
+
+    /// The indexes, then the tables, each in [`TpccDb::roots`]' order.
+    fn build(
+        db: Database,
+        scale: TpccScale,
+        mut index: impl FnMut(&Database) -> Result<BTree>,
+        mut table: impl FnMut(&Database) -> Result<HeapFile>,
+    ) -> Result<TpccDb> {
         Ok(TpccDb {
-            idx_warehouse: BTree::create(&db)?,
-            idx_district: BTree::create(&db)?,
-            idx_customer: BTree::create(&db)?,
-            idx_customer_name: BTree::create(&db)?,
-            idx_order: BTree::create(&db)?,
-            idx_order_customer: BTree::create(&db)?,
-            idx_new_order: BTree::create(&db)?,
-            idx_order_line: BTree::create(&db)?,
-            idx_item: BTree::create(&db)?,
-            idx_stock: BTree::create(&db)?,
-            warehouse: HeapFile::create(&db),
-            district: HeapFile::create(&db),
-            customer: HeapFile::create(&db),
-            history: HeapFile::create(&db),
-            new_order: HeapFile::create(&db),
-            order: HeapFile::create(&db),
-            order_line: HeapFile::create(&db),
-            item: HeapFile::create(&db),
-            stock: HeapFile::create(&db),
+            idx_warehouse: index(&db)?,
+            idx_district: index(&db)?,
+            idx_customer: index(&db)?,
+            idx_customer_name: index(&db)?,
+            idx_order: index(&db)?,
+            idx_order_customer: index(&db)?,
+            idx_new_order: index(&db)?,
+            idx_order_line: index(&db)?,
+            idx_item: index(&db)?,
+            idx_stock: index(&db)?,
+            warehouse: table(&db)?,
+            district: table(&db)?,
+            customer: table(&db)?,
+            history: table(&db)?,
+            new_order: table(&db)?,
+            order: table(&db)?,
+            order_line: table(&db)?,
+            item: table(&db)?,
+            stock: table(&db)?,
             db,
             scale,
         })
-    }
-
-    /// Every structure handle paired with the database: the single
-    /// source of truth for the detach/attach rebuild protocol (a table
-    /// or index added here is automatically carried across re-wraps).
-    #[allow(clippy::type_complexity)]
-    fn structure_handles(&mut self) -> (&Database, [&mut BTree; 10], [&mut HeapFile; 9]) {
-        (
-            &self.db,
-            [
-                &mut self.idx_warehouse,
-                &mut self.idx_district,
-                &mut self.idx_customer,
-                &mut self.idx_customer_name,
-                &mut self.idx_order,
-                &mut self.idx_order_customer,
-                &mut self.idx_new_order,
-                &mut self.idx_order_line,
-                &mut self.idx_item,
-                &mut self.idx_stock,
-            ],
-            [
-                &mut self.warehouse,
-                &mut self.district,
-                &mut self.customer,
-                &mut self.history,
-                &mut self.new_order,
-                &mut self.order,
-                &mut self.order_line,
-                &mut self.item,
-                &mut self.stock,
-            ],
-        )
-    }
-
-    /// Pin every index and heap handle at its last committed structural
-    /// state and drop the registrations. The structure-root registry
-    /// lives inside [`Database`], so call this *before* tearing the
-    /// database down (crash simulation, buffer re-size re-wrap) and
-    /// [`TpccDb::attach_structures`] *after* installing the rebuilt one.
-    pub fn detach_structures(&mut self) {
-        let (db, indexes, heaps) = self.structure_handles();
-        for idx in indexes {
-            idx.detach(db);
-        }
-        for heap in heaps {
-            heap.detach(db);
-        }
-    }
-
-    /// Re-register every index and heap handle in (the rebuilt)
-    /// `self.db` — the second half of the detach/attach rebuild
-    /// protocol.
-    pub fn attach_structures(&mut self) {
-        let (db, indexes, heaps) = self.structure_handles();
-        for idx in indexes {
-            idx.register(db);
-        }
-        for heap in heaps {
-            heap.register(db);
-        }
     }
 
     // ------------------------------------------------------------------

@@ -17,9 +17,6 @@ pub struct UpdateConfig {
     pub warmup_erase_target: u64,
     /// ...or this many warm-up cycles, whichever comes first.
     pub warmup_max_cycles: u64,
-    /// Additionally warm up at least this many cycles (buffered methods
-    /// need their per-page differential/log state to saturate).
-    pub warmup_min_cycles: u64,
     /// Phase decoherence: before the regular warm-up, evict every page a
     /// uniform-random number of times in `0..phase_jitter`. PDL's
     /// differential size follows a saw-tooth over a page's eviction count
@@ -100,8 +97,7 @@ fn warm_up(
     }
     loop {
         let erases = store.stats().total().erases;
-        let steady = erases >= cfg.warmup_erase_target && cycles >= cfg.warmup_min_cycles;
-        if steady || cycles >= cfg.warmup_max_cycles {
+        if erases >= cfg.warmup_erase_target || cycles >= cfg.warmup_max_cycles {
             return Ok((cycles, erases));
         }
         // Check the target only every batch to keep the loop tight.
@@ -192,7 +188,6 @@ impl UpdateConfig {
             measured_cycles: 2_000,
             warmup_erase_target: 64,
             warmup_max_cycles: 20_000,
-            warmup_min_cycles: 0,
             phase_jitter: 0,
             placement: Placement::RoundRobin,
             skewed: false,
@@ -217,11 +212,6 @@ impl UpdateConfig {
     pub fn with_warmup(mut self, erase_target: u64, max_cycles: u64) -> UpdateConfig {
         self.warmup_erase_target = erase_target;
         self.warmup_max_cycles = max_cycles;
-        self
-    }
-
-    pub fn with_min_warmup_cycles(mut self, min_cycles: u64) -> UpdateConfig {
-        self.warmup_min_cycles = min_cycles;
         self
     }
 

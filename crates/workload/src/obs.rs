@@ -175,11 +175,6 @@ pub fn put_recorder_snapshot(reg: &mut MetricsRegistry, prefix: &str, snap: &Rec
     reg.set_u64(&p("spans.dropped".to_string()), snap.dropped_spans);
 }
 
-/// Write a registry to `path` as a `pdl-metrics-v1` document.
-pub fn write_metrics_json(path: &str, reg: &MetricsRegistry) -> std::io::Result<()> {
-    std::fs::write(path, reg.to_json())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,16 +71,6 @@ impl Scale {
         }
     }
 
-    /// Buffered methods (PDL differentials, IPL logs) additionally need
-    /// their per-page state to saturate: PDL (2KB) differentials take ~35
-    /// evictions of a page to cycle from empty to a full page and back
-    /// (footnote 16: "the size of a differential in a steady state is
-    /// approximately half a page on the average"). Warm up for at least
-    /// this many evictions per logical page, subject to the cycle cap.
-    pub fn warmup_min_evictions_per_page(&self) -> u64 {
-        40
-    }
-
     pub fn label(&self) -> &'static str {
         match self {
             Scale::Quick => "quick",

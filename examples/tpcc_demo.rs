@@ -26,10 +26,7 @@ fn run_for(kind: MethodKind) {
     // Use a buffer of 1% of the database, as in the middle of Figure 18's
     // sweep.
     let loaded = t.db.allocated_pages();
-    t.detach_structures(); // carry the handles across the re-wrap
-    let store = t.db.into_store().expect("unwrap store");
-    t.db = Database::new_with_allocated(store, (loaded / 100).max(2) as usize, loaded);
-    t.attach_structures();
+    t.db.set_buffer_pages((loaded / 100).max(2) as usize).expect("resize the buffer");
 
     let mut r = TpccRand::new(99);
     println!("{:<14} {:>8} {:>14}", "transaction", "count", "io us/txn");

@@ -22,7 +22,7 @@ fn btree_and_heap_work_over_every_method_under_pool_pressure() {
         let store = build_store(chip, kind, StoreOptions::new(600)).unwrap();
         let db = Database::new(store, 6); // heavy eviction traffic
         let tree = BTree::create(&db).unwrap();
-        let heap = HeapFile::new();
+        let heap = HeapFile::create(&db);
         let mut model: BTreeMap<u64, (RecordId, Vec<u8>)> = BTreeMap::new();
         let mut rng = StdRng::seed_from_u64(0xF00D);
 
@@ -96,7 +96,7 @@ fn flushed_stack_survives_crash_and_recovery() {
         let store = build_store(chip, kind, StoreOptions::new(600)).unwrap();
         let db = Database::new(store, 16);
         let tree = BTree::create(&db).unwrap();
-        let heap = HeapFile::new();
+        let heap = HeapFile::create(&db);
         let mut expectations = Vec::new();
         for i in 0..400u64 {
             let rec = i.to_le_bytes().repeat(4);
@@ -106,11 +106,14 @@ fn flushed_stack_survives_crash_and_recovery() {
         }
         db.flush().unwrap();
         let allocated = db.allocated_pages();
+        // These stores keep no root log: remember the roots to re-attach.
+        let (root, pages) = (tree.current_root(&db), heap.pages_in(&db));
         let store = db.into_store().unwrap();
         let opts = *store.options();
         let chip = store.into_chip(); // crash: all volatile state gone
         let store = recover_store(chip, kind, opts).unwrap();
         let db = Database::new_with_allocated(store, 16, allocated);
+        let (tree, heap) = (BTree::attach(&db, root), HeapFile::attach(&db, pages));
         for (k, rid, rec) in &expectations {
             let got = tree.get(&db, &KeyBuf::new().push_u64(*k).finish()).unwrap();
             assert_eq!(got, Some(rid.to_u64()), "{} key {k}", kind.label());
@@ -126,7 +129,7 @@ fn io_accounting_flows_to_the_chip_through_the_whole_stack() {
     let store =
         build_store(chip, MethodKind::Pdl { max_diff_size: 256 }, StoreOptions::new(600)).unwrap();
     let db = Database::new(store, 4);
-    let heap = HeapFile::new();
+    let heap = HeapFile::create(&db);
     for i in 0..200u64 {
         // Records big enough that the file spans well beyond the 4-frame
         // pool, so the later scan misses the cache.

@@ -6,12 +6,16 @@ use page_differential_logging::prelude::*;
 use pdl_tpcc::{load, run_mix, TpccDb, TpccRand, TpccScale, TxnKind};
 
 fn build_tpcc(kind: MethodKind, buffer_pages: usize) -> TpccDb {
+    build_tpcc_with(kind, buffer_pages, Durability::Relaxed)
+}
+
+fn build_tpcc_with(kind: MethodKind, buffer_pages: usize, durability: Durability) -> TpccDb {
     let scale = TpccScale::tiny();
     let num_pages = scale.estimated_loaded_pages(2048) * 3 + 512;
     let blocks = ((num_pages * 4).div_ceil(64) + 16) as u32;
     let chip = FlashChip::new(FlashConfig::scaled(blocks));
     let store = build_store(chip, kind, StoreOptions::new(num_pages)).unwrap();
-    load(Database::new(store, buffer_pages), scale, 0x7CC).unwrap()
+    load(Database::new(store, buffer_pages).with_durability(durability), scale, 0x7CC).unwrap()
 }
 
 /// TPC-C consistency condition 1 (clause 3.3.2.1): for every district,
@@ -119,19 +123,20 @@ fn tpcc_state_survives_flush_crash_recovery() {
     let mut r = TpccRand::new(3);
     run_mix(&mut t, &mut r, 200).unwrap();
 
-    // Capture a few rows, flush everything, crash, recover, re-wrap.
+    // Capture a few rows, flush everything, crash, recover, re-open at
+    // the remembered roots (this store keeps no root log).
     let w_ytd = t.warehouse_row(1).unwrap().1.ytd;
     let d_next = t.district_row(1, 1).unwrap().1.next_o_id;
     let allocated = t.db.allocated_pages();
     let num_pages = t.db.io_stats(); // just to exercise the accessor
     let _ = num_pages;
-    t.detach_structures(); // carry committed roots across the teardown
+    let (scale, roots) = (t.scale, t.roots());
     let store = t.db.into_store().unwrap();
     let opts = *store.options();
     let chip = store.into_chip();
     let store = recover_store(chip, kind, opts).unwrap();
-    t.db = Database::new_with_allocated(store, 64, allocated);
-    t.attach_structures();
+    let mut t =
+        TpccDb::open(Database::new_with_allocated(store, 64, allocated), scale, roots).unwrap();
 
     assert_eq!(t.warehouse_row(1).unwrap().1.ytd, w_ytd);
     assert_eq!(t.district_row(1, 1).unwrap().1.next_o_id, d_next);
@@ -167,14 +172,7 @@ fn durable_commits_survive_an_unflushed_crash() {
     // NEW-ORDER aborts, which check_district_order_consistency would
     // expose if their district bump leaked.
     let kind = MethodKind::Pdl { max_diff_size: 256 };
-    let mut t = build_tpcc(kind, 64);
-    t.detach_structures(); // carry committed roots across the re-wrap
-    t.db = {
-        let allocated = t.db.allocated_pages();
-        let store = t.db.into_store().unwrap(); // flush the loader's writes
-        Database::new_with_allocated(store, 64, allocated).with_durability(Durability::Commit)
-    };
-    t.attach_structures();
+    let mut t = build_tpcc_with(kind, 64, Durability::Commit);
     let mut r = TpccRand::new(9);
     let stats = run_mix(&mut t, &mut r, 150).unwrap();
     assert_eq!(stats.total(), 150);
@@ -183,15 +181,15 @@ fn durable_commits_survive_an_unflushed_crash() {
     let d_next = t.district_row(1, 1).unwrap().1.next_o_id;
     let allocated = t.db.allocated_pages();
     // Crash: no flush, the buffer pool's clean state is lost outright.
-    // Every transaction committed or aborted, so the handles' committed
-    // structural state survives the crash with the commit records.
-    t.detach_structures();
+    // Every transaction committed or aborted, so the committed roots,
+    // remembered here, survive the crash with the commit records.
+    let (scale, roots) = (t.scale, t.roots());
     let store = t.db.into_store_without_flush();
     let opts = *store.options();
     let chip = store.into_chip();
     let store = recover_store(chip, kind, opts).unwrap();
-    t.db = Database::new_with_allocated(store, 64, allocated).with_durability(Durability::Commit);
-    t.attach_structures();
+    let db = Database::new_with_allocated(store, 64, allocated).with_durability(Durability::Commit);
+    let mut t = TpccDb::open(db, scale, roots).unwrap();
 
     assert_eq!(t.warehouse_row(1).unwrap().1.ytd, w_ytd, "committed PAYMENT lost");
     assert_eq!(t.district_row(1, 1).unwrap().1.next_o_id, d_next, "committed NEW-ORDER lost");
