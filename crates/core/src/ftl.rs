@@ -512,25 +512,33 @@ impl BlockManager {
         max_valid: u32,
         pinned: &std::collections::HashSet<u32>,
     ) -> Option<BlockId> {
-        let clean = self.select_victim(max_valid, pinned, VictimPass::CleanOnly);
+        let (clean, skipped_retained) =
+            self.select_victim(max_valid, pinned, VictimPass::CleanOnly);
         if let Some(choice) = clean {
             // Diagnostic: did retention steer the choice away from what
-            // retention-blind policy scoring would have picked?
-            if self.select_victim(max_valid, pinned, VictimPass::Unconstrained) != Some(choice) {
+            // retention-blind policy scoring would have picked? Only if
+            // the clean pass passed over a retention-pinned block: without
+            // one, both passes score the same blocks.
+            if skipped_retained
+                && self.select_victim(max_valid, pinned, VictimPass::Unconstrained).0
+                    != Some(choice)
+            {
                 self.retention_skips.set(self.retention_skips.get() + 1);
             }
             return Some(choice);
         }
-        self.select_victim(max_valid, pinned, VictimPass::DensityFirst)
+        self.select_victim(max_valid, pinned, VictimPass::DensityFirst).0
     }
 
-    /// One victim-selection pass; see [`VictimPass`] for the tiers.
+    /// One victim-selection pass; see [`VictimPass`] for the tiers. Also
+    /// says whether the pass skipped a block for its retention pins.
     fn select_victim(
         &self,
         max_valid: u32,
         pinned: &std::collections::HashSet<u32>,
         pass: VictimPass,
-    ) -> Option<BlockId> {
+    ) -> (Option<BlockId>, bool) {
+        let mut skipped_retained = false;
         let mut best: Option<u32> = None;
         let mut best_reclaim = 0u32;
         let mut best_erases = u64::MAX;
@@ -543,6 +551,7 @@ impl BlockManager {
             }
             let retained = self.retained[b as usize];
             if pass == VictimPass::CleanOnly && retained > 0 {
+                skipped_retained = true;
                 continue;
             }
             let valid = self.valid_in(BlockId(b));
@@ -601,7 +610,7 @@ impl BlockManager {
                 best_retained = retained;
             }
         }
-        best.map(BlockId)
+        (best.map(BlockId), skipped_retained)
     }
 
     /// Record that `block` was erased: it returns to the free pool.

@@ -73,6 +73,11 @@ impl DiffWriteBuffer {
         })
     }
 
+    /// Whether a buffered differential is tagged by one of `txns`.
+    pub fn holds_tag_of(&self, txns: &[u64]) -> bool {
+        self.entries.iter().any(|e| matches!(e, DwbEntry::Diff(d) if txns.contains(&d.txn)))
+    }
+
     /// Remove and return the buffered differential for `pid`.
     pub fn remove(&mut self, pid: u64) -> Option<Differential> {
         let idx =

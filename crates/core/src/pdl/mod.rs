@@ -61,6 +61,16 @@
 //! stay deferred, pins stay, further batches are refused (`batch_failed`):
 //! whether it committed is recovery's call.
 //!
+//! On one chip the staged differentials and the record leave in one
+//! flush. A [`crate::ShardedStore`] transaction may record on several
+//! chips, and recovery calls it torn where a shard holds its tag but no
+//! record. There, a shard whose buffer holds a differential of such a
+//! transaction flushes it before any record — unless the shard records
+//! last and already holds a programmed tag (`durable_tags`: a Case-3
+//! base, or a differential a Case-2 flush wrote out) of each such
+//! transaction it stages. A transaction on one shard commits as on one
+//! chip.
+//!
 //! Commit records stay alive while any non-obsolete page still carries
 //! their transaction's tag (the `presence` gauge below), and the tags
 //! themselves are shed as GC rewrites committed data, so steady state
@@ -95,7 +105,8 @@ use crate::ftl::{
     AllocStream, BlockManager, GcPolicy, HeatTable,
 };
 use crate::page_store::{
-    ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions, StructRootsSnapshot,
+    note_txn, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
+    StructRootsSnapshot,
 };
 use crate::Result;
 use dwb::{DiffWriteBuffer, DwbEntry};
@@ -316,6 +327,11 @@ pub struct Pdl {
     batch_pins: HashSet<u32>,
     /// Whether a commit batch is open (`batch_open` .. `batch_close`).
     in_txn_batch: bool,
+    /// Transactions of the open batch with a tag already programmed: a
+    /// Case-3 base, or a differential a flush wrote out. A shard holding
+    /// one for each cross-shard transaction it stages needs no stage
+    /// flush (see `ShardedStore::commit_batch`).
+    durable_tags: Vec<u64>,
     /// The error that hit a batch after it was opened. The batch stays
     /// open for good; `commit_batch` and `checkpoint` answer with this.
     batch_failed: Option<CoreError>,
@@ -418,6 +434,7 @@ impl Pdl {
             deferred: Vec::new(),
             batch_pins: HashSet::new(),
             in_txn_batch: false,
+            durable_tags: Vec::new(),
             batch_failed: None,
             poisoned: HashMap::new(),
             twins: HashMap::new(),
@@ -711,6 +728,9 @@ impl Pdl {
             }
             self.ppmt[pid].diff = q.0;
             self.diff_txn[pid] = d.txn;
+            if d.txn != NO_TXN && self.in_txn_batch {
+                note_txn(&mut self.durable_tags, d.txn);
+            }
         }
         self.counters.dwb_flushes += 1;
         Ok(())
@@ -793,6 +813,9 @@ impl Pdl {
                 self.presence_inc(txn);
                 self.counters.txn_staged += 1;
             }
+        }
+        if txn != NO_TXN {
+            note_txn(&mut self.durable_tags, txn);
         }
         if old.diff != NONE {
             if txn != NO_TXN {
@@ -1560,6 +1583,16 @@ impl Pdl {
         Ok(())
     }
 
+    /// Whether the buffer holds a differential tagged by one of `txns`.
+    pub(crate) fn buffers_tag_of(&self, txns: &[u64]) -> bool {
+        self.dwb.holds_tag_of(txns)
+    }
+
+    /// Whether the open batch has already programmed a tag of `txn`.
+    pub(crate) fn has_durable_tag(&self, txn: u64) -> bool {
+        self.durable_tags.contains(&txn)
+    }
+
     /// Re-prove the oldest live commits — at most [`CARRY_MAX`], and no
     /// more than fit the buffer's free bytes, so this never causes a
     /// flush — as one epoch record built from memory. A proof is carried
@@ -1634,6 +1667,7 @@ impl Pdl {
             }
         }
         self.batch_pins.clear();
+        self.durable_tags.clear();
         self.in_txn_batch = false;
         Ok(())
     }

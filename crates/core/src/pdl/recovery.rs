@@ -858,6 +858,7 @@ impl Pdl {
             deferred: Vec::new(),
             batch_pins: HashSet::new(),
             in_txn_batch: false,
+            durable_tags: Vec::new(),
             batch_failed: None,
             poisoned: tables.poisoned,
             twins: tables.twins,

@@ -19,8 +19,9 @@
 //! `pdl_storage::Database` (buffer hits that never take the store, group
 //! commit). What the shards do buy is overlap: a cross-shard commit batch
 //! issues each phase on every involved shard before draining any, so the
-//! phase costs the slowest shard's simulated flash time, and recovery runs
-//! every shard's read pass and replay on a thread of its own.
+//! phase costs the slowest shard's simulated flash time (one shard may
+//! record in a phase of its own, last), and recovery runs every shard's
+//! read pass and replay on a thread of its own.
 
 use crate::page_store::{
     note_txn, BatchPage, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
@@ -28,6 +29,7 @@ use crate::page_store::{
 use crate::pdl::{read_census, Census};
 use crate::{build_store, error::CoreError, recover_store, Pdl, Result};
 use pdl_flash::{FlashChip, FlashStats};
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
 
@@ -333,6 +335,17 @@ impl ShardedStore {
 
     /// The staged half of a PDL commit batch, every involved shard already
     /// open: pages, roots, one record per involved shard, close.
+    ///
+    /// A stage flush writes a shard's buffered differentials out before
+    /// any record, and a shard skips it unless its buffer holds a tag of a
+    /// *cross-shard* transaction (one recorded on two or more shards; the
+    /// roots' transaction records on shard 0).
+    /// Every other differential rides its shard's record flush, as on one
+    /// chip. One such shard `last` may skip it too, when it already holds
+    /// a programmed tag of every cross-shard transaction it records: it
+    /// records only after every other shard's record has drained, so its
+    /// record page is those transactions' last, and a crash before it
+    /// still finds their tags there without a record (torn).
     fn run_batch(
         &mut self,
         batch: &CommitBatch<'_>,
@@ -342,19 +355,40 @@ impl ShardedStore {
     ) -> Result<()> {
         let staging: Vec<usize> =
             involved.iter().copied().filter(|&s| !pages[s].is_empty()).collect();
+        let mut cross = Vec::new();
+        for (i, t) in txns.iter().flatten().enumerate() {
+            if txns.iter().flatten().skip(i + 1).any(|u| u == t) {
+                note_txn(&mut cross, *t);
+            }
+        }
+        let last = Cell::new(None);
         self.fan_out(&staging, &|s, st| {
             for p in &pages[s] {
                 st.stage_page(p.pid, p.image, p.txn, p.held)?;
+            }
+            if !st.buffers_tag_of(&cross) {
+                return Ok(());
+            }
+            let proven = || txns[s].iter().all(|t| !cross.contains(t) || st.has_durable_tag(*t));
+            if last.get().is_none() && proven() {
+                last.set(Some(s));
+                return Ok(());
             }
             st.flush()
         })?;
         if let Some((r, txn)) = batch.roots {
             self.shards[0].pdl().batch_stage_roots(r, txn)?;
         }
-        self.fan_out(involved, &|s, st| {
+        let last = last.get();
+        let record: &dyn Fn(usize, &mut Pdl) -> Result<()> = &|s, st| {
             st.batch_record(&txns[s])?;
             st.flush()
-        })?;
+        };
+        let first: Vec<usize> = involved.iter().copied().filter(|&s| Some(s) != last).collect();
+        self.fan_out(&first, record)?;
+        if let Some(s) = last {
+            self.fan_out(&[s], record)?;
+        }
         self.fan_out(involved, &|_, st| st.batch_close(true))
     }
 
@@ -402,14 +436,25 @@ impl PageStore for ShardedStore {
     /// The one place a cross-shard commit is sequenced. A shard is
     /// *involved* when it stages pages or (shard 0, which holds the root
     /// log) the structure roots; no other shard is touched. Every involved
-    /// shard is opened before any stages, so a shard that cannot make room
-    /// rejects the batch while nothing needs undoing. Then: stage and flush each shard's pages (durable,
-    /// tagged, invisible after a crash) -> roots -> one commit/epoch record
-    /// per involved shard, proving the transactions that staged there ->
-    /// close. Recovery judges a transaction torn unless *every* shard
-    /// carrying its tags also carries a record, and closing a shard
-    /// destroys the pre-images a torn verdict rolls back to — so no shard
-    /// closes until every shard's record is durable.
+    /// shard is opened before any stages, so a shard that cannot make
+    /// room rejects the batch while nothing needs undoing. Then: stage
+    /// each shard's pages (tagged, invisible after a crash) -> roots ->
+    /// one commit/epoch record per involved shard, proving the
+    /// transactions that staged there -> close.
+    ///
+    /// Recovery judges a transaction torn when some shard carries a live
+    /// tag of it but no record. So before any record lands, every shard a
+    /// transaction staged on must hold a programmed tag of it, and a
+    /// record page that lands before the transaction's last record must
+    /// not carry its differentials (live proofs in that page would keep
+    /// them alive after a crash judged them torn). A shard's buffered
+    /// differentials therefore take a stage flush of their own only when
+    /// one belongs to a transaction recorded on several shards, and one
+    /// such shard skips even that by recording last (see `run_batch`).
+    /// A transaction on one shard commits as on one chip: its
+    /// differentials ride its record flush. Closing a shard destroys the
+    /// pre-images a torn verdict rolls back to, so no shard closes until
+    /// every shard's record is durable.
     fn commit_batch(&mut self, batch: &CommitBatch<'_>) -> std::result::Result<(), CommitError> {
         if let Some(e) = &self.failed {
             return Err(CommitError::Failed(e.clone()));
@@ -557,7 +602,8 @@ impl PageStore for ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdl_flash::FlashConfig;
+    use crate::diff::{Differential, PageRecord};
+    use pdl_flash::{FlashConfig, PageKind, PowerLossJournal, Ppn, SpareInfo};
 
     fn sharded(n: usize, pages: u64) -> ShardedStore {
         ShardedStore::with_uniform_chips(
@@ -682,6 +728,116 @@ mod tests {
     fn chip_access_panics_on_multi_shard() {
         let s = sharded(2, 8);
         let _ = PageStore::chip(&s);
+    }
+
+    /// A two-shard store with every page written and flushed, a journal
+    /// on both chips, and the image every page holds.
+    fn journaled(pages: u64) -> (ShardedStore, PowerLossJournal, Vec<u8>) {
+        let mut s = sharded(2, pages);
+        let page = vec![0x11; s.logical_page_size()];
+        for pid in 0..pages {
+            s.write_page(pid, &page).unwrap();
+        }
+        s.flush().unwrap();
+        let journal = PowerLossJournal::new();
+        (0..2).for_each(|sh| s.shard_mut(sh).chip_mut().attach_journal(&journal));
+        (s, journal, page)
+    }
+
+    /// Commit transaction `txn` writing each `(pid, image)`.
+    fn commit(s: &mut ShardedStore, txn: u64, writes: &[(u64, &[u8])]) {
+        let pages = writes.iter().map(|&(pid, image)| BatchPage::new(pid, image, txn)).collect();
+        s.commit_batch(&CommitBatch { pages, roots: None }).unwrap();
+    }
+
+    /// Every page the journal saw programmed, in program order: its
+    /// shard and, for a differential page, its records (empty for any
+    /// other page).
+    fn page_programs(journal: &PowerLossJournal) -> Vec<(usize, Vec<PageRecord>)> {
+        let images: Vec<Vec<FlashChip>> = journal.images().collect();
+        let mut out = Vec::new();
+        for w in images.windows(2) {
+            for (sh, (before, after)) in w[0].iter().zip(&w[1]).enumerate() {
+                for p in (0..after.num_pages()).map(Ppn) {
+                    let kind =
+                        |chip: &FlashChip| SpareInfo::decode(chip.peek_spare(p)).map(|i| i.kind);
+                    if kind(before) != Some(PageKind::Free) || kind(after) == Some(PageKind::Free) {
+                        continue;
+                    }
+                    let recs = match kind(after) {
+                        Some(PageKind::Diff) => {
+                            Differential::parse_page(after.peek_data(p)).unwrap()
+                        }
+                        _ => Vec::new(),
+                    };
+                    out.push((sh, recs));
+                }
+            }
+        }
+        out
+    }
+
+    /// Whether `recs` hold a differential tagged `txn` / a proof of `txn`.
+    fn tags(recs: &[PageRecord], txn: u64) -> bool {
+        recs.iter().any(|r| matches!(r, PageRecord::Diff(d) if d.txn == txn))
+    }
+    fn proves(recs: &[PageRecord], txn: u64) -> bool {
+        recs.iter().any(|r| match r {
+            PageRecord::Commit(c) => c.txn == txn,
+            PageRecord::Epoch(e) => e.ids().any(|id| id == txn),
+            PageRecord::Diff(_) => false,
+        })
+    }
+
+    #[test]
+    fn a_single_shard_transaction_programs_one_page() {
+        let (mut s, journal, page) = journaled(8);
+        let mut p = page.clone();
+        p[3..7].fill(0xEE);
+        commit(&mut s, 5, &[(0, &p), (2, &p)]);
+        let programs = page_programs(&journal);
+        assert_eq!(programs.len(), 1, "one page: the record with both differentials");
+        let (shard, recs) = &programs[0];
+        assert_eq!(*shard, 0);
+        assert!(tags(recs, 5) && proves(recs, 5));
+    }
+
+    #[test]
+    fn the_shard_with_a_programmed_tag_records_last_with_its_differential() {
+        let (mut s, journal, page) = journaled(8);
+        let mut small = page.clone();
+        small[3..7].fill(0xEE);
+        let whole = vec![0x22; page.len()];
+        // Shard 0: a differential. Shard 1: a Case-3 base (a programmed
+        // tag) and a differential.
+        commit(&mut s, 5, &[(0, &small), (1, &whole), (3, &small)]);
+        let programs = page_programs(&journal);
+        let shards: Vec<usize> = programs.iter().map(|(sh, _)| *sh).collect();
+        // Shard 0's stage flush, shard 1's base, then the records.
+        assert_eq!(shards, [0, 1, 0, 1]);
+        assert!(tags(&programs[0].1, 5) && !proves(&programs[0].1, 5), "shard 0's stage page");
+        assert!(programs[1].1.is_empty(), "shard 1's Case-3 base");
+        assert!(!tags(&programs[2].1, 5) && proves(&programs[2].1, 5), "shard 0's record");
+        assert!(tags(&programs[3].1, 5) && proves(&programs[3].1, 5), "shard 1's record, last");
+        let mut out = vec![0u8; page.len()];
+        for (pid, want) in [(0, &small), (1, &whole), (3, &small)] {
+            s.read_page(pid, &mut out).unwrap();
+            assert_eq!(&out, want, "pid {pid}");
+        }
+    }
+
+    #[test]
+    fn without_a_programmed_tag_every_shard_flushes_before_any_record() {
+        let (mut s, journal, page) = journaled(8);
+        let mut small = page.clone();
+        small[3..7].fill(0xEE);
+        commit(&mut s, 5, &[(0, &small), (1, &small)]);
+        let programs = page_programs(&journal);
+        let shards: Vec<usize> = programs.iter().map(|(sh, _)| *sh).collect();
+        assert_eq!(shards, [0, 1, 0, 1]);
+        for (i, (_, recs)) in programs.iter().enumerate() {
+            assert_eq!((tags(recs, 5), proves(recs, 5)), (i < 2, i >= 2), "program {i}");
+        }
     }
 
     #[test]

@@ -26,12 +26,16 @@
 //! program but the obsolete marks of torn pages. One test keeps the
 //! journal honest: its images equal `arm_fault`'s, point for point.
 
+use pdl_core::diff::{Differential, PageRecord};
 use pdl_core::{
     build_store, is_power_loss, recover_store, BatchPage, CommitBatch, GcPolicy, MethodKind,
     PageStore, Pdl, ShardedStore, StoreOptions,
 };
-use pdl_flash::{FlashChip, FlashConfig, FlashGeometry, OpCounts, PowerLossJournal};
+use pdl_flash::{
+    FlashChip, FlashConfig, FlashGeometry, OpCounts, PageKind, PowerLossJournal, Ppn, SpareInfo,
+};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 const PAGES: u64 = 24;
 const PDL: MethodKind = MethodKind::Pdl { max_diff_size: 64 };
@@ -383,13 +387,63 @@ fn two_shard_rig(config: FlashConfig, opts: StoreOptions) -> Rig<ShardedStore> {
     }
 }
 
+/// The records of every differential page on `chip` not marked
+/// obsolete.
+fn diff_pages(chip: &FlashChip) -> impl Iterator<Item = Vec<PageRecord>> + '_ {
+    (0..chip.num_pages()).map(Ppn).filter_map(|p| {
+        let info = SpareInfo::decode(chip.peek_spare(p))?;
+        if info.kind != PageKind::Diff || info.obsolete {
+            return None;
+        }
+        Differential::parse_page(chip.peek_data(p)).ok()
+    })
+}
+
+/// The transactions `recs` prove committed.
+fn proven(recs: &[PageRecord]) -> HashSet<u64> {
+    let mut ids = HashSet::new();
+    for r in recs {
+        match r {
+            PageRecord::Commit(c) => {
+                ids.insert(c.txn);
+            }
+            PageRecord::Epoch(e) => ids.extend(e.ids()),
+            PageRecord::Diff(_) => {}
+        }
+    }
+    ids
+}
+
+/// The transactions tagging a differential in `recs`.
+fn tagged(recs: &[PageRecord]) -> impl Iterator<Item = u64> + '_ {
+    recs.iter().filter_map(|r| match r {
+        PageRecord::Diff(d) => Some(d.txn),
+        _ => None,
+    })
+}
+
 /// Recover the crash image `chips` and check what recovery wrote: no
 /// erase, and no program unless a transaction is torn — then at most one
 /// obsolete mark per page carrying a torn tag or commit proof. A second
 /// recovery of the same image must rebuild the same tables with the same
 /// reads.
+///
+/// Before that, the image itself: no page may hold a commit proof beside
+/// a differential of a torn transaction. A record page that lands before
+/// a transaction's last record must not carry its differentials — live
+/// proofs would keep that page alive past the recovery that judged them
+/// torn.
 fn recover_checked<S: PageStore>(rig: &Rig<S>, chips: Vec<FlashChip>, at: &str) -> S {
     let (torn, torn_pages) = ShardedStore::torn_pages(&chips, &rig.opts).unwrap();
+    for (c, chip) in chips.iter().enumerate() {
+        for recs in diff_pages(chip) {
+            let torn_tag = tagged(&recs).find(|t| torn.contains(t));
+            assert!(
+                torn_tag.is_none() || proven(&recs).is_empty(),
+                "{at}: chip {c} holds a proof beside a differential of torn txn {torn_tag:?}"
+            );
+        }
+    }
     let before = chips.iter().fold(OpCounts::default(), |sum, c| sum + c.stats().recovery);
     let twin = (rig.recover)(chips.clone(), rig.opts);
     let store = (rig.recover)(chips, rig.opts);
@@ -528,6 +582,45 @@ fn exhaustive_crash_sweep_epoch_commits() {
         let epochs = counter(store, "epoch_commits");
         assert!(epochs >= batches, "every batch must have landed an epoch record ({epochs})");
     });
+}
+
+/// The commit-record sweep on two shards, a transaction per batch: most
+/// transactions record on both shards, and a shard already holding a
+/// programmed tag of one (a Case-3 base) records last with its
+/// differentials in the record page instead of a stage flush of their own.
+fn txn_sweep_two_shards(power: Power) {
+    let w = Commits::new(txn_script(48), 1);
+    let rig = two_shard_rig(FlashConfig::tiny(), opts(PAGES, 10));
+    // Transaction `k` is id `k + 1`; it spans both shards when its pages
+    // have both parities.
+    let cross: HashSet<u64> = (1..)
+        .zip(&w.txns)
+        .filter(|(_, pages)| pages.iter().any(|p| p.0 % 2 == 1))
+        .map(|(id, _)| id)
+        .collect();
+    commit_sweep(&rig, &w, power, |store| {
+        assert!(store.stats().gc.total_ops() > 0, "the txn workload must garbage-collect");
+        // The skipped stage flush shows on flash: a record page proving a
+        // cross-shard transaction beside that transaction's differential.
+        let mut skipped = 0;
+        store.for_each_chip(&mut |chip| {
+            for recs in diff_pages(chip) {
+                let proof = proven(&recs);
+                skipped += tagged(&recs).filter(|t| cross.contains(t) && proof.contains(t)).count();
+            }
+        });
+        assert!(skipped > 0, "no cross-shard differential rode its record flush");
+    });
+}
+
+#[test]
+fn exhaustive_crash_sweep_txn_commits_two_shards() {
+    txn_sweep_two_shards(Power::PerChip);
+}
+
+#[test]
+fn exhaustive_crash_sweep_txn_commits_two_shards_whole_device() {
+    txn_sweep_two_shards(Power::WholeDevice);
 }
 
 /// The carry sweeps' chip: the tiny geometry with 24 blocks, room for
