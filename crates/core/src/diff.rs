@@ -12,32 +12,30 @@
 //! **Codec v2** extends the v1 layout with a record-kind byte and two
 //! transactional additions (the `pdl-txn` subsystem): every differential
 //! carries the id of the transaction that produced it, and a second
-//! record type — the *commit record* — makes a transaction's
+//! record type — the *proof record* — makes a transaction's
 //! differentials durable atomically: recovery discards differentials
-//! whose transaction left no commit record behind (aborted, or torn by a
-//! crash mid-commit).
+//! whose transaction left no proof behind (aborted, or torn by a crash
+//! mid-commit).
 //!
-//! **Codec v3** adds the *epoch record*: one record proving the durable
-//! commit of a whole batch of transactions, encoded as explicit inclusive
-//! txn-id ranges. Group commit appends one epoch record per batch instead
-//! of one commit record per transaction, and GC compaction coalesces
-//! surviving commit records into epoch records, so long-lived committed
-//! tags stop littering every compaction pass. The ranges are built only
-//! from ids whose commit is being proven — never a blanket claim over an
-//! id interval — so a torn transaction whose id happens to fall between
-//! two committed ids is never falsely proven committed.
+//! **Codec v3** proves commits with the *epoch record*: explicit
+//! inclusive txn-id ranges, so one record proves a whole group-commit
+//! batch, the live proofs a record flush carries forward, and the proofs
+//! GC compaction coalesces. The ranges are built only from ids whose
+//! commit is being proven — never a blanket claim over an id interval —
+//! so a torn transaction whose id happens to fall between two committed
+//! ids is never falsely proven committed. It is the one proof record:
+//! v2's single-id commit record (kind `0x02`) is gone, and its kind byte
+//! no longer decodes.
 //!
 //! ```text
 //! record := body_len : u16 LE    (length of everything after this field)
-//!           kind     : u8        (0x01 differential, 0x02 commit record,
-//!                                 0x03 epoch record)
+//!           kind     : u8        (0x01 differential, 0x03 epoch record)
 //! diff   := pid      : u64 LE    (logical page the differential belongs to)
 //!           ts       : u64 LE    (creation time stamp)
 //!           txn      : u64 LE    (owning transaction; NO_TXN = none)
 //!           run_count: u16 LE
 //!           runs     : run*
 //! run    := offset : u16 LE, len : u16 LE, bytes[len]
-//! commit := txn : u64 LE, ts : u64 LE
 //! epoch  := ts : u64 LE, n_ranges : u16 LE, (lo u64, hi u64)*  (inclusive)
 //! ```
 //!
@@ -53,7 +51,6 @@ use crate::Result;
 pub use pdl_flash::NO_TXN;
 
 const KIND_DIFF: u8 = 0x01;
-const KIND_COMMIT: u8 = 0x02;
 const KIND_EPOCH: u8 = 0x03;
 
 /// A contiguous changed byte range.
@@ -83,36 +80,11 @@ pub struct Differential {
     pub runs: Vec<DiffRun>,
 }
 
-/// A transaction commit record: its durable presence in the differential
-/// stream is the commit point that makes every differential (and Case-3
-/// base page) tagged with `txn` valid.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CommitRecord {
-    pub txn: u64,
-    pub ts: u64,
-}
-
-impl CommitRecord {
-    /// Total encoded size, including the length prefix and kind byte.
-    pub const ENCODED_LEN: usize = 2 + 1 + 8 + 8;
-
-    /// Encode into `out` (must hold at least [`Self::ENCODED_LEN`] bytes).
-    pub fn encode(&self, out: &mut [u8]) -> Result<usize> {
-        if out.len() < Self::ENCODED_LEN {
-            return Err(CoreError::BadPageSize { expected: Self::ENCODED_LEN, got: out.len() });
-        }
-        out[0..2].copy_from_slice(&((Self::ENCODED_LEN - 2) as u16).to_le_bytes());
-        out[2] = KIND_COMMIT;
-        out[3..11].copy_from_slice(&self.txn.to_le_bytes());
-        out[11..19].copy_from_slice(&self.ts.to_le_bytes());
-        Ok(Self::ENCODED_LEN)
-    }
-}
-
-/// An epoch record: proves the durable commit of every transaction id
-/// inside its inclusive ranges, exactly as if each had its own
-/// [`CommitRecord`]. Ranges are built from explicitly enumerated
-/// committed ids, so membership is an exact commit proof.
+/// An epoch record, the one proof record: proves the durable commit of
+/// every transaction id inside its inclusive ranges — the tagged
+/// differentials and base pages of those transactions are valid. Ranges
+/// are built from explicitly enumerated committed ids, so membership is an
+/// exact commit proof.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EpochRecord {
     pub ts: u64,
@@ -207,7 +179,6 @@ impl EpochRecord {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PageRecord {
     Diff(Differential),
-    Commit(CommitRecord),
     Epoch(EpochRecord),
 }
 
@@ -337,98 +308,10 @@ impl Differential {
     /// Decode one record starting at `bytes[0]`. Returns the record and
     /// its encoded length, or `None` at a terminator (erased space).
     pub fn decode(bytes: &[u8]) -> Result<Option<(PageRecord, usize)>> {
-        if bytes.len() < 3 {
-            return Ok(None);
-        }
-        let body_len = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        if body_len == 0xFFFF {
-            return Ok(None); // erased space: no more records
-        }
-        if bytes.len() < 2 + body_len || body_len < 1 {
-            return Err(CoreError::Corruption(format!(
-                "differential record body of {body_len} bytes does not fit"
-            )));
-        }
-        let end = 2 + body_len;
-        match bytes[2] {
-            KIND_COMMIT => {
-                if body_len != CommitRecord::ENCODED_LEN - 2 {
-                    return Err(CoreError::Corruption(format!(
-                        "commit record body of {body_len} bytes has the wrong size"
-                    )));
-                }
-                let txn = u64::from_le_bytes(bytes[3..11].try_into().unwrap());
-                let ts = u64::from_le_bytes(bytes[11..19].try_into().unwrap());
-                Ok(Some((PageRecord::Commit(CommitRecord { txn, ts }), end)))
-            }
-            KIND_EPOCH => {
-                if body_len < EPOCH_HEADER - 2 {
-                    return Err(CoreError::Corruption(format!(
-                        "epoch record body of {body_len} bytes is truncated"
-                    )));
-                }
-                let ts = u64::from_le_bytes(bytes[3..11].try_into().unwrap());
-                let n_ranges = u16::from_le_bytes(bytes[11..13].try_into().unwrap()) as usize;
-                if body_len != EPOCH_HEADER - 2 + 16 * n_ranges {
-                    return Err(CoreError::Corruption(format!(
-                        "epoch record body of {body_len} bytes does not match {n_ranges} ranges"
-                    )));
-                }
-                let mut ranges = Vec::with_capacity(n_ranges);
-                let mut at = EPOCH_HEADER;
-                for _ in 0..n_ranges {
-                    let lo = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-                    let hi = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap());
-                    if lo > hi {
-                        return Err(CoreError::Corruption(format!(
-                            "epoch record range {lo}..{hi} is inverted"
-                        )));
-                    }
-                    ranges.push((lo, hi));
-                    at += 16;
-                }
-                Ok(Some((PageRecord::Epoch(EpochRecord { ts, ranges }), end)))
-            }
-            KIND_DIFF => {
-                if body_len < RECORD_HEADER - 2 {
-                    return Err(CoreError::Corruption(format!(
-                        "differential record body of {body_len} bytes is truncated"
-                    )));
-                }
-                let pid = u64::from_le_bytes(bytes[3..11].try_into().unwrap());
-                let ts = u64::from_le_bytes(bytes[11..19].try_into().unwrap());
-                let txn = u64::from_le_bytes(bytes[19..27].try_into().unwrap());
-                let run_count = u16::from_le_bytes(bytes[27..29].try_into().unwrap()) as usize;
-                let mut runs = Vec::with_capacity(run_count);
-                let mut at = RECORD_HEADER;
-                for _ in 0..run_count {
-                    if at + 4 > end {
-                        return Err(CoreError::Corruption(
-                            "differential run header truncated".into(),
-                        ));
-                    }
-                    let offset = u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap()) as u32;
-                    let len =
-                        u16::from_le_bytes(bytes[at + 2..at + 4].try_into().unwrap()) as usize;
-                    if at + 4 + len > end {
-                        return Err(CoreError::Corruption(
-                            "differential run payload truncated".into(),
-                        ));
-                    }
-                    runs.push(DiffRun { offset, bytes: bytes[at + 4..at + 4 + len].to_vec() });
-                    at += 4 + len;
-                }
-                if at != end {
-                    return Err(CoreError::Corruption(
-                        "differential record has trailing bytes".into(),
-                    ));
-                }
-                Ok(Some((PageRecord::Diff(Differential { pid, ts, txn, runs }), end)))
-            }
-            other => {
-                Err(CoreError::Corruption(format!("unknown differential record kind {other:#x}")))
-            }
-        }
+        let mut frames = Frames { data: bytes, at: 0 };
+        let Some(frame) = frames.next() else { return Ok(None) };
+        let (kind, body) = frame?;
+        Ok(Some((decode_record(kind, body)?, frames.at)))
     }
 
     /// Find the differential for `pid` in a differential page's data area
@@ -436,46 +319,125 @@ impl Differential {
     /// whose kind or pid does not match are skipped by their length
     /// prefix.
     pub fn find_in_page(data: &[u8], pid: u64) -> Result<Option<Differential>> {
-        let mut at = 0;
-        while at + 3 <= data.len() {
-            let body_len = u16::from_le_bytes([data[at], data[at + 1]]) as usize;
-            if body_len == 0xFFFF {
-                break; // erased space
+        for frame in (Frames { data, at: 0 }) {
+            let (kind, body) = frame?;
+            if kind == KIND_DIFF && body.get(..8) == Some(&pid.to_le_bytes()[..]) {
+                return decode_diff(body).map(Some);
             }
-            if at + 2 + body_len > data.len() || body_len < 1 {
-                return Err(CoreError::Corruption(format!(
-                    "differential record body of {body_len} bytes does not fit"
-                )));
-            }
-            if data[at + 2] == KIND_DIFF && body_len >= RECORD_HEADER - 2 {
-                let rec_pid = u64::from_le_bytes(data[at + 3..at + 11].try_into().unwrap());
-                if rec_pid == pid {
-                    return Ok(match Differential::decode(&data[at..])? {
-                        Some((PageRecord::Diff(d), _)) => Some(d),
-                        _ => None,
-                    });
-                }
-            }
-            at += 2 + body_len;
         }
         Ok(None)
     }
 
     /// Parse every record in a differential page's data area.
     pub fn parse_page(data: &[u8]) -> Result<Vec<PageRecord>> {
-        let mut out = Vec::new();
-        let mut at = 0;
-        while at < data.len() {
-            match Differential::decode(&data[at..])? {
-                Some((rec, used)) => {
-                    out.push(rec);
-                    at += used;
-                }
-                None => break,
-            }
-        }
-        Ok(out)
+        Frames { data, at: 0 }.map(|frame| frame.and_then(|(k, body)| decode_record(k, body))).collect()
     }
+}
+
+/// The framing walk over a differential page's data area, shared by every
+/// reader: each item is one record's kind byte and its body (what follows
+/// the kind byte). The walk ends at erased space — a `0xFFFF` length, or
+/// fewer than three bytes left — and after the one error it yields for a
+/// length that does not fit the area.
+struct Frames<'a> {
+    data: &'a [u8],
+    /// Offset of the next record's length prefix.
+    at: usize,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Result<(u8, &'a [u8])>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = &self.data[self.at.min(self.data.len())..];
+        if rest.len() < 3 {
+            return None;
+        }
+        let body_len = u16::from_le_bytes([rest[0], rest[1]]) as usize;
+        if body_len == 0xFFFF {
+            return None; // erased space: no more records
+        }
+        if body_len < 1 || 2 + body_len > rest.len() {
+            self.at = self.data.len();
+            return Some(Err(CoreError::Corruption(format!(
+                "differential record body of {body_len} bytes does not fit"
+            ))));
+        }
+        self.at += 2 + body_len;
+        Some(Ok((rest[2], &rest[3..2 + body_len])))
+    }
+}
+
+fn u64_at(body: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"))
+}
+
+fn u16_at(body: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes(body[at..at + 2].try_into().expect("2 bytes"))
+}
+
+/// Decode one framed record (`body` follows the kind byte).
+fn decode_record(kind: u8, body: &[u8]) -> Result<PageRecord> {
+    match kind {
+        KIND_DIFF => decode_diff(body).map(PageRecord::Diff),
+        KIND_EPOCH => decode_epoch(body).map(PageRecord::Epoch),
+        other => Err(CoreError::Corruption(format!("unknown differential record kind {other:#x}"))),
+    }
+}
+
+fn decode_diff(body: &[u8]) -> Result<Differential> {
+    if body.len() < RECORD_HEADER - 3 {
+        return Err(CoreError::Corruption(format!(
+            "differential record body of {} bytes is truncated",
+            body.len() + 1
+        )));
+    }
+    let (pid, ts, txn) = (u64_at(body, 0), u64_at(body, 8), u64_at(body, 16));
+    let run_count = u16_at(body, 24) as usize;
+    let mut runs = Vec::with_capacity(run_count);
+    let mut at = RECORD_HEADER - 3;
+    for _ in 0..run_count {
+        if at + 4 > body.len() {
+            return Err(CoreError::Corruption("differential run header truncated".into()));
+        }
+        let offset = u16_at(body, at) as u32;
+        let len = u16_at(body, at + 2) as usize;
+        if at + 4 + len > body.len() {
+            return Err(CoreError::Corruption("differential run payload truncated".into()));
+        }
+        runs.push(DiffRun { offset, bytes: body[at + 4..at + 4 + len].to_vec() });
+        at += 4 + len;
+    }
+    if at != body.len() {
+        return Err(CoreError::Corruption("differential record has trailing bytes".into()));
+    }
+    Ok(Differential { pid, ts, txn, runs })
+}
+
+fn decode_epoch(body: &[u8]) -> Result<EpochRecord> {
+    if body.len() < EPOCH_HEADER - 3 {
+        return Err(CoreError::Corruption(format!(
+            "epoch record body of {} bytes is truncated",
+            body.len() + 1
+        )));
+    }
+    let ts = u64_at(body, 0);
+    let n_ranges = u16_at(body, 8) as usize;
+    if body.len() != EPOCH_HEADER - 3 + 16 * n_ranges {
+        return Err(CoreError::Corruption(format!(
+            "epoch record body of {} bytes does not match {n_ranges} ranges",
+            body.len() + 1
+        )));
+    }
+    let mut ranges = Vec::with_capacity(n_ranges);
+    for at in (EPOCH_HEADER - 3..body.len()).step_by(16) {
+        let (lo, hi) = (u64_at(body, at), u64_at(body, at + 8));
+        if lo > hi {
+            return Err(CoreError::Corruption(format!("epoch record range {lo}..{hi} is inverted")));
+        }
+        ranges.push((lo, hi));
+    }
+    Ok(EpochRecord { ts, ranges })
 }
 
 /// The changed runs `[start, end)` of `new` against `base` (equal
@@ -659,17 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_record_round_trips() {
-        let c = CommitRecord { txn: 0xAB, ts: 1234 };
-        let mut buf = vec![0xFFu8; 64];
-        let n = c.encode(&mut buf).unwrap();
-        assert_eq!(n, CommitRecord::ENCODED_LEN);
-        let (back, used) = Differential::decode(&buf).unwrap().unwrap();
-        assert_eq!(used, n);
-        assert_eq!(back, PageRecord::Commit(c));
-    }
-
-    #[test]
     fn epoch_record_round_trips() {
         let e = EpochRecord::from_ids(77, &[5, 3, 4, 9, 3, 12, 13]);
         assert_eq!(e.ranges, vec![(3, 5), (9, 9), (12, 13)]);
@@ -722,17 +673,17 @@ mod tests {
         new2[50..60].fill(2);
         let d1 = Differential::compute(1, 10, &base, &new1, 8).with_txn(5);
         let d2 = Differential::compute(2, 11, &base, &new2, 8);
-        let c = CommitRecord { txn: 5, ts: 12 };
+        let e = EpochRecord::from_ids(12, &[5]);
         let mut page = vec![0xFFu8; 512];
         let n1 = d1.encode(&mut page).unwrap();
         let n2 = d2.encode(&mut page[n1..]).unwrap();
-        let _n3 = c.encode(&mut page[n1 + n2..]).unwrap();
+        let _n3 = e.encode(&mut page[n1 + n2..]).unwrap();
         let parsed = Differential::parse_page(&page).unwrap();
         assert_eq!(
             parsed,
-            vec![PageRecord::Diff(d1.clone()), PageRecord::Diff(d2.clone()), PageRecord::Commit(c)]
+            vec![PageRecord::Diff(d1.clone()), PageRecord::Diff(d2.clone()), PageRecord::Epoch(e)]
         );
-        // find_in_page skips the commit record and the foreign pid.
+        // find_in_page skips the proof record and the foreign pid.
         assert_eq!(Differential::find_in_page(&page, 2).unwrap(), Some(d2));
         assert_eq!(Differential::find_in_page(&page, 9).unwrap(), None);
     }
@@ -752,10 +703,14 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_kinds() {
-        let mut buf = vec![0xFFu8; 32];
-        buf[0..2].copy_from_slice(&8u16.to_le_bytes());
-        buf[2] = 0x7E; // no such record kind
-        assert!(Differential::decode(&buf).is_err());
+        // 0x02 was the single-id commit record of codec v2.
+        for kind in [0x02, 0x7E] {
+            let mut buf = vec![0xFFu8; 32];
+            buf[0..2].copy_from_slice(&17u16.to_le_bytes());
+            buf[2] = kind;
+            assert!(Differential::decode(&buf).is_err(), "kind {kind:#x}");
+            assert!(Differential::parse_page(&buf).is_err(), "kind {kind:#x}");
+        }
     }
 
     #[test]

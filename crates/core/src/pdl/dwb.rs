@@ -6,44 +6,27 @@
 //! of a single page, and thus, the memory usage is negligible."
 //!
 //! The buffer holds decoded [`Differential`]s — plus, in the `pdl-txn`
-//! extension, [`CommitRecord`]s — and a running account of their encoded
-//! size; at flush time they are serialised back-to-back into one
-//! differential-page image. At most one differential per logical page is
-//! ever buffered (staging a new one first removes the old one —
-//! Figure 7, Step 3). Commit records are appended *after* the
-//! differentials they cover, so a transaction whose records all fit one
-//! page commits atomically with the page program.
+//! extension, the [`EpochRecord`]s proving commits — and a running
+//! account of their encoded size; at flush time they are serialised
+//! back-to-back into one differential-page image. At most one
+//! differential per logical page is ever buffered (staging a new one
+//! first removes the old one — Figure 7, Step 3). Proof records are
+//! written *after* every differential, so a transaction whose records all
+//! fit one page commits atomically with the page program.
 
-use crate::diff::{CommitRecord, Differential, EpochRecord};
-
-/// One buffered record.
-#[derive(Debug)]
-pub(crate) enum DwbEntry {
-    Diff(Differential),
-    Commit(CommitRecord),
-    Epoch(EpochRecord),
-}
-
-impl DwbEntry {
-    fn encoded_len(&self) -> usize {
-        match self {
-            DwbEntry::Diff(d) => d.encoded_len(),
-            DwbEntry::Commit(_) => CommitRecord::ENCODED_LEN,
-            DwbEntry::Epoch(e) => e.encoded_len(),
-        }
-    }
-}
+use crate::diff::{Differential, EpochRecord};
 
 #[derive(Debug)]
 pub(crate) struct DiffWriteBuffer {
     capacity: usize,
     used: usize,
-    entries: Vec<DwbEntry>,
+    diffs: Vec<Differential>,
+    proofs: Vec<EpochRecord>,
 }
 
 impl DiffWriteBuffer {
     pub fn new(capacity: usize) -> DiffWriteBuffer {
-        DiffWriteBuffer { capacity, used: 0, entries: Vec::new() }
+        DiffWriteBuffer { capacity, used: 0, diffs: Vec::new(), proofs: Vec::new() }
     }
 
     pub fn capacity(&self) -> usize {
@@ -57,37 +40,30 @@ impl DiffWriteBuffer {
     /// Number of staged records (diagnostics).
     #[allow(dead_code)]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.diffs.len() + self.proofs.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.diffs.is_empty() && self.proofs.is_empty()
     }
 
     /// The buffered differential for `pid`, if any (the read path checks
     /// here before going to flash — Figure 9, Step 2).
     pub fn get(&self, pid: u64) -> Option<&Differential> {
-        self.entries.iter().find_map(|e| match e {
-            DwbEntry::Diff(d) if d.pid == pid => Some(d),
-            _ => None,
-        })
+        self.diffs.iter().find(|d| d.pid == pid)
     }
 
     /// Whether a buffered differential is tagged by one of `txns`.
     pub fn holds_tag_of(&self, txns: &[u64]) -> bool {
-        self.entries.iter().any(|e| matches!(e, DwbEntry::Diff(d) if txns.contains(&d.txn)))
+        self.diffs.iter().any(|d| txns.contains(&d.txn))
     }
 
     /// Remove and return the buffered differential for `pid`.
     pub fn remove(&mut self, pid: u64) -> Option<Differential> {
-        let idx =
-            self.entries.iter().position(|e| matches!(e, DwbEntry::Diff(d) if d.pid == pid))?;
-        let e = self.entries.swap_remove(idx);
-        self.used -= e.encoded_len();
-        match e {
-            DwbEntry::Diff(d) => Some(d),
-            _ => unreachable!("position matched a differential"),
-        }
+        let idx = self.diffs.iter().position(|d| d.pid == pid)?;
+        let d = self.diffs.swap_remove(idx);
+        self.used -= d.encoded_len();
+        Some(d)
     }
 
     /// Stage a differential. The caller must have established that it fits
@@ -97,58 +73,37 @@ impl DiffWriteBuffer {
         debug_assert!(d.encoded_len() <= self.free_space(), "dwb overflow");
         debug_assert!(self.get(d.pid).is_none(), "duplicate pid in dwb");
         self.used += d.encoded_len();
-        self.entries.push(DwbEntry::Diff(d));
+        self.diffs.push(d);
     }
 
-    /// Stage a commit record. The caller must have established that it
+    /// Stage a proof record. The caller must have established that it
     /// fits.
-    pub fn push_commit(&mut self, c: CommitRecord) {
-        debug_assert!(CommitRecord::ENCODED_LEN <= self.free_space(), "dwb overflow");
-        self.used += CommitRecord::ENCODED_LEN;
-        self.entries.push(DwbEntry::Commit(c));
-    }
-
-    /// Stage an epoch record (codec v3: one record proving a whole
-    /// batch's commits). The caller must have established that it fits.
-    pub fn push_epoch(&mut self, e: EpochRecord) {
+    pub fn push_proof(&mut self, e: EpochRecord) {
         debug_assert!(e.encoded_len() <= self.free_space(), "dwb overflow");
         self.used += e.encoded_len();
-        self.entries.push(DwbEntry::Epoch(e));
+        self.proofs.push(e);
     }
 
-    /// Drain every entry (flush), leaving the buffer empty.
-    pub fn drain(&mut self) -> Vec<DwbEntry> {
+    /// Drain every differential and proof record (flush), leaving the
+    /// buffer empty.
+    pub fn drain(&mut self) -> (Vec<Differential>, Vec<EpochRecord>) {
         self.used = 0;
-        std::mem::take(&mut self.entries)
+        (std::mem::take(&mut self.diffs), std::mem::take(&mut self.proofs))
     }
 
     /// Serialise all entries into a differential-page image (erased bytes
     /// beyond the records). `out` must be exactly `capacity` bytes.
-    /// Differentials are written before commit records, preserving the
-    /// "commit record follows its differentials" order within the page.
+    /// Differentials are written before proof records, preserving the
+    /// "proof follows its differentials" order within the page.
     pub fn serialize_into(&self, out: &mut [u8]) {
         debug_assert_eq!(out.len(), self.capacity);
         out.fill(0xFF);
         let mut at = 0;
-        for e in &self.entries {
-            if let DwbEntry::Diff(d) = e {
-                let n = d.encode(&mut out[at..]).expect("dwb accounting guarantees fit");
-                at += n;
-            }
+        for d in &self.diffs {
+            at += d.encode(&mut out[at..]).expect("dwb accounting guarantees fit");
         }
-        for e in &self.entries {
-            if let DwbEntry::Commit(c) = e {
-                let n = c.encode(&mut out[at..]).expect("dwb accounting guarantees fit");
-                at += n;
-            }
-        }
-        // Epoch records last: like commit records, they must follow every
-        // differential they prove within the page.
-        for e in &self.entries {
-            if let DwbEntry::Epoch(ep) = e {
-                let n = ep.encode(&mut out[at..]).expect("dwb accounting guarantees fit");
-                at += n;
-            }
+        for e in &self.proofs {
+            at += e.encode(&mut out[at..]).expect("dwb accounting guarantees fit");
         }
     }
 }
@@ -157,6 +112,7 @@ impl DiffWriteBuffer {
 mod tests {
     use super::*;
     use crate::diff::{DiffRun, PageRecord};
+    use proptest::prelude::*;
 
     fn diff(pid: u64, payload: usize) -> Differential {
         Differential {
@@ -186,7 +142,7 @@ mod tests {
         let mut b = DiffWriteBuffer::new(1024);
         b.push(diff(1, 4));
         b.push(diff(2, 4));
-        b.push_commit(CommitRecord { txn: 9, ts: 1 });
+        b.push_proof(EpochRecord::from_ids(1, &[9]));
         assert_eq!(b.get(2).unwrap().pid, 2);
         assert!(b.get(3).is_none());
         assert_eq!(b.remove(1).unwrap().pid, 1);
@@ -195,35 +151,81 @@ mod tests {
     }
 
     #[test]
-    fn serialize_then_parse_round_trips() {
-        let mut b = DiffWriteBuffer::new(512);
-        b.push(diff(10, 16));
-        b.push_commit(CommitRecord { txn: 3, ts: 7 });
-        b.push(diff(11, 32));
-        let mut img = vec![0u8; 512];
-        b.serialize_into(&mut img);
-        let parsed = Differential::parse_page(&img).unwrap();
-        assert_eq!(parsed.len(), 3);
-        let pids: Vec<u64> = parsed
-            .iter()
-            .filter_map(|r| match r {
-                PageRecord::Diff(d) => Some(d.pid),
-                _ => None,
-            })
-            .collect();
-        assert!(pids.contains(&10) && pids.contains(&11));
-        // Commit records serialise after every differential.
-        assert!(matches!(parsed.last(), Some(PageRecord::Commit(c)) if c.txn == 3));
-    }
-
-    #[test]
     fn drain_empties_buffer() {
         let mut b = DiffWriteBuffer::new(512);
         b.push(diff(1, 8));
         b.push(diff(2, 8));
-        let all = b.drain();
-        assert_eq!(all.len(), 2);
+        let (diffs, proofs) = b.drain();
+        assert_eq!((diffs.len(), proofs.len()), (2, 0));
         assert!(b.is_empty());
         assert_eq!(b.free_space(), 512);
+    }
+
+    /// One staged record: a differential of `pid` (runs at word
+    /// offsets, `txn` 0 standing for none) or a proof of the ids
+    /// `lo..lo + n` with every `stride`-th one left out.
+    type Rec = (bool, u64, u64, (u16, u16, u16));
+
+    fn stage(b: &mut DiffWriteBuffer, (is_diff, pid, txn, (a, n, stride)): Rec) {
+        if is_diff {
+            if b.get(pid).is_some() {
+                return;
+            }
+            let runs = (0..a % 4)
+                .map(|r| DiffRun { offset: u32::from(r) * 64, bytes: vec![r as u8; usize::from(n % 40)] })
+                .collect();
+            let txn = if txn == 0 { pdl_flash::NO_TXN } else { txn };
+            let d = Differential { pid, ts: u64::from(a), txn, runs };
+            if d.encoded_len() <= b.free_space() {
+                b.push(d);
+            }
+        } else {
+            let stride = u64::from(stride % 5) + 2;
+            let ids: Vec<u64> = (txn..txn + u64::from(n % 40)).filter(|id| id % stride != 0).collect();
+            let e = EpochRecord::from_ids(u64::from(a), &ids);
+            if e.encoded_len() <= b.free_space() {
+                b.push_proof(e);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random mixes of differentials and proof records come back
+        /// from the page image exactly — differentials first, in buffer
+        /// order, then the proofs; `find_in_page` agrees with
+        /// `parse_page` for every pid; and every truncated prefix of the
+        /// image parses to an error or to a prefix of the records, never
+        /// a panic.
+        #[test]
+        fn serialize_then_parse_round_trips(
+            capacity in 64usize..=1024,
+            recs in proptest::collection::vec(
+                (any::<bool>(), 0u64..12, 0u64..1000, (any::<u16>(), any::<u16>(), any::<u16>())),
+                0..24),
+        ) {
+            let mut b = DiffWriteBuffer::new(capacity);
+            for rec in recs {
+                stage(&mut b, rec);
+            }
+            let mut img = vec![0u8; capacity];
+            b.serialize_into(&mut img);
+            let parsed = Differential::parse_page(&img).unwrap();
+            let want: Vec<PageRecord> = b.diffs.iter().cloned().map(PageRecord::Diff)
+                .chain(b.proofs.iter().cloned().map(PageRecord::Epoch))
+                .collect();
+            prop_assert_eq!(&parsed, &want);
+            for pid in 0..13u64 {
+                let found = Differential::find_in_page(&img, pid).unwrap();
+                prop_assert_eq!(found.as_ref(), b.get(pid));
+            }
+            for cut in 0..capacity {
+                if let Ok(prefix) = Differential::parse_page(&img[..cut]) {
+                    prop_assert_eq!(&prefix[..], &want[..prefix.len()]);
+                }
+                let _ = Differential::find_in_page(&img[..cut], 0);
+            }
+        }
     }
 }

@@ -44,9 +44,9 @@
 //!
 //! The paper's method is DBMS-independent at the page level, leaving
 //! transaction atomicity to the layer above. This store closes that gap
-//! with *differential commit records*: [`crate::PageStore::commit_batch`]
-//! tags every staged differential (and Case-3 base page) with the owning
-//! transaction id and appends a durable [`CommitRecord`] through the same
+//! with *proof records*: [`crate::PageStore::commit_batch`] tags every
+//! staged differential (and Case-3 base page) with the owning transaction
+//! id and appends an [`EpochRecord`] proving the commit through the same
 //! differential write buffer. The record is the commit point; until it is
 //! on flash,
 //!
@@ -71,19 +71,20 @@
 //! transaction it stages. A transaction on one shard commits as on one
 //! chip.
 //!
-//! Commit records stay alive while any non-obsolete page still carries
-//! their transaction's tag (the `presence` gauge below), and the tags
+//! Proofs stay alive while any non-obsolete page still carries their
+//! transaction's tag (the `presence` gauge below), and the tags
 //! themselves are shed as GC rewrites committed data, so steady state
-//! carries no transactional litter. A 17-byte record must not keep a whole
-//! page alive for that long, though, and a commit proof is the one record
-//! the store can re-create from memory — so **a proof is carried forward,
-//! never read back**: every record flush is mostly padding, and
-//! `carry_proofs` fills it with one epoch record re-proving the oldest
-//! live commits (`proof_fifo` order, at most [`CARRY_MAX`], never more
-//! than fits). When that flush lands, `register_proof` moves each
-//! member's `vdct` reference to the new page, and an old page left holding
-//! nothing else is set obsolete (the mark deferred to the batch's close:
-//! new copy durable before the old is marked) without GC ever reading it.
+//! carries no transactional litter. A 29-byte proof of one transaction
+//! must not keep a whole page alive for that long, though, and a commit
+//! proof is the one record the store can re-create from memory — so **a
+//! proof is carried forward, never read back**: every record flush is
+//! mostly padding, and `carry_proofs` widens the commit's own proof
+//! record to re-prove the oldest live commits too (`proof_fifo` order, at
+//! most [`CARRY_MAX`], never more than fits). When that flush lands,
+//! `register_proof` moves each member's `vdct` reference to the new page,
+//! and an old page left holding nothing else is set obsolete (the mark
+//! deferred to the batch's close: new copy durable before the old is
+//! marked) without GC ever reading it.
 //! GC compaction re-stages the proofs it meets the same way. Recovery
 //! keeps the lowest surviving copy of a duplicated proof, and after a
 //! checkpoint prefers a copy the delta scan found over the location the
@@ -96,9 +97,7 @@ mod spans;
 
 pub(crate) use recovery::{read_census, Census};
 
-use crate::diff::{
-    CommitRecord, Differential, EpochRecord, PageRecord, EPOCH_HEADER, NO_TXN, RECORD_HEADER,
-};
+use crate::diff::{Differential, EpochRecord, PageRecord, EPOCH_HEADER, NO_TXN, RECORD_HEADER};
 use crate::error::CoreError;
 use crate::ftl::{
     make_spare, make_spare_preserving, make_spare_txn, mark_obsolete_lenient, AllocOutcome,
@@ -109,7 +108,7 @@ use crate::page_store::{
     StructRootsSnapshot,
 };
 use crate::Result;
-use dwb::{DiffWriteBuffer, DwbEntry};
+use dwb::DiffWriteBuffer;
 use pdl_flash::{FlashChip, OpContext, PageBuf, PageKind, Ppn, SpareInfo};
 use spans::DiffSpans;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -187,6 +186,21 @@ pub(crate) fn live_pages(ppmt: &[PpmtEntry], vdct: &[u16], frames: usize) -> Vec
         }
     }
     live
+}
+
+/// The valid differential count table the mapping tables imply: per
+/// physical page, the logical pages whose differential is mapped there
+/// plus the live proofs located there (`proof_locs`, one per transaction).
+pub(crate) fn derive_vdct(
+    pages: usize,
+    ppmt: &[PpmtEntry],
+    proof_locs: impl Iterator<Item = u32>,
+) -> Vec<u16> {
+    let mut vdct = vec![0u16; pages];
+    for p in ppmt.iter().map(|e| e.diff).filter(|p| *p != NONE).chain(proof_locs) {
+        vdct[p as usize] += 1;
+    }
+    vdct
 }
 
 /// Event counters exposed through [`PageStore::counters`].
@@ -464,8 +478,9 @@ impl Pdl {
     }
 
     /// Cross-check the transaction tables against each other (tests call
-    /// this between operations, never inside one): every `vdct` reference
-    /// is a mapped differential or a live proof, every proof's page is
+    /// this between operations, never inside one): each page's `vdct` is
+    /// the differentials mapped to it plus the live proofs located there
+    /// (what a checkpoint load derives it from), every proof's page is
     /// alive and some tag still needs it, no proof is left staged outside
     /// a batch, the carry queue knows every proof, every known range
     /// entry matches its page's current differential, and the allocator's
@@ -473,12 +488,12 @@ impl Pdl {
     /// differential or proof (`vdct > 0`) or spill ledger entry lives there.
     #[doc(hidden)]
     pub fn check_tables(&self) -> std::result::Result<(), String> {
-        let refs: u64 = self.vdct.iter().map(|v| u64::from(*v)).sum();
-        let mapped = self.ppmt.iter().filter(|e| e.diff != NONE).count();
-        let proofs = self.commit_locs.values().filter(|l| **l < PROOF_RESTAGED).count();
-        if refs != (mapped + proofs) as u64 {
+        let durable = self.commit_locs.values().copied().filter(|l| *l < PROOF_RESTAGED);
+        let want = derive_vdct(self.vdct.len(), &self.ppmt, durable);
+        if let Some(p) = (0..want.len()).find(|&p| want[p] != self.vdct[p]) {
             return Err(format!(
-                "vdct sums to {refs}: {mapped} mapped differentials + {proofs} live proofs"
+                "page {p}: vdct {} but {} mapped differentials and live proofs",
+                self.vdct[p], want[p]
             ));
         }
         let queued: HashSet<u64> = self.proof_fifo.iter().copied().collect();
@@ -690,32 +705,22 @@ impl Pdl {
         programmed?;
         // Step 2: update ppmt and vdct for every record in the buffer —
         // proofs before differentials, so a tag that dies below releases
-        // its proof's *new* location. An epoch record counts one vdct
+        // its proof's *new* location. A proof record counts one vdct
         // reference per registered member: each behaves like its own
-        // commit record sharing the location, so the page stays alive
-        // until the last member's presence drops.
-        let drained = self.dwb.drain();
-        let mut refs = 0u16;
-        for e in &drained {
-            match e {
-                DwbEntry::Diff(_) => refs += 1,
-                // The record is durable: this is the commit point.
-                DwbEntry::Commit(c) => refs += u16::from(self.register_proof(c.txn, q.0)?),
-                // ... of every member transaction at once.
-                DwbEntry::Epoch(ep) => {
-                    for txn in ep.ids() {
-                        refs += u16::from(self.register_proof(txn, q.0)?);
-                    }
-                }
-            }
+        // proof sharing the location, so the page stays alive until the
+        // last member's presence drops.
+        let (diffs, proofs) = self.dwb.drain();
+        let mut refs = diffs.len() as u16;
+        for txn in proofs.iter().flat_map(EpochRecord::ids) {
+            // The record is durable: this is the commit point.
+            refs += u16::from(self.register_proof(txn, q.0)?);
         }
         self.vdct[q.0 as usize] = refs;
         if refs == 0 {
             // Nothing but proofs no tag asks for any more.
             self.mark_dead_page(q, true)?;
         }
-        for e in &drained {
-            let DwbEntry::Diff(d) = e else { continue };
+        for d in &diffs {
             let pid = d.pid as usize;
             let old_dp = self.ppmt[pid].diff;
             if old_dp != NONE {
@@ -1309,36 +1314,31 @@ impl Pdl {
         Ok(())
     }
 
-    /// Re-stage durable proof of commit for `ids` through the write
-    /// buffer: a plain commit record for a single id, epoch records
-    /// (chunked to fit the buffer) for more. Returns whether anything was
-    /// staged.
-    fn stage_commit_proofs(&mut self, ids: &[u64]) -> Result<bool> {
+    /// Stage proof of commit for `ids` through the write buffer: one
+    /// epoch record, or several when its ranges outgrow a page. With
+    /// `carry`, the last one also re-proves the oldest live commits that
+    /// fit beside them ([`Pdl::carry_proofs`]). Returns whether anything
+    /// was staged.
+    fn stage_commit_proofs(&mut self, ids: &[u64], carry: bool) -> Result<bool> {
         if ids.is_empty() {
             return Ok(false);
         }
         let ts = self.next_ts();
-        if ids.len() == 1 {
-            if CommitRecord::ENCODED_LEN > self.dwb.free_space() {
-                if !self.in_gc {
-                    self.ensure_capacity(2)?;
-                }
-                self.flush_dwb()?;
-            }
-            self.dwb.push_commit(CommitRecord { txn: ids[0], ts });
-            return Ok(true);
-        }
         let full = EpochRecord::from_ids(ts, ids);
         let ranges_per_rec = ((self.dwb.capacity() - EPOCH_HEADER) / 16).max(1);
-        for chunk in full.ranges.chunks(ranges_per_rec) {
-            let rec = EpochRecord { ts, ranges: chunk.to_vec() };
+        let mut chunks = full.ranges.chunks(ranges_per_rec).peekable();
+        while let Some(chunk) = chunks.next() {
+            let mut rec = EpochRecord { ts, ranges: chunk.to_vec() };
             if rec.encoded_len() > self.dwb.free_space() {
                 if !self.in_gc {
                     self.ensure_capacity(2)?;
                 }
                 self.flush_dwb()?;
             }
-            self.dwb.push_epoch(rec);
+            if carry && chunks.peek().is_none() {
+                self.carry_proofs(&mut rec);
+            }
+            self.dwb.push_proof(rec);
         }
         Ok(true)
     }
@@ -1363,10 +1363,9 @@ impl Pdl {
             Err(e) => return Err(e),
         };
         let mut staged = false;
-        // Commit proofs found live in this page — per-txn records and
-        // epoch members alike — are coalesced into fresh epoch records at
-        // the end of the pass, so long-lived committed tags cost one
-        // compact record instead of one record each.
+        // Commit proofs found live in this page are coalesced into fresh
+        // epoch records at the end of the pass, so long-lived committed
+        // tags cost one compact record instead of one record each.
         let mut live_commits: Vec<u64> = Vec::new();
         for rec in &records {
             match rec {
@@ -1407,25 +1406,9 @@ impl Pdl {
                     self.counters.compacted_diffs += 1;
                     staged = true;
                 }
-                PageRecord::Commit(c) => {
-                    if self.commit_locs.get(&c.txn) != Some(&ppn.0) {
-                        // A stale twin (GC copy, or a superseded location):
-                        // it dies with the block.
-                        continue;
-                    }
-                    if self.presence.get(&c.txn).copied().unwrap_or(0) > 0 {
-                        self.commit_locs.insert(c.txn, PROOF_RESTAGED);
-                        live_commits.push(c.txn);
-                    } else {
-                        // Nothing live references the transaction any
-                        // more: retire its bookkeeping with the record.
-                        self.commit_locs.remove(&c.txn);
-                        self.presence.remove(&c.txn);
-                    }
-                }
                 PageRecord::Epoch(e) => {
-                    // Each member behaves like its own commit record
-                    // sharing this location.
+                    // Each member behaves like its own proof sharing this
+                    // location.
                     for txn in e.ids() {
                         if self.commit_locs.get(&txn) != Some(&ppn.0) {
                             continue;
@@ -1446,7 +1429,7 @@ impl Pdl {
             if live_commits.len() > 1 {
                 self.counters.epoch_coalesced += live_commits.len() as u64;
             }
-            staged |= self.stage_commit_proofs(&live_commits)?;
+            staged |= self.stage_commit_proofs(&live_commits, false)?;
         }
         self.vdct[ppn.0 as usize] = 0;
         Ok(staged)
@@ -1490,7 +1473,7 @@ impl Pdl {
         }
         if !lost_live.is_empty() {
             self.counters.commit_records_restaged += lost_live.len() as u64;
-            staged |= self.stage_commit_proofs(&lost_live)?;
+            staged |= self.stage_commit_proofs(&lost_live, false)?;
         }
         self.vdct[ppn.0 as usize] = 0;
         Ok(staged)
@@ -1563,19 +1546,16 @@ impl Pdl {
     }
 
     /// Append durable proof of commit for `txns` to the write stream: one
-    /// commit record for a single transaction, one *epoch record* for
-    /// more (group commit proves a whole batch at once).
+    /// *epoch record* (group commit proves a whole batch at once).
     ///
-    /// The flush this record rides in is mostly padding, so it also
-    /// carries the oldest live proofs forward ([`Pdl::carry_proofs`]).
+    /// The flush this record rides in is mostly padding, so the record
+    /// also carries the oldest live proofs forward ([`Pdl::carry_proofs`]).
     pub(crate) fn batch_record(&mut self, txns: &[u64]) -> Result<()> {
         for &txn in txns {
             self.commit_locs.entry(txn).or_insert(PROOF_FRESH);
             self.txn_floor = self.txn_floor.max(txn + 1);
         }
-        if self.stage_commit_proofs(txns)? {
-            self.carry_proofs();
-        }
+        self.stage_commit_proofs(txns, true)?;
         self.counters.txn_commits += txns.len() as u64;
         if txns.len() > 1 {
             self.counters.epoch_commits += 1;
@@ -1594,12 +1574,13 @@ impl Pdl {
     }
 
     /// Re-prove the oldest live commits — at most [`CARRY_MAX`], and no
-    /// more than fit the buffer's free bytes, so this never causes a
-    /// flush — as one epoch record built from memory. A proof is carried
-    /// forward, never read back: when the flush lands, `register_proof`
-    /// moves each member's reference off its old page, and a page left
-    /// holding nothing but old proofs dies without GC ever reading it.
-    fn carry_proofs(&mut self) {
+    /// more than fit the buffer's free bytes beside `rec`, so this never
+    /// causes a flush — by adding them to `rec`, the record proving a
+    /// commit that is about to be staged. A proof is carried forward,
+    /// never read back: when the flush lands, `register_proof` moves each
+    /// member's reference off its old page, and a page left holding
+    /// nothing but old proofs dies without GC ever reading it.
+    fn carry_proofs(&mut self, rec: &mut EpochRecord) {
         #[cfg(test)]
         if self.carry_disabled {
             return;
@@ -1610,9 +1591,10 @@ impl Pdl {
             let locs = &self.commit_locs;
             self.proof_fifo.retain(|txn| locs.contains_key(txn));
         }
-        let room = (self.dwb.free_space().saturating_sub(EPOCH_HEADER) / 16).min(CARRY_MAX);
-        // This runs inside every commit's serial section: no allocation
-        // but the record's own.
+        // Each picked id adds at most one range to `rec`.
+        let room = (self.dwb.free_space().saturating_sub(rec.encoded_len()) / 16).min(CARRY_MAX);
+        // This runs inside every commit's serial section: the scan
+        // allocates nothing, only the widened record does.
         let mut picked = [0u64; CARRY_MAX];
         let mut n = 0;
         let mut staged: Vec<u64> = Vec::new();
@@ -1633,15 +1615,15 @@ impl Pdl {
         for txn in staged.into_iter().rev() {
             self.proof_fifo.push_front(txn);
         }
-        let picked = &mut picked[..n];
+        let picked = &picked[..n];
         if picked.is_empty() {
             return;
         }
-        self.proof_fifo.extend(&*picked);
+        self.proof_fifo.extend(picked);
         self.counters.proofs_carried += n as u64;
-        let ts = self.next_ts();
-        picked.sort_unstable();
-        self.dwb.push_epoch(EpochRecord::from_sorted_ids(ts, picked));
+        let mut ids: Vec<u64> = rec.ids().chain(picked.iter().copied()).collect();
+        ids.sort_unstable();
+        *rec = EpochRecord::from_sorted_ids(rec.ts, &ids);
     }
 
     /// Close the open batch. `committed`: flush the commit records (the

@@ -97,9 +97,8 @@ enum RecHead {
     /// A differential of logical page `pid` (saturated at `u32::MAX`, past
     /// every store's page range).
     Diff { pid: u32, ts: u64, txn: u64 },
-    /// Commit proof of the `n` transaction ids from `lo`: one for a commit
-    /// record, one run per range of an epoch record (`n == 0` for an epoch
-    /// record without ranges).
+    /// Commit proof of the `n` transaction ids from `lo`: one run per
+    /// range of an epoch record (`n == 0` for a record without ranges).
     Proof { n: u32, lo: u64, ts: u64 },
 }
 
@@ -140,7 +139,6 @@ fn push_headers(out: &mut Vec<RecHead>, data: &[u8]) -> bool {
                 let pid = u32::try_from(d.pid).unwrap_or(u32::MAX);
                 out.push(RecHead::Diff { pid, ts: d.ts, txn: d.txn });
             }
-            PageRecord::Commit(c) => out.push(RecHead::Proof { n: 1, lo: c.txn, ts: c.ts }),
             PageRecord::Epoch(e) => {
                 if e.ranges.is_empty() {
                     out.push(RecHead::Proof { n: 0, lo: 0, ts: e.ts });

@@ -783,7 +783,6 @@ mod tests {
     }
     fn proves(recs: &[PageRecord], txn: u64) -> bool {
         recs.iter().any(|r| match r {
-            PageRecord::Commit(c) => c.txn == txn,
             PageRecord::Epoch(e) => e.ids().any(|id| id == txn),
             PageRecord::Diff(_) => false,
         })

@@ -404,9 +404,6 @@ fn proven(recs: &[PageRecord]) -> HashSet<u64> {
     let mut ids = HashSet::new();
     for r in recs {
         match r {
-            PageRecord::Commit(c) => {
-                ids.insert(c.txn);
-            }
             PageRecord::Epoch(e) => ids.extend(e.ids()),
             PageRecord::Diff(_) => {}
         }
