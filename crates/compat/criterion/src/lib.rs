@@ -38,16 +38,27 @@ impl Bencher {
     }
 
     /// Time `routine` repeatedly until the measurement window closes.
+    /// Calls are timed in batches that double while one batch takes less
+    /// than a twentieth of the window: reading the clock around every
+    /// call would add its own cost, and its jitter, to a sub-microsecond
+    /// routine. `iters` counts every timed call.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         // Untimed warm-up.
         for _ in 0..8 {
             black_box(routine());
         }
+        let mut batch = 1u64;
         while self.elapsed < self.window {
             let start = Instant::now();
-            black_box(routine());
-            self.elapsed += start.elapsed();
-            self.iters += 1;
+            for _ in 0..batch {
+                black_box(routine());
+            }
+            let took = start.elapsed();
+            self.elapsed += took;
+            self.iters += batch;
+            if took * 20 < self.window {
+                batch *= 2;
+            }
         }
     }
 
@@ -185,6 +196,7 @@ mod tests {
         b.iter(|| n += 1);
         assert!(b.iters > 0);
         assert!(b.ns_per_iter() > 0.0);
+        assert_eq!(n, b.iters + 8, "every timed call is counted, beside the warm-up");
     }
 
     #[test]

@@ -330,7 +330,9 @@ impl Differential {
 
     /// Parse every record in a differential page's data area.
     pub fn parse_page(data: &[u8]) -> Result<Vec<PageRecord>> {
-        Frames { data, at: 0 }.map(|frame| frame.and_then(|(k, body)| decode_record(k, body))).collect()
+        Frames { data, at: 0 }
+            .map(|frame| frame.and_then(|(k, body)| decode_record(k, body)))
+            .collect()
     }
 }
 
@@ -433,7 +435,9 @@ fn decode_epoch(body: &[u8]) -> Result<EpochRecord> {
     for at in (EPOCH_HEADER - 3..body.len()).step_by(16) {
         let (lo, hi) = (u64_at(body, at), u64_at(body, at + 8));
         if lo > hi {
-            return Err(CoreError::Corruption(format!("epoch record range {lo}..{hi} is inverted")));
+            return Err(CoreError::Corruption(format!(
+                "epoch record range {lo}..{hi} is inverted"
+            )));
         }
         ranges.push((lo, hi));
     }

@@ -316,22 +316,6 @@ pub struct StructRootsSnapshot {
     pub entries: Vec<StructRootEntry>,
 }
 
-impl StructRootsSnapshot {
-    /// Exact byte length of the durable record encoding this snapshot
-    /// (header + entries + trailing checksum); see
-    /// `pdl::checkpoint::encode_root_record`.
-    pub fn encoded_len(&self) -> usize {
-        // magic u32 + total_len u32 + version u16 + pad u16 + txn u64 +
-        // next_pid u64 + count u32 = 32 bytes of header.
-        let mut len = 32usize;
-        for e in &self.entries {
-            // id u64 + kind u8 + pad [u8;3] + npids u32 + pids.
-            len += 16 + 8 * e.pids.len();
-        }
-        len + 8 // trailing fnv1a64 checksum
-    }
-}
-
 /// One page of a [`CommitBatch`]: reflect `image` as logical page `pid`
 /// on behalf of transaction `txn`.
 #[derive(Clone, Copy, Debug)]

@@ -8,16 +8,21 @@
 //! Design: a small *root region* (the first `checkpoint_blocks` blocks of
 //! the chip) is reserved and excluded from normal allocation and GC. It is
 //! split into two halves used alternately, double-buffer style:
-//! [`Pdl::checkpoint`] serialises the mapping tables (ppmt, vdct, the
-//! time-stamp bookkeeping, allocator counts, the transaction tables —
-//! per-page tags, per-diff-page tag lists, live commit-record locations
-//! and the transaction-id floor — and the structure roots) plus a
-//! per-block *fingerprint*, writes them as payload pages into the idle
-//! half, and commits by writing a header page last. A crash
-//! mid-checkpoint leaves the previous half's checkpoint intact.
+//! [`Pdl::checkpoint`] serialises what recovery cannot rebuild — the
+//! physical page mapping table, each block's fill level, the transaction
+//! tables (per-page tags, live commit-record locations and the
+//! transaction-id floor) and the structure roots — plus a per-block
+//! *fingerprint*, writes them as payload pages into the idle half, and
+//! commits by writing a header page last. A crash mid-checkpoint leaves
+//! the previous half's checkpoint intact. The rest is derived at load:
+//! every mapped page's time stamp is the header's watermark, and each
+//! page's valid differential count is the differentials mapped to it plus
+//! the commit records located there.
 //!
 //! Recovery's read pass ([`load_checkpoint_delta`]) loads the newest
-//! committed checkpoint and then performs a **delta scan**: for each block
+//! committed checkpoint — one header search, each payload page read once,
+//! its structure roots handed on to the root-log resolution
+//! ([`load_root_state`]) — and then performs a **delta scan**: for each block
 //! it reads at most two spare areas (first and last-written page) and
 //! compares against the fingerprint. Unchanged blocks are skipped
 //! entirely; blocks that grew a tail are read from the old fill level;
@@ -35,21 +40,25 @@
 //! census seeded with the loaded tables and record set.
 
 use super::recovery::{Census, RecoveryTables};
-use super::{Pdl, PpmtEntry, NONE};
+use super::{Pdl, NONE};
 use crate::diff::NO_TXN;
 use crate::error::CoreError;
 use crate::ftl::make_spare;
 use crate::page_store::{PageStore as _, StoreOptions, StructRootEntry, StructRootsSnapshot};
 use crate::Result;
-use pdl_flash::{BlockId, FlashChip, PageBuf, PageKind, Ppn, SpareInfo};
+use pdl_flash::{BlockId, FlashChip, FlashGeometry, PageBuf, PageKind, Ppn, SpareInfo};
 
 const PAYLOAD_MAGIC: u32 = 0x504C_4B31; // "PLK1"
 const HEADER_MAGIC: u32 = 0x504C_4831; // "PLH1"
-/// The codec version (v4: the transaction-id floor follows the commit
-/// locations; v3 had none, and the registered structure-root snapshot
-/// closes the payload in both). A header or payload carrying any other
-/// version is no checkpoint: recovery scans in full.
-const VERSION: u16 = 4;
+/// The codec version. v5 drops the four tables recovery derives or
+/// never read: the per-frame and per-page time stamps (the watermark
+/// wherever `ppmt` maps a page), the valid differential counts (mapped
+/// differentials plus located commit records) and the per-block obsolete
+/// counts. v4 added the transaction-id floor after the commit locations;
+/// the registered structure-root snapshot closes the payload since v3. A
+/// header or payload carrying any other version is no checkpoint:
+/// recovery scans in full.
+const VERSION: u16 = 5;
 /// Fixed-size header record at the start of the header page's data area.
 const HEADER_LEN: usize = 4 + 2 + 2 + 8 + 8 + 4 + 4 + 8 + 4;
 
@@ -97,8 +106,8 @@ fn encode_identity(out: &mut [u8], info: Option<SpareInfo>) {
 }
 
 /// Serialised checkpoint stream layout (little-endian, fixed order):
-/// dims, ppmt, frame_ts, diff_ts, vdct, written, obsolete, txn tables,
-/// txn-id floor, fingerprints, structure roots.
+/// dims, ppmt, written, txn tables, txn-id floor, fingerprints, structure
+/// roots. [`decode_payload`] is its one reader.
 struct Stream(Vec<u8>);
 
 impl Stream {
@@ -150,6 +159,7 @@ impl<'a> Cursor<'a> {
 /// Serialise a structure-root snapshot (shared by the payload section
 /// and the tail records): next_pid u64, count u32, then per entry
 /// id u64, kind u8, pad [u8;3], npids u32, pids u64...
+/// ([`roots_len`] bytes).
 fn push_roots(s: &mut Stream, roots: &StructRootsSnapshot) {
     s.push_u64(roots.next_pid);
     s.push_u32(roots.entries.len() as u32);
@@ -184,14 +194,28 @@ fn parse_roots(c: &mut Cursor) -> Result<StructRootsSnapshot> {
     Ok(StructRootsSnapshot { next_pid, entries })
 }
 
+/// Bytes [`push_roots`] writes for `roots`.
+fn roots_len(roots: &StructRootsSnapshot) -> usize {
+    8 + 4 + roots.entries.iter().map(|e| 16 + 8 * e.pids.len()).sum::<usize>()
+}
+
+/// A root record's header: magic u32, total length u32, version u16,
+/// pad u16, txn u64.
+const ROOT_HEADER_LEN: usize = 4 + 4 + 2 + 2 + 8;
+
+/// Exact byte length of the root record [`encode_root_record`] writes for
+/// `roots`: header, snapshot and trailing checksum.
+pub(crate) fn root_record_len(roots: &StructRootsSnapshot) -> usize {
+    ROOT_HEADER_LEN + roots_len(roots) + 8
+}
+
 /// Encode one durable structure-root record, staged into `txn`'s commit
 /// batch and programmed into the live half's tail. The record is a full
 /// snapshot (not a delta) guarded by a trailing FNV-1a checksum, so the
 /// tail scan only needs the newest committed one and a torn trailer is
-/// detected and skipped. The length matches
-/// [`StructRootsSnapshot::encoded_len`].
+/// detected and skipped.
 pub(crate) fn encode_root_record(roots: &StructRootsSnapshot, txn: u64) -> Vec<u8> {
-    let total = roots.encoded_len();
+    let total = root_record_len(roots);
     let mut s = Stream(Vec::with_capacity(total));
     s.push_u32(ROOT_MAGIC);
     s.push_u32(total as u32);
@@ -201,7 +225,7 @@ pub(crate) fn encode_root_record(roots: &StructRootsSnapshot, txn: u64) -> Vec<u
     push_roots(&mut s, roots);
     let csum = fnv1a64(&s.0);
     s.push_u64(csum);
-    debug_assert_eq!(s.0.len(), total, "root record length must match encoded_len");
+    debug_assert_eq!(s.0.len(), total, "root record length must match root_record_len");
     s.0
 }
 
@@ -209,7 +233,7 @@ pub(crate) fn encode_root_record(roots: &StructRootsSnapshot, txn: u64) -> Vec<u
 /// `bytes` must cover the whole record; returns `None` for anything torn
 /// or foreign (bad magic / version / checksum).
 fn decode_root_record(bytes: &[u8]) -> Option<(u64, StructRootsSnapshot)> {
-    if bytes.len() < 32 + 8 {
+    if bytes.len() < root_record_len(&StructRootsSnapshot::default()) {
         return None;
     }
     let body = &bytes[..bytes.len() - 8];
@@ -255,29 +279,39 @@ pub(crate) struct RootLogState {
     pub txn_floor: u64,
 }
 
+/// What recovery's read pass found in the root region: the newest
+/// committed checkpoint's header, and the structure roots its payload
+/// holds (none when the payload does not verify). The default is a region
+/// without a checkpoint.
+#[derive(Default)]
+pub(crate) struct RootBase {
+    header: Option<Header>,
+    roots: StructRootsSnapshot,
+}
+
 /// Resolve the durable structure roots and tail position from the
-/// checkpoint root region: baseline from the newest committed checkpoint
-/// payload, overridden by the newest *committed* tail record. `is_committed` decides record eligibility from the recovery
-/// tables (commit record present, not torn). Read-only, so running it
-/// twice — a second recovery — resolves identically.
+/// checkpoint root region: the baseline `base` the read pass found,
+/// overridden by the newest *committed* tail record. `is_committed`
+/// decides record eligibility from the recovery tables (commit record
+/// present, not torn). Read-only, so running it twice — a second recovery
+/// — resolves identically.
 pub(crate) fn load_root_state(
     chip: &mut FlashChip,
     opts: &StoreOptions,
+    base: RootBase,
     is_committed: &dyn Fn(u64) -> bool,
 ) -> Result<RootLogState> {
     let g = chip.geometry();
     let half_blocks = opts.checkpoint_blocks / 2;
-    let header = find_latest_header(chip, opts)?;
-
-    let (seq, live_half, start, tail_end, mut roots) = match &header {
+    let (seq, live_half, start, tail_end) = match &base.header {
         Some(h) => {
             let half = if h.base_ppn / g.pages_per_block < half_blocks { 0u8 } else { 1 };
             let end = (half as u32 + 1) * half_blocks * g.pages_per_block;
-            let baseline = load_payload_roots(chip, opts, h)?.unwrap_or_default();
-            (h.seq, Some(half), h.base_ppn + h.payload_pages + 1, end, baseline)
+            (h.seq, Some(half), h.base_ppn + h.payload_pages + 1, end)
         }
-        None => (0, None, 0, half_blocks * g.pages_per_block, StructRootsSnapshot::default()),
+        None => (0, None, 0, half_blocks * g.pages_per_block),
     };
+    let mut roots = base.roots;
 
     // Scan the tail: records fill sequentially, so the newest committed
     // one wins and the first free page (or torn trailer) ends the log.
@@ -337,7 +371,8 @@ fn read_root_record(
     }
     let magic = u32::from_le_bytes(img[0..4].try_into().unwrap());
     let total = u32::from_le_bytes(img[4..8].try_into().unwrap()) as usize;
-    if magic != ROOT_MAGIC || total < 40 || total > (end - at) as usize * data_size {
+    let shortest = root_record_len(&StructRootsSnapshot::default());
+    if magic != ROOT_MAGIC || total < shortest || total > (end - at) as usize * data_size {
         return Ok(None);
     }
     let npages = total.div_ceil(data_size) as u32;
@@ -351,40 +386,6 @@ fn read_root_record(
     }
     bytes.truncate(total);
     Ok(decode_root_record(&bytes).map(|(txn, snap)| (npages, txn, snap)))
-}
-
-/// Parse just the roots section out of a committed checkpoint payload
-/// (`None` when the payload fails verification — callers fall back to an
-/// empty baseline).
-fn load_payload_roots(
-    chip: &mut FlashChip,
-    opts: &StoreOptions,
-    header: &Header,
-) -> Result<Option<StructRootsSnapshot>> {
-    let g = chip.geometry();
-    let Some(payload) = read_payload(chip, header) else { return Ok(None) };
-    let nl = opts.num_logical_pages as usize;
-    let k = opts.frames_per_page as usize;
-    let mut c = Cursor { bytes: &payload, at: 0 };
-    if c.u32()? != PAYLOAD_MAGIC || c.u16()? != VERSION {
-        return Ok(None);
-    }
-    // Skip the mapping-table sections (fixed arithmetic given the dims).
-    c.skip(2 + 8 + 4 + 4)?; // k, nl, blocks, pages (already validated by the loader)
-    let blocks = g.num_blocks as usize;
-    c.skip(nl * (k + 1) * 4)?; // ppmt
-    c.skip(nl * k * 8)?; // frame_ts
-    c.skip(nl * 8)?; // diff_ts
-    c.skip(g.num_pages() as usize * 2)?; // vdct
-    c.skip(blocks * 4)?; // written
-    c.skip(blocks * 4)?; // obsolete
-    c.skip(nl * 8)?; // diff_txn
-    c.skip(nl * k * 8)?; // base_txn
-    let n_locs = c.u32()? as usize;
-    c.skip(n_locs * 12)?;
-    c.skip(8)?; // txn-id floor
-    c.skip(blocks * 8)?; // fingerprints
-    Ok(Some(parse_roots(&mut c)?))
 }
 
 impl Pdl {
@@ -499,8 +500,8 @@ impl Pdl {
         Ok(())
     }
 
-    /// The payload's tables section: dims, mapping and count tables,
-    /// per-block counts, transaction tables and the txn-id floor. Reads
+    /// The payload's tables section: dims, the mapping table, per-block
+    /// fill levels, transaction tables and the txn-id floor. Reads
     /// nothing.
     fn encode_tables(&self) -> Stream {
         let g = self.chip.geometry();
@@ -519,38 +520,8 @@ impl Pdl {
             }
             s.push_u32(e.diff);
         }
-        // The recovery bookkeeping is not held by a running store; rebuild
-        // it from the spare areas we already track implicitly. We persist
-        // ts watermarks per frame/pid as "unknown" (0): replay relies on
-        // strict ordering only for post-checkpoint pages, whose ts all
-        // exceed the watermark, and purged entries reset to 0 anyway.
-        // Instead of zeros we store the current global watermark for every
-        // live entry, which preserves the "newer wins" semantics. (GC
-        // copies keep their old ts; `load_checkpoint_delta` ranks a loaded
-        // base below a relocated differential of its page.)
-        let watermark = self.ts.saturating_sub(1);
-        for e in &self.ppmt {
-            for j in 0..k {
-                s.push_u64(if e.base[j] == NONE { 0 } else { watermark });
-            }
-        }
-        for e in &self.ppmt {
-            s.push_u64(if e.diff == NONE { 0 } else { watermark });
-        }
-        for v in &self.vdct {
-            s.push_u16(*v);
-        }
         for b in 0..g.num_blocks {
             s.push_u32(self.alloc.written_in(BlockId(b)));
-        }
-        // Per-block obsolete counts. Nothing reads them any more (the
-        // loaders skip them; recovery derives the counts from its
-        // tables), but they stay until the format next changes, since
-        // a smaller payload would move the cost of loading it.
-        for b in 0..g.num_blocks {
-            let written = self.alloc.written_in(BlockId(b));
-            let valid = self.alloc.valid_in(BlockId(b));
-            s.push_u32(written - valid);
         }
         // Transaction tables: per-page tags and live
         // commit-record locations. Presence is recomputed at load time,
@@ -573,7 +544,9 @@ impl Pdl {
     }
 
     /// A digest of the tables a checkpoint records: two recoveries of one
-    /// crash image must agree on it.
+    /// crash image must agree on it. It leaves out what a checkpoint
+    /// derives, `vdct` included: [`Pdl::check_tables`] ties that to the
+    /// mapping and commit locations digested here.
     #[doc(hidden)]
     pub fn tables_digest(&self) -> u64 {
         fnv1a64(&self.encode_tables().0)
@@ -643,24 +616,20 @@ fn find_latest_header(chip: &mut FlashChip, opts: &StoreOptions) -> Result<Optio
     }))
 }
 
-/// The read pass of fast recovery: load and verify the newest committed
-/// checkpoint, classify every block against its fingerprint, purge table
-/// entries living in erased/rewritten blocks, and read the changed pages
-/// into a census seeded with the loaded tables. Returns `None` when no
-/// usable checkpoint exists.
-pub(super) fn load_checkpoint_delta(
-    chip: &mut FlashChip,
+/// The payload's one decoder: the tables it records, seeded into fresh
+/// recovery tables with the time stamps they imply — every mapped frame
+/// and differential at the header's `watermark`, which every page
+/// programmed after the checkpoint exceeds — then the block fingerprints
+/// and the structure roots. `None` when its dimensions are not `opts`'.
+fn decode_payload(
+    payload: &[u8],
     opts: &StoreOptions,
-) -> Result<Option<Census>> {
-    let g = chip.geometry();
-    let Some(header) = find_latest_header(chip, opts)? else { return Ok(None) };
-    // A torn or stale checkpoint: fall back.
-    let Some(payload) = read_payload(chip, &header) else { return Ok(None) };
-
-    // Deserialise; any dimension mismatch disqualifies the checkpoint.
+    g: FlashGeometry,
+    watermark: u64,
+) -> Result<Option<(RecoveryTables, Vec<u64>, StructRootsSnapshot)>> {
     let nl = opts.num_logical_pages as usize;
     let k = opts.frames_per_page as usize;
-    let mut c = Cursor { bytes: &payload, at: 0 };
+    let mut c = Cursor { bytes: payload, at: 0 };
     if c.u32()? != PAYLOAD_MAGIC
         || c.u16()? != VERSION
         || c.u16()? as usize != k
@@ -672,46 +641,56 @@ pub(super) fn load_checkpoint_delta(
     }
     let mut tables = RecoveryTables::empty(opts, g);
     for pid in 0..nl {
-        let mut e = PpmtEntry::default();
+        let e = &mut tables.ppmt[pid];
         for j in 0..k {
             e.base[j] = c.u32()?;
+            if e.base[j] != NONE {
+                tables.frame_ts[pid * k + j] = watermark;
+            }
         }
         e.diff = c.u32()?;
-        tables.ppmt[pid] = e;
+        if e.diff != NONE {
+            tables.diff_ts[pid] = watermark;
+        }
     }
-    for f in 0..nl * k {
-        tables.frame_ts[f] = c.u64()?;
+    for w in tables.written.iter_mut() {
+        *w = c.u32()?;
     }
-    for pid in 0..nl {
-        tables.diff_ts[pid] = c.u64()?;
+    for t in tables.diff_txn.iter_mut().chain(tables.base_txn.iter_mut()) {
+        *t = c.u64()?;
     }
-    for v in tables.vdct.iter_mut() {
-        *v = c.u16()?;
-    }
-    for b in 0..g.num_blocks as usize {
-        tables.written[b] = c.u32()?;
-    }
-    // Per-block obsolete counts: recovery derives them from the final
-    // tables instead.
-    c.skip(g.num_blocks as usize * 4)?;
-    for pid in 0..nl {
-        tables.diff_txn[pid] = c.u64()?;
-    }
-    for f in 0..nl * k {
-        tables.base_txn[f] = c.u64()?;
-    }
-    let n_locs = c.u32()? as usize;
-    for _ in 0..n_locs {
+    for _ in 0..c.u32()? {
         let t = c.u64()?;
-        let p = c.u32()?;
-        tables.commit_locs.insert(t, p);
+        tables.commit_locs.insert(t, c.u32()?);
     }
     tables.txn_floor = c.u64()?;
-    let mut fingerprints = vec![0u64; g.num_blocks as usize];
-    for fp in fingerprints.iter_mut() {
-        *fp = c.u64()?;
-    }
-    tables.max_ts = header.watermark;
+    tables.max_ts = watermark;
+    let fingerprints = (0..g.num_blocks).map(|_| c.u64()).collect::<Result<Vec<u64>>>()?;
+    Ok(Some((tables, fingerprints, parse_roots(&mut c)?)))
+}
+
+/// The read pass of fast recovery: load and verify the newest committed
+/// checkpoint, classify every block against its fingerprint, purge table
+/// entries living in erased/rewritten blocks, derive `vdct` from what is
+/// left, and read the changed pages into a census seeded with the loaded
+/// tables. The census is `None` when no usable checkpoint exists; the
+/// root base is the header found either way, with the payload's structure
+/// roots when it verified.
+pub(super) fn load_checkpoint_delta(
+    chip: &mut FlashChip,
+    opts: &StoreOptions,
+) -> Result<(RootBase, Option<Census>)> {
+    let g = chip.geometry();
+    let Some(header) = find_latest_header(chip, opts)? else { return Ok(Default::default()) };
+    // A torn or stale checkpoint, or one of other dimensions: fall back.
+    let loaded = match read_payload(chip, &header) {
+        Some(payload) => decode_payload(&payload, opts, g, header.watermark)?,
+        None => None,
+    };
+    let Some((mut tables, fingerprints, roots)) = loaded else {
+        return Ok((RootBase { header: Some(header), ..Default::default() }, None));
+    };
+    let base = RootBase { header: Some(header), roots };
 
     // Delta scan: classify each block.
     let r = opts.checkpoint_blocks;
@@ -731,6 +710,8 @@ pub(super) fn load_checkpoint_delta(
     // Purge table entries referencing invalidated blocks: their pages were
     // relocated (same ts) before the erase, so replay of the changed
     // blocks must be allowed to re-register them.
+    let nl = opts.num_logical_pages as usize;
+    let k = opts.frames_per_page as usize;
     let in_invalid = |p: u32| invalidated.binary_search(&(p / g.pages_per_block)).is_ok();
     for pid in 0..nl {
         for j in 0..k {
@@ -756,12 +737,12 @@ pub(super) fn load_checkpoint_delta(
     }
     tables.commit_locs.retain(|_, p| !in_invalid(*p));
     for b in &invalidated {
-        let first = (*b * g.pages_per_block) as usize;
-        for v in tables.vdct[first..first + g.pages_per_block as usize].iter_mut() {
-            *v = 0;
-        }
         tables.written[*b as usize] = 0;
     }
+    // A checkpoint runs outside any batch, so every count it saw was its
+    // page's mapped differentials plus the commit records located there.
+    let locs = tables.commit_locs.values().copied();
+    tables.vdct = super::derive_vdct(tables.vdct.len(), &tables.ppmt, locs);
 
     // Invalidated blocks are read in full, grown tails from the old fill
     // level.
@@ -773,5 +754,103 @@ pub(super) fn load_checkpoint_delta(
     for (b, from) in tail_scan {
         census.read_block(chip, b, from, &mut buf)?;
     }
-    Ok(Some(census))
+    Ok((base, Some(census)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::page_store::{BatchPage, CommitBatch};
+    use pdl_flash::FlashConfig;
+
+    const PAGES: u64 = 200;
+    const MAX_DIFF: usize = 256;
+
+    /// A store with a 2-block root region after `commits` one-page
+    /// durable commits: differentials and Case-3 bases, tagged and
+    /// shed, proofs carried forward and compacted by GC.
+    fn committed_store(commits: u64) -> Pdl {
+        let opts = StoreOptions::new(PAGES).with_checkpoint_blocks(2);
+        let mut s = Pdl::new(FlashChip::new(FlashConfig::scaled(12)), opts, MAX_DIFF).unwrap();
+        let size = s.logical_page_size();
+        let mut pages: Vec<Vec<u8>> = (0..PAGES).map(|p| vec![p as u8; size]).collect();
+        for (pid, page) in pages.iter().enumerate() {
+            s.write_page(pid as u64, page).unwrap();
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for txn in 1..=commits {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let page = &mut pages[(x % PAGES) as usize];
+            if x.is_multiple_of(5) {
+                page.fill(x as u8); // Case 3: a tagged base page
+            } else {
+                let at = (x >> 8) as usize % (size - 16);
+                page[at..at + 16].fill(x as u8);
+            }
+            let pages = vec![BatchPage::new(x % PAGES, page, txn)];
+            s.commit_batch(&CommitBatch { pages, roots: None }).unwrap();
+        }
+        s
+    }
+
+    /// A checkpoint stores no `vdct` and no time stamps; what recovery
+    /// derives from the rest must be exactly what the live store held.
+    #[test]
+    fn recovery_right_after_a_checkpoint_rebuilds_the_live_tables() {
+        let mut s = committed_store(600);
+        s.checkpoint().unwrap();
+        s.check_tables().unwrap();
+        assert!(s.commit_locs.len() > 1, "live proofs");
+        assert!(s.diff_txn.iter().any(|t| *t != NO_TXN), "tagged differentials");
+        assert!(s.base_txn.iter().any(|t| *t != NO_TXN), "tagged base frames");
+        assert!(s.counters.gc_runs > 0 && s.counters.proofs_carried > 0);
+        let live = (s.ppmt.clone(), s.vdct.clone(), s.diff_txn.clone(), s.base_txn.clone());
+        let locs = s.commit_locs.clone();
+        let opts = *s.options();
+        let r = Pdl::recover(Box::new(s).into_chip(), opts, MAX_DIFF).unwrap();
+        assert!(r.ppmt == live.0, "ppmt");
+        assert!(r.vdct == live.1, "vdct, page by page");
+        assert!(r.diff_txn == live.2 && r.base_txn == live.3, "tags");
+        assert_eq!(r.commit_locs, locs);
+        r.check_tables().unwrap();
+    }
+
+    /// The read pass finds the checkpoint and reads its payload; the root
+    /// log's resolution starts from what that pass found instead of
+    /// searching and reading again.
+    #[test]
+    fn recovery_from_a_fresh_checkpoint_searches_once_and_reads_each_payload_page_once() {
+        let mut s = committed_store(100);
+        s.checkpoint().unwrap();
+        assert_eq!(s.ckpt_live_half, Some(0));
+        let g = s.chip().geometry();
+        let (header, ppb) = (s.root_tail as usize - 1, g.pages_per_block as usize);
+        assert!(header > 1, "a payload of several pages");
+        let opts = *s.options();
+        let mut chip = Box::new(s).into_chip();
+        chip.set_obs_enabled(true);
+        let r = Pdl::recover(chip, opts, MAX_DIFF).unwrap();
+        let mut reads = vec![0u32; 2 * ppb];
+        for span in r.chip().recorder().snapshot().spans {
+            if span.name == "read" && (span.id as usize) < reads.len() {
+                reads[span.id as usize] += 1;
+            }
+        }
+        let mut want = vec![0u32; 2 * ppb];
+        // The header search reads the spare of every page of the live
+        // half up to its first free one, and of the idle half's first.
+        for w in &mut want[..header + 2] {
+            *w += 1;
+        }
+        want[ppb] += 1;
+        // Then the data of each payload page and of the header, once.
+        for w in &mut want[..=header] {
+            *w += 1;
+        }
+        // The root-log scan meets the free page after the header.
+        want[header + 1] += 1;
+        assert_eq!(reads, want);
+    }
 }

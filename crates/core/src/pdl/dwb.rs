@@ -172,7 +172,10 @@ mod tests {
                 return;
             }
             let runs = (0..a % 4)
-                .map(|r| DiffRun { offset: u32::from(r) * 64, bytes: vec![r as u8; usize::from(n % 40)] })
+                .map(|r| DiffRun {
+                    offset: u32::from(r) * 64,
+                    bytes: vec![r as u8; usize::from(n % 40)],
+                })
                 .collect();
             let txn = if txn == 0 { pdl_flash::NO_TXN } else { txn };
             let d = Differential { pid, ts: u64::from(a), txn, runs };
@@ -181,7 +184,8 @@ mod tests {
             }
         } else {
             let stride = u64::from(stride % 5) + 2;
-            let ids: Vec<u64> = (txn..txn + u64::from(n % 40)).filter(|id| id % stride != 0).collect();
+            let ids: Vec<u64> =
+                (txn..txn + u64::from(n % 40)).filter(|id| id % stride != 0).collect();
             let e = EpochRecord::from_ids(u64::from(a), &ids);
             if e.encoded_len() <= b.free_space() {
                 b.push_proof(e);

@@ -1487,7 +1487,8 @@ impl Pdl {
     /// Whether `roots`' record fits the root log's tail (always, without
     /// a root region: the record is accepted and discarded).
     pub(crate) fn root_log_fits(&self, roots: &StructRootsSnapshot) -> bool {
-        let npages = roots.encoded_len().div_ceil(self.chip.geometry().data_size) as u32;
+        let npages =
+            checkpoint::root_record_len(roots).div_ceil(self.chip.geometry().data_size) as u32;
         self.opts.checkpoint_blocks < 2 || self.root_tail + npages <= self.root_tail_end
     }
 

@@ -80,7 +80,7 @@
 //! checkpointed fast-recovery path (`checkpoint.rs`, the paper's §4.5
 //! future-work extension) replays its delta through the same code.
 
-use super::checkpoint::RootLogState;
+use super::checkpoint::{RootBase, RootLogState};
 use super::dwb::DiffWriteBuffer;
 use super::{IdMap, Pdl, PdlCounters, PpmtEntry, NONE};
 use crate::diff::{Differential, PageRecord, NO_TXN};
@@ -203,16 +203,17 @@ impl TxnScan {
 
 /// Everything recovery learns from flash, gathered by one read pass
 /// (module docs): the tables the replay starts from — empty, or a loaded
-/// checkpoint purged of the blocks changed since — and every page the
-/// pass found.
+/// checkpoint purged of the blocks changed since — every page the pass
+/// found, and the checkpoint's structure-root baseline.
 pub(crate) struct Census {
     tables: RecoveryTables,
     pages: Pages,
+    root_base: RootBase,
 }
 
 impl Census {
     pub(super) fn new(tables: RecoveryTables) -> Census {
-        Census { tables, pages: Pages::default() }
+        Census { tables, pages: Pages::default(), root_base: RootBase::default() }
     }
 
     /// Read pages `from..` of `block` up to the first free one (blocks
@@ -378,7 +379,7 @@ impl Census {
         chip: &mut FlashChip,
         uncommitted: HashSet<u64>,
     ) -> Result<RecoveryTables> {
-        let Census { mut tables, pages } = self;
+        let Census { mut tables, pages, .. } = self;
         tables.uncommitted = uncommitted;
         phase(chip, "recovery_replay", 1, |_| {
             pages.iter().try_for_each(|(page, recs)| tables.apply_page(page, recs))
@@ -410,12 +411,15 @@ fn phase<T>(
 pub(crate) fn read_census(chip: &mut FlashChip, opts: &StoreOptions) -> Result<Census> {
     opts.validate(chip)?;
     phase(chip, "recovery_read", 0, |chip| {
-        if opts.checkpoint_blocks > 0 {
-            if let Some(census) = super::checkpoint::load_checkpoint_delta(chip, opts)? {
-                return Ok(census);
-            }
-        }
-        full_scan(chip, opts)
+        let (root_base, census) = match opts.checkpoint_blocks {
+            0 => Default::default(),
+            _ => super::checkpoint::load_checkpoint_delta(chip, opts)?,
+        };
+        let census = match census {
+            Some(census) => census,
+            None => full_scan(chip, opts)?,
+        };
+        Ok(Census { root_base, ..census })
     })
 }
 
@@ -779,9 +783,10 @@ impl Pdl {
         mut chip: FlashChip,
         opts: StoreOptions,
         max_diff_size: usize,
-        census: Census,
+        mut census: Census,
         uncommitted: HashSet<u64>,
     ) -> Result<Pdl> {
+        let root_base = std::mem::take(&mut census.root_base);
         let mut tables = census.replay(&mut chip, uncommitted)?;
         let g = chip.geometry();
         // Resolve the durable structure roots first: the winning tail
@@ -790,7 +795,7 @@ impl Pdl {
         // presence machinery.
         let roots = if opts.checkpoint_blocks >= 2 {
             chip.set_context(OpContext::Recovery);
-            let rs = super::checkpoint::load_root_state(&mut chip, &opts, &|t| {
+            let rs = super::checkpoint::load_root_state(&mut chip, &opts, root_base, &|t| {
                 (tables.commit_locs.contains_key(&t) || tables.commit_cands.contains_key(&t))
                     && !tables.uncommitted.contains(&t)
             });

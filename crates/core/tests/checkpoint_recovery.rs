@@ -334,7 +334,7 @@ fn sharded_recovery_precheck_rides_the_checkpoint_delta() {
 
 #[test]
 fn a_checkpoint_of_another_codec_version_is_no_checkpoint() {
-    // Patch the version field of a real checkpoint header from 4 to 0
+    // Patch the version field of a real checkpoint header from 5 to 0
     // (programming NAND only clears bits): recovery must not trust a
     // byte of it, and fall back to the full scan.
     let build_state = |patch: bool| -> (FlashChip, Vec<Vec<u8>>) {
@@ -351,7 +351,7 @@ fn a_checkpoint_of_another_codec_version_is_no_checkpoint() {
                     kind == Some(pdl_flash::PageKind::CheckpointHead)
                 })
                 .expect("the checkpoint wrote a header page");
-            assert_eq!(chip.peek_data(header)[4..6], [4, 0], "magic u32, then version u16");
+            assert_eq!(chip.peek_data(header)[4..6], [5, 0], "magic u32, then version u16");
             chip.set_nop_data(2); // allow the one extra program of the patch
             chip.program_partial(header, 4, &[0, 0]).unwrap();
         }
