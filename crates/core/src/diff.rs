@@ -305,15 +305,6 @@ impl Differential {
         Ok(need)
     }
 
-    /// Decode one record starting at `bytes[0]`. Returns the record and
-    /// its encoded length, or `None` at a terminator (erased space).
-    pub fn decode(bytes: &[u8]) -> Result<Option<(PageRecord, usize)>> {
-        let mut frames = Frames { data: bytes, at: 0 };
-        let Some(frame) = frames.next() else { return Ok(None) };
-        let (kind, body) = frame?;
-        Ok(Some((decode_record(kind, body)?, frames.at)))
-    }
-
     /// Find the differential for `pid` in a differential page's data area
     /// without materialising the other records (hot read path): records
     /// whose kind or pid does not match are skipped by their length
@@ -370,14 +361,6 @@ impl<'a> Iterator for Frames<'a> {
     }
 }
 
-fn u64_at(body: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"))
-}
-
-fn u16_at(body: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes(body[at..at + 2].try_into().expect("2 bytes"))
-}
-
 /// Decode one framed record (`body` follows the kind byte).
 fn decode_record(kind: u8, body: &[u8]) -> Result<PageRecord> {
     match kind {
@@ -387,61 +370,61 @@ fn decode_record(kind: u8, body: &[u8]) -> Result<PageRecord> {
     }
 }
 
+/// A record body read front to back: reading past its end, or leaving
+/// bytes unread, is corruption.
+struct Body<'a>(&'a [u8]);
+
+impl<'a> Body<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.0.len() {
+            return Err(CoreError::Corruption("differential page record truncated".into()));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u16(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    fn end<T>(self, record: T) -> Result<T> {
+        match self.0.len() {
+            0 => Ok(record),
+            n => Err(CoreError::Corruption(format!("record has {n} trailing bytes"))),
+        }
+    }
+}
+
 fn decode_diff(body: &[u8]) -> Result<Differential> {
-    if body.len() < RECORD_HEADER - 3 {
-        return Err(CoreError::Corruption(format!(
-            "differential record body of {} bytes is truncated",
-            body.len() + 1
-        )));
-    }
-    let (pid, ts, txn) = (u64_at(body, 0), u64_at(body, 8), u64_at(body, 16));
-    let run_count = u16_at(body, 24) as usize;
-    let mut runs = Vec::with_capacity(run_count);
-    let mut at = RECORD_HEADER - 3;
-    for _ in 0..run_count {
-        if at + 4 > body.len() {
-            return Err(CoreError::Corruption("differential run header truncated".into()));
-        }
-        let offset = u16_at(body, at) as u32;
-        let len = u16_at(body, at + 2) as usize;
-        if at + 4 + len > body.len() {
-            return Err(CoreError::Corruption("differential run payload truncated".into()));
-        }
-        runs.push(DiffRun { offset, bytes: body[at + 4..at + 4 + len].to_vec() });
-        at += 4 + len;
-    }
-    if at != body.len() {
-        return Err(CoreError::Corruption("differential record has trailing bytes".into()));
-    }
-    Ok(Differential { pid, ts, txn, runs })
+    let mut b = Body(body);
+    let (pid, ts, txn) = (b.u64()?, b.u64()?, b.u64()?);
+    let runs = (0..b.u16()?)
+        .map(|_| {
+            let offset = u32::from(b.u16()?);
+            let len = usize::from(b.u16()?);
+            Ok(DiffRun { offset, bytes: b.take(len)?.to_vec() })
+        })
+        .collect::<Result<_>>()?;
+    b.end(Differential { pid, ts, txn, runs })
 }
 
 fn decode_epoch(body: &[u8]) -> Result<EpochRecord> {
-    if body.len() < EPOCH_HEADER - 3 {
-        return Err(CoreError::Corruption(format!(
-            "epoch record body of {} bytes is truncated",
-            body.len() + 1
-        )));
-    }
-    let ts = u64_at(body, 0);
-    let n_ranges = u16_at(body, 8) as usize;
-    if body.len() != EPOCH_HEADER - 3 + 16 * n_ranges {
-        return Err(CoreError::Corruption(format!(
-            "epoch record body of {} bytes does not match {n_ranges} ranges",
-            body.len() + 1
-        )));
-    }
-    let mut ranges = Vec::with_capacity(n_ranges);
-    for at in (EPOCH_HEADER - 3..body.len()).step_by(16) {
-        let (lo, hi) = (u64_at(body, at), u64_at(body, at + 8));
-        if lo > hi {
-            return Err(CoreError::Corruption(format!(
-                "epoch record range {lo}..{hi} is inverted"
-            )));
-        }
-        ranges.push((lo, hi));
-    }
-    Ok(EpochRecord { ts, ranges })
+    let mut b = Body(body);
+    let ts = b.u64()?;
+    let ranges = (0..b.u16()?)
+        .map(|_| match (b.u64()?, b.u64()?) {
+            (lo, hi) if lo > hi => {
+                Err(CoreError::Corruption(format!("epoch record range {lo}..{hi} is inverted")))
+            }
+            range => Ok(range),
+        })
+        .collect::<Result<_>>()?;
+    b.end(EpochRecord { ts, ranges })
 }
 
 /// The changed runs `[start, end)` of `new` against `base` (equal
@@ -619,9 +602,7 @@ mod tests {
         let mut buf = vec![0xFFu8; 256];
         let n = d.encode(&mut buf).unwrap();
         assert_eq!(n, d.encoded_len());
-        let (back, used) = Differential::decode(&buf).unwrap().unwrap();
-        assert_eq!(used, n);
-        assert_eq!(back, PageRecord::Diff(d));
+        assert_eq!(Differential::parse_page(&buf[..n]).unwrap(), vec![PageRecord::Diff(d)]);
     }
 
     #[test]
@@ -639,9 +620,7 @@ mod tests {
         let mut buf = vec![0xFFu8; 128];
         let n = e.encode(&mut buf).unwrap();
         assert_eq!(n, e.encoded_len());
-        let (back, used) = Differential::decode(&buf).unwrap().unwrap();
-        assert_eq!(used, n);
-        assert_eq!(back, PageRecord::Epoch(e));
+        assert_eq!(Differential::parse_page(&buf[..n]).unwrap(), vec![PageRecord::Epoch(e)]);
     }
 
     #[test]
@@ -661,11 +640,11 @@ mod tests {
         // Claim one more range than the body holds.
         let mut wrong = buf.clone();
         wrong[11..13].copy_from_slice(&2u16.to_le_bytes());
-        assert!(Differential::decode(&wrong[..n]).is_err());
+        assert!(Differential::parse_page(&wrong[..n]).is_err());
         // Inverted range.
         let mut inverted = buf.clone();
         inverted[EPOCH_HEADER..EPOCH_HEADER + 8].copy_from_slice(&9u64.to_le_bytes());
-        assert!(Differential::decode(&inverted[..n]).is_err());
+        assert!(Differential::parse_page(&inverted[..n]).is_err());
     }
 
     #[test]
@@ -702,7 +681,7 @@ mod tests {
         let n = d.encode(&mut buf).unwrap();
         // Chop the record body.
         let truncated = &buf[..n - 3];
-        assert!(Differential::decode(truncated).is_err());
+        assert!(Differential::parse_page(truncated).is_err());
     }
 
     #[test]
@@ -712,7 +691,6 @@ mod tests {
             let mut buf = vec![0xFFu8; 32];
             buf[0..2].copy_from_slice(&17u16.to_le_bytes());
             buf[2] = kind;
-            assert!(Differential::decode(&buf).is_err(), "kind {kind:#x}");
             assert!(Differential::parse_page(&buf).is_err(), "kind {kind:#x}");
         }
     }

@@ -159,7 +159,6 @@ impl<'a> Cursor<'a> {
 /// Serialise a structure-root snapshot (shared by the payload section
 /// and the tail records): next_pid u64, count u32, then per entry
 /// id u64, kind u8, pad [u8;3], npids u32, pids u64...
-/// ([`roots_len`] bytes).
 fn push_roots(s: &mut Stream, roots: &StructRootsSnapshot) {
     s.push_u64(roots.next_pid);
     s.push_u32(roots.entries.len() as u32);
@@ -194,19 +193,12 @@ fn parse_roots(c: &mut Cursor) -> Result<StructRootsSnapshot> {
     Ok(StructRootsSnapshot { next_pid, entries })
 }
 
-/// Bytes [`push_roots`] writes for `roots`.
-fn roots_len(roots: &StructRootsSnapshot) -> usize {
-    8 + 4 + roots.entries.iter().map(|e| 16 + 8 * e.pids.len()).sum::<usize>()
-}
-
-/// A root record's header: magic u32, total length u32, version u16,
-/// pad u16, txn u64.
-const ROOT_HEADER_LEN: usize = 4 + 4 + 2 + 2 + 8;
-
 /// Exact byte length of the root record [`encode_root_record`] writes for
-/// `roots`: header, snapshot and trailing checksum.
+/// `roots`: its header (magic u32, length u32, version u16, pad u16,
+/// txn u64), what [`push_roots`] writes, and the trailing checksum.
 pub(crate) fn root_record_len(roots: &StructRootsSnapshot) -> usize {
-    ROOT_HEADER_LEN + roots_len(roots) + 8
+    let entries: usize = roots.entries.iter().map(|e| 16 + 8 * e.pids.len()).sum();
+    20 + (8 + 4 + entries) + 8
 }
 
 /// Encode one durable structure-root record, staged into `txn`'s commit
