@@ -330,7 +330,7 @@ impl Differential {
 /// The framing walk over a differential page's data area, shared by every
 /// reader: each item is one record's kind byte and its body (what follows
 /// the kind byte). The walk ends at erased space — a `0xFFFF` length, or
-/// fewer than three bytes left — and after the one error it yields for a
+/// fewer than three bytes left — and after yielding one error for a
 /// length that does not fit the area.
 struct Frames<'a> {
     data: &'a [u8],
@@ -342,7 +342,7 @@ impl<'a> Iterator for Frames<'a> {
     type Item = Result<(u8, &'a [u8])>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let rest = &self.data[self.at.min(self.data.len())..];
+        let rest = &self.data[self.at..];
         if rest.len() < 3 {
             return None;
         }

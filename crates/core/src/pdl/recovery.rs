@@ -415,10 +415,7 @@ pub(crate) fn read_census(chip: &mut FlashChip, opts: &StoreOptions) -> Result<C
             0 => Default::default(),
             _ => super::checkpoint::load_checkpoint_delta(chip, opts)?,
         };
-        let census = match census {
-            Some(census) => census,
-            None => full_scan(chip, opts)?,
-        };
+        let census = census.map(Ok).unwrap_or_else(|| full_scan(chip, opts))?;
         Ok(Census { root_base, ..census })
     })
 }
