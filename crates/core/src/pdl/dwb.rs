@@ -161,9 +161,9 @@ mod tests {
         assert_eq!(b.free_space(), 512);
     }
 
-    /// One staged record: a differential of `pid` (runs at word
-    /// offsets, `txn` 0 standing for none) or a proof of the ids
-    /// `lo..lo + n` with every `stride`-th one left out.
+    /// One staged record: a differential of `pid` (runs 64 bytes apart,
+    /// `txn` 0 standing for none) or a proof of the ids `txn..txn + n`
+    /// that are not multiples of `stride`.
     type Rec = (bool, u64, u64, (u16, u16, u16));
 
     fn stage(b: &mut DiffWriteBuffer, (is_diff, pid, txn, (a, n, stride)): Rec) {
