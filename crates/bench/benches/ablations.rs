@@ -3,9 +3,12 @@
 //! 1. `Max_Differential_Size` beyond the paper's two settings;
 //! 2. differential run-coalescing gap (metadata vs payload trade);
 //! 3. update placement (sequential records vs uniform vs scattered);
-//! 4. GC victim policy: greedy (the paper's) vs wear-aware.
+//! 4. GC victim policy: greedy (the paper's) vs wear-aware;
+//! 5. durable commit batches on one chip and on two shards.
 
-use pdl_core::{GcPolicy, MethodKind, PageStore, Pdl, StoreOptions};
+use pdl_core::{
+    BatchPage, CommitBatch, GcPolicy, MethodKind, PageStore, Pdl, ShardedStore, StoreOptions,
+};
 use pdl_flash::FlashTiming;
 use pdl_workload::{
     chip_for, db_pages_for, load_database, run_update_workload, Placement, Scale, Table,
@@ -106,6 +109,81 @@ fn ablate_gc_policy(scale: Scale) -> Table {
     t
 }
 
+/// Durable commits through `commit_batch`, enough of them to garbage-
+/// collect: each transaction changes 40 bytes (2 %) of four pages, and
+/// `batch` transactions with disjoint pages make a batch, on one chip and
+/// on two shards of one chip each. One driver thread and a fixed seed:
+/// the table is deterministic. Flash time sums every chip's.
+fn ablate_commit_batches(scale: Scale) -> Table {
+    let mut t = Table::new(
+        "Ablation 5: durable commit batches (PDL 256B, 2% of four pages per transaction)",
+        &["store", "batch", "flash us/txn", "programs/txn", "erases"],
+    );
+    let txns = scale.measured_cycles() * 8;
+    for shards in [1usize, 2] {
+        for batch in [1u64, 4] {
+            let pages = db_pages_for(scale, 1) * shards as u64;
+            let opts = StoreOptions::new(pages);
+            let chip = || chip_for(scale, FlashTiming::PAPER);
+            let mut store: Box<dyn PageStore> = if shards == 1 {
+                Box::new(Pdl::new(chip(), opts, 256).expect("valid config"))
+            } else {
+                let chips = (0..shards).map(|_| chip()).collect();
+                let kind = MethodKind::Pdl { max_diff_size: 256 };
+                Box::new(ShardedStore::new(chips, kind, opts).expect("valid config"))
+            };
+            load_database(store.as_mut()).expect("load");
+            let size = store.logical_page_size();
+            let mut truth = vec![vec![0u8; size]; pages as usize];
+            for (pid, page) in truth.iter_mut().enumerate() {
+                store.read_page(pid as u64, page).expect("read");
+            }
+            store.reset_stats();
+            let mut x = 0x0AB5_C0DEu64;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            for b in 0..txns / batch {
+                let mut pids: Vec<u64> = Vec::new();
+                while pids.len() < 4 * batch as usize {
+                    let pid = next() % pages;
+                    if !pids.contains(&pid) {
+                        pids.push(pid);
+                    }
+                }
+                for &pid in &pids {
+                    let at = next() as usize % (size - 40);
+                    let byte = next() as u8;
+                    truth[pid as usize][at..at + 40].fill(byte);
+                }
+                let members = pids.chunks(4).zip(b * batch + 1..);
+                let pages = members.flat_map(|(chunk, txn)| {
+                    chunk
+                        .iter()
+                        .map(|&pid| BatchPage::new(pid, &truth[pid as usize], txn))
+                        .collect::<Vec<_>>()
+                });
+                store
+                    .commit_batch(&CommitBatch { pages: pages.collect(), roots: None })
+                    .expect("commit");
+            }
+            let ops = store.stats().total();
+            let label = if shards == 1 { "1 chip".to_string() } else { format!("{shards} shards") };
+            t.row(vec![
+                label,
+                batch.to_string(),
+                format!("{:.1}", ops.total_us() as f64 / txns as f64),
+                format!("{:.2}", ops.writes as f64 / txns as f64),
+                ops.erases.to_string(),
+            ]);
+        }
+    }
+    t
+}
+
 fn main() {
     let scale = Scale::from_env();
     println!("# Ablation benches (DESIGN.md §6) — scale: {}\n", scale.label());
@@ -114,6 +192,7 @@ fn main() {
     println!("{}", ablate_coalesce_gap(scale).render());
     println!("{}", ablate_placement(scale).render());
     println!("{}", ablate_gc_policy(scale).render());
+    println!("{}", ablate_commit_batches(scale).render());
     println!(
         "methods under test elsewhere: {:?}",
         MethodKind::paper_six().iter().map(|k| k.label()).collect::<Vec<_>>()
