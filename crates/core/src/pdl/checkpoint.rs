@@ -515,17 +515,18 @@ impl Pdl {
         for b in 0..g.num_blocks {
             s.push_u32(self.alloc.written_in(BlockId(b)));
         }
-        // Transaction tables: per-page tags and live
-        // commit-record locations. Presence is recomputed at load time,
-        // so it is not persisted.
+        // Transaction tables: per-page tags and live commit-record
+        // locations. Presence is recomputed at load time, and so is which
+        // tags another shard proves, so neither is persisted.
         for t in &self.diff_txn {
             s.push_u64(*t);
         }
         for t in &self.base_txn {
             s.push_u64(*t);
         }
-        s.push_u32(self.commit_locs.len() as u32);
-        let mut loc_entries: Vec<(&u64, &u32)> = self.commit_locs.iter().collect();
+        let mut loc_entries: Vec<(&u64, &u32)> =
+            self.commit_locs.iter().filter(|(_, p)| **p != super::PROOF_REMOTE).collect();
+        s.push_u32(loc_entries.len() as u32);
         loc_entries.sort_by_key(|(t, _)| **t);
         for (t, p) in loc_entries {
             s.push_u64(*t);

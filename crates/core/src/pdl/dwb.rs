@@ -53,9 +53,10 @@ impl DiffWriteBuffer {
         self.diffs.iter().find(|d| d.pid == pid)
     }
 
-    /// Whether a buffered differential is tagged by one of `txns`.
-    pub fn holds_tag_of(&self, txns: &[u64]) -> bool {
-        self.diffs.iter().any(|d| txns.contains(&d.txn))
+    /// The transaction tag of every buffered differential
+    /// ([`crate::diff::NO_TXN`] for an untagged one).
+    pub fn tags(&self) -> impl Iterator<Item = u64> + '_ {
+        self.diffs.iter().map(|d| d.txn)
     }
 
     /// Remove and return the buffered differential for `pid`.

@@ -62,14 +62,14 @@
 //! whether it committed is recovery's call.
 //!
 //! On one chip the staged differentials and the record leave in one
-//! flush. A [`crate::ShardedStore`] transaction may record on several
-//! chips, and recovery calls it torn where a shard holds its tag but no
-//! record. There, a shard whose buffer holds a differential of such a
-//! transaction flushes it before any record — unless the shard records
-//! last and already holds a programmed tag (`durable_tags`: a Case-3
-//! base, or a differential a Case-2 flush wrote out) of each such
-//! transaction it stages. A transaction on one shard commits as on one
-//! chip.
+//! flush. A [`crate::ShardedStore`] batch has one commit point too: one
+//! shard, its *home*, writes the only record of every transaction in the
+//! batch, and recovery calls a transaction torn when some shard holds a
+//! live tag of it and no shard proves it. Every other shard programs its
+//! tags before that record, and holds a [`PROOF_REMOTE`] entry for each
+//! transaction whose tag it keeps; when its last such tag dies the id
+//! goes onto `released`, and the router hands it on to the home, whose
+//! `presence` counts one per foreign shard still holding tags.
 //!
 //! Proofs stay alive while any non-obsolete page still carries their
 //! transaction's tag (the `presence` gauge below), and the tags
@@ -95,7 +95,7 @@ mod dwb;
 mod recovery;
 mod spans;
 
-pub(crate) use recovery::{read_census, Census};
+pub(crate) use recovery::{read_census, recover_chips, torn_txns, Census};
 
 use crate::diff::{Differential, EpochRecord, PageRecord, EPOCH_HEADER, NO_TXN, RECORD_HEADER};
 use crate::error::CoreError;
@@ -104,8 +104,7 @@ use crate::ftl::{
     AllocStream, BlockManager, GcPolicy, HeatTable,
 };
 use crate::page_store::{
-    note_txn, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
-    StructRootsSnapshot,
+    ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions, StructRootsSnapshot,
 };
 use crate::Result;
 use dwb::DiffWriteBuffer;
@@ -123,6 +122,11 @@ pub(crate) const MAX_FRAMES: usize = 8;
 /// seen outside a batch or a GC pass.
 const PROOF_FRESH: u32 = u32::MAX;
 const PROOF_RESTAGED: u32 = u32::MAX - 1;
+/// `commit_locs` value of a transaction another shard of a
+/// [`crate::ShardedStore`] proves, while this shard holds a live tag of
+/// it: committed, with no location here. Every value at or above this
+/// one is a sentinel, never a page.
+const PROOF_REMOTE: u32 = u32::MAX - 2;
 /// Most live commit proofs one record flush carries forward.
 const CARRY_MAX: usize = 16;
 
@@ -317,10 +321,14 @@ pub struct Pdl {
     presence: IdMap<u32>,
     /// Physical page holding the live commit record of each transaction
     /// still referenced by live tags ([`PROOF_FRESH`] / [`PROOF_RESTAGED`]
-    /// while the only copy that counts is staged). A transaction is
-    /// durably committed exactly when it has an entry other than
-    /// [`PROOF_FRESH`].
+    /// while the only copy that counts is staged, [`PROOF_REMOTE`] when
+    /// another shard holds it). A transaction is durably committed
+    /// exactly when it has an entry other than [`PROOF_FRESH`].
     commit_locs: IdMap<u32>,
+    /// Transactions whose [`PROOF_REMOTE`] entry lost its last tag here:
+    /// the sharded router takes them ([`Pdl::take_released`]) and drops
+    /// this shard's count at their home.
+    released: Vec<u64>,
     /// Live proofs, oldest location first: the order `carry_proofs`
     /// re-proves them in. A superset of `commit_locs`' keys — retired
     /// transactions are pruned when they reach the front.
@@ -341,11 +349,6 @@ pub struct Pdl {
     batch_pins: HashSet<u32>,
     /// Whether a commit batch is open (`batch_open` .. `batch_close`).
     in_txn_batch: bool,
-    /// Transactions of the open batch with a tag already programmed: a
-    /// Case-3 base, or a differential a flush wrote out. A shard holding
-    /// one for each cross-shard transaction it stages needs no stage
-    /// flush (see `ShardedStore::commit_batch`).
-    durable_tags: Vec<u64>,
     /// The error that hit a batch after it was opened. The batch stays
     /// open for good; `commit_batch` and `checkpoint` answer with this.
     batch_failed: Option<CoreError>,
@@ -441,6 +444,7 @@ impl Pdl {
             base_txn: vec![NO_TXN; nl * k],
             presence: IdMap::default(),
             commit_locs: IdMap::default(),
+            released: Vec::new(),
             proof_fifo: VecDeque::new(),
             txn_floor: 1,
             #[cfg(test)]
@@ -448,7 +452,6 @@ impl Pdl {
             deferred: Vec::new(),
             batch_pins: HashSet::new(),
             in_txn_batch: false,
-            durable_tags: Vec::new(),
             batch_failed: None,
             poisoned: HashMap::new(),
             twins: HashMap::new(),
@@ -486,9 +489,20 @@ impl Pdl {
     /// entry matches its page's current differential, and the allocator's
     /// page bitmap calls a written page dead exactly when no base frame,
     /// differential or proof (`vdct > 0`) or spill ledger entry lives there.
+    /// Outside a batch, each transaction's presence is its live tags here.
     #[doc(hidden)]
     pub fn check_tables(&self) -> std::result::Result<(), String> {
-        let durable = self.commit_locs.values().copied().filter(|l| *l < PROOF_RESTAGED);
+        self.check_tables_with(&IdMap::default())
+    }
+
+    /// [`Pdl::check_tables`] for a shard whose proofs `foreign[t]` other
+    /// shards rely on: outside a batch, the presence of a transaction
+    /// proven here is its live tags here plus `foreign[t]`.
+    pub(crate) fn check_tables_with(
+        &self,
+        foreign: &IdMap<u32>,
+    ) -> std::result::Result<(), String> {
+        let durable = self.commit_locs.values().copied().filter(|l| *l < PROOF_REMOTE);
         let want = derive_vdct(self.vdct.len(), &self.ppmt, durable);
         if let Some(p) = (0..want.len()).find(|&p| want[p] != self.vdct[p]) {
             return Err(format!(
@@ -498,7 +512,11 @@ impl Pdl {
         }
         let queued: HashSet<u64> = self.proof_fifo.iter().copied().collect();
         for (txn, &loc) in &self.commit_locs {
-            if loc >= PROOF_RESTAGED {
+            if loc == PROOF_REMOTE {
+                if foreign.contains_key(txn) {
+                    return Err(format!("txn {txn} is proven elsewhere and relied on here"));
+                }
+            } else if loc >= PROOF_RESTAGED {
                 if !self.in_txn_batch {
                     return Err(format!("proof of txn {txn} left staged outside a batch"));
                 }
@@ -508,8 +526,25 @@ impl Pdl {
             if !self.presence.contains_key(txn) {
                 return Err(format!("proof of txn {txn} outlived its last tag"));
             }
-            if !queued.contains(txn) {
+            if loc != PROOF_REMOTE && !queued.contains(txn) {
                 return Err(format!("proof of txn {txn} is missing from the carry queue"));
+            }
+        }
+        if !self.in_txn_batch {
+            let mut want = self.tag_counts();
+            for (&txn, &n) in foreign {
+                if !self.proves(txn) {
+                    return Err(format!("{n} shards rely on a proof of txn {txn} not held here"));
+                }
+                *want.entry(txn).or_insert(0) += n;
+            }
+            let txns = want.keys().chain(self.presence.keys());
+            if let Some(txn) = txns.copied().find(|t| want.get(t) != self.presence.get(t)) {
+                return Err(format!(
+                    "txn {txn}: presence {:?} but {:?} live tags and foreign shards",
+                    self.presence.get(&txn),
+                    want.get(&txn)
+                ));
             }
         }
         let mut live = live_pages(&self.ppmt, &self.vdct, self.frames());
@@ -518,6 +553,24 @@ impl Pdl {
         }
         self.alloc.check_pages(|p| live[p.0 as usize])?;
         self.check_spans()
+    }
+
+    /// Live tagged items per transaction: mapped differentials and base
+    /// frames, buffered differentials, and the root records whose
+    /// transaction's proof they pin.
+    fn tag_counts(&self) -> IdMap<u32> {
+        let k = self.frames();
+        let ppmt = &self.ppmt;
+        let diffs = self.diff_txn.iter().zip(ppmt).filter(|(_, e)| e.diff != NONE);
+        let frames =
+            self.base_txn.iter().enumerate().filter(|(f, _)| ppmt[f / k].base[f % k] != NONE);
+        let roots = self.live_root_txn.into_iter().chain(self.pending_roots.as_ref().map(|r| r.0));
+        let tags = diffs.map(|(t, _)| *t).chain(frames.map(|(_, t)| *t));
+        let mut counts = IdMap::default();
+        for txn in tags.chain(self.dwb.tags()).chain(roots).filter(|t| *t != NO_TXN) {
+            *counts.entry(txn).or_insert(0) += 1;
+        }
+        counts
     }
 
     /// Every known range entry is exactly the runs of the page's current
@@ -617,8 +670,9 @@ impl Pdl {
     }
 
     /// One tagged item of `txn` is gone. At zero the transaction's commit
-    /// record no longer gates anything: retire it (unless it sits in
-    /// `dying_page`, which the caller is already tearing down).
+    /// record no longer gates anything here: retire it (unless it sits in
+    /// `dying_page`, which the caller is already tearing down), or, when
+    /// another shard holds it, release this shard's claim on it.
     fn presence_dec(&mut self, txn: u64, dying_page: Option<u32>) -> Result<()> {
         let Some(c) = self.presence.get_mut(&txn) else {
             debug_assert!(false, "presence underflow for txn {txn}");
@@ -629,12 +683,14 @@ impl Pdl {
             return Ok(());
         }
         self.presence.remove(&txn);
-        if let Some(loc) = self.commit_locs.remove(&txn) {
+        match self.commit_locs.remove(&txn) {
+            Some(PROOF_REMOTE) => self.released.push(txn),
             // A staged proof has no location to release; `flush_dwb`
             // drops it when it finds the transaction gone.
-            if loc < PROOF_RESTAGED && Some(loc) != dying_page {
-                self.decrease_vdct(loc)?;
+            Some(loc) if loc < PROOF_REMOTE && Some(loc) != dying_page => {
+                self.decrease_vdct(loc)?
             }
+            _ => {}
         }
         Ok(())
     }
@@ -733,9 +789,6 @@ impl Pdl {
             }
             self.ppmt[pid].diff = q.0;
             self.diff_txn[pid] = d.txn;
-            if d.txn != NO_TXN && self.in_txn_batch {
-                note_txn(&mut self.durable_tags, d.txn);
-            }
         }
         self.counters.dwb_flushes += 1;
         Ok(())
@@ -761,7 +814,7 @@ impl Pdl {
             self.proof_fifo.push_back(txn);
         } else if old == q {
             return Ok(false);
-        } else if old != PROOF_RESTAGED {
+        } else if old < PROOF_REMOTE {
             self.counters.proof_pages_released += u64::from(self.vdct[old as usize] == 1);
             self.decrease_vdct(old)?;
         }
@@ -818,9 +871,6 @@ impl Pdl {
                 self.presence_inc(txn);
                 self.counters.txn_staged += 1;
             }
-        }
-        if txn != NO_TXN {
-            note_txn(&mut self.durable_tags, txn);
         }
         if old.diff != NONE {
             if txn != NO_TXN {
@@ -1547,14 +1597,19 @@ impl Pdl {
     }
 
     /// Append durable proof of commit for `txns` to the write stream: one
-    /// *epoch record* (group commit proves a whole batch at once).
+    /// *epoch record* (group commit proves a whole batch at once). Each
+    /// entry of `foreign` names a transaction one other shard holds tags
+    /// of: the proof stays live until that shard releases it too.
     ///
     /// The flush this record rides in is mostly padding, so the record
     /// also carries the oldest live proofs forward ([`Pdl::carry_proofs`]).
-    pub(crate) fn batch_record(&mut self, txns: &[u64]) -> Result<()> {
+    pub(crate) fn batch_record(&mut self, txns: &[u64], foreign: &[u64]) -> Result<()> {
         for &txn in txns {
             self.commit_locs.entry(txn).or_insert(PROOF_FRESH);
             self.txn_floor = self.txn_floor.max(txn + 1);
+        }
+        for &txn in foreign {
+            self.presence_inc(txn);
         }
         self.stage_commit_proofs(txns, true)?;
         self.counters.txn_commits += txns.len() as u64;
@@ -1566,12 +1621,45 @@ impl Pdl {
 
     /// Whether the buffer holds a differential tagged by one of `txns`.
     pub(crate) fn buffers_tag_of(&self, txns: &[u64]) -> bool {
-        self.dwb.holds_tag_of(txns)
+        self.dwb.tags().any(|t| txns.contains(&t))
     }
 
-    /// Whether the open batch has already programmed a tag of `txn`.
-    pub(crate) fn has_durable_tag(&self, txn: u64) -> bool {
-        self.durable_tags.contains(&txn)
+    /// Those of `txns` this shard holds a live tag of.
+    pub(crate) fn tags_held<'a>(&'a self, txns: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+        txns.iter().copied().filter(|t| self.presence.contains_key(t))
+    }
+
+    /// Another shard's record proves `txns`, and it is durable: each one
+    /// this shard holds a tag of is committed here, with no location.
+    pub(crate) fn batch_prove_remote(&mut self, txns: &[u64]) {
+        for &txn in txns {
+            self.txn_floor = self.txn_floor.max(txn + 1);
+            if self.presence.contains_key(&txn) {
+                self.commit_locs.insert(txn, PROOF_REMOTE);
+            }
+        }
+    }
+
+    /// Whether this shard holds the proof of `txn` (not another shard).
+    pub(crate) fn proves(&self, txn: u64) -> bool {
+        self.commit_locs.get(&txn).is_some_and(|&loc| loc != PROOF_REMOTE)
+    }
+
+    /// The transactions this shard holds tags of and another shard proves.
+    pub(crate) fn remote_txns(&self) -> impl Iterator<Item = u64> + '_ {
+        self.commit_locs.iter().filter(|(_, loc)| **loc == PROOF_REMOTE).map(|(t, _)| *t)
+    }
+
+    /// The ids whose last tag here died since the last call, each proven
+    /// by another shard.
+    pub(crate) fn take_released(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.released)
+    }
+
+    /// One foreign shard no longer holds a tag of `txn`, which this shard
+    /// proves.
+    pub(crate) fn release_foreign(&mut self, txn: u64) -> Result<()> {
+        self.presence_dec(txn, None)
     }
 
     /// Re-prove the oldest live commits — at most [`CARRY_MAX`], and no
@@ -1627,13 +1715,12 @@ impl Pdl {
         *rec = EpochRecord::from_sorted_ids(rec.ts, &ids);
     }
 
-    /// Close the open batch. `committed`: flush the commit records (the
-    /// commit point); the superseded pre-images are then garbage on every
-    /// timeline and their obsolete marks can go out. Otherwise the batch
-    /// was rejected on another shard before anything was staged, and only
-    /// the marks of interleaved evictions are due.
-    pub(crate) fn batch_close(&mut self, committed: bool) -> Result<()> {
-        if committed {
+    /// Close the open batch, its commit point durable or nothing of it
+    /// staged: the superseded pre-images are then garbage on every
+    /// timeline and their obsolete marks can go out. `flush` first writes
+    /// the buffer out: on one chip that flush is the commit point.
+    pub(crate) fn batch_close(&mut self, flush: bool) -> Result<()> {
+        if flush {
             self.flush()?;
         }
         for ppn in std::mem::take(&mut self.deferred) {
@@ -1650,7 +1737,6 @@ impl Pdl {
             }
         }
         self.batch_pins.clear();
-        self.durable_tags.clear();
         self.in_txn_batch = false;
         Ok(())
     }
@@ -1782,7 +1868,7 @@ impl PageStore for Pdl {
             if let Some((r, txn)) = batch.roots {
                 self.batch_stage_roots(r, txn)?;
             }
-            self.batch_record(&batch.txns())?;
+            self.batch_record(&batch.txns(), &[])?;
             self.batch_close(true)
         };
         staged().map_err(|e| {
@@ -2202,7 +2288,7 @@ mod tests {
             s.stage_page(pid, page, txn, None).unwrap();
         }
         s.flush().unwrap();
-        s.batch_record(&[txn]).unwrap();
+        s.batch_record(&[txn], &[]).unwrap();
         s.flush().unwrap();
         s.batch_close(true).unwrap();
     }
@@ -2283,7 +2369,7 @@ mod tests {
         s.stage_page(7, &p, 7, None).unwrap();
         s.flush().unwrap();
         let before = s.chip().stats().total();
-        s.batch_record(&[7]).unwrap();
+        s.batch_record(&[7], &[]).unwrap();
         assert_eq!(s.chip().stats().total(), before);
         assert_eq!(s.counters.proofs_carried, 15 + 6);
         s.flush().unwrap();

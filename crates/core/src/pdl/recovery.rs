@@ -38,14 +38,14 @@
 //! record on it (the payload stays on flash) and whether its data
 //! verified. Everything after it runs over the census:
 //!
-//! * **The transaction verdict** ([`Census::verdict`]) collects the
-//!   transactions that appear as *tags* (on differentials or Case-3 base
-//!   pages) and the ones that appear in durable *commit records*. A
-//!   transaction is **torn** — it crashed between its first staged page
-//!   and its commit record — exactly when some chip carries a live tag of
-//!   it but no local record (the commit protocol writes a record to every
-//!   involved shard, and garbage collection keeps a shard's record alive
-//!   while anything on that shard still carries the tag).
+//! * **The transaction verdict** ([`torn_txns`], over every chip of the
+//!   store) collects the transactions that appear in durable *commit
+//!   records* and the ones that appear as live *tags* (on differentials or
+//!   Case-3 base pages). A transaction is **torn** — it crashed between
+//!   its first staged page and its commit record — exactly when some chip
+//!   carries a live tag of it and no chip proves it (a commit batch writes
+//!   its one record on one chip after every chip's tags, and that record
+//!   stays alive while any chip still carries a tag).
 //! * **The replay** ([`Census::replay`], phase 1) is Figure 11's loop body
 //!   with the torn set in hand: tagged base pages of torn transactions are
 //!   set obsolete, tagged differentials of torn transactions are skipped,
@@ -87,6 +87,7 @@ use crate::diff::{Differential, PageRecord, NO_TXN};
 use crate::error::CoreError;
 use crate::ftl::BlockManager;
 use crate::page_store::StoreOptions;
+use crate::shard::each_on_a_thread;
 use crate::Result;
 use pdl_flash::{BlockId, FlashChip, FlashGeometry, OpContext, PageBuf, PageKind, Ppn, SpareInfo};
 use std::collections::{HashMap, HashSet};
@@ -185,20 +186,12 @@ impl Pages {
     }
 }
 
-/// The verdict: live tags and local commit records.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct TxnScan {
-    pub tagged: HashSet<u64>,
-    pub records: HashSet<u64>,
-}
-
-impl TxnScan {
-    /// Transactions torn on this chip: live-tagged but without a local
-    /// commit record. (For a sharded store the torn sets of every shard
-    /// are unioned before any shard replays.)
-    pub(crate) fn torn(&self) -> HashSet<u64> {
-        self.tagged.difference(&self.records).copied().collect()
-    }
+/// The torn-commit verdict over the censuses of every chip of one store:
+/// the transactions some chip holds a live tag of and no chip proves
+/// (torn = ∪ tagged − ∪ proven).
+pub(crate) fn torn_txns(censuses: &[Census]) -> HashSet<u64> {
+    let proven: HashSet<u64> = censuses.iter().flat_map(Census::proven).collect();
+    censuses.iter().flat_map(|c| c.unproven_tags(&proven)).collect()
 }
 
 /// Everything recovery learns from flash, gathered by one read pass
@@ -271,25 +264,27 @@ impl Census {
         Ok(())
     }
 
-    /// The torn-commit verdict over the census. It computes which tags are
-    /// **live** — not dominated by newer committed data under the
-    /// time-stamp order the replay uses — and a transaction is *torn*
-    /// exactly when it has a live tag on a chip without a local commit
-    /// record. Dead (superseded) tags are ignored: the running store drops
-    /// its presence count and may retire the commit record the moment a
-    /// tag is dominated, and this verdict mirrors that. The loaded tables
-    /// count as committed: a checkpoint is never taken inside a batch.
-    pub(crate) fn verdict(&self) -> TxnScan {
+    /// The transactions this census holds a commit record of: the loaded
+    /// tables' (a checkpoint is never taken inside a batch) and every
+    /// proof on the pages read, verified or not.
+    pub(crate) fn proven(&self) -> impl Iterator<Item = u64> + '_ {
+        let recs = self.pages.recs.iter().filter_map(|rec| match *rec {
+            RecHead::Proof { n, lo, .. } => Some(proof_ids(n, lo)),
+            RecHead::Diff { .. } => None,
+        });
+        self.tables.commit_locs.keys().copied().chain(recs.flatten())
+    }
+
+    /// The transactions outside `proven` this census holds a **live** tag
+    /// of: one not dominated by newer committed data under the time-stamp
+    /// order the replay uses. Dead (superseded) tags are ignored: the
+    /// running store drops its presence count and may retire the commit
+    /// record the moment a tag is dominated, and this mirrors that.
+    fn unproven_tags(&self, proven: &HashSet<u64>) -> HashSet<u64> {
         let t = &self.tables;
         let k = t.frames_per_page;
         let nl = t.ppmt.len();
-        let mut records: HashSet<u64> = t.commit_locs.keys().copied().collect();
-        for rec in &self.pages.recs {
-            if let RecHead::Proof { n, lo, .. } = *rec {
-                records.extend(proof_ids(n, lo));
-            }
-        }
-        let committed = |txn: u64| txn == NO_TXN || records.contains(&txn);
+        let committed = |txn: u64| txn == NO_TXN || proven.contains(&txn);
         // Only unrecorded transactions can be torn, so only their tags
         // need a liveness check; without one there is nothing to judge.
         let unrecorded = |(page, recs): (&Found, &[RecHead])| {
@@ -297,11 +292,11 @@ impl Census {
                 || recs.iter().any(|r| matches!(*r, RecHead::Diff { txn, .. } if !committed(txn)))
         };
         if !self.pages.iter().any(unrecorded) {
-            return TxnScan { tagged: HashSet::new(), records };
+            return HashSet::new();
         }
         // Newest committed time stamp per frame and per logical page. A
-        // tag whose transaction has a local record counts as committed, so
-        // a committed rewrite kills the tags it superseded.
+        // tag whose transaction some chip proves counts as committed, so a
+        // committed rewrite kills the tags it superseded.
         let mut eff_frame = vec![0u64; nl * k];
         let mut eff_diff = vec![0u64; nl];
         for pid in 0..nl {
@@ -354,7 +349,7 @@ impl Census {
                 }
             }
         }
-        TxnScan { tagged, records }
+        tagged
     }
 
     /// How many census pages carry a tag or commit proof of a `torn`
@@ -659,14 +654,16 @@ impl RecoveryTables {
         }
     }
 
-    /// Post-scan transaction resolution: count the *live* tags per
-    /// transaction (winning differentials and base frames), keep one
-    /// commit-record copy alive (counted in the valid-differential
-    /// table) for every transaction still referenced, count the remaining
-    /// record-only pages obsolete, and mark the dead torn pages — the only
-    /// programs recovery issues. Returns the presence gauge the running
-    /// store resumes with.
-    pub fn finish(&mut self, chip: &mut FlashChip) -> Result<IdMap<u32>> {
+    /// Whether this chip holds a commit record of `txn`: a loaded
+    /// location, or a copy on a page the replay verified.
+    fn proves(&self, txn: u64) -> bool {
+        self.commit_cands.contains_key(&txn) || self.commit_locs.contains_key(&txn)
+    }
+
+    /// The *live* tags per transaction after the replay: winning
+    /// differentials and base frames, and the authoritative structure-root
+    /// record.
+    fn presence(&self) -> IdMap<u32> {
         let mut presence: IdMap<u32> = IdMap::default();
         for (pid, t) in self.diff_txn.iter().enumerate() {
             if *t != NO_TXN && self.ppmt[pid].diff != NONE {
@@ -686,6 +683,25 @@ impl RecoveryTables {
         if let Some(t) = self.root_ref {
             *presence.entry(t).or_insert(0) += 1;
         }
+        presence
+    }
+
+    /// Post-scan transaction resolution, given each referenced
+    /// transaction's `presence` (its live tags here, plus one per other
+    /// chip holding tags of a transaction this chip proves): keep one
+    /// commit-record copy alive (counted in the valid-differential table)
+    /// for every transaction still referenced, note the ones another chip
+    /// proves (`remote`) without a location, count the remaining
+    /// record-only pages obsolete, and mark the dead torn pages — the only
+    /// programs recovery issues. Returns the presence gauge the running
+    /// store resumes with.
+    fn finish(
+        &mut self,
+        chip: &mut FlashChip,
+        presence: IdMap<u32>,
+        remote: &HashSet<u64>,
+    ) -> Result<IdMap<u32>> {
+        let k = self.frames_per_page;
         // One live record copy per referenced transaction (the lowest
         // surviving physical page, deterministically, so repeated
         // recoveries agree). The checkpoint fast path pre-counts loaded
@@ -696,18 +712,14 @@ impl RecoveryTables {
         // over and the loaded reference is released below.
         let mut stale: Vec<u32> = Vec::new();
         for t in presence.keys() {
+            if remote.contains(t) {
+                self.commit_locs.insert(*t, super::PROOF_REMOTE);
+                continue;
+            }
             let loaded = self.commit_locs.get(t).copied();
-            let Some(cands) = self.commit_cands.get(t) else {
-                if loaded.is_some() {
-                    continue;
-                }
-                // Only committed transactions' tags survive the scan, so
-                // a record existed and is gone: serving the page would
-                // absorb a lost commit proof.
-                return Err(CoreError::Corruption(format!(
-                    "live tag without a commit record for txn {t}"
-                )));
-            };
+            // Without a copy found by the scan, the loaded location stands
+            // (`recover_chips` checked that one of the two exists).
+            let Some(cands) = self.commit_cands.get(t) else { continue };
             let loc = *cands.iter().min().expect("candidate list is never empty");
             self.vdct[loc as usize] += 1;
             self.commit_locs.insert(*t, loc);
@@ -763,117 +775,174 @@ impl Pdl {
     /// the store was built with a checkpoint root region
     /// ([`StoreOptions::with_checkpoint_blocks`]), the latest committed
     /// checkpoint is loaded and only blocks changed since are read;
-    /// otherwise (or when no checkpoint exists) every page is. On a single
-    /// chip every commit record is local, so tagged-without-record means
-    /// torn.
+    /// otherwise (or when no checkpoint exists) every page is.
     pub fn recover(mut chip: FlashChip, opts: StoreOptions, max_diff_size: usize) -> Result<Pdl> {
         let census = read_census(&mut chip, &opts)?;
-        let torn = census.verdict().torn();
-        Pdl::from_census(chip, opts, max_diff_size, census, torn)
+        let torn = torn_txns(std::slice::from_ref(&census));
+        let mut pdl = recover_chips(vec![(chip, opts, census)], max_diff_size, &torn)?;
+        Ok(pdl.pop().expect("one chip, one store"))
     }
+}
 
-    /// Finish a recovery whose read pass already ran: replay `census` with
-    /// `uncommitted` as the torn set. The sharded engine unions every
-    /// shard's verdict first, so a transaction torn on one chip is
-    /// discarded on all of them.
-    pub(crate) fn from_census(
-        mut chip: FlashChip,
-        opts: StoreOptions,
-        max_diff_size: usize,
-        mut census: Census,
-        uncommitted: HashSet<u64>,
-    ) -> Result<Pdl> {
+/// Finish the recovery of every chip of one store (shard order), each
+/// chip's read pass already run, under the store's verdict (`torn`): replay each
+/// census, resolve the structure roots, then each chip's commit records.
+/// A chip holding live tags of a transaction another chip proves keeps
+/// them under a [`super::PROOF_REMOTE`] entry, and the proving chip — the
+/// transaction's home — counts one presence for it. A live tag no chip
+/// proves with a readable record is `Corruption`: serving it would absorb
+/// a lost commit proof. The replays, and then the finishes, run on a
+/// thread per chip.
+pub(crate) fn recover_chips(
+    parts: Vec<(FlashChip, StoreOptions, Census)>,
+    max_diff_size: usize,
+    torn: &HashSet<u64>,
+) -> Result<Vec<Pdl>> {
+    let replayed = each_on_a_thread(parts, |(mut chip, opts, mut census)| {
         let root_base = std::mem::take(&mut census.root_base);
-        let mut tables = census.replay(&mut chip, uncommitted)?;
-        let g = chip.geometry();
-        // Resolve the durable structure roots first: the winning tail
-        // record's transaction must be noted before `finish` runs so its
-        // commit record is retained (and never swept) by the normal
-        // presence machinery.
-        let roots = if opts.checkpoint_blocks >= 2 {
+        let tables = census.replay(&mut chip, torn.clone())?;
+        Ok((chip, opts, tables, root_base))
+    });
+    let replayed = replayed.into_iter().collect::<Result<Vec<_>>>()?;
+    let n = replayed.len();
+    let (mut chips, mut opts, mut tables, mut bases) =
+        (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n), Vec::new());
+    for (chip, o, t, base) in replayed {
+        chips.push(chip);
+        opts.push(o);
+        tables.push(t);
+        bases.push(base);
+    }
+    // The durable structure roots: a root record counts when a readable
+    // record on some chip proves its transaction. The winner's transaction
+    // must be known before records are resolved, so its record is kept.
+    let mut roots = Vec::with_capacity(n);
+    for ((chip, opts), base) in chips.iter_mut().zip(&opts).zip(bases) {
+        let committed = |t: u64| !torn.contains(&t) && tables.iter().any(|r| r.proves(t));
+        roots.push(if opts.checkpoint_blocks >= 2 {
             chip.set_context(OpContext::Recovery);
-            let rs = super::checkpoint::load_root_state(&mut chip, &opts, root_base, &|t| {
-                (tables.commit_locs.contains_key(&t) || tables.commit_cands.contains_key(&t))
-                    && !tables.uncommitted.contains(&t)
-            });
+            let rs = super::checkpoint::load_root_state(chip, opts, base, &committed);
             chip.set_context(OpContext::User);
             rs?
         } else {
             RootLogState::default()
-        };
-        tables.root_ref = roots.live_txn;
-        // Phase 2: record resolution, poisoning, the torn pages' marks.
-        let presence = phase(&mut chip, "recovery_finish", 2, |chip| tables.finish(chip))?;
-        let mut alloc = BlockManager::new(g.num_blocks, g.pages_per_block, opts.reserve_blocks);
-        alloc.set_policy(opts.gc_policy);
-        for b in 0..opts.checkpoint_blocks {
-            alloc.reserve_block(BlockId(b));
-        }
-        // Every written page the recovered tables hold nothing in is dead:
-        // superseded, torn, a spill page, a differential page left with no
-        // live record, or one whose data failed its checksum.
-        let live = super::live_pages(&tables.ppmt, &tables.vdct, opts.frames_per_page as usize);
-        alloc.rebuild(&tables.written, |p| live[p.0 as usize]);
-        // Blocks whose erase failed before the crash are permanently
-        // broken on the chip; retire them up front so GC never selects
-        // one as a victim (its erase would fail again, forever).
-        for b in 0..g.num_blocks {
-            if chip.is_broken(BlockId(b)) {
-                alloc.retire_block(BlockId(b));
-            }
-        }
-        // The carry queue, oldest transaction first: ids rise with age
-        // and the order must not depend on the map's.
-        let mut proof_fifo: Vec<u64> = tables.commit_locs.keys().copied().collect();
-        proof_fifo.sort_unstable();
-        let pdl = Pdl {
-            opts,
-            max_diff_size,
-            ppmt: tables.ppmt,
-            // Which bytes each recovered differential covers is on flash
-            // only: the first staging of every page reads its base.
-            spans: super::DiffSpans::unknown(opts.num_logical_pages as usize),
-            vdct: tables.vdct,
-            dwb: DiffWriteBuffer::new(g.data_size),
-            alloc,
-            heat: crate::ftl::HeatTable::new(opts.num_logical_pages),
-            ts: tables.max_ts + 1,
-            in_gc: false,
-            ckpt_seq: roots.seq,
-            ckpt_live_half: roots.live_half,
-            struct_roots: roots.roots,
-            pending_roots: None,
-            live_root_txn: roots.live_txn,
-            root_tail: roots.tail,
-            root_tail_end: roots.tail_end,
-            root_tail_used: roots.tail_used,
-            diff_txn: tables.diff_txn,
-            base_txn: tables.base_txn,
-            presence,
-            commit_locs: tables.commit_locs,
-            proof_fifo: proof_fifo.into(),
-            txn_floor: tables.txn_floor.max(roots.txn_floor),
-            #[cfg(test)]
-            carry_disabled: false,
-            deferred: Vec::new(),
-            batch_pins: HashSet::new(),
-            in_txn_batch: false,
-            durable_tags: Vec::new(),
-            batch_failed: None,
-            poisoned: tables.poisoned,
-            twins: tables.twins,
-            spills: HashMap::new(),
-            spill_rev: HashMap::new(),
-            next_spill: 0,
-            gc_moves: Vec::new(),
-            base_buf: vec![0u8; opts.logical_page_size(g.data_size)],
-            frame_buf: vec![0u8; g.data_size],
-            page_img: vec![0u8; g.data_size],
-            counters: PdlCounters::default(),
-            chip,
-        };
-        Ok(pdl)
+        });
     }
+    let mut presence = Vec::with_capacity(n);
+    for (t, r) in tables.iter_mut().zip(&roots) {
+        t.root_ref = r.live_txn;
+        presence.push(t.presence());
+    }
+    let mut remote = vec![HashSet::new(); n];
+    for s in 0..n {
+        let mut unproven: Vec<u64> =
+            presence[s].keys().copied().filter(|&t| !tables[s].proves(t)).collect();
+        unproven.sort_unstable();
+        for t in unproven {
+            let Some(home) = (0..n).find(|&h| h != s && tables[h].proves(t)) else {
+                return Err(CoreError::Corruption(format!(
+                    "live tag without a commit record for txn {t}"
+                )));
+            };
+            *presence[home].entry(t).or_insert(0) += 1;
+            remote[s].insert(t);
+        }
+    }
+    let parts = chips.into_iter().zip(opts).zip(tables).zip(roots).zip(presence).zip(remote);
+    let finished = each_on_a_thread(parts.collect(), |(((((chip, opts), t), r), p), remote)| {
+        finish_store(chip, opts, max_diff_size, t, r, p, &remote)
+    });
+    finished.into_iter().collect()
+}
+
+/// Phase 2 of one chip's recovery ([`RecoveryTables::finish`]) and the
+/// store it resumes.
+fn finish_store(
+    mut chip: FlashChip,
+    opts: StoreOptions,
+    max_diff_size: usize,
+    mut tables: RecoveryTables,
+    roots: RootLogState,
+    presence: IdMap<u32>,
+    remote: &HashSet<u64>,
+) -> Result<Pdl> {
+    let g = chip.geometry();
+    // Record resolution, poisoning, the torn pages' marks.
+    let presence =
+        phase(&mut chip, "recovery_finish", 2, |chip| tables.finish(chip, presence, remote))?;
+    let mut alloc = BlockManager::new(g.num_blocks, g.pages_per_block, opts.reserve_blocks);
+    alloc.set_policy(opts.gc_policy);
+    for b in 0..opts.checkpoint_blocks {
+        alloc.reserve_block(BlockId(b));
+    }
+    // Every written page the recovered tables hold nothing in is dead:
+    // superseded, torn, a spill page, a differential page left with no
+    // live record, or one whose data failed its checksum.
+    let live = super::live_pages(&tables.ppmt, &tables.vdct, opts.frames_per_page as usize);
+    alloc.rebuild(&tables.written, |p| live[p.0 as usize]);
+    // Blocks whose erase failed before the crash are permanently
+    // broken on the chip; retire them up front so GC never selects
+    // one as a victim (its erase would fail again, forever).
+    for b in 0..g.num_blocks {
+        if chip.is_broken(BlockId(b)) {
+            alloc.retire_block(BlockId(b));
+        }
+    }
+    // The carry queue, oldest transaction first: ids rise with age
+    // and the order must not depend on the map's.
+    let mut proof_fifo: Vec<u64> = tables
+        .commit_locs
+        .iter()
+        .filter(|(_, loc)| **loc != super::PROOF_REMOTE)
+        .map(|(t, _)| *t)
+        .collect();
+    proof_fifo.sort_unstable();
+    Ok(Pdl {
+        opts,
+        max_diff_size,
+        ppmt: tables.ppmt,
+        // Which bytes each recovered differential covers is on flash
+        // only: the first staging of every page reads its base.
+        spans: super::DiffSpans::unknown(opts.num_logical_pages as usize),
+        vdct: tables.vdct,
+        dwb: DiffWriteBuffer::new(g.data_size),
+        alloc,
+        heat: crate::ftl::HeatTable::new(opts.num_logical_pages),
+        ts: tables.max_ts + 1,
+        in_gc: false,
+        ckpt_seq: roots.seq,
+        ckpt_live_half: roots.live_half,
+        struct_roots: roots.roots,
+        pending_roots: None,
+        live_root_txn: roots.live_txn,
+        root_tail: roots.tail,
+        root_tail_end: roots.tail_end,
+        root_tail_used: roots.tail_used,
+        diff_txn: tables.diff_txn,
+        base_txn: tables.base_txn,
+        presence,
+        commit_locs: tables.commit_locs,
+        released: Vec::new(),
+        proof_fifo: proof_fifo.into(),
+        txn_floor: tables.txn_floor.max(roots.txn_floor),
+        #[cfg(test)]
+        carry_disabled: false,
+        deferred: Vec::new(),
+        batch_pins: HashSet::new(),
+        in_txn_batch: false,
+        batch_failed: None,
+        poisoned: tables.poisoned,
+        twins: tables.twins,
+        spills: HashMap::new(),
+        spill_rev: HashMap::new(),
+        next_spill: 0,
+        gc_moves: Vec::new(),
+        base_buf: vec![0u8; opts.logical_page_size(g.data_size)],
+        frame_buf: vec![0u8; g.data_size],
+        page_img: vec![0u8; g.data_size],
+        counters: PdlCounters::default(),
+        chip,
+    })
 }
 
 #[cfg(test)]
@@ -1122,10 +1191,10 @@ mod tests {
         chip.corrupt_spare(record).unwrap();
 
         let census = read_census(&mut chip, &opts).unwrap();
-        let verdict = census.verdict();
-        assert!(verdict.records.contains(&50), "the verdict read the unverified record");
-        assert!(verdict.torn().is_empty(), "a verified-only census would tear txn 50");
-        let Err(err) = Pdl::from_census(chip, opts, MAX_DIFF, census, verdict.torn()) else {
+        assert!(census.proven().any(|t| t == 50), "the verdict read the unverified record");
+        let torn = torn_txns(std::slice::from_ref(&census));
+        assert!(torn.is_empty(), "a verified-only census would tear txn 50");
+        let Err(err) = recover_chips(vec![(chip, opts, census)], MAX_DIFF, &torn) else {
             panic!("recovery served txn 50 without a readable commit record");
         };
         assert!(
@@ -1309,12 +1378,12 @@ mod tests {
         s.flush().unwrap(); // no record: torn
         let opts = *s.options();
         let mut chip = Box::new(s).into_chip();
-        let scan = read_census(&mut chip, &opts).unwrap().verdict();
+        let census = read_census(&mut chip, &opts).unwrap();
         // Only unrecorded live tags matter for the verdict: txn 5 is
         // proven committed by its record, txn 6 is live-tagged without
         // one — torn.
-        assert!(scan.tagged.contains(&6));
-        assert!(scan.records.contains(&5) && !scan.records.contains(&6));
-        assert_eq!(scan.torn(), HashSet::from([6]));
+        let proven: HashSet<u64> = census.proven().collect();
+        assert!(proven.contains(&5) && !proven.contains(&6));
+        assert_eq!(torn_txns(&[census]), HashSet::from([6]));
     }
 }

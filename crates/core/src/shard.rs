@@ -19,17 +19,16 @@
 //! `pdl_storage::Database` (buffer hits that never take the store, group
 //! commit). What the shards do buy is overlap: a cross-shard commit batch
 //! issues each phase on every involved shard before draining any, so the
-//! phase costs the slowest shard's simulated flash time (one shard may
-//! record in a phase of its own, last), and recovery runs every shard's
-//! read pass and replay on a thread of its own.
+//! phase costs the slowest shard's simulated flash time (the one shard
+//! that records does so in a phase of its own, last), and recovery runs
+//! every shard's read pass and replay on a thread of its own.
 
 use crate::page_store::{
     note_txn, BatchPage, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
 };
-use crate::pdl::{read_census, Census};
+use crate::pdl::{read_census, recover_chips, torn_txns, Census, IdMap};
 use crate::{build_store, error::CoreError, recover_store, Pdl, Result};
 use pdl_flash::{FlashChip, FlashStats};
-use std::cell::Cell;
 use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
 
@@ -44,32 +43,36 @@ pub fn shard_pages(total: u64, n: usize, s: usize) -> u64 {
     }
 }
 
+/// `f` over each of `items` (one per shard), each on a thread of its own
+/// when there are several.
+pub(crate) fn each_on_a_thread<T: Send, R: Send>(
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    if items.len() < 2 {
+        return items.into_iter().map(f).collect();
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items.into_iter().map(|it| scope.spawn(move || f(it))).collect();
+        handles.into_iter().map(|h| h.join().expect("shard thread panicked")).collect()
+    })
+}
+
 /// Every shard's recovery read pass, each on a thread of its own, and the
-/// union of their torn sets: a commit torn on one shard is torn on all.
+/// verdict over all of them: a transaction is torn when some shard holds
+/// a live tag of it and no shard proves it.
 fn read_censuses(
     chips: &mut [FlashChip],
     opts: &StoreOptions,
 ) -> Result<(Vec<Census>, HashSet<u64>)> {
     let n = chips.len();
-    let read: Vec<Result<Census>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chips
-            .iter_mut()
-            .enumerate()
-            .map(|(s, chip)| {
-                let pages = shard_pages(opts.num_logical_pages, n, s);
-                let shard_opts = StoreOptions { num_logical_pages: pages, ..*opts };
-                scope.spawn(move || read_census(chip, &shard_opts))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("read pass panicked")).collect()
+    let read = each_on_a_thread(chips.iter_mut().enumerate().collect(), |(s, chip)| {
+        let pages = shard_pages(opts.num_logical_pages, n, s);
+        read_census(chip, &StoreOptions { num_logical_pages: pages, ..*opts })
     });
-    let mut torn = HashSet::new();
-    let censuses = read.into_iter().map(|census| {
-        let census = census?;
-        torn.extend(census.verdict().torn());
-        Ok(census)
-    });
-    let censuses = censuses.collect::<Result<Vec<_>>>()?;
+    let censuses = read.into_iter().collect::<Result<Vec<_>>>()?;
+    let torn = torn_txns(&censuses);
     Ok((censuses, torn))
 }
 
@@ -173,55 +176,34 @@ impl ShardedStore {
         let total = opts.num_logical_pages;
         let shard_opts =
             |s: usize| StoreOptions { num_logical_pages: shard_pages(total, n, s), ..opts };
-        // PDL recovery resolves torn transactions *globally*: a commit is
-        // valid only if every shard that carries its tags also carries a
-        // local commit record. So every shard's read pass (checkpoint-aware:
-        // under a fresh checkpoint it reads only the blocks changed since)
-        // runs first, the per-shard torn sets are unioned from the
-        // censuses, and each shard then replays its own census under the
-        // union: every page is read once.
-        let (censuses, torn) = if recovering && matches!(kind, MethodKind::Pdl { .. }) {
+        if let (true, MethodKind::Pdl { max_diff_size }) = (recovering, kind) {
+            // PDL recovery resolves torn transactions *globally*: a commit
+            // is valid when any shard holds its record. So every shard's
+            // read pass (checkpoint-aware: under a fresh checkpoint it reads
+            // only the blocks changed since) runs first, the verdict comes
+            // from all the censuses, and each shard then replays its own
+            // census under it: every page is read once.
             let (censuses, torn) = read_censuses(&mut chips, &opts)?;
-            (censuses.into_iter().map(Some).collect(), torn)
-        } else {
-            ((0..n).map(|_| None).collect::<Vec<_>>(), HashSet::new())
-        };
-        // Building fresh stores is cheap, but recovery replays every page
-        // it read, so both paths share the scoped-thread fan-out (§4.5's
-        // recovery cost divided by N).
-        let torn = &torn;
-        let results: Vec<Result<Shard>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chips
-                .into_iter()
-                .zip(censuses)
-                .enumerate()
-                .map(|(s, (chip, census))| {
-                    let shard_opts = shard_opts(s);
-                    scope.spawn(move || -> Result<Shard> {
-                        Ok(match (recovering, kind) {
-                            (true, MethodKind::Pdl { max_diff_size }) => {
-                                let census = census.expect("a recovering PDL shard read a census");
-                                let pdl = Pdl::from_census(
-                                    chip,
-                                    shard_opts,
-                                    max_diff_size,
-                                    census,
-                                    torn.clone(),
-                                )?;
-                                Shard::Pdl(Box::new(pdl))
-                            }
-                            (false, MethodKind::Pdl { max_diff_size }) => {
-                                let mut chip = chip;
-                                chip.set_obs_enabled(shard_opts.obs);
-                                Shard::Pdl(Box::new(Pdl::new(chip, shard_opts, max_diff_size)?))
-                            }
-                            (true, _) => Shard::Other(recover_store(chip, kind, shard_opts)?),
-                            (false, _) => Shard::Other(build_store(chip, kind, shard_opts)?),
-                        })
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard builder panicked")).collect()
+            let parts = chips.into_iter().zip(censuses).enumerate();
+            let parts = parts.map(|(s, (chip, census))| (chip, shard_opts(s), census)).collect();
+            let pdls = recover_chips(parts, max_diff_size, &torn)?;
+            let shards = pdls.into_iter().map(|p| Shard::Pdl(Box::new(p))).collect();
+            return Ok(ShardedStore { shards, failed: None, opts, kind, data_size });
+        }
+        // Recovery replays every page it read, so the other methods'
+        // recoveries fan out on scoped threads too (§4.5's recovery cost
+        // divided by N); building fresh stores shares the fan-out.
+        let results = each_on_a_thread(chips.into_iter().enumerate().collect(), |(s, chip)| {
+            let shard_opts = shard_opts(s);
+            Ok(match (recovering, kind) {
+                (false, MethodKind::Pdl { max_diff_size }) => {
+                    let mut chip = chip;
+                    chip.set_obs_enabled(shard_opts.obs);
+                    Shard::Pdl(Box::new(Pdl::new(chip, shard_opts, max_diff_size)?))
+                }
+                (true, _) => Shard::Other(recover_store(chip, kind, shard_opts)?),
+                (false, _) => Shard::Other(build_store(chip, kind, shard_opts)?),
+            })
         });
         let shards = results.into_iter().collect::<Result<Vec<_>>>()?;
         Ok(ShardedStore { shards, failed: None, opts, kind, data_size })
@@ -276,19 +258,39 @@ impl ShardedStore {
         self.shards.iter().map(|s| s.stats()).collect()
     }
 
-    /// [`Pdl::check_tables`] on every PDL shard (tests call this between
-    /// operations).
+    /// [`Pdl::check_tables`] on every PDL shard, and the tables across
+    /// shards (tests call this between operations): a shard holding a
+    /// tag of a transaction another shard proves finds exactly one shard
+    /// holding that proof live, and the proving shard's presence is its
+    /// own live tags plus one per shard holding such tags.
     #[doc(hidden)]
     pub fn check_tables(&self) -> std::result::Result<(), String> {
-        for (s, shard) in self.shards.iter().enumerate() {
-            if let Shard::Pdl(p) = shard {
-                p.check_tables().map_err(|e| format!("shard {s}: {e}"))?;
+        let pdls: Vec<&Pdl> = self
+            .shards
+            .iter()
+            .filter_map(|shard| match shard {
+                Shard::Pdl(p) => Some(p.as_ref()),
+                Shard::Other(_) => None,
+            })
+            .collect();
+        let mut foreign: Vec<IdMap<u32>> = vec![IdMap::default(); pdls.len()];
+        for (s, p) in pdls.iter().enumerate() {
+            for txn in p.remote_txns() {
+                let mut homes = (0..pdls.len()).filter(|&h| pdls[h].proves(txn));
+                let (Some(home), None) = (homes.next(), homes.next()) else {
+                    return Err(format!("shard {s}: txn {txn} is proven on no shard or several"));
+                };
+                *foreign[home].entry(txn).or_insert(0) += 1;
             }
+        }
+        for (s, p) in pdls.iter().enumerate() {
+            p.check_tables_with(&foreign[s]).map_err(|e| format!("shard {s}: {e}"))?;
         }
         Ok(())
     }
 
-    /// [`Pdl::tables_digest`] over every PDL shard, shard order.
+    /// [`Pdl::tables_digest`] over every PDL shard, shard order, with the
+    /// transactions each holds tags of and another shard proves.
     #[doc(hidden)]
     pub fn tables_digest(&self) -> u64 {
         use std::hash::{Hash, Hasher};
@@ -296,6 +298,9 @@ impl ShardedStore {
         for shard in &self.shards {
             if let Shard::Pdl(p) = shard {
                 p.tables_digest().hash(&mut h);
+                let mut remote: Vec<u64> = p.remote_txns().collect();
+                remote.sort_unstable();
+                remote.hash(&mut h);
             }
         }
         h.finish()
@@ -334,18 +339,15 @@ impl ShardedStore {
     }
 
     /// The staged half of a PDL commit batch, every involved shard already
-    /// open: pages, roots, one record per involved shard, close.
+    /// open: pages, stage flushes, roots, the batch's one record, close.
     ///
-    /// A stage flush writes a shard's buffered differentials out before
-    /// any record, and a shard skips it unless its buffer holds a tag of a
-    /// *cross-shard* transaction (one recorded on two or more shards; the
-    /// roots' transaction records on shard 0).
-    /// Every other differential rides its shard's record flush, as on one
-    /// chip. One such shard `last` may skip it too, when it already holds
-    /// a programmed tag of every cross-shard transaction it records: it
-    /// records only after every other shard's record has drained, so its
-    /// record page is those transactions' last, and a crash before it
-    /// still finds their tags there without a record (torn).
+    /// The record goes to one shard, the batch's *home*: the first that
+    /// buffers a differential of the batch, so those differentials ride
+    /// the record's page, else the first involved shard. Every other shard
+    /// buffering one writes it out first, in a stage flush; its Case-3
+    /// bases are programmed already. The home counts one presence per
+    /// other shard holding a tag of each transaction, and those shards
+    /// mark such tags proven elsewhere once the record is durable.
     fn run_batch(
         &mut self,
         batch: &CommitBatch<'_>,
@@ -355,41 +357,62 @@ impl ShardedStore {
     ) -> Result<()> {
         let staging: Vec<usize> =
             involved.iter().copied().filter(|&s| !pages[s].is_empty()).collect();
-        let mut cross = Vec::new();
-        for (i, t) in txns.iter().flatten().enumerate() {
-            if txns.iter().flatten().skip(i + 1).any(|u| u == t) {
-                note_txn(&mut cross, *t);
-            }
-        }
-        let last = Cell::new(None);
         self.fan_out(&staging, &|s, st| {
             for p in &pages[s] {
                 st.stage_page(p.pid, p.image, p.txn, p.held)?;
             }
-            if !st.buffers_tag_of(&cross) {
-                return Ok(());
-            }
-            let proven = || txns[s].iter().all(|t| !cross.contains(t) || st.has_durable_tag(*t));
-            if last.get().is_none() && proven() {
-                last.set(Some(s));
-                return Ok(());
-            }
-            st.flush()
+            Ok(())
         })?;
+        let ids = batch.txns();
+        let buffering: Vec<usize> =
+            staging.into_iter().filter(|&s| self.shards[s].pdl().buffers_tag_of(&ids)).collect();
+        let Some(&home) = buffering.first().or(involved.first()) else { return Ok(()) };
+        let first: Vec<usize> = buffering.into_iter().filter(|&s| s != home).collect();
+        self.fan_out(&first, &|_, st| st.flush())?;
         if let Some((r, txn)) = batch.roots {
             self.shards[0].pdl().batch_stage_roots(r, txn)?;
         }
-        let last = last.get();
-        let record: &dyn Fn(usize, &mut Pdl) -> Result<()> = &|s, st| {
-            st.batch_record(&txns[s])?;
-            st.flush()
-        };
-        let first: Vec<usize> = involved.iter().copied().filter(|&s| Some(s) != last).collect();
-        self.fan_out(&first, record)?;
-        if let Some(s) = last {
-            self.fan_out(&[s], record)?;
+        let others: Vec<usize> = involved.iter().copied().filter(|&s| s != home).collect();
+        let mut foreign = Vec::new();
+        for &s in &others {
+            foreign.extend(self.shards[s].pdl().tags_held(&txns[s]));
         }
-        self.fan_out(involved, &|_, st| st.batch_close(true))
+        self.fan_out(&[home], &|_, st| {
+            st.batch_record(&ids, &foreign)?;
+            st.flush()
+        })?;
+        for &s in &others {
+            self.shards[s].pdl().batch_prove_remote(&txns[s]);
+        }
+        self.fan_out(involved, &|_, st| st.batch_close(false))
+    }
+
+    /// Hand each transaction a shard released — its last tag there died,
+    /// and another shard proves it — to that shard, which then holds the
+    /// proof only for its remaining tag holders. Outside a commit batch
+    /// only, so the data that killed the tags is durable (committed)
+    /// before a proof can go; never once the store has failed, since the
+    /// open batch may yet be judged torn.
+    fn settle(&mut self) -> Result<()> {
+        if self.failed.is_some() {
+            return Ok(());
+        }
+        for s in 0..self.shards.len() {
+            let Shard::Pdl(p) = &mut self.shards[s] else { continue };
+            for txn in p.take_released() {
+                let home = self.shards.iter_mut().enumerate().find_map(|(h, shard)| match shard {
+                    Shard::Pdl(p) if h != s && p.proves(txn) => Some(p),
+                    _ => None,
+                });
+                let Some(home) = home else {
+                    return Err(CoreError::Corruption(format!(
+                        "shard {s} released txn {txn}, which no shard proves"
+                    )));
+                };
+                home.release_foreign(txn)?;
+            }
+        }
+        Ok(())
     }
 
     /// Stop the store on `e`: the first such error is returned to every
@@ -407,7 +430,8 @@ impl PageStore for ShardedStore {
 
     fn read_page(&mut self, pid: u64, out: &mut [u8]) -> Result<()> {
         let (s, local) = self.locate(pid)?;
-        self.shards[s].read_page(local, out)
+        self.shards[s].read_page(local, out)?;
+        self.settle()
     }
 
     fn apply_update(&mut self, pid: u64, page_after: &[u8], changes: &[ChangeRange]) -> Result<()> {
@@ -421,11 +445,13 @@ impl PageStore for ShardedStore {
 
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()> {
         let (s, local) = self.locate(pid)?;
-        self.shards[s].evict_page(local, page)
+        self.shards[s].evict_page(local, page)?;
+        self.settle()
     }
 
     fn flush(&mut self) -> Result<()> {
-        self.shards.iter_mut().try_for_each(|s| s.flush())
+        self.shards.iter_mut().try_for_each(|s| s.flush())?;
+        self.settle()
     }
 
     fn prefetch(&mut self, pid: u64) -> Result<()> {
@@ -438,23 +464,20 @@ impl PageStore for ShardedStore {
     /// log) the structure roots; no other shard is touched. Every involved
     /// shard is opened before any stages, so a shard that cannot make
     /// room rejects the batch while nothing needs undoing. Then: stage
-    /// each shard's pages (tagged, invisible after a crash) -> roots ->
-    /// one commit/epoch record per involved shard, proving the
-    /// transactions that staged there -> close.
+    /// each shard's pages (tagged, invisible after a crash) -> stage
+    /// flushes -> roots -> one epoch record on one shard, proving every
+    /// transaction of the batch -> close.
     ///
-    /// Recovery judges a transaction torn when some shard carries a live
-    /// tag of it but no record. So before any record lands, every shard a
-    /// transaction staged on must hold a programmed tag of it, and a
-    /// record page that lands before the transaction's last record must
-    /// not carry its differentials (live proofs in that page would keep
-    /// them alive after a crash judged them torn). A shard's buffered
-    /// differentials therefore take a stage flush of their own only when
-    /// one belongs to a transaction recorded on several shards, and one
-    /// such shard skips even that by recording last (see `run_batch`).
-    /// A transaction on one shard commits as on one chip: its
-    /// differentials ride its record flush. Closing a shard destroys the
-    /// pre-images a torn verdict rolls back to, so no shard closes until
-    /// every shard's record is durable.
+    /// That record is the batch's one commit point. Recovery judges a
+    /// transaction torn when some shard carries a live tag of it and no
+    /// shard proves it, so before the record lands every tag of the batch
+    /// on another shard must be programmed (see `run_batch`): a crash
+    /// before it leaves no proof anywhere, and the whole batch is torn on
+    /// every shard, at this recovery and every later one. A batch on one
+    /// shard commits as on one chip, in one flush. Closing a shard
+    /// destroys the pre-images a torn verdict rolls back to, so no shard
+    /// closes until the record is durable, and the proofs other shards'
+    /// tags died away from are released only after that (`settle`).
     fn commit_batch(&mut self, batch: &CommitBatch<'_>) -> std::result::Result<(), CommitError> {
         if let Some(e) = &self.failed {
             return Err(CommitError::Failed(e.clone()));
@@ -468,9 +491,8 @@ impl PageStore for ShardedStore {
             note_txn(&mut txns[s], p.txn);
         }
         if let Some((_, txn)) = batch.roots {
-            // Shard 0 gets a commit record for the roots' transaction, so
-            // the winner check at recovery can prove it committed from
-            // shard 0's own tables (the torn verdict is already global).
+            // Shard 0 holds the root log: its record pins the roots'
+            // transaction there like a tag.
             note_txn(&mut txns[0], txn);
         }
         let involved: Vec<usize> = (0..n).filter(|&s| !txns[s].is_empty()).collect();
@@ -499,7 +521,8 @@ impl PageStore for ShardedStore {
                 return Err(rejected);
             }
         }
-        self.run_batch(batch, &pages, &txns, &involved).map_err(|e| self.fail(e))
+        self.run_batch(batch, &pages, &txns, &involved).map_err(|e| self.fail(e))?;
+        self.settle().map_err(|e| self.fail(e))
     }
 
     fn txn_id_floor(&self) -> u64 {
@@ -512,7 +535,9 @@ impl PageStore for ShardedStore {
 
     fn spill_page(&mut self, pid: u64, page: &[u8]) -> Result<u64> {
         let (s, local) = self.locate(pid)?;
-        self.shards[s].spill_page(local, page)
+        let handle = self.shards[s].spill_page(local, page)?;
+        self.settle()?;
+        Ok(handle)
     }
 
     fn read_spill(&mut self, pid: u64, handle: u64, out: &mut [u8]) -> Result<()> {
@@ -533,7 +558,8 @@ impl PageStore for ShardedStore {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        self.shards.iter_mut().try_for_each(|s| s.checkpoint())
+        self.shards.iter_mut().try_for_each(|s| s.checkpoint())?;
+        self.settle()
     }
 
     fn chip(&self) -> &FlashChip {
@@ -802,22 +828,51 @@ mod tests {
     }
 
     #[test]
-    fn the_shard_with_a_programmed_tag_records_last_with_its_differential() {
+    fn the_shard_buffering_the_differentials_writes_the_batchs_only_record() {
         let (mut s, journal, page) = journaled(8);
         let mut small = page.clone();
         small[3..7].fill(0xEE);
         let whole = vec![0x22; page.len()];
-        // Shard 0: a differential. Shard 1: a Case-3 base (a programmed
-        // tag) and a differential.
+        // Shard 0: a Case-3 base, programmed while staging. Shard 1: a
+        // buffered differential, riding the record: nobody stage-flushes.
+        commit(&mut s, 5, &[(0, &whole), (1, &small)]);
+        let programs = page_programs(&journal);
+        let shards: Vec<usize> = programs.iter().map(|(sh, _)| *sh).collect();
+        assert_eq!(shards, [0, 1]);
+        assert!(programs[0].1.is_empty(), "shard 0's Case-3 base");
+        assert!(tags(&programs[1].1, 5) && proves(&programs[1].1, 5), "shard 1's record");
+        s.check_tables().unwrap();
+        let mut out = vec![0u8; page.len()];
+        for (pid, want) in [(0, &whole), (1, &small)] {
+            s.read_page(pid, &mut out).unwrap();
+            assert_eq!(&out, want, "pid {pid}");
+        }
+    }
+
+    #[test]
+    fn an_empty_batch_programs_nothing() {
+        let (mut s, journal, _) = journaled(8);
+        s.commit_batch(&CommitBatch { pages: Vec::new(), roots: None }).unwrap();
+        assert!(page_programs(&journal).is_empty());
+    }
+
+    #[test]
+    fn a_second_buffering_shard_stage_flushes_before_the_one_record() {
+        let (mut s, journal, page) = journaled(8);
+        let mut small = page.clone();
+        small[3..7].fill(0xEE);
+        let whole = vec![0x22; page.len()];
+        // Shard 0: a differential. Shard 1: a Case-3 base and a
+        // differential. Both buffer a tag; shard 0 records.
         commit(&mut s, 5, &[(0, &small), (1, &whole), (3, &small)]);
         let programs = page_programs(&journal);
         let shards: Vec<usize> = programs.iter().map(|(sh, _)| *sh).collect();
-        // Shard 0's stage flush, shard 1's base, then the records.
-        assert_eq!(shards, [0, 1, 0, 1]);
-        assert!(tags(&programs[0].1, 5) && !proves(&programs[0].1, 5), "shard 0's stage page");
-        assert!(programs[1].1.is_empty(), "shard 1's Case-3 base");
-        assert!(!tags(&programs[2].1, 5) && proves(&programs[2].1, 5), "shard 0's record");
-        assert!(tags(&programs[3].1, 5) && proves(&programs[3].1, 5), "shard 1's record, last");
+        // Shard 1's base, its stage flush, then shard 0's record.
+        assert_eq!(shards, [1, 1, 0]);
+        assert!(programs[0].1.is_empty(), "shard 1's Case-3 base");
+        assert!(tags(&programs[1].1, 5) && !proves(&programs[1].1, 5), "shard 1's stage page");
+        assert!(tags(&programs[2].1, 5) && proves(&programs[2].1, 5), "shard 0's record");
+        s.check_tables().unwrap();
         let mut out = vec![0u8; page.len()];
         for (pid, want) in [(0, &small), (1, &whole), (3, &small)] {
             s.read_page(pid, &mut out).unwrap();
@@ -825,17 +880,60 @@ mod tests {
         }
     }
 
+    /// A shard's checkpoint stores neither the transactions another shard
+    /// proves nor the presence it holds for other shards' tags: recovery
+    /// right after a checkpoint must rebuild both, and every other table,
+    /// from each shard's tags.
     #[test]
-    fn without_a_programmed_tag_every_shard_flushes_before_any_record() {
-        let (mut s, journal, page) = journaled(8);
-        let mut small = page.clone();
-        small[3..7].fill(0xEE);
-        commit(&mut s, 5, &[(0, &small), (1, &small)]);
-        let programs = page_programs(&journal);
-        let shards: Vec<usize> = programs.iter().map(|(sh, _)| *sh).collect();
-        assert_eq!(shards, [0, 1, 0, 1]);
-        for (i, (_, recs)) in programs.iter().enumerate() {
-            assert_eq!((tags(recs, 5), proves(recs, 5)), (i < 2, i >= 2), "program {i}");
+    fn recovery_right_after_a_checkpoint_rebuilds_the_live_tables_on_two_shards() {
+        const PAGES: u64 = 128;
+        let kind = MethodKind::Pdl { max_diff_size: 256 };
+        let opts = StoreOptions::new(PAGES).with_checkpoint_blocks(2);
+        let mut s =
+            ShardedStore::with_uniform_chips(FlashConfig::scaled(12), 2, kind, opts).unwrap();
+        let size = s.logical_page_size();
+        let mut truth: Vec<Vec<u8>> = (0..PAGES).map(|p| vec![p as u8; size]).collect();
+        for (pid, page) in truth.iter().enumerate() {
+            s.write_page(pid as u64, page).unwrap();
+        }
+        // Each transaction rewrites one page whole (a tagged base) and
+        // patches one of the other parity: it spans both shards.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for txn in 1..=400u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (a, b) = ((x % PAGES) as usize, ((x >> 20) % (PAGES / 2) * 2) as usize);
+            let b = if a % 2 == 0 { b + 1 } else { b };
+            truth[a].fill(x as u8);
+            let at = (x >> 8) as usize % (size - 16);
+            truth[b][at..at + 16].fill(x as u8);
+            let pages = vec![
+                BatchPage::new(a as u64, &truth[a], txn),
+                BatchPage::new(b as u64, &truth[b], txn),
+            ];
+            s.commit_batch(&CommitBatch { pages, roots: None }).unwrap();
+        }
+        s.checkpoint().unwrap();
+        s.check_tables().unwrap();
+        let remote = |s: &ShardedStore| {
+            s.shards
+                .iter()
+                .map(|sh| match sh {
+                    Shard::Pdl(p) => p.remote_txns().count(),
+                    Shard::Other(_) => 0,
+                })
+                .sum::<usize>()
+        };
+        assert!(remote(&s) > 1, "tags of transactions another shard proves");
+        let digest = s.tables_digest();
+        let mut r = ShardedStore::recover(s.into_shard_chips(), kind, opts).unwrap();
+        assert_eq!(r.tables_digest(), digest, "mapping, tags, proofs and remote entries");
+        r.check_tables().unwrap();
+        let mut out = vec![0u8; size];
+        for (pid, page) in truth.iter().enumerate() {
+            r.read_page(pid as u64, &mut out).unwrap();
+            assert!(out == *page, "pid {pid}");
         }
     }
 

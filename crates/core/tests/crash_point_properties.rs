@@ -285,19 +285,47 @@ fn carry_script(count: usize) -> Vec<Vec<(u64, u8, bool)>> {
         .collect()
 }
 
+/// Transactions of one to three pages each, `batch` to a commit batch,
+/// the members of one batch writing disjoint pages (as `Database`
+/// batches do: a dirty page has one owner).
+fn batched_script(count: usize, batch: usize, seed: u64) -> Vec<Vec<(u64, u8, bool)>> {
+    let mut x = seed;
+    let mut next = move || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x
+    };
+    let mut txns = Vec::with_capacity(count);
+    while txns.len() < count {
+        let mut taken = HashSet::new();
+        for _ in 0..batch.min(count - txns.len()) {
+            let n = 1 + (next() >> 40) % 3;
+            let mut pages = Vec::new();
+            while pages.len() < n as usize {
+                let r = next();
+                if taken.insert((r >> 33) % PAGES) {
+                    pages.push(((r >> 33) % PAGES, (r >> 17) as u8, (r >> 13).is_multiple_of(4)));
+                }
+            }
+            txns.push(pages);
+        }
+    }
+    txns
+}
+
 /// A transactional workload: `txns` committed `batch` at a time, each
 /// `commit_batch` proven by one record (an epoch record when `batch` >
-/// 1). Transaction `k` is txn id `k + 1`.
+/// 1). Transaction `k` is txn id `first_id + k`.
 struct Commits {
     txns: Vec<Vec<(u64, u8, bool)>>,
     batch: usize,
+    first_id: u64,
     /// Take a checkpoint before this transaction.
     checkpoint_before: Option<usize>,
 }
 
 impl Commits {
     fn new(txns: Vec<Vec<(u64, u8, bool)>>, batch: usize) -> Commits {
-        Commits { txns, batch, checkpoint_before: None }
+        Commits { txns, batch, first_id: 1, checkpoint_before: None }
     }
 
     /// Write page `p` filled with `p`, flush, and return the page states
@@ -310,6 +338,12 @@ impl Commits {
             store.write_page(pid, &initial[pid as usize]).unwrap();
         }
         store.flush().unwrap();
+        self.states(initial)
+    }
+
+    /// The page states after each committed prefix of the script, from
+    /// `initial` on.
+    fn states(&self, initial: Vec<Vec<u8>>) -> Vec<Vec<Vec<u8>>> {
         let mut states = vec![initial];
         for txn_pages in &self.txns {
             let mut next = states.last().unwrap().clone();
@@ -337,7 +371,7 @@ impl Commits {
             let pages = members.iter().zip(lo..).flat_map(|(txn_pages, k)| {
                 let after = &states[k + 1];
                 txn_pages.iter().map(move |(pid, _, _)| {
-                    BatchPage::new(*pid, &after[*pid as usize], k as u64 + 1)
+                    BatchPage::new(*pid, &after[*pid as usize], self.first_id + k as u64)
                 })
             });
             store.commit_batch(&CommitBatch { pages: pages.collect(), roots: None })?;
@@ -460,6 +494,7 @@ fn recover_checked<S: PageStore>(rig: &Rig<S>, chips: Vec<FlashChip>, at: &str) 
 }
 
 /// Where the power fails.
+#[derive(Clone, Copy)]
 enum Power {
     /// On every chip at once, before each destructive op of the run.
     WholeDevice,
@@ -472,12 +507,14 @@ enum Power {
 /// the recovered state must be a committed prefix of the script that
 /// keeps every transaction whose commit returned and ends on a batch
 /// boundary (a record commits all of its batch or none of it), the
-/// recovered tables must be consistent, and a second recovery must change
-/// nothing. `dry_run` checks that the fault-free run exercised what the
-/// sweep is for.
+/// recovered tables must be consistent, and a second and a third
+/// recovery, each of the one before, must change nothing. `dry_run`
+/// checks that the fault-free run exercised what the sweep is for.
 fn commit_sweep<S: PageStore>(rig: &Rig<S>, w: &Commits, power: Power, dry_run: impl FnOnce(&S)) {
     let mut store = (rig.build)(rig.config, rig.opts);
     let states = w.load(&mut store);
+    let verify =
+        |store: S, at: &str, confirmed: usize| verify_prefix(rig, w, &states, store, at, confirmed);
     let journal = PowerLossJournal::new();
     let mut destructive = Vec::new();
     (rig.each_chip)(&mut store, &mut |_, chip| {
@@ -494,19 +531,6 @@ fn commit_sweep<S: PageStore>(rig: &Rig<S>, w: &Commits, power: Power, dry_run: 
         destructive[c] = chip.stats().total().writes + chip.stats().total().erases - destructive[c];
     });
 
-    let verify = |mut store: S, at: &str, confirmed: usize| {
-        (rig.check)(&store).unwrap_or_else(|e| panic!("{at}: {e}"));
-        let pages_now = read_all(&mut store);
-        assert_eq!(store.stats().pipeline.ordering_violations, 0, "{at}");
-        let k = states.iter().position(|s| *s == pages_now).unwrap_or_else(|| {
-            panic!("{at}: recovered state matches no committed prefix — a torn transaction")
-        });
-        assert!(k >= confirmed, "{at}: {k} transactions recovered, {confirmed} commits returned");
-        assert!(k % w.batch == 0 || k == w.txns.len(), "{at}: prefix of {k} splits a batch");
-        let mut r2 = (rig.recover)(Box::new(store).into_chips(), rig.opts);
-        (rig.check)(&r2).unwrap_or_else(|e| panic!("{at}, second recovery: {e}"));
-        assert_eq!(read_all(&mut r2), pages_now, "{at}: second recovery diverged");
-    };
     match power {
         Power::WholeDevice => {
             for (g, chips) in journal.images().enumerate() {
@@ -536,6 +560,33 @@ fn commit_sweep<S: PageStore>(rig: &Rig<S>, w: &Commits, power: Power, dry_run: 
                 verify(recover_checked(rig, chips, &at), &at, confirmed);
             }
         }
+    }
+}
+
+/// Check a store recovered while `w` ran: consistent tables, a committed
+/// prefix of `states` that keeps every one of the `confirmed` commits and
+/// ends on a batch boundary, and two more recoveries in a row that agree
+/// with it.
+fn verify_prefix<S: PageStore>(
+    rig: &Rig<S>,
+    w: &Commits,
+    states: &[Vec<Vec<u8>>],
+    mut store: S,
+    at: &str,
+    confirmed: usize,
+) {
+    (rig.check)(&store).unwrap_or_else(|e| panic!("{at}: {e}"));
+    let pages_now = read_all(&mut store);
+    assert_eq!(store.stats().pipeline.ordering_violations, 0, "{at}");
+    let k = states.iter().position(|s| *s == pages_now).unwrap_or_else(|| {
+        panic!("{at}: recovered state matches no committed prefix — a torn transaction")
+    });
+    assert!(k >= confirmed, "{at}: {k} transactions recovered, {confirmed} commits returned");
+    assert!(k % w.batch == 0 || k == w.txns.len(), "{at}: prefix of {k} splits a batch");
+    for nth in ["second", "third"] {
+        store = (rig.recover)(Box::new(store).into_chips(), rig.opts);
+        (rig.check)(&store).unwrap_or_else(|e| panic!("{at}, {nth} recovery: {e}"));
+        assert_eq!(read_all(&mut store), pages_now, "{at}: {nth} recovery diverged");
     }
 }
 
@@ -582,9 +633,9 @@ fn exhaustive_crash_sweep_epoch_commits() {
 }
 
 /// The commit-record sweep on two shards, a transaction per batch: most
-/// transactions record on both shards, and a shard already holding a
-/// programmed tag of one (a Case-3 base) records last with its
-/// differentials in the record page instead of a stage flush of their own.
+/// transactions span both shards, and the one record goes to a shard
+/// buffering their differentials, which ride the record page instead of a
+/// stage flush of their own.
 fn txn_sweep_two_shards(power: Power) {
     let w = Commits::new(txn_script(48), 1);
     let rig = two_shard_rig(FlashConfig::tiny(), opts(PAGES, 10));
@@ -620,6 +671,86 @@ fn exhaustive_crash_sweep_txn_commits_two_shards_whole_device() {
     txn_sweep_two_shards(Power::WholeDevice);
 }
 
+/// Group commit on two shards: four scripts, with batches of one to four
+/// transactions writing disjoint pages. A batch's one record commits all
+/// of it on both shards or none of it, at the first recovery and at every
+/// later one.
+fn batched_sweep_two_shards(power: Power) {
+    let rig = two_shard_rig(FlashConfig::tiny(), opts(PAGES, 10));
+    for (seed, batch) in [(0x5EED_0001u64, 1), (0x5EED_0002, 2), (0x5EED_0003, 3), (0x5EED_0004, 4)]
+    {
+        let w = Commits::new(batched_script(24, batch, seed), batch);
+        commit_sweep(&rig, &w, power, |store| {
+            // One record per batch proves each transaction once.
+            assert_eq!(counter(store, "txn_commits"), w.txns.len() as u64);
+            let cross = |pages: &Vec<(u64, u8, bool)>| pages.iter().any(|p| p.0 % 2 == 1);
+            let spans = w.txns.chunks(batch).filter(|b| b.iter().any(cross)).count();
+            assert!(spans > 0 && spans < w.txns.len(), "some batches on one shard, some on two");
+        });
+    }
+}
+
+#[test]
+fn exhaustive_crash_sweep_batched_commits_two_shards() {
+    batched_sweep_two_shards(Power::PerChip);
+}
+
+#[test]
+fn exhaustive_crash_sweep_batched_commits_two_shards_whole_device() {
+    batched_sweep_two_shards(Power::WholeDevice);
+}
+
+/// A torn cross-shard transaction whose tag recovery cannot mark (it
+/// shares shard 1's stage page with a live differential) stays torn:
+/// batches committed from the id floor up, then power failing anywhere in
+/// them, must never prove it, and every id they use is above it.
+#[test]
+fn a_torn_cross_shard_id_is_never_revived() {
+    const TORN: u64 = 50;
+    let rig = two_shard_rig(FlashConfig::tiny(), opts(PAGES, 10));
+    let mut store = (rig.build)(rig.config, rig.opts);
+    let w = Commits::new(batched_script(24, 3, 0x7EA2), 3);
+    let mut initial = w.load(&mut store).swap_remove(0);
+    // Pid 3's change stays in shard 1's write buffer: live and untagged.
+    initial[3][40..48].fill(0x33);
+    store.write_page(3, &initial[3]).unwrap();
+    // Txn 50 writes pids 0 and 4 (shard 0, which holds the record) and
+    // pid 1; power fails on shard 0 before its record lands.
+    let torn: Vec<(u64, Vec<u8>)> = [0u64, 4, 1]
+        .into_iter()
+        .map(|pid| {
+            let mut page = initial[pid as usize].clone();
+            page[8..12].fill(0xEE);
+            (pid, page)
+        })
+        .collect();
+    store.shard_mut(0).chip_mut().arm_fault(0);
+    let pages = torn.iter().map(|(pid, page)| BatchPage::new(*pid, page, TORN)).collect();
+    assert!(store.commit_batch(&CommitBatch { pages, roots: None }).is_err());
+    let mut chips = store.into_shard_chips();
+    chips.iter_mut().for_each(FlashChip::disarm_fault);
+    let mut store = recover_checked(&rig, chips, "torn txn 50");
+    assert_eq!(read_all(&mut store), initial, "txn 50 rolled back");
+    assert_eq!(store.stats().recovery.writes, 0, "the shared stage page stays unmarked");
+
+    let floor = store.txn_id_floor();
+    assert!(floor > TORN, "id floor {floor}");
+    let w = Commits { first_id: floor, ..w };
+    let states = w.states(initial);
+    let journal = PowerLossJournal::new();
+    (0..2).for_each(|s| store.shard_mut(s).chip_mut().attach_journal(&journal));
+    let mut returned = vec![(0, 0)];
+    w.run(&mut store, &states, |n| returned.push((journal.position(), n))).unwrap();
+    for (g, chips) in journal.images().enumerate() {
+        let confirmed = returned.iter().rev().find(|(at, _)| *at <= g as u64).unwrap().1;
+        let at = format!("image {g} after txn 50 tore");
+        let recovered = recover_checked(&rig, chips, &at);
+        let ids = recovered.txn_id_floor();
+        assert!(ids >= floor + confirmed as u64, "{at}: id floor {ids}");
+        verify_prefix(&rig, &w, &states, recovered, &at, confirmed);
+    }
+}
+
 /// The carry sweeps' chip: the tiny geometry with 24 blocks, room for
 /// 24 pages, a 12-block GC reserve and a 4-block checkpoint region.
 fn carry_chip() -> FlashConfig {
@@ -627,15 +758,16 @@ fn carry_chip() -> FlashConfig {
     FlashConfig { geometry, ..FlashConfig::tiny() }
 }
 
-/// Commit proofs carried forward for generations: a lost proof would
-/// surface as recovery's "live tag without a commit record". The reserve
-/// is large enough that the script garbage-collects inside its commit
-/// batches.
+/// Commit proofs carried forward for `generations` record flushes each,
+/// on average: a lost proof would surface as recovery's "live tag without
+/// a commit record". The reserve is large enough that the script
+/// garbage-collects inside its commit batches.
 fn carry_sweep<S: PageStore>(
     rig: fn(FlashConfig, StoreOptions) -> Rig<S>,
     opts: StoreOptions,
     checkpoint_before: Option<usize>,
     power: Power,
+    generations: u64,
 ) {
     let rig = rig(carry_chip(), opts);
     let w = Commits { checkpoint_before, ..Commits::new(carry_script(104), 1) };
@@ -643,8 +775,8 @@ fn carry_sweep<S: PageStore>(
         assert!(counter(store, "gc_runs") >= 3, "the carry workload must garbage-collect");
         let (carried, commits) = (counter(store, "proofs_carried"), counter(store, "txn_commits"));
         assert!(
-            carried >= 10 * commits,
-            "proofs must be carried for at least ten generations ({carried} carried, {commits} commits)"
+            carried >= generations * commits,
+            "proofs must be carried for {generations} generations ({carried} carried, {commits} commits)"
         );
         assert!(counter(store, "proof_pages_released") >= 3);
     });
@@ -652,7 +784,7 @@ fn carry_sweep<S: PageStore>(
 
 #[test]
 fn exhaustive_crash_sweep_proof_carry() {
-    carry_sweep(one_chip_rig, opts(CARRY_PAGES, 12), None, Power::WholeDevice);
+    carry_sweep(one_chip_rig, opts(CARRY_PAGES, 12), None, Power::WholeDevice, 10);
 }
 
 /// Across a checkpoint: the proofs it records are carried forward
@@ -663,19 +795,21 @@ fn exhaustive_crash_sweep_proof_carry() {
 #[test]
 fn exhaustive_crash_sweep_proof_carry_across_a_checkpoint() {
     let opts = opts(CARRY_PAGES, 12).with_checkpoint_blocks(4);
-    carry_sweep(one_chip_rig, opts, Some(36), Power::WholeDevice);
+    carry_sweep(one_chip_rig, opts, Some(36), Power::WholeDevice, 10);
 }
 
-/// Two shards, power failing on either chip.
+/// Two shards, power failing on either chip. Only a batch's one record
+/// carries proofs, so a shard carries them in fewer flushes than one chip
+/// does: nine generations.
 #[test]
 fn exhaustive_crash_sweep_proof_carry_two_shards() {
-    carry_sweep(two_shard_rig, opts(CARRY_PAGES, 12), None, Power::PerChip);
+    carry_sweep(two_shard_rig, opts(CARRY_PAGES, 12), None, Power::PerChip, 9);
 }
 
 /// Two shards, power failing on both chips at once.
 #[test]
 fn exhaustive_crash_sweep_proof_carry_two_shards_whole_device() {
-    carry_sweep(two_shard_rig, opts(CARRY_PAGES, 12), None, Power::WholeDevice);
+    carry_sweep(two_shard_rig, opts(CARRY_PAGES, 12), None, Power::WholeDevice, 9);
 }
 
 /// The journal against the replay it replaces: for the PDL plain and

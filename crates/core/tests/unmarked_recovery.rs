@@ -109,9 +109,10 @@ fn the_id_floor_survives_a_checkpoint() {
     commit_from_the_floor(store, truth, |chips| recover_one(chips, opts));
 }
 
-/// Pids 0 and 2 live on shard 0: power fails on both chips one program
-/// into txn 77's batch, so its stage flush lands next to pid 2's live
-/// differential and no commit record does.
+/// Pids 0, 2, 4 and 6 live on shard 0, which holds txn 77's record. Its
+/// changes to pids 4 and 6 overflow shard 0's write buffer, so one flash
+/// page gets pid 2's live differential and txn 77's of pids 0 and 4; power
+/// fails on both chips one program into the batch, before the record.
 #[test]
 fn the_id_floor_passes_a_torn_id_left_on_a_shard() {
     let opts = StoreOptions::new(PAGES);
@@ -119,23 +120,27 @@ fn the_id_floor_passes_a_torn_id_left_on_a_shard() {
     let mut store =
         ShardedStore::with_uniform_chips(FlashConfig::scaled(16), 2, kind, opts).unwrap();
     let truth = loaded(&mut store);
-    let torn: Vec<Vec<u8>> = truth[..2]
-        .iter()
-        .map(|page| {
-            let mut page = page.clone();
-            page[5..9].fill(0xAA);
-            page
-        })
-        .collect();
+    let mut torn = truth.clone();
+    torn[0][5..9].fill(0xAA);
+    torn[1][5..9].fill(0xAA);
+    torn[4][24..1024].fill(0xAB);
+    torn[6][24..1024].fill(0xAB);
     for s in 0..2 {
         store.shard_mut(s).chip_mut().arm_fault(1);
     }
-    let pages = vec![BatchPage::new(0, &torn[0], 77), BatchPage::new(1, &torn[1], 77)];
+    let pages = [0, 4, 6, 1].map(|pid| BatchPage::new(pid as u64, &torn[pid], 77)).to_vec();
     let err = store.commit_batch(&CommitBatch { pages, roots: None }).unwrap_err();
     assert!(matches!(err, CommitError::Failed(_)), "{err}");
     let mut chips = store.into_shard_chips();
     chips.iter_mut().for_each(FlashChip::disarm_fault);
-    commit_from_the_floor(recover_two(chips, opts), truth, |chips| recover_two(chips, opts));
+    let recovered = recover_two(chips, opts);
+    let marks = |store: &dyn PageStore| {
+        let mut marks = Vec::new();
+        store.for_each_chip(&mut |chip| marks.push(chip.stats().recovery.writes));
+        marks
+    };
+    assert_eq!(marks(recovered.as_ref()), [0, 1], "shard 0's shared page stays live");
+    commit_from_the_floor(recovered, truth, |chips| recover_two(chips, opts));
 }
 
 /// Crash between a new base page's program and the old copy's obsolete

@@ -95,11 +95,11 @@ struct CommitQueue {
 
 /// Take the next batch off the front of the queue: every waiting
 /// committer, except that over a root log at most one member may change
-/// structures. The batch's root record is proven by that member's commit
-/// record alone, and across shards one member can commit while another
-/// is torn (each needs a record on every shard it wrote), so a record
-/// carrying two members' roots could outlive one of them. A second such
-/// committer, and everyone behind it, waits for the next batch.
+/// structures: the batch's root record names that member's transaction. A
+/// second such committer, and everyone behind it, waits for the next
+/// batch. (Across shards a batch now commits whole — one record on one
+/// shard proves every member — so the rule could be relaxed; it stays
+/// until that is measured.)
 fn next_batch(waiting: &mut Vec<Committer>, root_log: bool) -> Vec<Committer> {
     let mut root_writers = waiting.iter().enumerate().filter(|(_, c)| !c.structs.is_empty());
     let cut = match (root_log, root_writers.nth(1)) {

@@ -6,7 +6,7 @@
 mod tests {
     use crate::{Database, Durability};
     use pdl_core::{MethodKind, PageStore, ShardedStore, StoreOptions};
-    use pdl_flash::FlashConfig;
+    use pdl_flash::{FlashConfig, PowerLossJournal};
     use pdl_obs::LatencyClass;
     use std::sync::mpsc;
     use std::time::{Duration, Instant};
@@ -171,6 +171,79 @@ mod tests {
             back.read_page(pid, &mut out).unwrap();
             assert_eq!(out[..4], [pid as u8; 4], "pid {pid} after recovery");
         }
+    }
+
+    /// A group-commit batch of two members, one on shard 0 only (pid 2)
+    /// and one on both shards (pids 4 and 5), behind a leader's batch of
+    /// one (pid 0), with power failing on both chips before each flash
+    /// operation: recovery finds both members or neither, before the
+    /// batch's one record lands and after it.
+    #[test]
+    fn a_group_commit_batch_mixing_one_and_two_shard_members_commits_whole() {
+        let mut st = store(2, 16, true);
+        let size = st.logical_page_size();
+        for pid in 0..16u64 {
+            st.write_page(pid, &vec![9; size]).unwrap();
+        }
+        st.flush().unwrap();
+        let journal = PowerLossJournal::new();
+        (0..2).for_each(|s| st.shard_mut(s).chip_mut().attach_journal(&journal));
+        let d = Database::new(Box::new(st), 16).with_durability(Durability::Commit);
+        // Cache hits only while the store is held below.
+        for pid in [0u64, 2, 4, 5] {
+            d.with_page(pid, |page| assert_eq!(page[0], 9)).unwrap();
+        }
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let d = &d;
+            scope.spawn(move || {
+                d.with_store(|_| {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                })
+            });
+            entered_rx.recv().unwrap();
+            scope.spawn(move || commit_one(d, 0, 1));
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while !d.batch_running() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            scope.spawn(move || commit_one(d, 2, 2));
+            scope.spawn(move || {
+                d.begin().unwrap();
+                for pid in [4u64, 5] {
+                    d.with_page_mut(pid, |page| page.write(0, &[3; 4])).unwrap();
+                }
+                d.commit().unwrap();
+            });
+            while d.queued_commits() < 2 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let queued = d.queued_commits();
+            release_tx.send(()).unwrap();
+            assert_eq!(queued, 2, "two committers queue behind the leader");
+        });
+        let snap = d.obs_snapshot();
+        assert_eq!(snap.hist(LatencyClass::CommitGroup).count(), 2, "one batch of two");
+        let mut seen = std::collections::BTreeSet::new();
+        for chips in journal.images() {
+            let mut back = ShardedStore::recover(chips, KIND, StoreOptions::new(16)).unwrap();
+            let mut out = vec![0u8; size];
+            let mut first = |pid: u64| {
+                back.read_page(pid, &mut out).unwrap();
+                out[0]
+            };
+            let (leader, single, cross) = (first(0), first(2), [first(4), first(5)]);
+            assert_eq!(cross[0], cross[1], "the cross-shard member is torn: {cross:?}");
+            assert_eq!(single == 2, cross[0] == 3, "the batch split: {single} vs {cross:?}");
+            seen.insert((leader, single));
+        }
+        let want = [(1, 9), (1, 2)];
+        assert!(
+            want.iter().all(|s| seen.contains(s)),
+            "crashed before and after the record: {seen:?}"
+        );
     }
 
     #[test]

@@ -246,10 +246,12 @@ fn clean_shutdown_recovers_everything_without_attach() {
 fn crash_mid_split_sweep_recovers_committed_prefixes() {
     // Budgets span from "dies almost immediately after arming" to "dies
     // in the last batches": the crash point walks through split chains,
-    // staged flushes, commit records, and root-record programs.
+    // staged flushes, commit records, and root-record programs. How many
+    // programs the run takes depends on how the two writers' commits
+    // group, so only the lower budgets must fault.
     for budget in [3u64, 6, 10, 14, 18, 22, 26, 30, 34, 40] {
         let (chips, confirmed) = run_until_power_loss(budget);
-        if budget <= 26 {
+        if budget <= 18 {
             assert!(
                 confirmed.iter().any(|&c| c < BATCHES),
                 "budget {budget}: fault never fired — the sweep is vacuous"
@@ -300,9 +302,8 @@ fn check_recovery_is_idempotent(chips: Vec<FlashChip>, confirmed: &[u64], what: 
 fn serial_crash_sweep_recovers_committed_prefixes_on_every_chip_subset() {
     // Every crash point of the two-shard commit protocol, with power
     // failing on both chips or on one of them only. A shard that programs
-    // its obsolete marks before the other shard's commit record is
-    // durable loses the previous committed batch here at (both, 15),
-    // (both, 17), (shard 0, 15), (shard 0, 17) and (shard 1, 3).
+    // its obsolete marks before the batch's commit record is durable
+    // loses the previous committed batch at some of these points.
     for armed in [&[0usize, 1][..], &[0], &[1]] {
         // A budget the run outlasts is the end: larger ones fault nowhere.
         let mut budget = 1u64;
@@ -319,7 +320,7 @@ fn serial_crash_sweep_recovers_committed_prefixes_on_every_chip_subset() {
             }
             budget += 1;
         }
-        assert!(budget > 30, "chips {armed:?}: the run ends after {budget} flash operations");
+        assert!(budget > 22, "chips {armed:?}: the run ends after {budget} flash operations");
     }
 }
 
@@ -346,7 +347,7 @@ fn serial_crash_sweep_whole_device_recovers_committed_prefixes() {
         check_recovery_is_idempotent(chips, &confirmed, &what);
         points += 1;
     }
-    assert!(points > 60, "the run ends after {points} flash operations");
+    assert!(points > 45, "the run ends after {points} flash operations");
 }
 
 #[test]

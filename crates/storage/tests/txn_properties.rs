@@ -205,11 +205,10 @@ fn group_commit_is_atomic_per_transaction_across_shards() {
 }
 
 /// A two-shard store with eight flushed pages of 5s, and one cross-shard
-/// batch (pid 0 on shard 0, pid 1 on shard 1) committed while power fails
-/// on the chips of `armed` one program into the batch: the staged
-/// differential is flushed there, the commit record never lands. Returns
-/// the recovered store.
-fn torn_cross_shard_commit(txn: u64, armed: &[usize]) -> ShardedStore {
+/// batch (pid 0 on shard 0, pid 1 on shard 1) whose one record goes to
+/// shard 0: shard 1's stage flush lands, and power fails on shard 0 before
+/// the record does. Returns the recovered store.
+fn torn_cross_shard_commit(txn: u64) -> ShardedStore {
     let mut store =
         ShardedStore::with_uniform_chips(FlashConfig::tiny(), 2, KIND, StoreOptions::new(8))
             .unwrap();
@@ -222,9 +221,7 @@ fn torn_cross_shard_commit(txn: u64, armed: &[usize]) -> ShardedStore {
     a[0] = 0xAA;
     let mut b = vec![5u8; size];
     b[0] = 0xBB;
-    for &s in armed {
-        store.shard_mut(s).chip_mut().arm_fault(1);
-    }
+    store.shard_mut(0).chip_mut().arm_fault(0);
     let before = store.per_shard_stats();
     let batch = CommitBatch {
         pages: vec![BatchPage::new(0, &a, txn), BatchPage::new(1, &b, txn)],
@@ -233,9 +230,9 @@ fn torn_cross_shard_commit(txn: u64, armed: &[usize]) -> ShardedStore {
     let err = store.commit_batch(&batch).unwrap_err();
     assert!(matches!(err, CommitError::Failed(_)), "{err}");
     for (s, now) in store.per_shard_stats().iter().enumerate() {
-        // Stage flush everywhere; the record flush only where power held.
+        // Shard 1's stage flush, and no record on shard 0.
         let programs = now.delta_since(&before[s]).total().writes;
-        assert_eq!(programs, if armed.contains(&s) { 1 } else { 2 }, "shard {s}");
+        assert_eq!(programs, s as u64, "shard {s}");
     }
     let mut chips = store.into_shard_chips();
     chips.iter_mut().for_each(FlashChip::disarm_fault);
@@ -244,10 +241,10 @@ fn torn_cross_shard_commit(txn: u64, armed: &[usize]) -> ShardedStore {
 
 #[test]
 fn torn_cross_shard_commit_is_discarded_on_every_shard() {
-    // The differentials are durable on both shards, no commit record is
-    // (a crash between the stage flush and the record flush): sharded
-    // recovery must roll the whole transaction back, on both shards.
-    let mut back = torn_cross_shard_commit(99, &[0, 1]);
+    // Shard 1's differential is durable, the batch's record is not:
+    // sharded recovery must roll the whole transaction back, on both
+    // shards.
+    let mut back = torn_cross_shard_commit(99);
     let size = back.logical_page_size();
     let mut out = vec![0u8; size];
     for pid in [0u64, 1] {
@@ -257,20 +254,12 @@ fn torn_cross_shard_commit_is_discarded_on_every_shard() {
 }
 
 #[test]
-fn half_recorded_cross_shard_commit_is_discarded_globally() {
-    // The record lands on shard 0 but the crash hits before shard 1's
-    // record: the union verdict must discard the transaction on *both*
-    // shards, even the one whose record made it.
-    let mut back = torn_cross_shard_commit(77, &[1]);
+fn a_torn_cross_shard_commit_stays_torn_at_the_next_recovery() {
+    let mut back = torn_cross_shard_commit(77);
     let size = back.logical_page_size();
     let mut out = vec![0u8; size];
-    for pid in [0u64, 1] {
-        back.read_page(pid, &mut out).unwrap();
-        assert_eq!(out, vec![5u8; size], "pid {pid} must roll back globally");
-    }
-    // Overwriting pid 1 supersedes shard 1's torn tag. Shard 0 still has
-    // txn 77's record and tag on flash unless recovery marked them, and a
-    // second recovery would then prove the transaction there.
+    // Overwriting pid 1 supersedes shard 1's torn tag. No shard holds a
+    // record of txn 77, so a second recovery must not prove it anywhere.
     back.write_page(1, &vec![6u8; size]).unwrap();
     back.flush().unwrap();
     let mut again =
