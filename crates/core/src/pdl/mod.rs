@@ -512,16 +512,12 @@ impl Pdl {
         }
         let queued: HashSet<u64> = self.proof_fifo.iter().copied().collect();
         for (txn, &loc) in &self.commit_locs {
-            if loc == PROOF_REMOTE {
-                if foreign.contains_key(txn) {
-                    return Err(format!("txn {txn} is proven elsewhere and relied on here"));
+            if loc < PROOF_REMOTE {
+                if self.vdct[loc as usize] == 0 {
+                    return Err(format!("proof of txn {txn} sits in dead page {loc}"));
                 }
-            } else if loc >= PROOF_RESTAGED {
-                if !self.in_txn_batch {
-                    return Err(format!("proof of txn {txn} left staged outside a batch"));
-                }
-            } else if self.vdct[loc as usize] == 0 {
-                return Err(format!("proof of txn {txn} sits in dead page {loc}"));
+            } else if loc != PROOF_REMOTE && !self.in_txn_batch {
+                return Err(format!("proof of txn {txn} left staged outside a batch"));
             }
             if !self.presence.contains_key(txn) {
                 return Err(format!("proof of txn {txn} outlived its last tag"));

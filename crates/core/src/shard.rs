@@ -849,6 +849,48 @@ mod tests {
         }
     }
 
+    /// Shard 1 proves txn 5, whose last other tag is pid 0's Case-3 base
+    /// on shard 0. Batch 6, on shard 0 alone, rewrites pid 0 and tears
+    /// before its record: the proof must outlive that batch, or recovery
+    /// finds txn 5's tag again with no proof and rolls it back too.
+    #[test]
+    fn a_proof_is_released_only_once_the_batch_killing_its_tags_commits() {
+        let mut s = sharded(2, 8);
+        let size = s.logical_page_size();
+        let base = vec![0x11; size];
+        for pid in 0..8 {
+            s.write_page(pid, &base).unwrap();
+        }
+        s.flush().unwrap();
+        let whole = vec![0x55; size];
+        let mut small = base.clone();
+        small[3..7].fill(0x55);
+        commit(&mut s, 5, &[(0, &whole), (1, &small)]);
+        // An untagged write supersedes txn 5's differential on shard 1.
+        small[9..12].fill(0x77);
+        s.write_page(1, &small).unwrap();
+        s.flush().unwrap();
+        s.check_tables().unwrap();
+        // Batch 6 programs its base, then power fails before its record.
+        s.shard_mut(0).chip_mut().arm_fault(1);
+        let six = vec![0x66; size];
+        let pages = vec![BatchPage::new(0, &six, 6)];
+        assert!(s.commit_batch(&CommitBatch { pages, roots: None }).is_err());
+        let mut chips = s.into_shard_chips();
+        chips.iter_mut().for_each(FlashChip::disarm_fault);
+        let mut r = ShardedStore::recover(
+            chips,
+            MethodKind::Pdl { max_diff_size: 64 },
+            StoreOptions::new(8),
+        )
+        .unwrap();
+        let mut out = vec![0u8; size];
+        for (pid, want) in [(0, &whole), (1, &small)] {
+            r.read_page(pid, &mut out).unwrap();
+            assert_eq!(&out, want, "pid {pid}");
+        }
+    }
+
     #[test]
     fn an_empty_batch_programs_nothing() {
         let (mut s, journal, _) = journaled(8);
