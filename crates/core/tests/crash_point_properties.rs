@@ -302,8 +302,9 @@ fn batched_script(count: usize, batch: usize, seed: u64) -> Vec<Vec<(u64, u8, bo
             let mut pages = Vec::new();
             while pages.len() < n as usize {
                 let r = next();
-                if taken.insert((r >> 33) % PAGES) {
-                    pages.push(((r >> 33) % PAGES, (r >> 17) as u8, (r >> 13).is_multiple_of(4)));
+                let pid = (r >> 33) % PAGES;
+                if taken.insert(pid) {
+                    pages.push((pid, (r >> 17) as u8, (r >> 13).is_multiple_of(4)));
                 }
             }
             txns.push(pages);
