@@ -21,9 +21,15 @@ fn main() {
     );
     let started = std::time::Instant::now();
     match exp7(scale) {
-        Ok(table) => {
+        Ok((table, broken)) => {
             println!("{}", table.render());
             println!("(wall time: {:.1?})", started.elapsed());
+            for b in &broken {
+                eprintln!("Figure 18's ordering broken: {b}");
+            }
+            if !broken.is_empty() {
+                std::process::exit(1);
+            }
         }
         Err(e) => {
             eprintln!("experiment failed: {e}");

@@ -200,8 +200,10 @@ fn run_tpcc_qd_point_inner(
     Ok((point, capture))
 }
 
-/// Experiment 7 / Figure 18 sweep.
-pub fn exp7(scale: Scale) -> Result<Table, CoreError> {
+/// Experiment 7 / Figure 18 sweep: the table, and each cell where a PDL
+/// variant does not take less I/O time than OPU or an IPL variant (the
+/// paper's result; empty when it holds).
+pub fn exp7(scale: Scale) -> Result<(Table, Vec<String>), CoreError> {
     let kinds = MethodKind::paper_five();
     let mut specs = Vec::new();
     for kind in &kinds {
@@ -247,14 +249,32 @@ pub fn exp7(scale: Scale) -> Result<Table, CoreError> {
         ),
         &header_refs,
     );
+    let us = |i: usize, j: usize| results[i * BUFFER_PCTS.len() + j].0;
     for (i, kind) in kinds.iter().enumerate() {
         let mut row = vec![kind.label()];
-        for j in 0..BUFFER_PCTS.len() {
-            row.push(format!("{:.0}", results[i * BUFFER_PCTS.len() + j].0));
-        }
+        row.extend((0..BUFFER_PCTS.len()).map(|j| format!("{:.0}", us(i, j))));
         t.row(row);
     }
-    Ok(t)
+    // The paper's result: both PDL variants take less I/O time than OPU
+    // and both IPL variants at every buffer size.
+    let mut broken = Vec::new();
+    let is_pdl = |i: usize| matches!(kinds[i], MethodKind::Pdl { .. });
+    for (j, pct) in BUFFER_PCTS.iter().enumerate() {
+        for pdl in (0..kinds.len()).filter(|&i| is_pdl(i)) {
+            for other in (0..kinds.len()).filter(|&i| !is_pdl(i)) {
+                if us(pdl, j) >= us(other, j) {
+                    broken.push(format!(
+                        "{pct}% buffer: {} takes {:.0} us, not less than {}'s {:.0} us",
+                        kinds[pdl].label(),
+                        us(pdl, j),
+                        kinds[other].label(),
+                        us(other, j)
+                    ));
+                }
+            }
+        }
+    }
+    Ok((t, broken))
 }
 
 #[cfg(test)]

@@ -68,6 +68,8 @@
 use crate::error::{RetentionTrigger, StorageError};
 use crate::Result;
 use pdl_core::{BatchPage, ChangeRange, IdMap, PageStore, NO_TXN};
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::thread::ThreadId;
 
@@ -141,8 +143,26 @@ pub fn read_u64(page: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(page[offset..offset + 8].try_into().expect("8 bytes"))
 }
 
-/// End-of-list marker for the frame recency links.
+/// End-of-list marker for the frame links.
 const NIL: u32 = u32::MAX;
+
+/// The two resident queues of 2Q: `A1in`, the FIFO a first-time miss
+/// enters, and `Am`, the LRU list of pages missed again while `A1out`
+/// still remembered them.
+const A1IN: usize = 0;
+const AM: usize = 1;
+
+/// The two lists a queue threads through its frames ([`Frame::links`]):
+/// every frame, and the clean frames alone, both oldest to newest.
+const ALL: usize = 0;
+const CLEAN: usize = 1;
+
+/// A frame's neighbours in one list ([`NIL`] at the ends).
+#[derive(Clone, Copy)]
+struct Links {
+    newer: u32,
+    older: u32,
+}
 
 struct Frame {
     pid: u64,
@@ -150,10 +170,97 @@ struct Frame {
     /// Transaction that dirtied this frame ([`NO_TXN`] when none): the
     /// per-transaction change tracking of the `pdl-txn` subsystem.
     owner: u64,
-    /// Neighbours in the cache's recency list: the frame used next after
-    /// this one and the one used last before it ([`NIL`] at the ends).
-    newer: u32,
-    older: u32,
+    /// The resident queue holding the frame ([`A1IN`] or [`AM`]).
+    queue: usize,
+    /// When the frame took its place in its queue — its admission in
+    /// `A1in`, its last use in `Am` — from one counter, so a queue's
+    /// stamps grow from its oldest frame to its newest.
+    stamp: u64,
+    /// Neighbours in the queue's [`ALL`] list, and in its [`CLEAN`] list
+    /// while the frame is clean.
+    links: [Links; 2],
+}
+
+/// One resident queue: its lists' ends, and the newest frame of its
+/// clean-first window.
+#[derive(Clone, Copy)]
+struct Queue {
+    oldest: [u32; 2],
+    newest: [u32; 2],
+    len: usize,
+    /// The newest frame of the older half of the queue, its
+    /// `len.div_ceil(2)` oldest frames: the window in which a clean frame
+    /// goes before any older dirty one ([`NIL`] when the queue is empty).
+    edge: u32,
+}
+
+impl Queue {
+    const EMPTY: Queue = Queue { oldest: [NIL; 2], newest: [NIL; 2], len: 0, edge: NIL };
+
+    /// Link `idx` into `list` just older than `before` ([`NIL`]: as the
+    /// newest).
+    fn link(&mut self, frames: &mut [Frame], list: usize, idx: u32, before: u32) {
+        let older = match before {
+            NIL => self.newest[list],
+            b => frames[b as usize].links[list].older,
+        };
+        frames[idx as usize].links[list] = Links { newer: before, older };
+        match older {
+            NIL => self.oldest[list] = idx,
+            o => frames[o as usize].links[list].newer = idx,
+        }
+        match before {
+            NIL => self.newest[list] = idx,
+            b => frames[b as usize].links[list].older = idx,
+        }
+    }
+
+    fn unlink(&mut self, frames: &mut [Frame], list: usize, idx: u32) {
+        let Links { newer, older } = frames[idx as usize].links[list];
+        match older {
+            NIL => self.oldest[list] = newer,
+            o => frames[o as usize].links[list].newer = newer,
+        }
+        match newer {
+            NIL => self.newest[list] = older,
+            n => frames[n as usize].links[list].older = older,
+        }
+    }
+
+    /// Append `idx` as the newest frame (its stamp is the newest).
+    fn push(&mut self, frames: &mut [Frame], idx: u32) {
+        self.link(frames, ALL, idx, NIL);
+        if !frames[idx as usize].dirty {
+            self.link(frames, CLEAN, idx, NIL);
+        }
+        self.len += 1;
+        if self.len == 1 {
+            self.edge = idx;
+        } else if !self.len.is_multiple_of(2) {
+            // The window grew by one: the next newer frame joins it.
+            self.edge = frames[self.edge as usize].links[ALL].newer;
+        }
+    }
+
+    fn remove(&mut self, frames: &mut [Frame], idx: u32) {
+        let f = &frames[idx as usize];
+        if f.stamp <= frames[self.edge as usize].stamp {
+            // The window loses `idx`: the next newer frame joins it.
+            self.edge = frames[self.edge as usize].links[ALL].newer;
+        }
+        let clean = !f.dirty;
+        self.unlink(frames, ALL, idx);
+        if clean {
+            self.unlink(frames, CLEAN, idx);
+        }
+        self.len -= 1;
+        if self.len == 0 {
+            self.edge = NIL;
+        } else if self.len.is_multiple_of(2) {
+            // The window shrank by one: its newest frame leaves it.
+            self.edge = frames[self.edge as usize].links[ALL].older;
+        }
+    }
 }
 
 /// Pre-transaction image of a page, taken on the transaction's first
@@ -213,6 +320,12 @@ pub struct BufferStats {
     pub misses: u64,
     pub evictions: u64,
     pub dirty_writebacks: u64,
+    /// Misses on a pid `A1out` remembered, admitted into `Am` (2Q's second
+    /// reference).
+    pub ghost_hits: u64,
+    /// Evictions that passed over an older dirty frame to take a clean one
+    /// in the window (the clean-first rule at work).
+    pub clean_first_evictions: u64,
     /// Snapshot reads served from a version chain (a committed version or
     /// an in-flight writer's pending undo image) instead of the frame.
     pub version_reads: u64,
@@ -321,8 +434,8 @@ impl VersionSource for NoVersioning {
     }
 }
 
-/// An LRU frame cache: the store-independent core of the buffer pool
-/// [`crate::Database`] runs.
+/// A 2Q frame cache with clean-first eviction: the store-independent core
+/// of the buffer pool [`crate::Database`] runs (see the module docs).
 pub(crate) struct FrameCache {
     frames: Vec<Frame>,
     /// The page image of every frame, frame `i` at `i * page_size`: one
@@ -335,11 +448,20 @@ pub(crate) struct FrameCache {
     map: IdMap<usize>,
     capacity: usize,
     page_size: usize,
-    /// Ends of the exact-LRU recency list threaded through the frames
-    /// (`Frame::newer` / `Frame::older`): every use moves a frame to
-    /// `mru`, eviction walks up from `lru`.
-    mru: u32,
-    lru: u32,
+    /// The resident queues, indexed [`A1IN`] and [`AM`].
+    queues: [Queue; 2],
+    /// Source of [`Frame::stamp`].
+    clock: u64,
+    /// `A1out`: the pids of the last `capacity / 2` frames evicted from
+    /// `A1in`, oldest first, and the same pids as a set. A pid stays until
+    /// it ages out, also once its miss took it into `Am` (Johnson &
+    /// Shasha), so it is never here twice: it left `A1in` only after it
+    /// entered it as a miss `A1out` did not know.
+    ghosts: VecDeque<u64>,
+    ghost_set: IdMap<()>,
+    /// Frames in no queue: their page read failed after the eviction that
+    /// freed them.
+    free: Vec<u32>,
     /// Per open transaction, the frames handed to it (frame indices, in
     /// first-dirtied order). An entry is a hint, re-checked against
     /// `Frame::owner`: relaxed mode can evict an owned frame and hand it
@@ -399,8 +521,11 @@ impl FrameCache {
             map: IdMap::default(),
             capacity,
             page_size,
-            mru: NIL,
-            lru: NIL,
+            queues: [Queue::EMPTY; 2],
+            clock: 0,
+            ghosts: VecDeque::new(),
+            ghost_set: IdMap::default(),
+            free: Vec::new(),
             owned: IdMap::default(),
             changes: Vec::new(),
             stats: BufferStats::default(),
@@ -586,12 +711,12 @@ impl FrameCache {
         }
         self.touch(idx);
         self.changes.clear();
-        let frame = &mut self.frames[idx];
         let data = &mut self.slab[idx * self.page_size..][..self.page_size];
         let mut page = PageMut { data, changes: &mut self.changes };
         let r = f(&mut page);
         if !self.changes.is_empty() {
-            frame.dirty = true;
+            self.mark_dirty(idx);
+            let frame = &mut self.frames[idx];
             if txn != NO_TXN && frame.owner != txn {
                 frame.owner = txn;
                 self.owned.entry(txn).or_default().push(idx as u32);
@@ -773,99 +898,184 @@ impl FrameCache {
         }
     }
 
-    /// Locate or load `pid` into a frame, evicting if needed.
+    /// Locate or load `pid` into a frame, evicting if needed. A miss
+    /// enters `A1in`, or `Am` when `A1out` remembers the pid.
     fn fetch<B: PageBackend>(&mut self, backend: &mut B, pid: u64) -> Result<usize> {
         if let Some(idx) = self.map.get(&pid) {
             self.stats.hits += 1;
             return Ok(*idx);
         }
         self.stats.misses += 1;
-        let idx = if self.frames.len() < self.capacity {
-            // A frame nobody has used yet is the coldest there is: it
-            // enters at the `lru` end and moves up on its first touch.
-            let idx = self.frames.len();
-            self.frames.push(Frame {
-                pid: u64::MAX,
-                dirty: false,
-                owner: NO_TXN,
-                newer: self.lru,
-                older: NIL,
-            });
-            match self.lru {
-                NIL => self.mru = idx as u32,
-                coldest => self.frames[coldest as usize].older = idx as u32,
+        // Asked before the eviction, which may push the victim's pid into
+        // `A1out` and age this one out.
+        let ghost = self.ghost_set.contains_key(&pid);
+        let idx = match self.free.pop() {
+            Some(idx) => idx as usize,
+            None if self.frames.len() < self.capacity => {
+                self.frames.push(Frame {
+                    pid: u64::MAX,
+                    dirty: false,
+                    owner: NO_TXN,
+                    queue: A1IN,
+                    stamp: 0,
+                    links: [Links { newer: NIL, older: NIL }; 2],
+                });
+                self.frames.len() - 1
             }
-            self.lru = idx as u32;
-            idx
-        } else {
-            self.evict_lru(backend)?
+            None => self.evict(backend)?,
         };
-        backend.read(pid, self.page_mut(idx))?;
+        if let Err(e) = backend.read(pid, self.page_mut(idx)) {
+            self.free.push(idx as u32);
+            return Err(e);
+        }
         self.frames[idx].pid = pid;
-        self.frames[idx].dirty = false;
-        self.frames[idx].owner = NO_TXN;
+        self.stats.ghost_hits += ghost as u64;
+        self.enqueue(idx, if ghost { AM } else { A1IN });
         self.map.insert(pid, idx);
         Ok(idx)
     }
 
-    /// Record a use of frame `idx`: move it to the `mru` end.
-    fn touch(&mut self, idx: usize) {
-        let at = idx as u32;
-        if self.mru == at {
-            return;
-        }
-        let Frame { newer, older, .. } = self.frames[idx];
-        // Not the most recent, so `newer` is a frame.
-        self.frames[newer as usize].older = older;
-        match older {
-            NIL => self.lru = newer,
-            o => self.frames[o as usize].newer = newer,
-        }
-        self.frames[self.mru as usize].newer = at;
-        self.frames[idx].older = self.mru;
-        self.frames[idx].newer = NIL;
-        self.mru = at;
+    /// Append clean frame `idx` to `queue` as its newest frame.
+    fn enqueue(&mut self, idx: usize, queue: usize) {
+        self.clock += 1;
+        let f = &mut self.frames[idx];
+        (f.queue, f.stamp) = (queue, self.clock);
+        self.queues[queue].push(&mut self.frames, idx as u32);
     }
 
-    /// Free the least recently used evictable frame. The frame keeps its
-    /// place in the recency list: the caller's touch moves it up, and a
-    /// refill that is not a use (rollback's re-fault) leaves it coldest.
-    fn evict_lru<B: PageBackend>(&mut self, backend: &mut B) -> Result<usize> {
+    /// Record a use of frame `idx`: an `Am` frame moves to the newest end,
+    /// an `A1in` frame keeps its place.
+    fn touch(&mut self, idx: usize) {
+        let at = idx as u32;
+        if self.frames[idx].queue == AM && self.queues[AM].newest[ALL] != at {
+            self.queues[AM].remove(&mut self.frames, at);
+            self.enqueue(idx, AM);
+        }
+    }
+
+    /// Mark frame `idx` dirty: it leaves its queue's clean list.
+    fn mark_dirty(&mut self, idx: usize) {
+        if !self.frames[idx].dirty {
+            let queue = self.frames[idx].queue;
+            self.queues[queue].unlink(&mut self.frames, CLEAN, idx as u32);
+            self.frames[idx].dirty = true;
+        }
+    }
+
+    /// Mark frame `idx` clean: it joins its queue's clean list before the
+    /// first clean frame newer than it. Cleaning a transaction's frames
+    /// newest first keeps that search to the dirty frames between them.
+    fn mark_clean(&mut self, idx: usize) {
+        if self.frames[idx].dirty {
+            self.frames[idx].dirty = false;
+            let mut next = self.frames[idx].links[ALL].newer;
+            while next != NIL && self.frames[next as usize].dirty {
+                next = self.frames[next as usize].links[ALL].newer;
+            }
+            let queue = self.frames[idx].queue;
+            self.queues[queue].link(&mut self.frames, CLEAN, idx as u32, next);
+        }
+    }
+
+    fn pinned(&self, idx: u32) -> bool {
+        self.pin_owned && self.frames[idx as usize].owner != NO_TXN
+    }
+
+    /// The victim `queue` offers, and whether the clean-first rule chose
+    /// it over an older dirty frame: the oldest clean frame when it lies
+    /// in the window, else the oldest frame not pinned.
+    fn victim_in(&self, queue: usize) -> Option<(u32, bool)> {
+        let q = &self.queues[queue];
+        let clean = q.oldest[CLEAN];
+        if clean != NIL && self.frames[clean as usize].stamp <= self.frames[q.edge as usize].stamp {
+            debug_assert!(!self.pinned(clean), "a clean frame is never pinned");
+            return Some((clean, clean != q.oldest[ALL]));
+        }
+        let mut at = q.oldest[ALL];
+        while at != NIL && self.pinned(at) {
+            at = self.frames[at as usize].links[ALL].newer;
+        }
+        (at != NIL).then_some((at, false))
+    }
+
+    /// Free a frame for a miss. The victim comes from `A1in` while it holds
+    /// more than a quarter of the frames or `Am` is empty, else from `Am`;
+    /// a queue whose every frame is pinned hands the choice to the other.
+    /// An `A1in` victim leaves its pid in `A1out`.
+    fn evict<B: PageBackend>(&mut self, backend: &mut B) -> Result<usize> {
         // Frames dirtied by an uncommitted transaction are pinned in
         // atomic-commit mode: their data must not reach the store before
         // the commit record does.
-        let mut at = self.lru;
-        while at != NIL && self.pin_owned && self.frames[at as usize].owner != NO_TXN {
-            at = self.frames[at as usize].newer;
-        }
-        if at == NIL {
-            return Err(StorageError::BufferPinned);
-        }
+        let first = if self.queues[A1IN].len > self.capacity / 4 || self.queues[AM].len == 0 {
+            A1IN
+        } else {
+            AM
+        };
+        let (at, clean_first) = self
+            .victim_in(first)
+            .or_else(|| self.victim_in(1 - first))
+            .ok_or(StorageError::BufferPinned)?;
         let idx = at as usize;
-        let pid = self.frames[idx].pid;
-        if self.frames[idx].dirty {
+        let Frame { pid, dirty, queue, .. } = self.frames[idx];
+        if dirty {
             backend.evict(pid, self.page(idx))?;
             self.stats.dirty_writebacks += 1;
         }
+        self.queues[queue].remove(&mut self.frames, at);
+        let f = &mut self.frames[idx];
+        (f.dirty, f.owner) = (false, NO_TXN);
+        if queue == A1IN {
+            self.remember(pid);
+        }
         self.map.remove(&pid);
         self.stats.evictions += 1;
+        self.stats.clean_first_evictions += clean_first as u64;
         Ok(idx)
+    }
+
+    /// Push `pid` into `A1out`, aging out its oldest pid when full.
+    fn remember(&mut self, pid: u64) {
+        if self.capacity / 2 == 0 {
+            return;
+        }
+        let fresh = self.ghost_set.insert(pid, ()).is_none();
+        debug_assert!(fresh, "page {pid} is in A1out twice");
+        self.ghosts.push_back(pid);
+        if self.ghosts.len() > self.capacity / 2 {
+            let aged = self.ghosts.pop_front().expect("A1out is over capacity");
+            self.ghost_set.remove(&aged);
+        }
     }
 
     /// Write every dirty frame back (does not flush the store itself).
     /// In atomic-commit mode, transaction-owned frames are skipped: only
     /// their commit makes them durable.
     pub(crate) fn write_back_dirty<B: PageBackend>(&mut self, backend: &mut B) -> Result<()> {
+        let mut written = Ok(());
         for idx in 0..self.frames.len() {
-            if self.frames[idx].dirty && !(self.pin_owned && self.frames[idx].owner != NO_TXN) {
+            if self.frames[idx].dirty && !self.pinned(idx as u32) {
                 let pid = self.frames[idx].pid;
-                backend.evict(pid, self.page(idx))?;
+                written = backend.evict(pid, self.page(idx));
+                if written.is_err() {
+                    break;
+                }
                 self.frames[idx].dirty = false;
                 self.frames[idx].owner = NO_TXN;
                 self.stats.dirty_writebacks += 1;
             }
         }
-        Ok(())
+        // Rebuild the clean lists in one pass per queue.
+        for q in &mut self.queues {
+            (q.oldest[CLEAN], q.newest[CLEAN]) = (NIL, NIL);
+            let mut at = q.oldest[ALL];
+            while at != NIL {
+                if !self.frames[at as usize].dirty {
+                    q.link(&mut self.frames, CLEAN, at, NIL);
+                }
+                at = self.frames[at as usize].links[ALL].newer;
+            }
+        }
+        written
     }
 
     /// Copy `txn`'s dirtied page images for commit staging, each with the
@@ -910,14 +1120,18 @@ impl FrameCache {
         clean: bool,
         active: &[u64],
     ) {
-        for idx in self.owned.remove(&txn).unwrap_or_default() {
+        let mut cleaned = self.owned.remove(&txn).unwrap_or_default();
+        cleaned.retain(|&idx| {
             let f = &mut self.frames[idx as usize];
-            if f.owner == txn {
+            let mine = f.owner == txn;
+            if mine {
                 f.owner = NO_TXN;
-                if clean {
-                    f.dirty = false;
-                }
             }
+            mine && clean
+        });
+        cleaned.sort_unstable_by_key(|&idx| Reverse(self.frames[idx as usize].stamp));
+        for idx in cleaned {
+            self.mark_clean(idx as usize);
         }
         let mut promoted = 0usize;
         let mut promoted_bytes = 0usize;
@@ -973,9 +1187,8 @@ impl FrameCache {
                 None => self.fetch(backend, pid)?,
             };
             self.page_mut(idx).copy_from_slice(&undo);
-            let frame = &mut self.frames[idx];
-            frame.dirty = true;
-            frame.owner = NO_TXN;
+            self.mark_dirty(idx);
+            self.frames[idx].owner = NO_TXN;
             // The restoration is itself an update command: tightly-coupled
             // (log-based) methods already persisted the aborted commands
             // as update logs via `apply`, and only a superseding
@@ -1003,14 +1216,59 @@ impl FrameCache {
         })
     }
 
+    /// Assert the queues' invariants: each list runs oldest to newest by
+    /// stamp, the clean list holds exactly the queue's clean frames, the
+    /// edge closes the older half, and every mapped frame is in the queue
+    /// its `Frame::queue` names.
+    #[cfg(test)]
+    pub(crate) fn check_queues(&self) {
+        let mut queued = 0;
+        for (queue, q) in self.queues.iter().enumerate() {
+            let walk = |list: usize| {
+                let mut out = Vec::new();
+                let (mut at, mut older) = (q.oldest[list], NIL);
+                while at != NIL {
+                    let f = &self.frames[at as usize];
+                    assert_eq!(f.links[list].older, older, "links of frame {at}");
+                    assert_eq!(f.queue, queue, "frame {at} is in another queue");
+                    out.push(at);
+                    (older, at) = (at, f.links[list].newer);
+                }
+                assert_eq!(q.newest[list], older);
+                out
+            };
+            let all = walk(ALL);
+            assert_eq!(all.len(), q.len);
+            assert!(all
+                .windows(2)
+                .all(|w| self.frames[w[0] as usize].stamp < self.frames[w[1] as usize].stamp));
+            let clean: Vec<u32> =
+                all.iter().copied().filter(|&i| !self.frames[i as usize].dirty).collect();
+            assert_eq!(walk(CLEAN), clean, "clean list of queue {queue}");
+            let edge = q.len.checked_sub(1).map_or(NIL, |_| all[q.len.div_ceil(2) - 1]);
+            assert_eq!(q.edge, edge, "window edge of queue {queue}");
+            for &i in &all {
+                assert_eq!(self.map.get(&self.frames[i as usize].pid), Some(&(i as usize)));
+            }
+            queued += q.len;
+        }
+        assert_eq!(queued + self.free.len(), self.frames.len());
+        assert_eq!(self.map.len(), queued);
+        assert!(self.ghosts.len() <= self.capacity / 2);
+        assert_eq!(self.ghosts.len(), self.ghost_set.len());
+        assert!(self.ghosts.iter().all(|pid| self.ghost_set.contains_key(pid)));
+    }
+
     /// Drop every cached page and version chain without writing back
     /// (crash simulation).
     #[cfg(test)]
     pub(crate) fn clear(&mut self) {
         self.frames.clear();
         self.map.clear();
-        self.mru = NIL;
-        self.lru = NIL;
+        self.queues = [Queue::EMPTY; 2];
+        self.ghosts.clear();
+        self.ghost_set.clear();
+        self.free.clear();
         self.owned.clear();
         self.chains.clear();
         self.retained = 0;
@@ -1265,37 +1523,134 @@ mod tests {
         assert_eq!(&out[5..8], b"xyz");
     }
 
+    /// A raw cache of `capacity` frames over a map, pinning owned frames.
+    fn raw_cache(capacity: usize) -> (FrameCache, MemBackend) {
+        (FrameCache::new(capacity, MODEL_PAGE, 8, 0, true), MemBackend::default())
+    }
+
+    fn read(cache: &mut FrameCache, backend: &mut MemBackend, pid: u64) -> Result<()> {
+        cache.with_page(backend, pid, |_| ())
+    }
+
+    fn dirty(cache: &mut FrameCache, backend: &mut MemBackend, pid: u64, txn: u64) -> Result<()> {
+        cache.with_page_mut_txn(backend, pid, txn, &NoVersioning, |page| page.write(0, &[1]))
+    }
+
+    fn queue_of(cache: &FrameCache, pid: u64) -> Option<usize> {
+        cache.map.get(&pid).map(|&idx| cache.frames[idx].queue)
+    }
+
     #[test]
-    fn lru_evicts_least_recently_used() {
-        let p = pool(2, MethodKind::Opu);
-        p.with_page(0, |_| ()).unwrap();
-        p.with_page(1, |_| ()).unwrap();
-        p.with_page(0, |_| ()).unwrap(); // 1 is now LRU
-        p.with_page(2, |_| ()).unwrap(); // evicts 1
-        let misses = || p.buffer_stats().misses;
-        let before = misses();
-        p.with_page(0, |_| ()).unwrap(); // still cached
-        assert_eq!(misses(), before);
-        p.with_page(1, |_| ()).unwrap(); // miss, evicts 2
-        assert_eq!(misses(), before + 1);
-        // A frame an open transaction dirtied is pinned: when it is the
-        // least recently used one, the next-oldest frame goes instead.
-        let txn = p.begin().unwrap();
-        p.with_page_mut(0, |page| page.write(0, &[1])).unwrap();
-        p.with_page(1, |_| ()).unwrap(); // 0 is now LRU, and pinned
-        p.with_page(2, |_| ()).unwrap(); // evicts 1
-        assert_eq!(misses(), before + 2);
-        p.with_page(0, |_| ()).unwrap(); // still cached
-        assert_eq!(misses(), before + 2);
-        assert_eq!(p.lock_cache().dirty_owner(0), txn);
-        // With every frame pinned there is nothing to evict.
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                p.begin().unwrap();
-                p.with_page_mut(2, |page| page.write(0, &[2])).unwrap();
-            });
-        });
-        assert_eq!(p.with_page(3, |_| ()), Err(StorageError::BufferPinned));
+    fn one_shot_misses_do_not_evict_a_page_rereferenced_through_a1out() {
+        let (mut cache, mut mem) = raw_cache(8);
+        for pid in 0..8 {
+            read(&mut cache, &mut mem, pid).unwrap();
+        }
+        read(&mut cache, &mut mem, 100).unwrap(); // evicts 0 into A1out
+        read(&mut cache, &mut mem, 0).unwrap(); // its second reference
+        assert_eq!(queue_of(&cache, 0), Some(AM));
+        // A scan twice the pool's size: exact LRU would have evicted page 0,
+        // the least recently used page, on its first miss.
+        for pid in 200..216 {
+            read(&mut cache, &mut mem, pid).unwrap();
+        }
+        assert!(cache.is_cached(0), "the scan went through A1in alone");
+        assert_eq!(cache.stats().evictions, 2 + 16);
+    }
+
+    #[test]
+    fn clean_frames_go_first_inside_the_window_and_dirty_ones_past_it() {
+        let (mut cache, mut mem) = raw_cache(8);
+        for pid in 0..8 {
+            read(&mut cache, &mut mem, pid).unwrap();
+        }
+        // A1in holds 0..8 in admission order, and its window is the oldest
+        // four. Dirtying is a hit there, so nobody moves.
+        for pid in [0, 1, 2] {
+            dirty(&mut cache, &mut mem, pid, NO_TXN).unwrap();
+        }
+        read(&mut cache, &mut mem, 100).unwrap();
+        assert!(!cache.is_cached(3), "the oldest clean frame in the window goes");
+        assert!(cache.is_cached(0));
+        let stats = cache.stats();
+        assert_eq!((stats.dirty_writebacks, stats.clean_first_evictions), (0, 1));
+        // Now the window is 0, 1, 2, 4, all dirty: the clean 5 lies past it,
+        // so the oldest frame goes and is written back.
+        dirty(&mut cache, &mut mem, 4, NO_TXN).unwrap();
+        read(&mut cache, &mut mem, 101).unwrap();
+        assert!(!cache.is_cached(0) && cache.is_cached(5));
+        let stats = cache.stats();
+        assert_eq!((stats.dirty_writebacks, stats.clean_first_evictions), (1, 1));
+        assert_eq!(mem.pages[&0][0], 1, "the write-back reached the store");
+    }
+
+    #[test]
+    fn a_miss_on_a_ghost_pid_enters_am_and_a_hit_there_moves_it_up() {
+        // Four frames: A1out remembers two pids, and A1in is the victim
+        // queue while it holds more than one frame.
+        let (mut cache, mut mem) = raw_cache(4);
+        for pid in 0..6 {
+            read(&mut cache, &mut mem, pid).unwrap(); // 4 and 5 evict 0 and 1
+        }
+        assert_eq!(cache.ghosts, [0, 1]);
+        read(&mut cache, &mut mem, 0).unwrap(); // evicts 2
+        read(&mut cache, &mut mem, 1).unwrap(); // evicts 3
+        assert_eq!((queue_of(&cache, 0), queue_of(&cache, 1)), (Some(AM), Some(AM)));
+        assert_eq!(cache.ghosts, [2, 3], "A1out holds the last two A1in victims");
+        read(&mut cache, &mut mem, 6).unwrap(); // evicts 4
+        assert_eq!(queue_of(&cache, 6), Some(A1IN));
+        read(&mut cache, &mut mem, 0).unwrap(); // a hit: 0 moves above 1 in Am
+        read(&mut cache, &mut mem, 4).unwrap(); // a ghost again: evicts 5
+        assert_eq!(cache.queues[A1IN].len, 1);
+        // A1in is down to one frame, so Am's least recently used page goes.
+        read(&mut cache, &mut mem, 5).unwrap();
+        assert!(!cache.is_cached(1) && cache.is_cached(0));
+        assert_eq!(cache.stats().ghost_hits, 4);
+        // A pid that aged out of A1out is a first-time miss again.
+        read(&mut cache, &mut mem, 2).unwrap();
+        assert_eq!(queue_of(&cache, 2), Some(A1IN));
+        assert_eq!(cache.stats().ghost_hits, 4);
+    }
+
+    #[test]
+    fn pinned_frames_are_skipped_and_buffer_pinned_when_every_frame_is() {
+        let (mut cache, mut mem) = raw_cache(4);
+        for pid in 0..5 {
+            read(&mut cache, &mut mem, pid).unwrap(); // 4 evicts 0
+        }
+        read(&mut cache, &mut mem, 0).unwrap(); // 0 into Am, evicts 1
+
+        // Transaction 7 pins all of A1in: the victim comes from Am.
+        for pid in [2, 3, 4] {
+            dirty(&mut cache, &mut mem, pid, 7).unwrap();
+        }
+        read(&mut cache, &mut mem, 5).unwrap();
+        assert!(!cache.is_cached(0), "A1in was all pinned");
+        assert!([2, 3, 4].iter().all(|&pid| cache.dirty_owner(pid) == 7));
+        assert_eq!(cache.stats().dirty_writebacks, 0);
+        // Pinning the last frame leaves nothing to evict.
+        dirty(&mut cache, &mut mem, 5, 8).unwrap();
+        assert_eq!(read(&mut cache, &mut mem, 6), Err(StorageError::BufferPinned));
+        assert!(!cache.is_cached(6));
+        // A durable commit unpins its frames and cleans them.
+        cache.end_txn(&mut mem, 7, None, true, &[]);
+        read(&mut cache, &mut mem, 6).unwrap();
+        assert!(!cache.is_cached(2), "the oldest clean frame in the window");
+        assert_eq!(cache.stats().dirty_writebacks, 0);
+    }
+
+    #[test]
+    fn buffer_stats_count_ghost_hits_and_clean_first_evictions() {
+        let p = pool_over(store(MethodKind::Opu, 1), 4);
+        for pid in 0..5 {
+            p.with_page(pid, |_| ()).unwrap(); // 4 evicts 0
+        }
+        p.with_page(0, |_| ()).unwrap(); // a ghost hit, evicts 1
+        p.with_page_mut(2, |page| page.write(0, &[1])).unwrap();
+        p.with_page(5, |_| ()).unwrap(); // passes the dirty 2 for the clean 3
+        let stats = p.buffer_stats();
+        assert_eq!((stats.ghost_hits, stats.clean_first_evictions), (1, 1));
+        assert_eq!((stats.evictions, stats.dirty_writebacks), (3, 0));
     }
 
     #[test]
@@ -1314,8 +1669,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Recency list and owned-frame lists against the full scans they
-    // replaced
+    // Queues, clean lists and owned-frame lists against full scans
     // ------------------------------------------------------------------
 
     const MODEL_PAGE: usize = 8;
@@ -1350,18 +1704,24 @@ mod tests {
         data: Vec<u8>,
         dirty: bool,
         owner: u64,
-        last_use: u64,
+        queue: usize,
+        /// Admission in `A1in`, last use in `Am`.
+        stamp: u64,
     }
 
-    /// The frame cache as it was before the lists: a use stamp per frame,
-    /// and the victim, the owned set and the release each found by a
-    /// scan over every frame.
+    /// The frame cache without lists: a queue and a stamp per frame, and
+    /// the victim, the owned set and the release each found by a scan
+    /// over every frame.
     #[derive(Default)]
     struct ScanModel {
         frames: Vec<ScanFrame>,
         capacity: usize,
         pin_owned: bool,
         tick: u64,
+        /// `A1out`, oldest first.
+        ghosts: Vec<u64>,
+        ghost_hits: u64,
+        clean_first_evictions: u64,
         /// pid → (transaction, pre-image, whether the store holds it)
         pending: std::collections::BTreeMap<u64, (u64, Vec<u8>, bool)>,
         store: HashMap<u64, Vec<u8>>,
@@ -1378,44 +1738,76 @@ mod tests {
             self.pin_owned && f.owner != NO_TXN
         }
 
+        /// The victim of `queue` and whether it is a clean frame taken
+        /// over an older dirty one: the oldest clean frame among the older
+        /// half of the queue's frames by stamp, else its oldest frame not
+        /// pinned.
+        fn victim_in(&self, queue: usize) -> Option<(usize, bool)> {
+            let mut order: Vec<usize> =
+                (0..self.frames.len()).filter(|&i| self.frames[i].queue == queue).collect();
+            order.sort_by_key(|&i| self.frames[i].stamp);
+            let window = &order[..order.len().div_ceil(2)];
+            if let Some(&clean) = window.iter().find(|&&i| !self.frames[i].dirty) {
+                return Some((clean, clean != order[0]));
+            }
+            order.into_iter().find(|&i| !self.pinned(&self.frames[i])).map(|i| (i, false))
+        }
+
         fn fetch(&mut self, pid: u64) -> Result<usize> {
             if let Some(idx) = self.slot(pid) {
                 return Ok(idx);
             }
+            let ghost = self.ghosts.contains(&pid);
             let idx = if self.frames.len() < self.capacity {
                 self.frames.push(ScanFrame {
                     pid,
                     data: Vec::new(),
                     dirty: false,
                     owner: NO_TXN,
-                    last_use: 0,
+                    queue: A1IN,
+                    stamp: 0,
                 });
                 self.frames.len() - 1
             } else {
-                let (idx, _) = self
-                    .frames
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, f)| !self.pinned(f))
-                    .min_by_key(|(_, f)| f.last_use)
+                let in_a1in = self.frames.iter().filter(|f| f.queue == A1IN).count();
+                let first = if in_a1in > self.capacity / 4 || in_a1in == self.frames.len() {
+                    A1IN
+                } else {
+                    AM
+                };
+                let (idx, clean_first) = self
+                    .victim_in(first)
+                    .or_else(|| self.victim_in(1 - first))
                     .ok_or(StorageError::BufferPinned)?;
                 let victim = &self.frames[idx];
                 if victim.dirty {
                     self.store.insert(victim.pid, victim.data.clone());
                     self.dirty_writebacks += 1;
                 }
+                if victim.queue == A1IN {
+                    self.ghosts.push(victim.pid);
+                    if self.ghosts.len() > self.capacity / 2 {
+                        self.ghosts.remove(0);
+                    }
+                }
                 self.evictions += 1;
+                self.clean_first_evictions += clean_first as u64;
                 idx
             };
+            self.ghost_hits += ghost as u64;
+            self.tick += 1;
             let data = self.store.get(&pid).cloned().unwrap_or_else(|| vec![0; MODEL_PAGE]);
             let f = &mut self.frames[idx];
             (f.pid, f.data, f.dirty, f.owner) = (pid, data, false, NO_TXN);
+            (f.queue, f.stamp) = (if ghost { AM } else { A1IN }, self.tick);
             Ok(idx)
         }
 
         fn touch(&mut self, idx: usize) {
-            self.tick += 1;
-            self.frames[idx].last_use = self.tick;
+            if self.frames[idx].queue == AM {
+                self.tick += 1;
+                self.frames[idx].stamp = self.tick;
+            }
         }
 
         fn read(&mut self, pid: u64) -> Result<Vec<u8>> {
@@ -1496,6 +1888,7 @@ mod tests {
         fn clear(&mut self) {
             self.frames.clear();
             self.pending.clear();
+            self.ghosts.clear();
         }
 
         fn dirty_owner(&self, pid: u64) -> u64 {
@@ -1608,6 +2001,13 @@ mod tests {
                 "step {}",
                 step
             );
+            prop_assert_eq!(
+                (stats.ghost_hits, stats.clean_first_evictions),
+                (model.ghost_hits, model.clean_first_evictions),
+                "step {}",
+                step
+            );
+            cache.check_queues();
         }
         Ok(())
     }
@@ -1615,11 +2015,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Every miss evicts the page the `min_by_key(last_use)` scan
-        /// would have, `collect_owned` returns what the owner scan would
-        /// have, and the cache refuses (`BufferPinned`, `TxnConflict`)
-        /// exactly when the scans would have — through three interleaved
-        /// transactions, in both pinning modes, across write-backs,
+        /// Every miss evicts the page the scan over queues and stamps
+        /// would have (2Q's victim queue, the oldest clean frame in its
+        /// older half, else its oldest frame not pinned), `collect_owned`
+        /// returns what the owner scan would have, and the cache refuses
+        /// (`BufferPinned`, `TxnConflict`) exactly when the scans would
+        /// have — through three interleaved transactions, in both pinning
+        /// modes, across write-backs, durable commits that clean frames,
         /// rollbacks that re-fault evicted pages, and cache resets.
         #[test]
         fn lists_match_the_full_scans(
