@@ -271,8 +271,9 @@ fn bench_btree(c: &mut Criterion) {
 
 /// What the pool itself costs per operation, at the two sizes the
 /// end-to-end benchmark runs it: a commit against 32 768 cached frames
-/// (`tpcc_hot`), a miss with 256 (`tpcc_cold`) — and what a hit costs,
-/// alone and beside a thread that is busy in the store (`writers2`).
+/// (`tpcc_hot`), a miss with 256 (`tpcc_cold`), over clean frames or
+/// dirty ones — and what a hit costs, alone and beside a thread that is
+/// busy in the store (`writers2`).
 fn bench_buffer_pool(c: &mut Criterion) {
     let mut g = c.benchmark_group("buffer_pool");
     g.sample_size(20);
@@ -295,13 +296,26 @@ fn bench_buffer_pool(c: &mut Criterion) {
         })
     });
     // Cycling through four times as many pages as frames misses every time:
-    // pick the LRU victim, read one (never-written) page from the store.
+    // pick the victim, read one (never-written) page from the store.
     let db = cached(1_024, 256);
     let mut pid = 0u64;
     g.bench_function("pool_miss_256_frames", |b| {
         b.iter(|| {
             pid = (pid + 1) % 1_024;
             db.with_page(pid, |page| page[0]).unwrap()
+        })
+    });
+    // The same cycle writing every page it touches, with relaxed commits:
+    // every frame is dirty, the worst case of the clean-first pick (no
+    // clean frame anywhere). The row includes the victim's write-back.
+    let chip = FlashChip::new(FlashConfig::scaled(1024));
+    let db =
+        Database::new(build_store(chip, MethodKind::Opu, StoreOptions::new(1_024)).unwrap(), 256);
+    let mut pid = 0u64;
+    g.bench_function("pool_miss_256_frames_dirty", |b| {
+        b.iter(|| {
+            pid = (pid + 1) % 1_024;
+            db.with_page_mut(pid, |page| page.write_u64(0, pid)).unwrap()
         })
     });
     // Buffer hits, 64 to an iteration (the harness reads the clock twice

@@ -1,4 +1,4 @@
-//! The buffer pool's parts: the LRU frame cache, page latches, and the
+//! The buffer pool's parts: the frame cache, page latches, and the
 //! adapter through which both reach the page store.
 //!
 //! [`crate::Database`] is the buffer pool: it owns one [`FrameCache`]
@@ -11,6 +11,32 @@
 //!   update-log hook a tightly-coupled (log-based) method needs;
 //! * evicting a dirty page calls [`PageStore::evict_page`] — the moment a
 //!   loosely-coupled method (PDL, OPU, IPU) reflects the page into flash.
+//!
+//! # Replacement: 2Q admission, clean-first eviction
+//!
+//! Over flash a miss costs PDL its read step (base page + differential
+//! page) and a dirty victim its write step too, so the cache decides
+//! both who stays and who goes with that in mind:
+//!
+//! * **Admission is 2Q** (Johnson & Shasha, VLDB '94). A first-time miss
+//!   enters `A1in`, a FIFO: a hit there does not move the frame. A frame
+//!   evicted from `A1in` leaves its pid in `A1out`, a ghost FIFO of
+//!   `capacity / 2` pids, and a miss on such a pid enters `Am`, an LRU
+//!   list where a hit moves the frame to the newest end. Pages read
+//!   once (a TPC-C STOCK-LEVEL scan) pass through `A1in` without pushing
+//!   re-used pages out of `Am`.
+//! * **Eviction is clean-first** (CFLRU, Park et al., CASES '06). The
+//!   victim queue is `A1in` while it holds more than `capacity / 4`
+//!   frames or `Am` is empty, else `Am`. Inside it the oldest clean
+//!   frame in the older half goes first; when that half holds none, the
+//!   oldest frame not pinned goes. A queue whose every frame is pinned
+//!   hands the choice to the other; [`StorageError::BufferPinned`] means
+//!   every frame is pinned.
+//!
+//! Each queue threads two intrusive lists through its frames — all of
+//! them and the clean ones alone, both in queue order — and keeps the
+//! newest frame of its older half, so the pick costs O(1) besides the
+//! pinned frames it skips.
 //!
 //! # Version chains (MVCC snapshot reads)
 //!
@@ -935,7 +961,7 @@ impl FrameCache {
         Ok(idx)
     }
 
-    /// Append clean frame `idx` to `queue` as its newest frame.
+    /// Append frame `idx` to `queue` as its newest frame.
     fn enqueue(&mut self, idx: usize, queue: usize) {
         self.clock += 1;
         let f = &mut self.frames[idx];
@@ -1640,6 +1666,23 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_whose_read_failed_holds_no_page() {
+        let (mut cache, mut mem) = raw_cache(1);
+        dirty(&mut cache, &mut mem, 0, NO_TXN).unwrap();
+        mem.corrupt = Some(5);
+        assert!(read(&mut cache, &mut mem, 5).is_err()); // evicts 0 first
+        assert!(!cache.is_cached(0) && !cache.is_cached(5));
+        cache.check_queues();
+        // The freed frame is reused without a second write-back of page 0.
+        read(&mut cache, &mut mem, 0).unwrap();
+        assert_eq!(cache.stats().dirty_writebacks, 1);
+        assert_eq!(mem.pages[&0][0], 1, "page 0 as written back");
+        cache.write_back_dirty(&mut mem).unwrap();
+        assert_eq!(mem.pages[&0][0], 1);
+        assert_eq!(cache.with_page(&mut mem, 0, |page| page[0]).unwrap(), 1);
+    }
+
+    #[test]
     fn buffer_stats_count_ghost_hits_and_clean_first_evictions() {
         let p = pool_over(store(MethodKind::Opu, 1), 4);
         for pid in 0..5 {
@@ -1674,14 +1717,21 @@ mod tests {
 
     const MODEL_PAGE: usize = 8;
 
-    /// A store that is a map: `evict` is the only way in.
+    /// A store that is a map: `evict` is the only way in. A read of
+    /// `corrupt` scribbles over the frame and fails, as a read that finds
+    /// a corrupt page may.
     #[derive(Default)]
     struct MemBackend {
         pages: HashMap<u64, Vec<u8>>,
+        corrupt: Option<u64>,
     }
 
     impl PageBackend for MemBackend {
         fn read(&mut self, pid: u64, out: &mut [u8]) -> Result<()> {
+            if self.corrupt == Some(pid) {
+                out.fill(0xEE);
+                return Err(StorageError::Internal(format!("page {pid} is corrupt")));
+            }
             match self.pages.get(&pid) {
                 Some(page) => out.copy_from_slice(page),
                 None => out.fill(0),

@@ -1,9 +1,10 @@
 //! The database: the buffer pool over one page store, MVCC read views,
 //! a logical-page allocator and transactions, in one type.
 //!
-//! [`Database`] owns the store behind a mutex, the LRU frame cache
-//! (`FrameCache`, see `buffer.rs`) behind another, the MVCC registry and
-//! the page latch table; every read and write goes through it. Heap
+//! [`Database`] owns the store behind a mutex, the frame cache
+//! (`FrameCache`: 2Q admission, clean-first eviction; see `buffer.rs`)
+//! behind another, the MVCC registry and the page latch table; every
+//! read and write goes through it. Heap
 //! files and B+-trees allocate their pages here; the page-update method
 //! underneath decides how those logical pages land in flash.
 //!

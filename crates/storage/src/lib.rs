@@ -2,8 +2,9 @@
 //!
 //! A compact storage engine standing in for the Odysseus ORDBMS the paper
 //! drives its experiments with (see DESIGN.md §3): a [`Database`] that is
-//! an LRU buffer pool over any [`pdl_core::PageStore`], slotted record
-//! pages, [`HeapFile`]s with a free-space map, and a [`BTree`] index.
+//! a buffer pool (2Q admission, clean-first eviction) over any
+//! [`pdl_core::PageStore`], slotted record pages, [`HeapFile`]s with a
+//! free-space map, and a [`BTree`] index.
 //!
 //! What matters for reproducing the paper is the page-level contract:
 //! reads miss into [`pdl_core::PageStore::read_page`], every mutation
