@@ -12,7 +12,10 @@
 //!   here, writing update logs; loosely-coupled methods (PDL, OPU, IPU)
 //!   ignore it;
 //! * [`PageStore::evict_page`] reflects the up-to-date logical page into
-//!   flash memory (the writing step — e.g. a buffer-pool eviction).
+//!   flash memory (the writing step — e.g. a buffer-pool eviction);
+//!   [`PageStore::evict_held`] does the same with the image the store
+//!   holds for the page, when the caller has it, which spares PDL the
+//!   base-page read of staging.
 //!
 //! A logical page may be larger than a physical page: it then spans
 //! `frames_per_page` physical *frames* (Experiment 2(b) uses 8 Kbyte
@@ -326,10 +329,11 @@ pub struct BatchPage<'a> {
     /// The image this store holds for `pid` right now — what
     /// [`PageStore::read_page`] would return — when the caller has it. A
     /// buffer manager has it in the undo image of a frame that was clean
-    /// when the transaction first touched it. PDL then stages `pid`
-    /// without reading its base page back; `None` (and every other store)
-    /// takes the paper's path. A wrong image here is a wrong page on
-    /// flash: the store trusts it.
+    /// when the transaction first touched it, and keeps it past a relaxed
+    /// commit for the frame's write-back ([`PageStore::evict_held`]). PDL
+    /// then stages `pid` without reading its base page back; `None` (and
+    /// every other store) takes the paper's path. A wrong image here is a
+    /// wrong page on flash: the store trusts it.
     pub held: Option<&'a [u8]>,
 }
 
@@ -437,6 +441,15 @@ pub trait PageStore: Send {
     /// Reflect the up-to-date logical page into flash memory (the page is
     /// being swapped out of the DBMS buffer).
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()>;
+
+    /// [`PageStore::evict_page`] with the image this store holds for
+    /// `pid` right now, when the caller has it (the contract of
+    /// [`BatchPage::held`]). PDL then stages the page without reading its
+    /// base back; the default ignores the hint.
+    fn evict_held(&mut self, pid: u64, page: &[u8], held: Option<&[u8]>) -> Result<()> {
+        let _ = held;
+        self.evict_page(pid, page)
+    }
 
     /// Write-through: force everything buffered in memory (differential
     /// write buffer, pending log sectors) out to flash.

@@ -30,15 +30,17 @@
 //! bitmap from the tables it recovers.
 //!
 //! Computing a differential needs the base page, which Figure 7 reads
-//! back from flash. A commit can instead hand the store the image it
-//! holds for the page ([`crate::BatchPage::held`]): outside the byte
-//! ranges of the page's current differential — which the store keeps in
-//! memory ([`spans`]) — that image *is* the base, so staging compares
-//! against it with every byte inside those ranges counted as changed. The
-//! differential is then a superset of the exact one and still rebuilds
-//! the page. Without a held image, or with the ranges unknown (after
-//! recovery, or after a plain eviction), staging reads the base as the
-//! paper does.
+//! back from flash. A commit or an eviction can instead hand the store
+//! the image it holds for the page ([`crate::BatchPage::held`],
+//! [`crate::PageStore::evict_held`]): outside the byte ranges of the
+//! page's current differential — which the store keeps in memory
+//! ([`spans`]) for every staging — that image *is* the base, so staging
+//! compares against it with every byte inside those ranges counted as
+//! changed. The differential is then a superset of the exact one and
+//! still rebuilds the page. Without a held image
+//! ([`crate::PageStore::evict_page`], the paper's path), or with the
+//! ranges unknown (after recovery), staging reads the base as the paper
+//! does.
 //!
 //! # Transactional durability (`pdl-txn`)
 //!
@@ -993,7 +995,9 @@ impl Pdl {
     /// ([`NO_TXN`] for the plain auto-committed path; a real id only
     /// inside an open commit batch). `held` is the image the store holds
     /// for `pid` right now, when the caller has it
-    /// ([`crate::BatchPage::held`]).
+    /// ([`crate::BatchPage::held`], [`PageStore::evict_held`]). Every
+    /// staging records the new differential's ranges, so the next one of
+    /// the page can take a held image whichever path this one came by.
     pub(crate) fn stage_page(
         &mut self,
         pid: u64,
@@ -1120,13 +1124,7 @@ impl Pdl {
             self.counters.case2 += 1;
             self.flush_dwb()?;
         }
-        if txn == NO_TXN {
-            // Only commits hand in held images: the paper's eviction path
-            // keeps no ranges for a hint it never takes.
-            self.spans.forget(pid);
-        } else {
-            self.spans.set_runs(pid, &d.runs);
-        }
+        self.spans.set_runs(pid, &d.runs);
         self.dwb.push(d);
         Ok(())
     }
@@ -1835,6 +1833,12 @@ impl PageStore for Pdl {
         self.stage_page(pid, page, NO_TXN, None)
     }
 
+    /// `PDL_Writing` compared against `held` instead of the base page
+    /// read back, where the current differential's ranges are known.
+    fn evict_held(&mut self, pid: u64, page: &[u8], held: Option<&[u8]>) -> Result<()> {
+        self.stage_page(pid, page, NO_TXN, held)
+    }
+
     /// Write-through (§4.5): "when the write-through command is called, PDL
     /// flushes the differential write buffer out into flash memory".
     fn flush(&mut self) -> Result<()> {
@@ -2503,6 +2507,46 @@ mod tests {
         s.commit_batch(&CommitBatch { pages: vec![page], roots: None }).unwrap();
         assert_eq!((s.chip().stats().total() - before).reads, 1);
         assert_eq!(s.counters.base_reads_skipped, 0);
+        s.check_tables().unwrap();
+    }
+
+    #[test]
+    fn an_eviction_with_a_held_image_reads_nothing_while_the_ranges_are_known() {
+        let mut s = store(8, 128);
+        let mut p = filled(&s, 1);
+        s.write_page(0, &p).unwrap();
+        // A plain eviction reads the base and records its differential's
+        // ranges for the next staging.
+        p[20..24].fill(0xB0);
+        s.evict_page(0, &p).unwrap();
+        assert_eq!(s.spans.get(0).unwrap().collect::<Vec<_>>(), vec![20..24]);
+        for round in 0..3u8 {
+            let held = p.clone();
+            p[60 + round as usize] = 0xC0 + round;
+            let reads = s.chip().stats().user.reads;
+            s.evict_held(0, &p, Some(&held)).unwrap();
+            assert_eq!(s.chip().stats().user.reads, reads, "round {round}: read the base");
+            assert_eq!(s.counters.base_reads_skipped, 1 + u64::from(round));
+            s.check_tables().unwrap();
+        }
+        let mut out = filled(&s, 0);
+        s.read_page(0, &mut out).unwrap();
+        assert_eq!(out, p);
+        s.flush().unwrap();
+        // After recovery the ranges are unknown: the same eviction reads
+        // the base once, and records them again.
+        let mut s =
+            Pdl::recover(PageStore::into_chip(Box::new(s)), StoreOptions::new(8), 128).unwrap();
+        assert!(s.spans.get(0).is_none());
+        let held = p.clone();
+        p[90] = 0xEE;
+        let reads = s.chip().stats().user.reads;
+        s.evict_held(0, &p, Some(&held)).unwrap();
+        assert_eq!(s.chip().stats().user.reads - reads, 1);
+        assert_eq!(s.counters.base_reads_skipped, 0);
+        assert!(s.spans.get(0).is_some());
+        s.read_page(0, &mut out).unwrap();
+        assert_eq!(out, p);
         s.check_tables().unwrap();
     }
 

@@ -2,16 +2,17 @@
 //!
 //! Staging a page computes `diff(base, new)`, and the base is on flash.
 //! A caller that holds the image the store holds for the page
-//! ([`crate::BatchPage::held`]) already knows the base everywhere outside
-//! the current differential's runs: there the two are the same bytes. So
-//! the store keeps those runs per page, wherever the differential lives
-//! (write buffer or flash), and `Pdl::stage_page` builds its comparison
-//! image from memory instead of reading the base back.
+//! ([`crate::BatchPage::held`], [`crate::PageStore::evict_held`]) already
+//! knows the base everywhere outside the current differential's runs:
+//! there the two are the same bytes. So the store keeps those runs per
+//! page, wherever the differential lives (write buffer or flash), and
+//! `Pdl::stage_page` builds its comparison image from memory instead of
+//! reading the base back.
 //!
-//! A page's entry is *empty* after a base write (no differential) and
-//! *unknown* after recovery (nothing rebuilds it) or after a plain
-//! eviction: only commits hand in held images, so only their stagings
-//! record runs, and the paper's path costs one index word. Runs are packed
+//! Every staging records its differential's runs, whether it had a held
+//! image or not, so the next staging of the page can take one. A page's
+//! entry is *empty* after a base write (no differential) and *unknown*
+//! only after recovery (nothing rebuilds it). Runs are packed
 //! `offset << 16 | len` words — a logical page is at most `u16::MAX`
 //! bytes — in one append-only arena, so recording a differential's runs
 //! allocates nothing per page and writes one index word plus a
@@ -61,10 +62,6 @@ impl DiffSpans {
 
     pub fn set_empty(&mut self, pid: u64) {
         self.at[pid as usize] = EMPTY;
-    }
-
-    pub fn forget(&mut self, pid: u64) {
-        self.at[pid as usize] = UNKNOWN;
     }
 
     /// `pid`'s current differential now has `runs`.
@@ -117,8 +114,6 @@ mod tests {
         assert_eq!(ranges(&s, 2), Some(vec![7..8, 20..22]));
         s.set_runs(2, &[]);
         assert_eq!(ranges(&s, 2), Some(vec![]));
-        s.forget(2);
-        assert_eq!(ranges(&s, 2), None);
         assert_eq!(ranges(&s, 3), None);
     }
 

@@ -444,8 +444,12 @@ impl PageStore for ShardedStore {
     }
 
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()> {
+        self.evict_held(pid, page, None)
+    }
+
+    fn evict_held(&mut self, pid: u64, page: &[u8], held: Option<&[u8]>) -> Result<()> {
         let (s, local) = self.locate(pid)?;
-        self.shards[s].evict_page(local, page)?;
+        self.shards[s].evict_held(local, page, held)?;
         self.settle()
     }
 

@@ -205,6 +205,14 @@ struct Frame {
     /// Neighbours in the queue's [`ALL`] list, and in its [`CLEAN`] list
     /// while the frame is clean.
     links: [Links; 2],
+    /// The image the store holds for the page, which a dirty frame keeps
+    /// for its write-back ([`PageStore::evict_held`]): the pending
+    /// pre-image a relaxed commit or an abort leaves behind while it is
+    /// still the store's image, or a copy of the frame a transaction takes
+    /// when it re-dirties a page a write-back reflected in its middle.
+    /// Emptied whenever the page is reflected or the frame cleaned; a
+    /// clean frame holds none.
+    held: Option<Vec<u8>>,
 }
 
 /// One resident queue: its lists' ends, and the newest frame of its
@@ -292,13 +300,15 @@ impl Queue {
 /// Pre-transaction image of a page, taken on the transaction's first
 /// touch. It doubles as the head-in-waiting of the page's version chain:
 /// abort restores it, commit either promotes it to a committed version
-/// (when an open read view predates the commit) or drops it.
+/// (when an open read view predates the commit) or drops it — a relaxed
+/// commit moves it into the frame instead when it is `held`.
 struct PendingUndo {
     txn: u64,
     data: Vec<u8>,
-    /// The frame was clean at the first touch, with owned frames pinned:
-    /// `data` is then the image the store holds for the page until the
-    /// commit, since nothing can reflect the page meanwhile.
+    /// `data` is the image the store holds for the page: the frame was
+    /// clean at the first touch, and no write-back has reflected the page
+    /// since (one in relaxed mode, in the middle of the transaction,
+    /// clears the flag).
     held: bool,
 }
 
@@ -346,6 +356,11 @@ pub struct BufferStats {
     pub misses: u64,
     pub evictions: u64,
     pub dirty_writebacks: u64,
+    /// Dirty write-backs that handed the store the image it held for the
+    /// page ([`PageStore::evict_held`]), sparing PDL the base-page read:
+    /// pages a relaxed commit or an abort left dirty, and relaxed-mode
+    /// write-backs in the middle of a transaction.
+    pub held_writebacks: u64,
     /// Misses on a pid `A1out` remembered, admitted into `Am` (2Q's second
     /// reference).
     pub ghost_hits: u64,
@@ -399,7 +414,9 @@ impl BufferStats {
 pub(crate) trait PageBackend {
     fn read(&mut self, pid: u64, out: &mut [u8]) -> Result<()>;
     fn apply(&mut self, pid: u64, page_after: &[u8], changes: &[ChangeRange]) -> Result<()>;
-    fn evict(&mut self, pid: u64, page: &[u8]) -> Result<()>;
+    /// Reflect `page` ([`PageStore::evict_held`]: `held` is the image the
+    /// store holds for `pid`, when the cache has it).
+    fn evict(&mut self, pid: u64, page: &[u8], held: Option<&[u8]>) -> Result<()>;
 
     /// Whether the store behind this backend can hold spilled cold
     /// versions (the retention-ledger tier; see
@@ -717,16 +734,27 @@ impl FrameCache {
         }
         let mut auto_pre: Option<Vec<u8>> = None;
         let mut created_pending = false;
+        let mut reheld: Option<Vec<u8>> = None;
         if txn != NO_TXN {
             let pending = self.chains.get(&pid).and_then(|c| c.pending.as_ref());
             match pending {
-                Some(p) => debug_assert_eq!(
-                    p.txn, txn,
-                    "page {pid} already has a pending pre-image from another transaction"
-                ),
+                Some(p) => {
+                    debug_assert_eq!(
+                        p.txn, txn,
+                        "page {pid} already has a pending pre-image from another transaction"
+                    );
+                    // A clean frame under a pending pre-image: a write-back
+                    // in the middle of the transaction reflected the page,
+                    // and the miss that re-read it left the frame holding
+                    // the store's image. Copy it for the next write-back,
+                    // which would otherwise read the base back.
+                    if !self.frames[idx].dirty {
+                        reheld = Some(self.page(idx).to_vec());
+                    }
+                }
                 None => {
                     let data = self.page(idx).to_vec();
-                    let held = self.pin_owned && !self.frames[idx].dirty;
+                    let held = !self.frames[idx].dirty;
                     self.chains.entry(pid).or_default().pending =
                         Some(PendingUndo { txn, data, held });
                     created_pending = true;
@@ -743,6 +771,10 @@ impl FrameCache {
         if !self.changes.is_empty() {
             self.mark_dirty(idx);
             let frame = &mut self.frames[idx];
+            if reheld.is_some() {
+                debug_assert!(frame.held.is_none(), "clean frame {idx} holds an image");
+                frame.held = reheld;
+            }
             if txn != NO_TXN && frame.owner != txn {
                 frame.owner = txn;
                 self.owned.entry(txn).or_default().push(idx as u32);
@@ -945,6 +977,7 @@ impl FrameCache {
                     queue: A1IN,
                     stamp: 0,
                     links: [Links { newer: NIL, older: NIL }; 2],
+                    held: None,
                 });
                 self.frames.len() - 1
             }
@@ -988,10 +1021,12 @@ impl FrameCache {
         }
     }
 
-    /// Mark frame `idx` clean: it joins its queue's clean list before the
-    /// first clean frame newer than it. Cleaning a transaction's frames
-    /// newest first keeps that search to the dirty frames between them.
+    /// Mark frame `idx` clean (its page is reflected, so it holds no
+    /// image): it joins its queue's clean list before the first clean
+    /// frame newer than it. Cleaning a transaction's frames newest first
+    /// keeps that search to the dirty frames between them.
     fn mark_clean(&mut self, idx: usize) {
+        self.frames[idx].held = None;
         if self.frames[idx].dirty {
             self.frames[idx].dirty = false;
             let mut next = self.frames[idx].links[ALL].newer;
@@ -1044,8 +1079,7 @@ impl FrameCache {
         let idx = at as usize;
         let Frame { pid, dirty, queue, .. } = self.frames[idx];
         if dirty {
-            backend.evict(pid, self.page(idx))?;
-            self.stats.dirty_writebacks += 1;
+            self.write_back(backend, idx)?;
         }
         self.queues[queue].remove(&mut self.frames, at);
         let f = &mut self.frames[idx];
@@ -1057,6 +1091,30 @@ impl FrameCache {
         self.stats.evictions += 1;
         self.stats.clean_first_evictions += clean_first as u64;
         Ok(idx)
+    }
+
+    /// Reflect dirty frame `idx` into the store with the image the store
+    /// holds for it, when the cache has one: the frame's, or in the middle
+    /// of a relaxed-mode transaction its pending pre-image — which the
+    /// store's image is no longer once this returns. The frame's flags
+    /// are the caller's to reset.
+    fn write_back<B: PageBackend>(&mut self, backend: &mut B, idx: usize) -> Result<()> {
+        let f = &mut self.frames[idx];
+        let (pid, slot) = (f.pid, f.held.take());
+        let mut pending = match f.owner {
+            NO_TXN => None,
+            _ => self.chains.get_mut(&pid).and_then(|c| c.pending.as_mut()).filter(|p| p.held),
+        };
+        let held = slot.as_deref().or(pending.as_ref().map(|p| &p.data[..]));
+        let page = &self.slab[idx * self.page_size..][..self.page_size];
+        let written = backend.evict(pid, page, held);
+        self.stats.held_writebacks += (written.is_ok() && held.is_some()) as u64;
+        if let Some(p) = pending.as_mut() {
+            p.held = false;
+        }
+        written?;
+        self.stats.dirty_writebacks += 1;
+        Ok(())
     }
 
     /// Push `pid` into `A1out`, aging out its oldest pid when full.
@@ -1080,14 +1138,12 @@ impl FrameCache {
         let mut written = Ok(());
         for idx in 0..self.frames.len() {
             if self.frames[idx].dirty && !self.pinned(idx as u32) {
-                let pid = self.frames[idx].pid;
-                written = backend.evict(pid, self.page(idx));
+                written = self.write_back(backend, idx);
                 if written.is_err() {
                     break;
                 }
                 self.frames[idx].dirty = false;
                 self.frames[idx].owner = NO_TXN;
-                self.stats.dirty_writebacks += 1;
             }
         }
         // Rebuild the clean lists in one pass per queue.
@@ -1137,7 +1193,10 @@ impl FrameCache {
     /// read view predates the commit) or is dropped (`None`: no view can
     /// ever need it). `clean` distinguishes a durable commit (the images
     /// are on flash: frames become clean) from a relaxed commit (frames
-    /// stay dirty and reach flash by ordinary eviction).
+    /// stay dirty and reach flash by ordinary eviction). A relaxed commit
+    /// moves each pre-image that is still the store's image into its
+    /// frame for that eviction, copying it only when a view also takes
+    /// it as a version.
     pub(crate) fn end_txn<B: PageBackend>(
         &mut self,
         backend: &mut B,
@@ -1164,14 +1223,27 @@ impl FrameCache {
         for (pid, chain) in self.chains.iter_mut() {
             if chain.pending.as_ref().is_some_and(|p| p.txn == txn) {
                 let p = chain.pending.take().expect("just checked");
-                if let Some(ts) = version_at {
-                    debug_assert!(
-                        chain.committed.last().is_none_or(|(c, _)| *c < ts),
-                        "version chain for page {pid} must stay ascending"
-                    );
-                    promoted_bytes += p.data.len();
-                    chain.committed.push((ts, p.data));
-                    promoted += 1;
+                // A held pre-image means the frame is resident and dirty
+                // (only a write-back clears the flag).
+                let keep = if p.held && !clean { self.map.get(pid).copied() } else { None };
+                let held = match version_at {
+                    Some(ts) => {
+                        debug_assert!(
+                            chain.committed.last().is_none_or(|(c, _)| *c < ts),
+                            "version chain for page {pid} must stay ascending"
+                        );
+                        promoted_bytes += p.data.len();
+                        let held = keep.map(|_| p.data.clone());
+                        chain.committed.push((ts, p.data));
+                        promoted += 1;
+                        held
+                    }
+                    None => keep.map(|_| p.data),
+                };
+                if let (Some(idx), Some(held)) = (keep, held) {
+                    let f = &mut self.frames[idx];
+                    debug_assert!(f.dirty && f.held.is_none(), "page {pid} holds an image twice");
+                    f.held = Some(held);
                 }
             }
         }
@@ -1192,10 +1264,10 @@ impl FrameCache {
         // Every frame the transaction owns has a pending pre-image, and
         // restoring those below releases the ownership.
         self.owned.remove(&txn);
-        let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut entries: Vec<(u64, PendingUndo)> = Vec::new();
         for (pid, chain) in self.chains.iter_mut() {
             if chain.pending.as_ref().is_some_and(|p| p.txn == txn) {
-                entries.push((*pid, chain.pending.take().expect("just checked").data));
+                entries.push((*pid, chain.pending.take().expect("just checked")));
             }
         }
         self.chains.retain(|_, c| !c.is_empty());
@@ -1206,15 +1278,25 @@ impl FrameCache {
             // re-faulted and re-dirtied by the same transaction — or a
             // failed commit's partial staging), and a write-back of the
             // pre-image is what repairs the durable state. When nothing
-            // leaked, the rewrite is a no-op for PDL (empty
-            // differential).
-            let idx = match self.map.get(&pid).copied() {
-                Some(idx) => idx,
-                None => self.fetch(backend, pid)?,
+            // leaked, PDL rewrites no more than the page's current
+            // differential (nothing when it has none).
+            let (idx, resident) = match self.map.get(&pid).copied() {
+                Some(idx) => (idx, true),
+                None => (self.fetch(backend, pid)?, false),
             };
-            self.page_mut(idx).copy_from_slice(&undo);
+            self.page_mut(idx).copy_from_slice(&undo.data);
             self.mark_dirty(idx);
-            self.frames[idx].owner = NO_TXN;
+            let f = &mut self.frames[idx];
+            f.owner = NO_TXN;
+            // A held pre-image's frame was resident when the rollback
+            // began; still resident, nothing has reflected the page since
+            // the first touch (a miss above may have evicted it, with no
+            // pending pre-image left to clear). Then the restored image is
+            // the store's, and the frame keeps it for the write-back.
+            if undo.held && resident {
+                debug_assert!(f.held.is_none(), "page {pid} holds an image twice");
+                f.held = Some(undo.data);
+            }
             // The restoration is itself an update command: tightly-coupled
             // (log-based) methods already persisted the aborted commands
             // as update logs via `apply`, and only a superseding
@@ -1222,7 +1304,7 @@ impl FrameCache {
             // their evict path flushes logs rather than images. The
             // loosely-coupled methods are not told.
             if self.notify_updates {
-                let full = ChangeRange::new(0, undo.len());
+                let full = ChangeRange::new(0, self.page_size);
                 backend.apply(pid, self.page(idx), &[full])?;
             }
         }
@@ -1273,12 +1355,16 @@ impl FrameCache {
             assert_eq!(walk(CLEAN), clean, "clean list of queue {queue}");
             let edge = q.len.checked_sub(1).map_or(NIL, |_| all[q.len.div_ceil(2) - 1]);
             assert_eq!(q.edge, edge, "window edge of queue {queue}");
+            for &i in &clean {
+                assert!(self.frames[i as usize].held.is_none(), "clean frame {i} holds an image");
+            }
             for &i in &all {
                 assert_eq!(self.map.get(&self.frames[i as usize].pid), Some(&(i as usize)));
             }
             queued += q.len;
         }
         assert_eq!(queued + self.free.len(), self.frames.len());
+        assert!(self.free.iter().all(|&i| self.frames[i as usize].held.is_none()));
         assert_eq!(self.map.len(), queued);
         assert!(self.ghosts.len() <= self.capacity / 2);
         assert_eq!(self.ghosts.len(), self.ghost_set.len());
@@ -1421,8 +1507,8 @@ impl PageBackend for StoreBackend<'_> {
         Ok(self.lock().apply_update(pid, page_after, changes)?)
     }
 
-    fn evict(&mut self, pid: u64, page: &[u8]) -> Result<()> {
-        Ok(self.lock().evict_page(pid, page)?)
+    fn evict(&mut self, pid: u64, page: &[u8], held: Option<&[u8]>) -> Result<()> {
+        Ok(self.lock().evict_held(pid, page, held)?)
     }
 
     fn spill_supported(&mut self) -> bool {
@@ -1665,21 +1751,82 @@ mod tests {
         assert_eq!(cache.stats().dirty_writebacks, 0);
     }
 
+    /// The image frame of `pid` holds for its write-back.
+    fn held_image(cache: &FrameCache, pid: u64) -> Option<Vec<u8>> {
+        cache.map.get(&pid).and_then(|&idx| cache.frames[idx].held.clone())
+    }
+
     #[test]
     fn a_frame_whose_read_failed_holds_no_page() {
         let (mut cache, mut mem) = raw_cache(1);
-        dirty(&mut cache, &mut mem, 0, NO_TXN).unwrap();
+        cache.set_pin_owned(false);
+        // A relaxed commit leaves page 0 dirty, holding the store's image.
+        dirty(&mut cache, &mut mem, 0, 1).unwrap();
+        cache.end_txn(&mut mem, 1, None, false, &[]);
+        assert_eq!(held_image(&cache, 0), Some(vec![0; MODEL_PAGE]));
         mem.corrupt = Some(5);
         assert!(read(&mut cache, &mut mem, 5).is_err()); // evicts 0 first
         assert!(!cache.is_cached(0) && !cache.is_cached(5));
         cache.check_queues();
-        // The freed frame is reused without a second write-back of page 0.
+        let stats = cache.stats();
+        assert_eq!((stats.dirty_writebacks, stats.held_writebacks), (1, 1));
+        // The freed frame is reused without a second write-back of page 0,
+        // and holds no image.
         read(&mut cache, &mut mem, 0).unwrap();
+        assert_eq!(held_image(&cache, 0), None);
         assert_eq!(cache.stats().dirty_writebacks, 1);
         assert_eq!(mem.pages[&0][0], 1, "page 0 as written back");
         cache.write_back_dirty(&mut mem).unwrap();
         assert_eq!(mem.pages[&0][0], 1);
         assert_eq!(cache.with_page(&mut mem, 0, |page| page[0]).unwrap(), 1);
+        assert!(mem.wrong_held.is_empty());
+    }
+
+    #[test]
+    fn a_relaxed_eviction_inside_a_transaction_spends_its_pre_image() {
+        let (mut cache, mut mem) = raw_cache(1);
+        cache.set_pin_owned(false);
+        mem.pages.insert(0, vec![7; MODEL_PAGE]);
+        dirty(&mut cache, &mut mem, 0, 1).unwrap();
+        // Page 1's miss evicts page 0 in the middle of transaction 1: the
+        // store gets the pre-image as the image it holds, and holds the
+        // transaction's page from then on.
+        read(&mut cache, &mut mem, 1).unwrap();
+        assert_eq!(cache.stats().held_writebacks, 1);
+        // Re-dirtied, the frame holds the page as the miss re-read it,
+        // and keeps it through the abort: the restored pre-image is no
+        // longer what the store holds.
+        let partial = mem.stored(0);
+        assert_eq!(partial[0], 1);
+        dirty(&mut cache, &mut mem, 0, 1).unwrap();
+        assert_eq!(held_image(&cache, 0), Some(partial.clone()));
+        cache.rollback(&mut mem, 1).unwrap();
+        assert_eq!(held_image(&cache, 0), Some(partial));
+        cache.write_back_dirty(&mut mem).unwrap();
+        assert_eq!(mem.pages[&0], vec![7; MODEL_PAGE], "the abort reached the store");
+        // The same with a commit: each eviction hands on what the store
+        // holds, and the committed frame keeps the page as re-read.
+        dirty(&mut cache, &mut mem, 0, 2).unwrap();
+        read(&mut cache, &mut mem, 1).unwrap();
+        dirty(&mut cache, &mut mem, 0, 2).unwrap();
+        cache.end_txn(&mut mem, 2, None, false, &[]);
+        assert_eq!(held_image(&cache, 0), Some(mem.stored(0)));
+        cache.write_back_dirty(&mut mem).unwrap();
+        // A transaction nothing evicted: its abort leaves the frame dirty
+        // over the store's image, which it holds.
+        dirty(&mut cache, &mut mem, 0, 3).unwrap();
+        cache.rollback(&mut mem, 3).unwrap();
+        assert_eq!(held_image(&cache, 0), Some(mem.stored(0)));
+        // Dirty at the next transaction's first touch: its abort keeps
+        // what the frame held.
+        dirty(&mut cache, &mut mem, 0, 4).unwrap();
+        cache.rollback(&mut mem, 4).unwrap();
+        assert_eq!(held_image(&cache, 0), Some(mem.stored(0)));
+        cache.write_back_dirty(&mut mem).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.dirty_writebacks, stats.held_writebacks), (5, 5));
+        cache.check_queues();
+        assert!(mem.wrong_held.is_empty());
     }
 
     #[test]
@@ -1694,6 +1841,45 @@ mod tests {
         let stats = p.buffer_stats();
         assert_eq!((stats.ghost_hits, stats.clean_first_evictions), (1, 1));
         assert_eq!((stats.evictions, stats.dirty_writebacks), (3, 0));
+    }
+
+    #[test]
+    fn relaxed_commits_hand_their_pre_images_to_the_write_backs() {
+        let pdl = MethodKind::Pdl { max_diff_size: 128 };
+        for shards in [1, 2] {
+            let p = Database::new(store(pdl, shards), 8);
+            for pid in 0..4u64 {
+                p.with_page_mut(pid, |page| page.write(0, &[pid as u8; 8])).unwrap();
+            }
+            p.flush().unwrap();
+            assert_eq!(p.buffer_stats().held_writebacks, 0, "auto-commits hold nothing");
+            for round in 1..=2u8 {
+                p.begin().unwrap();
+                for pid in 0..4u64 {
+                    p.with_page_mut(pid, |page| page.write(8, &[round; 4])).unwrap();
+                }
+                p.commit().unwrap();
+                let reads = p.io_stats().total().reads;
+                if round == 1 {
+                    p.flush().unwrap();
+                    assert_eq!(p.buffer_stats().held_writebacks, 4, "{shards} shards");
+                } else {
+                    // A shrink writes back the same way.
+                    p.set_buffer_pages(2).unwrap();
+                }
+                let read = p.io_stats().total().reads - reads;
+                assert_eq!(read, 0, "{shards} shards, round {round}: base pages read back");
+            }
+            p.lock_cache().clear();
+            for pid in 0..4u64 {
+                let page = p.with_page(pid, |page| page[..12].to_vec()).unwrap();
+                assert_eq!(
+                    page,
+                    [&[pid as u8; 8][..], &[2; 4]].concat(),
+                    "{shards} shards, pid {pid}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1724,6 +1910,15 @@ mod tests {
     struct MemBackend {
         pages: HashMap<u64, Vec<u8>>,
         corrupt: Option<u64>,
+        /// Write-backs whose held image was not the page the map held.
+        wrong_held: Vec<u64>,
+    }
+
+    impl MemBackend {
+        /// What a read of `pid` returns (a page never written is zeroes).
+        fn stored(&self, pid: u64) -> Vec<u8> {
+            self.pages.get(&pid).cloned().unwrap_or_else(|| vec![0; MODEL_PAGE])
+        }
     }
 
     impl PageBackend for MemBackend {
@@ -1743,7 +1938,10 @@ mod tests {
             Ok(())
         }
 
-        fn evict(&mut self, pid: u64, page: &[u8]) -> Result<()> {
+        fn evict(&mut self, pid: u64, page: &[u8], held: Option<&[u8]>) -> Result<()> {
+            if held.is_some_and(|held| held != self.stored(pid)) {
+                self.wrong_held.push(pid);
+            }
             self.pages.insert(pid, page.to_vec());
             Ok(())
         }
@@ -1757,6 +1955,9 @@ mod tests {
         queue: usize,
         /// Admission in `A1in`, last use in `Am`.
         stamp: u64,
+        /// The image the store holds for the page, kept for the
+        /// write-back.
+        held: Option<Vec<u8>>,
     }
 
     /// The frame cache without lists: a queue and a stamp per frame, and
@@ -1777,6 +1978,7 @@ mod tests {
         store: HashMap<u64, Vec<u8>>,
         evictions: u64,
         dirty_writebacks: u64,
+        held_writebacks: u64,
     }
 
     impl ScanModel {
@@ -1816,6 +2018,7 @@ mod tests {
                     owner: NO_TXN,
                     queue: A1IN,
                     stamp: 0,
+                    held: None,
                 });
                 self.frames.len() - 1
             } else {
@@ -1829,11 +2032,10 @@ mod tests {
                     .victim_in(first)
                     .or_else(|| self.victim_in(1 - first))
                     .ok_or(StorageError::BufferPinned)?;
-                let victim = &self.frames[idx];
-                if victim.dirty {
-                    self.store.insert(victim.pid, victim.data.clone());
-                    self.dirty_writebacks += 1;
+                if self.frames[idx].dirty {
+                    self.write_back(idx);
                 }
+                let victim = &self.frames[idx];
                 if victim.queue == A1IN {
                     self.ghosts.push(victim.pid);
                     if self.ghosts.len() > self.capacity / 2 {
@@ -1848,7 +2050,7 @@ mod tests {
             self.tick += 1;
             let data = self.store.get(&pid).cloned().unwrap_or_else(|| vec![0; MODEL_PAGE]);
             let f = &mut self.frames[idx];
-            (f.pid, f.data, f.dirty, f.owner) = (pid, data, false, NO_TXN);
+            (f.pid, f.data, f.dirty, f.owner, f.held) = (pid, data, false, NO_TXN, None);
             (f.queue, f.stamp) = (if ghost { AM } else { A1IN }, self.tick);
             Ok(idx)
         }
@@ -1876,7 +2078,12 @@ mod tests {
             let Some(value) = value else { return Ok(()) };
             let f = &mut self.frames[idx];
             if txn != NO_TXN {
-                let held = self.pin_owned && !f.dirty;
+                // A clean frame is the store's image: the pending
+                // pre-image when there is none yet, else the frame's own.
+                if self.pending.contains_key(&pid) && !f.dirty {
+                    f.held = Some(f.data.clone());
+                }
+                let held = !f.dirty;
                 self.pending.entry(pid).or_insert_with(|| (txn, f.data.clone(), held));
                 f.owner = txn;
             }
@@ -1904,33 +2111,72 @@ mod tests {
             out
         }
 
+        /// Take `txn`'s pending pre-images out, in page order.
+        fn take_pending(&mut self, txn: u64) -> Vec<(u64, Vec<u8>, bool)> {
+            let pids: Vec<u64> =
+                self.pending.iter().filter(|(_, (t, ..))| *t == txn).map(|(pid, _)| *pid).collect();
+            let mut out = Vec::new();
+            for pid in pids {
+                let (_, undo, held) = self.pending.remove(&pid).expect("listed above");
+                out.push((pid, undo, held));
+            }
+            out
+        }
+
+        /// A relaxed commit leaves each frame whose pre-image the store
+        /// still holds with that image.
         fn end_txn(&mut self, txn: u64, clean: bool) {
             for f in self.frames.iter_mut().filter(|f| f.owner == txn) {
                 f.owner = NO_TXN;
                 f.dirty &= !clean;
+                if clean {
+                    f.held = None;
+                }
             }
-            self.pending.retain(|_, (t, ..)| *t != txn);
+            for (pid, undo, held) in self.take_pending(txn) {
+                if held && !clean {
+                    let idx = self.slot(pid).expect("a held pre-image's frame is resident");
+                    self.frames[idx].held = Some(undo);
+                }
+            }
         }
 
+        /// A frame resident when its turn comes keeps a held pre-image
+        /// (an earlier page's miss may have evicted it).
         fn rollback(&mut self, txn: u64) -> Result<()> {
-            let pids: Vec<u64> =
-                self.pending.iter().filter(|(_, (t, ..))| *t == txn).map(|(pid, _)| *pid).collect();
-            for pid in pids {
-                let (_, undo, _) = self.pending.remove(&pid).expect("listed above");
+            for (pid, undo, held) in self.take_pending(txn) {
+                let resident = self.slot(pid).is_some();
                 let idx = self.fetch(pid)?; // a refill, not a use
                 let f = &mut self.frames[idx];
-                (f.data, f.dirty, f.owner) = (undo, true, NO_TXN);
+                (f.data, f.dirty, f.owner) = (undo.clone(), true, NO_TXN);
+                if held && resident {
+                    f.held = Some(undo);
+                }
             }
             Ok(())
+        }
+
+        /// Write frame `idx` back, with the store's image when the frame
+        /// holds it or the page's pending pre-image still is it; neither
+        /// is afterwards.
+        fn write_back(&mut self, idx: usize) {
+            let f = &mut self.frames[idx];
+            let pending = self.pending.get_mut(&f.pid);
+            let held = f.held.take().is_some() || pending.as_ref().is_some_and(|(_, _, h)| *h);
+            if let Some((_, _, h)) = pending {
+                *h = false;
+            }
+            self.store.insert(f.pid, f.data.clone());
+            self.dirty_writebacks += 1;
+            self.held_writebacks += held as u64;
         }
 
         fn write_back_dirty(&mut self) {
             for idx in 0..self.frames.len() {
                 if self.frames[idx].dirty && !self.pinned(&self.frames[idx]) {
+                    self.write_back(idx);
                     let f = &mut self.frames[idx];
-                    self.store.insert(f.pid, f.data.clone());
                     (f.dirty, f.owner) = (false, NO_TXN);
-                    self.dirty_writebacks += 1;
                 }
             }
         }
@@ -1939,6 +2185,23 @@ mod tests {
             self.frames.clear();
             self.pending.clear();
             self.ghosts.clear();
+        }
+
+        /// `set_buffer_pages` once everything is written back: an empty
+        /// cache of `capacity` frames with zeroed counters.
+        fn resize(&mut self, capacity: usize) {
+            assert!(self.frames.iter().all(|f| !f.dirty));
+            *self = ScanModel {
+                capacity,
+                pin_owned: self.pin_owned,
+                store: std::mem::take(&mut self.store),
+                ..ScanModel::default()
+            };
+        }
+
+        /// The image frame of `pid` holds, if any.
+        fn held(&self, pid: u64) -> Option<Vec<u8>> {
+            self.slot(pid).and_then(|idx| self.frames[idx].held.clone())
         }
 
         fn dirty_owner(&self, pid: u64) -> u64 {
@@ -1957,8 +2220,12 @@ mod tests {
         pin_owned: bool,
         ops: Vec<ScanOp>,
     ) -> std::result::Result<(), TestCaseError> {
-        let mut cache = FrameCache::new(capacity, MODEL_PAGE, 8, 0, true);
-        cache.set_pin_owned(pin_owned);
+        let new_cache = |capacity| {
+            let mut cache = FrameCache::new(capacity, MODEL_PAGE, 8, 0, true);
+            cache.set_pin_owned(pin_owned);
+            cache
+        };
+        let mut cache = new_cache(capacity);
         let mut backend = MemBackend::default();
         let mut model = ScanModel { capacity, pin_owned, ..ScanModel::default() };
         // Writer 0 auto-commits; 1..=3 are open transactions, each
@@ -2004,8 +2271,7 @@ mod tests {
                     // A held image is exactly what the store holds.
                     for p in &staged {
                         if let Some(held) = &p.held {
-                            let stored = backend.pages.get(&p.pid).cloned();
-                            let stored = stored.unwrap_or_else(|| vec![0; MODEL_PAGE]);
+                            let stored = backend.stored(p.pid);
                             prop_assert_eq!(held, &stored, "step {}: page {} held", step, p.pid);
                         }
                     }
@@ -2035,6 +2301,30 @@ mod tests {
                     cache.clear();
                     model.clear();
                 }
+                16 => {
+                    // `set_buffer_pages`, shrinking or growing: the open
+                    // transactions end first (relaxed commits, their
+                    // frames keep the held images), then every dirty page
+                    // is written back and the cache starts over.
+                    for t in &mut txns[1..] {
+                        cache.end_txn(&mut backend, *t, None, false, &[]);
+                        model.end_txn(*t, false);
+                        *t = next_txn;
+                        next_txn += 1;
+                    }
+                    cache.write_back_dirty(&mut backend).unwrap();
+                    model.write_back_dirty();
+                    let stats = cache.stats();
+                    prop_assert_eq!(
+                        (stats.dirty_writebacks, stats.held_writebacks),
+                        (model.dirty_writebacks, model.held_writebacks),
+                        "step {}: resize",
+                        step
+                    );
+                    let capacity = 1 + usize::from(value) % 6;
+                    cache = new_cache(capacity);
+                    model.resize(capacity);
+                }
                 _ => continue,
             }
             for pid in 0..10 {
@@ -2042,8 +2332,17 @@ mod tests {
                 prop_assert_eq!(cache.is_cached(pid), cached, "step {}: page {}", step, pid);
                 let owner = model.dirty_owner(pid);
                 prop_assert_eq!(cache.dirty_owner(pid), owner, "step {}: page {}", step, pid);
+                prop_assert_eq!(
+                    held_image(&cache, pid),
+                    model.held(pid),
+                    "step {}: page {} held",
+                    step,
+                    pid
+                );
             }
             prop_assert_eq!(&backend.pages, &model.store, "step {}: written back", step);
+            // Every held image a write-back handed on was the stored page.
+            prop_assert_eq!(&backend.wrong_held, &Vec::<u64>::new(), "step {}", step);
             let stats = cache.stats();
             prop_assert_eq!(
                 (stats.evictions, stats.dirty_writebacks),
@@ -2057,6 +2356,7 @@ mod tests {
                 "step {}",
                 step
             );
+            prop_assert_eq!(stats.held_writebacks, model.held_writebacks, "step {}", step);
             cache.check_queues();
         }
         Ok(())
@@ -2072,12 +2372,15 @@ mod tests {
         /// (`BufferPinned`, `TxnConflict`) exactly when the scans would
         /// have — through three interleaved transactions, in both pinning
         /// modes, across write-backs, durable commits that clean frames,
-        /// rollbacks that re-fault evicted pages, and cache resets.
+        /// rollbacks that re-fault evicted pages, cache resets and
+        /// resizes. Every frame holds the image the model says it holds,
+        /// and every image a write-back hands the store is the page the
+        /// store holds.
         #[test]
         fn lists_match_the_full_scans(
             capacity in 1usize..=6,
             pin_owned in any::<bool>(),
-            ops in proptest::collection::vec((0u8..16, 0u64..10, 0usize..4, 1u8..=255), 1..200),
+            ops in proptest::collection::vec((0u8..17, 0u64..10, 0usize..4, 1u8..=255), 1..200),
         ) {
             run_against_scans(capacity, pin_owned, ops)?;
         }

@@ -178,8 +178,10 @@ pub enum Durability {
     /// Commit releases the transaction's pages back to ordinary lazy
     /// eviction: atomic in memory (abort restores pre-images), but a
     /// crash rolls back to the last write-through, exactly as before the
-    /// `pdl-txn` subsystem. This is the paper's own setting and keeps
-    /// the experiment I/O profiles unchanged.
+    /// `pdl-txn` subsystem. This is the paper's own setting. A committed
+    /// page keeps its pre-image for the write-back, which hands it to the
+    /// store ([`PageStore::evict_held`]): PDL then stages the page
+    /// without reading its base back.
     #[default]
     Relaxed,
     /// Commit hands every dirtied page to the store as one
@@ -1670,6 +1672,14 @@ mod tests {
         }
         fn evict_page(&mut self, pid: u64, page: &[u8]) -> pdl_core::Result<()> {
             self.inner.evict_page(pid, page)
+        }
+        fn evict_held(
+            &mut self,
+            pid: u64,
+            page: &[u8],
+            held: Option<&[u8]>,
+        ) -> pdl_core::Result<()> {
+            self.inner.evict_held(pid, page, held)
         }
         fn flush(&mut self) -> pdl_core::Result<()> {
             self.inner.flush()
