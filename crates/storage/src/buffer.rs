@@ -207,9 +207,9 @@ struct Frame {
     links: [Links; 2],
     /// The image the store holds for the page, which a dirty frame keeps
     /// for its write-back ([`PageStore::evict_held`]): the pending
-    /// pre-image a relaxed commit or an abort leaves behind while it is
-    /// still the store's image, or a copy of the frame a transaction takes
-    /// when it re-dirties a page a write-back reflected in its middle.
+    /// pre-image a relaxed commit leaves behind while it is still the
+    /// store's image, or a copy of the frame a transaction takes when it
+    /// re-dirties a page a write-back reflected in its middle.
     /// Emptied whenever the page is reflected or the frame cleaned; a
     /// clean frame holds none.
     held: Option<Vec<u8>>,
@@ -358,8 +358,8 @@ pub struct BufferStats {
     pub dirty_writebacks: u64,
     /// Dirty write-backs that handed the store the image it held for the
     /// page ([`PageStore::evict_held`]), sparing PDL the base-page read:
-    /// pages a relaxed commit or an abort left dirty, and relaxed-mode
-    /// write-backs in the middle of a transaction.
+    /// pages a relaxed commit left dirty, and relaxed-mode write-backs in
+    /// the middle of a transaction.
     pub held_writebacks: u64,
     /// Misses on a pid `A1out` remembered, admitted into `Am` (2Q's second
     /// reference).
@@ -1264,10 +1264,10 @@ impl FrameCache {
         // Every frame the transaction owns has a pending pre-image, and
         // restoring those below releases the ownership.
         self.owned.remove(&txn);
-        let mut entries: Vec<(u64, PendingUndo)> = Vec::new();
+        let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
         for (pid, chain) in self.chains.iter_mut() {
             if chain.pending.as_ref().is_some_and(|p| p.txn == txn) {
-                entries.push((*pid, chain.pending.take().expect("just checked")));
+                entries.push((*pid, chain.pending.take().expect("just checked").data));
             }
         }
         self.chains.retain(|_, c| !c.is_empty());
@@ -1280,23 +1280,13 @@ impl FrameCache {
             // pre-image is what repairs the durable state. When nothing
             // leaked, PDL rewrites no more than the page's current
             // differential (nothing when it has none).
-            let (idx, resident) = match self.map.get(&pid).copied() {
-                Some(idx) => (idx, true),
-                None => (self.fetch(backend, pid)?, false),
+            let idx = match self.map.get(&pid).copied() {
+                Some(idx) => idx,
+                None => self.fetch(backend, pid)?,
             };
-            self.page_mut(idx).copy_from_slice(&undo.data);
+            self.page_mut(idx).copy_from_slice(&undo);
             self.mark_dirty(idx);
-            let f = &mut self.frames[idx];
-            f.owner = NO_TXN;
-            // A held pre-image's frame was resident when the rollback
-            // began; still resident, nothing has reflected the page since
-            // the first touch (a miss above may have evicted it, with no
-            // pending pre-image left to clear). Then the restored image is
-            // the store's, and the frame keeps it for the write-back.
-            if undo.held && resident {
-                debug_assert!(f.held.is_none(), "page {pid} holds an image twice");
-                f.held = Some(undo.data);
-            }
+            self.frames[idx].owner = NO_TXN;
             // The restoration is itself an update command: tightly-coupled
             // (log-based) methods already persisted the aborted commands
             // as update logs via `apply`, and only a superseding
@@ -1304,7 +1294,7 @@ impl FrameCache {
             // their evict path flushes logs rather than images. The
             // loosely-coupled methods are not told.
             if self.notify_updates {
-                let full = ChangeRange::new(0, self.page_size);
+                let full = ChangeRange::new(0, undo.len());
                 backend.apply(pid, self.page(idx), &[full])?;
             }
         }
@@ -1813,18 +1803,13 @@ mod tests {
         assert_eq!(held_image(&cache, 0), Some(mem.stored(0)));
         cache.write_back_dirty(&mut mem).unwrap();
         // A transaction nothing evicted: its abort leaves the frame dirty
-        // over the store's image, which it holds.
+        // with no image, and the write-back reads the base.
         dirty(&mut cache, &mut mem, 0, 3).unwrap();
         cache.rollback(&mut mem, 3).unwrap();
-        assert_eq!(held_image(&cache, 0), Some(mem.stored(0)));
-        // Dirty at the next transaction's first touch: its abort keeps
-        // what the frame held.
-        dirty(&mut cache, &mut mem, 0, 4).unwrap();
-        cache.rollback(&mut mem, 4).unwrap();
-        assert_eq!(held_image(&cache, 0), Some(mem.stored(0)));
+        assert_eq!(held_image(&cache, 0), None);
         cache.write_back_dirty(&mut mem).unwrap();
         let stats = cache.stats();
-        assert_eq!((stats.dirty_writebacks, stats.held_writebacks), (5, 5));
+        assert_eq!((stats.dirty_writebacks, stats.held_writebacks), (5, 4));
         cache.check_queues();
         assert!(mem.wrong_held.is_empty());
     }
@@ -2141,17 +2126,12 @@ mod tests {
             }
         }
 
-        /// A frame resident when its turn comes keeps a held pre-image
-        /// (an earlier page's miss may have evicted it).
+        /// A restored frame keeps whatever image it held.
         fn rollback(&mut self, txn: u64) -> Result<()> {
-            for (pid, undo, held) in self.take_pending(txn) {
-                let resident = self.slot(pid).is_some();
+            for (pid, undo, _) in self.take_pending(txn) {
                 let idx = self.fetch(pid)?; // a refill, not a use
                 let f = &mut self.frames[idx];
-                (f.data, f.dirty, f.owner) = (undo.clone(), true, NO_TXN);
-                if held && resident {
-                    f.held = Some(undo);
-                }
+                (f.data, f.dirty, f.owner) = (undo, true, NO_TXN);
             }
             Ok(())
         }
