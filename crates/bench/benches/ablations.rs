@@ -28,10 +28,9 @@ fn base_config(scale: Scale) -> UpdateConfig {
 
 fn build_pdl(scale: Scale, max_diff: usize, gap: usize, policy: GcPolicy) -> Pdl {
     let chip = chip_for(scale, FlashTiming::PAPER);
-    let opts = StoreOptions::new(db_pages_for(scale, 1)).with_coalesce_gap(gap);
-    let mut pdl = Pdl::new(chip, opts, max_diff).expect("valid config");
-    pdl.set_gc_policy(policy);
-    pdl
+    let opts =
+        StoreOptions::new(db_pages_for(scale, 1)).with_coalesce_gap(gap).with_gc_policy(policy);
+    Pdl::new(chip, opts, max_diff).expect("valid config")
 }
 
 fn run(store: &mut dyn PageStore, cfg: &UpdateConfig) -> (f64, f64, f64) {

@@ -305,9 +305,10 @@ fn bench_buffer_pool(c: &mut Criterion) {
             db.with_page(pid, |page| page[0]).unwrap()
         })
     });
-    // The same cycle writing every page it touches, with relaxed commits:
-    // every frame is dirty, the worst case of the clean-first pick (no
-    // clean frame anywhere). The row includes the victim's write-back.
+    // The same cycle writing every page it touches, each write an
+    // auto-committed OPU write: every frame is dirty and none holds an
+    // image, the worst case of the clean-first pick (no clean frame
+    // anywhere). The row includes the victim's write-back.
     let chip = FlashChip::new(FlashConfig::scaled(1024));
     let db =
         Database::new(build_store(chip, MethodKind::Opu, StoreOptions::new(1_024)).unwrap(), 256);

@@ -209,7 +209,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// A number-of-elements specification for [`vec`].
+    /// A number-of-elements specification for [`vec()`].
     pub trait SizeRange {
         fn pick(&self, rng: &mut TestRng) -> usize;
     }

@@ -1,22 +1,14 @@
 //! Shared Flash Translation Layer machinery: out-place page allocation,
-//! per-block accounting and pluggable garbage-collection victim selection.
+//! per-block accounting and garbage-collection victim selection.
 //!
 //! OPU and PDL both write pages *out-place*: an updated page goes to a
 //! freshly allocated physical page and the stale copy is marked obsolete.
 //! The [`BlockManager`] hands out pages sequentially from one *active*
-//! block per allocation stream, keeps `reserve` blocks free so garbage
-//! collection can always relocate a victim's valid pages, and picks
-//! victims according to the configured [`GcPolicy`]:
+//! block, keeps `reserve` blocks free so garbage collection can always
+//! relocate a victim's valid pages, and picks victims according to the
+//! configured [`GcPolicy`]:
 //!
 //! * [`GcPolicy::Greedy`] — most reclaimable pages (the paper's setup);
-//! * [`GcPolicy::CostBenefit`] — age × utilisation score, `(1-u)·age/(1+u)`
-//!   (Rosenblum's LFS cleaner; Dayan & Bonnet §3 evaluate it for
-//!   page-mapping FTLs);
-//! * [`GcPolicy::HotCold`] — greedy victims plus *data separation*: a
-//!   second, cold allocation stream keeps rarely-updated pages (and GC
-//!   migrations of them) out of the blocks that hot pages churn through,
-//!   so victim blocks tend towards all-hot (cheap to collect) or all-cold
-//!   (rarely collected);
 //! * [`GcPolicy::WearAware`] — greedy with wear tie-breaking (ablation).
 //!
 //! Page validity lives here too, in RAM: a *dead bit* per physical page,
@@ -57,18 +49,7 @@ pub enum AllocOutcome {
     NeedsGc,
 }
 
-/// Which allocation stream a page is written through. Only the
-/// [`GcPolicy::HotCold`] policy keeps the two streams on separate active
-/// blocks; every other policy folds `Cold` into `Hot`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AllocStream {
-    /// Frequently-updated pages and differential pages.
-    Hot,
-    /// Rarely-updated pages and GC migrations of them.
-    Cold,
-}
-
-/// Per-block allocator with pluggable GC victim selection, and the
+/// Per-block allocator with GC victim selection, and the
 /// in-RAM record of which written pages are dead.
 #[derive(Clone, Debug)]
 pub struct BlockManager {
@@ -76,10 +57,7 @@ pub struct BlockManager {
     reserve: u32,
     states: Vec<BlockState>,
     free: std::collections::VecDeque<u32>,
-    active: Option<(u32, u32)>, // hot stream: (block, next in-block index)
-    /// Cold-stream active block; `None` unless the policy is `HotCold`
-    /// and a cold allocation has happened since the last block turnover.
-    active_cold: Option<(u32, u32)>,
+    active: Option<(u32, u32)>, // (block, next in-block index)
     /// Pages allocated (and presumed programmed) per block.
     written: Vec<u32>,
     /// Pages marked obsolete per block: the popcount of the block's
@@ -92,15 +70,6 @@ pub struct BlockManager {
     policy: GcPolicy,
     /// Erase count per block, mirrored here for the wear-aware policy.
     erases: Vec<u64>,
-    /// Global allocation sequence number (the cost-benefit clock).
-    alloc_seq: u64,
-    /// `alloc_seq` of the most recent allocation into each block: its
-    /// "last write time" for the cost-benefit age term.
-    last_alloc: Vec<u64>,
-    /// Hot-stream allocations per block since its last erase: the block
-    /// hotness gauge the hot/cold policy uses to break victim ties
-    /// (hotter block first — its valid pages are about to obsolete).
-    hot_allocs: Vec<u32>,
     /// Retention-ledger pins per block: live spilled pre-image pages an
     /// active read view may still resolve. Pinned pages are valid pages —
     /// GC relocates rather than destroys them — but collecting a block
@@ -122,18 +91,6 @@ pub enum GcPolicy {
     /// it uses the greedy collection of Woodhouse's JFFS).
     #[default]
     Greedy,
-    /// Maximise `(1 - u) · age / (1 + u)` where `u` is the block's valid
-    /// fraction and `age` the time since its last allocation, in
-    /// allocation ticks (Rosenblum's LFS cleaner; Dayan & Bonnet §3).
-    /// Under skew it beats greedy by letting nearly-but-not-quite-empty
-    /// cold blocks ripen instead of collecting them at high `u`.
-    CostBenefit,
-    /// Greedy victim selection plus hot/cold data separation: writes of
-    /// frequently-updated pages and of rarely-updated pages go to
-    /// *separate* active blocks (see [`AllocStream`]), so blocks converge
-    /// to all-hot or all-cold populations and GC migrates far fewer live
-    /// pages under skewed workloads (Dayan & Bonnet §3).
-    HotCold,
     /// Among blocks within 90% of the best reclaimable count, pick the one
     /// erased least often. An ablation, not part of the paper.
     WearAware,
@@ -147,36 +104,18 @@ impl BlockManager {
             states: vec![BlockState::Free; num_blocks as usize],
             free: (0..num_blocks).collect(),
             active: None,
-            active_cold: None,
             written: vec![0; num_blocks as usize],
             obsolete: vec![0; num_blocks as usize],
             dead: vec![0; (num_blocks as usize * pages_per_block as usize).div_ceil(64)],
             policy: GcPolicy::Greedy,
             erases: vec![0; num_blocks as usize],
-            alloc_seq: 0,
-            last_alloc: vec![0; num_blocks as usize],
-            hot_allocs: vec![0; num_blocks as usize],
             retained: vec![0; num_blocks as usize],
             retention_skips: std::cell::Cell::new(0),
         }
     }
 
     pub fn set_policy(&mut self, policy: GcPolicy) {
-        if policy != GcPolicy::HotCold {
-            // Leaving hot/cold separation: close the cold active block,
-            // or it would stay `Active` forever (never allocated from
-            // again, never a GC victim — leaked capacity). As `Used`,
-            // its erased tail is ordinary reclaimable space.
-            if let Some((b, _)) = self.active_cold.take() {
-                self.states[b as usize] = BlockState::Used;
-            }
-        }
         self.policy = policy;
-    }
-
-    /// The victim-selection policy in effect.
-    pub fn policy(&self) -> GcPolicy {
-        self.policy
     }
 
     /// Permanently remove `block` from the allocatable pool (checkpoint
@@ -193,9 +132,6 @@ impl BlockManager {
         self.free.retain(|b| *b != block.0);
         if self.active.map(|(ab, _)| ab == block.0).unwrap_or(false) {
             self.active = None;
-        }
-        if self.active_cold.map(|(ab, _)| ab == block.0).unwrap_or(false) {
-            self.active_cold = None;
         }
         self.states[block.0 as usize] = BlockState::Bad;
     }
@@ -245,91 +181,36 @@ impl BlockManager {
         self.normal_capacity() == 0
     }
 
-    /// The active slot backing `stream`.
-    fn slot_of(&self, stream: AllocStream) -> Option<(u32, u32)> {
-        match stream {
-            AllocStream::Hot => self.active,
-            AllocStream::Cold => self.active_cold,
-        }
-    }
-
-    fn set_slot(&mut self, stream: AllocStream, slot: Option<(u32, u32)>) {
-        match stream {
-            AllocStream::Hot => self.active = slot,
-            AllocStream::Cold => self.active_cold = slot,
-        }
-    }
-
-    fn stream_remaining(&self, stream: AllocStream) -> u32 {
-        match self.slot_of(stream) {
+    /// Pages left on the active block.
+    fn active_remaining(&self) -> u32 {
+        match self.active {
             Some((_, next)) => self.pages_per_block - next,
             None => 0,
         }
     }
 
-    /// Pages guaranteed allocatable — from *either* stream — without
-    /// dipping into the GC reserve. With hot/cold separation the two
-    /// active blocks cannot serve each other's stream, so only the smaller
-    /// remainder counts (an operation's allocations may all land on one
-    /// stream); whole free blocks beyond the reserve serve any stream.
-    /// Methods call GC until this covers their next multi-page operation,
-    /// so GC never interleaves with one.
+    /// Pages guaranteed allocatable without dipping into the GC reserve:
+    /// the active block's remainder plus whole free blocks beyond the
+    /// reserve. Methods call GC until this covers their next multi-page
+    /// operation, so GC never interleaves with one.
     pub fn normal_capacity(&self) -> u64 {
         let beyond_reserve = self.free.len().saturating_sub(self.reserve as usize) as u64;
-        let rem = match self.policy {
-            GcPolicy::HotCold => self
-                .stream_remaining(AllocStream::Hot)
-                .min(self.stream_remaining(AllocStream::Cold)),
-            _ => self.stream_remaining(AllocStream::Hot),
-        };
-        rem as u64 + beyond_reserve * self.pages_per_block as u64
+        self.active_remaining() as u64 + beyond_reserve * self.pages_per_block as u64
     }
 
-    /// Pages guaranteed allocatable in GC mode: the free pool plus every
-    /// active-block remainder. GC must pick victims whose relocation
+    /// Pages guaranteed allocatable in GC mode: the free pool plus the
+    /// active block's remainder. GC must pick victims whose relocation
     /// fits here, or a failed erase (bad block) could strand it
     /// mid-relocation.
-    ///
-    /// The sum is exact even under hot/cold separation, where a
-    /// relocation splits across two streams that normally cannot serve
-    /// each other: in GC mode, a stream whose turn comes with the free
-    /// pool empty *spills into the other stream's active block* (see
-    /// [`Self::alloc_in`]) rather than failing, so every counted page is
-    /// reachable regardless of the hot/cold mix.
     pub fn gc_capacity(&self) -> u64 {
-        let rem = match self.policy {
-            GcPolicy::HotCold => {
-                self.stream_remaining(AllocStream::Hot) as u64
-                    + self.stream_remaining(AllocStream::Cold) as u64
-            }
-            _ => self.stream_remaining(AllocStream::Hot) as u64,
-        };
-        rem + self.free.len() as u64 * self.pages_per_block as u64
+        self.active_remaining() as u64 + self.free.len() as u64 * self.pages_per_block as u64
     }
 
-    /// Allocate the next physical page from the hot (default) stream.
-    /// With `gc_mode = false` the free pool never drops below the reserve;
-    /// garbage collection itself passes `gc_mode = true` to use the
-    /// reserve for relocation. (Convenience over [`Self::alloc_in`];
-    /// tests and single-stream callers.)
-    #[allow(dead_code)]
+    /// Allocate the next physical page. With `gc_mode = false` the free
+    /// pool never drops below the reserve; garbage collection itself
+    /// passes `gc_mode = true` to use the reserve for relocation.
     pub fn alloc(&mut self, gc_mode: bool) -> Result<AllocOutcome> {
-        self.alloc_in(gc_mode, AllocStream::Hot)
-    }
-
-    /// Allocate from `stream`. Under any policy other than `HotCold` the
-    /// cold stream is an alias of the hot one. In GC mode, a stream that
-    /// needs a block while the free pool is empty spills into the other
-    /// stream's active block instead of failing — separation purity
-    /// yields to completing the relocation, and this fallback is what
-    /// makes [`Self::gc_capacity`]'s sum over both remainders exact.
-    pub fn alloc_in(&mut self, gc_mode: bool, stream: AllocStream) -> Result<AllocOutcome> {
-        let mut stream = if self.policy == GcPolicy::HotCold { stream } else { AllocStream::Hot };
-        // Block hotness is charged by the *requested* stream — the data's
-        // temperature — even when a spill places it on the other
-        // stream's block.
-        let requested = stream;
-        let (block, next) = match self.slot_of(stream) {
+        let (block, next) = match self.active {
             Some(s) => s,
             None => {
                 let can_take = if gc_mode {
@@ -338,52 +219,28 @@ impl BlockManager {
                     self.free.len() > self.reserve as usize
                 };
                 if !can_take {
-                    if !gc_mode {
-                        return Ok(AllocOutcome::NeedsGc);
-                    }
-                    let other = match stream {
-                        AllocStream::Hot => AllocStream::Cold,
-                        AllocStream::Cold => AllocStream::Hot,
+                    // In GC mode the reserve itself ran dry: a sizing bug,
+                    // not a normal GC trigger.
+                    return if gc_mode {
+                        Err(CoreError::StorageFull)
+                    } else {
+                        Ok(AllocOutcome::NeedsGc)
                     };
-                    match self.slot_of(other) {
-                        // GC-mode spill into the other stream.
-                        Some(s) => {
-                            stream = other;
-                            s
-                        }
-                        // The reserve itself ran dry: sizing bug, not a
-                        // normal GC trigger.
-                        None => return Err(CoreError::StorageFull),
-                    }
-                } else {
-                    let b = self.free.pop_front().expect("free pool non-empty");
-                    self.states[b as usize] = BlockState::Active;
-                    (b, 0)
                 }
+                let b = self.free.pop_front().expect("free pool non-empty");
+                self.states[b as usize] = BlockState::Active;
+                (b, 0)
             }
         };
         let ppn = Ppn(block * self.pages_per_block + next);
         self.written[block as usize] += 1;
-        self.alloc_seq += 1;
-        self.last_alloc[block as usize] = self.alloc_seq;
-        if requested == AllocStream::Hot && self.policy == GcPolicy::HotCold {
-            self.hot_allocs[block as usize] += 1;
-        }
-        let new_slot = if next + 1 == self.pages_per_block {
+        self.active = if next + 1 == self.pages_per_block {
             self.states[block as usize] = BlockState::Used;
             None
         } else {
             Some((block, next + 1))
         };
-        self.set_slot(stream, new_slot);
         Ok(AllocOutcome::Page(ppn))
-    }
-
-    /// Hot-stream allocations into `block` since its last erase (block
-    /// hotness under the hot/cold policy; diagnostics).
-    #[allow(dead_code)]
-    pub fn hot_allocs_in(&self, block: BlockId) -> u32 {
-        self.hot_allocs[block.0 as usize]
     }
 
     /// Record that `ppn` holds nothing live any more: its dead bit is set
@@ -542,8 +399,6 @@ impl BlockManager {
         let mut best: Option<u32> = None;
         let mut best_reclaim = 0u32;
         let mut best_erases = u64::MAX;
-        let mut best_hot = 0u32;
-        let mut best_score = f64::MIN;
         let mut best_retained = u32::MAX;
         for b in 0..self.states.len() as u32 {
             if self.states[b as usize] != BlockState::Used || pinned.contains(&b) {
@@ -562,21 +417,8 @@ impl BlockManager {
             if reclaim == 0 {
                 continue;
             }
-            // Only the cost-benefit policy consults the f64 score.
-            let mut score = 0.0f64;
             let policy_better = match self.policy {
                 GcPolicy::Greedy => best.is_none() || reclaim > best_reclaim,
-                // Separation keeps greedy scoring (it stays near-optimal
-                // once block populations separate, Dayan & Bonnet §3) but
-                // breaks ties towards the block with more hot-stream
-                // writes: a hot block's remaining valid pages are about
-                // to be rewritten anyway, so collecting it first migrates
-                // pages that would soon obsolete a cold block's copy.
-                GcPolicy::HotCold => {
-                    best.is_none()
-                        || reclaim > best_reclaim
-                        || (reclaim == best_reclaim && self.hot_allocs[b as usize] > best_hot)
-                }
                 GcPolicy::WearAware => {
                     // Prefer clearly-more-reclaimable blocks; break near
                     // ties by wear.
@@ -584,12 +426,6 @@ impl BlockManager {
                         || reclaim * 10 > best_reclaim * 11
                         || (reclaim * 10 >= best_reclaim * 9
                             && self.erases[b as usize] < best_erases)
-                }
-                GcPolicy::CostBenefit => {
-                    let u = valid as f64 / self.pages_per_block as f64;
-                    let age = (self.alloc_seq - self.last_alloc[b as usize]).max(1) as f64;
-                    score = (1.0 - u) * age / (1.0 + u);
-                    best.is_none() || score > best_score
                 }
             };
             let better = if best.is_none() {
@@ -605,8 +441,6 @@ impl BlockManager {
                 best = Some(b);
                 best_reclaim = reclaim;
                 best_erases = self.erases[b as usize];
-                best_hot = self.hot_allocs[b as usize];
-                best_score = score;
                 best_retained = retained;
             }
         }
@@ -621,16 +455,11 @@ impl BlockManager {
             self.active.map(|(ab, _)| ab != block.0).unwrap_or(true),
             "erasing the active block"
         );
-        debug_assert!(
-            self.active_cold.map(|(ab, _)| ab != block.0).unwrap_or(true),
-            "erasing the cold active block"
-        );
         self.states[b] = BlockState::Free;
         self.written[b] = 0;
         self.obsolete[b] = 0;
         self.clear_dead(b);
         self.erases[b] += 1;
-        self.hot_allocs[b] = 0;
         debug_assert_eq!(self.retained[b], 0, "erasing a block with live retention pins");
         self.retained[b] = 0;
         self.free.push_back(block.0);
@@ -647,7 +476,6 @@ impl BlockManager {
         self.dead.fill(0);
         self.free.clear();
         self.active = None;
-        self.active_cold = None;
         // Retention pins do not survive a crash: the read views holding
         // them are gone, and recovery counts spill pages dead.
         self.retained.fill(0);
@@ -690,63 +518,6 @@ enum VictimPass {
     /// All blocks, retention-blind policy ordering (the diagnostic
     /// baseline for the `retention.pinned_skips` gauge).
     Unconstrained,
-}
-
-/// Per-logical-page update-frequency gauge feeding the hot/cold policy:
-/// methods report update commands here (from their `apply_update`
-/// notifications) and ask which [`AllocStream`] a page belongs on.
-#[derive(Clone, Debug)]
-pub(crate) struct HeatTable {
-    heat: Vec<u16>,
-    /// Updates since the last halving.
-    updates_since_decay: u64,
-}
-
-impl HeatTable {
-    /// A page is *hot* once its recent update frequency crosses this
-    /// level. With the decay window below, a page updated at the
-    /// workload-average rate settles around heat 16, so 24 selects pages
-    /// updated ≥ 1.5x the average — under an 80/20 skew the hot set
-    /// settles near 64 and the cold set near 4.
-    const HOT_HEAT: u16 = 24;
-
-    pub fn new(num_pages: u64) -> HeatTable {
-        HeatTable { heat: vec![0u16; num_pages as usize], updates_since_decay: 0 }
-    }
-
-    /// Record one update command against `pid` and periodically halve
-    /// all counters (a window of 8 updates per logical page), so heat
-    /// measures *recent* frequency rather than lifetime totals. One
-    /// command is one heat unit however many changed ranges it carries —
-    /// charging per range would inflate every page under multi-range
-    /// workloads (e.g. scattered placement) until the whole space reads
-    /// as hot and separation degenerates.
-    pub fn note_update(&mut self, pid: u64) {
-        let Some(h) = self.heat.get_mut(pid as usize) else { return };
-        *h = h.saturating_add(1);
-        self.updates_since_decay += 1;
-        if self.updates_since_decay >= 8 * self.heat.len() as u64 {
-            self.updates_since_decay = 0;
-            for h in &mut self.heat {
-                *h >>= 1;
-            }
-        }
-    }
-
-    /// Which allocation stream `pid`'s pages belong on under `policy`.
-    /// Everything rides the hot (single) stream unless hot/cold
-    /// separation is in effect.
-    pub fn stream_for(&self, policy: GcPolicy, pid: u64) -> AllocStream {
-        if policy != GcPolicy::HotCold {
-            return AllocStream::Hot;
-        }
-        let hot = self.heat.get(pid as usize).is_some_and(|h| *h >= Self::HOT_HEAT);
-        if hot {
-            AllocStream::Hot
-        } else {
-            AllocStream::Cold
-        }
-    }
 }
 
 /// Mark a page obsolete, tolerating bad blocks: a page stranded in a
@@ -842,8 +613,10 @@ mod tests {
     #[test]
     fn reserve_triggers_gc() {
         let mut m = mgr();
-        // 8 blocks, reserve 2: 6 blocks = 24 pages allocatable normally.
-        for _ in 0..24 {
+        // 8 blocks, reserve 2: 6 blocks = 24 pages allocatable normally,
+        // the active block's remainder counted.
+        for left in (1..=24).rev() {
+            assert_eq!(m.normal_capacity(), left);
             assert!(matches!(m.alloc(false).unwrap(), AllocOutcome::Page(_)));
         }
         assert!(matches!(m.alloc(false).unwrap(), AllocOutcome::NeedsGc));
@@ -855,9 +628,13 @@ mod tests {
     #[test]
     fn gc_mode_exhaustion_is_storage_full() {
         let mut m = BlockManager::new(2, 2, 1);
-        for _ in 0..4 {
+        // Every page gc_capacity counts is reachable in GC mode; the next
+        // one is not.
+        for left in (1..=4).rev() {
+            assert_eq!(m.gc_capacity(), left);
             let _ = m.alloc(true).unwrap();
         }
+        assert_eq!(m.gc_capacity(), 0);
         assert!(matches!(m.alloc(true), Err(CoreError::StorageFull)));
     }
 
@@ -937,150 +714,6 @@ mod tests {
         m.erases[1] = 10;
         m.erases[2] = 1;
         assert_eq!(m.pick_victim(u32::MAX), Some(BlockId(2)));
-    }
-
-    #[test]
-    fn cost_benefit_prefers_older_blocks_at_equal_utilisation() {
-        let mut m = BlockManager::new(4, 4, 1);
-        m.set_policy(GcPolicy::CostBenefit);
-        // Fill blocks 0 and 1 (hot stream, sequential), then advance the
-        // allocation clock by filling block 2: blocks 0 and 1 age.
-        let mut pages = Vec::new();
-        for _ in 0..12 {
-            if let AllocOutcome::Page(p) = m.alloc(false).unwrap() {
-                pages.push(p);
-            }
-        }
-        // Equal utilisation: 2 obsolete pages each.
-        for p in [0u32, 1, 4, 5, 8, 9] {
-            m.note_obsolete(Ppn(p));
-        }
-        // Block 0 was written longest ago -> largest age -> victim.
-        assert_eq!(m.pick_victim(u32::MAX), Some(BlockId(0)));
-    }
-
-    #[test]
-    fn cost_benefit_prefers_emptier_blocks_at_equal_age() {
-        let mut m = BlockManager::new(4, 4, 1);
-        m.set_policy(GcPolicy::CostBenefit);
-        let mut written = vec![4u32; 4];
-        written[3] = 0;
-        let mut obsolete = vec![0u32; 4];
-        obsolete[1] = 3; // block 1: u = 0.25
-        obsolete[0] = 1; // block 0: u = 0.75
-        obsolete[2] = 1;
-        m.rebuild(&written, live_past(&obsolete, 4));
-        // All ages equal (rebuild resets the clock): lowest u wins.
-        assert_eq!(m.pick_victim(u32::MAX), Some(BlockId(1)));
-    }
-
-    #[test]
-    fn hot_cold_streams_use_separate_active_blocks() {
-        let mut m = BlockManager::new(8, 4, 2);
-        m.set_policy(GcPolicy::HotCold);
-        let hot = match m.alloc_in(false, AllocStream::Hot).unwrap() {
-            AllocOutcome::Page(p) => p,
-            _ => panic!("premature GC"),
-        };
-        let cold = match m.alloc_in(false, AllocStream::Cold).unwrap() {
-            AllocOutcome::Page(p) => p,
-            _ => panic!("premature GC"),
-        };
-        assert_ne!(hot.0 / 4, cold.0 / 4, "streams must not share a block");
-        // Hotness gauge counts only hot-stream allocations.
-        assert_eq!(m.hot_allocs_in(BlockId(hot.0 / 4)), 1);
-        assert_eq!(m.hot_allocs_in(BlockId(cold.0 / 4)), 0);
-        // Under any other policy the cold stream aliases the hot one.
-        let mut g = BlockManager::new(8, 4, 2);
-        let a = match g.alloc_in(false, AllocStream::Hot).unwrap() {
-            AllocOutcome::Page(p) => p,
-            _ => panic!("premature GC"),
-        };
-        let b = match g.alloc_in(false, AllocStream::Cold).unwrap() {
-            AllocOutcome::Page(p) => p,
-            _ => panic!("premature GC"),
-        };
-        assert_eq!(a.0 / 4, b.0 / 4);
-    }
-
-    #[test]
-    fn hot_cold_capacity_counts_only_the_guaranteed_stream() {
-        let mut m = BlockManager::new(4, 4, 1);
-        m.set_policy(GcPolicy::HotCold);
-        // One hot allocation: 3 pages remain on the hot active block, but
-        // the cold stream has no active block, so only whole free blocks
-        // beyond the reserve are guaranteed to serve either stream.
-        let _ = m.alloc_in(false, AllocStream::Hot).unwrap();
-        assert_eq!(m.normal_capacity(), 2 * 4); // 2 free blocks beyond reserve
-        let _ = m.alloc_in(false, AllocStream::Cold).unwrap();
-        // Now both streams hold 3: min(3, 3) + 1 free block beyond reserve.
-        assert_eq!(m.normal_capacity(), 3 + 4);
-    }
-
-    #[test]
-    fn hot_cold_breaks_victim_ties_towards_hotter_blocks() {
-        let mut m = BlockManager::new(4, 4, 1);
-        m.set_policy(GcPolicy::HotCold);
-        // Fill one block per stream — cold first, so it occupies the
-        // earlier-scanned block — then obsolete two pages in each: equal
-        // reclaim, and the hot block must win the tie despite scan order.
-        let mut hot_pages = Vec::new();
-        let mut cold_pages = Vec::new();
-        for _ in 0..4 {
-            if let AllocOutcome::Page(p) = m.alloc_in(false, AllocStream::Cold).unwrap() {
-                cold_pages.push(p);
-            }
-            if let AllocOutcome::Page(p) = m.alloc_in(false, AllocStream::Hot).unwrap() {
-                hot_pages.push(p);
-            }
-        }
-        let hot_block = BlockId(hot_pages[0].0 / 4);
-        m.note_obsolete(hot_pages[0]);
-        m.note_obsolete(hot_pages[1]);
-        m.note_obsolete(cold_pages[0]);
-        m.note_obsolete(cold_pages[1]);
-        assert_eq!(m.pick_victim(u32::MAX), Some(hot_block));
-    }
-
-    #[test]
-    fn leaving_hot_cold_closes_the_cold_active_block() {
-        let mut m = BlockManager::new(4, 4, 1);
-        m.set_policy(GcPolicy::HotCold);
-        let cold = match m.alloc_in(false, AllocStream::Cold).unwrap() {
-            AllocOutcome::Page(p) => BlockId(p.0 / 4),
-            other => panic!("premature GC: {other:?}"),
-        };
-        m.set_policy(GcPolicy::Greedy);
-        // The cold block must not stay `Active` forever: as `Used`, its
-        // erased tail is reclaimable and GC can pick it as a victim.
-        assert_eq!(m.pick_victim(u32::MAX), Some(cold));
-    }
-
-    #[test]
-    fn gc_mode_spills_into_the_other_stream_when_the_pool_runs_dry() {
-        // 2 blocks, no reserve headroom to speak of: open one block per
-        // stream, then drain the free pool. Every page gc_capacity
-        // counted must remain reachable from EITHER stream.
-        let mut m = BlockManager::new(2, 4, 1);
-        m.set_policy(GcPolicy::HotCold);
-        let _ = m.alloc_in(true, AllocStream::Hot).unwrap();
-        let _ = m.alloc_in(true, AllocStream::Cold).unwrap();
-        assert_eq!(m.gc_capacity(), 3 + 3, "both remainders count");
-        // Exhaust the cold block, then keep asking for cold pages: the
-        // free pool is empty, so allocations spill into the hot block.
-        for _ in 0..3 {
-            assert!(matches!(m.alloc_in(true, AllocStream::Cold).unwrap(), AllocOutcome::Page(_)));
-        }
-        for _ in 0..3 {
-            let p = match m.alloc_in(true, AllocStream::Cold).unwrap() {
-                AllocOutcome::Page(p) => p,
-                other => panic!("spill must allocate, got {other:?}"),
-            };
-            assert_eq!(p.0 / 4, 0, "spilled pages come from the hot block");
-        }
-        // Everything counted was reachable; the next page is not.
-        assert!(matches!(m.alloc_in(true, AllocStream::Cold), Err(CoreError::StorageFull)));
-        assert!(matches!(m.alloc_in(true, AllocStream::Hot), Err(CoreError::StorageFull)));
     }
 
     #[test]

@@ -508,7 +508,7 @@ impl Ipl {
                     .ok_or(CoreError::StorageFull)?;
                 self.free_blocks.remove(at).expect("index from enumerate")
             }
-            _ => self.free_blocks.pop_front().ok_or(CoreError::StorageFull)?,
+            GcPolicy::Greedy => self.free_blocks.pop_front().ok_or(CoreError::StorageFull)?,
         };
         // Read every used log page once, bucketing records per pid in
         // global sector order.

@@ -16,8 +16,7 @@
 
 use crate::error::CoreError;
 use crate::ftl::{
-    make_spare, make_spare_preserving, mark_obsolete_lenient, AllocOutcome, AllocStream,
-    BlockManager, GcPolicy, HeatTable,
+    make_spare, make_spare_preserving, mark_obsolete_lenient, AllocOutcome, BlockManager,
 };
 use crate::page_store::{ChangeRange, MethodKind, PageStore, StoreOptions};
 use crate::Result;
@@ -41,15 +40,11 @@ pub struct Opu {
     /// Frame -> physical page (page-level mapping table).
     map: Vec<u32>,
     alloc: BlockManager,
-    /// Per-logical-page update-frequency gauge (hot/cold policy).
-    heat: HeatTable,
     ts: u64,
     in_gc: bool,
     // Counters.
     gc_runs: u64,
     relocated_pages: u64,
-    migrated_hot: u64,
-    migrated_cold: u64,
     bad_blocks: u64,
 }
 
@@ -73,13 +68,10 @@ impl Opu {
             opts,
             map: vec![NONE; frames as usize],
             alloc,
-            heat: HeatTable::new(opts.num_logical_pages),
             ts: 1,
             in_gc: false,
             gc_runs: 0,
             relocated_pages: 0,
-            migrated_hot: 0,
-            migrated_cold: 0,
             bad_blocks: 0,
         })
     }
@@ -161,23 +153,12 @@ impl Opu {
             opts,
             map,
             alloc,
-            heat: HeatTable::new(opts.num_logical_pages),
             ts: max_ts + 1,
             in_gc: false,
             gc_runs: 0,
             relocated_pages: 0,
-            migrated_hot: 0,
-            migrated_cold: 0,
             bad_blocks: 0,
         })
-    }
-
-    /// Use a different GC victim-selection policy (ablation). Also
-    /// recorded in [`PageStore::options`], so recovering with the
-    /// store's own options resumes the same policy.
-    pub fn set_gc_policy(&mut self, policy: GcPolicy) {
-        self.opts.gc_policy = policy;
-        self.alloc.set_policy(policy);
     }
 
     /// Check the allocator's page bitmap against the mapping table (tests
@@ -189,18 +170,13 @@ impl Opu {
         self.alloc.check_pages(|p| live[p.0 as usize])
     }
 
-    /// Which allocation stream `pid`'s frames belong on.
-    fn stream_for(&self, pid: u64) -> AllocStream {
-        self.heat.stream_for(self.alloc.policy(), pid)
-    }
-
-    fn alloc_page(&mut self, stream: AllocStream) -> Result<Ppn> {
-        match self.alloc.alloc_in(self.in_gc, stream)? {
+    fn alloc_page(&mut self) -> Result<Ppn> {
+        match self.alloc.alloc(self.in_gc)? {
             AllocOutcome::Page(p) => Ok(p),
             AllocOutcome::NeedsGc => {
                 debug_assert!(false, "allocation after ensure_capacity must not need GC");
                 self.gc_once()?;
-                match self.alloc.alloc_in(self.in_gc, stream)? {
+                match self.alloc.alloc(self.in_gc)? {
                     AllocOutcome::Page(p) => Ok(p),
                     AllocOutcome::NeedsGc => Err(CoreError::StorageFull),
                 }
@@ -273,18 +249,11 @@ impl Opu {
             // detectable at the next read — OPU has no redundant source
             // to rebuild from. The check counts the detection.
             let _ = self.chip.verify_read(ppn, &page.data);
-            // Migration target by page hotness (hot/cold policy): cold
-            // survivors must not pollute the blocks hot pages churn.
-            let stream = self.stream_for(frame as u64 / self.opts.frames_per_page as u64);
-            let q = self.alloc_page(stream)?;
+            let q = self.alloc_page()?;
             let spare = make_spare_preserving(g.spare_size, &info);
             self.chip.program_page(q, &page.data, &spare)?;
             self.map[frame] = q.0;
             self.relocated_pages += 1;
-            match stream {
-                AllocStream::Hot => self.migrated_hot += 1,
-                AllocStream::Cold => self.migrated_cold += 1,
-            }
         }
         match self.chip.erase_block(victim) {
             Ok(()) => self.alloc.on_erased(victim),
@@ -348,17 +317,12 @@ impl PageStore for Opu {
         Ok(())
     }
 
-    fn apply_update(&mut self, pid: u64, _page: &[u8], _changes: &[ChangeRange]) -> Result<()> {
-        // Loosely coupled: OPU acts only when the page is reflected. The
-        // notification still feeds the hot/cold policy's per-page
-        // update-frequency gauge (no flash operation is performed).
-        self.heat.note_update(pid);
-        Ok(())
+    fn apply_update(&mut self, _pid: u64, _page: &[u8], _changes: &[ChangeRange]) -> Result<()> {
+        Ok(()) // loosely coupled: OPU acts only when the page is reflected
     }
 
     fn consumes_updates(&self) -> bool {
-        // The heat gauge is read by `stream_for` under `HotCold` only.
-        self.alloc.policy() == GcPolicy::HotCold
+        false
     }
 
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()> {
@@ -370,11 +334,10 @@ impl PageStore for Opu {
         let g = self.chip.geometry();
         let ts = self.ts;
         self.ts += 1;
-        let stream = self.stream_for(pid);
         for j in 0..k as usize {
             let frame = pid as usize * k as usize + j;
             let data = &page[j * ds..(j + 1) * ds];
-            let q = self.alloc_page(stream)?;
+            let q = self.alloc_page()?;
             let spare = make_spare(g.spare_size, PageKind::Data, frame as u64, ts, data);
             self.chip.program_page(q, data, &spare)?;
             let old = self.map[frame];
@@ -408,8 +371,6 @@ impl PageStore for Opu {
         vec![
             ("gc_runs", self.gc_runs),
             ("relocated_pages", self.relocated_pages),
-            ("migrated_hot", self.migrated_hot),
-            ("migrated_cold", self.migrated_cold),
             ("bad_blocks", self.bad_blocks),
         ]
     }

@@ -93,13 +93,11 @@ pub struct StoreOptions {
     /// future work: recovering the mapping tables without a full scan.
     /// Must hold two complete checkpoints; see `Pdl::checkpoint`.
     pub checkpoint_blocks: u32,
-    /// Garbage-collection victim-selection / data-placement policy.
-    /// Applies to the out-place methods (PDL, OPU) and — where its block
-    /// structure permits — to IPL's merge-target choice; IPU has no GC.
-    /// Recovery must be given the same policy the store ran with so the
-    /// rebuilt allocator resumes the same victim-selection and placement
-    /// rules (the in-memory update-frequency gauge itself restarts cold
-    /// and re-warms over the first updates, like any unflushed state).
+    /// Garbage-collection victim-selection policy. Applies to the
+    /// out-place methods (PDL, OPU) and — where its block structure
+    /// permits — to IPL's merge-target choice; IPU has no GC. Recovery
+    /// must be given the same policy the store ran with so the rebuilt
+    /// allocator resumes the same victim selection.
     pub gc_policy: GcPolicy,
     /// Upper bound on the committed page versions a buffer pool retains
     /// for MVCC snapshot readers. When a
@@ -427,13 +425,12 @@ pub trait PageStore: Send {
     /// write log sectors to flash.
     fn apply_update(&mut self, pid: u64, page_after: &[u8], changes: &[ChangeRange]) -> Result<()>;
 
-    /// Whether [`PageStore::apply_update`] does anything in this store as
-    /// configured: IPL always (it writes its update logs there), PDL and
-    /// OPU only under [`crate::GcPolicy::HotCold`] (the notification is
-    /// their update-frequency gauge), IPU never. A buffer pool asks once,
-    /// when it is built, and leaves the store alone on a buffer hit when
-    /// the answer is `false` — the paper's loose coupling (§4). The
-    /// default claims the notifications, which is always correct.
+    /// Whether [`PageStore::apply_update`] does anything in this store:
+    /// IPL does (it writes its update logs there); PDL, OPU and IPU do
+    /// not. A buffer pool asks once, when it is built, and leaves the
+    /// store alone on a buffer hit when the answer is `false` — the
+    /// paper's loose coupling (§4). The default claims the notifications,
+    /// which is always correct.
     fn consumes_updates(&self) -> bool {
         true
     }

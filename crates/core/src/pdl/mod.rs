@@ -103,7 +103,7 @@ use crate::diff::{Differential, EpochRecord, PageRecord, EPOCH_HEADER, NO_TXN, R
 use crate::error::CoreError;
 use crate::ftl::{
     make_spare, make_spare_preserving, make_spare_txn, mark_obsolete_lenient, AllocOutcome,
-    AllocStream, BlockManager, GcPolicy, HeatTable,
+    BlockManager,
 };
 use crate::page_store::{
     ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions, StructRootsSnapshot,
@@ -223,10 +223,6 @@ pub(crate) struct PdlCounters {
     /// Differential pages GC read to compact (the salvaged ones included).
     pub compacted_pages: u64,
     pub relocated_bases: u64,
-    /// GC base-page migrations routed to the hot / cold stream
-    /// (hot/cold policy; both zero under the single-stream policies).
-    pub migrated_hot: u64,
-    pub migrated_cold: u64,
     pub unchanged_skips: u64,
     pub checkpoints: u64,
     pub bad_blocks: u64,
@@ -280,9 +276,6 @@ pub struct Pdl {
     vdct: Vec<u16>,
     dwb: DiffWriteBuffer,
     alloc: BlockManager,
-    /// Per-logical-page update-frequency gauge: the hotness signal the
-    /// hot/cold policy separates allocation streams by.
-    heat: HeatTable,
     ts: u64,
     in_gc: bool,
     /// Checkpoint bookkeeping (see `checkpoint.rs`): last committed
@@ -427,7 +420,6 @@ impl Pdl {
             vdct: vec![0u16; g.num_pages() as usize],
             dwb: DiffWriteBuffer::new(g.data_size),
             alloc,
-            heat: HeatTable::new(opts.num_logical_pages),
             ts: 1,
             in_gc: false,
             ckpt_seq: 0,
@@ -467,14 +459,6 @@ impl Pdl {
             counters: PdlCounters::default(),
             chip,
         })
-    }
-
-    /// Use a different GC victim-selection policy (ablation). Also
-    /// recorded in [`PageStore::options`], so recovering with the
-    /// store's own options resumes the same policy.
-    pub fn set_gc_policy(&mut self, policy: GcPolicy) {
-        self.opts.gc_policy = policy;
-        self.alloc.set_policy(policy);
     }
 
     /// Whether `txn`'s commit record is durable (diagnostics and tests).
@@ -613,11 +597,6 @@ impl Pdl {
         self.opts.frames_per_page as usize
     }
 
-    /// Which allocation stream `pid`'s pages belong on.
-    fn stream_for(&self, pid: u64) -> AllocStream {
-        self.heat.stream_for(self.alloc.policy(), pid)
-    }
-
     /// Pin the block containing `ppn` against GC for the rest of the
     /// open commit batch (it holds a pre-image a torn commit rolls back
     /// to).
@@ -631,13 +610,13 @@ impl Pdl {
     // Allocation & capacity
     // ------------------------------------------------------------------
 
-    fn alloc_page(&mut self, stream: AllocStream) -> Result<Ppn> {
-        match self.alloc.alloc_in(self.in_gc, stream)? {
+    fn alloc_page(&mut self) -> Result<Ppn> {
+        match self.alloc.alloc(self.in_gc)? {
             AllocOutcome::Page(p) => Ok(p),
             AllocOutcome::NeedsGc => {
                 debug_assert!(false, "allocation after ensure_capacity must not need GC");
                 self.gc_once()?;
-                match self.alloc.alloc_in(self.in_gc, stream)? {
+                match self.alloc.alloc(self.in_gc)? {
                     AllocOutcome::Page(p) => Ok(p),
                     AllocOutcome::NeedsGc => Err(CoreError::StorageFull),
                 }
@@ -743,9 +722,7 @@ impl Pdl {
         }
         let g = self.chip.geometry();
         // Step 1: write the buffer into a new differential page q.
-        // Differential pages hold deltas of recently-updated pages, so
-        // they live on the hot stream under hot/cold separation.
-        let q = self.alloc_page(AllocStream::Hot)?;
+        let q = self.alloc_page()?;
         let mut img = std::mem::take(&mut self.page_img);
         self.dwb.serialize_into(&mut img);
         // Every flash page consumes its own creation time stamp — Case-2
@@ -835,10 +812,9 @@ impl Pdl {
         let ds = g.data_size;
         let k = self.frames();
         let ts = self.next_ts();
-        let stream = self.stream_for(pid);
         let mut new_frames = [NONE; MAX_FRAMES];
         for (j, frame_data) in page.chunks_exact(ds).enumerate() {
-            let q = self.alloc_page(stream)?;
+            let q = self.alloc_page()?;
             let tag = pid * k as u64 + j as u64;
             let spare = make_spare_txn(g.spare_size, PageKind::Base, tag, ts, txn, frame_data);
             self.chip.program_page(q, frame_data, &spare)?;
@@ -962,7 +938,7 @@ impl Pdl {
             Err(e) => return Err(e.into()),
         }
         let g = self.chip.geometry();
-        let q = self.alloc_page(self.stream_for(pid))?;
+        let q = self.alloc_page()?;
         // The twin passed verification, so the fresh checksum computed
         // here covers known-good bytes; the original creation time stamp
         // and the frame's current visibility tag are carried over.
@@ -1301,11 +1277,7 @@ impl Pdl {
         } else {
             info.txn
         };
-        // Migration target by hotness: pages that survived GC unchanged
-        // are usually cold, but a hot page caught between rewrites keeps
-        // riding the hot stream so it does not pollute a cold block.
-        let stream = self.stream_for(pid as u64);
-        let q = self.alloc_page(stream)?;
+        let q = self.alloc_page()?;
         let spare = if corrupt {
             make_spare_preserving(g.spare_size, &SpareInfo { txn, ..info })
         } else {
@@ -1321,10 +1293,6 @@ impl Pdl {
         }
         self.gc_moves.push((ppn.0, q.0));
         self.counters.relocated_bases += 1;
-        match stream {
-            AllocStream::Hot => self.counters.migrated_hot += 1,
-            AllocStream::Cold => self.counters.migrated_cold += 1,
-        }
         Ok(())
     }
 
@@ -1341,8 +1309,7 @@ impl Pdl {
         // As with base relocation: a failing checksum travels with the
         // copy (never laundered), surfacing at the reader instead.
         let corrupt = self.chip.verify_read(ppn, data).is_err();
-        // Cold by definition: a spilled pre-image is never rewritten.
-        let q = self.alloc_page(AllocStream::Cold)?;
+        let q = self.alloc_page()?;
         let spare = if corrupt {
             make_spare_preserving(g.spare_size, &info)
         } else {
@@ -1814,18 +1781,14 @@ impl PageStore for Pdl {
         Ok(())
     }
 
-    fn apply_update(&mut self, pid: u64, _page: &[u8], _changes: &[ChangeRange]) -> Result<()> {
+    fn apply_update(&mut self, _pid: u64, _page: &[u8], _changes: &[ChangeRange]) -> Result<()> {
         // Loosely coupled: "when a logical page is simply updated, we just
         // update the logical page in memory without recording the log".
-        // The notification still feeds the hot/cold policy's per-page
-        // update-frequency gauge (no flash operation is performed).
-        self.heat.note_update(pid);
         Ok(())
     }
 
     fn consumes_updates(&self) -> bool {
-        // The heat gauge is read by `stream_for` under `HotCold` only.
-        self.alloc.policy() == GcPolicy::HotCold
+        false
     }
 
     /// `PDL_Writing` (Figure 7).
@@ -1895,9 +1858,7 @@ impl PageStore for Pdl {
         self.next_spill += 1;
         let mut ppns = Vec::with_capacity(k as usize);
         for (j, frame_data) in page.chunks_exact(ds).enumerate() {
-            // Spilled pre-images are cold by definition (never rewritten),
-            // so they ride the cold stream and stay out of hot blocks.
-            let q = self.alloc_page(AllocStream::Cold)?;
+            let q = self.alloc_page()?;
             let tag = pid * k + j as u64;
             let spare = make_spare(g.spare_size, PageKind::Spill, tag, ts, frame_data);
             self.chip.program_page(q, frame_data, &spare)?;
@@ -1994,8 +1955,6 @@ impl PageStore for Pdl {
             ("compacted_diffs", c.compacted_diffs),
             ("compacted_pages", c.compacted_pages),
             ("relocated_bases", c.relocated_bases),
-            ("migrated_hot", c.migrated_hot),
-            ("migrated_cold", c.migrated_cold),
             ("unchanged_skips", c.unchanged_skips),
             ("checkpoints", c.checkpoints),
             ("bad_blocks", c.bad_blocks),

@@ -907,7 +907,6 @@ fn finish_store(
         vdct: tables.vdct,
         dwb: DiffWriteBuffer::new(g.data_size),
         alloc,
-        heat: crate::ftl::HeatTable::new(opts.num_logical_pages),
         ts: tables.max_ts + 1,
         in_gc: false,
         ckpt_seq: roots.seq,
@@ -949,7 +948,6 @@ fn finish_store(
 mod tests {
     use super::*;
     use crate::error::is_power_loss;
-    use crate::ftl::GcPolicy;
     use crate::page_store::PageStore;
     use pdl_flash::FlashConfig;
 
@@ -1238,12 +1236,13 @@ mod tests {
     /// apply the copy over the loaded base.
     #[test]
     fn a_differential_gc_moved_after_a_checkpoint_outranks_the_loaded_base() {
-        // Cost-benefit ages the block in: greedy keeps finding emptier ones.
-        let opts =
-            StoreOptions::new(8).with_checkpoint_blocks(2).with_gc_policy(GcPolicy::CostBenefit);
+        // Seven blocks of bases that stay live to the end: when the churn
+        // below runs the free pool down to the reserve, the differential's
+        // block is the one full block greedy GC can reclaim anything from.
+        let opts = StoreOptions::new(56).with_checkpoint_blocks(4);
         let mut s = Pdl::new(FlashChip::new(FlashConfig::tiny()), opts, MAX_DIFF).unwrap();
         let size = s.logical_page_size();
-        let mut truth: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; size]).collect();
+        let mut truth: Vec<Vec<u8>> = (0..56).map(|i| vec![i as u8; size]).collect();
         for (pid, t) in truth.iter().enumerate() {
             s.write_page(pid as u64, t).unwrap();
         }

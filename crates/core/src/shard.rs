@@ -991,16 +991,20 @@ mod tests {
             FlashConfig::tiny(),
             2,
             MethodKind::Pdl { max_diff_size: 64 },
-            StoreOptions::new(PAGES as u64).with_gc_policy(GcPolicy::HotCold),
+            StoreOptions::new(PAGES as u64).with_gc_policy(GcPolicy::WearAware),
         )
         .unwrap();
-        assert_eq!(s.options().gc_policy, GcPolicy::HotCold);
+        assert_eq!(s.options().gc_policy, GcPolicy::WearAware);
         // The real witness: every per-shard store was *constructed* with
         // the policy (each constructor hands opts.gc_policy to its
         // allocator — covered by the method unit tests), not just the
         // facade echoing its own input.
         for shard in 0..s.num_shards() {
-            assert_eq!(s.shard_mut(shard).options().gc_policy, GcPolicy::HotCold, "shard {shard}");
+            assert_eq!(
+                s.shard_mut(shard).options().gc_policy,
+                GcPolicy::WearAware,
+                "shard {shard}"
+            );
         }
         // And the engine stays correct when churned into GC under the
         // policy: a hot 4-page set over write-once cold pages.

@@ -204,8 +204,8 @@ fn exhaustive_crash_sweep_opu() {
 }
 
 #[test]
-fn exhaustive_crash_sweep_opu_hot_cold() {
-    sweep(MethodKind::Opu, GcPolicy::HotCold);
+fn exhaustive_crash_sweep_opu_wear_aware() {
+    sweep(MethodKind::Opu, GcPolicy::WearAware);
 }
 
 #[test]
@@ -214,13 +214,8 @@ fn exhaustive_crash_sweep_pdl() {
 }
 
 #[test]
-fn exhaustive_crash_sweep_pdl_cost_benefit() {
-    sweep(PDL, GcPolicy::CostBenefit);
-}
-
-#[test]
-fn exhaustive_crash_sweep_pdl_hot_cold() {
-    sweep(PDL, GcPolicy::HotCold);
+fn exhaustive_crash_sweep_pdl_wear_aware() {
+    sweep(PDL, GcPolicy::WearAware);
 }
 
 /// The PDL sweep taken with a 16-deep command queue and 4 planes: every

@@ -122,10 +122,10 @@ fn drive<S: PageStore + ?Sized>(
 
 fn policies_for(kind: MethodKind) -> Vec<GcPolicy> {
     match kind {
-        // The out-place methods own the pluggable policy engine: every
-        // policy must preserve logical state.
+        // The out-place methods own victim selection: both policies must
+        // preserve logical state.
         MethodKind::Opu | MethodKind::Pdl { .. } => {
-            vec![GcPolicy::Greedy, GcPolicy::CostBenefit, GcPolicy::HotCold, GcPolicy::WearAware]
+            vec![GcPolicy::Greedy, GcPolicy::WearAware]
         }
         // IPU has no GC; IPL only varies its merge-target choice.
         MethodKind::Ipu => vec![GcPolicy::Greedy],
@@ -670,14 +670,14 @@ proptest! {
     }
 
     /// The sharded engine at 1, 2 and 4 shards agrees with the same
-    /// model (striping is invisible at the PageStore interface), for
-    /// each GC policy in turn.
+    /// model (striping is invisible at the PageStore interface), under
+    /// greedy and wear-aware GC.
     #[test]
     fn sharded_store_matches_the_model(
         ops in proptest::collection::vec((0u8..4, 0u64..PAGES, any::<u8>()), 20..160),
     ) {
         for (n, policy) in
-            [(1, GcPolicy::Greedy), (2, GcPolicy::CostBenefit), (4, GcPolicy::HotCold)]
+            [(1, GcPolicy::Greedy), (2, GcPolicy::WearAware), (4, GcPolicy::WearAware)]
         {
             let mut store = ShardedStore::with_uniform_chips(
                 FlashConfig::tiny(),

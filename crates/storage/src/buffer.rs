@@ -84,8 +84,8 @@
 //!   commit protocol of [`crate::Database::commit`];
 //! * version spill and its read-back / free (retention ledger);
 //! * rollback and mutation, **only** over a store that consumes update
-//!   notifications ([`PageStore::consumes_updates`]: IPL, or PDL / OPU
-//!   under the hot/cold GC policy) — asked once at construction.
+//!   notifications ([`PageStore::consumes_updates`]: IPL) — asked once
+//!   at construction.
 //!
 //! The one other lock a mutation can take is the MVCC registry, when an
 //! auto-committed command runs while a read view is open (it allocates
@@ -2480,14 +2480,12 @@ mod tests {
     // A buffer hit takes the cache mutex and no other global lock
     // ------------------------------------------------------------------
 
-    use pdl_core::GcPolicy;
     use std::sync::mpsc;
     use std::time::Duration;
 
-    fn pool_with_policy(kind: MethodKind, policy: GcPolicy) -> Database {
+    fn pool_of(kind: MethodKind) -> Database {
         let chip = FlashChip::new(FlashConfig::tiny());
-        let opts = StoreOptions::new(24).with_gc_policy(policy);
-        pool_over(build_store(chip, kind, opts).unwrap(), 8)
+        pool_over(build_store(chip, kind, StoreOptions::new(24)).unwrap(), 8)
     }
 
     /// Park one thread inside [`Database::with_store`], run the three
@@ -2528,7 +2526,7 @@ mod tests {
     fn a_hit_never_waits_for_the_store() {
         let generous = Duration::from_secs(20);
         for kind in [MethodKind::Pdl { max_diff_size: 128 }, MethodKind::Opu, MethodKind::Ipu] {
-            let p = pool_with_policy(kind, GcPolicy::Greedy);
+            let p = pool_of(kind);
             assert!(hits_finish_while_the_store_is_held(&p, generous), "{}", kind.label());
         }
         let sharded = pdl_core::ShardedStore::with_uniform_chips(
@@ -2547,57 +2545,8 @@ mod tests {
         // The mutation needs the store here, so it cannot finish while
         // another thread holds it, however long one waits.
         let brief = Duration::from_millis(50);
-        let ipl = pool_with_policy(MethodKind::Ipl { log_bytes_per_block: 512 }, GcPolicy::Greedy);
+        let ipl = pool_of(MethodKind::Ipl { log_bytes_per_block: 512 });
         assert!(!hits_finish_while_the_store_is_held(&ipl, brief), "IPL writes its logs there");
-        for kind in [MethodKind::Pdl { max_diff_size: 128 }, MethodKind::Opu] {
-            let p = pool_with_policy(kind, GcPolicy::HotCold);
-            assert!(!hits_finish_while_the_store_is_held(&p, brief), "{} hot/cold", kind.label());
-        }
-    }
-
-    #[test]
-    fn hot_cold_heat_through_the_pool_equals_driving_the_store_directly() {
-        // The heat gauge decides which allocation stream a page is
-        // reflected on, so equal heat shows as an equal flash image. Page
-        // 0 takes 30 update commands a round (hot from the first flush
-        // on), pages 1..4 one each (cold).
-        const ROUNDS: usize = 3;
-        const HOT_COMMANDS: usize = 30;
-        let kind = MethodKind::Pdl { max_diff_size: 128 };
-        let p = pool_with_policy(kind, GcPolicy::HotCold);
-        let chip = FlashChip::new(FlashConfig::tiny());
-        let opts = StoreOptions::new(24).with_gc_policy(GcPolicy::HotCold);
-        let mut direct = build_store(chip, kind, opts).unwrap();
-        let mut images = vec![vec![0u8; direct.logical_page_size()]; 4];
-        for round in 0..ROUNDS {
-            for (pid, image) in images.iter_mut().enumerate() {
-                if round == 0 {
-                    direct.read_page(pid as u64, image).unwrap(); // the pool's miss
-                }
-                let commands = if pid == 0 { HOT_COMMANDS } else { 1 };
-                for c in 0..commands {
-                    let at = 8 * (c % 16);
-                    let bytes = [(round * 31 + c + pid) as u8; 8];
-                    p.with_page_mut(pid as u64, |page| page.write(at, &bytes)).unwrap();
-                    image[at..at + 8].copy_from_slice(&bytes);
-                    direct.apply_update(pid as u64, image, &[ChangeRange::new(at, 8)]).unwrap();
-                }
-            }
-            p.flush().unwrap();
-            for (pid, image) in images.iter().enumerate() {
-                direct.evict_page(pid as u64, image).unwrap();
-            }
-            direct.flush().unwrap();
-        }
-        p.with_store(|through_pool| {
-            assert_eq!(through_pool.stats(), direct.stats());
-            assert_eq!(through_pool.counters(), direct.counters());
-            let (a, b) = (through_pool.chip(), direct.chip());
-            for ppn in (0..a.num_pages()).map(pdl_flash::Ppn) {
-                assert_eq!(a.peek_data(ppn), b.peek_data(ppn), "data of physical page {ppn:?}");
-                assert_eq!(a.peek_spare(ppn), b.peek_spare(ppn), "spare of physical page {ppn:?}");
-            }
-        });
     }
 
     #[test]

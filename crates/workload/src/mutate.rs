@@ -76,21 +76,6 @@ impl UpdateGen {
         self.rng.gen_range(0..num_pages)
     }
 
-    /// Pick a logical page under an 80/20 skew: 80% of picks land
-    /// uniformly in the first 20% of the page space (the *hot set*), the
-    /// rest uniformly in the remainder. The regime where GC policies
-    /// diverge — hot-set churn leaves cold blocks nearly fully valid, so
-    /// greedy victim selection migrates them at high cost while
-    /// cost-benefit and hot/cold separation avoid it.
-    pub fn pick_page_skewed(&mut self, num_pages: u64) -> u64 {
-        let hot = (num_pages / 5).clamp(1, num_pages);
-        if hot == num_pages || self.rng.gen_range(0.0..100.0) < 80.0 {
-            self.rng.gen_range(0..hot)
-        } else {
-            self.rng.gen_range(hot..num_pages)
-        }
-    }
-
     /// Decide whether the next operation of a mix is an update
     /// (`pct_update_ops` percent of operations are updates).
     pub fn next_is_update(&mut self, pct_update_ops: f64) -> bool {
@@ -216,27 +201,6 @@ mod tests {
         assert_eq!(new_bytes_per_step.iter().sum::<usize>(), 500);
         let full_steps = new_bytes_per_step.iter().filter(|&&f| f == 50).count();
         assert!(full_steps >= 9, "{new_bytes_per_step:?}");
-    }
-
-    #[test]
-    fn skewed_picks_follow_the_80_20_rule() {
-        let mut g = UpdateGen::new(11, 256, 2.0);
-        let num_pages = 100u64;
-        let mut hot_hits = 0u64;
-        for _ in 0..10_000 {
-            let pid = g.pick_page_skewed(num_pages);
-            assert!(pid < num_pages);
-            if pid < 20 {
-                hot_hits += 1;
-            }
-        }
-        // 80% +- sampling noise of picks land in the first 20 pages.
-        assert!((7_500..8_500).contains(&hot_hits), "{hot_hits}");
-        // Degenerate sizes stay in range.
-        for _ in 0..100 {
-            assert!(g.pick_page_skewed(1) == 0);
-            assert!(g.pick_page_skewed(3) < 3);
-        }
     }
 
     #[test]

@@ -8,24 +8,11 @@ use page_differential_logging::prelude::*;
 use pdl_flash::WearSummary;
 use pdl_workload::{chip_for, db_pages_for};
 
-fn measure(kind: MethodKind, policy: Option<GcPolicy>) -> (String, f64, WearSummary) {
+fn measure(kind: MethodKind, policy: GcPolicy) -> (String, f64, WearSummary) {
     let scale = Scale::Quick;
     let chip = chip_for(scale, FlashTiming::PAPER);
-    let opts = StoreOptions::new(db_pages_for(scale, 1));
-    // Construct concrete types when a GC policy override is requested.
-    let mut store: Box<dyn PageStore> = match (kind, policy) {
-        (MethodKind::Pdl { max_diff_size }, Some(p)) => {
-            let mut pdl = Pdl::new(chip, opts, max_diff_size).expect("store");
-            pdl.set_gc_policy(p);
-            Box::new(pdl)
-        }
-        (MethodKind::Opu, Some(p)) => {
-            let mut opu = Opu::new(chip, opts).expect("store");
-            opu.set_gc_policy(p);
-            Box::new(opu)
-        }
-        _ => build_store(chip, kind, opts).expect("store"),
-    };
+    let opts = StoreOptions::new(db_pages_for(scale, 1)).with_gc_policy(policy);
+    let mut store = build_store(chip, kind, opts).expect("store");
     load_database(store.as_mut()).expect("load");
     let cfg = UpdateConfig::new(2.0, 1)
         .with_measured_cycles(2_000)
@@ -33,8 +20,8 @@ fn measure(kind: MethodKind, policy: Option<GcPolicy>) -> (String, f64, WearSumm
         .with_phase_jitter(110);
     let m = run_update_workload(store.as_mut(), &cfg).expect("workload");
     let label = match policy {
-        Some(GcPolicy::WearAware) => format!("{} + wear-aware GC", store.name()),
-        _ => store.name(),
+        GcPolicy::WearAware => format!("{} + wear-aware GC", store.name()),
+        GcPolicy::Greedy => store.name(),
     };
     (label, m.erases_per_op(), store.chip().wear_summary())
 }
@@ -45,9 +32,9 @@ fn main() {
     println!("{:<26} {:>10} {:>8} {:>8} {:>8}", "method", "erases/op", "min", "avg", "max");
     let mut rows = Vec::new();
     for kind in MethodKind::paper_five() {
-        rows.push(measure(kind, None));
+        rows.push(measure(kind, GcPolicy::Greedy));
     }
-    rows.push(measure(MethodKind::Pdl { max_diff_size: 256 }, Some(GcPolicy::WearAware)));
+    rows.push(measure(MethodKind::Pdl { max_diff_size: 256 }, GcPolicy::WearAware));
     for (label, erases, wear) in rows {
         println!(
             "{:<26} {:>10.4} {:>8} {:>8.1} {:>8}",

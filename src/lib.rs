@@ -11,7 +11,7 @@
 //! | [`core`] | the page-update methods: **PDL** (the paper's contribution), OPU, IPU and IPL, over a shared FTL with greedy GC — plus [`core::ShardedStore`], which stripes the page space across N chips |
 //! | [`storage`] | DBMS substrate and the one concurrent path: [`storage::Database`], a buffer pool with group commit and read views, plus slotted pages, heap files, B+-tree |
 //! | [`tpcc`] | the TPC-C workload of Experiment 7 |
-//! | [`workload`] | the synthetic update-operation drivers of Experiments 1–6 (uniform or 80/20-skewed page sets) and the concurrent `Database` drivers |
+//! | [`workload`] | the synthetic update-operation drivers of Experiments 1–6 and the concurrent `Database` drivers |
 //!
 //! Every table and figure of the paper's evaluation is regenerated by a
 //! bench target in `crates/bench` — see EXPERIMENTS.md.
