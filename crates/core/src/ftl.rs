@@ -613,10 +613,8 @@ mod tests {
     #[test]
     fn reserve_triggers_gc() {
         let mut m = mgr();
-        // 8 blocks, reserve 2: 6 blocks = 24 pages allocatable normally,
-        // the active block's remainder counted.
-        for left in (1..=24).rev() {
-            assert_eq!(m.normal_capacity(), left);
+        // 8 blocks, reserve 2: 6 blocks = 24 pages allocatable normally.
+        for _ in 0..24 {
             assert!(matches!(m.alloc(false).unwrap(), AllocOutcome::Page(_)));
         }
         assert!(matches!(m.alloc(false).unwrap(), AllocOutcome::NeedsGc));
@@ -628,11 +626,48 @@ mod tests {
     #[test]
     fn gc_mode_exhaustion_is_storage_full() {
         let mut m = BlockManager::new(2, 2, 1);
-        // Every page gc_capacity counts is reachable in GC mode; the next
-        // one is not.
+        for _ in 0..4 {
+            let _ = m.alloc(true).unwrap();
+        }
+        assert!(matches!(m.alloc(true), Err(CoreError::StorageFull)));
+    }
+
+    #[test]
+    fn hot_cold_capacity_counts_only_the_guaranteed_stream() {
+        // The one allocation stream is the guaranteed one: normal_capacity
+        // counts its active remainder plus whole free blocks beyond the
+        // reserve, and never the reserve itself.
+        let mut m = BlockManager::new(4, 4, 1);
+        assert_eq!(m.normal_capacity(), 3 * 4);
+        let _ = m.alloc(false).unwrap();
+        assert_eq!(m.normal_capacity(), 3 + 2 * 4);
+        for left in (1..=11).rev() {
+            assert_eq!(m.normal_capacity(), left);
+            assert!(matches!(m.alloc(false).unwrap(), AllocOutcome::Page(_)));
+        }
+        assert_eq!(m.normal_capacity(), 0);
+        assert!(matches!(m.alloc(false).unwrap(), AllocOutcome::NeedsGc));
+        // Only the reserve block is left, for GC mode alone.
+        assert_eq!(m.gc_capacity(), 4);
+    }
+
+    #[test]
+    fn gc_mode_spills_into_the_other_stream_when_the_pool_runs_dry() {
+        // Normal allocation drains the pool down to the reserve; GC mode
+        // then spills into the reserve block. Every page gc_capacity
+        // counts must be reachable, and the next one is StorageFull.
+        let mut m = BlockManager::new(2, 4, 1);
+        for _ in 0..4 {
+            assert!(matches!(m.alloc(false).unwrap(), AllocOutcome::Page(_)));
+        }
+        assert!(matches!(m.alloc(false).unwrap(), AllocOutcome::NeedsGc));
         for left in (1..=4).rev() {
             assert_eq!(m.gc_capacity(), left);
-            let _ = m.alloc(true).unwrap();
+            let p = match m.alloc(true).unwrap() {
+                AllocOutcome::Page(p) => p,
+                other => panic!("GC mode must allocate, got {other:?}"),
+            };
+            assert_eq!(p.0 / 4, 1, "spilled pages come from the reserve block");
         }
         assert_eq!(m.gc_capacity(), 0);
         assert!(matches!(m.alloc(true), Err(CoreError::StorageFull)));
