@@ -37,6 +37,8 @@ const PAGES: u64 = 256;
 const READERS: usize = 2;
 const WRITERS: usize = 4;
 const PAGES_PER_TXN: usize = 8;
+/// One logical page: the size of every retained version.
+const PAGE_BYTES: u64 = 2048;
 
 /// The three DRAM retention budgets, as fractions of the database size
 /// (`None` = unbounded: every retained version stays in DRAM).
@@ -68,12 +70,13 @@ struct BudgetRun {
 }
 
 fn build_db(budget_bytes: u64) -> Database {
-    // The version-count cap is parked at the ceiling so the byte budget
-    // is the only retention trigger — the knob this bench turns.
-    let opts = StoreOptions::new(PAGES)
-        .with_snapshot_version_cap(u32::MAX)
-        .with_snapshot_retention_bytes(budget_bytes)
-        .with_obs(true);
+    // Every retained version is one logical page, so a byte budget is a
+    // version cap of `budget / page` versions (0 = unbounded).
+    let cap = match budget_bytes {
+        0 => u32::MAX,
+        b => (b / PAGE_BYTES) as u32,
+    };
+    let opts = StoreOptions::new(PAGES).with_snapshot_version_cap(cap).with_obs(true);
     let store = ShardedStore::with_uniform_chips(
         FlashConfig::scaled(64),
         SHARDS,
@@ -162,7 +165,7 @@ fn run(
 
 fn main() {
     let scale = Scale::from_env();
-    let db_bytes = PAGES * 2048;
+    let db_bytes = PAGES * PAGE_BYTES;
     println!("# Retention-budget sweep: one epoch-long view vs {WRITERS} committing writers");
     println!(
         "method: PDL (256B) x{SHARDS} shards | {PAGES} pages | {READERS} scanners + 1 epoch view \

@@ -633,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn hot_cold_capacity_counts_only_the_guaranteed_stream() {
+    fn normal_capacity_never_counts_the_reserve() {
         // The one allocation stream is the guaranteed one: normal_capacity
         // counts its active remainder plus whole free blocks beyond the
         // reserve, and never the reserve itself.
@@ -652,7 +652,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_mode_spills_into_the_other_stream_when_the_pool_runs_dry() {
+    fn gc_mode_reaches_every_page_gc_capacity_counts() {
         // Normal allocation drains the pool down to the reserve; GC mode
         // then spills into the reserve block. Every page gc_capacity
         // counts must be reachable, and the next one is StorageFull.

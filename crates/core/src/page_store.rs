@@ -31,8 +31,9 @@
 //! the base-page read of staging. The caller sequences nothing; it only
 //! tells the two ways of not committing apart ([`CommitError`]):
 //!
-//! * `Rejected` — no page of the batch was staged (the store could not
-//!   make room, or could not fold a full root log into a checkpoint).
+//! * `Rejected` — no page of the batch was staged (a pid was out of
+//!   range, the store could not make room, or it could not fold a full
+//!   root log into a checkpoint).
 //!   The store is as it was: abort the transactions and carry on.
 //! * `Failed` — the batch was opened, so recovery decides whether it
 //!   committed. The store refuses every later batch and `checkpoint`
@@ -106,15 +107,6 @@ pub struct StoreOptions {
     /// "snapshot too old" — so the pool's memory stays flat no matter how
     /// long a reader lingers.
     pub snapshot_version_cap: u32,
-    /// Byte-accounted companion to `snapshot_version_cap` (0 = no byte
-    /// budget; the count cap alone governs). Counting versions bounds
-    /// DRAM only when every logical page is the same size — with mixed
-    /// `frames_per_page` configurations an 8 Kbyte page costs 32x a
-    /// 256-byte one. A byte budget bounds the retained payload itself;
-    /// whichever cap trips first discards the oldest versions. When set,
-    /// it must hold at least one logical page (validated at
-    /// construction).
-    pub snapshot_retention_bytes: u64,
     /// Enable the observability recorder (latency histograms + span ring
     /// on the simulated clock; see `pdl_obs`). Default: off — every hook
     /// is then a single branch and timing claims are untouched.
@@ -153,7 +145,6 @@ impl StoreOptions {
             checkpoint_blocks: 0,
             gc_policy: GcPolicy::default(),
             snapshot_version_cap: 1024,
-            snapshot_retention_bytes: 0,
             obs: false,
         }
     }
@@ -168,14 +159,6 @@ impl StoreOptions {
     /// (default: 1024 per frame cache).
     pub fn with_snapshot_version_cap(mut self, cap: u32) -> StoreOptions {
         self.snapshot_version_cap = cap;
-        self
-    }
-
-    /// Bound the *bytes* of committed page versions retained for snapshot
-    /// readers (default: 0 = no byte budget). Composes with the count
-    /// cap: whichever trips first wins.
-    pub fn with_snapshot_retention_bytes(mut self, bytes: u64) -> StoreOptions {
-        self.snapshot_retention_bytes = bytes;
         self
     }
 
@@ -247,13 +230,6 @@ impl StoreOptions {
                  superseded page version"
                     .into(),
             ));
-        }
-        if self.snapshot_retention_bytes != 0 && self.snapshot_retention_bytes < logical as u64 {
-            return Err(CoreError::BadConfig(format!(
-                "snapshot_retention_bytes of {} cannot hold even one {logical}-byte logical \
-                 page; use 0 to disable the byte budget",
-                self.snapshot_retention_bytes
-            )));
         }
         if self.reserve_blocks == 0 {
             return Err(CoreError::BadConfig(
@@ -733,11 +709,6 @@ mod tests {
         all_reserve.reserve_blocks = 15;
         assert!(all_reserve.validate(&chip).is_err());
         assert!(StoreOptions::new(4).with_checkpoint_blocks(2).validate(&chip).is_ok());
-        // A byte budget smaller than one logical page can never retain a
-        // version; 0 disables it.
-        assert!(StoreOptions::new(4).with_snapshot_retention_bytes(255).validate(&chip).is_err());
-        assert!(StoreOptions::new(4).with_snapshot_retention_bytes(256).validate(&chip).is_ok());
-        assert!(StoreOptions::new(4).with_snapshot_retention_bytes(0).validate(&chip).is_ok());
         let opts = StoreOptions::new(4).with_frames_per_page(2);
         assert_eq!(opts.logical_page_size(256), 512);
         assert_eq!(opts.num_frames(), 8);

@@ -63,9 +63,11 @@
 //! stay deferred, pins stay, further batches are refused (`batch_failed`):
 //! whether it committed is recovery's call.
 //!
-//! On one chip the staged differentials and the record leave in one
-//! flush. A [`crate::ShardedStore`] batch has one commit point too: one
-//! shard, its *home*, writes the only record of every transaction in the
+//! One sequence commits a batch, on one chip and across the shards of a
+//! [`crate::ShardedStore`] alike (`crate::shard::commit_sequence`; one
+//! chip is its one-shard case, where the staged differentials and the
+//! record leave in one flush). A batch has one commit point: one shard,
+//! its *home*, writes the only record of every transaction in the
 //! batch, and recovery calls a transaction torn when some shard holds a
 //! live tag of it and no shard proves it. Every other shard programs its
 //! tags before that record, and holds a [`PROOF_REMOTE`] entry for each
@@ -344,9 +346,10 @@ pub struct Pdl {
     batch_pins: HashSet<u32>,
     /// Whether a commit batch is open (`batch_open` .. `batch_close`).
     in_txn_batch: bool,
-    /// The error that hit a batch after it was opened. The batch stays
-    /// open for good; `commit_batch` and `checkpoint` answer with this.
-    batch_failed: Option<CoreError>,
+    /// The error that hit a batch after it was opened (on this shard or
+    /// another). The batch stays open for good; `commit_batch` and
+    /// `checkpoint` answer with this.
+    pub(crate) batch_failed: Option<CoreError>,
     // --- single-page failure handling --------------------------------
     /// Logical pages known corrupt with no redundant source, mapped to
     /// the physical page whose checksum failed. Reads report
@@ -1491,9 +1494,9 @@ impl Pdl {
     }
 }
 
-// pdl-txn: the steps of a commit batch, in the order `Pdl::commit_batch`
-// (one chip) and `ShardedStore::commit_batch` (across chips) run
-// them: open -> `stage_page`* -> [flush] -> roots -> record -> close.
+// pdl-txn: the steps of a commit batch, in the order
+// `crate::shard::commit_sequence` runs them on one chip and across
+// chips: open -> `stage_page`* -> [flush] -> roots -> record -> close.
 impl Pdl {
     /// Whether `roots`' record fits the root log's tail (always, without
     /// a root region: the record is accepted and discarded).
@@ -1678,12 +1681,8 @@ impl Pdl {
 
     /// Close the open batch, its commit point durable or nothing of it
     /// staged: the superseded pre-images are then garbage on every
-    /// timeline and their obsolete marks can go out. `flush` first writes
-    /// the buffer out: on one chip that flush is the commit point.
-    pub(crate) fn batch_close(&mut self, flush: bool) -> Result<()> {
-        if flush {
-            self.flush()?;
-        }
+    /// timeline and their obsolete marks can go out.
+    pub(crate) fn batch_close(&mut self) -> Result<()> {
         for ppn in std::mem::take(&mut self.deferred) {
             mark_obsolete_lenient(&mut self.chip, ppn)?;
             self.counters.deferred_marks += 1;
@@ -1812,32 +1811,11 @@ impl PageStore for Pdl {
         self.flush_dwb()
     }
 
-    /// The single-chip commit sequence. A full root log is folded into a
-    /// checkpoint *before* the batch opens (the log is append-only between
-    /// checkpoints), so the batch itself never straddles one.
+    /// The commit sequence (`crate::shard::commit_sequence`) as its
+    /// one-shard case: the staged differentials and the record leave in
+    /// one flush.
     fn commit_batch(&mut self, batch: &CommitBatch<'_>) -> std::result::Result<(), CommitError> {
-        if let Some(e) = &self.batch_failed {
-            return Err(CommitError::Failed(e.clone()));
-        }
-        let roots = batch.roots.map(|(r, _)| r);
-        if roots.is_some_and(|r| !self.root_log_fits(r)) {
-            Pdl::checkpoint(self).map_err(CommitError::Rejected)?;
-        }
-        self.batch_open(batch.pages.len() as u64, roots)?;
-        let mut staged = || {
-            for p in &batch.pages {
-                self.stage_page(p.pid, p.image, p.txn, p.held)?;
-            }
-            if let Some((r, txn)) = batch.roots {
-                self.batch_stage_roots(r, txn)?;
-            }
-            self.batch_record(&batch.txns(), &[])?;
-            self.batch_close(true)
-        };
-        staged().map_err(|e| {
-            self.batch_failed = Some(e.clone());
-            CommitError::Failed(e)
-        })
+        crate::shard::commit_sequence(std::slice::from_mut(self), batch)
     }
 
     // --- retention-ledger spill tier ----------------------------------
@@ -2239,7 +2217,7 @@ mod tests {
         assert_eq!(out, p2);
     }
 
-    /// The steps `ShardedStore::commit_batch` runs on one shard:
+    /// The steps the commit sequence runs on a shard that stage-flushes:
     /// the tagged pages land in one flush, the commit record in the next.
     fn commit_in_two_flushes(s: &mut Pdl, txn: u64, pages: &[(u64, &[u8])]) {
         s.batch_open(pages.len() as u64, None).unwrap();
@@ -2249,7 +2227,7 @@ mod tests {
         s.flush().unwrap();
         s.batch_record(&[txn], &[]).unwrap();
         s.flush().unwrap();
-        s.batch_close(true).unwrap();
+        s.batch_close().unwrap();
     }
 
     fn live_diff_pages(s: &Pdl) -> usize {
@@ -2332,7 +2310,7 @@ mod tests {
         assert_eq!(s.chip().stats().total(), before);
         assert_eq!(s.counters.proofs_carried, 15 + 6);
         s.flush().unwrap();
-        s.batch_close(true).unwrap();
+        s.batch_close().unwrap();
         s.check_tables().unwrap();
         for txn in 1..=7u64 {
             assert!(s.txn_committed(txn), "txn {txn}");

@@ -1,6 +1,5 @@
 //! The sharded engine: [`ShardedStore`] partitions the logical page space
-//! across N independent [`PageStore`] instances, each over its own
-//! [`FlashChip`].
+//! across N [`Pdl`] shards, each over its own [`FlashChip`].
 //!
 //! PDL's invariants are all *per logical page* (a write reflects only the
 //! difference of one page; at most one page is programmed per reflection;
@@ -17,20 +16,21 @@
 //! The store is a plain router: it owns its shards and reaches each one
 //! through `&self`/`&mut self`. Concurrency lives one layer up, in
 //! `pdl_storage::Database` (buffer hits that never take the store, group
-//! commit). What the shards do buy is overlap: a cross-shard commit batch
-//! issues each phase on every involved shard before draining any, so the
-//! phase costs the slowest shard's simulated flash time (the one shard
-//! that records does so in a phase of its own, last), and recovery runs
-//! every shard's read pass and replay on a thread of its own.
+//! commit). A commit batch runs [`commit_sequence`], the one place a
+//! commit is sequenced; a single [`Pdl`] runs it as the one-shard case.
+//! What the shards buy is overlap: a cross-shard batch issues each phase
+//! on every involved shard before draining any, so the phase costs the
+//! slowest shard's simulated flash time (the one shard that records does
+//! so in a phase of its own, last), and recovery runs every shard's read
+//! pass and replay on a thread of its own.
 
 use crate::page_store::{
     note_txn, BatchPage, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
 };
 use crate::pdl::{read_census, recover_chips, torn_txns, Census, IdMap};
-use crate::{build_store, error::CoreError, recover_store, Pdl, Result};
+use crate::{error::CoreError, Pdl, Result};
 use pdl_flash::{FlashChip, FlashStats};
 use std::collections::HashSet;
-use std::ops::{Deref, DerefMut};
 
 /// Number of logical pages shard `s` owns when `total` pages are striped
 /// across `n` shards.
@@ -76,57 +76,201 @@ fn read_censuses(
     Ok((censuses, torn))
 }
 
-/// One shard's store: it derefs to a [`PageStore`]; PDL shards are kept
-/// by type because a cross-shard commit runs their batch steps.
-enum Shard {
-    Pdl(Box<Pdl>),
-    Other(Box<dyn PageStore>),
+/// The shard holding striped page `pid`, and its local page id there.
+fn locate(shards: &[Pdl], pid: u64) -> Result<(usize, u64)> {
+    let n = shards.len() as u64;
+    let (s, local) = ((pid % n) as usize, pid / n);
+    // `local < shard_pages(total, n, s)` exactly when `pid < total`.
+    if local < shards[s].options().num_logical_pages {
+        return Ok((s, local));
+    }
+    let num_pages = shards.iter().map(|p| p.options().num_logical_pages).sum();
+    Err(CoreError::PageIdOutOfRange { pid, num_pages })
 }
 
-impl Shard {
-    /// The PDL store behind a shard of a PDL-sharded store.
-    fn pdl(&mut self) -> &mut Pdl {
-        match self {
-            Shard::Pdl(p) => p,
-            Shard::Other(st) => unreachable!("{} shard in a PDL commit batch", st.name()),
+/// The error that hit a commit batch after it was opened, if one did.
+fn failed(shards: &[Pdl]) -> Option<&CoreError> {
+    shards.iter().find_map(|p| p.batch_failed.as_ref())
+}
+
+/// Stop every shard on `e`: the open batch stays open, and the first such
+/// error is returned to every later batch and checkpoint.
+fn fail(shards: &mut [Pdl], e: CoreError) -> CommitError {
+    for p in shards.iter_mut() {
+        p.batch_failed.get_or_insert_with(|| e.clone());
+    }
+    CommitError::Failed(e)
+}
+
+/// One phase of a commit batch as **submit-all / drain-all**: issue the
+/// phase on every listed shard before waiting on any, then drain each
+/// shard's command queue as the phase's completion barrier. Shards are
+/// independent chips, so their simulated flash time overlaps — the phase
+/// costs the *slowest* shard, not the sum. One chip orders itself: with a
+/// single shard there is no barrier to issue.
+fn fan_out(
+    shards: &mut [Pdl],
+    list: &[usize],
+    phase: &dyn Fn(usize, &mut Pdl) -> Result<()>,
+) -> Result<()> {
+    for &s in list {
+        phase(s, &mut shards[s])?;
+    }
+    if shards.len() > 1 {
+        for &s in list {
+            shards[s].chip_mut().drain();
         }
     }
+    Ok(())
 }
 
-impl Deref for Shard {
-    type Target = dyn PageStore;
-    fn deref(&self) -> &Self::Target {
-        match self {
-            Shard::Pdl(p) => p.as_ref(),
-            Shard::Other(st) => st.as_ref(),
+/// Every shard's checkpoint, then `settle`.
+fn checkpoint(shards: &mut [Pdl]) -> Result<()> {
+    if let Some(e) = failed(shards) {
+        return Err(e.clone());
+    }
+    shards.iter_mut().try_for_each(Pdl::checkpoint)?;
+    settle(shards)
+}
+
+/// Hand each transaction a shard released — its last tag there died, and
+/// another shard proves it — to that shard, which then holds the proof
+/// only for its remaining tag holders. Outside a commit batch only, so
+/// the data that killed the tags is durable (committed) before a proof
+/// can go; never once the store has failed, since the open batch may yet
+/// be judged torn.
+fn settle(shards: &mut [Pdl]) -> Result<()> {
+    if failed(shards).is_some() {
+        return Ok(());
+    }
+    for s in 0..shards.len() {
+        for txn in shards[s].take_released() {
+            let mut homes = shards.iter_mut().enumerate();
+            let Some((_, home)) = homes.find(|(h, p)| *h != s && p.proves(txn)) else {
+                return Err(CoreError::Corruption(format!(
+                    "shard {s} released txn {txn}, which no shard proves"
+                )));
+            };
+            home.release_foreign(txn)?;
         }
     }
+    Ok(())
 }
 
-impl DerefMut for Shard {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        match self {
-            Shard::Pdl(p) => p.as_mut(),
-            Shard::Other(st) => st.as_mut(),
+/// The commit sequence, over the shards striping the batch's pids: the
+/// one place a commit is sequenced. [`Pdl`]'s `commit_batch` runs it over
+/// one shard, where routing is the identity and no drain is issued, so
+/// the batch's differentials and its record leave in one flush.
+///
+/// A shard is *involved* when it stages pages or (shard 0, which holds
+/// the root log) the structure roots; no other shard is touched, and an
+/// empty batch touches none. In order:
+///
+/// 1. route each page to its shard (an out-of-range pid rejects the
+///    batch, nothing staged);
+/// 2. fold a full root log into a checkpoint of every shard, so no
+///    shard's batch straddles one;
+/// 3. open every involved shard before any stages, so a shard that
+///    cannot make room rejects the batch while nothing needs undoing;
+/// 4. stage each shard's pages (tagged, invisible after a crash);
+/// 5. stage-flush every buffering shard but the batch's *home*: the
+///    first shard that buffers a differential of the batch (so those
+///    differentials ride the record's page), else the first involved;
+/// 6. stage the roots on shard 0;
+/// 7. write one epoch record on the home, proving every transaction of
+///    the batch, counting one presence per other shard holding a tag of
+///    each;
+/// 8. once that record is durable, mark those tags proven elsewhere;
+/// 9. close every involved shard;
+/// 10. settle the proofs other shards' tags died away from.
+///
+/// That record is the batch's one commit point. Recovery judges a
+/// transaction torn when some shard carries a live tag of it and no shard
+/// proves it, so every tag of the batch on another shard is programmed
+/// before the record lands: a crash before it leaves no proof anywhere,
+/// and the whole batch is torn on every shard, at this recovery and every
+/// later one. Closing a shard destroys the pre-images a torn verdict
+/// rolls back to, so no shard closes until the record is durable, and a
+/// proof is released only after that (`settle`). An error once a shard
+/// is open stops every shard (`fail`).
+pub(crate) fn commit_sequence(
+    shards: &mut [Pdl],
+    batch: &CommitBatch<'_>,
+) -> std::result::Result<(), CommitError> {
+    if let Some(e) = failed(shards) {
+        return Err(CommitError::Failed(e.clone()));
+    }
+    let n = shards.len();
+    let mut pages: Vec<Vec<BatchPage>> = vec![Vec::new(); n];
+    let mut txns: Vec<Vec<u64>> = vec![Vec::new(); n];
+    for p in &batch.pages {
+        let (s, local) = locate(shards, p.pid).map_err(CommitError::Rejected)?;
+        pages[s].push(BatchPage { pid: local, ..*p });
+        note_txn(&mut txns[s], p.txn);
+    }
+    if let Some((_, txn)) = batch.roots {
+        // Shard 0 holds the root log: its record pins the roots'
+        // transaction there like a tag.
+        note_txn(&mut txns[0], txn);
+    }
+    let involved: Vec<usize> = (0..n).filter(|&s| !txns[s].is_empty()).collect();
+    if involved.is_empty() {
+        return Ok(());
+    }
+    let roots = batch.roots.map(|(r, _)| r);
+    if roots.is_some_and(|r| !shards[0].root_log_fits(r)) {
+        checkpoint(shards).map_err(CommitError::Rejected)?;
+    }
+    for (i, &s) in involved.iter().enumerate() {
+        let opened = shards[s].batch_open(pages[s].len() as u64, roots.filter(|_| s == 0));
+        if let Err(rejected) = opened {
+            for &o in &involved[..i] {
+                shards[o].batch_close().map_err(|e| fail(shards, e))?;
+            }
+            return Err(rejected);
         }
     }
+    let mut staged = || {
+        let staging: Vec<usize> =
+            involved.iter().copied().filter(|&s| !pages[s].is_empty()).collect();
+        fan_out(shards, &staging, &|s, st| {
+            pages[s].iter().try_for_each(|p| st.stage_page(p.pid, p.image, p.txn, p.held))
+        })?;
+        let ids = batch.txns();
+        let buffering: Vec<usize> =
+            staging.into_iter().filter(|&s| shards[s].buffers_tag_of(&ids)).collect();
+        let home = *buffering.first().unwrap_or(&involved[0]);
+        let first: Vec<usize> = buffering.into_iter().filter(|&s| s != home).collect();
+        fan_out(shards, &first, &|_, st| st.flush())?;
+        if let Some((r, txn)) = batch.roots {
+            shards[0].batch_stage_roots(r, txn)?;
+        }
+        let others: Vec<usize> = involved.iter().copied().filter(|&s| s != home).collect();
+        let foreign: Vec<u64> =
+            others.iter().flat_map(|&s| shards[s].tags_held(&txns[s])).collect();
+        fan_out(shards, &[home], &|_, st| {
+            st.batch_record(&ids, &foreign)?;
+            st.flush()
+        })?;
+        for &s in &others {
+            shards[s].batch_prove_remote(&txns[s]);
+        }
+        fan_out(shards, &involved, &|_, st| st.batch_close())?;
+        settle(shards)
+    };
+    staged().map_err(|e| fail(shards, e))
 }
 
-/// A hash-partitioned (striped) page store over N per-shard stores.
+/// A hash-partitioned (striped) page store over N PDL shards.
 pub struct ShardedStore {
-    shards: Vec<Shard>,
-    /// The error that hit a commit batch after it was opened on some
-    /// shard. Those shards' batches stay open; every later batch and
-    /// checkpoint gets this error back.
-    failed: Option<CoreError>,
+    shards: Vec<Pdl>,
     opts: StoreOptions,
-    kind: MethodKind,
-    data_size: usize,
 }
 
 impl ShardedStore {
-    /// Build a sharded store of `chips.len()` shards: chip `i` backs shard
-    /// `i`, holding every logical page `p` with `p % N == i`.
+    /// Build a sharded store of `chips.len()` PDL shards (`kind` must be
+    /// [`MethodKind::Pdl`]): chip `i` backs shard `i`, holding every
+    /// logical page `p` with `p % N == i`.
     ///
     /// All chips must share the same page data size, and there must be at
     /// least as many logical pages as shards (otherwise a shard would own
@@ -156,6 +300,12 @@ impl ShardedStore {
         opts: StoreOptions,
         recovering: bool,
     ) -> Result<ShardedStore> {
+        let MethodKind::Pdl { max_diff_size } = kind else {
+            return Err(CoreError::BadConfig(format!(
+                "a sharded store runs PDL shards, not {}",
+                kind.label()
+            )));
+        };
         let n = chips.len();
         if n == 0 {
             return Err(CoreError::BadConfig("a sharded store needs at least one chip".into()));
@@ -176,37 +326,26 @@ impl ShardedStore {
         let total = opts.num_logical_pages;
         let shard_opts =
             |s: usize| StoreOptions { num_logical_pages: shard_pages(total, n, s), ..opts };
-        if let (true, MethodKind::Pdl { max_diff_size }) = (recovering, kind) {
-            // PDL recovery resolves torn transactions *globally*: a commit
-            // is valid when any shard holds its record. So every shard's
-            // read pass (checkpoint-aware: under a fresh checkpoint it reads
+        let shards = if recovering {
+            // Recovery resolves torn transactions *globally*: a commit is
+            // valid when any shard holds its record. So every shard's read
+            // pass (checkpoint-aware: under a fresh checkpoint it reads
             // only the blocks changed since) runs first, the verdict comes
             // from all the censuses, and each shard then replays its own
             // census under it: every page is read once.
             let (censuses, torn) = read_censuses(&mut chips, &opts)?;
             let parts = chips.into_iter().zip(censuses).enumerate();
             let parts = parts.map(|(s, (chip, census))| (chip, shard_opts(s), census)).collect();
-            let pdls = recover_chips(parts, max_diff_size, &torn)?;
-            let shards = pdls.into_iter().map(|p| Shard::Pdl(Box::new(p))).collect();
-            return Ok(ShardedStore { shards, failed: None, opts, kind, data_size });
-        }
-        // Recovery replays every page it read, so the other methods'
-        // recoveries fan out on scoped threads too (§4.5's recovery cost
-        // divided by N); building fresh stores shares the fan-out.
-        let results = each_on_a_thread(chips.into_iter().enumerate().collect(), |(s, chip)| {
-            let shard_opts = shard_opts(s);
-            Ok(match (recovering, kind) {
-                (false, MethodKind::Pdl { max_diff_size }) => {
-                    let mut chip = chip;
-                    chip.set_obs_enabled(shard_opts.obs);
-                    Shard::Pdl(Box::new(Pdl::new(chip, shard_opts, max_diff_size)?))
-                }
-                (true, _) => Shard::Other(recover_store(chip, kind, shard_opts)?),
-                (false, _) => Shard::Other(build_store(chip, kind, shard_opts)?),
-            })
-        });
-        let shards = results.into_iter().collect::<Result<Vec<_>>>()?;
-        Ok(ShardedStore { shards, failed: None, opts, kind, data_size })
+            recover_chips(parts, max_diff_size, &torn)?
+        } else {
+            let built =
+                each_on_a_thread(chips.into_iter().enumerate().collect(), |(s, mut chip)| {
+                    chip.set_obs_enabled(opts.obs);
+                    Pdl::new(chip, shard_opts(s), max_diff_size)
+                });
+            built.into_iter().collect::<Result<Vec<_>>>()?
+        };
+        Ok(ShardedStore { shards, opts })
     }
 
     /// The torn-commit verdict recovery reaches on the crash image `chips`
@@ -237,20 +376,9 @@ impl ShardedStore {
         (pid % self.shards.len() as u64) as usize
     }
 
-    /// The method every shard runs.
-    pub fn kind(&self) -> MethodKind {
-        self.kind
-    }
-
-    fn locate(&self, pid: u64) -> Result<(usize, u64)> {
-        self.opts.check_pid(pid)?;
-        let n = self.shards.len() as u64;
-        Ok(((pid % n) as usize, pid / n))
-    }
-
     /// Shard `s`'s store (its pids are shard-local).
-    pub fn shard_mut(&mut self, s: usize) -> &mut dyn PageStore {
-        &mut *self.shards[s]
+    pub fn shard_mut(&mut self, s: usize) -> &mut Pdl {
+        &mut self.shards[s]
     }
 
     /// Per-shard flash statistics, shard order.
@@ -258,21 +386,14 @@ impl ShardedStore {
         self.shards.iter().map(|s| s.stats()).collect()
     }
 
-    /// [`Pdl::check_tables`] on every PDL shard, and the tables across
-    /// shards (tests call this between operations): a shard holding a
-    /// tag of a transaction another shard proves finds exactly one shard
-    /// holding that proof live, and the proving shard's presence is its
-    /// own live tags plus one per shard holding such tags.
+    /// [`Pdl::check_tables`] on every shard, and the tables across shards
+    /// (tests call this between operations): a shard holding a tag of a
+    /// transaction another shard proves finds exactly one shard holding
+    /// that proof live, and the proving shard's presence is its own live
+    /// tags plus one per shard holding such tags.
     #[doc(hidden)]
     pub fn check_tables(&self) -> std::result::Result<(), String> {
-        let pdls: Vec<&Pdl> = self
-            .shards
-            .iter()
-            .filter_map(|shard| match shard {
-                Shard::Pdl(p) => Some(p.as_ref()),
-                Shard::Other(_) => None,
-            })
-            .collect();
+        let pdls = &self.shards;
         let mut foreign: Vec<IdMap<u32>> = vec![IdMap::default(); pdls.len()];
         for (s, p) in pdls.iter().enumerate() {
             for txn in p.remote_txns() {
@@ -289,137 +410,24 @@ impl ShardedStore {
         Ok(())
     }
 
-    /// [`Pdl::tables_digest`] over every PDL shard, shard order, with the
+    /// [`Pdl::tables_digest`] over every shard, shard order, with the
     /// transactions each holds tags of and another shard proves.
     #[doc(hidden)]
     pub fn tables_digest(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        for shard in &self.shards {
-            if let Shard::Pdl(p) = shard {
-                p.tables_digest().hash(&mut h);
-                let mut remote: Vec<u64> = p.remote_txns().collect();
-                remote.sort_unstable();
-                remote.hash(&mut h);
-            }
+        for p in &self.shards {
+            p.tables_digest().hash(&mut h);
+            let mut remote: Vec<u64> = p.remote_txns().collect();
+            remote.sort_unstable();
+            remote.hash(&mut h);
         }
         h.finish()
     }
 
     /// Tear down and return every shard's chip, shard order.
     pub fn into_shard_chips(self) -> Vec<FlashChip> {
-        self.shards
-            .into_iter()
-            .map(|shard| match shard {
-                Shard::Pdl(p) => p.into_chip(),
-                Shard::Other(st) => st.into_chip(),
-            })
-            .collect()
-    }
-
-    /// One phase of a commit batch as **submit-all / drain-all**: issue
-    /// the phase on every listed shard before waiting on any, then drain
-    /// each shard's command queue as the phase's completion barrier.
-    /// Shards are independent chips, so their simulated flash time
-    /// overlaps — the phase costs the *slowest* shard, not the sum — and
-    /// at queue depth 1 the drain is a no-op, so the same path is
-    /// exercised (and regression-tested) serially.
-    fn fan_out(
-        &mut self,
-        shards: &[usize],
-        phase: &dyn Fn(usize, &mut Pdl) -> Result<()>,
-    ) -> Result<()> {
-        for &s in shards {
-            phase(s, self.shards[s].pdl())?;
-        }
-        for &s in shards {
-            self.shards[s].chip_mut().drain();
-        }
-        Ok(())
-    }
-
-    /// The staged half of a PDL commit batch, every involved shard already
-    /// open: pages, stage flushes, roots, the batch's one record, close.
-    ///
-    /// The record goes to one shard, the batch's *home*: the first that
-    /// buffers a differential of the batch, so those differentials ride
-    /// the record's page, else the first involved shard. Every other shard
-    /// buffering one writes it out first, in a stage flush; its Case-3
-    /// bases are programmed already. The home counts one presence per
-    /// other shard holding a tag of each transaction, and those shards
-    /// mark such tags proven elsewhere once the record is durable.
-    fn run_batch(
-        &mut self,
-        batch: &CommitBatch<'_>,
-        pages: &[Vec<BatchPage>],
-        txns: &[Vec<u64>],
-        involved: &[usize],
-    ) -> Result<()> {
-        let staging: Vec<usize> =
-            involved.iter().copied().filter(|&s| !pages[s].is_empty()).collect();
-        self.fan_out(&staging, &|s, st| {
-            for p in &pages[s] {
-                st.stage_page(p.pid, p.image, p.txn, p.held)?;
-            }
-            Ok(())
-        })?;
-        let ids = batch.txns();
-        let buffering: Vec<usize> =
-            staging.into_iter().filter(|&s| self.shards[s].pdl().buffers_tag_of(&ids)).collect();
-        let Some(&home) = buffering.first().or(involved.first()) else { return Ok(()) };
-        let first: Vec<usize> = buffering.into_iter().filter(|&s| s != home).collect();
-        self.fan_out(&first, &|_, st| st.flush())?;
-        if let Some((r, txn)) = batch.roots {
-            self.shards[0].pdl().batch_stage_roots(r, txn)?;
-        }
-        let others: Vec<usize> = involved.iter().copied().filter(|&s| s != home).collect();
-        let mut foreign = Vec::new();
-        for &s in &others {
-            foreign.extend(self.shards[s].pdl().tags_held(&txns[s]));
-        }
-        self.fan_out(&[home], &|_, st| {
-            st.batch_record(&ids, &foreign)?;
-            st.flush()
-        })?;
-        for &s in &others {
-            self.shards[s].pdl().batch_prove_remote(&txns[s]);
-        }
-        self.fan_out(involved, &|_, st| st.batch_close(false))
-    }
-
-    /// Hand each transaction a shard released — its last tag there died,
-    /// and another shard proves it — to that shard, which then holds the
-    /// proof only for its remaining tag holders. Outside a commit batch
-    /// only, so the data that killed the tags is durable (committed)
-    /// before a proof can go; never once the store has failed, since the
-    /// open batch may yet be judged torn.
-    fn settle(&mut self) -> Result<()> {
-        if self.failed.is_some() {
-            return Ok(());
-        }
-        for s in 0..self.shards.len() {
-            let Shard::Pdl(p) = &mut self.shards[s] else { continue };
-            for txn in p.take_released() {
-                let home = self.shards.iter_mut().enumerate().find_map(|(h, shard)| match shard {
-                    Shard::Pdl(p) if h != s && p.proves(txn) => Some(p),
-                    _ => None,
-                });
-                let Some(home) = home else {
-                    return Err(CoreError::Corruption(format!(
-                        "shard {s} released txn {txn}, which no shard proves"
-                    )));
-                };
-                home.release_foreign(txn)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Stop the store on `e`: the first such error is returned to every
-    /// later batch and checkpoint.
-    fn fail(&mut self, e: CoreError) -> CommitError {
-        self.failed.get_or_insert_with(|| e.clone());
-        CommitError::Failed(e)
+        self.shards.into_iter().map(|p| Box::new(p).into_chip()).collect()
     }
 }
 
@@ -429,18 +437,18 @@ impl PageStore for ShardedStore {
     }
 
     fn read_page(&mut self, pid: u64, out: &mut [u8]) -> Result<()> {
-        let (s, local) = self.locate(pid)?;
+        let (s, local) = locate(&self.shards, pid)?;
         self.shards[s].read_page(local, out)?;
-        self.settle()
+        settle(&mut self.shards)
     }
 
     fn apply_update(&mut self, pid: u64, page_after: &[u8], changes: &[ChangeRange]) -> Result<()> {
-        let (s, local) = self.locate(pid)?;
+        let (s, local) = locate(&self.shards, pid)?;
         self.shards[s].apply_update(local, page_after, changes)
     }
 
     fn consumes_updates(&self) -> bool {
-        self.shards.iter().any(|s| s.consumes_updates())
+        false
     }
 
     fn evict_page(&mut self, pid: u64, page: &[u8]) -> Result<()> {
@@ -448,85 +456,24 @@ impl PageStore for ShardedStore {
     }
 
     fn evict_held(&mut self, pid: u64, page: &[u8], held: Option<&[u8]>) -> Result<()> {
-        let (s, local) = self.locate(pid)?;
+        let (s, local) = locate(&self.shards, pid)?;
         self.shards[s].evict_held(local, page, held)?;
-        self.settle()
+        settle(&mut self.shards)
     }
 
     fn flush(&mut self) -> Result<()> {
         self.shards.iter_mut().try_for_each(|s| s.flush())?;
-        self.settle()
+        settle(&mut self.shards)
     }
 
     fn prefetch(&mut self, pid: u64) -> Result<()> {
-        let (s, local) = self.locate(pid)?;
+        let (s, local) = locate(&self.shards, pid)?;
         self.shards[s].prefetch(local)
     }
 
-    /// The one place a cross-shard commit is sequenced. A shard is
-    /// *involved* when it stages pages or (shard 0, which holds the root
-    /// log) the structure roots; no other shard is touched. Every involved
-    /// shard is opened before any stages, so a shard that cannot make
-    /// room rejects the batch while nothing needs undoing. Then: stage
-    /// each shard's pages (tagged, invisible after a crash) -> stage
-    /// flushes -> roots -> one epoch record on one shard, proving every
-    /// transaction of the batch -> close.
-    ///
-    /// That record is the batch's one commit point. Recovery judges a
-    /// transaction torn when some shard carries a live tag of it and no
-    /// shard proves it, so before the record lands every tag of the batch
-    /// on another shard must be programmed (see `run_batch`): a crash
-    /// before it leaves no proof anywhere, and the whole batch is torn on
-    /// every shard, at this recovery and every later one. A batch on one
-    /// shard commits as on one chip, in one flush. Closing a shard
-    /// destroys the pre-images a torn verdict rolls back to, so no shard
-    /// closes until the record is durable, and the proofs other shards'
-    /// tags died away from are released only after that (`settle`).
+    /// `commit_sequence` over every shard.
     fn commit_batch(&mut self, batch: &CommitBatch<'_>) -> std::result::Result<(), CommitError> {
-        if let Some(e) = &self.failed {
-            return Err(CommitError::Failed(e.clone()));
-        }
-        let n = self.shards.len();
-        let mut pages: Vec<Vec<BatchPage>> = vec![Vec::new(); n];
-        let mut txns: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for p in &batch.pages {
-            let (s, local) = self.locate(p.pid).map_err(CommitError::Rejected)?;
-            pages[s].push(BatchPage { pid: local, ..*p });
-            note_txn(&mut txns[s], p.txn);
-        }
-        if let Some((_, txn)) = batch.roots {
-            // Shard 0 holds the root log: its record pins the roots'
-            // transaction there like a tag.
-            note_txn(&mut txns[0], txn);
-        }
-        let involved: Vec<usize> = (0..n).filter(|&s| !txns[s].is_empty()).collect();
-        if !matches!(self.kind, MethodKind::Pdl { .. }) {
-            // Not atomic: each involved shard writes its part through.
-            for &s in &involved {
-                let part = CommitBatch { pages: std::mem::take(&mut pages[s]), roots: None };
-                self.shards[s].commit_batch(&part).map_err(|e| self.fail(e.into()))?;
-            }
-            return Ok(());
-        }
-
-        let roots = batch.roots.map(|(r, _)| r);
-        if roots.is_some_and(|r| !self.shards[0].pdl().root_log_fits(r)) {
-            // The log is full: fold *every* shard into a fresh checkpoint
-            // before the batch opens, so no shard's batch straddles one.
-            self.checkpoint().map_err(CommitError::Rejected)?;
-        }
-        for (i, &s) in involved.iter().enumerate() {
-            let roots = roots.filter(|_| s == 0);
-            let opened = self.shards[s].pdl().batch_open(pages[s].len() as u64, roots);
-            if let Err(rejected) = opened {
-                for &o in &involved[..i] {
-                    self.shards[o].pdl().batch_close(false).map_err(|e| self.fail(e))?;
-                }
-                return Err(rejected);
-            }
-        }
-        self.run_batch(batch, &pages, &txns, &involved).map_err(|e| self.fail(e))?;
-        self.settle().map_err(|e| self.fail(e))
+        commit_sequence(&mut self.shards, batch)
     }
 
     fn txn_id_floor(&self) -> u64 {
@@ -534,23 +481,23 @@ impl PageStore for ShardedStore {
     }
 
     fn spill_supported(&self) -> bool {
-        self.shards[0].spill_supported()
+        true
     }
 
     fn spill_page(&mut self, pid: u64, page: &[u8]) -> Result<u64> {
-        let (s, local) = self.locate(pid)?;
+        let (s, local) = locate(&self.shards, pid)?;
         let handle = self.shards[s].spill_page(local, page)?;
-        self.settle()?;
+        settle(&mut self.shards)?;
         Ok(handle)
     }
 
     fn read_spill(&mut self, pid: u64, handle: u64, out: &mut [u8]) -> Result<()> {
-        let (s, local) = self.locate(pid)?;
+        let (s, local) = locate(&self.shards, pid)?;
         self.shards[s].read_spill(local, handle, out)
     }
 
     fn free_spill(&mut self, pid: u64, handle: u64) -> Result<()> {
-        let (s, local) = self.locate(pid)?;
+        let (s, local) = locate(&self.shards, pid)?;
         self.shards[s].free_spill(local, handle)
     }
 
@@ -559,13 +506,8 @@ impl PageStore for ShardedStore {
     }
 
     fn checkpoint(&mut self) -> Result<()> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        self.shards.iter_mut().try_for_each(|s| s.checkpoint())?;
-        self.settle()
+        checkpoint(&mut self.shards)
     }
-
     fn chip(&self) -> &FlashChip {
         panic!(
             "ShardedStore spans {} chips and has no single chip; \
@@ -599,7 +541,7 @@ impl PageStore for ShardedStore {
     }
 
     fn name(&self) -> String {
-        format!("Sharded x{} [{}]", self.shards.len(), self.kind.label())
+        format!("Sharded x{} [{}]", self.shards.len(), self.shards[0].name())
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -625,7 +567,7 @@ impl PageStore for ShardedStore {
     }
 
     fn logical_page_size(&self) -> usize {
-        self.opts.frames_per_page as usize * self.data_size
+        self.shards[0].logical_page_size()
     }
 }
 
@@ -742,15 +684,59 @@ mod tests {
 
     #[test]
     fn rejects_bad_configurations() {
-        assert!(ShardedStore::new(Vec::new(), MethodKind::Opu, StoreOptions::new(4)).is_err());
+        let pdl = MethodKind::Pdl { max_diff_size: 64 };
+        assert!(ShardedStore::new(Vec::new(), pdl, StoreOptions::new(4)).is_err());
         // More shards than pages.
         assert!(ShardedStore::with_uniform_chips(
             FlashConfig::tiny(),
             5,
-            MethodKind::Opu,
-            StoreOptions::new(4),
+            pdl,
+            StoreOptions::new(4)
         )
         .is_err());
+        // Every shard runs PDL.
+        let chips = || vec![FlashChip::new(FlashConfig::tiny()); 2];
+        let opts = StoreOptions::new(8);
+        for kind in [MethodKind::Opu, MethodKind::Ipu, MethodKind::Ipl { log_bytes_per_block: 512 }]
+        {
+            let bad = |r: Result<ShardedStore>| matches!(r, Err(CoreError::BadConfig(_)));
+            assert!(bad(ShardedStore::new(chips(), kind, opts)), "{}", kind.label());
+            let uniform = ShardedStore::with_uniform_chips(FlashConfig::tiny(), 2, kind, opts);
+            assert!(bad(uniform), "{}", kind.label());
+            assert!(bad(ShardedStore::recover(chips(), kind, opts)), "{}", kind.label());
+        }
+    }
+
+    /// A batch naming a pid past the store is rejected before any shard
+    /// opens: nothing is programmed, and the store commits on afterwards.
+    #[test]
+    fn an_out_of_range_pid_rejects_the_batch_and_programs_nothing() {
+        let one = Pdl::new(FlashChip::new(FlashConfig::tiny()), StoreOptions::new(8), 64).unwrap();
+        let stores: [Box<dyn PageStore>; 2] = [Box::new(one), Box::new(sharded(2, 8))];
+        for mut s in stores {
+            let page = vec![0x11; s.logical_page_size()];
+            for pid in 0..8 {
+                s.write_page(pid, &page).unwrap();
+            }
+            s.flush().unwrap();
+            let before = s.stats().total();
+            let mut p = page.clone();
+            p[3..7].fill(0xEE);
+            let pages = vec![BatchPage::new(1, &p, 5), BatchPage::new(8, &p, 5)];
+            let err = s.commit_batch(&CommitBatch { pages, roots: None }).unwrap_err();
+            assert_eq!(
+                err,
+                CommitError::Rejected(CoreError::PageIdOutOfRange { pid: 8, num_pages: 8 }),
+                "{}",
+                s.name()
+            );
+            assert_eq!(s.stats().total(), before, "{}: nothing programmed or read", s.name());
+            let pages = vec![BatchPage::new(1, &p, 6)];
+            s.commit_batch(&CommitBatch { pages, roots: None }).unwrap();
+            let mut out = vec![0u8; p.len()];
+            s.read_page(1, &mut out).unwrap();
+            assert_eq!(out, p, "{}", s.name());
+        }
     }
 
     #[test]
@@ -962,15 +948,8 @@ mod tests {
         }
         s.checkpoint().unwrap();
         s.check_tables().unwrap();
-        let remote = |s: &ShardedStore| {
-            s.shards
-                .iter()
-                .map(|sh| match sh {
-                    Shard::Pdl(p) => p.remote_txns().count(),
-                    Shard::Other(_) => 0,
-                })
-                .sum::<usize>()
-        };
+        let remote =
+            |s: &ShardedStore| s.shards.iter().map(|p| p.remote_txns().count()).sum::<usize>();
         assert!(remote(&s) > 1, "tags of transactions another shard proves");
         let digest = s.tables_digest();
         let mut r = ShardedStore::recover(s.into_shard_chips(), kind, opts).unwrap();

@@ -76,39 +76,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For N in {1, 2, 4}, the sharded store's observable state after any
-    /// trace is byte-identical to the single store's, for both PDL and
-    /// OPU.
+    /// trace is byte-identical to the single PDL store's.
     #[test]
     fn sharded_store_matches_single_store(
         steps in proptest::collection::vec(step_strategy(), 1..50),
     ) {
-        for kind in [MethodKind::Pdl { max_diff_size: 64 }, MethodKind::Opu] {
-            let chip = FlashChip::new(FlashConfig::tiny());
-            let mut single = build_store(chip, kind, StoreOptions::new(PAGES)).unwrap();
-            let mut buf = vec![0u8; single.logical_page_size()];
-            for step in &steps {
-                run_step(single.as_mut(), step, &mut buf);
-            }
-            let expect = read_all(single.as_mut());
+        let kind = MethodKind::Pdl { max_diff_size: 64 };
+        let chip = FlashChip::new(FlashConfig::tiny());
+        let mut single = build_store(chip, kind, StoreOptions::new(PAGES)).unwrap();
+        let mut buf = vec![0u8; single.logical_page_size()];
+        for step in &steps {
+            run_step(single.as_mut(), step, &mut buf);
+        }
+        let expect = read_all(single.as_mut());
 
-            for n in [1usize, 2, 4] {
-                let mut sharded = ShardedStore::with_uniform_chips(
-                    FlashConfig::tiny(),
-                    n,
-                    kind,
-                    StoreOptions::new(PAGES),
-                )
-                .unwrap();
-                for step in &steps {
-                    run_step(&mut sharded, step, &mut buf);
-                }
-                let got = read_all(&mut sharded);
-                prop_assert_eq!(
-                    &got, &expect,
-                    "{} with {} shards diverged from the single store",
-                    kind.label(), n
-                );
+        for n in [1usize, 2, 4] {
+            let mut sharded = ShardedStore::with_uniform_chips(
+                FlashConfig::tiny(),
+                n,
+                kind,
+                StoreOptions::new(PAGES),
+            )
+            .unwrap();
+            for step in &steps {
+                run_step(&mut sharded, step, &mut buf);
             }
+            let got = read_all(&mut sharded);
+            prop_assert_eq!(&got, &expect, "{} shards diverged from the single store", n);
         }
     }
 }
@@ -181,7 +175,7 @@ fn concurrent_writers_then_crash_recovery() {
 /// all data lands correctly.
 #[test]
 fn disjoint_writers_round_trip() {
-    let kind = MethodKind::Opu;
+    let kind = MethodKind::Pdl { max_diff_size: 64 };
     let store =
         ShardedStore::with_uniform_chips(FlashConfig::tiny(), 4, kind, StoreOptions::new(PAGES))
             .unwrap();

@@ -49,8 +49,8 @@
 //! had when the view opened — falling back to the pending undo image (an
 //! in-flight writer's pre-image) and finally the current frame. Chains
 //! are pruned when views are released and bounded by
-//! [`pdl_core::StoreOptions::snapshot_version_cap`] and
-//! [`pdl_core::StoreOptions::snapshot_retention_bytes`].
+//! [`pdl_core::StoreOptions::snapshot_version_cap`]. Every version is
+//! one logical page, so the cap is the DRAM budget in pages.
 //!
 //! # The retention ledger (cold versions on flash)
 //!
@@ -529,17 +529,8 @@ pub(crate) struct FrameCache {
     chains: IdMap<VersionChain>,
     /// Committed versions currently retained across all chains.
     retained: usize,
-    /// Bytes of committed version payload currently retained.
-    retained_bytes: usize,
     /// Retention bound ([`pdl_core::StoreOptions::snapshot_version_cap`]).
     version_cap: usize,
-    /// Byte-accounted retention bound
-    /// ([`pdl_core::StoreOptions::snapshot_retention_bytes`]; 0 =
-    /// unbounded, the count cap alone governs). Counting versions bounds
-    /// memory only when every logical page is the same size; with mixed
-    /// `frames_per_page` configurations a byte budget bounds DRAM
-    /// faithfully. Whichever cap trips first wins.
-    retention_bytes: usize,
     /// Highest commit timestamp ever *hard-discarded* by the cap (needed
     /// by a view but neither retained nor spilled): views at or below it
     /// read [`StorageError::SnapshotTooOld`]. With the flash retention
@@ -554,7 +545,6 @@ impl FrameCache {
         capacity: usize,
         page_size: usize,
         version_cap: usize,
-        retention_bytes: usize,
         notify_updates: bool,
     ) -> FrameCache {
         let capacity = capacity.max(1);
@@ -576,9 +566,7 @@ impl FrameCache {
             notify_updates,
             chains: IdMap::default(),
             retained: 0,
-            retained_bytes: 0,
             version_cap: version_cap.max(1),
-            retention_bytes,
             too_old_floor: 0,
             too_old_trigger: RetentionTrigger::VersionCap,
         }
@@ -613,12 +601,6 @@ impl FrameCache {
     /// Committed versions currently retained (diagnostics / tests).
     pub(crate) fn retained_versions(&self) -> usize {
         self.retained
-    }
-
-    /// Bytes of committed version payload currently retained.
-    #[cfg(test)]
-    pub(crate) fn retained_version_bytes(&self) -> usize {
-        self.retained_bytes
     }
 
     pub(crate) fn with_page<B: PageBackend, R>(
@@ -823,20 +805,12 @@ impl FrameCache {
             chain.committed.last().is_none_or(|(ts, _)| *ts < commit_ts),
             "version chain for page {pid} must stay ascending"
         );
-        self.retained_bytes += data.len();
         chain.committed.push((commit_ts, data));
         self.retained += 1;
         self.enforce_cap(backend, active);
     }
 
-    /// Whether retention exceeds either budget: the version-count cap or
-    /// (when configured) the byte budget.
-    fn over_budget(&self) -> bool {
-        self.retained > self.version_cap
-            || (self.retention_bytes > 0 && self.retained_bytes > self.retention_bytes)
-    }
-
-    /// Evict the oldest retained versions until both DRAM budgets hold. A
+    /// Evict the oldest retained versions until the DRAM budget holds. A
     /// whole commit's versions always leave DRAM together, so a surviving
     /// view never observes half a commit. `active` is the ascending set
     /// of distinct active read timestamps (empty when no view is open).
@@ -862,16 +836,11 @@ impl FrameCache {
     /// spill failed), which makes `SnapshotTooOld` the hard-limit last
     /// resort.
     fn enforce_cap<B: PageBackend>(&mut self, backend: &mut B, active: &[u64]) {
-        if !self.over_budget() {
+        if self.retained <= self.version_cap {
             return;
         }
         let can_spill = backend.spill_supported();
-        while self.over_budget() {
-            let budget = if self.retained > self.version_cap {
-                RetentionTrigger::VersionCap
-            } else {
-                RetentionTrigger::ByteBudget
-            };
+        while self.retained > self.version_cap {
             let oldest = self
                 .chains
                 .values()
@@ -879,7 +848,6 @@ impl FrameCache {
                 .min()
                 .expect("over budget implies a committed version exists");
             let mut removed = 0;
-            let mut removed_bytes = 0;
             let mut spilled = 0u64;
             let mut lost: Option<RetentionTrigger> = None;
             for (pid, chain) in self.chains.iter_mut() {
@@ -887,7 +855,6 @@ impl FrameCache {
                 let mut smax = chain.spilled.last().map(|(ts, _)| *ts).unwrap_or(0);
                 for (ts, data) in chain.committed.drain(..cut) {
                     removed += 1;
-                    removed_bytes += data.len();
                     // Needed iff some active read_ts lands in [smax, ts):
                     // such a reader's `first ts > read_ts` resolution is
                     // exactly this version. (`read_ts == smax` resolves
@@ -906,12 +873,11 @@ impl FrameCache {
                             Err(_) => lost = Some(RetentionTrigger::LedgerMiss),
                         }
                     } else {
-                        lost = Some(budget);
+                        lost = Some(RetentionTrigger::VersionCap);
                     }
                 }
             }
             self.retained -= removed;
-            self.retained_bytes -= removed_bytes;
             self.stats.spilled_versions += spilled;
             if let Some(trigger) = lost {
                 self.too_old_floor = self.too_old_floor.max(oldest);
@@ -928,18 +894,10 @@ impl FrameCache {
     /// readers retire.
     pub(crate) fn prune_committed<B: PageBackend>(&mut self, backend: &mut B, floor: u64) {
         let mut removed = 0;
-        let mut removed_bytes = 0;
         let mut pruned_any = false;
         for (pid, chain) in self.chains.iter_mut() {
             let before = chain.committed.len();
-            chain.committed.retain(|(ts, data)| {
-                if *ts > floor {
-                    true
-                } else {
-                    removed_bytes += data.len();
-                    false
-                }
-            });
+            chain.committed.retain(|(ts, _)| *ts > floor);
             removed += before - chain.committed.len();
             let cut = chain.spilled.partition_point(|(ts, _)| *ts <= floor);
             for (_, handle) in chain.spilled.drain(..cut) {
@@ -951,7 +909,6 @@ impl FrameCache {
         }
         if removed > 0 || pruned_any {
             self.retained -= removed;
-            self.retained_bytes -= removed_bytes;
             self.chains.retain(|_, c| !c.is_empty());
         }
     }
@@ -1219,7 +1176,6 @@ impl FrameCache {
             self.mark_clean(idx as usize);
         }
         let mut promoted = 0usize;
-        let mut promoted_bytes = 0usize;
         for (pid, chain) in self.chains.iter_mut() {
             if chain.pending.as_ref().is_some_and(|p| p.txn == txn) {
                 let p = chain.pending.take().expect("just checked");
@@ -1232,7 +1188,6 @@ impl FrameCache {
                             chain.committed.last().is_none_or(|(c, _)| *c < ts),
                             "version chain for page {pid} must stay ascending"
                         );
-                        promoted_bytes += p.data.len();
                         let held = keep.map(|_| p.data.clone());
                         chain.committed.push((ts, p.data));
                         promoted += 1;
@@ -1249,7 +1204,6 @@ impl FrameCache {
         }
         if promoted > 0 {
             self.retained += promoted;
-            self.retained_bytes += promoted_bytes;
         }
         self.chains.retain(|_, c| !c.is_empty());
         if promoted > 0 {
@@ -1374,7 +1328,6 @@ impl FrameCache {
         self.owned.clear();
         self.chains.clear();
         self.retained = 0;
-        self.retained_bytes = 0;
     }
 }
 
@@ -1566,8 +1519,8 @@ mod tests {
 
     #[test]
     fn hits_do_not_touch_flash() {
-        for shards in [1, 2] {
-            let p = pool_over(store(MethodKind::Opu, shards), 4);
+        for (kind, shards) in [(MethodKind::Opu, 1), (MethodKind::Pdl { max_diff_size: 128 }, 2)] {
+            let p = pool_over(store(kind, shards), 4);
             p.with_page_mut(1, |page| page.write(0, b"abcd")).unwrap();
             let before = p.io_stats().total();
             for _ in 0..10 {
@@ -1627,7 +1580,7 @@ mod tests {
 
     /// A raw cache of `capacity` frames over a map, pinning owned frames.
     fn raw_cache(capacity: usize) -> (FrameCache, MemBackend) {
-        (FrameCache::new(capacity, MODEL_PAGE, 8, 0, true), MemBackend::default())
+        (FrameCache::new(capacity, MODEL_PAGE, 8, true), MemBackend::default())
     }
 
     fn read(cache: &mut FrameCache, backend: &mut MemBackend, pid: u64) -> Result<()> {
@@ -2201,7 +2154,7 @@ mod tests {
         ops: Vec<ScanOp>,
     ) -> std::result::Result<(), TestCaseError> {
         let new_cache = |capacity| {
-            let mut cache = FrameCache::new(capacity, MODEL_PAGE, 8, 0, true);
+            let mut cache = FrameCache::new(capacity, MODEL_PAGE, 8, true);
             cache.set_pin_owned(pin_owned);
             cache
         };
@@ -2424,39 +2377,11 @@ mod tests {
         let err = p.with_page_at(&view, 0, |_| ()).unwrap_err();
         assert!(matches!(err, StorageError::SnapshotTooOld { .. }), "got {err:?}");
         p.release_read(view);
+        assert_eq!(p.retained_versions(), 0, "release prunes every retained version");
         // A fresh view reads fine.
         let view = p.begin_read();
         assert!(p.with_page_at(&view, 0, |_| ()).is_ok());
         p.release_read(view);
-    }
-
-    #[test]
-    fn byte_budget_trips_before_the_count_cap() {
-        let chip = FlashChip::new(FlashConfig::tiny());
-        let store = build_store(
-            chip,
-            MethodKind::Opu,
-            StoreOptions::new(24)
-                .with_snapshot_version_cap(1000)
-                .with_snapshot_retention_bytes(2 * 256),
-        )
-        .unwrap();
-        let p = pool_over(store, 8);
-        p.with_page_mut(0, |page| page.write(0, &[1; 4])).unwrap();
-        let view = p.begin_read();
-        for round in 0..6u8 {
-            p.with_page_mut(round as u64 % 3, |page| page.write(0, &[round + 20; 4])).unwrap();
-        }
-        let retained_bytes = || p.lock_cache().retained_version_bytes();
-        assert!(
-            retained_bytes() <= 2 * 256,
-            "the byte budget bounds retention: {} bytes",
-            retained_bytes()
-        );
-        let err = p.with_page_at(&view, 0, |_| ()).unwrap_err();
-        assert!(matches!(err, StorageError::SnapshotTooOld { .. }), "got {err:?}");
-        p.release_read(view);
-        assert_eq!(retained_bytes(), 0, "release prunes the byte ledger too");
     }
 
     #[test]

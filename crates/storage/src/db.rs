@@ -240,7 +240,6 @@ fn new_frame_cache(store: &dyn PageStore, frames: usize, durability: Durability)
         frames,
         store.logical_page_size(),
         opts.snapshot_version_cap as usize,
-        opts.snapshot_retention_bytes as usize,
         store.consumes_updates(),
     );
     cache.set_pin_owned(durability == Durability::Commit);

@@ -5,14 +5,12 @@ use std::error::Error;
 use std::fmt;
 
 /// What forced the retention discard behind a
-/// [`StorageError::SnapshotTooOld`]: which budget tripped, or that the
+/// [`StorageError::SnapshotTooOld`]: the version cap tripped, or the
 /// flash retention ledger could not absorb the evicted version.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RetentionTrigger {
     /// The version-count cap (`StoreOptions::snapshot_version_cap`).
     VersionCap,
-    /// The byte budget (`StoreOptions::snapshot_retention_bytes`).
-    ByteBudget,
     /// The budget tripped *and* the flash retention ledger failed to
     /// absorb a needed version (spill write or read-back failed) — the
     /// hard-limit last resort when the ledger tier is enabled.
@@ -23,7 +21,6 @@ impl fmt::Display for RetentionTrigger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             RetentionTrigger::VersionCap => "version cap",
-            RetentionTrigger::ByteBudget => "byte budget",
             RetentionTrigger::LedgerMiss => "ledger miss",
         })
     }

@@ -15,9 +15,8 @@
 //! `with_page_at` (or a [`PageRead`] snapshot adapter), and hand the view
 //! back with `release_read` so the cache can prune versions no reader
 //! needs. A view that lingers past the retention budget
-//! ([`pdl_core::StoreOptions::snapshot_version_cap`] versions or
-//! [`pdl_core::StoreOptions::snapshot_retention_bytes`] bytes, whichever
-//! trips first) is cut off: the oldest versions are discarded and the
+//! ([`pdl_core::StoreOptions::snapshot_version_cap`] versions, each one
+//! logical page) is cut off: the oldest versions are discarded and the
 //! view's reads fail with [`crate::StorageError::SnapshotTooOld`] —
 //! retention is bounded, like the version-retention budgets in the flash
 //! GC literature.

@@ -47,7 +47,8 @@ fn main() {
     }
     println!(
         "\nPaper, Experiment 6: OPU erases most; PDL (256B) 'has good longevity \
-         next to IPL (64KB)' — and the wear-aware victim policy narrows the \
-         max/avg spread further."
+         next to IPL (64KB)'. The wear-aware row matches the PDL (256B) row: \
+         at 1-3 erases per block, wear never breaks a victim tie. Ablation 4 \
+         shows the policy's effect: wear max/avg 1.88 -> 1.41 at quick scale."
     );
 }

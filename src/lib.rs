@@ -8,7 +8,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`flash`] | NAND chip emulator (Table 1 geometry/timing, 1→0 programming, NOP budgets, erase, wear, fault injection) |
-//! | [`core`] | the page-update methods: **PDL** (the paper's contribution), OPU, IPU and IPL, over a shared FTL with greedy GC — plus [`core::ShardedStore`], which stripes the page space across N chips |
+//! | [`core`] | the page-update methods: **PDL** (the paper's contribution), OPU, IPU and IPL, over a shared FTL with greedy GC — plus [`core::ShardedStore`], which stripes the page space across N PDL shards, one chip each |
 //! | [`storage`] | DBMS substrate and the one concurrent path: [`storage::Database`], a buffer pool with group commit and read views, plus slotted pages, heap files, B+-tree |
 //! | [`tpcc`] | the TPC-C workload of Experiment 7 |
 //! | [`workload`] | the synthetic update-operation drivers of Experiments 1–6 and the concurrent `Database` drivers |
