@@ -7,25 +7,12 @@
 //!
 //! A differential page's data area holds a sequence of encoded records;
 //! unwritten space stays erased (0xFF), so records are length-prefixed
-//! with a value that can never be `0xFFFF`.
-//!
-//! **Codec v2** extends the v1 layout with a record-kind byte and two
-//! transactional additions (the `pdl-txn` subsystem): every differential
-//! carries the id of the transaction that produced it, and a second
-//! record type — the *proof record* — makes a transaction's
-//! differentials durable atomically: recovery discards differentials
-//! whose transaction left no proof behind (aborted, or torn by a crash
-//! mid-commit).
-//!
-//! **Codec v3** proves commits with the *epoch record*: explicit
-//! inclusive txn-id ranges, so one record proves a whole group-commit
-//! batch, the live proofs a record flush carries forward, and the proofs
-//! GC compaction coalesces. The ranges are built only from ids whose
-//! commit is being proven — never a blanket claim over an id interval —
-//! so a torn transaction whose id happens to fall between two committed
-//! ids is never falsely proven committed. It is the one proof record:
-//! v2's single-id commit record (kind `0x02`) is gone, and its kind byte
-//! no longer decodes.
+//! with a value that can never be `0xFFFF`. Every differential carries the
+//! id of the transaction that produced it, and recovery discards it unless
+//! an *epoch record* proves that transaction. An epoch record's inclusive
+//! txn-id ranges are built only from ids whose commit is being proven, so
+//! a torn transaction whose id falls between two committed ids is never
+//! proven committed.
 //!
 //! ```text
 //! record := body_len : u16 LE    (length of everything after this field)
@@ -39,11 +26,13 @@
 //! epoch  := ts : u64 LE, n_ranges : u16 LE, (lo u64, hi u64)*  (inclusive)
 //! ```
 //!
-//! Unlike an update log, which records one update command, a differential
-//! always describes the *net* difference against the base page: the paper's
+//! The crate's `codec` module reads and writes every field. Unlike an
+//! update log, which records one update command, a differential always
+//! describes the *net* difference against the base page: the paper's
 //! example `..aaaaaa.. -> ..bbbbba.. -> ..bcccba..` produces the single
 //! differential `bcccb`, not the two logs `bbbbb` and `ccc`.
 
+use crate::codec::{Reader, Sink, Writer};
 use crate::error::CoreError;
 use crate::Result;
 
@@ -53,18 +42,66 @@ pub use pdl_flash::NO_TXN;
 const KIND_DIFF: u8 = 0x01;
 const KIND_EPOCH: u8 = 0x03;
 
-/// A contiguous changed byte range.
+/// A contiguous changed byte range: a run of a differential, and IPL's
+/// update log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiffRun {
     pub offset: u32,
     pub bytes: Vec<u8>,
 }
 
+/// Per-run overhead: offset and length fields.
+pub(crate) const RUN_HEADER: usize = 2 + 2;
+
 impl DiffRun {
     /// Encoded size of this run: offset + length fields + payload.
-    pub fn encoded_len(&self) -> usize {
-        4 + self.bytes.len()
+    pub(crate) fn encoded_len(&self) -> usize {
+        RUN_HEADER + self.bytes.len()
     }
+}
+
+/// Write a run list: its count, then each run.
+pub(crate) fn write_runs<W: Sink>(w: &mut Writer<W>, runs: &[DiffRun]) {
+    w.u16(runs.len() as u16);
+    for run in runs {
+        w.u16(run.offset as u16);
+        w.u16(run.bytes.len() as u16);
+        w.bytes(&run.bytes);
+    }
+}
+
+/// Read a run list [`write_runs`] wrote.
+#[inline]
+pub(crate) fn read_runs(r: &mut Reader) -> Result<Vec<DiffRun>> {
+    (0..r.u16()?)
+        .map(|_| {
+            let offset = u32::from(r.u16()?);
+            let len = usize::from(r.u16()?);
+            Ok(DiffRun { offset, bytes: r.take(len)?.to_vec() })
+        })
+        .collect()
+}
+
+/// Copy each run's bytes into `page` at its offset, in order: a later run
+/// overwrites an earlier one where they overlap.
+pub(crate) fn apply_runs<'a>(runs: impl IntoIterator<Item = &'a DiffRun>, page: &mut [u8]) {
+    for run in runs {
+        let start = run.offset as usize;
+        page[start..start + run.bytes.len()].copy_from_slice(&run.bytes);
+    }
+}
+
+/// A writer over the first `len` bytes of `out` with a record's length
+/// prefix and `kind` byte written, or `BadPageSize` when `out` is shorter.
+fn framed(out: &mut [u8], len: usize, kind: u8) -> Result<Writer<&mut [u8]>> {
+    if out.len() < len {
+        return Err(CoreError::BadPageSize { expected: len, got: out.len() });
+    }
+    debug_assert!(len - 2 < 0xFFFF, "record body too large");
+    let mut w = Writer(&mut out[..len]);
+    w.u16((len - 2) as u16);
+    w.u8(kind);
+    Ok(w)
 }
 
 /// A differential of one logical page.
@@ -93,19 +130,19 @@ pub struct EpochRecord {
 }
 
 /// Fixed epoch-record overhead: length prefix, kind, ts, range count.
-pub const EPOCH_HEADER: usize = 2 + 1 + 8 + 2;
+pub(crate) const EPOCH_HEADER: usize = 2 + 1 + 8 + 2;
 
 impl EpochRecord {
     /// Build an epoch record from a set of committed transaction ids,
     /// coalescing adjacent ids into ranges. Duplicates are tolerated.
-    pub fn from_ids(ts: u64, ids: &[u64]) -> EpochRecord {
+    pub(crate) fn from_ids(ts: u64, ids: &[u64]) -> EpochRecord {
         let mut sorted: Vec<u64> = ids.to_vec();
         sorted.sort_unstable();
         EpochRecord::from_sorted_ids(ts, &sorted)
     }
 
     /// [`EpochRecord::from_ids`] for ids already in ascending order.
-    pub fn from_sorted_ids(ts: u64, sorted: &[u64]) -> EpochRecord {
+    pub(crate) fn from_sorted_ids(ts: u64, sorted: &[u64]) -> EpochRecord {
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "ids must be sorted");
         let mut ranges: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
         for &id in sorted {
@@ -118,7 +155,8 @@ impl EpochRecord {
     }
 
     /// True when `txn` is proven committed by this record.
-    pub fn contains(&self, txn: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, txn: u64) -> bool {
         self.ranges
             .binary_search_by(|&(lo, hi)| {
                 if txn < lo {
@@ -138,39 +176,27 @@ impl EpochRecord {
     }
 
     /// Number of member transaction ids.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.ranges.iter().map(|&(lo, hi)| (hi - lo + 1) as usize).sum()
     }
 
-    /// True when the record proves no commits at all.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
     /// Total encoded size of the record, including the length prefix.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         EPOCH_HEADER + 16 * self.ranges.len()
     }
 
     /// Encode into `out` (must hold at least `encoded_len()` bytes).
-    pub fn encode(&self, out: &mut [u8]) -> Result<usize> {
+    pub(crate) fn encode(&self, out: &mut [u8]) -> Result<usize> {
         let need = self.encoded_len();
-        if out.len() < need {
-            return Err(CoreError::BadPageSize { expected: need, got: out.len() });
-        }
-        let body_len = need - 2;
-        debug_assert!(body_len < u16::MAX as usize, "epoch record body too large");
-        out[0..2].copy_from_slice(&(body_len as u16).to_le_bytes());
-        out[2] = KIND_EPOCH;
-        out[3..11].copy_from_slice(&self.ts.to_le_bytes());
-        out[11..13].copy_from_slice(&(self.ranges.len() as u16).to_le_bytes());
-        let mut at = EPOCH_HEADER;
+        let mut w = framed(out, need, KIND_EPOCH)?;
+        w.u64(self.ts);
+        w.u16(self.ranges.len() as u16);
         for &(lo, hi) in &self.ranges {
-            out[at..at + 8].copy_from_slice(&lo.to_le_bytes());
-            out[at + 8..at + 16].copy_from_slice(&hi.to_le_bytes());
-            at += 16;
+            w.u64(lo);
+            w.u64(hi);
         }
-        debug_assert_eq!(at, need);
+        debug_assert!(w.0.is_empty(), "encoded_len matches the writer");
         Ok(need)
     }
 }
@@ -184,7 +210,7 @@ pub enum PageRecord {
 
 /// Fixed per-differential overhead: length prefix, kind, pid, ts, txn,
 /// run count.
-pub const RECORD_HEADER: usize = 2 + 1 + 8 + 8 + 8 + 2;
+pub(crate) const RECORD_HEADER: usize = 2 + 1 + 8 + 8 + 8 + 2;
 
 impl Differential {
     /// Total encoded size of the record, including the length prefix.
@@ -198,12 +224,12 @@ impl Differential {
     }
 
     /// True when the differential records no change.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.runs.is_empty()
     }
 
     /// Tag the differential with its owning transaction.
-    pub fn with_txn(mut self, txn: u64) -> Differential {
+    pub(crate) fn with_txn(mut self, txn: u64) -> Differential {
         self.txn = txn;
         self
     }
@@ -230,7 +256,7 @@ impl Differential {
     /// (Case 3 of `PDL_Writing`), so the rest of the page is not scanned,
     /// and nothing is allocated: run bytes are copied only once the whole
     /// differential is known to fit.
-    pub fn compute_within(
+    pub(crate) fn compute_within(
         pid: u64,
         ts: u64,
         base: &[u8],
@@ -249,7 +275,7 @@ impl Differential {
         let mut kept = [(0usize, 0usize); KEPT];
         let mut count = 0;
         for (start, end) in RunScan::new(base, new, coalesce_gap, 0) {
-            size += 4 + (end - start);
+            size += RUN_HEADER + (end - start);
             if size > limit {
                 return None;
             }
@@ -273,35 +299,19 @@ impl Differential {
     /// Apply this differential to `page` (the base image), producing the
     /// up-to-date logical page in place.
     pub fn apply(&self, page: &mut [u8]) {
-        for run in &self.runs {
-            let start = run.offset as usize;
-            page[start..start + run.bytes.len()].copy_from_slice(&run.bytes);
-        }
+        apply_runs(&self.runs, page);
     }
 
     /// Encode into `out`, which must have at least `encoded_len()` bytes.
     /// Returns the number of bytes written.
     pub fn encode(&self, out: &mut [u8]) -> Result<usize> {
         let need = self.encoded_len();
-        if out.len() < need {
-            return Err(CoreError::BadPageSize { expected: need, got: out.len() });
-        }
-        let body_len = need - 2;
-        debug_assert!(body_len < u16::MAX as usize, "differential body too large");
-        out[0..2].copy_from_slice(&(body_len as u16).to_le_bytes());
-        out[2] = KIND_DIFF;
-        out[3..11].copy_from_slice(&self.pid.to_le_bytes());
-        out[11..19].copy_from_slice(&self.ts.to_le_bytes());
-        out[19..27].copy_from_slice(&self.txn.to_le_bytes());
-        out[27..29].copy_from_slice(&(self.runs.len() as u16).to_le_bytes());
-        let mut at = RECORD_HEADER;
-        for run in &self.runs {
-            out[at..at + 2].copy_from_slice(&(run.offset as u16).to_le_bytes());
-            out[at + 2..at + 4].copy_from_slice(&(run.bytes.len() as u16).to_le_bytes());
-            out[at + 4..at + 4 + run.bytes.len()].copy_from_slice(&run.bytes);
-            at += 4 + run.bytes.len();
-        }
-        debug_assert_eq!(at, need);
+        let mut w = framed(out, need, KIND_DIFF)?;
+        w.u64(self.pid);
+        w.u64(self.ts);
+        w.u64(self.txn);
+        write_runs(&mut w, &self.runs);
+        debug_assert!(w.0.is_empty(), "encoded_len matches the writer");
         Ok(need)
     }
 
@@ -309,8 +319,8 @@ impl Differential {
     /// without materialising the other records (hot read path): records
     /// whose kind or pid does not match are skipped by their length
     /// prefix.
-    pub fn find_in_page(data: &[u8], pid: u64) -> Result<Option<Differential>> {
-        for frame in (Frames { data, at: 0 }) {
+    pub(crate) fn find_in_page(data: &[u8], pid: u64) -> Result<Option<Differential>> {
+        for frame in Frames(Reader::new(data)) {
             let (kind, body) = frame?;
             if kind == KIND_DIFF && body.get(..8) == Some(&pid.to_le_bytes()[..]) {
                 return decode_diff(body).map(Some);
@@ -321,7 +331,7 @@ impl Differential {
 
     /// Parse every record in a differential page's data area.
     pub fn parse_page(data: &[u8]) -> Result<Vec<PageRecord>> {
-        Frames { data, at: 0 }
+        Frames(Reader::new(data))
             .map(|frame| frame.and_then(|(k, body)| decode_record(k, body)))
             .collect()
     }
@@ -332,32 +342,30 @@ impl Differential {
 /// the kind byte). The walk ends at erased space — a `0xFFFF` length, or
 /// fewer than three bytes left — and after yielding one error for a
 /// length that does not fit the area.
-struct Frames<'a> {
-    data: &'a [u8],
-    /// Offset of the next record's length prefix.
-    at: usize,
-}
+struct Frames<'a>(Reader<'a>);
 
 impl<'a> Iterator for Frames<'a> {
     type Item = Result<(u8, &'a [u8])>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        let rest = &self.data[self.at..];
-        if rest.len() < 3 {
+        if self.0.remaining() < 3 {
             return None;
         }
-        let body_len = u16::from_le_bytes([rest[0], rest[1]]) as usize;
+        let body_len = self.0.u16().expect("three bytes left");
         if body_len == 0xFFFF {
+            self.0 = Reader::new(&[]);
             return None; // erased space: no more records
         }
-        if body_len < 1 || 2 + body_len > rest.len() {
-            self.at = self.data.len();
-            return Some(Err(CoreError::Corruption(format!(
-                "differential record body of {body_len} bytes does not fit"
-            ))));
+        match self.0.take(usize::from(body_len)) {
+            Ok([kind, body @ ..]) => Some(Ok((*kind, body))),
+            _ => {
+                self.0 = Reader::new(&[]);
+                Some(Err(CoreError::Corruption(format!(
+                    "differential record body of {body_len} bytes does not fit"
+                ))))
+            }
         }
-        self.at += 2 + body_len;
-        Some(Ok((rest[2], &rest[3..2 + body_len])))
     }
 }
 
@@ -370,61 +378,27 @@ fn decode_record(kind: u8, body: &[u8]) -> Result<PageRecord> {
     }
 }
 
-/// A record body read front to back: reading past its end, or leaving
-/// bytes unread, is corruption.
-struct Body<'a>(&'a [u8]);
-
-impl<'a> Body<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if n > self.0.len() {
-            return Err(CoreError::Corruption("differential page record truncated".into()));
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Ok(head)
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn end<T>(self, record: T) -> Result<T> {
-        match self.0.len() {
-            0 => Ok(record),
-            n => Err(CoreError::Corruption(format!("record has {n} trailing bytes"))),
-        }
-    }
-}
-
 fn decode_diff(body: &[u8]) -> Result<Differential> {
-    let mut b = Body(body);
-    let (pid, ts, txn) = (b.u64()?, b.u64()?, b.u64()?);
-    let runs = (0..b.u16()?)
-        .map(|_| {
-            let offset = u32::from(b.u16()?);
-            let len = usize::from(b.u16()?);
-            Ok(DiffRun { offset, bytes: b.take(len)?.to_vec() })
-        })
-        .collect::<Result<_>>()?;
-    b.end(Differential { pid, ts, txn, runs })
+    let mut r = Reader::new(body);
+    let (pid, ts, txn) = (r.u64()?, r.u64()?, r.u64()?);
+    let runs = read_runs(&mut r)?;
+    r.end()?;
+    Ok(Differential { pid, ts, txn, runs })
 }
 
 fn decode_epoch(body: &[u8]) -> Result<EpochRecord> {
-    let mut b = Body(body);
-    let ts = b.u64()?;
-    let ranges = (0..b.u16()?)
-        .map(|_| match (b.u64()?, b.u64()?) {
+    let mut r = Reader::new(body);
+    let ts = r.u64()?;
+    let ranges = (0..r.u16()?)
+        .map(|_| match (r.u64()?, r.u64()?) {
             (lo, hi) if lo > hi => {
                 Err(CoreError::Corruption(format!("epoch record range {lo}..{hi} is inverted")))
             }
             range => Ok(range),
         })
         .collect::<Result<_>>()?;
-    b.end(EpochRecord { ts, ranges })
+    r.end()?;
+    Ok(EpochRecord { ts, ranges })
 }
 
 /// The changed runs `[start, end)` of `new` against `base` (equal
@@ -671,17 +645,33 @@ mod tests {
         assert_eq!(Differential::find_in_page(&page, 9).unwrap(), None);
     }
 
+    /// Cut anywhere inside a record, a page fails to parse, except where
+    /// fewer than three bytes of the record are left: they read as the
+    /// erased space ending the page.
     #[test]
     fn decode_rejects_truncated_records() {
         let base = vec![0u8; 64];
         let mut new = base.clone();
         new[5..30].fill(7);
         let d = diff_of(&base, &new, 0);
+        let e = EpochRecord::from_ids(3, &[1, 2, 5]);
         let mut buf = vec![0xFFu8; 128];
         let n = d.encode(&mut buf).unwrap();
-        // Chop the record body.
-        let truncated = &buf[..n - 3];
-        assert!(Differential::parse_page(truncated).is_err());
+        let m = e.encode(&mut buf[n..]).unwrap();
+        for (start, end) in [(0, n), (n, n + m)] {
+            for cut in start..end {
+                match Differential::parse_page(&buf[..cut]) {
+                    Ok(records) => {
+                        assert!(cut - start < 3 && records.len() == (start > 0) as usize)
+                    }
+                    Err(_) => assert!(cut - start >= 3, "cut at {cut}"),
+                }
+            }
+        }
+        for cut in 0..n {
+            assert!(!matches!(Differential::find_in_page(&buf[..cut], d.pid), Ok(Some(_))));
+        }
+        assert_eq!(Differential::parse_page(&buf).unwrap().len(), 2);
     }
 
     #[test]

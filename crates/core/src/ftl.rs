@@ -136,26 +136,14 @@ impl BlockManager {
         self.states[block.0 as usize] = BlockState::Bad;
     }
 
-    /// Number of retired (bad) blocks (diagnostics).
-    #[allow(dead_code)]
-    pub fn bad_blocks(&self) -> usize {
-        self.states.iter().filter(|s| **s == BlockState::Bad).count()
-    }
-
     pub fn num_blocks(&self) -> u32 {
         self.states.len() as u32
     }
 
     /// Blocks currently in the free pool (diagnostics).
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn free_blocks(&self) -> usize {
         self.free.len()
-    }
-
-    /// Diagnostics accessor (tests and tools).
-    #[allow(dead_code)]
-    pub fn pages_per_block(&self) -> u32 {
-        self.pages_per_block
     }
 
     /// Pages programmed into `block` since its last erase.
@@ -164,7 +152,7 @@ impl BlockManager {
     }
 
     /// Pages marked obsolete in `block` (diagnostics).
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn obsolete_in(&self, block: BlockId) -> u32 {
         self.obsolete[block.0 as usize]
     }
@@ -176,7 +164,7 @@ impl BlockManager {
 
     /// Whether the caller should run garbage collection before the next
     /// regular allocation (diagnostics; methods use [`Self::normal_capacity`]).
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn gc_needed(&self) -> bool {
         self.normal_capacity() == 0
     }
@@ -325,7 +313,7 @@ impl BlockManager {
     }
 
     /// Retention pins currently held in `block` (diagnostics).
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn retained_in(&self, block: BlockId) -> u32 {
         self.retained[block.0 as usize]
     }
@@ -502,7 +490,7 @@ impl BlockManager {
     }
 
     /// Total live pages across all blocks (diagnostics).
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn total_valid(&self) -> u64 {
         (0..self.states.len() as u32).map(|b| self.valid_in(BlockId(b)) as u64).sum()
     }

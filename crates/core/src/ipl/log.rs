@@ -9,101 +9,59 @@
 //! full buffer is flushed as one *log sector* into the current log page of
 //! the block.
 //!
-//! Sector layout (within a `sector_size`-byte slot of a log page):
-//!
-//! ```text
-//! pid    : u64 LE      (u64::MAX = slot still erased)
-//! count  : u16 LE      number of records
-//! records: (offset u16 LE, len u16 LE, bytes[len])*
-//! ```
+//! An update log is a [`DiffRun`], the `[offset, length, data]` triple a
+//! differential carries too. A log sector fills one `sector_size`-byte
+//! slot of a log page with a pid and a run list, laid out as `sector` in
+//! [`crate::codec`]; a pid of `u64::MAX` marks a slot still erased.
 
-use crate::error::CoreError;
+use crate::codec::{Reader, Writer};
+use crate::diff::{apply_runs, read_runs, write_runs, DiffRun, RUN_HEADER};
 use crate::Result;
 use std::collections::VecDeque;
 
-/// Bytes of sector overhead before records start.
-pub(crate) const SECTOR_HEADER: usize = 10;
-/// Per-record metadata cost.
-pub(crate) const RECORD_OVERHEAD: usize = 4;
+/// Bytes of sector overhead before the runs start: pid and run count.
+pub(crate) const SECTOR_HEADER: usize = 8 + 2;
 
-/// One update-log record: a changed byte range of a logical page.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct LogRecord {
-    pub offset: u32,
-    pub bytes: Vec<u8>,
-}
-
-impl LogRecord {
-    pub fn cost(&self) -> usize {
-        RECORD_OVERHEAD + self.bytes.len()
-    }
-}
-
-/// Encode a sector image for `pid` from `records`. The image is
+/// Encode a sector image for `pid` from `runs`. The image is
 /// `sector_size` bytes with erased (0xFF) tail space.
-pub(crate) fn encode_sector(pid: u64, records: &[LogRecord], sector_size: usize) -> Vec<u8> {
+pub(crate) fn encode_sector(pid: u64, runs: &[DiffRun], sector_size: usize) -> Vec<u8> {
     let mut out = vec![0xFFu8; sector_size];
-    out[0..8].copy_from_slice(&pid.to_le_bytes());
-    out[8..10].copy_from_slice(&(records.len() as u16).to_le_bytes());
-    let mut at = SECTOR_HEADER;
-    for r in records {
-        out[at..at + 2].copy_from_slice(&(r.offset as u16).to_le_bytes());
-        out[at + 2..at + 4].copy_from_slice(&(r.bytes.len() as u16).to_le_bytes());
-        out[at + 4..at + 4 + r.bytes.len()].copy_from_slice(&r.bytes);
-        at += r.cost();
-    }
-    debug_assert!(at <= sector_size, "sector overflow");
+    let mut w = Writer(&mut out[..]);
+    w.u64(pid);
+    write_runs(&mut w, runs);
     out
 }
 
 /// Decode one sector slot. Returns `None` for an erased slot.
-pub(crate) fn decode_sector(bytes: &[u8]) -> Result<Option<(u64, Vec<LogRecord>)>> {
-    if bytes.len() < SECTOR_HEADER {
-        return Err(CoreError::Corruption("log sector shorter than its header".into()));
+pub(crate) fn decode_sector(bytes: &[u8]) -> Result<Option<(u64, Vec<DiffRun>)>> {
+    let mut r = Reader::new(bytes);
+    match r.u64()? {
+        u64::MAX => Ok(None),
+        pid => Ok(Some((pid, read_runs(&mut r)?))),
     }
-    let pid = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-    if pid == u64::MAX {
-        return Ok(None);
-    }
-    let count = u16::from_le_bytes(bytes[8..10].try_into().unwrap()) as usize;
-    let mut records = Vec::with_capacity(count);
-    let mut at = SECTOR_HEADER;
-    for _ in 0..count {
-        if at + RECORD_OVERHEAD > bytes.len() {
-            return Err(CoreError::Corruption("log record header truncated".into()));
-        }
-        let offset = u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap()) as u32;
-        let len = u16::from_le_bytes(bytes[at + 2..at + 4].try_into().unwrap()) as usize;
-        if at + RECORD_OVERHEAD + len > bytes.len() {
-            return Err(CoreError::Corruption("log record payload truncated".into()));
-        }
-        records.push(LogRecord { offset, bytes: bytes[at + 4..at + 4 + len].to_vec() });
-        at += RECORD_OVERHEAD + len;
-    }
-    Ok(Some((pid, records)))
 }
 
 /// The in-memory log buffer of one logical page.
 #[derive(Debug, Default)]
 pub(crate) struct LogBuf {
-    records: VecDeque<LogRecord>,
+    runs: VecDeque<DiffRun>,
     bytes: usize,
 }
 
 impl LogBuf {
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.runs.is_empty()
     }
 
-    /// Total record cost currently buffered (diagnostics).
-    #[allow(dead_code)]
+    /// Total encoded size of the buffered runs.
+    #[cfg(test)]
     pub fn bytes(&self) -> usize {
         self.bytes
     }
 
-    pub fn append(&mut self, record: LogRecord) {
-        self.bytes += record.cost();
-        self.records.push_back(record);
+    pub fn append(&mut self, run: DiffRun) {
+        self.bytes += run.encoded_len();
+        self.runs.push_back(run);
     }
 
     /// Whether a full sector (payload capacity `cap`) can be packed.
@@ -111,47 +69,43 @@ impl LogBuf {
         self.bytes >= cap
     }
 
-    /// Pack up to `cap` payload bytes of records, splitting the boundary
-    /// record if necessary so that flush counts follow the paper's
+    /// Pack up to `cap` payload bytes of runs, splitting the boundary run
+    /// if necessary so that flush counts follow the paper's
     /// `ceil(size_of_update_logs / size_of_log_buffer)` model.
-    pub fn pack(&mut self, cap: usize) -> Vec<LogRecord> {
+    pub fn pack(&mut self, cap: usize) -> Vec<DiffRun> {
         let mut taken = Vec::new();
         let mut used = 0usize;
-        while let Some(front) = self.records.front_mut() {
-            let cost = front.cost();
+        while let Some(front) = self.runs.front_mut() {
+            let cost = front.encoded_len();
             if used + cost <= cap {
                 used += cost;
-                let r = self.records.pop_front().expect("front exists");
-                taken.push(r);
+                taken.push(self.runs.pop_front().expect("front exists"));
             } else {
                 let space = cap - used;
-                if space > RECORD_OVERHEAD {
-                    // Split: emit a prefix of the record now. The remainder
-                    // keeps its own record overhead, so recompute below.
-                    let n = space - RECORD_OVERHEAD;
+                if space > RUN_HEADER {
+                    // Split: emit a prefix of the run now. The remainder
+                    // keeps its own run header, so recompute below.
+                    let n = space - RUN_HEADER;
                     let head: Vec<u8> = front.bytes.drain(..n).collect();
-                    taken.push(LogRecord { offset: front.offset, bytes: head });
+                    taken.push(DiffRun { offset: front.offset, bytes: head });
                     front.offset += n as u32;
                 }
                 break;
             }
         }
-        self.bytes = self.records.iter().map(LogRecord::cost).sum();
+        self.bytes = self.runs.iter().map(DiffRun::encoded_len).sum();
         taken
     }
 
     /// Drain everything (eviction flush of a partial sector).
-    pub fn drain_all(&mut self) -> Vec<LogRecord> {
+    pub fn drain_all(&mut self) -> Vec<DiffRun> {
         self.bytes = 0;
-        self.records.drain(..).collect()
+        self.runs.drain(..).collect()
     }
 
-    /// Apply the buffered records, in order, to a page image.
+    /// Apply the buffered runs, in order, to a page image.
     pub fn apply_to(&self, page: &mut [u8]) {
-        for r in &self.records {
-            let at = r.offset as usize;
-            page[at..at + r.bytes.len()].copy_from_slice(&r.bytes);
-        }
+        apply_runs(&self.runs, page);
     }
 }
 
@@ -159,8 +113,8 @@ impl LogBuf {
 mod tests {
     use super::*;
 
-    fn rec(offset: u32, len: usize, fill: u8) -> LogRecord {
-        LogRecord { offset, bytes: vec![fill; len] }
+    fn rec(offset: u32, len: usize, fill: u8) -> DiffRun {
+        DiffRun { offset, bytes: vec![fill; len] }
     }
 
     #[test]
@@ -224,13 +178,10 @@ mod tests {
         for (i, v) in update.iter_mut().enumerate() {
             *v = i as u8;
         }
-        b.append(LogRecord { offset: 30, bytes: update.clone() });
+        b.append(DiffRun { offset: 30, bytes: update.clone() });
         let first = b.pack(54);
         let rest = b.drain_all();
-        for r in first.iter().chain(rest.iter()) {
-            let at = r.offset as usize;
-            page[at..at + r.bytes.len()].copy_from_slice(&r.bytes);
-        }
+        apply_runs(first.iter().chain(&rest), &mut page);
         assert_eq!(&page[30..130], &update[..]);
     }
 
@@ -244,10 +195,15 @@ mod tests {
         assert_eq!(page, [1, 1, 2, 2, 2, 2, 0, 0]);
     }
 
+    /// Every strict prefix of a sector's pid and runs fails to decode.
     #[test]
     fn decode_rejects_truncation() {
-        let records = vec![rec(0, 30, 9)];
-        let img = encode_sector(1, &records, 64);
-        assert!(decode_sector(&img[..20]).is_err());
+        let runs = vec![rec(0, 30, 9), rec(40, 3, 1)];
+        let img = encode_sector(1, &runs, 64);
+        let len = SECTOR_HEADER + 4 + 30 + 4 + 3;
+        for cut in 0..len {
+            assert!(decode_sector(&img[..cut]).is_err(), "cut at {cut}");
+        }
+        assert_eq!(decode_sector(&img[..len]).unwrap(), Some((1, runs)));
     }
 }

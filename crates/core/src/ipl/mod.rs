@@ -18,13 +18,14 @@
 //! sectors. Evicting a dirty page flushes its partial buffer; the data
 //! page itself is only rewritten at merge time.
 
-mod log;
+pub(crate) mod log;
 
+use crate::diff::{apply_runs, DiffRun, RUN_HEADER};
 use crate::error::CoreError;
 use crate::ftl::{make_spare, make_spare_preserving, GcPolicy};
 use crate::page_store::{ChangeRange, MethodKind, PageStore, StoreOptions};
 use crate::Result;
-use log::{LogBuf, LogRecord, RECORD_OVERHEAD, SECTOR_HEADER};
+use log::{LogBuf, SECTOR_HEADER};
 use pdl_flash::{BlockId, FlashChip, OpContext, PageKind, Ppn};
 use std::collections::{HashMap, VecDeque};
 
@@ -113,7 +114,7 @@ impl Ipl {
         }
         let logical_page = opts.logical_page_size(ds);
         let sector_size = logical_page / 16;
-        if sector_size <= SECTOR_HEADER + RECORD_OVERHEAD {
+        if sector_size <= SECTOR_HEADER + RUN_HEADER {
             return Err(CoreError::BadConfig(format!(
                 "log sector of {sector_size} bytes cannot hold any record"
             )));
@@ -429,10 +430,10 @@ impl Ipl {
         self.sector_size - SECTOR_HEADER
     }
 
-    /// Write one sector of records for `pid` into the block's log region,
+    /// Write one sector of runs for `pid` into the block's log region,
     /// merging first if the region is exhausted.
-    fn flush_sector(&mut self, pid: u64, records: Vec<LogRecord>) -> Result<()> {
-        if records.is_empty() {
+    fn flush_sector(&mut self, pid: u64, runs: Vec<DiffRun>) -> Result<()> {
+        if runs.is_empty() {
             return Ok(());
         }
         let lb = (pid / self.lppb as u64) as usize;
@@ -454,12 +455,12 @@ impl Ipl {
             // image (sector + spare) once.
             let g = self.chip.geometry();
             let mut img = vec![0xFFu8; g.data_size];
-            let sector = log::encode_sector(pid, &records, self.sector_size);
+            let sector = log::encode_sector(pid, &runs, self.sector_size);
             img[..self.sector_size].copy_from_slice(&sector);
             let spare = make_spare(g.spare_size, PageKind::IplLog, lb as u64, self.ts, &[]);
             self.chip.program_page(ppn, &img, &spare)?;
         } else {
-            let sector = log::encode_sector(pid, &records, self.sector_size);
+            let sector = log::encode_sector(pid, &runs, self.sector_size);
             self.chip.program_partial(ppn, (slot as usize) * self.sector_size, &sector)?;
         }
         self.regions[lb].sectors_used += 1;
@@ -510,9 +511,9 @@ impl Ipl {
             }
             GcPolicy::Greedy => self.free_blocks.pop_front().ok_or(CoreError::StorageFull)?,
         };
-        // Read every used log page once, bucketing records per pid in
+        // Read every used log page once, bucketing runs per pid in
         // global sector order.
-        let mut per_pid: HashMap<u64, Vec<LogRecord>> = HashMap::new();
+        let mut per_pid: HashMap<u64, Vec<DiffRun>> = HashMap::new();
         let used = self.regions[lb].sectors_used;
         let used_pages = used.div_ceil(self.sectors_per_log_page);
         let mut page_buf = vec![0u8; ds];
@@ -523,10 +524,9 @@ impl Ipl {
                 (used - i * self.sectors_per_log_page).min(self.sectors_per_log_page);
             for s in 0..sectors_here as usize {
                 let at = s * self.sector_size;
-                if let Some((pid, records)) =
-                    log::decode_sector(&page_buf[at..at + self.sector_size])?
+                if let Some((pid, runs)) = log::decode_sector(&page_buf[at..at + self.sector_size])?
                 {
-                    per_pid.entry(pid).or_default().extend(records);
+                    per_pid.entry(pid).or_default().extend(runs);
                 }
             }
         }
@@ -557,11 +557,8 @@ impl Ipl {
                 }
                 slice.copy_from_slice(&fbuf.data);
             }
-            if let Some(records) = per_pid.get(&pid) {
-                for r in records {
-                    let at = r.offset as usize;
-                    logical[at..at + r.bytes.len()].copy_from_slice(&r.bytes);
-                }
+            if let Some(runs) = per_pid.get(&pid) {
+                apply_runs(runs, &mut logical);
             }
             for j in 0..k {
                 let idx = (slot as u32) * k + j;
@@ -640,14 +637,11 @@ impl PageStore for Ipl {
                 (used.saturating_sub(i * self.sectors_per_log_page)).min(self.sectors_per_log_page);
             for s in 0..sectors_here as usize {
                 let at = s * self.sector_size;
-                if let Some((sector_pid, records)) =
+                if let Some((sector_pid, runs)) =
                     log::decode_sector(&page_buf[at..at + self.sector_size])?
                 {
                     if sector_pid == pid {
-                        for r in records {
-                            let off = r.offset as usize;
-                            out[off..off + r.bytes.len()].copy_from_slice(&r.bytes);
-                        }
+                        apply_runs(&runs, out);
                     }
                 }
             }
@@ -692,15 +686,14 @@ impl PageStore for Ipl {
         }
         let cap = self.sector_payload_cap();
         for c in changes {
-            let record = LogRecord {
+            let run = DiffRun {
                 offset: c.offset,
                 bytes: page_after[c.offset as usize..c.end()].to_vec(),
             };
-            let buf = self.bufs.entry(pid).or_default();
-            buf.append(record);
+            self.bufs.entry(pid).or_default().append(run);
             while self.bufs.get(&pid).is_some_and(|b| b.has_full_sector(cap)) {
-                let records = self.bufs.get_mut(&pid).expect("buffer exists").pack(cap);
-                self.flush_sector(pid, records)?;
+                let runs = self.bufs.get_mut(&pid).expect("buffer exists").pack(cap);
+                self.flush_sector(pid, runs)?;
             }
         }
         Ok(())
@@ -729,8 +722,7 @@ impl PageStore for Ipl {
         // Dirty eviction: flush the partial log buffer.
         if let Some(mut buf) = self.bufs.remove(&pid) {
             if !buf.is_empty() {
-                let records = buf.drain_all();
-                self.flush_sector(pid, records)?;
+                self.flush_sector(pid, buf.drain_all())?;
             }
         }
         Ok(())
@@ -741,8 +733,7 @@ impl PageStore for Ipl {
         for pid in pids {
             if let Some(mut buf) = self.bufs.remove(&pid) {
                 if !buf.is_empty() {
-                    let records = buf.drain_all();
-                    self.flush_sector(pid, records)?;
+                    self.flush_sector(pid, buf.drain_all())?;
                 }
             }
         }

@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 
+mod codec;
 pub mod diff;
 mod error;
 mod ftl;

@@ -41,26 +41,19 @@
 
 use super::recovery::{Census, RecoveryTables};
 use super::{Pdl, NONE};
+use crate::codec::{Reader, Sink, Writer};
 use crate::diff::NO_TXN;
 use crate::error::CoreError;
 use crate::ftl::make_spare;
 use crate::page_store::{PageStore as _, StoreOptions, StructRootEntry, StructRootsSnapshot};
 use crate::Result;
-use pdl_flash::{BlockId, FlashChip, FlashGeometry, PageBuf, PageKind, Ppn, SpareInfo};
+use pdl_flash::{BlockId, FlashChip, FlashGeometry, PageBuf, PageKind, Ppn};
 
 const PAYLOAD_MAGIC: u32 = 0x504C_4B31; // "PLK1"
 const HEADER_MAGIC: u32 = 0x504C_4831; // "PLH1"
-/// The codec version. v5 drops the four tables recovery derives or
-/// never read: the per-frame and per-page time stamps (the watermark
-/// wherever `ppmt` maps a page), the valid differential counts (mapped
-/// differentials plus located commit records) and the per-block obsolete
-/// counts. v4 added the transaction-id floor after the commit locations;
-/// the registered structure-root snapshot closes the payload since v3. A
-/// header or payload carrying any other version is no checkpoint:
-/// recovery scans in full.
+/// The checkpoint layout's version. A header or payload carrying any other
+/// version is no checkpoint: recovery scans in full.
 const VERSION: u16 = 5;
-/// Fixed-size header record at the start of the header page's data area.
-const HEADER_LEN: usize = 4 + 2 + 2 + 8 + 8 + 4 + 4 + 8 + 4;
 
 /// Structure-root records programmed into the live half's tail (after
 /// the header page) between checkpoints; see [`encode_root_record`].
@@ -88,117 +81,47 @@ fn block_fingerprint(chip: &mut FlashChip, block: BlockId, written: u32) -> Resu
     let first = chip.read_spare(g.page_at(block, 0))?;
     let last = chip.read_spare(g.page_at(block, written - 1))?;
     let mut buf = [0u8; 38];
-    encode_identity(&mut buf[0..17], first);
-    encode_identity(&mut buf[17..34], last);
-    buf[34..38].copy_from_slice(&written.to_le_bytes());
+    let mut w = Writer(&mut buf[..]);
+    for info in [first, last] {
+        match info {
+            Some(i) => {
+                w.u8(1);
+                w.u64(i.tag);
+                w.u64(i.ts);
+            }
+            None => w.bytes(&[0; 17]),
+        }
+    }
+    w.u32(written);
     Ok(fnv1a64(&buf).max(1)) // 0 is reserved for "free"
 }
 
-fn encode_identity(out: &mut [u8], info: Option<SpareInfo>) {
-    match info {
-        Some(i) => {
-            out[0] = 1;
-            out[1..9].copy_from_slice(&i.tag.to_le_bytes());
-            out[9..17].copy_from_slice(&i.ts.to_le_bytes());
-        }
-        None => out[0] = 0,
-    }
-}
-
-/// Serialised checkpoint stream layout (little-endian, fixed order):
-/// dims, ppmt, written, txn tables, txn-id floor, fingerprints, structure
-/// roots. [`decode_payload`] is its one reader.
-struct Stream(Vec<u8>);
-
-impl Stream {
-    fn push_u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn push_u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn push_u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn push_u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn skip(&mut self, n: usize) -> Result<()> {
-        self.take(n).map(|_| ())
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.at + n > self.bytes.len() {
-            return Err(CoreError::Corruption("checkpoint stream truncated".into()));
-        }
-        let s = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
-/// Serialise a structure-root snapshot (shared by the payload section
-/// and the tail records): next_pid u64, count u32, then per entry
-/// id u64, kind u8, pad [u8;3], npids u32, pids u64...
-fn push_roots(s: &mut Stream, roots: &StructRootsSnapshot) {
-    s.push_u64(roots.next_pid);
-    s.push_u32(roots.entries.len() as u32);
+/// Write a structure-root snapshot (shared by the payload section and the
+/// tail records).
+fn write_roots<W: Sink>(w: &mut Writer<W>, roots: &StructRootsSnapshot) {
+    w.u64(roots.next_pid);
+    w.u32(roots.entries.len() as u32);
     for e in &roots.entries {
-        s.push_u64(e.id);
-        s.push_u8(e.kind);
-        s.push_u8(0);
-        s.push_u8(0);
-        s.push_u8(0);
-        s.push_u32(e.pids.len() as u32);
+        w.u64(e.id);
+        w.u8(e.kind);
+        w.bytes(&[0; 3]);
+        w.u32(e.pids.len() as u32);
         for p in &e.pids {
-            s.push_u64(*p);
+            w.u64(*p);
         }
     }
 }
 
-fn parse_roots(c: &mut Cursor) -> Result<StructRootsSnapshot> {
-    let next_pid = c.u64()?;
-    let count = c.u32()? as usize;
-    let mut entries = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let id = c.u64()?;
-        let kind = c.u8()?;
-        c.skip(3)?;
-        let npids = c.u32()? as usize;
-        let mut pids = Vec::with_capacity(npids.min(4096));
-        for _ in 0..npids {
-            pids.push(c.u64()?);
-        }
-        entries.push(StructRootEntry { id, kind, pids });
-    }
+fn read_roots(r: &mut Reader) -> Result<StructRootsSnapshot> {
+    let next_pid = r.u64()?;
+    let entries = (0..r.u32()?)
+        .map(|_| {
+            let (id, kind, _pad) = (r.u64()?, r.u8()?, r.take(3)?);
+            let pids = (0..r.u32()?).map(|_| r.u64()).collect::<Result<_>>()?;
+            Ok(StructRootEntry { id, kind, pids })
+        })
+        .collect::<Result<_>>()?;
     Ok(StructRootsSnapshot { next_pid, entries })
-}
-
-/// Exact byte length of the root record [`encode_root_record`] writes for
-/// `roots`: its header (magic u32, length u32, version u16, pad u16,
-/// txn u64), what [`push_roots`] writes, and the trailing checksum.
-pub(crate) fn root_record_len(roots: &StructRootsSnapshot) -> usize {
-    let entries: usize = roots.entries.iter().map(|e| 16 + 8 * e.pids.len()).sum();
-    20 + (8 + 4 + entries) + 8
 }
 
 /// Encode one durable structure-root record, staged into `txn`'s commit
@@ -207,42 +130,39 @@ pub(crate) fn root_record_len(roots: &StructRootsSnapshot) -> usize {
 /// tail scan only needs the newest committed one and a torn trailer is
 /// detected and skipped.
 pub(crate) fn encode_root_record(roots: &StructRootsSnapshot, txn: u64) -> Vec<u8> {
-    let total = root_record_len(roots);
-    let mut s = Stream(Vec::with_capacity(total));
-    s.push_u32(ROOT_MAGIC);
-    s.push_u32(total as u32);
-    s.push_u16(ROOT_VERSION);
-    s.push_u16(0);
-    s.push_u64(txn);
-    push_roots(&mut s, roots);
-    let csum = fnv1a64(&s.0);
-    s.push_u64(csum);
-    debug_assert_eq!(s.0.len(), total, "root record length must match root_record_len");
-    s.0
+    let mut w = Writer(Vec::new());
+    w.u32(ROOT_MAGIC);
+    w.u32(0); // the record's length, set once the roots are written
+    w.u16(ROOT_VERSION);
+    w.u16(0);
+    w.u64(txn);
+    write_roots(&mut w, roots);
+    let total = w.0.len() + 8; // and the checksum
+    w.set_u32(4, total as u32);
+    let csum = fnv1a64(&w.0);
+    w.u64(csum);
+    w.0
 }
 
 /// Decode a root record previously written by [`encode_root_record`].
 /// `bytes` must cover the whole record; returns `None` for anything torn
 /// or foreign (bad magic / version / checksum).
-fn decode_root_record(bytes: &[u8]) -> Option<(u64, StructRootsSnapshot)> {
-    if bytes.len() < root_record_len(&StructRootsSnapshot::default()) {
+pub(crate) fn decode_root_record(bytes: &[u8]) -> Option<(u64, StructRootsSnapshot)> {
+    let (body, csum) = bytes.split_at(bytes.len().checked_sub(8)?);
+    if Reader::new(csum).u64().ok()? != fnv1a64(body) {
         return None;
     }
-    let body = &bytes[..bytes.len() - 8];
-    let want = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    if fnv1a64(body) != want {
+    let mut r = Reader::new(body);
+    if r.u32().ok()? != ROOT_MAGIC
+        || r.u32().ok()? as usize != bytes.len()
+        || r.u16().ok()? != ROOT_VERSION
+    {
         return None;
     }
-    let mut c = Cursor { bytes: body, at: 0 };
-    if c.u32().ok()? != ROOT_MAGIC || c.u32().ok()? as usize != bytes.len() {
-        return None;
-    }
-    if c.u16().ok()? != ROOT_VERSION {
-        return None;
-    }
-    let _pad = c.u16().ok()?;
-    let txn = c.u64().ok()?;
-    let roots = parse_roots(&mut c).ok()?;
+    r.take(2).ok()?;
+    let txn = r.u64().ok()?;
+    let roots = read_roots(&mut r).ok()?;
+    r.end().ok()?;
     Some((txn, roots))
 }
 
@@ -361,10 +281,9 @@ fn read_root_record(
     if chip.read_data(Ppn(at), img).is_err() {
         return Ok(None); // rotten first page: torn record
     }
-    let magic = u32::from_le_bytes(img[0..4].try_into().unwrap());
-    let total = u32::from_le_bytes(img[4..8].try_into().unwrap()) as usize;
-    let shortest = root_record_len(&StructRootsSnapshot::default());
-    if magic != ROOT_MAGIC || total < shortest || total > (end - at) as usize * data_size {
+    let mut head = Reader::new(img);
+    let (magic, total) = (head.u32()?, head.u32()? as usize);
+    if magic != ROOT_MAGIC || total > (end - at) as usize * data_size {
         return Ok(None);
     }
     let npages = total.div_ceil(data_size) as u32;
@@ -411,14 +330,13 @@ impl Pdl {
             } else {
                 block_fingerprint(&mut self.chip, BlockId(b), self.alloc.written_in(BlockId(b)))?
             };
-            s.push_u64(fp);
+            s.u64(fp);
         }
         // The registered structure roots ride in the payload,
         // compacting the tail records accumulated since the last
         // checkpoint into the baseline.
-        push_roots(&mut s, &self.struct_roots);
+        write_roots(&mut s, &self.struct_roots);
         let payload = s.0;
-        let csum = fnv1a64(&payload);
         let watermark = self.ts.saturating_sub(1);
 
         // Pick the idle half and erase it. Before the first checkpoint
@@ -459,17 +377,10 @@ impl Pdl {
             self.chip.program_page(Ppn(base_ppn + i as u32), &img, &spare)?;
         }
         img.fill(0xFF);
-        let mut h = Vec::with_capacity(HEADER_LEN);
-        h.extend_from_slice(&HEADER_MAGIC.to_le_bytes());
-        h.extend_from_slice(&VERSION.to_le_bytes());
-        h.extend_from_slice(&0u16.to_le_bytes());
-        h.extend_from_slice(&seq.to_le_bytes());
-        h.extend_from_slice(&watermark.to_le_bytes());
-        h.extend_from_slice(&base_ppn.to_le_bytes());
-        h.extend_from_slice(&payload_pages.to_le_bytes());
-        h.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        h.extend_from_slice(&(csum as u32).to_le_bytes());
-        img[..h.len()].copy_from_slice(&h);
+        let csum = fnv1a64(&payload) as u32;
+        let payload_len = payload.len() as u64;
+        Header { seq, watermark, base_ppn, payload_pages, payload_len, csum }
+            .write(&mut Writer(&mut img[..]));
         let header_ppn = Ppn(base_ppn + payload_pages);
         let spare = make_spare(g.spare_size, PageKind::CheckpointHead, seq, watermark, &img);
         self.chip.program_page(header_ppn, &img, &spare)?;
@@ -495,45 +406,42 @@ impl Pdl {
     /// The payload's tables section: dims, the mapping table, per-block
     /// fill levels, transaction tables and the txn-id floor. Reads
     /// nothing.
-    fn encode_tables(&self) -> Stream {
+    fn encode_tables(&self) -> Writer<Vec<u8>> {
         let g = self.chip.geometry();
         let nl = self.opts.num_logical_pages as usize;
         let k = self.opts.frames_per_page as usize;
-        let mut s = Stream(Vec::with_capacity(64 * 1024));
-        s.push_u32(PAYLOAD_MAGIC);
-        s.push_u16(VERSION);
-        s.push_u16(k as u16);
-        s.push_u64(nl as u64);
-        s.push_u32(g.num_blocks);
-        s.push_u32(g.num_pages());
+        let mut w = Writer(Vec::with_capacity(64 * 1024));
+        w.u32(PAYLOAD_MAGIC);
+        w.u16(VERSION);
+        w.u16(k as u16);
+        w.u64(nl as u64);
+        w.u32(g.num_blocks);
+        w.u32(g.num_pages());
         for e in &self.ppmt {
             for j in 0..k {
-                s.push_u32(e.base[j]);
+                w.u32(e.base[j]);
             }
-            s.push_u32(e.diff);
+            w.u32(e.diff);
         }
         for b in 0..g.num_blocks {
-            s.push_u32(self.alloc.written_in(BlockId(b)));
+            w.u32(self.alloc.written_in(BlockId(b)));
         }
         // Transaction tables: per-page tags and live commit-record
         // locations. Presence is recomputed at load time, and so is which
         // tags another shard proves, so neither is persisted.
-        for t in &self.diff_txn {
-            s.push_u64(*t);
-        }
-        for t in &self.base_txn {
-            s.push_u64(*t);
+        for t in self.diff_txn.iter().chain(&self.base_txn) {
+            w.u64(*t);
         }
         let mut loc_entries: Vec<(&u64, &u32)> =
             self.commit_locs.iter().filter(|(_, p)| **p != super::PROOF_REMOTE).collect();
-        s.push_u32(loc_entries.len() as u32);
+        w.u32(loc_entries.len() as u32);
         loc_entries.sort_by_key(|(t, _)| **t);
         for (t, p) in loc_entries {
-            s.push_u64(*t);
-            s.push_u32(*p);
+            w.u64(*t);
+            w.u32(*p);
         }
-        s.push_u64(self.txn_id_floor());
-        s
+        w.u64(self.txn_id_floor());
+        w
     }
 
     /// A digest of the tables a checkpoint records: two recoveries of one
@@ -546,7 +454,8 @@ impl Pdl {
     }
 }
 
-/// A decoded header page.
+/// The record at the start of a header page, which commits a checkpoint.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct Header {
     seq: u64,
     watermark: u64,
@@ -554,6 +463,38 @@ struct Header {
     payload_pages: u32,
     payload_len: u64,
     csum: u32,
+}
+
+impl Header {
+    fn write<W: Sink>(&self, w: &mut Writer<W>) {
+        w.u32(HEADER_MAGIC);
+        w.u16(VERSION);
+        w.u16(0);
+        w.u64(self.seq);
+        w.u64(self.watermark);
+        w.u32(self.base_ppn);
+        w.u32(self.payload_pages);
+        w.u64(self.payload_len);
+        w.u32(self.csum);
+    }
+
+    /// The header a page's data area starts with; `None` for another
+    /// magic or version.
+    fn read(data: &[u8]) -> Result<Option<Header>> {
+        let mut r = Reader::new(data);
+        if r.u32()? != HEADER_MAGIC || r.u16()? != VERSION {
+            return Ok(None);
+        }
+        r.take(2)?;
+        Ok(Some(Header {
+            seq: r.u64()?,
+            watermark: r.u64()?,
+            base_ppn: r.u32()?,
+            payload_pages: r.u32()?,
+            payload_len: r.u64()?,
+            csum: r.u32()?,
+        }))
+    }
 }
 
 /// The payload of the checkpoint `header` commits, or `None` when it does
@@ -594,19 +535,7 @@ fn find_latest_header(chip: &mut FlashChip, opts: &StoreOptions) -> Result<Optio
     let Some((_, ppn)) = best else { return Ok(None) };
     let mut img = vec![0u8; g.data_size];
     chip.read_data(ppn, &mut img)?;
-    let mut c = Cursor { bytes: &img, at: 0 };
-    if c.u32()? != HEADER_MAGIC || c.u16()? != VERSION {
-        return Ok(None);
-    }
-    let _pad = c.u16()?;
-    Ok(Some(Header {
-        seq: c.u64()?,
-        watermark: c.u64()?,
-        base_ppn: c.u32()?,
-        payload_pages: c.u32()?,
-        payload_len: c.u64()?,
-        csum: c.u32()?,
-    }))
+    Header::read(&img)
 }
 
 /// The payload's one decoder: the tables it records, seeded into fresh
@@ -622,13 +551,13 @@ fn decode_payload(
 ) -> Result<Option<(RecoveryTables, Vec<u64>, StructRootsSnapshot)>> {
     let nl = opts.num_logical_pages as usize;
     let k = opts.frames_per_page as usize;
-    let mut c = Cursor { bytes: payload, at: 0 };
-    if c.u32()? != PAYLOAD_MAGIC
-        || c.u16()? != VERSION
-        || c.u16()? as usize != k
-        || c.u64()? as usize != nl
-        || c.u32()? != g.num_blocks
-        || c.u32()? != g.num_pages()
+    let mut r = Reader::new(payload);
+    if r.u32()? != PAYLOAD_MAGIC
+        || r.u16()? != VERSION
+        || r.u16()? as usize != k
+        || r.u64()? as usize != nl
+        || r.u32()? != g.num_blocks
+        || r.u32()? != g.num_pages()
     {
         return Ok(None);
     }
@@ -636,30 +565,30 @@ fn decode_payload(
     for pid in 0..nl {
         let e = &mut tables.ppmt[pid];
         for j in 0..k {
-            e.base[j] = c.u32()?;
+            e.base[j] = r.u32()?;
             if e.base[j] != NONE {
                 tables.frame_ts[pid * k + j] = watermark;
             }
         }
-        e.diff = c.u32()?;
+        e.diff = r.u32()?;
         if e.diff != NONE {
             tables.diff_ts[pid] = watermark;
         }
     }
     for w in tables.written.iter_mut() {
-        *w = c.u32()?;
+        *w = r.u32()?;
     }
     for t in tables.diff_txn.iter_mut().chain(tables.base_txn.iter_mut()) {
-        *t = c.u64()?;
+        *t = r.u64()?;
     }
-    for _ in 0..c.u32()? {
-        let t = c.u64()?;
-        tables.commit_locs.insert(t, c.u32()?);
+    for _ in 0..r.u32()? {
+        let t = r.u64()?;
+        tables.commit_locs.insert(t, r.u32()?);
     }
-    tables.txn_floor = c.u64()?;
+    tables.txn_floor = r.u64()?;
     tables.max_ts = watermark;
-    let fingerprints = (0..g.num_blocks).map(|_| c.u64()).collect::<Result<Vec<u64>>>()?;
-    Ok(Some((tables, fingerprints, parse_roots(&mut c)?)))
+    let fingerprints = (0..g.num_blocks).map(|_| r.u64()).collect::<Result<Vec<u64>>>()?;
+    Ok(Some((tables, fingerprints, read_roots(&mut r)?)))
 }
 
 /// The read pass of fast recovery: load and verify the newest committed
@@ -753,8 +682,10 @@ pub(super) fn load_checkpoint_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::round_trips;
     use crate::page_store::{BatchPage, CommitBatch};
     use pdl_flash::FlashConfig;
+    use proptest::prelude::*;
 
     const PAGES: u64 = 200;
     const MAX_DIFF: usize = 256;
@@ -845,5 +776,22 @@ mod tests {
         // The root-log scan meets the free page after the header.
         want[header + 1] += 1;
         assert_eq!(reads, want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn headers_round_trip(
+            at in (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>()),
+            payload in (any::<u64>(), any::<u32>()),
+        ) {
+            let (seq, watermark, base_ppn, payload_pages) = at;
+            let (payload_len, csum) = payload;
+            let h = Header { seq, watermark, base_ppn, payload_pages, payload_len, csum };
+            let mut w = Writer(Vec::new());
+            h.write(&mut w);
+            round_trips(&w.0, &h, Header::read)?;
+        }
     }
 }

@@ -37,8 +37,8 @@ impl DiffWriteBuffer {
         self.capacity - self.used
     }
 
-    /// Number of staged records (diagnostics).
-    #[allow(dead_code)]
+    /// Number of staged records.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.diffs.len() + self.proofs.len()
     }

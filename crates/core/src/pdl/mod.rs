@@ -94,7 +94,7 @@
 //! checkpoint prefers a copy the delta scan found over the location the
 //! checkpoint recorded.
 
-mod checkpoint;
+pub(crate) mod checkpoint;
 mod dwb;
 mod recovery;
 mod spans;
@@ -1501,9 +1501,11 @@ impl Pdl {
     /// Whether `roots`' record fits the root log's tail (always, without
     /// a root region: the record is accepted and discarded).
     pub(crate) fn root_log_fits(&self, roots: &StructRootsSnapshot) -> bool {
-        let npages =
-            checkpoint::root_record_len(roots).div_ceil(self.chip.geometry().data_size) as u32;
-        self.opts.checkpoint_blocks < 2 || self.root_tail + npages <= self.root_tail_end
+        let npages = || {
+            let len = checkpoint::encode_root_record(roots, 0).len();
+            len.div_ceil(self.chip.geometry().data_size) as u32
+        };
+        self.opts.checkpoint_blocks < 2 || self.root_tail + npages() <= self.root_tail_end
     }
 
     /// Open a batch of at most `pages` logical pages (and `roots`),

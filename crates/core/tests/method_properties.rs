@@ -149,12 +149,16 @@ proptest! {
     }
 
     /// Differential codec: apply(compute(base, new)) == new, for arbitrary
-    /// byte pages and coalescing gaps.
+    /// byte pages and coalescing gaps; a tagged differential's encoding
+    /// parses back whole, and none of its strict prefixes parses to a
+    /// record (the prefix too short to hold a length and a kind reads as
+    /// erased space).
     #[test]
     fn diff_compute_apply_inverts(
         base in proptest::collection::vec(any::<u8>(), 64..256),
         edits in proptest::collection::vec((any::<u16>(), any::<u8>(), 1u8..40), 0..8),
         gap in 0usize..16,
+        txn in any::<u64>(),
     ) {
         let mut new = base.clone();
         for (at, fill, len) in &edits {
@@ -162,7 +166,7 @@ proptest! {
             let end = (at + *len as usize).min(base.len());
             new[at..end].fill(*fill);
         }
-        let d = pdl_core::diff::Differential::compute(1, 2, &base, &new, gap);
+        let d = pdl_core::diff::Differential { txn, ..pdl_core::diff::Differential::compute(1, 2, &base, &new, gap) };
         let mut rebuilt = base.clone();
         d.apply(&mut rebuilt);
         prop_assert_eq!(&rebuilt, &new);
@@ -170,6 +174,12 @@ proptest! {
         let mut buf = vec![0xFFu8; d.encoded_len() + 8];
         prop_assert_eq!(d.encode(&mut buf).unwrap(), d.encoded_len());
         let back = pdl_core::diff::Differential::parse_page(&buf).unwrap();
+        for cut in 0..d.encoded_len() {
+            match pdl_core::diff::Differential::parse_page(&buf[..cut]) {
+                Ok(records) => prop_assert!(cut < 3 && records.is_empty(), "{}-byte prefix", cut),
+                Err(_) => prop_assert!(cut >= 3, "{}-byte prefix", cut),
+            }
+        }
         prop_assert_eq!(back, vec![pdl_core::diff::PageRecord::Diff(d)]);
     }
 

@@ -516,9 +516,10 @@ pub(crate) struct FrameCache {
     changes: Vec<ChangeRange>,
     stats: BufferStats,
     /// Whether transaction-owned dirty frames are pinned against eviction
-    /// and skipped by write-backs (atomic-commit mode). Relaxed mode
-    /// leaves them evictable — legacy behavior, with abort still restored
-    /// from the in-memory undo images.
+    /// and skipped by write-backs ([`crate::Durability::Commit`]). Without
+    /// the pin they stay evictable, with abort still restored from the
+    /// in-memory undo images: [`crate::Durability::Relaxed`], the paper's
+    /// own setting and the one Figure 18's TPC-C runs use.
     pin_owned: bool,
     /// Whether the store consumes update notifications
     /// ([`PageStore::consumes_updates`]). When it does not, a mutation of
