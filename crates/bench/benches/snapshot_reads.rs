@@ -19,7 +19,9 @@
 //! Acceptance bar (ISSUE 4): >= 1.5x read throughput for 4 scanners
 //! racing 4 writers versus the locked read path. Every scan also
 //! verifies it observed each writer's commit group atomically; a torn
-//! snapshot fails the run.
+//! snapshot fails the run. So does a scan retried on `SnapshotTooOld`:
+//! the default `snapshot_version_cap` must keep every view's versions in
+//! DRAM for the length of a scan.
 //!
 //! Run with `cargo bench -p pdl-bench --bench snapshot_reads`; set
 //! `PDL_SCALE=quick|default|paper` to choose the workload size.
@@ -81,6 +83,10 @@ fn run(scale: Scale, locked: bool, structure_churn: bool) -> SnapshotReadResult 
         "every scan must observe atomic commit groups \
          (locked={locked}, structure_churn={structure_churn})"
     );
+    assert_eq!(
+        r.too_old_retries, 0,
+        "the version cap must serve every scan (locked={locked}, structure_churn={structure_churn})"
+    );
     assert_eq!(r.buffer.active_views, 0, "a run may not leave read views open");
     assert_eq!(r.buffer.leaked_pids, 0, "a run may not strand allocated pids");
     r
@@ -116,6 +122,7 @@ fn main() {
             "scans",
             "txns",
             "torn",
+            "too-old retries",
             "version reads",
             "open views",
             "leaked pids",
@@ -133,6 +140,7 @@ fn main() {
             r.scans.to_string(),
             r.committed.to_string(),
             r.torn_scans.to_string(),
+            r.too_old_retries.to_string(),
             r.version_reads.to_string(),
             r.buffer.active_views.to_string(),
             r.buffer.leaked_pids.to_string(),

@@ -9,13 +9,7 @@
 //! * any `detected_corruptions` counter exceeds its sibling
 //!   `repaired_pages` — the run served data whose checksum mismatch was
 //!   never repaired (an *explained* detection is one the online
-//!   single-page repair path fixed); or
-//! * any `retention.ledger_enabled` marker is nonzero while its sibling
-//!   `retention.flash_resolves` is zero — the run claimed the flash
-//!   version-retention ledger was on but never resolved a single cold
-//!   version from it, so the spill path went unexercised (a silently
-//!   dead ledger would hide regressions in exactly the code the
-//!   retention bench exists to cover).
+//!   single-page repair path fixed).
 //!
 //! Files that fail to parse are an error too: a truncated or
 //! hand-mangled document must not pass the gate silently.
@@ -40,15 +34,6 @@ fn check_file(path: &str) -> Result<(), String> {
             if *value > repaired {
                 failures.push(format!(
                     "{key} = {value} exceeds {sibling} = {repaired} (unexplained corruption)"
-                ));
-            }
-        } else if key == "retention.ledger_enabled" || key.ends_with(".retention.ledger_enabled") {
-            let sibling = format!("{}flash_resolves", &key[..key.len() - "ledger_enabled".len()]);
-            let resolves = leaves.get(&sibling).copied().unwrap_or(0.0);
-            if *value != 0.0 && resolves == 0.0 {
-                failures.push(format!(
-                    "{key} = {value} but {sibling} = {resolves} (ledger enabled yet no cold \
-                     version was ever resolved from flash)"
                 ));
             }
         }

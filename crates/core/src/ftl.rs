@@ -70,18 +70,6 @@ pub struct BlockManager {
     policy: GcPolicy,
     /// Erase count per block, mirrored here for the wear-aware policy.
     erases: Vec<u64>,
-    /// Retention-ledger pins per block: live spilled pre-image pages an
-    /// active read view may still resolve. Pinned pages are valid pages —
-    /// GC relocates rather than destroys them — but collecting a block
-    /// dense in them churns cold data for no reclaim benefit, so victim
-    /// selection deprioritises such blocks (see
-    /// [`Self::pick_victim_excluding`]).
-    retained: Vec<u32>,
-    /// Times victim selection steered away from a retention-dense block
-    /// that plain policy scoring would have picked (the
-    /// `retention.pinned_skips` gauge). A `Cell` so the read-only
-    /// selection path can record the event.
-    retention_skips: std::cell::Cell<u64>,
 }
 
 /// Garbage-collection victim selection policy.
@@ -109,8 +97,6 @@ impl BlockManager {
             dead: vec![0; (num_blocks as usize * pages_per_block as usize).div_ceil(64)],
             policy: GcPolicy::Greedy,
             erases: vec![0; num_blocks as usize],
-            retained: vec![0; num_blocks as usize],
-            retention_skips: std::cell::Cell::new(0),
         }
     }
 
@@ -297,33 +283,6 @@ impl BlockManager {
         Ok(())
     }
 
-    /// Record that `ppn` holds a retention-ledger-pinned page (a spilled
-    /// cold version some active read view may resolve).
-    pub fn note_retained(&mut self, ppn: Ppn) {
-        let b = (ppn.0 / self.pages_per_block) as usize;
-        self.retained[b] += 1;
-    }
-
-    /// Record that the pin on `ppn` was dropped (the page was freed, or
-    /// GC relocated it and re-pinned the new copy).
-    pub fn note_released(&mut self, ppn: Ppn) {
-        let b = (ppn.0 / self.pages_per_block) as usize;
-        debug_assert!(self.retained[b] > 0, "retention pin underflow in block {b}");
-        self.retained[b] = self.retained[b].saturating_sub(1);
-    }
-
-    /// Retention pins currently held in `block` (diagnostics).
-    #[cfg(test)]
-    pub fn retained_in(&self, block: BlockId) -> u32 {
-        self.retained[block.0 as usize]
-    }
-
-    /// Times victim selection avoided a retention-dense block plain
-    /// policy scoring would have picked.
-    pub fn retention_skips(&self) -> u64 {
-        self.retention_skips.get()
-    }
-
     /// Choose a GC victim: a `Used` block, preferred according to the
     /// configured [`GcPolicy`], whose live pages can be relocated into at
     /// most `max_valid` free pages and which reclaims at least one page
@@ -331,70 +290,25 @@ impl BlockManager {
     /// no suitable block exists — the store is genuinely full (or too
     /// broken to proceed).
     pub fn pick_victim(&self, max_valid: u32) -> Option<BlockId> {
-        self.pick_victim_excluding(max_valid, &std::collections::HashSet::new())
+        self.select_victim(max_valid, &std::collections::HashSet::new())
     }
 
-    /// [`Self::pick_victim`] restricted to blocks outside `pinned`, and
-    /// deprioritising blocks dense in retention-ledger pins.
-    ///
-    /// `pinned` is the *hard* exclusion: an in-flight transaction commit
-    /// batch pins the blocks holding its pre-images (the superseded base
-    /// pages and differentials whose obsolete marks are deferred until
-    /// the commit record is durable) — erasing one would destroy the only
-    /// state a crash could roll back to, and those pages cannot be
-    /// relocated mid-commit.
-    ///
-    /// Retention-ledger pins ([`Self::note_retained`]) are *soft*: the
-    /// spilled cold versions they mark are ordinary valid pages GC can
-    /// relocate, so a retention-dense block is still collectable — it is
-    /// just a poor victim (all churn, little reclaim, and every move
-    /// rewrites a page a reader may be about to fetch). Selection runs in
-    /// two tiers: pin-free blocks compete under plain policy scoring
-    /// first; only when no pin-free victim exists do retention-dense
-    /// blocks compete, least-dense first.
-    pub fn pick_victim_excluding(
+    /// [`Self::pick_victim`] restricted to blocks outside `pinned`: an
+    /// in-flight transaction commit batch pins the blocks holding its
+    /// pre-images (the superseded base pages and differentials whose
+    /// obsolete marks are deferred until the commit record is durable) —
+    /// erasing one would destroy the only state a crash could roll back
+    /// to, and those pages cannot be relocated mid-commit.
+    pub fn select_victim(
         &self,
         max_valid: u32,
         pinned: &std::collections::HashSet<u32>,
     ) -> Option<BlockId> {
-        let (clean, skipped_retained) =
-            self.select_victim(max_valid, pinned, VictimPass::CleanOnly);
-        if let Some(choice) = clean {
-            // Diagnostic: did retention steer the choice away from what
-            // retention-blind policy scoring would have picked? Only if
-            // the clean pass passed over a retention-pinned block: without
-            // one, both passes score the same blocks.
-            if skipped_retained
-                && self.select_victim(max_valid, pinned, VictimPass::Unconstrained).0
-                    != Some(choice)
-            {
-                self.retention_skips.set(self.retention_skips.get() + 1);
-            }
-            return Some(choice);
-        }
-        self.select_victim(max_valid, pinned, VictimPass::DensityFirst).0
-    }
-
-    /// One victim-selection pass; see [`VictimPass`] for the tiers. Also
-    /// says whether the pass skipped a block for its retention pins.
-    fn select_victim(
-        &self,
-        max_valid: u32,
-        pinned: &std::collections::HashSet<u32>,
-        pass: VictimPass,
-    ) -> (Option<BlockId>, bool) {
-        let mut skipped_retained = false;
         let mut best: Option<u32> = None;
         let mut best_reclaim = 0u32;
         let mut best_erases = u64::MAX;
-        let mut best_retained = u32::MAX;
         for b in 0..self.states.len() as u32 {
             if self.states[b as usize] != BlockState::Used || pinned.contains(&b) {
-                continue;
-            }
-            let retained = self.retained[b as usize];
-            if pass == VictimPass::CleanOnly && retained > 0 {
-                skipped_retained = true;
                 continue;
             }
             let valid = self.valid_in(BlockId(b));
@@ -405,7 +319,7 @@ impl BlockManager {
             if reclaim == 0 {
                 continue;
             }
-            let policy_better = match self.policy {
+            let better = match self.policy {
                 GcPolicy::Greedy => best.is_none() || reclaim > best_reclaim,
                 GcPolicy::WearAware => {
                     // Prefer clearly-more-reclaimable blocks; break near
@@ -416,23 +330,13 @@ impl BlockManager {
                             && self.erases[b as usize] < best_erases)
                 }
             };
-            let better = if best.is_none() {
-                true
-            } else if pass == VictimPass::DensityFirst && retained != best_retained {
-                // Fallback tier: retention density dominates the policy
-                // score — the least-pinned eligible block wins.
-                retained < best_retained
-            } else {
-                policy_better
-            };
             if better {
                 best = Some(b);
                 best_reclaim = reclaim;
                 best_erases = self.erases[b as usize];
-                best_retained = retained;
             }
         }
-        (best.map(BlockId), skipped_retained)
+        best.map(BlockId)
     }
 
     /// Record that `block` was erased: it returns to the free pool.
@@ -448,8 +352,6 @@ impl BlockManager {
         self.obsolete[b] = 0;
         self.clear_dead(b);
         self.erases[b] += 1;
-        debug_assert_eq!(self.retained[b], 0, "erasing a block with live retention pins");
-        self.retained[b] = 0;
         self.free.push_back(block.0);
     }
 
@@ -464,10 +366,6 @@ impl BlockManager {
         self.dead.fill(0);
         self.free.clear();
         self.active = None;
-        // Retention pins do not survive a crash: the read views holding
-        // them are gone, and recovery counts spill pages dead.
-        self.retained.fill(0);
-        self.retention_skips.set(0);
         for b in 0..self.states.len() {
             if matches!(self.states[b], BlockState::Reserved | BlockState::Bad) {
                 continue;
@@ -494,18 +392,6 @@ impl BlockManager {
     pub fn total_valid(&self) -> u64 {
         (0..self.states.len() as u32).map(|b| self.valid_in(BlockId(b)) as u64).sum()
     }
-}
-
-/// Tiers of one victim-selection scan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum VictimPass {
-    /// Only blocks free of retention pins, plain policy ordering.
-    CleanOnly,
-    /// All blocks; fewer retention pins beats the policy score.
-    DensityFirst,
-    /// All blocks, retention-blind policy ordering (the diagnostic
-    /// baseline for the `retention.pinned_skips` gauge).
-    Unconstrained,
 }
 
 /// Mark a page obsolete, tolerating bad blocks: a page stranded in a
@@ -737,52 +623,6 @@ mod tests {
         m.erases[1] = 10;
         m.erases[2] = 1;
         assert_eq!(m.pick_victim(u32::MAX), Some(BlockId(2)));
-    }
-
-    #[test]
-    fn retention_pins_deprioritise_dense_blocks() {
-        let mut m = mgr();
-        let mut pages = Vec::new();
-        for _ in 0..12 {
-            if let AllocOutcome::Page(p) = m.alloc(false).unwrap() {
-                pages.push(p);
-            }
-        }
-        // Block 1 reclaims 3 pages, block 0 reclaims 1: greedy would pick
-        // block 1 — but block 1 holds a ledger-pinned spill page, so the
-        // pin-free block 0 wins and the steer is recorded.
-        m.note_obsolete(pages[0]);
-        m.note_obsolete(pages[4]);
-        m.note_obsolete(pages[5]);
-        m.note_obsolete(pages[6]);
-        m.note_retained(pages[7]);
-        assert_eq!(m.retained_in(BlockId(1)), 1);
-        assert_eq!(m.pick_victim(u32::MAX), Some(BlockId(0)));
-        assert_eq!(m.retention_skips(), 1);
-        // Release the pin: plain greedy scoring resumes.
-        m.note_released(pages[7]);
-        assert_eq!(m.pick_victim(u32::MAX), Some(BlockId(1)));
-        assert_eq!(m.retention_skips(), 1);
-    }
-
-    #[test]
-    fn retention_fallback_prefers_least_dense_block() {
-        let mut m = mgr();
-        let mut pages = Vec::new();
-        for _ in 0..8 {
-            if let AllocOutcome::Page(p) = m.alloc(false).unwrap() {
-                pages.push(p);
-            }
-        }
-        // Both used blocks hold pins, so the clean tier is empty; block 1
-        // reclaims more but is denser in pins, so block 0 wins.
-        m.note_obsolete(pages[1]);
-        m.note_obsolete(pages[4]);
-        m.note_obsolete(pages[5]);
-        m.note_retained(pages[0]);
-        m.note_retained(pages[6]);
-        m.note_retained(pages[7]);
-        assert_eq!(m.pick_victim(u32::MAX), Some(BlockId(0)));
     }
 
     #[test]

@@ -552,46 +552,6 @@ pub trait PageStore: Send {
         write_through().map_err(CommitError::Failed)
     }
 
-    // ------------------------------------------------------------------
-    // Retention-ledger spill tier (cold MVCC versions on flash).
-    //
-    // When DRAM retention pressure would evict a committed pre-image an
-    // active read view still needs, the buffer pool spills the image to
-    // flash through these hooks and records the handle in its retention
-    // ledger; reads fall back DRAM chain -> ledger -> flash. Spilled
-    // versions are a cache of in-memory state: no view survives a crash,
-    // so recovery discards them.
-    // ------------------------------------------------------------------
-
-    /// Whether this store can hold spilled cold versions (PDL writes them
-    /// as dedicated `Spill` pages; other methods report `false` and the
-    /// pool keeps its old evict-and-fail behaviour).
-    fn spill_supported(&self) -> bool {
-        false
-    }
-
-    /// Write one logical-page pre-image to flash as a spill page set.
-    /// Returns an opaque handle for [`PageStore::read_spill`] /
-    /// [`PageStore::free_spill`]. `pid` routes sharded stores and aids
-    /// debugging; it does not alias the live logical page.
-    fn spill_page(&mut self, pid: u64, page: &[u8]) -> Result<u64> {
-        let _ = (pid, page);
-        Err(CoreError::BadConfig(format!("{} does not support version spill", self.name())))
-    }
-
-    /// Read a spilled pre-image back into `out` (logical page size).
-    fn read_spill(&mut self, pid: u64, handle: u64, out: &mut [u8]) -> Result<()> {
-        let _ = (pid, handle, out);
-        Err(CoreError::BadConfig(format!("{} does not support version spill", self.name())))
-    }
-
-    /// Drop a spilled pre-image: the last read view that could resolve
-    /// it has closed. The pages become reclaimable garbage.
-    fn free_spill(&mut self, pid: u64, handle: u64) -> Result<()> {
-        let _ = (pid, handle);
-        Err(CoreError::BadConfig(format!("{} does not support version spill", self.name())))
-    }
-
     /// A safe lower bound for new transaction ids: above every id whose
     /// commit record (or live tag) still exists on flash, so a fresh id
     /// can never be "proven" committed by a stale record after a crash.

@@ -22,9 +22,9 @@
 //!
 //! Garbage collection relocates valid base pages and *compacts* valid
 //! differentials into fresh differential pages (§4.1). Which pages are
-//! valid is known in RAM — the mapping table, the valid differential
-//! count table and the spill ledger decide it, and the allocator's page
-//! bitmap ([`BlockManager::is_dead`]) records it — so GC skips a victim's
+//! valid is known in RAM — the mapping table and the valid differential
+//! count table decide it, and the allocator's page bitmap
+//! ([`BlockManager::is_dead`]) records it — so GC skips a victim's
 //! dead pages unread and reads each live one once, spare and data
 //! together. Crash recovery (§4.5) is in [`recovery`]; it rebuilds the
 //! bitmap from the tables it recovers.
@@ -241,12 +241,6 @@ pub(crate) struct PdlCounters {
     pub repaired_pages: u64,
     /// Logical pages poisoned: corrupt with no redundant source left.
     pub poisoned_pages: u64,
-    /// Cold MVCC versions spilled to flash for the retention ledger.
-    pub spilled_versions: u64,
-    /// Spilled versions read back for a snapshot reader.
-    pub spill_reads: u64,
-    /// Spill pages GC relocated (never destroyed while pinned).
-    pub spill_relocations: u64,
     /// Epoch records appended by group commit.
     pub epoch_commits: u64,
     /// Committed ids coalesced into epoch records during compaction.
@@ -365,18 +359,6 @@ pub struct Pdl {
     /// into `twins` only when the victim's erase fails, leaving the old
     /// copies readable.
     gc_moves: Vec<(u32, u32)>,
-    // --- retention-ledger spill tier ----------------------------------
-    /// Spilled cold versions: handle -> the per-frame ppns holding the
-    /// pre-image. Volatile by design — spill pages cache in-memory
-    /// version-chain state for live read views, and no view survives a
-    /// crash, so recovery starts this empty and GC reclaims any spill
-    /// page it no longer finds here.
-    spills: HashMap<u64, Vec<u32>>,
-    /// Reverse map: spill ppn -> (handle, frame index), so GC can
-    /// relocate a pinned spill page and re-point the handle.
-    spill_rev: HashMap<u32, (u64, u32)>,
-    /// Next spill handle.
-    next_spill: u64,
     // Workhorse buffers.
     base_buf: Vec<u8>,
     frame_buf: Vec<u8>,
@@ -453,9 +435,6 @@ impl Pdl {
             poisoned: HashMap::new(),
             twins: HashMap::new(),
             gc_moves: Vec::new(),
-            spills: HashMap::new(),
-            spill_rev: HashMap::new(),
-            next_spill: 0,
             base_buf: vec![0u8; opts.logical_page_size(g.data_size)],
             frame_buf: vec![0u8; g.data_size],
             page_img: vec![0u8; g.data_size],
@@ -477,7 +456,7 @@ impl Pdl {
     /// a batch, the carry queue knows every proof, every known range
     /// entry matches its page's current differential, and the allocator's
     /// page bitmap calls a written page dead exactly when no base frame,
-    /// differential or proof (`vdct > 0`) or spill ledger entry lives there.
+    /// differential or proof (`vdct > 0`) lives there.
     /// Outside a batch, each transaction's presence is its live tags here.
     #[doc(hidden)]
     pub fn check_tables(&self) -> std::result::Result<(), String> {
@@ -532,10 +511,7 @@ impl Pdl {
                 ));
             }
         }
-        let mut live = live_pages(&self.ppmt, &self.vdct, self.frames());
-        for &p in self.spill_rev.keys() {
-            live[p as usize] = true;
-        }
+        let live = live_pages(&self.ppmt, &self.vdct, self.frames());
         self.alloc.check_pages(|p| live[p.0 as usize])?;
         self.check_spans()
     }
@@ -1164,10 +1140,8 @@ impl Pdl {
         // Only victims whose relocation (plus slack) fits the free pool:
         // a failed erase must never strand GC mid-relocation.
         let budget = self.alloc.gc_capacity().saturating_sub(4) as u32;
-        let victim = self
-            .alloc
-            .pick_victim_excluding(budget, &self.batch_pins)
-            .ok_or(CoreError::StorageFull)?;
+        let victim =
+            self.alloc.select_victim(budget, &self.batch_pins).ok_or(CoreError::StorageFull)?;
         self.gc_moves.clear();
         let written = self.alloc.written_in(victim);
         let mut staged_from_victim = false;
@@ -1188,7 +1162,6 @@ impl Pdl {
             match info.kind {
                 PageKind::Base => self.relocate_base(ppn, info, &page.data)?,
                 PageKind::Diff => staged_from_victim |= self.compact_diff_page(ppn, &page.data)?,
-                PageKind::Spill => self.relocate_spill(ppn, info, &page.data)?,
                 // Allocated, but the program never happened.
                 PageKind::Free => {}
                 other => {
@@ -1296,35 +1269,6 @@ impl Pdl {
         }
         self.gc_moves.push((ppn.0, q.0));
         self.counters.relocated_bases += 1;
-        Ok(())
-    }
-
-    /// Move a live retention-ledger spill page, read into `data`, out of a
-    /// GC victim, re-pointing its handle — "GC never reclaims a
-    /// ledger-pinned pre-image" means relocated, never destroyed. (A spill
-    /// page with no ledger entry — a crash leftover, or a freed one — is
-    /// dead, and GC never reads it.)
-    fn relocate_spill(&mut self, ppn: Ppn, info: SpareInfo, data: &[u8]) -> Result<()> {
-        let entry = self.spill_rev.get(&ppn.0).copied();
-        debug_assert!(entry.is_some(), "GC found live spill page {ppn} with no ledger entry");
-        let Some((handle, j)) = entry else { return Ok(()) };
-        let g = self.chip.geometry();
-        // As with base relocation: a failing checksum travels with the
-        // copy (never laundered), surfacing at the reader instead.
-        let corrupt = self.chip.verify_read(ppn, data).is_err();
-        let q = self.alloc_page()?;
-        let spare = if corrupt {
-            make_spare_preserving(g.spare_size, &info)
-        } else {
-            make_spare(g.spare_size, PageKind::Spill, info.tag, info.ts, data)
-        };
-        self.chip.program_page(q, data, &spare)?;
-        self.spill_rev.remove(&ppn.0);
-        self.spill_rev.insert(q.0, (handle, j));
-        self.spills.get_mut(&handle).expect("rev map implies entry")[j as usize] = q.0;
-        self.alloc.note_released(ppn);
-        self.alloc.note_retained(q);
-        self.counters.spill_relocations += 1;
         Ok(())
     }
 
@@ -1498,27 +1442,30 @@ impl Pdl {
 // `crate::shard::commit_sequence` runs them on one chip and across
 // chips: open -> `stage_page`* -> [flush] -> roots -> record -> close.
 impl Pdl {
-    /// Whether `roots`' record fits the root log's tail (always, without
-    /// a root region: the record is accepted and discarded).
-    pub(crate) fn root_log_fits(&self, roots: &StructRootsSnapshot) -> bool {
-        let npages = || {
-            let len = checkpoint::encode_root_record(roots, 0).len();
-            len.div_ceil(self.chip.geometry().data_size) as u32
-        };
-        self.opts.checkpoint_blocks < 2 || self.root_tail + npages() <= self.root_tail_end
+    /// `roots`' record on behalf of `txn`, encoded once per commit for
+    /// [`Pdl::root_log_fits`] and [`Pdl::batch_stage_roots`]. `None`
+    /// without a root region: roots stay memory-resident.
+    pub(crate) fn root_record(&self, roots: &StructRootsSnapshot, txn: u64) -> Option<Vec<u8>> {
+        (self.opts.checkpoint_blocks >= 2).then(|| checkpoint::encode_root_record(roots, txn))
     }
 
-    /// Open a batch of at most `pages` logical pages (and `roots`),
-    /// pre-running garbage collection so the batch itself rarely triggers
-    /// it (the pre-image pins keep it safe when it does). An error here
-    /// is a rejection: nothing was staged.
+    /// Whether a root record of `len` bytes fits the root log's tail.
+    pub(crate) fn root_log_fits(&self, len: usize) -> bool {
+        let npages = len.div_ceil(self.chip.geometry().data_size) as u32;
+        self.root_tail + npages <= self.root_tail_end
+    }
+
+    /// Open a batch of at most `pages` logical pages (and a root record of
+    /// `record_len` bytes), pre-running garbage collection so the batch
+    /// itself rarely triggers it (the pre-image pins keep it safe when it
+    /// does). An error here is a rejection: nothing was staged.
     pub(crate) fn batch_open(
         &mut self,
         pages: u64,
-        roots: Option<&StructRootsSnapshot>,
+        record_len: Option<usize>,
     ) -> std::result::Result<(), CommitError> {
         debug_assert!(!self.in_txn_batch, "one commit batch at a time");
-        if roots.is_some_and(|r| !self.root_log_fits(r)) {
+        if record_len.is_some_and(|len| !self.root_log_fits(len)) {
             return Err(CommitError::Rejected(CoreError::StorageFull));
         }
         // Worst case per page: k base frames (Case 3) plus one flushed
@@ -1530,20 +1477,20 @@ impl Pdl {
         Ok(())
     }
 
-    /// Program `roots` into the root log's tail on behalf of `txn` (a
-    /// no-op without a root region: roots stay memory-resident). Recovery's
-    /// tail scan skips records of torn transactions, so the record is
-    /// authoritative exactly when `txn`'s commit record lands.
+    /// Program `record`, the [`Pdl::root_record`] of `roots`, into the
+    /// root log's tail on behalf of `txn`. Recovery's tail scan skips
+    /// records of torn transactions, so the record is authoritative
+    /// exactly when `txn`'s commit record lands.
     pub(crate) fn batch_stage_roots(
         &mut self,
         roots: &StructRootsSnapshot,
         txn: u64,
+        record: &[u8],
     ) -> Result<()> {
-        if self.opts.checkpoint_blocks < 2 {
-            return Ok(());
-        }
-        debug_assert!(self.in_txn_batch && self.root_log_fits(roots), "checked by batch_open");
-        let record = checkpoint::encode_root_record(roots, txn);
+        debug_assert!(
+            self.in_txn_batch && self.root_log_fits(record.len()),
+            "checked by batch_open"
+        );
         let g = self.chip.geometry();
         let ts = self.ts.saturating_sub(1);
         let mut img = vec![0xFFu8; g.data_size];
@@ -1820,74 +1767,6 @@ impl PageStore for Pdl {
         crate::shard::commit_sequence(std::slice::from_mut(self), batch)
     }
 
-    // --- retention-ledger spill tier ----------------------------------
-
-    fn spill_supported(&self) -> bool {
-        true
-    }
-
-    fn spill_page(&mut self, pid: u64, page: &[u8]) -> Result<u64> {
-        self.opts.check_pid(pid)?;
-        let ds = self.chip.geometry().data_size;
-        self.opts.check_page_buf(ds, page)?;
-        let k = self.frames() as u64;
-        self.ensure_capacity(k)?;
-        let g = self.chip.geometry();
-        let ts = self.next_ts();
-        let handle = self.next_spill;
-        self.next_spill += 1;
-        let mut ppns = Vec::with_capacity(k as usize);
-        for (j, frame_data) in page.chunks_exact(ds).enumerate() {
-            let q = self.alloc_page()?;
-            let tag = pid * k + j as u64;
-            let spare = make_spare(g.spare_size, PageKind::Spill, tag, ts, frame_data);
-            self.chip.program_page(q, frame_data, &spare)?;
-            self.alloc.note_retained(q);
-            self.spill_rev.insert(q.0, (handle, j as u32));
-            ppns.push(q.0);
-        }
-        self.spills.insert(handle, ppns);
-        self.counters.spilled_versions += 1;
-        Ok(handle)
-    }
-
-    fn read_spill(&mut self, pid: u64, handle: u64, out: &mut [u8]) -> Result<()> {
-        let ds = self.chip.geometry().data_size;
-        self.opts.check_page_buf(ds, out)?;
-        let ppns = self
-            .spills
-            .get(&handle)
-            .cloned()
-            .ok_or_else(|| CoreError::Corruption(format!("unknown spill handle {handle}")))?;
-        for (j, &ppn) in ppns.iter().enumerate() {
-            let slice = &mut out[j * ds..(j + 1) * ds];
-            match self.chip.read_data_verified(Ppn(ppn), slice) {
-                Ok(()) => {}
-                Err(pdl_flash::FlashError::ChecksumMismatch(p)) => {
-                    // A spill page has no twin: the cold version is
-                    // lost. Surface it — the live page is unaffected.
-                    slice.fill(0);
-                    return Err(CoreError::PageCorrupt { pid, ppn: p.0 });
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        self.counters.spill_reads += 1;
-        Ok(())
-    }
-
-    fn free_spill(&mut self, _pid: u64, handle: u64) -> Result<()> {
-        let Some(ppns) = self.spills.remove(&handle) else {
-            return Ok(()); // already freed: releasing is idempotent
-        };
-        for ppn in ppns {
-            self.spill_rev.remove(&ppn);
-            self.alloc.note_released(Ppn(ppn));
-            self.mark_dead_page(Ppn(ppn), false)?;
-        }
-        Ok(())
-    }
-
     fn txn_id_floor(&self) -> u64 {
         // Tags of a batch still open are not recorded yet.
         let tagged = self.presence.keys().max().map_or(1, |m| m + 1);
@@ -1944,12 +1823,8 @@ impl PageStore for Pdl {
             ("deferred_marks", c.deferred_marks),
             ("repaired_pages", c.repaired_pages),
             ("poisoned_pages", c.poisoned_pages),
-            ("spilled_versions", c.spilled_versions),
-            ("spill_reads", c.spill_reads),
-            ("spill_relocations", c.spill_relocations),
             ("epoch_commits", c.epoch_commits),
             ("epoch_coalesced", c.epoch_coalesced),
-            ("retention_pinned_skips", self.alloc.retention_skips()),
             ("proofs_carried", c.proofs_carried),
             ("proof_pages_released", c.proof_pages_released),
             ("base_reads_skipped", c.base_reads_skipped),
@@ -2510,16 +2385,15 @@ mod tests {
     }
 
     /// Run `op` and check what GC read during it: one read per page it
-    /// moved — a relocated base, a compacted differential page, a moved
-    /// spill page — and none for a dead page. Returns what GC did: no run,
+    /// moved — a relocated base or a compacted differential page — and
+    /// none for a dead page. Returns what GC did: no run,
     /// runs that moved pages, or one run that moved nothing (its victim
     /// held no live page, and it read nothing).
     fn gc_step(s: &mut Pdl, op: impl FnOnce(&mut Pdl)) -> Gc {
         let (c, reads) = (s.counters, s.chip().stats().gc.reads);
         op(s);
         let moved = (s.counters.relocated_bases - c.relocated_bases)
-            + (s.counters.compacted_pages - c.compacted_pages)
-            + (s.counters.spill_relocations - c.spill_relocations);
+            + (s.counters.compacted_pages - c.compacted_pages);
         assert_eq!(s.chip().stats().gc.reads - reads, moved, "GC reads exactly the pages it moves");
         s.check_tables().unwrap();
         match s.counters.gc_runs - c.gc_runs {
@@ -2537,9 +2411,8 @@ mod tests {
     }
 
     /// Mixed traffic over `model`'s pages: commit batches of one to three
-    /// edited pages (a page-wide edit, Case 3, now and then), plain
-    /// evictions, and spilled versions that stay live across GC until
-    /// freed; then page 0 is rewritten page-wide (Case 3) 24 times, each
+    /// edited pages (a page-wide edit, Case 3, now and then) and plain
+    /// evictions; then page 0 is rewritten page-wide (Case 3) 24 times, each
     /// copy killing the one before. Returns how many operations
     /// garbage-collected moving pages, and how many collected one victim
     /// that held nothing live.
@@ -2550,7 +2423,6 @@ mod tests {
             *x >> 33
         };
         let (mut moving, mut all_dead) = (0, 0);
-        let mut spills: VecDeque<(u64, u64)> = VecDeque::new();
         for round in 0..400 {
             let gc = match next(x) % 16 {
                 0..=6 => {
@@ -2567,16 +2439,6 @@ mod tests {
                     let batch = CommitBatch { pages: pages.collect(), roots: None };
                     gc_step(s, |s| s.commit_batch(&batch).unwrap())
                 }
-                // Spill on 14 and free on 15, keeping one to eight live.
-                14 if spills.len() < 8 => {
-                    let pid = next(x) % n;
-                    let page = &model[pid as usize];
-                    gc_step(s, |s| spills.push_back((pid, s.spill_page(pid, page).unwrap())))
-                }
-                15 if !spills.is_empty() => {
-                    let (pid, handle) = spills.pop_front().unwrap();
-                    gc_step(s, |s| s.free_spill(pid, handle).unwrap())
-                }
                 _ => {
                     let pid = next(x) % n;
                     edit(&mut model[pid as usize], x);
@@ -2588,9 +2450,6 @@ mod tests {
             }
             moving += u32::from(gc == Gc::Moved);
             all_dead += u32::from(gc == Gc::AllDead);
-        }
-        for (pid, handle) in spills {
-            gc_step(s, |s| s.free_spill(pid, handle).unwrap());
         }
         for fill in 0..24 {
             model[0].fill(fill);
@@ -2608,8 +2467,8 @@ mod tests {
 
     #[test]
     fn gc_reads_only_the_pages_it_moves() {
-        // On 16 blocks space is tight: GC moves live spill pages, but
-        // collects a block before it is all dead. On 22 it is not.
+        // On 16 blocks space is tight: GC collects a block before it is
+        // all dead. On 22 it is not.
         for blocks in [16, 22] {
             let geometry =
                 pdl_flash::FlashGeometry { num_blocks: blocks, ..FlashConfig::tiny().geometry };
@@ -2628,7 +2487,6 @@ mod tests {
                 assert!(blocks == 16 || all_dead > 0, "{phase}: no victim held nothing live");
             };
             check(&mut s, "fresh store");
-            assert!(blocks > 16 || s.counters.spill_relocations > 0, "GC must move a spill page");
             // The bitmap rebuilt by a full-scan recovery, then by a
             // checkpoint plus a delta scan, guides GC the same way.
             s.flush().unwrap();

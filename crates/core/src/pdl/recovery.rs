@@ -643,10 +643,6 @@ impl RecoveryTables {
                 }
                 Ok(())
             }
-            // Spilled cold MVCC versions are a flash-resident cache of
-            // in-memory retention state; no read view survives a crash, so
-            // every spill page is garbage after one.
-            PageKind::Spill => Ok(()),
             other => Err(CoreError::Corruption(format!(
                 "PDL recovery found a {other:?} page at {}",
                 Ppn(p)
@@ -876,8 +872,8 @@ fn finish_store(
         alloc.reserve_block(BlockId(b));
     }
     // Every written page the recovered tables hold nothing in is dead:
-    // superseded, torn, a spill page, a differential page left with no
-    // live record, or one whose data failed its checksum.
+    // superseded, torn, a differential page left with no live record, or
+    // one whose data failed its checksum.
     let live = super::live_pages(&tables.ppmt, &tables.vdct, opts.frames_per_page as usize);
     alloc.rebuild(&tables.written, |p| live[p.0 as usize]);
     // Blocks whose erase failed before the crash are permanently
@@ -932,9 +928,6 @@ fn finish_store(
         batch_failed: None,
         poisoned: tables.poisoned,
         twins: tables.twins,
-        spills: HashMap::new(),
-        spill_rev: HashMap::new(),
-        next_spill: 0,
         gc_moves: Vec::new(),
         base_buf: vec![0u8; opts.logical_page_size(g.data_size)],
         frame_buf: vec![0u8; g.data_size],
@@ -1199,35 +1192,6 @@ mod tests {
             matches!(&err, CoreError::Corruption(m) if m.contains("without a commit record")),
             "{err}"
         );
-    }
-
-    /// Recovery counts a page dead exactly when its tables hold nothing
-    /// there. A spilled version is live when a checkpoint records its
-    /// block, but no read view survives a crash: when the delta scan skips
-    /// that unchanged block, the spill page must still come back dead, or
-    /// GC would take it for a live page it has to move.
-    #[test]
-    fn a_spill_page_in_a_block_the_delta_scan_skips_recovers_dead() {
-        let opts = StoreOptions::new(8).with_checkpoint_blocks(2);
-        let mut s = Pdl::new(FlashChip::new(FlashConfig::tiny()), opts, MAX_DIFF).unwrap();
-        let size = s.logical_page_size();
-        for pid in 0..4 {
-            s.write_page(pid, &vec![pid as u8; size]).unwrap();
-        }
-        let handle = s.spill_page(0, &vec![0xAB; size]).unwrap();
-        let spill = Ppn(s.spills[&handle][0]);
-        for pid in 4..8 {
-            s.write_page(pid, &vec![pid as u8; size]).unwrap();
-        }
-        s.checkpoint().unwrap();
-        // The block is full and nothing in it dies: the delta scan skips it.
-        let (g, block) = (s.chip().geometry(), s.chip().geometry().block_of(spill));
-        assert_eq!(s.alloc.written_in(block), g.pages_per_block);
-        assert_eq!(s.alloc.valid_in(block), g.pages_per_block);
-        let r = Pdl::recover(Box::new(s).into_chip(), opts, MAX_DIFF).unwrap();
-        assert!(r.alloc.is_dead(spill));
-        assert_eq!(r.alloc.valid_in(block), r.alloc.written_in(block) - 1);
-        r.check_tables().unwrap();
     }
 
     /// A checkpoint loads every live base at its watermark. When GC later

@@ -217,12 +217,13 @@ pub(crate) fn commit_sequence(
     if involved.is_empty() {
         return Ok(());
     }
-    let roots = batch.roots.map(|(r, _)| r);
-    if roots.is_some_and(|r| !shards[0].root_log_fits(r)) {
+    let record = batch.roots.and_then(|(r, txn)| shards[0].root_record(r, txn));
+    let record_len = record.as_ref().map(Vec::len);
+    if record_len.is_some_and(|len| !shards[0].root_log_fits(len)) {
         checkpoint(shards).map_err(CommitError::Rejected)?;
     }
     for (i, &s) in involved.iter().enumerate() {
-        let opened = shards[s].batch_open(pages[s].len() as u64, roots.filter(|_| s == 0));
+        let opened = shards[s].batch_open(pages[s].len() as u64, record_len.filter(|_| s == 0));
         if let Err(rejected) = opened {
             for &o in &involved[..i] {
                 shards[o].batch_close().map_err(|e| fail(shards, e))?;
@@ -242,8 +243,8 @@ pub(crate) fn commit_sequence(
         let home = *buffering.first().unwrap_or(&involved[0]);
         let first: Vec<usize> = buffering.into_iter().filter(|&s| s != home).collect();
         fan_out(shards, &first, &|_, st| st.flush())?;
-        if let Some((r, txn)) = batch.roots {
-            shards[0].batch_stage_roots(r, txn)?;
+        if let (Some((r, txn)), Some(record)) = (batch.roots, &record) {
+            shards[0].batch_stage_roots(r, txn, record)?;
         }
         let others: Vec<usize> = involved.iter().copied().filter(|&s| s != home).collect();
         let foreign: Vec<u64> =
@@ -478,27 +479,6 @@ impl PageStore for ShardedStore {
 
     fn txn_id_floor(&self) -> u64 {
         self.shards.iter().map(|s| s.txn_id_floor()).max().unwrap_or(1)
-    }
-
-    fn spill_supported(&self) -> bool {
-        true
-    }
-
-    fn spill_page(&mut self, pid: u64, page: &[u8]) -> Result<u64> {
-        let (s, local) = locate(&self.shards, pid)?;
-        let handle = self.shards[s].spill_page(local, page)?;
-        settle(&mut self.shards)?;
-        Ok(handle)
-    }
-
-    fn read_spill(&mut self, pid: u64, handle: u64, out: &mut [u8]) -> Result<()> {
-        let (s, local) = locate(&self.shards, pid)?;
-        self.shards[s].read_spill(local, handle, out)
-    }
-
-    fn free_spill(&mut self, pid: u64, handle: u64) -> Result<()> {
-        let (s, local) = locate(&self.shards, pid)?;
-        self.shards[s].free_spill(local, handle)
     }
 
     fn struct_roots(&self) -> Option<crate::page_store::StructRootsSnapshot> {

@@ -73,12 +73,6 @@ pub enum PageKind {
     /// Checkpoint header page (written last; its presence commits the
     /// checkpoint).
     CheckpointHead,
-    /// Spilled cold MVCC version: a committed pre-image frame written to
-    /// flash because DRAM retention pressure would otherwise evict it
-    /// while an active read view still needs it. Spill pages are a cache
-    /// of in-memory state — after a crash no view can reference them, so
-    /// recovery treats them as dead.
-    Spill,
     /// Marked bad (all bits cleared).
     Bad,
 }
@@ -94,7 +88,6 @@ impl PageKind {
             PageKind::IplLog => 0x10,
             PageKind::Checkpoint => 0xC5,
             PageKind::CheckpointHead => 0xC1,
-            PageKind::Spill => 0xA5,
             PageKind::Bad => 0x00,
         }
     }
@@ -109,7 +102,6 @@ impl PageKind {
             0x10 => PageKind::IplLog,
             0xC5 => PageKind::Checkpoint,
             0xC1 => PageKind::CheckpointHead,
-            0xA5 => PageKind::Spill,
             0x00 => PageKind::Bad,
             _ => return None,
         })
@@ -283,12 +275,14 @@ mod tests {
             PageKind::IplLog,
             PageKind::Checkpoint,
             PageKind::CheckpointHead,
-            PageKind::Spill,
             PageKind::Bad,
         ] {
             assert_eq!(PageKind::from_byte(kind.to_byte()), Some(kind));
         }
         assert_eq!(PageKind::from_byte(0x77), None);
+        // Retired kind bytes stay undecodable, so recovery skips such a
+        // page as dead.
+        assert_eq!(PageKind::from_byte(0xA5), None);
     }
 
     #[test]

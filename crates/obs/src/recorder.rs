@@ -75,10 +75,6 @@ pub enum LatencyClass {
     /// structural (B+-tree / heap) mutation. Uncontended acquires record
     /// nothing, so the distribution is the *contention* profile.
     LatchWait,
-    /// Host-clock cost of a snapshot read resolved from the flash
-    /// retention ledger (a cold version spilled out of the DRAM chains):
-    /// the penalty an epoch-long view pays per cold page it touches.
-    ColdVersionRead,
     /// Host-clock wait of a durable commit in the database's group-commit
     /// queue, from queuing until a leader takes it into a batch: one
     /// sample per durable commit, near zero when no batch was running.
@@ -86,7 +82,7 @@ pub enum LatencyClass {
 }
 
 impl LatencyClass {
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 16;
 
     pub const ALL: [LatencyClass; LatencyClass::COUNT] = [
         LatencyClass::ReadUser,
@@ -104,7 +100,6 @@ impl LatencyClass {
         LatencyClass::RecoveryPhase,
         LatencyClass::RepairDetour,
         LatencyClass::LatchWait,
-        LatencyClass::ColdVersionRead,
         LatencyClass::CommitLockWait,
     ];
 
@@ -125,8 +120,7 @@ impl LatencyClass {
             LatencyClass::RecoveryPhase => 12,
             LatencyClass::RepairDetour => 13,
             LatencyClass::LatchWait => 14,
-            LatencyClass::ColdVersionRead => 15,
-            LatencyClass::CommitLockWait => 16,
+            LatencyClass::CommitLockWait => 15,
         }
     }
 
@@ -148,7 +142,6 @@ impl LatencyClass {
             LatencyClass::RecoveryPhase => "recovery_phase",
             LatencyClass::RepairDetour => "repair_detour",
             LatencyClass::LatchWait => "latch_wait",
-            LatencyClass::ColdVersionRead => "cold_version_read",
             LatencyClass::CommitLockWait => "commit_lock_wait",
         }
     }

@@ -50,19 +50,10 @@
 //! in-flight writer's pre-image) and finally the current frame. Chains
 //! are pruned when views are released and bounded by
 //! [`pdl_core::StoreOptions::snapshot_version_cap`]. Every version is
-//! one logical page, so the cap is the DRAM budget in pages.
-//!
-//! # The retention ledger (cold versions on flash)
-//!
-//! When a budget trips and the backing store supports version spill
-//! (PDL does — see [`pdl_core::PageStore::spill_page`]), a discarded
-//! version an active view still needs is **spilled to flash** instead of
-//! lost: its handle joins the chain's ledger entries, and snapshot reads
-//! fall back DRAM chain → ledger → flash read. Ledger entries are freed
-//! when the views that pinned them release. Only when the spill tier is
-//! unavailable (or a spill fails) does the discard advance the too-old
-//! watermark, making [`StorageError::SnapshotTooOld`] the hard-limit
-//! last resort rather than the budget's first response.
+//! one logical page, so the cap is the DRAM budget in pages. Versions
+//! live in DRAM only: when the cap discards one an open view still needs,
+//! that view reads [`StorageError::SnapshotTooOld`] from then on — never
+//! other bytes.
 //!
 //! # Lock order, and what a buffer hit costs
 //!
@@ -82,7 +73,6 @@
 //! * a miss (`read_page`) and the write-back of the victim it evicts;
 //! * [`crate::Database::flush`], [`crate::Database::with_store`] and the
 //!   commit protocol of [`crate::Database::commit`];
-//! * version spill and its read-back / free (retention ledger);
 //! * rollback and mutation, **only** over a store that consumes update
 //!   notifications ([`PageStore::consumes_updates`]: IPL) — asked once
 //!   at construction.
@@ -91,7 +81,7 @@
 //! auto-committed command runs while a read view is open (it allocates
 //! the version's commit timestamp).
 
-use crate::error::{RetentionTrigger, StorageError};
+use crate::error::StorageError;
 use crate::Result;
 use pdl_core::{BatchPage, ChangeRange, IdMap, PageStore, NO_TXN};
 use std::cmp::Reverse;
@@ -331,21 +321,16 @@ impl OwnedPage {
 /// The version history of one logical page. `committed` holds
 /// `(commit_ts, image)` pairs in ascending timestamp order, where `image`
 /// is the page as it was *immediately before* the commit at `commit_ts` —
-/// i.e. what a view with `read_ts < commit_ts` must read. `spilled`
-/// holds `(commit_ts, handle)` ledger entries for versions evicted from
-/// DRAM to flash under retention pressure; the cap always evicts a
-/// chain's oldest versions first, so `spilled ++ committed` is the full
-/// history in ascending timestamp order.
+/// i.e. what a view with `read_ts < commit_ts` must read.
 #[derive(Default)]
 struct VersionChain {
     pending: Option<PendingUndo>,
     committed: Vec<(u64, Vec<u8>)>,
-    spilled: Vec<(u64, u64)>,
 }
 
 impl VersionChain {
     fn is_empty(&self) -> bool {
-        self.pending.is_none() && self.committed.is_empty() && self.spilled.is_empty()
+        self.pending.is_none() && self.committed.is_empty()
     }
 }
 
@@ -370,15 +355,6 @@ pub struct BufferStats {
     /// Snapshot reads served from a version chain (a committed version or
     /// an in-flight writer's pending undo image) instead of the frame.
     pub version_reads: u64,
-    /// Committed versions evicted from the DRAM chains into the flash
-    /// retention ledger instead of being discarded (a view needed them).
-    pub spilled_versions: u64,
-    /// Snapshot reads that resolved through a retention-ledger entry (the
-    /// DRAM chain no longer held the version the view needed).
-    pub ledger_hits: u64,
-    /// Ledger hits actually served by a flash read of the spilled image
-    /// (equals `ledger_hits` unless a read-back failed).
-    pub flash_resolves: u64,
     /// Read views currently open against the pool (a gauge, not a
     /// counter: set by the pool when the statistics are sampled). A value
     /// that never returns to zero between workloads is the signature of a
@@ -417,32 +393,6 @@ pub(crate) trait PageBackend {
     /// Reflect `page` ([`PageStore::evict_held`]: `held` is the image the
     /// store holds for `pid`, when the cache has it).
     fn evict(&mut self, pid: u64, page: &[u8], held: Option<&[u8]>) -> Result<()>;
-
-    /// Whether the store behind this backend can hold spilled cold
-    /// versions (the retention-ledger tier; see
-    /// [`pdl_core::PageStore::spill_supported`]).
-    fn spill_supported(&mut self) -> bool {
-        false
-    }
-
-    /// Spill one committed pre-image to flash; the handle goes into the
-    /// chain's ledger entries.
-    fn spill(&mut self, pid: u64, page: &[u8]) -> Result<u64> {
-        let _ = (pid, page);
-        Err(StorageError::Internal("backend does not support version spill".into()))
-    }
-
-    /// Read a spilled pre-image back (a ledger-resolved snapshot read).
-    fn read_spilled(&mut self, pid: u64, handle: u64, out: &mut [u8]) -> Result<()> {
-        let _ = (pid, handle, out);
-        Err(StorageError::Internal("backend does not support version spill".into()))
-    }
-
-    /// Free a spilled pre-image no remaining view can resolve.
-    fn free_spilled(&mut self, pid: u64, handle: u64) -> Result<()> {
-        let _ = (pid, handle);
-        Err(StorageError::Internal("backend does not support version spill".into()))
-    }
 }
 
 /// Where auto-committed update commands obtain their commit timestamps.
@@ -454,13 +404,12 @@ pub(crate) trait PageBackend {
 /// the commit timestamp (views are active — retain the version) or
 /// returns `None` (nobody can ever need it: any view registered later
 /// reads at a timestamp at or past this commit). The timestamp comes
-/// paired with the registry's active read-timestamp set (ascending) —
-/// so a retention-budget trip under the same frame lock knows which
-/// evicted versions some view actually resolves to (and must spill)
-/// versus which no reader can ever reach (droppable for free).
+/// paired with the oldest active read timestamp — so a version-cap trip
+/// under the same frame lock knows whether some view still resolves to
+/// the versions it drops.
 pub(crate) trait VersionSource {
     fn capture_hint(&self) -> bool;
-    fn commit_ts(&self) -> Option<(u64, Vec<u64>)>;
+    fn commit_ts(&self) -> Option<(u64, u64)>;
 }
 
 /// No snapshot versioning (transactional mutations version at commit
@@ -472,7 +421,7 @@ impl VersionSource for NoVersioning {
         false
     }
 
-    fn commit_ts(&self) -> Option<(u64, Vec<u64>)> {
+    fn commit_ts(&self) -> Option<(u64, u64)> {
         None
     }
 }
@@ -532,13 +481,10 @@ pub(crate) struct FrameCache {
     retained: usize,
     /// Retention bound ([`pdl_core::StoreOptions::snapshot_version_cap`]).
     version_cap: usize,
-    /// Highest commit timestamp ever *hard-discarded* by the cap (needed
-    /// by a view but neither retained nor spilled): views at or below it
-    /// read [`StorageError::SnapshotTooOld`]. With the flash retention
-    /// ledger available this only moves when a spill fails.
+    /// Highest commit timestamp the cap discarded while a view still
+    /// needed it: views reading below it get
+    /// [`StorageError::SnapshotTooOld`].
     too_old_floor: u64,
-    /// What last advanced `too_old_floor` (reported in the error).
-    too_old_trigger: RetentionTrigger,
 }
 
 impl FrameCache {
@@ -569,7 +515,6 @@ impl FrameCache {
             retained: 0,
             version_cap: version_cap.max(1),
             too_old_floor: 0,
-            too_old_trigger: RetentionTrigger::VersionCap,
         }
     }
 
@@ -633,9 +578,8 @@ impl FrameCache {
     }
 
     /// Snapshot read at `read_ts`: the oldest retained version newer than
-    /// the view — a ledger entry spilled to flash (cold tier), else a
-    /// DRAM-chain committed version — else an in-flight writer's pending
-    /// pre-image, else the current frame.
+    /// the view, else an in-flight writer's pending pre-image, else the
+    /// current frame.
     pub(crate) fn with_page_at<B: PageBackend, R>(
         &mut self,
         backend: &mut B,
@@ -643,54 +587,22 @@ impl FrameCache {
         read_ts: u64,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
-        Ok(self.with_page_at_traced(backend, pid, read_ts, f)?.0)
-    }
-
-    /// [`Self::with_page_at`] plus whether the read resolved a cold
-    /// version from the flash ledger (the pool times those reads into the
-    /// `cold_version_read` histogram).
-    pub(crate) fn with_page_at_traced<B: PageBackend, R>(
-        &mut self,
-        backend: &mut B,
-        pid: u64,
-        read_ts: u64,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<(R, bool)> {
         if read_ts < self.too_old_floor {
-            return Err(StorageError::SnapshotTooOld {
-                read_ts,
-                floor: self.too_old_floor,
-                trigger: self.too_old_trigger,
-            });
+            return Err(StorageError::SnapshotTooOld { read_ts, floor: self.too_old_floor });
         }
-        // The ledger entries are strictly older than the DRAM-chain
-        // versions (the cap always spills a chain's oldest first), so the
-        // oldest version newer than the view is found ledger-first.
-        let mut cold: Option<u64> = None;
         if let Some(chain) = self.chains.get(&pid) {
-            cold = chain.spilled.iter().find(|(ts, _)| *ts > read_ts).map(|(_, h)| *h);
-            if cold.is_none() {
-                let versioned = chain
-                    .committed
-                    .iter()
-                    .find(|(commit_ts, _)| *commit_ts > read_ts)
-                    .map(|(_, data)| data.as_slice())
-                    .or_else(|| chain.pending.as_ref().map(|p| p.data.as_slice()));
-                if let Some(data) = versioned {
-                    self.stats.version_reads += 1;
-                    return Ok((f(data), false));
-                }
+            let versioned = chain
+                .committed
+                .iter()
+                .find(|(commit_ts, _)| *commit_ts > read_ts)
+                .map(|(_, data)| data.as_slice())
+                .or_else(|| chain.pending.as_ref().map(|p| p.data.as_slice()));
+            if let Some(data) = versioned {
+                self.stats.version_reads += 1;
+                return Ok(f(data));
             }
         }
-        if let Some(handle) = cold {
-            self.stats.ledger_hits += 1;
-            let mut image = vec![0u8; self.page_size];
-            backend.read_spilled(pid, handle, &mut image)?;
-            self.stats.flash_resolves += 1;
-            self.stats.version_reads += 1;
-            return Ok((f(&image), true));
-        }
-        Ok((self.with_page(backend, pid, f)?, false))
+        self.with_page(backend, pid, f)
     }
 
     /// Mutable access on behalf of `txn` ([`NO_TXN`] for the plain
@@ -772,8 +684,8 @@ impl FrameCache {
             // One auto-committed update command = one commit event: retain
             // the pre-image iff a view still needs it.
             if let Some(pre) = auto_pre {
-                if let Some((commit_ts, active)) = vsrc.commit_ts() {
-                    self.push_version(backend, pid, commit_ts, pre, &active);
+                if let Some((commit_ts, floor)) = vsrc.commit_ts() {
+                    self.push_version(pid, commit_ts, pre, floor);
                 }
             }
         } else if created_pending {
@@ -793,14 +705,7 @@ impl FrameCache {
         Ok(r)
     }
 
-    fn push_version<B: PageBackend>(
-        &mut self,
-        backend: &mut B,
-        pid: u64,
-        commit_ts: u64,
-        data: Vec<u8>,
-        active: &[u64],
-    ) {
+    fn push_version(&mut self, pid: u64, commit_ts: u64, data: Vec<u8>, floor: u64) {
         let chain = self.chains.entry(pid).or_default();
         debug_assert!(
             chain.committed.last().is_none_or(|(ts, _)| *ts < commit_ts),
@@ -808,39 +713,21 @@ impl FrameCache {
         );
         chain.committed.push((commit_ts, data));
         self.retained += 1;
-        self.enforce_cap(backend, active);
+        self.enforce_cap(floor);
     }
 
-    /// Evict the oldest retained versions until the DRAM budget holds. A
-    /// whole commit's versions always leave DRAM together, so a surviving
-    /// view never observes half a commit. `active` is the ascending set
-    /// of distinct active read timestamps (empty when no view is open).
+    /// Drop the oldest retained versions until the DRAM budget holds. A
+    /// whole commit's versions always leave together, so a surviving view
+    /// never observes half a commit. `floor` is the oldest active read
+    /// timestamp (`u64::MAX` when no view is open).
     ///
-    /// Eviction is **gap-precise**: a version at `ts` leaves the chain's
-    /// resolution path only for readers in the half-open gap
-    /// `[s_max, ts)`, where `s_max` is the newest timestamp already in
-    /// the chain's spill ledger (0 when none — spills are strictly older
-    /// than everything committed, so the ledger's newest entry is the
-    /// previous resolution boundary). If no active `read_ts` falls in
-    /// that gap, the version is dropped for free: every open view either
-    /// resolves to an older spilled entry or to a younger version still
-    /// in DRAM, and any view opened later reads at the current clock, at
-    /// or past this commit. Only gap-hitting versions are **spilled** to
-    /// the flash retention ledger — without this, an epoch-long view
-    /// would force a full-page ledger program for *every* pre-image the
-    /// write storm evicts (≈ one per page per transaction) instead of
-    /// one per page per view gap, wrecking write throughput far beyond
-    /// the budget the ledger exists to honor.
-    ///
-    /// The snapshot-too-old watermark advances — cutting off the views —
-    /// only when a gap-hitting version is lost (no spill tier, or a
-    /// spill failed), which makes `SnapshotTooOld` the hard-limit last
-    /// resort.
-    fn enforce_cap<B: PageBackend>(&mut self, backend: &mut B, active: &[u64]) {
-        if self.retained <= self.version_cap {
-            return;
-        }
-        let can_spill = backend.spill_supported();
+    /// The versions of the oldest commit, at `ts`, are what a view reading
+    /// below `ts` resolves to. If no active view reads there they are
+    /// dropped for free: any view opened later reads at the current clock,
+    /// at or past this commit. Otherwise the too-old floor advances to
+    /// `ts`, and those views read `SnapshotTooOld` from then on instead of
+    /// newer bytes.
+    fn enforce_cap(&mut self, floor: u64) {
         while self.retained > self.version_cap {
             let oldest = self
                 .chains
@@ -848,67 +735,29 @@ impl FrameCache {
                 .filter_map(|c| c.committed.first().map(|(ts, _)| *ts))
                 .min()
                 .expect("over budget implies a committed version exists");
-            let mut removed = 0;
-            let mut spilled = 0u64;
-            let mut lost: Option<RetentionTrigger> = None;
-            for (pid, chain) in self.chains.iter_mut() {
+            for chain in self.chains.values_mut() {
                 let cut = chain.committed.partition_point(|(ts, _)| *ts <= oldest);
-                let mut smax = chain.spilled.last().map(|(ts, _)| *ts).unwrap_or(0);
-                for (ts, data) in chain.committed.drain(..cut) {
-                    removed += 1;
-                    // Needed iff some active read_ts lands in [smax, ts):
-                    // such a reader's `first ts > read_ts` resolution is
-                    // exactly this version. (`read_ts == smax` resolves
-                    // past the spilled entry at smax, hence inclusive.)
-                    let lo = active.partition_point(|r| *r < smax);
-                    if active.get(lo).is_none_or(|r| *r >= ts) {
-                        continue; // no active view resolves to it
-                    }
-                    if can_spill {
-                        match backend.spill(*pid, &data) {
-                            Ok(handle) => {
-                                chain.spilled.push((ts, handle));
-                                smax = ts;
-                                spilled += 1;
-                            }
-                            Err(_) => lost = Some(RetentionTrigger::LedgerMiss),
-                        }
-                    } else {
-                        lost = Some(RetentionTrigger::VersionCap);
-                    }
-                }
+                chain.committed.drain(..cut);
+                self.retained -= cut;
             }
-            self.retained -= removed;
-            self.stats.spilled_versions += spilled;
-            if let Some(trigger) = lost {
+            if floor < oldest {
                 self.too_old_floor = self.too_old_floor.max(oldest);
-                self.too_old_trigger = trigger;
             }
             self.chains.retain(|_, c| !c.is_empty());
         }
     }
 
     /// Drop committed versions at or below `floor` (the minimum active
-    /// read timestamp; `u64::MAX` when no view remains) — and free their
-    /// retention-ledger spills, whose flash pages become reclaimable
-    /// garbage. Called at read-view release so both tiers shrink back as
-    /// readers retire.
-    pub(crate) fn prune_committed<B: PageBackend>(&mut self, backend: &mut B, floor: u64) {
+    /// read timestamp; `u64::MAX` when no view remains). Called at
+    /// read-view release so the chains shrink back as readers retire.
+    pub(crate) fn prune_committed(&mut self, floor: u64) {
         let mut removed = 0;
-        let mut pruned_any = false;
-        for (pid, chain) in self.chains.iter_mut() {
+        for chain in self.chains.values_mut() {
             let before = chain.committed.len();
             chain.committed.retain(|(ts, _)| *ts > floor);
             removed += before - chain.committed.len();
-            let cut = chain.spilled.partition_point(|(ts, _)| *ts <= floor);
-            for (_, handle) in chain.spilled.drain(..cut) {
-                pruned_any = true;
-                // Best-effort: a free that fails only leaves the spill
-                // pages to die with their block at the next GC/recovery.
-                let _ = backend.free_spilled(*pid, handle);
-            }
         }
-        if removed > 0 || pruned_any {
+        if removed > 0 {
             self.retained -= removed;
             self.chains.retain(|_, c| !c.is_empty());
         }
@@ -1155,14 +1004,7 @@ impl FrameCache {
     /// moves each pre-image that is still the store's image into its
     /// frame for that eviction, copying it only when a view also takes
     /// it as a version.
-    pub(crate) fn end_txn<B: PageBackend>(
-        &mut self,
-        backend: &mut B,
-        txn: u64,
-        version_at: Option<u64>,
-        clean: bool,
-        active: &[u64],
-    ) {
+    pub(crate) fn end_txn(&mut self, txn: u64, version_at: Option<u64>, clean: bool, floor: u64) {
         let mut cleaned = self.owned.remove(&txn).unwrap_or_default();
         cleaned.retain(|&idx| {
             let f = &mut self.frames[idx as usize];
@@ -1208,7 +1050,7 @@ impl FrameCache {
         }
         self.chains.retain(|_, c| !c.is_empty());
         if promoted > 0 {
-            self.enforce_cap(backend, active);
+            self.enforce_cap(floor);
         }
     }
 
@@ -1454,22 +1296,6 @@ impl PageBackend for StoreBackend<'_> {
     fn evict(&mut self, pid: u64, page: &[u8], held: Option<&[u8]>) -> Result<()> {
         Ok(self.lock().evict_held(pid, page, held)?)
     }
-
-    fn spill_supported(&mut self) -> bool {
-        self.lock().spill_supported()
-    }
-
-    fn spill(&mut self, pid: u64, page: &[u8]) -> Result<u64> {
-        Ok(self.lock().spill_page(pid, page)?)
-    }
-
-    fn read_spilled(&mut self, pid: u64, handle: u64, out: &mut [u8]) -> Result<()> {
-        Ok(self.lock().read_spill(pid, handle, out)?)
-    }
-
-    fn free_spilled(&mut self, pid: u64, handle: u64) -> Result<()> {
-        Ok(self.lock().free_spill(pid, handle)?)
-    }
 }
 
 #[cfg(test)]
@@ -1689,7 +1515,7 @@ mod tests {
         assert_eq!(read(&mut cache, &mut mem, 6), Err(StorageError::BufferPinned));
         assert!(!cache.is_cached(6));
         // A durable commit unpins its frames and cleans them.
-        cache.end_txn(&mut mem, 7, None, true, &[]);
+        cache.end_txn(7, None, true, u64::MAX);
         read(&mut cache, &mut mem, 6).unwrap();
         assert!(!cache.is_cached(2), "the oldest clean frame in the window");
         assert_eq!(cache.stats().dirty_writebacks, 0);
@@ -1706,7 +1532,7 @@ mod tests {
         cache.set_pin_owned(false);
         // A relaxed commit leaves page 0 dirty, holding the store's image.
         dirty(&mut cache, &mut mem, 0, 1).unwrap();
-        cache.end_txn(&mut mem, 1, None, false, &[]);
+        cache.end_txn(1, None, false, u64::MAX);
         assert_eq!(held_image(&cache, 0), Some(vec![0; MODEL_PAGE]));
         mem.corrupt = Some(5);
         assert!(read(&mut cache, &mut mem, 5).is_err()); // evicts 0 first
@@ -1753,7 +1579,7 @@ mod tests {
         dirty(&mut cache, &mut mem, 0, 2).unwrap();
         read(&mut cache, &mut mem, 1).unwrap();
         dirty(&mut cache, &mut mem, 0, 2).unwrap();
-        cache.end_txn(&mut mem, 2, None, false, &[]);
+        cache.end_txn(2, None, false, u64::MAX);
         assert_eq!(held_image(&cache, 0), Some(mem.stored(0)));
         cache.write_back_dirty(&mut mem).unwrap();
         // A transaction nothing evicted: its abort leaves the frame dirty
@@ -2216,7 +2042,7 @@ mod tests {
                             model.store.insert(p.pid, p.image);
                         }
                     }
-                    cache.end_txn(&mut backend, txn, None, clean, &[]);
+                    cache.end_txn(txn, None, clean, u64::MAX);
                     model.end_txn(txn, clean);
                     txns[writer] = next_txn;
                     next_txn += 1;
@@ -2241,7 +2067,7 @@ mod tests {
                     // frames keep the held images), then every dirty page
                     // is written back and the cache starts over.
                     for t in &mut txns[1..] {
-                        cache.end_txn(&mut backend, *t, None, false, &[]);
+                        cache.end_txn(*t, None, false, u64::MAX);
                         model.end_txn(*t, false);
                         *t = next_txn;
                         next_txn += 1;

@@ -266,8 +266,8 @@ pub struct Database {
     page_size: usize,
     /// Per-page latches for structural writers (crab-walk descents).
     latches: LatchTable,
-    /// Host-clock recorder: the latch-wait, commit-lock-wait and
-    /// cold-version-read histograms plus the structural-operation spans.
+    /// Host-clock recorder: the latch-wait and commit-lock-wait
+    /// histograms plus the structural-operation spans.
     /// Recording only when `obs`.
     pool_obs: Mutex<pdl_obs::Recorder>,
     /// Host-clock epoch `pool_obs` times against.
@@ -670,16 +670,16 @@ impl Database {
     /// they stay dirty and reach flash by ordinary eviction.
     fn publish_commit(&self, txns: &[TxnId], structs: Vec<(StructId, StructRoot)>, durable: bool) {
         let mut cache = self.lock_cache();
-        let (ts, active) = {
+        let (ts, floor) = {
             let mut m = self.lock_mvcc();
             let (ts, retain) = m.alloc_commit();
             for (id, root) in structs {
                 m.publish_struct(id, retain.then_some(ts), root);
             }
-            (retain.then_some(ts), m.active_ts())
+            (retain.then_some(ts), m.floor())
         };
         for &txn in txns {
-            cache.end_txn(&mut StoreBackend(&self.store), txn, ts, durable, &active);
+            cache.end_txn(txn, ts, durable, floor);
         }
     }
 
@@ -747,12 +747,11 @@ impl Database {
         ReadView::new(ts)
     }
 
-    /// Release a view, pruning every version no remaining reader needs
-    /// (retention-ledger spills included: their flash pages are freed).
+    /// Release a view, pruning every version no remaining reader needs.
     pub fn release_read(&self, view: ReadView) {
         let floor = self.lock_mvcc().deregister_view(view.read_ts());
         self.active_views.fetch_sub(1, Ordering::SeqCst);
-        self.lock_cache().prune_committed(&mut StoreBackend(&self.store), floor);
+        self.lock_cache().prune_committed(floor);
     }
 
     /// Open a leak-proof snapshot: the returned guard releases the view
@@ -771,27 +770,14 @@ impl Database {
         f(guard.view())
     }
 
-    /// Snapshot read of one page as of `view`. A read resolved from the
-    /// flash retention ledger (a cold spilled version) lands a sample in
-    /// the `cold_version_read` histogram when observability is on.
+    /// Snapshot read of one page as of `view`.
     pub fn with_page_at<R>(
         &self,
         view: &ReadView,
         pid: u64,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
-        let mut backend = StoreBackend(&self.store);
-        if !self.obs {
-            return self.lock_cache().with_page_at(&mut backend, pid, view.read_ts(), f);
-        }
-        let start = Instant::now();
-        let (r, cold) =
-            self.lock_cache().with_page_at_traced(&mut backend, pid, view.read_ts(), f)?;
-        if cold {
-            let us = start.elapsed().as_micros() as u64;
-            self.lock_pool_obs().record(pdl_obs::LatencyClass::ColdVersionRead, us);
-        }
-        Ok(r)
+        self.lock_cache().with_page_at(&mut StoreBackend(&self.store), pid, view.read_ts(), f)
     }
 
     /// A [`PageRead`] adapter over `view`: hand it to the read entry
@@ -1252,10 +1238,10 @@ impl VersionSource for Database {
         self.active_views.load(Ordering::SeqCst) > 0
     }
 
-    fn commit_ts(&self) -> Option<(u64, Vec<u64>)> {
+    fn commit_ts(&self) -> Option<(u64, u64)> {
         let mut m = self.lock_mvcc();
         let (ts, retain) = m.alloc_commit();
-        retain.then(|| (ts, m.active_ts()))
+        retain.then(|| (ts, m.floor()))
     }
 }
 

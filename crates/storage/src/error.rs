@@ -4,28 +4,6 @@ use pdl_core::CoreError;
 use std::error::Error;
 use std::fmt;
 
-/// What forced the retention discard behind a
-/// [`StorageError::SnapshotTooOld`]: the version cap tripped, or the
-/// flash retention ledger could not absorb the evicted version.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RetentionTrigger {
-    /// The version-count cap (`StoreOptions::snapshot_version_cap`).
-    VersionCap,
-    /// The budget tripped *and* the flash retention ledger failed to
-    /// absorb a needed version (spill write or read-back failed) — the
-    /// hard-limit last resort when the ledger tier is enabled.
-    LedgerMiss,
-}
-
-impl fmt::Display for RetentionTrigger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RetentionTrigger::VersionCap => "version cap",
-            RetentionTrigger::LedgerMiss => "ledger miss",
-        })
-    }
-}
-
 /// Errors surfaced by the storage engine.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StorageError {
@@ -49,10 +27,9 @@ pub enum StorageError {
     /// Transaction API misuse (no open transaction, nested begin, ...).
     TxnState(String),
     /// A read view outlived the pool's version retention: the versions it
-    /// needs were discarded to keep memory flat (and, when the flash
-    /// retention ledger is enabled, could not be spilled). `trigger` says
-    /// what forced the discard.
-    SnapshotTooOld { read_ts: u64, floor: u64, trigger: RetentionTrigger },
+    /// needs were discarded under `snapshot_version_cap` to keep memory
+    /// flat.
+    SnapshotTooOld { read_ts: u64, floor: u64 },
     /// Internal invariant broken.
     Internal(String),
 }
@@ -77,10 +54,10 @@ impl fmt::Display for StorageError {
                 write!(f, "every buffer frame is pinned by uncommitted transactions")
             }
             StorageError::TxnState(msg) => write!(f, "transaction state error: {msg}"),
-            StorageError::SnapshotTooOld { read_ts, floor, trigger } => {
+            StorageError::SnapshotTooOld { read_ts, floor } => {
                 write!(
                     f,
-                    "snapshot too old ({trigger}): view at ts {read_ts} needs versions discarded \
+                    "snapshot too old: view at ts {read_ts} needs versions discarded \
                      up to ts {floor} (raise StoreOptions::snapshot_version_cap or release views \
                      sooner)"
                 )

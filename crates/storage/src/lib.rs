@@ -36,7 +36,7 @@ mod view;
 pub use btree::{BTree, Key, KeyBuf};
 pub use buffer::{read_u16, read_u64, BufferStats, PageLatch, PageMut};
 pub use db::{Database, DbSnapshot, Durability, RecordId, RecoveredStructure, TxnId};
-pub use error::{RetentionTrigger, StorageError};
+pub use error::StorageError;
 pub use heap::HeapFile;
 pub use view::{PageRead, ReadGuard, ReadView, StructId, StructRoot};
 

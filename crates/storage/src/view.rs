@@ -269,17 +269,6 @@ impl MvccState {
         self.active.keys().next().copied().unwrap_or(u64::MAX)
     }
 
-    /// The distinct active read timestamps, ascending. Retention uses
-    /// the full set (not just the floor) for gap-precise eviction: a
-    /// version is only worth spilling to the flash ledger when some
-    /// active view actually resolves to it, and that is a property of
-    /// *which* timestamps are open, not merely the smallest one. The
-    /// set is bounded by the number of distinct open-view timestamps,
-    /// not the view count.
-    pub(crate) fn active_ts(&self) -> Vec<u64> {
-        self.active.keys().copied().collect()
-    }
-
     /// Allocate a commit timestamp; returns `(ts, retain)` where `retain`
     /// says whether any active view still needs the superseded images.
     pub(crate) fn alloc_commit(&mut self) -> (u64, bool) {

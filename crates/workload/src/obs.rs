@@ -15,10 +15,6 @@
 //! * `wear.{num_blocks,min_erases,avg_erases,max_erases,total_erases}`.
 //! * `buffer.{hits,misses,evictions,dirty_writebacks,version_reads,
 //!   active_views,leaked_pids}`.
-//! * `retention.{ledger_enabled,spilled_versions,ledger_hits,
-//!   flash_resolves,pinned_skips}` for the flash version-retention
-//!   ledger (`obs_gate` cross-checks `ledger_enabled` against
-//!   `flash_resolves`).
 //! * `<class>.{count,sum_us,mean_us,p50_us,p90_us,p99_us,max_us}` for
 //!   every recorded [`LatencyClass`] (e.g. `commit.group.p99_us`,
 //!   `read.user.p50_us`), plus `spans.{recorded,dropped}`.
@@ -96,35 +92,6 @@ pub fn put_buffer_stats(reg: &mut MetricsRegistry, prefix: &str, b: &BufferStats
     reg.set_u64(&format!("{prefix}.leaked_pids"), b.leaked_pids);
 }
 
-/// The flash version-retention ledger under `<prefix>.retention.*`
-/// (pass `""` for the bare `retention.*` names). The spill/hit/resolve
-/// counters come from the pool's [`BufferStats`]; `pinned_skips` is the
-/// store's `retention_pinned_skips` counter (GC victim passes that
-/// deprioritised a block dense in ledger-pinned pre-images); and
-/// `ledger_enabled` records whether the store could spill at all, so
-/// `obs_gate` can fail a ledger-enabled run that never resolved a cold
-/// version from flash.
-pub fn put_retention_stats(
-    reg: &mut MetricsRegistry,
-    prefix: &str,
-    b: &BufferStats,
-    pinned_skips: u64,
-    ledger_enabled: bool,
-) {
-    let p = |tail: &str| {
-        if prefix.is_empty() {
-            tail.to_string()
-        } else {
-            format!("{prefix}.{tail}")
-        }
-    };
-    reg.set_u64(&p("retention.ledger_enabled"), ledger_enabled as u64);
-    reg.set_u64(&p("retention.spilled_versions"), b.spilled_versions);
-    reg.set_u64(&p("retention.ledger_hits"), b.ledger_hits);
-    reg.set_u64(&p("retention.flash_resolves"), b.flash_resolves);
-    reg.set_u64(&p("retention.pinned_skips"), pinned_skips);
-}
-
 /// The store counters that say what `space_amp` pays for beyond the base
 /// pages: live differential pages by valid count, then the commit proofs
 /// carried forward and the record pages that released — and, on the
@@ -197,18 +164,6 @@ mod tests {
         put_flash_stats(&mut reg, "", &stats);
         put_wear_summary(&mut reg, "wear", &WearSummary::default());
         put_buffer_stats(&mut reg, "buffer", &BufferStats { leaked_pids: 0, ..Default::default() });
-        put_retention_stats(
-            &mut reg,
-            "",
-            &BufferStats {
-                spilled_versions: 4,
-                ledger_hits: 3,
-                flash_resolves: 3,
-                ..Default::default()
-            },
-            2,
-            true,
-        );
         let mut rec = pdl_obs::Recorder::disabled();
         rec.enable(64);
         rec.record(LatencyClass::CommitGroup, 1010);
@@ -219,9 +174,6 @@ mod tests {
         assert_eq!(reg.get_u64("pipeline.ordering_violations"), Some(0));
         assert_eq!(reg.get_u64("integrity.detected_corruptions"), Some(0));
         assert_eq!(reg.get_u64("buffer.leaked_pids"), Some(0));
-        assert_eq!(reg.get_u64("retention.ledger_enabled"), Some(1));
-        assert_eq!(reg.get_u64("retention.flash_resolves"), Some(3));
-        assert_eq!(reg.get_u64("retention.pinned_skips"), Some(2));
         assert_eq!(reg.get_u64("commit.group.count"), Some(1));
         assert!(reg.get_u64("commit.group.p99_us").unwrap() >= 1010);
         assert_eq!(reg.get_u64("read.user.count"), None, "unsampled classes are skipped");
