@@ -5,7 +5,7 @@
 //! `&Database`, committing durably every few inserts so split-moved roots
 //! flow through the commit-clock structure-root log. Total insert volume
 //! is held constant across points, so the headline column — **max shard
-//! busy µs**, the simulated pipeline bound on the slowest shard — must
+//! busy µs**, the simulated flash time of the slowest shard — must
 //! *fall* as shards (and writers) are added: structural mutation no
 //! longer funnels through one `&mut Database` writer.
 //!

@@ -3,9 +3,10 @@
 //! Usage: `obs_gate <file.json>...` — walks every numeric leaf of each
 //! document and fails (exit 1, naming the offending path) if
 //!
-//! * any `ordering_violations` counter is nonzero — a read overtook a
-//!   program/erase it depends on, which invalidates every timing the
-//!   run reported; or
+//! * any `ordering_violations` counter is nonzero — the structural
+//!   writers' tree oracle (`pdl_workload::run_struct_writers_workload`)
+//!   found a missing, duplicated or misplaced key when it range-scanned
+//!   every writer's B+-tree after the run; or
 //! * any `detected_corruptions` counter exceeds its sibling
 //!   `repaired_pages` — the run served data whose checksum mismatch was
 //!   never repaired (an *explained* detection is one the online

@@ -5,22 +5,19 @@
 //! * `obs_out/trace_tpcc.json` — Chrome trace-event JSON of the
 //!   measured phase (load it in `chrome://tracing` or Perfetto);
 //! * `obs_out/metrics_tpcc.json` — the unified `pdl-metrics-v1`
-//!   registry snapshot: flash ledger, pipeline/integrity gauges, and
-//!   every latency histogram the recorder sampled.
+//!   registry snapshot: serial flash time, GC erases, integrity gauges,
+//!   and every latency histogram the recorder sampled.
 //!
 //! Exits nonzero (panics) if either export fails validation, if the
-//! recorder captured nothing, or if the run shows ordering violations.
+//! recorder captured nothing, or if the run garbage-collected nothing.
 
-use pdl_bench::tpcc_exp::run_tpcc_qd_point_traced;
+use pdl_bench::tpcc_exp::run_tpcc_gc_point;
 use pdl_obs::json;
 use pdl_workload::{obs, Scale};
 
 fn main() {
-    const QUEUE_DEPTH: u32 = 4;
-    const PLANES: u32 = 2;
     let scale = Scale::Quick;
-    let (point, capture) =
-        run_tpcc_qd_point_traced(scale, QUEUE_DEPTH, PLANES, 0x0B5).expect("tpcc point");
+    let (point, capture) = run_tpcc_gc_point(scale, 0x0B5).expect("tpcc point");
 
     std::fs::create_dir_all("obs_out").expect("create obs_out");
     std::fs::write("obs_out/trace_tpcc.json", &capture.trace_json).expect("write trace");
@@ -28,12 +25,9 @@ fn main() {
     json::validate_trace(&trace).expect("trace-event shape");
 
     let mut reg = obs::bench_registry("obs_smoke", scale.label());
-    reg.set_u64("queue_depth", QUEUE_DEPTH as u64);
-    reg.set_u64("planes", PLANES as u64);
-    reg.set_f64("bound_tps", point.bound_tps);
-    reg.set_u64("pipeline_us", point.pipeline_us);
     reg.set_u64("serial_us", point.serial_us);
-    obs::put_pipeline_counts(&mut reg, "pipeline", &point.pipeline);
+    reg.set_u64("gc_erases", point.gc_erases);
+    reg.set_f64("write_amp", point.write_amp);
     obs::put_integrity_counts(&mut reg, "integrity", &point.integrity);
     obs::put_recorder_snapshot(&mut reg, "", &capture.snapshot);
     let doc = reg.to_json();
@@ -43,7 +37,7 @@ fn main() {
 
     let spans = capture.snapshot.spans.len();
     assert!(spans > 0, "the recorder must capture spans on a measured TPC-C run");
-    assert_eq!(point.pipeline.ordering_violations, 0, "dependency ordering violated");
+    assert!(point.gc_erases > 0, "the erase-heavy point must garbage-collect");
     let reads = capture.snapshot.hist(pdl_obs::LatencyClass::ReadUser).count();
     let programs = capture.snapshot.hist(pdl_obs::LatencyClass::ProgramUser).count();
     assert!(reads > 0 && programs > 0, "user reads and programs must both be sampled");

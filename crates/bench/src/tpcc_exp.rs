@@ -68,29 +68,22 @@ pub fn run_tpcc_point(
     Ok((io_us as f64 / txns as f64, loaded))
 }
 
-/// One point of the flash-pipeline (queue-depth) experiment.
+/// The erase-heavy TPC-C point ([`run_tpcc_gc_point`]).
 #[derive(Clone, Copy, Debug)]
-pub struct QdPoint {
-    /// Transactions per second of *pipeline* time — the chip's busy
-    /// horizon, which shrinks as deeper queues overlap commands. At
-    /// queue depth 1 this equals the serial Table-1 time sum.
-    pub bound_tps: f64,
-    /// Pipeline busy time of the measured phase, µs.
-    pub pipeline_us: u64,
+pub struct GcPoint {
     /// Serial (Table-1 sum) flash time of the measured phase, µs.
     pub serial_us: u64,
     pub write_amp: f64,
     pub gc_erases: u64,
-    pub pipeline: pdl_flash::PipelineCounts,
     /// Checksum mismatches detected / pages repaired during the measured
     /// phase (0/0 on a healthy chip — nonzero means the run served from
-    /// self-repair, which distorts the timing comparison).
+    /// self-repair, which distorts the timing).
     pub integrity: pdl_flash::IntegrityCounts,
 }
 
-/// Observability capture of one traced queue-depth point.
+/// Observability capture of the measured phase of [`run_tpcc_gc_point`].
 #[derive(Clone, Debug)]
-pub struct QdObs {
+pub struct GcObs {
     /// The chip recorder after the measured phase (warm-up is cleared by
     /// the statistics reset): per-class latency histograms plus the
     /// attributed span ring.
@@ -99,41 +92,14 @@ pub struct QdObs {
     pub trace_json: String,
 }
 
-/// One queue-depth point: TPC-C on an **erase-heavy** PDL store. The
+/// TPC-C on an **erase-heavy** PDL store, with the recorder on. The
 /// physical space barely exceeds the logical footprint (vs Figure 18's
 /// 4x headroom) and the buffer is flushed on a short group-commit
 /// cadence, so garbage collection runs during the measured phase and
-/// its erases — plus the flush bursts of programs — are the commands a
-/// deeper queue can hide (Dayan & Bonnet's GC-scheduling argument).
-/// Same load/warmup/measure protocol as [`run_tpcc_point`].
-pub fn run_tpcc_qd_point(
-    scale: Scale,
-    queue_depth: u32,
-    planes: u32,
-    seed: u64,
-) -> Result<QdPoint, CoreError> {
-    run_tpcc_qd_point_inner(scale, queue_depth, planes, seed, false).map(|(p, _)| p)
-}
-
-/// [`run_tpcc_qd_point`] with the recorder on: same store, same seed,
-/// same protocol, plus the measured phase's histograms and trace.
-pub fn run_tpcc_qd_point_traced(
-    scale: Scale,
-    queue_depth: u32,
-    planes: u32,
-    seed: u64,
-) -> Result<(QdPoint, QdObs), CoreError> {
-    run_tpcc_qd_point_inner(scale, queue_depth, planes, seed, true)
-        .map(|(p, o)| (p, o.expect("obs was enabled")))
-}
-
-fn run_tpcc_qd_point_inner(
-    scale: Scale,
-    queue_depth: u32,
-    planes: u32,
-    seed: u64,
-    obs: bool,
-) -> Result<(QdPoint, Option<QdObs>), CoreError> {
+/// every flash command class — user and GC reads, programs, erases —
+/// shows up in the capture. Same load/warmup/measure protocol as
+/// [`run_tpcc_point`].
+pub fn run_tpcc_gc_point(scale: Scale, seed: u64) -> Result<(GcPoint, GcObs), CoreError> {
     let kind = MethodKind::Pdl { max_diff_size: 256 };
     let tpcc_scale = tpcc_scale_for(scale);
     let txns = txns_for(scale);
@@ -142,8 +108,7 @@ fn run_tpcc_qd_point_inner(
     // transaction.
     let warmup = txns * 2;
     // Group-commit cadence: flush the buffer every K transactions, like
-    // a durability checkpoint. Each flush is a burst of programs — the
-    // traffic pattern the pipelined submit-all/drain-all path overlaps.
+    // a durability checkpoint. Each flush is a burst of programs.
     const FLUSH_EVERY: u64 = 5;
 
     // A tight store: the logical space is just the loaded footprint plus
@@ -153,9 +118,8 @@ fn run_tpcc_qd_point_inner(
     let est = tpcc_scale.estimated_loaded_pages(2048);
     let num_pages = est + txns + 128;
     let blocks = (num_pages.div_ceil(64) + 10) as u32;
-    let config = FlashConfig::scaled(blocks).with_queue_depth(queue_depth).with_planes(planes);
-    let store =
-        build_store(FlashChip::new(config), kind, StoreOptions::new(num_pages).with_obs(obs))?;
+    let chip = FlashChip::new(FlashConfig::scaled(blocks));
+    let store = build_store(chip, kind, StoreOptions::new(num_pages).with_obs(true))?;
 
     let db = Database::new(store, 256);
     let mut t: TpccDb =
@@ -164,8 +128,7 @@ fn run_tpcc_qd_point_inner(
 
     // A generous buffer (30% of the loaded footprint): most re-reads hit
     // DRAM, while the periodic commit flushes and GC still reach flash —
-    // so the command stream is dominated by program/erase bursts,
-    // exactly the commands a deeper queue can overlap.
+    // so the command stream is dominated by program/erase bursts.
     let buffer_pages = ((loaded as f64 * 30.0 / 100.0).round() as usize).max(2);
     t.db.set_buffer_pages(buffer_pages).map_err(|e| CoreError::BadConfig(e.to_string()))?;
 
@@ -181,20 +144,15 @@ fn run_tpcc_qd_point_inner(
         Ok(())
     };
     run_chunked(&mut t, &mut r, warmup)?;
-    t.db.reset_io_stats(); // also rebases the pipeline clock
+    t.db.reset_io_stats();
     run_chunked(&mut t, &mut r, txns)?;
 
     let stats = t.db.io_stats();
-    let pipeline_us = t.db.with_store(|s| s.pipeline_busy_us());
-    let capture =
-        obs.then(|| QdObs { snapshot: t.db.obs_snapshot(), trace_json: t.db.obs_trace_json() });
-    let point = QdPoint {
-        bound_tps: txns as f64 / (pipeline_us.max(1) as f64 / 1e6),
-        pipeline_us,
+    let capture = GcObs { snapshot: t.db.obs_snapshot(), trace_json: t.db.obs_trace_json() };
+    let point = GcPoint {
         serial_us: stats.total().total_us(),
         write_amp: stats.write_amplification(),
         gc_erases: stats.gc_erases(),
-        pipeline: stats.pipeline,
         integrity: stats.integrity,
     };
     Ok((point, capture))

@@ -653,26 +653,6 @@ impl PageStore for Ipl {
         Ok(())
     }
 
-    /// Read-ahead: issue the in-place frame reads plus the log pages that
-    /// hold this page's sectors, without waiting.
-    fn prefetch(&mut self, pid: u64) -> Result<()> {
-        self.opts.check_pid(pid)?;
-        if !self.loaded[pid as usize] {
-            return Ok(());
-        }
-        for j in 0..self.k() {
-            let ppn = self.frame_ppn(pid, j);
-            self.chip.prefetch_page(ppn)?;
-        }
-        let lb = (pid / self.lppb as u64) as usize;
-        for i in 0..self.log_pages {
-            if self.regions[lb].page_pids[i as usize].contains(&pid) {
-                self.chip.prefetch_page(self.log_ppn(lb, i))?;
-            }
-        }
-        Ok(())
-    }
-
     /// Tightly-coupled update notification: append update logs to the
     /// page's log buffer; flush full sectors to the block's log region.
     fn apply_update(&mut self, pid: u64, page_after: &[u8], changes: &[ChangeRange]) -> Result<()> {

@@ -153,19 +153,6 @@ impl PageStore for Ipu {
         Ok(())
     }
 
-    /// Read-ahead: issue the written frame reads without waiting.
-    fn prefetch(&mut self, pid: u64) -> Result<()> {
-        self.opts.check_pid(pid)?;
-        let k = self.opts.frames_per_page as u64;
-        for j in 0..k {
-            let frame = (pid * k + j) as usize;
-            if self.written[frame] {
-                self.chip.prefetch_page(Ppn(frame as u32))?;
-            }
-        }
-        Ok(())
-    }
-
     fn apply_update(&mut self, _pid: u64, _page: &[u8], _changes: &[ChangeRange]) -> Result<()> {
         Ok(())
     }

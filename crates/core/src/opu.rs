@@ -304,19 +304,6 @@ impl PageStore for Opu {
         Ok(())
     }
 
-    /// Read-ahead: issue the mapped frame reads without waiting.
-    fn prefetch(&mut self, pid: u64) -> Result<()> {
-        self.opts.check_pid(pid)?;
-        let k = self.opts.frames_per_page as u64;
-        for j in 0..k {
-            let frame = (pid * k + j) as usize;
-            if self.map[frame] != NONE {
-                self.chip.prefetch_page(Ppn(self.map[frame]))?;
-            }
-        }
-        Ok(())
-    }
-
     fn apply_update(&mut self, _pid: u64, _page: &[u8], _changes: &[ChangeRange]) -> Result<()> {
         Ok(()) // loosely coupled: OPU acts only when the page is reflected
     }

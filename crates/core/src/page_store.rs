@@ -115,9 +115,9 @@ pub struct StoreOptions {
 
 /// Observability hook for composite activities (a GC cycle, a recovery
 /// phase, a repair detour): record one `class` sample and a span from
-/// `t0` to the chip's current simulated horizon. Maintenance spans run
-/// on the lane just past the planes so they stack above the per-plane
-/// command rows in the trace viewer. No-op while recording is disabled.
+/// `t0` to the chip's simulated clock now. The span shares lane 0 with
+/// the chip's commands and encloses the ones it charged. No-op while
+/// recording is disabled.
 pub(crate) fn obs_event(
     chip: &mut FlashChip,
     class: pdl_flash::LatencyClass,
@@ -131,8 +131,7 @@ pub(crate) fn obs_event(
         return;
     }
     let t1 = chip.sim_now_us();
-    let lane = chip.config().pipeline.planes;
-    chip.recorder_mut().event(class, name, ctx, lane, t0, t1, block, id);
+    chip.recorder_mut().event(class, name, ctx, 0, t0, t1, block, id);
 }
 
 impl StoreOptions {
@@ -428,24 +427,6 @@ pub trait PageStore: Send {
     /// write buffer, pending log sectors) out to flash.
     fn flush(&mut self) -> Result<()>;
 
-    /// Read-ahead hint: issue the flash reads that recreating `pid` will
-    /// need, without waiting for them (B+-tree range scans hint the next
-    /// leaf while the current one is consumed). Methods that can't map
-    /// the page cheaply may ignore the hint; the default does nothing.
-    fn prefetch(&mut self, _pid: u64) -> Result<()> {
-        Ok(())
-    }
-
-    /// Pipeline busy time (µs) since the last stats reset — the flash
-    /// critical path under the configured queue depth; on a sharded
-    /// store, the maximum over shards (they are independent chips). At
-    /// queue depth 1 this equals `stats().total().total_us()`.
-    fn pipeline_busy_us(&self) -> u64 {
-        let mut busy = 0;
-        self.for_each_chip(&mut |c| busy = busy.max(c.pipeline_busy_us()));
-        busy
-    }
-
     /// Access to the underlying chip (statistics, wear, timing).
     ///
     /// # Panics
@@ -459,7 +440,7 @@ pub trait PageStore: Send {
 
     /// Visit every underlying chip, shard order: the one chip of a plain
     /// method, each shard's chip on a sharded store. Per-chip statistics,
-    /// pipeline clocks and recorders are read through this.
+    /// simulated clocks and recorders are read through this.
     fn for_each_chip(&self, f: &mut dyn FnMut(&FlashChip)) {
         f(self.chip())
     }

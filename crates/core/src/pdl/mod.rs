@@ -1711,24 +1711,6 @@ impl PageStore for Pdl {
         Ok(())
     }
 
-    /// Read-ahead: issue the reads `PDL_Reading` will need — the base
-    /// frames, plus the differential page unless the write buffer already
-    /// holds the page's differential — without waiting on them.
-    fn prefetch(&mut self, pid: u64) -> Result<()> {
-        self.opts.check_pid(pid)?;
-        let entry = self.ppmt[pid as usize];
-        if entry.base[0] == NONE {
-            return Ok(());
-        }
-        for j in 0..self.frames() {
-            self.chip.prefetch_page(Ppn(entry.base[j]))?;
-        }
-        if entry.diff != NONE && self.dwb.get(pid).is_none() {
-            self.chip.prefetch_page(Ppn(entry.diff))?;
-        }
-        Ok(())
-    }
-
     fn apply_update(&mut self, _pid: u64, _page: &[u8], _changes: &[ChangeRange]) -> Result<()> {
         // Loosely coupled: "when a logical page is simply updated, we just
         // update the logical page in memory without recording the log".

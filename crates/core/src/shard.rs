@@ -18,11 +18,11 @@
 //! `pdl_storage::Database` (buffer hits that never take the store, group
 //! commit). A commit batch runs [`commit_sequence`], the one place a
 //! commit is sequenced; a single [`Pdl`] runs it as the one-shard case.
-//! What the shards buy is overlap: a cross-shard batch issues each phase
-//! on every involved shard before draining any, so the phase costs the
-//! slowest shard's simulated flash time (the one shard that records does
-//! so in a phase of its own, last), and recovery runs every shard's read
-//! pass and replay on a thread of its own.
+//! What the shards buy is independent chips: each shard charges its own
+//! simulated clock, so a batch's flash time on the busiest chip bounds
+//! it (the one shard that records does so in a phase of its own, last),
+//! and recovery runs every shard's read pass and replay on a thread of
+//! its own.
 
 use crate::page_store::{
     note_txn, BatchPage, ChangeRange, CommitBatch, CommitError, MethodKind, PageStore, StoreOptions,
@@ -100,28 +100,6 @@ fn fail(shards: &mut [Pdl], e: CoreError) -> CommitError {
         p.batch_failed.get_or_insert_with(|| e.clone());
     }
     CommitError::Failed(e)
-}
-
-/// One phase of a commit batch as **submit-all / drain-all**: issue the
-/// phase on every listed shard before waiting on any, then drain each
-/// shard's command queue as the phase's completion barrier. Shards are
-/// independent chips, so their simulated flash time overlaps — the phase
-/// costs the *slowest* shard, not the sum. One chip orders itself: with a
-/// single shard there is no barrier to issue.
-fn fan_out(
-    shards: &mut [Pdl],
-    list: &[usize],
-    phase: &dyn Fn(usize, &mut Pdl) -> Result<()>,
-) -> Result<()> {
-    for &s in list {
-        phase(s, &mut shards[s])?;
-    }
-    if shards.len() > 1 {
-        for &s in list {
-            shards[s].chip_mut().drain();
-        }
-    }
-    Ok(())
 }
 
 /// Every shard's checkpoint, then `settle`.
@@ -234,29 +212,28 @@ pub(crate) fn commit_sequence(
     let mut staged = || {
         let staging: Vec<usize> =
             involved.iter().copied().filter(|&s| !pages[s].is_empty()).collect();
-        fan_out(shards, &staging, &|s, st| {
-            pages[s].iter().try_for_each(|p| st.stage_page(p.pid, p.image, p.txn, p.held))
-        })?;
+        for &s in &staging {
+            let st = &mut shards[s];
+            pages[s].iter().try_for_each(|p| st.stage_page(p.pid, p.image, p.txn, p.held))?;
+        }
         let ids = batch.txns();
         let buffering: Vec<usize> =
             staging.into_iter().filter(|&s| shards[s].buffers_tag_of(&ids)).collect();
         let home = *buffering.first().unwrap_or(&involved[0]);
         let first: Vec<usize> = buffering.into_iter().filter(|&s| s != home).collect();
-        fan_out(shards, &first, &|_, st| st.flush())?;
+        first.iter().try_for_each(|&s| shards[s].flush())?;
         if let (Some((r, txn)), Some(record)) = (batch.roots, &record) {
             shards[0].batch_stage_roots(r, txn, record)?;
         }
         let others: Vec<usize> = involved.iter().copied().filter(|&s| s != home).collect();
         let foreign: Vec<u64> =
             others.iter().flat_map(|&s| shards[s].tags_held(&txns[s])).collect();
-        fan_out(shards, &[home], &|_, st| {
-            st.batch_record(&ids, &foreign)?;
-            st.flush()
-        })?;
+        shards[home].batch_record(&ids, &foreign)?;
+        shards[home].flush()?;
         for &s in &others {
             shards[s].batch_prove_remote(&txns[s]);
         }
-        fan_out(shards, &involved, &|_, st| st.batch_close())?;
+        involved.iter().try_for_each(|&s| shards[s].batch_close())?;
         settle(shards)
     };
     staged().map_err(|e| fail(shards, e))
@@ -465,11 +442,6 @@ impl PageStore for ShardedStore {
     fn flush(&mut self) -> Result<()> {
         self.shards.iter_mut().try_for_each(|s| s.flush())?;
         settle(&mut self.shards)
-    }
-
-    fn prefetch(&mut self, pid: u64) -> Result<()> {
-        let (s, local) = locate(&self.shards, pid)?;
-        self.shards[s].prefetch(local)
     }
 
     /// `commit_sequence` over every shard.

@@ -135,13 +135,7 @@ impl SweepSetup {
 
 /// The exhaustive sweep for one method/policy configuration.
 fn sweep(kind: MethodKind, policy: GcPolicy) {
-    sweep_on(kind, policy, FlashConfig::tiny());
-}
-
-/// The sweep body, parameterized over the chip configuration so the same
-/// crash points can be taken with a deep command queue (crashes with
-/// commands still in flight).
-fn sweep_on(kind: MethodKind, policy: GcPolicy, config: FlashConfig) {
+    let config = FlashConfig::tiny();
     let setup = SweepSetup::new(kind, policy, config);
     let (mut store, flushed) = setup.phase1();
     let writes = setup.post_flush(&flushed);
@@ -161,7 +155,6 @@ fn sweep_on(kind: MethodKind, policy: GcPolicy, config: FlashConfig) {
         store.name()
     );
     assert_eq!(journal.position(), delta.total().writes + delta.total().erases);
-    assert_eq!(store.stats().pipeline.ordering_violations, 0);
 
     let ipl = matches!(kind, MethodKind::Ipl { .. });
     for (g, chips) in journal.images().enumerate() {
@@ -172,7 +165,6 @@ fn sweep_on(kind: MethodKind, policy: GcPolicy, config: FlashConfig) {
             recover_store(chips.into_iter().next().unwrap(), kind, setup.opts).unwrap()
         };
         let first_states = read_all(r.as_mut());
-        assert_eq!(r.stats().pipeline.ordering_violations, 0, "image {g}");
         for (pid, out) in first_states.iter().enumerate() {
             let history: Vec<&Vec<u8>> = (writes.iter().zip(&began))
                 .filter(|((p, _), &at)| *p == pid as u64 && at <= g as u64)
@@ -216,15 +208,6 @@ fn exhaustive_crash_sweep_pdl() {
 #[test]
 fn exhaustive_crash_sweep_pdl_wear_aware() {
     sweep(PDL, GcPolicy::WearAware);
-}
-
-/// The PDL sweep taken with a 16-deep command queue and 4 planes: every
-/// crash index now lands with commands potentially still in flight
-/// (queued but not drained), and recovery must agree with the
-/// synchronous sweep's legality rules anyway.
-#[test]
-fn exhaustive_crash_sweep_pdl_qd16() {
-    sweep_on(PDL, GcPolicy::Greedy, FlashConfig::tiny().with_queue_depth(16).with_planes(4));
 }
 
 #[test]
@@ -521,7 +504,6 @@ fn commit_sweep<S: PageStore>(rig: &Rig<S>, w: &Commits, power: Power, dry_run: 
     let mut returned = vec![(0, 0)];
     w.run(&mut store, &states, |n| returned.push((journal.position(), n))).unwrap();
     (rig.check)(&store).unwrap();
-    assert_eq!(store.stats().pipeline.ordering_violations, 0);
     dry_run(&store);
     (rig.each_chip)(&mut store, &mut |c, chip| {
         destructive[c] = chip.stats().total().writes + chip.stats().total().erases - destructive[c];
@@ -573,7 +555,6 @@ fn verify_prefix<S: PageStore>(
 ) {
     (rig.check)(&store).unwrap_or_else(|e| panic!("{at}: {e}"));
     let pages_now = read_all(&mut store);
-    assert_eq!(store.stats().pipeline.ordering_violations, 0, "{at}");
     let k = states.iter().position(|s| *s == pages_now).unwrap_or_else(|| {
         panic!("{at}: recovered state matches no committed prefix — a torn transaction")
     });
@@ -809,8 +790,8 @@ fn exhaustive_crash_sweep_proof_carry_two_shards_whole_device() {
 }
 
 /// The journal against the replay it replaces: for the PDL plain and
-/// commit-record workloads, at queue depth 1 and 16, the chip a fault
-/// armed at `g` leaves equals journal image `g`, for every `g`, and the
+/// commit-record workloads, the chip a fault armed at `g` leaves equals
+/// journal image `g`, for every `g`, and the
 /// workload outlasts exactly as many budgets as the journal has images.
 #[test]
 fn journal_images_equal_arm_fault_replays() {
@@ -829,23 +810,21 @@ fn journal_images_equal_arm_fault_replays() {
             assert_eq!(store.chip().image_fingerprint(), *image, "{what}: image {g}");
         }
     }
-    for config in [FlashConfig::tiny(), FlashConfig::tiny().with_queue_depth(16).with_planes(4)] {
-        let setup = SweepSetup::new(PDL, GcPolicy::Greedy, config);
-        let writes = setup.post_flush(&setup.phase1().1);
-        let plain: Work =
-            &|store| writes.iter().try_for_each(|(p, page)| store.write_page(*p, page));
-        compare(&|| setup.phase1().0, plain, "plain");
+    let config = FlashConfig::tiny();
+    let setup = SweepSetup::new(PDL, GcPolicy::Greedy, config);
+    let writes = setup.post_flush(&setup.phase1().1);
+    let plain: Work = &|store| writes.iter().try_for_each(|(p, page)| store.write_page(*p, page));
+    compare(&|| setup.phase1().0, plain, "plain");
 
-        let w = Commits::new(txn_script(48), 1);
-        let build = || build_store(FlashChip::new(config), PDL, opts(PAGES, 10)).unwrap();
-        let states = w.load(build().as_mut());
-        let prepare = || {
-            let mut store = build();
-            w.load(store.as_mut());
-            store
-        };
-        compare(&prepare, &|store| w.run(store, &states, |_| {}), "txn");
-    }
+    let w = Commits::new(txn_script(48), 1);
+    let build = || build_store(FlashChip::new(config), PDL, opts(PAGES, 10)).unwrap();
+    let states = w.load(build().as_mut());
+    let prepare = || {
+        let mut store = build();
+        w.load(store.as_mut());
+        store
+    };
+    compare(&prepare, &|store| w.run(store, &states, |_| {}), "txn");
 }
 
 proptest! {

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use crate::pipeline::PipelineConfig;
-
 /// A physical page number: a global index over every page of the chip.
 ///
 /// Page `p` lives in block `p / pages_per_block` at in-block offset
@@ -152,9 +150,6 @@ pub struct FlashConfig {
     /// states the spare area "can be repeatedly performed up to four times
     /// without an erase operation".
     pub nop_spare: u8,
-    /// Command-queue depth and plane count. The default (depth 1)
-    /// reproduces the paper's serial Table-3 cost model exactly.
-    pub pipeline: PipelineConfig,
 }
 
 impl FlashConfig {
@@ -165,7 +160,6 @@ impl FlashConfig {
             timing: FlashTiming::PAPER,
             nop_data: 1,
             nop_spare: 4,
-            pipeline: PipelineConfig { queue_depth: 1, planes: 4 },
         }
     }
 
@@ -190,20 +184,6 @@ impl FlashConfig {
     /// Builder-style override of the data-area NOP budget.
     pub fn with_nop_data(mut self, nop: u8) -> FlashConfig {
         self.nop_data = nop;
-        self
-    }
-
-    /// Builder-style override of the command-queue depth (1 = the serial
-    /// model; the queue-depth bench sweeps 1/4/16).
-    pub fn with_queue_depth(mut self, depth: u32) -> FlashConfig {
-        self.pipeline.queue_depth = depth;
-        self
-    }
-
-    /// Builder-style override of the plane count (commands on distinct
-    /// planes execute concurrently once `queue_depth > 1`).
-    pub fn with_planes(mut self, planes: u32) -> FlashConfig {
-        self.pipeline.planes = planes;
         self
     }
 }

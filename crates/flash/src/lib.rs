@@ -39,12 +39,11 @@
 //! are the whole device losing power at once, where `arm_fault` on one
 //! chip lets the others carry on.
 //!
-//! On top of the serial cost model sits a **pipelined command model**
-//! ([`PipelineConfig`], [`FlashChip::prefetch_page`], [`FlashChip::poll`],
-//! [`FlashChip::drain`]): per-chip command queues with configurable depth
-//! and plane-level parallelism, accounted on the same simulated clock
-//! ([`FlashChip::pipeline_busy_us`] is the makespan). At the default queue
-//! depth of 1 the pipeline reproduces the serial sum exactly.
+//! The chip keeps one **simulated clock** ([`FlashChip::sim_now_us`]): a
+//! serial, monotone sum of the Table-1 latency of every charged command.
+//! Commands never overlap on it, so a chip's busy time over a
+//! measurement epoch is the epoch's ledger total
+//! (`stats().total().total_us()`), the paper's I/O time.
 
 #![forbid(unsafe_code)]
 
@@ -52,7 +51,6 @@ mod chip;
 mod error;
 mod geometry;
 mod journal;
-mod pipeline;
 mod spare;
 mod stats;
 
@@ -60,9 +58,8 @@ pub use chip::{FlashChip, PageBuf};
 pub use error::FlashError;
 pub use geometry::{BlockId, FlashConfig, FlashGeometry, FlashTiming, Ppn};
 pub use journal::PowerLossJournal;
-pub use pipeline::PipelineConfig;
 pub use spare::{fnv1a32, PageKind, SpareInfo, NO_TXN, SPARE_BYTES_USED};
-pub use stats::{FlashStats, IntegrityCounts, OpContext, OpCounts, PipelineCounts, WearSummary};
+pub use stats::{FlashStats, IntegrityCounts, OpContext, OpCounts, WearSummary};
 
 // Observability: chips carry a `pdl_obs::Recorder` (latency histograms +
 // span ring), off by default; re-exported so downstream layers name the

@@ -93,84 +93,11 @@ impl fmt::Display for OpCounts {
     }
 }
 
-/// Pipeline (queueing) gauges: how the command queue was exercised.
-///
-/// Unlike [`OpCounts`], these are not split by [`OpContext`]: queue
-/// occupancy is a property of the chip, not of whoever submitted the
-/// command that filled it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PipelineCounts {
-    /// High-water mark of commands in flight at once.
-    pub max_inflight: u64,
-    /// Simulated time submitters spent stalled on a full queue.
-    pub queue_stall_ns: u64,
-    /// Erases that completed while later commands were in flight —
-    /// i.e. erases scheduled into otherwise-idle queue slots instead of
-    /// stalling the foreground operation.
-    pub overlapped_erases: u64,
-    /// Synchronous reads satisfied by an earlier read-ahead submission.
-    pub readahead_hits: u64,
-    /// Reads that would have completed before a program/erase they
-    /// depend on — must stay 0; the dependency-ordering property test
-    /// asserts it.
-    pub ordering_violations: u64,
-}
-
-impl Add for PipelineCounts {
-    type Output = PipelineCounts;
-    /// Aggregation across chips: sums, except `max_inflight` which is a
-    /// peak and takes the maximum.
-    fn add(self, o: PipelineCounts) -> PipelineCounts {
-        PipelineCounts {
-            max_inflight: self.max_inflight.max(o.max_inflight),
-            queue_stall_ns: self.queue_stall_ns + o.queue_stall_ns,
-            overlapped_erases: self.overlapped_erases + o.overlapped_erases,
-            readahead_hits: self.readahead_hits + o.readahead_hits,
-            ordering_violations: self.ordering_violations + o.ordering_violations,
-        }
-    }
-}
-
-impl AddAssign for PipelineCounts {
-    fn add_assign(&mut self, o: PipelineCounts) {
-        *self = *self + o;
-    }
-}
-
-impl Sub for PipelineCounts {
-    type Output = PipelineCounts;
-    /// Saturating delta between snapshots. `max_inflight` is a monotone
-    /// high-water mark, so the "delta" is the later peak when it grew and
-    /// 0 when it did not — a peak has no meaningful per-interval share.
-    fn sub(self, o: PipelineCounts) -> PipelineCounts {
-        PipelineCounts {
-            max_inflight: if self.max_inflight > o.max_inflight { self.max_inflight } else { 0 },
-            queue_stall_ns: self.queue_stall_ns.saturating_sub(o.queue_stall_ns),
-            overlapped_erases: self.overlapped_erases.saturating_sub(o.overlapped_erases),
-            readahead_hits: self.readahead_hits.saturating_sub(o.readahead_hits),
-            ordering_violations: self.ordering_violations.saturating_sub(o.ordering_violations),
-        }
-    }
-}
-
-impl fmt::Display for PipelineCounts {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "inflight<={} stall={}us overlapped_erases={} readahead_hits={}",
-            self.max_inflight,
-            self.queue_stall_ns / 1_000,
-            self.overlapped_erases,
-            self.readahead_hits
-        )
-    }
-}
-
 /// Single-page failure gauges: checksum mismatches caught on the read
 /// path and pages rebuilt online from a redundant source (Graefe &
 /// Kuno's single-page-failure class).
 ///
-/// Like [`PipelineCounts`] these are chip-global, not per-context: a
+/// Unlike [`OpCounts`], these are not split by [`OpContext`]: a
 /// corruption is a property of the media, not of whoever read it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IntegrityCounts {
@@ -225,9 +152,6 @@ pub struct FlashStats {
     pub user: OpCounts,
     pub gc: OpCounts,
     pub recovery: OpCounts,
-    /// Command-queue gauges (global, not per-context; see
-    /// [`PipelineCounts`]).
-    pub pipeline: PipelineCounts,
     /// Single-page failure gauges (global; see [`IntegrityCounts`]).
     pub integrity: IntegrityCounts,
 }
@@ -283,7 +207,6 @@ impl FlashStats {
             user: self.user - earlier.user,
             gc: self.gc - earlier.gc,
             recovery: self.recovery - earlier.recovery,
-            pipeline: self.pipeline - earlier.pipeline,
             integrity: self.integrity - earlier.integrity,
         }
     }
@@ -304,7 +227,6 @@ impl Add for FlashStats {
             user: self.user + o.user,
             gc: self.gc + o.gc,
             recovery: self.recovery + o.recovery,
-            pipeline: self.pipeline + o.pipeline,
             integrity: self.integrity + o.integrity,
         }
     }
@@ -324,9 +246,6 @@ pub struct WearSummary {
     pub max_erases: u64,
     pub total_erases: u64,
     pub num_blocks: u32,
-    /// Command-queue gauges of the chip(s) summarised, so speedups from
-    /// deeper queues are attributable in the same report.
-    pub pipeline: PipelineCounts,
     /// Single-page failure gauges of the chip(s) summarised, so repair
     /// activity shows up next to the wear it causes.
     pub integrity: IntegrityCounts,
@@ -357,16 +276,13 @@ impl WearSummary {
     /// block populations as one (sharded engines report wear over all
     /// their chips this way; an empty summary is the identity).
     pub fn merge(&mut self, other: &WearSummary) {
-        self.pipeline += other.pipeline;
         self.integrity += other.integrity;
         if other.num_blocks == 0 {
             return;
         }
         if self.num_blocks == 0 {
-            let pipeline = self.pipeline;
             let integrity = self.integrity;
             *self = *other;
-            self.pipeline = pipeline;
             self.integrity = integrity;
             return;
         }
@@ -494,36 +410,6 @@ mod tests {
         // The empty summary is the identity on both sides.
         assert_eq!(WearSummary::merged([WearSummary::default(), a]), a);
         assert_eq!(WearSummary::merged([a, WearSummary::default()]), a);
-    }
-
-    #[test]
-    fn pipeline_counts_compose() {
-        let a = PipelineCounts {
-            max_inflight: 4,
-            queue_stall_ns: 10,
-            overlapped_erases: 2,
-            readahead_hits: 1,
-            ordering_violations: 0,
-        };
-        let b = PipelineCounts {
-            max_inflight: 7,
-            queue_stall_ns: 5,
-            overlapped_erases: 1,
-            readahead_hits: 3,
-            ordering_violations: 0,
-        };
-        let s = a + b;
-        // Sums, except the high-water mark which takes the max.
-        assert_eq!(s.max_inflight, 7);
-        assert_eq!(s.queue_stall_ns, 15);
-        assert_eq!(s.overlapped_erases, 3);
-        assert_eq!(s.readahead_hits, 4);
-        // Delta: the peak survives only when it grew.
-        let d = b - a;
-        assert_eq!(d.max_inflight, 7);
-        assert_eq!(d.overlapped_erases, 0);
-        assert_eq!((a - b).max_inflight, 0);
-        assert_eq!((a - b).readahead_hits, 0);
     }
 
     #[test]

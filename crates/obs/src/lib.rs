@@ -14,7 +14,7 @@
 //!   microseconds: power-of-two groups with 16 linear sub-buckets each,
 //!   mergeable across shards, exact count/sum/min/max on the side.
 //! * [`SpanRing`] / [`Span`] — a bounded ring of completed spans stamped
-//!   with the pipeline clock and attributed (lane/plane, block, id), with
+//!   with the simulated clock and attributed (lane, block, id), with
 //!   [`chrome_trace`] exporting Chrome trace-event JSON for
 //!   `chrome://tracing`.
 //! * [`MetricsRegistry`] — one insertion-ordered name → value snapshot
@@ -24,8 +24,7 @@
 //! The [`Recorder`] bundles a histogram set and a span ring behind a
 //! single `enabled` flag; every recording hook in the emulator is a
 //! branch on that flag, so a disabled recorder costs one predictable
-//! branch and the tier-1 timing claims (queue-depth 1 equals the serial
-//! Table-1 sum) are untouched.
+//! branch and the simulated clock (the serial Table-1 sum) is untouched.
 //!
 //! JSON is written and validated by [`json`] — hand-rolled, because this
 //! workspace builds offline without serde.
@@ -45,4 +44,4 @@ pub use recorder::{
 };
 pub use registry::{MetricValue, MetricsRegistry, SCHEMA};
 pub use span::{Span, SpanRing};
-pub use trace::{chrome_trace, max_concurrent_lanes, TraceTrack};
+pub use trace::{chrome_trace, TraceTrack};

@@ -59,13 +59,13 @@ pub enum LatencyClass {
     EraseUser,
     EraseGc,
     EraseRecovery,
-    /// Commit critical path of a solo (unbatched) commit, including
-    /// queue and flush stalls on the slowest shard.
+    /// Commit critical path of a solo (unbatched) commit: the simulated
+    /// flash time the commit charged its busiest shard.
     CommitSolo,
     /// Same, for a group-commit batch.
     CommitGroup,
     /// GC victim-to-done pause: from victim selection to the erase's
-    /// scheduled completion.
+    /// completion on the simulated clock.
     GcPause,
     /// One recovery phase (scan / replay / rebuild), by phase id.
     RecoveryPhase,
@@ -229,31 +229,30 @@ impl Recorder {
         self.spans.push(span);
     }
 
-    /// One flash command, fully attributed: records the op-class sample
-    /// (`sojourn_us`, submitter-observed: queue stall + schedule wait +
-    /// latency) and the plane-execution span `[start_us, done_us)`.
-    #[allow(clippy::too_many_arguments)]
+    /// One flash command, fully attributed: records its latency
+    /// (`done_us - start_us`) as the op-class sample and the span
+    /// `[start_us, done_us)` on lane 0 — a chip runs one command at a
+    /// time, so its commands share one lane.
     pub fn op(
         &mut self,
         op: OpKind,
         ctx: CtxKind,
-        lane: u32,
         start_us: u64,
         done_us: u64,
         block: u64,
         id: u64,
-        sojourn_us: u64,
     ) {
         if !self.enabled {
             return;
         }
-        self.hists[LatencyClass::of_op(op, ctx).index()].record(sojourn_us);
+        let dur_us = done_us.saturating_sub(start_us);
+        self.hists[LatencyClass::of_op(op, ctx).index()].record(dur_us);
         self.spans.push(Span {
             name: op.name(),
             ctx: ctx.name(),
-            lane,
+            lane: 0,
             start_us,
-            dur_us: done_us.saturating_sub(start_us),
+            dur_us,
             block,
             id,
         });
@@ -349,7 +348,7 @@ mod tests {
     fn disabled_recorder_records_nothing() {
         let mut r = Recorder::disabled();
         r.record(LatencyClass::ReadUser, 110);
-        r.op(OpKind::Read, CtxKind::User, 0, 0, 110, 0, 0, 110);
+        r.op(OpKind::Read, CtxKind::User, 0, 110, 0, 0);
         r.event(LatencyClass::GcPause, "gc", "gc", 4, 0, 500, 0, 0);
         assert!(!r.is_enabled());
         let s = r.snapshot();
@@ -372,14 +371,14 @@ mod tests {
     fn op_records_hist_and_span() {
         let mut r = Recorder::disabled();
         r.enable(8);
-        r.op(OpKind::Program, CtxKind::Gc, 2, 100, 1110, 7, 42, 1010);
+        r.op(OpKind::Program, CtxKind::Gc, 100, 1110, 7, 42);
         let s = r.snapshot();
         assert_eq!(s.hist(LatencyClass::ProgramGc).count(), 1);
         assert_eq!(s.hist(LatencyClass::ProgramGc).max_us(), 1010);
         assert_eq!(s.spans.len(), 1);
         assert_eq!(s.spans[0].name, "program");
         assert_eq!(s.spans[0].ctx, "gc");
-        assert_eq!(s.spans[0].lane, 2);
+        assert_eq!(s.spans[0].lane, 0);
         assert_eq!(s.spans[0].dur_us, 1010);
     }
 

@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn json_round_trips_and_validates() {
         let mut r = MetricsRegistry::new();
-        r.set_str("bench", "queue_depth");
+        r.set_str("bench", "txn_commit");
         r.set_u64("flash.user.reads", 42);
         r.set_f64("bound_tps", 12.5);
         r.set_f64("ratio", 3.0);
@@ -162,7 +162,7 @@ mod tests {
         assert_eq!(m.get("flash.user.reads").unwrap().as_f64(), Some(42.0));
         assert_eq!(m.get("bound_tps").unwrap().as_f64(), Some(12.5));
         assert_eq!(m.get("ratio").unwrap().as_f64(), Some(3.0));
-        assert_eq!(m.get("bench").unwrap().as_str(), Some("queue_depth"));
+        assert_eq!(m.get("bench").unwrap().as_str(), Some("txn_commit"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Completed spans on the simulated clock, kept in a bounded ring.
 //!
 //! A span is recorded at *completion* time (the emulator schedules a
-//! command's start and end on the pipeline clock in one step, so there
+//! command's start and end on the simulated clock in one step, so there
 //! is no open-span state to carry). The ring keeps the most recent
 //! `capacity` spans and counts what it overwrote — a long run degrades
 //! to "the tail of the timeline" instead of unbounded memory.
@@ -16,8 +16,9 @@ pub struct Span {
     /// Attribution context: `"user"`, `"gc"`, `"recovery"`, or the
     /// commit discipline (`"solo"` / `"group"`).
     pub ctx: &'static str,
-    /// Execution lane — the plane for flash commands (maintenance spans
-    /// use the first lane past the planes). Becomes the trace `tid`.
+    /// Execution lane; becomes the trace `tid`. A chip's commands and
+    /// its maintenance spans (GC, recovery, repair) share lane 0 — the
+    /// maintenance span encloses the commands it charged.
     pub lane: u32,
     /// Start on the simulated clock (µs).
     pub start_us: u64,

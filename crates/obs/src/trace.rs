@@ -3,10 +3,10 @@
 //! Emits the trace-event format `chrome://tracing` (and Perfetto's
 //! legacy loader) understands: one complete event (`"ph": "X"`) per
 //! span, timestamps in microseconds — which is exactly the simulated
-//! clock's unit, so the rendered timeline *is* the pipeline schedule.
-//! Each track (a shard's chip, or the pool's commit lane) becomes a
-//! process; each lane (plane) becomes a thread, so plane parallelism
-//! and overlapped GC erases appear as vertically stacked bars.
+//! clock's unit, so the rendered timeline *is* the chip's serial
+//! schedule. Each track (a shard's chip, or the pool's commit lane)
+//! becomes a process and each lane a thread: one lane per chip, where a
+//! GC or recovery span stacks above the commands it encloses.
 
 use crate::json::escape;
 use crate::span::Span;
@@ -78,29 +78,6 @@ pub fn chrome_trace(tracks: &[TraceTrack]) -> String {
     s
 }
 
-/// Maximum number of *distinct lanes* simultaneously busy among the
-/// spans matching `name` (`None` = all spans). Two overlapping program
-/// spans on different planes report 2 — the queue-depth bench's witness
-/// that the trace actually shows plane parallelism.
-pub fn max_concurrent_lanes(spans: &[Span], name: Option<&str>) -> usize {
-    let sel: Vec<&Span> =
-        spans.iter().filter(|s| s.dur_us > 0 && name.is_none_or(|n| s.name == n)).collect();
-    let mut best = 0;
-    for probe in &sel {
-        // Sample concurrency at this span's start time.
-        let t = probe.start_us;
-        let mut lanes: Vec<u32> = sel
-            .iter()
-            .filter(|s| s.start_us <= t && t < s.start_us + s.dur_us)
-            .map(|s| s.lane)
-            .collect();
-        lanes.sort_unstable();
-        lanes.dedup();
-        best = best.max(lanes.len());
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,22 +101,5 @@ mod tests {
         json::validate_trace(&v).expect("valid trace shape");
         assert!(a.contains("\"ph\":\"X\""));
         assert!(a.contains("\"name\":\"shard0\""));
-    }
-
-    #[test]
-    fn concurrency_counts_distinct_lanes_only() {
-        // Two overlapping programs on one lane: concurrency 1.
-        let same = [sp("program", 0, 0, 100), sp("program", 0, 50, 100)];
-        assert_eq!(max_concurrent_lanes(&same, Some("program")), 1);
-        // On two lanes: concurrency 2.
-        let twol = [sp("program", 0, 0, 100), sp("program", 1, 50, 100)];
-        assert_eq!(max_concurrent_lanes(&twol, Some("program")), 2);
-        // Disjoint in time: 1.
-        let serial = [sp("program", 0, 0, 100), sp("program", 1, 100, 100)];
-        assert_eq!(max_concurrent_lanes(&serial, Some("program")), 1);
-        // Name filter excludes other kinds.
-        let mixed = [sp("program", 0, 0, 100), sp("erase", 1, 50, 100)];
-        assert_eq!(max_concurrent_lanes(&mixed, Some("program")), 1);
-        assert_eq!(max_concurrent_lanes(&mixed, None), 2);
     }
 }

@@ -569,10 +569,6 @@ impl BTree {
             match step {
                 Step::Stop => return Ok(()),
                 Step::NextLeaf(next) => {
-                    // Read-ahead: the leaf chain is followed strictly in
-                    // order, so hint the next leaf's flash reads while
-                    // this leaf's entries are still being consumed.
-                    s.prefetch(next);
                     leaf = next;
                     idx = 0;
                 }

@@ -537,9 +537,8 @@ impl FrameCache {
         self.stats
     }
 
-    /// Whether `pid` currently occupies a frame (a prefetch hint for a
-    /// cached page would charge a phantom flash read; callers check this
-    /// first).
+    /// Whether `pid` currently occupies a frame.
+    #[cfg(test)]
     pub(crate) fn is_cached(&self, pid: u64) -> bool {
         self.map.contains_key(&pid)
     }

@@ -609,9 +609,9 @@ impl Database {
     }
 
     /// [`PageStore::commit_batch`], with the batch's commit latency
-    /// recorded when observability is on: the slowest chip's
-    /// pipeline-busy delta across the call (queue and flush stalls
-    /// included) is one `CommitSolo` or `CommitGroup` sample per
+    /// recorded when observability is on: the largest advance of any
+    /// chip's simulated clock across the call (the busiest chip's serial
+    /// flash time) is one `CommitSolo` or `CommitGroup` sample per
     /// member, and the batch is one `commit` span.
     fn store_commit(
         &self,
@@ -621,19 +621,17 @@ impl Database {
         if !self.obs {
             return self.with_store(|store| store.commit_batch(batch));
         }
-        let busy = |store: &dyn PageStore| {
-            let mut busy = Vec::new();
-            store.for_each_chip(&mut |c| busy.push(c.pipeline_busy_us()));
-            busy
+        let clocks = |store: &dyn PageStore| {
+            let mut now = Vec::new();
+            store.for_each_chip(&mut |c| now.push(c.sim_now_us()));
+            now
         };
         let (result, start_us, sample) = self.with_store(|store| {
-            let mut start_us = 0;
-            store.for_each_chip(&mut |c| start_us = start_us.max(c.sim_now_us()));
-            let before = busy(store);
+            let before = clocks(store);
             let result = store.commit_batch(batch);
-            let after = busy(store);
-            let sample =
-                after.iter().zip(&before).map(|(a, b)| a.saturating_sub(*b)).max().unwrap_or(0);
+            let after = clocks(store);
+            let start_us = before.iter().copied().max().unwrap_or(0);
+            let sample = after.iter().zip(&before).map(|(a, b)| a - b).max().unwrap_or(0);
             (result, start_us, sample)
         });
         if result.is_ok() {
@@ -1255,16 +1253,6 @@ impl PageRead for Database {
         Database::with_page(self, pid, f)
     }
 
-    /// Skipped when the page is already buffered (a prefetch would charge
-    /// a phantom read); errors are swallowed — a failed prefetch only
-    /// means the later demand read pays the full latency.
-    fn prefetch(&self, pid: u64) {
-        if self.lock_cache().is_cached(pid) {
-            return;
-        }
-        let _ = self.with_store(|s| s.prefetch(pid));
-    }
-
     fn struct_root(&self, id: StructId) -> Option<StructRoot> {
         // Pending-aware: the open transaction reads its own structural
         // writes, matching the in-place frame mutations it also sees.
@@ -1292,10 +1280,6 @@ impl PageRead for DbSnapshot<'_> {
 
     fn with_page<R>(&self, pid: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         self.db.with_page_at(self.view, pid, f)
-    }
-
-    fn prefetch(&self, pid: u64) {
-        self.db.prefetch(pid);
     }
 
     fn struct_root(&self, id: StructId) -> Option<StructRoot> {

@@ -198,15 +198,6 @@ pub trait PageRead {
     /// snapshot-safe. `None` when the id is unknown to the reader's
     /// database.
     fn struct_root(&self, id: StructId) -> Option<StructRoot>;
-
-    /// Read-ahead hint: the caller will read `pid` soon (a range scan
-    /// hints the next leaf while the current one is consumed). Purely an
-    /// optimisation — implementations issue flash reads without waiting,
-    /// skip pages already cached in a frame, and swallow errors (the
-    /// later real read surfaces them); the default does nothing.
-    fn prefetch(&self, pid: u64) {
-        let _ = pid;
-    }
 }
 
 /// The MVCC registry the database keeps behind a mutex: the commit

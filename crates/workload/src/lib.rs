@@ -36,7 +36,7 @@ pub use driver::{load_database, run_mix_workload, run_update_workload, MixConfig
 pub use measure::{Measurement, StepCosts};
 pub use mutate::{Placement, UpdateGen};
 pub use readers::{run_snapshot_read_workload, SnapshotReadConfig, SnapshotReadResult};
-pub use report::{format_us, pipeline_table, wear_table, Table};
+pub use report::{format_us, wear_table, Table};
 pub use scale::{chip_for, db_pages_for, Scale};
 pub use struct_writers::{run_struct_writers_workload, StructWritersConfig, StructWritersResult};
 pub use txn::{run_txn_commit_workload, TxnCommitConfig, TxnCommitResult};

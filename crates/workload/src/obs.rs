@@ -1,6 +1,6 @@
 //! Registry naming: the one place that maps every subsystem's counters
-//! and gauges — the flash ledger ([`FlashStats`]), command-queue and
-//! integrity gauges, wear summaries, buffer-pool statistics — and the
+//! and gauges — the flash ledger ([`FlashStats`]), integrity gauges,
+//! wear summaries, buffer-pool statistics — and the
 //! recorder's latency histograms into the `pdl-metrics-v1` schema that
 //! every emitted `BENCH_*.json` shares.
 //!
@@ -9,8 +9,6 @@
 //! * `flash.<ctx>.{reads,writes,erases,read_us,write_us,erase_us}` for
 //!   `ctx` in `user` / `gc` / `recovery`, plus `flash.total.*` and the
 //!   derived `flash.write_amplification`.
-//! * `pipeline.{max_inflight,stall_us,overlapped_erases,readahead_hits,
-//!   ordering_violations}`.
 //! * `integrity.{detected_corruptions,repaired_pages}`.
 //! * `wear.{num_blocks,min_erases,avg_erases,max_erases,total_erases}`.
 //! * `buffer.{hits,misses,evictions,dirty_writebacks,version_reads,
@@ -19,7 +17,7 @@
 //!   every recorded [`LatencyClass`] (e.g. `commit.group.p99_us`,
 //!   `read.user.p50_us`), plus `spans.{recorded,dropped}`.
 
-use pdl_flash::{FlashStats, IntegrityCounts, OpCounts, PipelineCounts, WearSummary};
+use pdl_flash::{FlashStats, IntegrityCounts, OpCounts, WearSummary};
 use pdl_obs::{LatencyClass, MetricsRegistry, RecorderSnapshot};
 use pdl_storage::BufferStats;
 
@@ -42,8 +40,7 @@ fn put_op_counts(reg: &mut MetricsRegistry, prefix: &str, c: &OpCounts) {
 }
 
 /// The full flash ledger under `<prefix>.flash.*` (pass `""` for the
-/// bare `flash.*` names), including the pipeline and integrity gauges
-/// it carries.
+/// bare `flash.*` names), including the integrity gauges it carries.
 pub fn put_flash_stats(reg: &mut MetricsRegistry, prefix: &str, s: &FlashStats) {
     let p = |tail: &str| {
         if prefix.is_empty() {
@@ -57,16 +54,7 @@ pub fn put_flash_stats(reg: &mut MetricsRegistry, prefix: &str, s: &FlashStats) 
     put_op_counts(reg, &p("flash.recovery"), &s.recovery);
     put_op_counts(reg, &p("flash.total"), &s.total());
     reg.set_f64(&p("flash.write_amplification"), s.write_amplification());
-    put_pipeline_counts(reg, &p("pipeline"), &s.pipeline);
     put_integrity_counts(reg, &p("integrity"), &s.integrity);
-}
-
-pub fn put_pipeline_counts(reg: &mut MetricsRegistry, prefix: &str, p: &PipelineCounts) {
-    reg.set_u64(&format!("{prefix}.max_inflight"), p.max_inflight);
-    reg.set_u64(&format!("{prefix}.stall_us"), p.queue_stall_ns / 1_000);
-    reg.set_u64(&format!("{prefix}.overlapped_erases"), p.overlapped_erases);
-    reg.set_u64(&format!("{prefix}.readahead_hits"), p.readahead_hits);
-    reg.set_u64(&format!("{prefix}.ordering_violations"), p.ordering_violations);
 }
 
 pub fn put_integrity_counts(reg: &mut MetricsRegistry, prefix: &str, c: &IntegrityCounts) {
@@ -171,7 +159,6 @@ mod tests {
 
         assert_eq!(reg.get_u64("flash.user.reads"), Some(3));
         assert_eq!(reg.get_u64("flash.total.write_us"), Some(2020));
-        assert_eq!(reg.get_u64("pipeline.ordering_violations"), Some(0));
         assert_eq!(reg.get_u64("integrity.detected_corruptions"), Some(0));
         assert_eq!(reg.get_u64("buffer.leaked_pids"), Some(0));
         assert_eq!(reg.get_u64("commit.group.count"), Some(1));

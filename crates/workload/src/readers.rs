@@ -111,13 +111,6 @@ pub struct SnapshotReadResult {
     /// Maximum per-shard simulated flash time (µs): the engine's
     /// critical path when nothing global serializes the run.
     pub flash_us_max_shard: u64,
-    /// Maximum per-shard *pipeline* busy time (µs): the critical path
-    /// once the command queue overlaps programs/erases with later work.
-    /// Equals [`Self::flash_us_max_shard`] at queue depth 1.
-    pub pipeline_us_max_shard: u64,
-    /// Command-queue gauges of the run, aggregated over the shards
-    /// (`max_inflight` is the run-level peak, not a delta).
-    pub pipeline: pdl_flash::PipelineCounts,
     /// Buffer statistics sampled at the end of the run. `active_views` and
     /// `leaked_pids` must both read 0 after a clean teardown — the
     /// benches assert on them.
@@ -138,10 +131,10 @@ impl SnapshotReadResult {
     }
 }
 
-/// Every chip's flash ledger and pipeline clock, shard order.
-fn per_chip(db: &Database) -> Vec<(FlashStats, u64)> {
+/// Every chip's flash ledger, shard order.
+fn per_chip(db: &Database) -> Vec<FlashStats> {
     let mut chips = Vec::new();
-    db.with_store(|s| s.for_each_chip(&mut |c| chips.push((c.stats(), c.pipeline_busy_us()))));
+    db.with_store(|s| s.for_each_chip(&mut |c| chips.push(c.stats())));
     chips
 }
 
@@ -272,19 +265,11 @@ pub fn run_snapshot_read_workload(
             scans += r?;
         }
     }
-    let chips_after = per_chip(db);
-    let chips = || chips_after.iter().zip(chips_before.iter());
-    let per_shard_us: Vec<u64> =
-        chips().map(|((a, _), (b, _))| (a.total() - b.total()).total_us()).collect();
-    let pipeline_us_max_shard =
-        chips().map(|((_, a), (_, b))| a.saturating_sub(*b)).max().unwrap_or(0);
-    let mut pipeline = chips()
-        .map(|((a, _), (b, _))| a.delta_since(b).pipeline)
-        .fold(pdl_flash::PipelineCounts::default(), |acc, p| acc + p);
-    // `max_inflight` is a high-water mark, so its delta is 0 whenever the
-    // peak predates the workload; report the run-level peak instead.
-    pipeline.max_inflight =
-        chips_after.iter().map(|(s, _)| s.pipeline.max_inflight).max().unwrap_or(0);
+    let per_shard_us: Vec<u64> = per_chip(db)
+        .iter()
+        .zip(&chips_before)
+        .map(|(a, b)| (a.total() - b.total()).total_us())
+        .collect();
     Ok(SnapshotReadResult {
         scans,
         committed,
@@ -293,8 +278,6 @@ pub fn run_snapshot_read_workload(
         version_reads: db.buffer_stats().version_reads - cache_before.version_reads,
         flash_us_total: per_shard_us.iter().sum(),
         flash_us_max_shard: per_shard_us.iter().copied().max().unwrap_or(0),
-        pipeline_us_max_shard,
-        pipeline,
         buffer: db.buffer_stats(),
         wall: started.elapsed(),
     })

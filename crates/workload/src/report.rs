@@ -1,7 +1,7 @@
 //! Plain-text table formatting for the experiment harness: the bench
 //! targets print the same rows/series the paper's figures plot.
 
-use pdl_flash::{IntegrityCounts, PipelineCounts, WearSummary};
+use pdl_flash::WearSummary;
 use std::fmt::Write as _;
 
 /// Format microseconds with thousands separators, e.g. `12,345 us`.
@@ -126,42 +126,6 @@ pub fn wear_table(title: impl Into<String>, per_shard: &[WearSummary]) -> Table 
     t
 }
 
-/// Pipeline-gauge table: one labelled row per configuration, so a bench
-/// sweeping queue depth can show *why* a config is faster (queue
-/// occupancy, stall time, erases overlapped with foreground work,
-/// read-ahead hits) next to its ops/s — plus the run's integrity
-/// counters (checksum mismatches detected on the data path, pages
-/// repaired online), which should read 0/0 on healthy silicon.
-pub fn pipeline_table(
-    title: impl Into<String>,
-    rows: &[(String, PipelineCounts, IntegrityCounts)],
-) -> Table {
-    let mut t = Table::new(
-        title,
-        &[
-            "config",
-            "max inflight",
-            "stall (us)",
-            "overlapped erases",
-            "readahead hits",
-            "detected corruptions",
-            "repaired pages",
-        ],
-    );
-    for (label, p, integ) in rows {
-        t.row(vec![
-            label.clone(),
-            p.max_inflight.to_string(),
-            format_us((p.queue_stall_ns / 1_000) as f64),
-            p.overlapped_erases.to_string(),
-            p.readahead_hits.to_string(),
-            integ.detected_corruptions.to_string(),
-            integ.repaired_pages.to_string(),
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,26 +156,6 @@ mod tests {
         assert!(all.contains("12"), "{s}");
         assert!(all.contains("64"), "{s}");
         assert!(all.contains('1') && all.contains('9'), "{s}");
-    }
-
-    #[test]
-    fn pipeline_table_shows_gauges() {
-        let p = PipelineCounts {
-            max_inflight: 16,
-            queue_stall_ns: 2_500_000,
-            overlapped_erases: 7,
-            readahead_hits: 42,
-            ordering_violations: 0,
-        };
-        let integ = IntegrityCounts { detected_corruptions: 3, repaired_pages: 2 };
-        let s = pipeline_table("pipeline", &[("QD 16".to_string(), p, integ)]).render();
-        assert!(s.contains("QD 16"), "{s}");
-        assert!(s.contains("16"), "{s}");
-        assert!(s.contains("2,500"), "{s}");
-        assert!(s.contains("42"), "{s}");
-        assert!(s.contains("detected corruptions"), "{s}");
-        assert!(s.contains("repaired pages"), "{s}");
-        assert!(s.contains('3') && s.contains('2'), "{s}");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! **shard**: structural writers on disjoint trees dirty disjoint page
 //! sets, so with S shards the per-shard busy time must fall roughly S-ways
 //! while a single shard serializes everything. The headline metric is
-//! therefore `max(per_shard_busy_us)`, the pipeline bound on the slowest
-//! shard.
+//! therefore `max(per_shard_busy_us)`, the serial flash time of the
+//! slowest shard.
 //!
 //! Two correctness gauges ride along and must read zero after any run:
 //!
@@ -96,7 +96,7 @@ pub struct StructWritersResult {
 }
 
 impl StructWritersResult {
-    /// The pipeline bound: busy time of the slowest shard. This is the
+    /// The bound: simulated flash time of the slowest shard. This is the
     /// number that must *fall* as shards are added — the whole point of
     /// latched structural concurrency.
     pub fn max_shard_busy_us(&self) -> u64 {
@@ -114,10 +114,11 @@ impl StructWritersResult {
     }
 }
 
-/// Every chip's pipeline busy time (µs), shard order.
+/// Every chip's simulated flash time since its last stats reset (µs),
+/// shard order.
 fn per_chip_busy_us(db: &Database) -> Vec<u64> {
     let mut busy = Vec::new();
-    db.with_store(|s| s.for_each_chip(&mut |c| busy.push(c.pipeline_busy_us())));
+    db.with_store(|s| s.for_each_chip(&mut |c| busy.push(c.stats().total().total_us())));
     busy
 }
 

@@ -64,7 +64,7 @@ fn main() {
     println!("group commit: {grouped} commits rode a group, {solo} committed alone");
     println!("flash (all shards): {}", db.io_stats().total());
     let mut busy = Vec::new();
-    db.with_store(|s| s.for_each_chip(&mut |c| busy.push(c.pipeline_busy_us())));
+    db.with_store(|s| s.for_each_chip(&mut |c| busy.push(c.stats().total().total_us())));
     println!("per-shard flash busy time (sim us): {busy:?}");
     assert_eq!(grouped + solo, commits, "every commit lands one latency sample");
 
